@@ -24,7 +24,7 @@ from .diagnostics import (
     mass_energy_envelope_check,
     weak_residual,
 )
-from .discretization import FaceField, Field, Grid, cutoff, divergence, face_gradient, mollify
+from .discretization import Field, Grid, cutoff, mollify
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -86,7 +86,7 @@ __all__ = [
     "WeakResidualReport", "certify_run", "default_test_functions",
     "energy_balance_residual", "entropy_monitor", "mass_balance_residual",
     "mass_energy_envelope_check", "weak_residual",
-    "FaceField", "Field", "Grid", "cutoff", "divergence", "face_gradient", "mollify",
+    "Field", "Grid", "cutoff", "mollify",
     "ConfigError", "DimensionMismatch", "DominanceViolation", "EnvelopeViolation",
     "ModelInvalid", "NonPositiveRadius", "NonfiniteIterate", "ParseError",
     "PicardDivergence", "PoromoistError", "SingularMatrix", "ValidationError",

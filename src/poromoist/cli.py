@@ -98,7 +98,7 @@ def _cmd_run(args) -> int:
     rows = []
     for k in _snapshot_indices(steps, setup.cadence, setup.step.dt):
         state = result.states[k]
-        u_face = darcy_velocity(state, params=setup.params, s=setup.reg.s).values
+        u_face = darcy_velocity(state, params=setup.params, s=setup.reg.s)
         u_cell = 0.5 * (u_face[:-1] + u_face[1:])
         for i, x in enumerate(setup.grid.centers):
             rows.append((_fmt(state.t), _fmt(float(x)),
@@ -189,7 +189,6 @@ def _cmd_ladder(args) -> int:
         rungs=opts.get("rungs", 4),
         factor=opts.get("factor", 2.0),
         nu_ratio=opts.get("nu_ratio", 0.5),
-        inject_non_monotone=opts.get("inject_non_monotone", False),
     )
     variation_ok = all(v <= LADDER_VARIATION_CAP for v in report.monitor_variation.values())
     passed = report.monotone and variation_ok

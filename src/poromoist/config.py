@@ -189,7 +189,6 @@ CONFIG_SCHEMA = {
                 "nu_ratio": {"type": "number", "exclusiveMinimum": 0,
                              "exclusiveMaximum": 1},
                 "t_end": _POSITIVE,
-                "inject_non_monotone": {"type": "boolean"},
             },
             "additionalProperties": False,
         },

@@ -28,10 +28,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discretization import Grid
+from .discretization import Grid, boundary_traces, robin_fluxes
 from .errors import EnvelopeViolation
 from .model import PhysicalParams, phase_change_rate, saturation_pressure
-from .stepper import PicardReport, RunResult, State, StepRecord, _boundary_traces
+from .stepper import PicardReport, RunResult, State, StepRecord
 
 __all__ = [
     "DiagnosticsRecord",
@@ -353,12 +353,11 @@ def weak_residual(result: RunResult,
         kappa_face = p.kappa1 + 0.5 * p.kappa2 * (r1[:-1]**2 + r1[1:]**2)
         heat_flux = flux * theta_face + kappa_face * np.diff(th1) / h
 
-        rho_l, rho_r = _boundary_traces(r1)
-        th_l, th_r = _boundary_traces(th1)
-        f_left = p.alpha0 * (rho_l - s * p.rho_bar0)
-        f_right = p.alpha1 * (s * p.rho_bar1 - rho_r)
-        g_left = p.beta0 * (th_l - s * p.theta_bar0)
-        g_right = p.beta1 * (s * p.theta_bar1 - th_r)
+        th_l, th_r = boundary_traces(th1)
+        f_left, f_right = robin_fluxes(*boundary_traces(r1), s, p.alpha0, p.alpha1,
+                                       p.rho_bar0, p.rho_bar1)
+        g_left, g_right = robin_fluxes(th_l, th_r, s, p.beta0, p.beta1,
+                                       p.theta_bar0, p.theta_bar1)
 
         gamma = phase_change_rate(r1, th1, model)
 

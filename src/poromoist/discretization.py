@@ -1,4 +1,4 @@
-"""Uniform cell-centered grid, smoothing and difference operators.
+"""Uniform cell-centered grid, smoothing, and the Robin wall closure.
 
 The domain (0, 1) is split into n equal cells of width h = 1/n with
 unknowns stored at cell centers (i + 1/2) h.  Face-indexed arrays carry
@@ -7,6 +7,10 @@ fluxes: face j sits at x = j h between cells j-1 and j.
 Smoothing uses a discrete compactly supported bump kernel with mirror
 extension outside the domain, so constants pass through unchanged and wall
 cells are never artificially damped.
+
+Both equations are closed by Robin exchange with ambient reservoirs at the
+two walls.  The wall traces and the exchange fluxes are written once here
+and shared by the stepper, the diagnostics and the manufactured solutions.
 """
 
 from __future__ import annotations
@@ -21,12 +25,10 @@ from .errors import ConfigError, DimensionMismatch, NonPositiveRadius
 __all__ = [
     "Grid",
     "Field",
-    "FaceField",
     "mollify",
     "cutoff",
-    "face_gradient",
-    "divergence",
-    "robin_mass_flux",
+    "boundary_traces",
+    "robin_fluxes",
 ]
 
 
@@ -70,23 +72,6 @@ class Field:
             raise DimensionMismatch("field contains nonfinite values")
 
 
-@dataclass
-class FaceField:
-    """Face values (length n+1) bound to a grid."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n + 1,):
-            raise DimensionMismatch(
-                f"face field has {self.values.shape} values for an n={self.grid.n} grid"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DimensionMismatch("face field contains nonfinite values")
-
-
 @lru_cache(maxsize=64)
 def _kernel(mu: float, h: float) -> np.ndarray:
     """Sampled bump kernel exp(-1/(1-(d/mu)^2)) at cell offsets, sum-normalized.
@@ -102,8 +87,17 @@ def _kernel(mu: float, h: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _mollify_values(values: np.ndarray, mu: float, h: float) -> np.ndarray:
-    """Convolve with the bump kernel, mirroring cell values at the walls."""
+def mollify(values: np.ndarray, mu: float, h: float) -> np.ndarray:
+    """Smooth cell values over radius mu on a grid of spacing h.
+
+    The bump kernel is convolved with the values mirrored at the walls.
+    Linear, preserves constants and nonnegativity, nonexpansive in the max
+    norm, and the identity whenever the kernel support fits inside one
+    cell.  Zero extension is deliberately avoided: it would carve
+    artificial layers into wall cells whenever the radius exceeds the cell
+    width, and those layers steepen the advective drift instead of
+    smoothing it.
+    """
     if mu <= 0:
         raise NonPositiveRadius(f"mollifier radius must be positive, got {mu}")
     w = _kernel(float(mu), float(h))
@@ -112,19 +106,6 @@ def _mollify_values(values: np.ndarray, mu: float, h: float) -> np.ndarray:
         return np.array(values, dtype=float)
     padded = np.pad(np.asarray(values, dtype=float), half, mode="symmetric")
     return np.convolve(padded, w, mode="valid")
-
-
-def mollify(f: Field, mu: float) -> Field:
-    """Smooth a cell field over radius mu (mirror extension at the walls).
-
-    Linear in f, preserves constants and nonnegativity, nonexpansive in
-    the max norm, and the identity whenever the kernel support fits inside
-    one cell.  Zero extension is deliberately avoided: it would carve
-    artificial layers into wall cells whenever the radius exceeds the cell
-    width, and those layers steepen the advective drift instead of
-    smoothing it.
-    """
-    return Field(_mollify_values(f.values, mu, f.grid.h), f.grid)
 
 
 def cutoff(hval, eps: float):
@@ -143,42 +124,23 @@ def cutoff(hval, eps: float):
     return float(out) if out.ndim == 0 else out
 
 
-def face_gradient(f: Field, grid: Grid | None = None) -> FaceField:
-    """Difference quotient (f[j] - f[j-1])/h at interior faces, 0 at the walls.
+def boundary_traces(values: np.ndarray) -> tuple[float, float]:
+    """Second-order wall traces (3 v[0] - v[1]) / 2 and (3 v[-1] - v[-2]) / 2.
 
-    Wall entries are placeholders; boundary fluxes are always closed by the
-    Robin data, never by one-sided gradients.
+    A first-order trace would cap the observable spatial order at one.
     """
-    if grid is not None and grid is not f.grid and grid != f.grid:
-        raise DimensionMismatch("field is bound to a different grid")
-    g = f.grid
-    out = np.zeros(g.n + 1)
-    out[1:-1] = np.diff(f.values) / g.h
-    return FaceField(out, g)
+    return 1.5 * values[0] - 0.5 * values[1], 1.5 * values[-1] - 0.5 * values[-2]
 
 
-def divergence(flux: FaceField, grid: Grid | None = None) -> Field:
-    """Cellwise flux difference (flux[j+1] - flux[j])/h.
+def robin_fluxes(left: float, right: float, s: float, k0: float, k1: float,
+                 bar0: float, bar1: float) -> tuple[float, float]:
+    """Exchange fluxes at the two walls for traces left/right.
 
-    Telescopes exactly: h * sum(divergence) == flux[n] - flux[0].
+    Returns the face values of the flux inside the divergence:
+    k0 (left - s bar0) at x = 0 and k1 (s bar1 - right) at x = 1, with
+    exchange coefficients k0/k1 and ambient values bar0/bar1 scaled by the
+    coupling s.  A surplus at either wall gives an outflow: positive at the
+    left wall, negative at the right.  Vapor uses alpha and rho_bar, heat
+    conduction beta and theta_bar.
     """
-    if grid is not None and grid is not flux.grid and grid != flux.grid:
-        raise DimensionMismatch("face field is bound to a different grid")
-    g = flux.grid
-    return Field(np.diff(flux.values) / g.h, g)
-
-
-def robin_mass_flux(boundary_value: float, side: str, s: float, params) -> float:
-    """Mass flux prescribed at a wall by the exchange condition.
-
-    Returns the face value of the flux function that sits inside the
-    divergence of the vapor equation: at the right wall
-    alpha1 * (s * ambient - trace), at the left wall
-    alpha0 * (trace - s * ambient).  Positive values add vapor to the
-    neighboring cell at the right wall and remove it at the left wall.
-    """
-    if side == "left":
-        return params.alpha0 * (boundary_value - s * params.rho_bar0)
-    if side == "right":
-        return params.alpha1 * (s * params.rho_bar1 - boundary_value)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return k0 * (left - s * bar0), k1 * (s * bar1 - right)

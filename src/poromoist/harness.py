@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discretization import Field, Grid
+from .discretization import Field, Grid, robin_fluxes
 from .errors import PoromoistError
 from .model import InitialData, PhysicalParams, SaturationModel, saturation_pressure
 from .stepper import (
@@ -127,18 +127,20 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel,
         r = rho(xv, t)
         return float((params.kappa1 + params.kappa2 * r * r) * theta_x(xv, t))
 
-    case_forcing = Forcing(
-        rho_source=rho_source,
-        theta_source=theta_source,
-        rho_flux_left=lambda t: mass_flux(0.0, t)
-        - params.alpha0 * (float(rho(0.0, t)) - s * params.rho_bar0),
-        rho_flux_right=lambda t: mass_flux(1.0, t)
-        - params.alpha1 * (s * params.rho_bar1 - float(rho(1.0, t))),
-        theta_flux_left=lambda t: cond_flux(0.0, t)
-        - params.beta0 * (float(theta(0.0, t)) - s * params.theta_bar0),
-        theta_flux_right=lambda t: cond_flux(1.0, t)
-        - params.beta1 * (s * params.theta_bar1 - float(theta(1.0, t))),
-    )
+    def rho_flux(t):
+        f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)), s,
+                              params.alpha0, params.alpha1,
+                              params.rho_bar0, params.rho_bar1)
+        return mass_flux(0.0, t) - f0, mass_flux(1.0, t) - f1
+
+    def theta_flux(t):
+        g0, g1 = robin_fluxes(float(theta(0.0, t)), float(theta(1.0, t)), s,
+                              params.beta0, params.beta1,
+                              params.theta_bar0, params.theta_bar1)
+        return cond_flux(0.0, t) - g0, cond_flux(1.0, t) - g1
+
+    case_forcing = Forcing(rho_source=rho_source, theta_source=theta_source,
+                           rho_flux=rho_flux, theta_flux=theta_flux)
     return MMSCase("decaying-wave", rho, theta, case_forcing)
 
 
@@ -234,16 +236,13 @@ def regularization_ladder(initial: InitialData | None, cfg: StepConfig,
                           grid: Grid, t_end: float | None = None,
                           eps0: float = 0.1, rungs: int = 4,
                           factor: float = 2.0, nu_ratio: float = 0.5,
-                          initial_state: State | None = None,
-                          inject_non_monotone: bool = False) -> LadderReport:
+                          initial_state: State | None = None) -> LadderReport:
     """Shrink (eps, nu) geometrically and compare successive trajectories.
 
     Convergence of the regularized family shows up as strictly decreasing
     successive space-time distances, while the entropy and fourth-power
     monitors must level off.  Passing initial_state pins the start point
-    so it does not move with the mollifier radius.  inject_non_monotone
-    deliberately corrupts the distance table; it exists so that reporting
-    paths for a failed ladder stay tested.
+    so it does not move with the mollifier radius.
     """
     if rungs < 1:
         raise ValueError("ladder needs at least one rung")
@@ -260,9 +259,6 @@ def regularization_ladder(initial: InitialData | None, cfg: StepConfig,
     differences = np.array([
         _trajectory_difference(results[j], results[j - 1])
         for j in range(1, rungs)])
-    if inject_non_monotone and differences.size:
-        differences = differences.copy()
-        differences[-1] = differences[0] * 10.0 + 1.0
     monotone = bool(np.all(np.diff(differences) < 0)) if differences.size > 1 else True
 
     entropy = np.array([max(r.entropy for r in res.records) for res in results])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .discretization import FaceField, Grid
+from .discretization import Grid, boundary_traces, robin_fluxes
 from .errors import ConfigError, ModelInvalid
 
 __all__ = [
@@ -268,8 +268,8 @@ def validate_saturation_assumptions(model: SaturationModel) -> SaturationReport:
 
 
 def darcy_velocity(state, grid: Grid | None = None,
-                   params: PhysicalParams | None = None, s: float = 1.0) -> FaceField:
-    """Filtration velocity u = -(rho * theta)_x at faces.
+                   params: PhysicalParams | None = None, s: float = 1.0) -> np.ndarray:
+    """Filtration velocity u = -(rho * theta)_x at the n+1 faces.
 
     Interior faces use the difference quotient of the cell pressure
     rho * theta.  Wall faces are diagnostic: when params are given they
@@ -286,13 +286,13 @@ def darcy_velocity(state, grid: Grid | None = None,
     u[1:-1] = -np.diff(pressure) / h
 
     if params is not None:
-        trace_l = 1.5 * rho[0] - 0.5 * rho[1]
-        trace_r = 1.5 * rho[-1] - 0.5 * rho[-2]
+        trace_l, trace_r = boundary_traces(rho)
+        f_left, f_right = robin_fluxes(trace_l, trace_r, s, params.alpha0, params.alpha1,
+                                       params.rho_bar0, params.rho_bar1)
         # Rightward mass flux q = u * rho is minus the divergence-form flux.
-        q_left = -params.alpha0 * (trace_l - s * params.rho_bar0)
-        q_right = -params.alpha1 * (s * params.rho_bar1 - trace_r)
+        q_left, q_right = -f_left, -f_right
         donor_l = s * params.rho_bar0 if q_left > 0 else trace_l
         donor_r = trace_r if q_right > 0 else s * params.rho_bar1
         u[0] = q_left / donor_l if abs(donor_l) > 1e-300 else 0.0
         u[-1] = q_right / donor_r if abs(donor_r) > 1e-300 else 0.0
-    return FaceField(u, grid)
+    return u

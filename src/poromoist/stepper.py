@@ -25,18 +25,18 @@ Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
 equation's mass fluxes evaluated at the fresh vapor solution, so the
 energy carried by convection is consistent with the mass actually moving.
-Boundary traces use second-order extrapolation (3 v[0] - v[1]) / 2; a
-first-order trace would cap the observable spatial order at one.
+The wall traces and the Robin exchange fluxes come from
+discretization.boundary_traces and discretization.robin_fluxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .discretization import Field, Grid, cutoff, mollify, _mollify_values
+from .discretization import Field, Grid, boundary_traces, cutoff, mollify, robin_fluxes
 from .errors import (
     ConfigError,
     DominanceViolation,
@@ -142,31 +142,24 @@ class PicardReport:
     converged: bool
 
 
+def _no_correction(t: float) -> tuple[float, float]:
+    return 0.0, 0.0
+
+
 @dataclass(frozen=True)
 class Forcing:
     """Optional manufactured sources and boundary-flux corrections.
 
-    Sources are added to the right-hand sides; flux corrections are added
-    to the Robin face fluxes.  Used by the manufactured-solution studies;
-    production runs leave everything None.
+    Sources source(x, t) are added to the right-hand sides.  The flux
+    corrections rho_flux(t) and theta_flux(t) return the pair (g0, g1)
+    added to the Robin face fluxes at the left and right walls.  Used by
+    the manufactured-solution studies; production runs pass no forcing.
     """
 
     rho_source: Callable | None = None
     theta_source: Callable | None = None
-    rho_flux_left: Callable | None = None
-    rho_flux_right: Callable | None = None
-    theta_flux_left: Callable | None = None
-    theta_flux_right: Callable | None = None
-
-    def rho_corrections(self, t: float) -> tuple[float, float]:
-        g0 = self.rho_flux_left(t) if self.rho_flux_left else 0.0
-        g1 = self.rho_flux_right(t) if self.rho_flux_right else 0.0
-        return g0, g1
-
-    def theta_corrections(self, t: float) -> tuple[float, float]:
-        g0 = self.theta_flux_left(t) if self.theta_flux_left else 0.0
-        g1 = self.theta_flux_right(t) if self.theta_flux_right else 0.0
-        return g0, g1
+    rho_flux: Callable[[float], tuple[float, float]] = _no_correction
+    theta_flux: Callable[[float], tuple[float, float]] = _no_correction
 
 
 @dataclass
@@ -174,15 +167,9 @@ class FluxCoefficients:
     """Frozen face data shared by both assemblies within one sweep.
 
     Interior face j (j = 1..n-1) of the vapor flux is
-    F_j = A[j-1] rho[j-1] + B[j-1] rho[j]; dface/vface are the diffusion
-    and drift face coefficients, wm/wp the donor weights of the advected
-    density.
+    F_j = A[j-1] rho[j-1] + B[j-1] rho[j].
     """
 
-    dface: np.ndarray
-    vface: np.ndarray
-    wm: np.ndarray
-    wp: np.ndarray
     A: np.ndarray
     B: np.ndarray
     chi_sqrt: np.ndarray
@@ -210,8 +197,6 @@ class StepRecord:
     theta_trace_right: float
     src_rho: np.ndarray | None
     src_theta: np.ndarray | None
-    coeffs: FluxCoefficients
-    kappa_face: np.ndarray
 
 
 @dataclass
@@ -228,7 +213,6 @@ class RunResult:
     grid: Grid
     model: SaturationModel
     t_end: float
-    step_records: list = field(default_factory=list)
 
 
 def mollified_initial_data(data: InitialData, reg: RegularizationParams,
@@ -242,8 +226,8 @@ def mollified_initial_data(data: InitialData, reg: RegularizationParams,
         raise ConfigError(
             f"initial data has {data.rho0.shape[0]} samples for an n={grid.n} grid"
         )
-    rho = _mollify_values(data.rho0, reg.eps, grid.h) + reg.eps
-    theta = _mollify_values(data.theta0, reg.eps, grid.h)
+    rho = mollify(data.rho0, reg.eps, grid.h) + reg.eps
+    theta = mollify(data.theta0, reg.eps, grid.h)
     return State(Field(rho, grid), Field(theta, grid), 0.0)
 
 
@@ -286,10 +270,10 @@ def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
                               scheme: str) -> FluxCoefficients:
     """Freeze the face coefficients and reaction factors at one iterate."""
     h = grid.h
-    dcell = _mollify_values(rho_iter * theta_iter, reg.nu, h)
+    dcell = mollify(rho_iter * theta_iter, reg.nu, h)
     dface = reg.eps + 0.5 * (dcell[:-1] + dcell[1:])
-    rho_sm = _mollify_values(rho_iter, reg.eps, h)
-    vcell = _mollify_values(rho_sm * _cell_gradient(theta_iter, h), reg.eps, h)
+    rho_sm = mollify(rho_iter, reg.eps, h)
+    vcell = mollify(rho_sm * _cell_gradient(theta_iter, h), reg.eps, h)
     vface = 0.5 * (vcell[:-1] + vcell[1:])
     wm, wp = _donor_weights(vface, scheme)
     A = -dface / h + vface * wm
@@ -297,12 +281,7 @@ def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
     chi_sqrt = cutoff(np.sqrt(np.clip(theta_iter, 0.0, None)), reg.eps)
     ps_iter = saturation_pressure(model, theta_iter)
     chi_ps = cutoff(ps_iter, reg.eps)
-    return FluxCoefficients(dface, vface, wm, wp, A, B, chi_sqrt, chi_ps,
-                            ps_iter, theta_iter.copy())
-
-
-def _boundary_traces(values: np.ndarray) -> tuple[float, float]:
-    return 1.5 * values[0] - 0.5 * values[1], 1.5 * values[-1] - 0.5 * values[-2]
+    return FluxCoefficients(A, B, chi_sqrt, chi_ps, ps_iter, theta_iter.copy())
 
 
 def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarray,
@@ -335,7 +314,7 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     if forcing is not None and forcing.rho_source is not None:
         src = np.asarray(forcing.rho_source(grid.centers, t_new), dtype=float)
         rhs = rhs + src
-    g0, g1 = forcing.rho_corrections(t_new) if forcing else (0.0, 0.0)
+    g0, g1 = forcing.rho_flux(t_new) if forcing else (0.0, 0.0)
 
     upper = np.array(upper)
     lower = np.array(lower)
@@ -361,10 +340,11 @@ def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
     """
     flux = np.empty(grid.n + 1)
     flux[1:-1] = coeffs.A * rho_new[:-1] + coeffs.B * rho_new[1:]
-    trace_l, trace_r = _boundary_traces(rho_new)
-    g0, g1 = forcing.rho_corrections(t_new) if forcing else (0.0, 0.0)
-    flux[0] = params.alpha0 * (trace_l - s * params.rho_bar0) + g0
-    flux[-1] = params.alpha1 * (s * params.rho_bar1 - trace_r) + g1
+    f0, f1 = robin_fluxes(*boundary_traces(rho_new), s, params.alpha0,
+                          params.alpha1, params.rho_bar0, params.rho_bar1)
+    g0, g1 = forcing.rho_flux(t_new) if forcing else (0.0, 0.0)
+    flux[0] = f0 + g0
+    flux[-1] = f1 + g1
     return flux
 
 
@@ -373,7 +353,7 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
                           model: SaturationModel, grid: Grid, dt: float,
                           coeffs: FluxCoefficients, scheme: str = "upwind",
                           forcing: Forcing | None = None,
-                          ) -> tuple[TridiagonalSystem, np.ndarray, np.ndarray]:
+                          ) -> tuple[TridiagonalSystem, np.ndarray]:
     """Backward-Euler rows for the temperature given the fresh vapor field.
 
     The convective term -F theta_x is assembled face by face in the
@@ -383,12 +363,12 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     saturation sink s (lam + theta) p_s(theta) is lagged at the iterate and
     sits on the right-hand side.
 
-    Returns the system, the face mass-flux array, and the face conductivity.
+    Returns the system and the face mass-flux array.
     """
     n, h = grid.n, grid.h
     t_new = prev.t + dt
 
-    kcell = params.kappa1 + params.kappa2 * _mollify_values(rho_new, reg.eps, h) ** 2
+    kcell = params.kappa1 + params.kappa2 * mollify(rho_new, reg.eps, h) ** 2
     kface = 0.5 * (kcell[:-1] + kcell[1:])
     mass_flux = evaluate_mass_flux(rho_new, coeffs, s, params, grid, forcing, t_new)
     fint = mass_flux[1:-1]
@@ -406,7 +386,7 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     if forcing is not None and forcing.theta_source is not None:
         rhs = rhs + np.asarray(forcing.theta_source(grid.centers, t_new), dtype=float)
 
-    g0, g1 = forcing.theta_corrections(t_new) if forcing else (0.0, 0.0)
+    g0, g1 = forcing.theta_flux(t_new) if forcing else (0.0, 0.0)
     diag[0] += 1.5 * params.beta0 / h + 0.5 * mass_flux[0] / h
     upper[0] += -0.5 * params.beta0 / h - 0.5 * mass_flux[0] / h
     diag[-1] += 1.5 * params.beta1 / h - 0.5 * mass_flux[-1] / h
@@ -415,19 +395,18 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     rhs[-1] += (params.beta1 * s * params.theta_bar1 + g1) / h
 
     _check_dominance("heat", lower, diag, upper)
-    return TridiagonalSystem(lower, diag, upper, rhs), mass_flux, kface
+    return TridiagonalSystem(lower, diag, upper, rhs), mass_flux
 
 
 def _build_record(prev: State, rho_new: np.ndarray, theta_new: np.ndarray,
                   s: float, dt: float, coeffs: FluxCoefficients,
-                  mass_flux: np.ndarray, kface: np.ndarray,
-                  params: PhysicalParams, grid: Grid,
+                  mass_flux: np.ndarray, params: PhysicalParams, grid: Grid,
                   forcing: Forcing | None) -> StepRecord:
     t_new = prev.t + dt
-    gth0, gth1 = forcing.theta_corrections(t_new) if forcing else (0.0, 0.0)
-    th_l, th_r = _boundary_traces(theta_new)
-    cond_l = params.beta0 * (th_l - s * params.theta_bar0) + gth0
-    cond_r = params.beta1 * (s * params.theta_bar1 - th_r) + gth1
+    th_l, th_r = boundary_traces(theta_new)
+    cond_l, cond_r = robin_fluxes(th_l, th_r, s, params.beta0, params.beta1,
+                                  params.theta_bar0, params.theta_bar1)
+    g0, g1 = forcing.theta_flux(t_new) if forcing else (0.0, 0.0)
     src_rho = src_theta = None
     if forcing is not None:
         if forcing.rho_source is not None:
@@ -440,9 +419,9 @@ def _build_record(prev: State, rho_new: np.ndarray, theta_new: np.ndarray,
         chi_sqrt=np.broadcast_to(coeffs.chi_sqrt, (grid.n,)).copy(),
         chi_ps=np.broadcast_to(coeffs.chi_ps, (grid.n,)).copy(),
         ps_iter=coeffs.ps_iter, theta_iter=coeffs.theta_iter,
-        mass_flux=mass_flux, cond_flux_left=cond_l, cond_flux_right=cond_r,
-        theta_trace_left=th_l, theta_trace_right=th_r,
-        src_rho=src_rho, src_theta=src_theta, coeffs=coeffs, kappa_face=kface,
+        mass_flux=mass_flux, cond_flux_left=cond_l + g0,
+        cond_flux_right=cond_r + g1, theta_trace_left=th_l,
+        theta_trace_right=th_r, src_rho=src_rho, src_theta=src_theta,
     )
 
 
@@ -463,7 +442,7 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
             prev, rho_it, theta_it, s, reg, params, model, grid, cfg.dt,
             cfg.advection, forcing)
         rho_new = solve_thomas(rho_sys)
-        theta_sys, mass_flux, kface = assemble_theta_system(
+        theta_sys, mass_flux = assemble_theta_system(
             prev, rho_new, theta_it, s, reg, params, model, grid, cfg.dt,
             coeffs, cfg.advection, forcing)
         theta_new = solve_thomas(theta_sys)
@@ -475,7 +454,7 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
         base = float(np.sum(rho_it**2) + np.sum(theta_it**2))
         update = np.sqrt(dn2) / max(np.sqrt(base), UPDATE_FLOOR)
         rho_it, theta_it = rho_new, theta_new
-        parts = (coeffs, mass_flux, kface)
+        parts = (coeffs, mass_flux)
         if update < cfg.picard_tol:
             return rho_it, theta_it, k, update, True, parts
     return rho_it, theta_it, cfg.max_picard, update, False, parts
@@ -495,9 +474,9 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
         raise PicardDivergence(
             f"no convergence in {cfg.max_picard} sweeps at s={s} "
             f"(last update {update:.3e})", report=report)
-    coeffs, mass_flux, kface = parts
+    coeffs, mass_flux = parts
     record = _build_record(prev, rho, theta, s, cfg.dt, coeffs, mass_flux,
-                           kface, params, grid, forcing)
+                           params, grid, forcing)
     return record.new, report, record
 
 
@@ -536,9 +515,9 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
                 f"ramp exhausted: final stage s={s_k} not converged "
                 f"(last update {update:.3e})", report=report)
     report = PicardReport(total, update, tuple(s_path), True)
-    coeffs, mass_flux, kface = parts
+    coeffs, mass_flux = parts
     record = _build_record(prev, iterate[0], iterate[1], reg.s, cfg.dt, coeffs,
-                           mass_flux, kface, params, grid, forcing)
+                           mass_flux, params, grid, forcing)
     return record.new, report, record
 
 
@@ -552,8 +531,7 @@ def _step_count(t_end: float, dt: float) -> int:
 def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
         params: PhysicalParams, model: SaturationModel, grid: Grid,
         t_end: float | None = None, forcing: Forcing | None = None,
-        initial_state: State | None = None,
-        keep_step_records: bool = False) -> RunResult:
+        initial_state: State | None = None) -> RunResult:
     """March the coupled system from t=0 to t_end with per-step diagnostics.
 
     The start state is the mollified initial data unless an explicit
@@ -585,7 +563,6 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     env = max(float(np.max(state.theta.values)), params.theta_bar0, params.theta_bar1)
     envelope = [env]
     env_ok = True
-    result = RunResult([], [], [], True, params, reg, cfg, grid, model, t_end)
 
     for _ in range(steps):
         state, report, srec = homotopy_solve(prev=state, cfg=cfg, reg=reg,
@@ -595,8 +572,6 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
                                       prev_l4=records[-1].l4_accumulator)
         states.append(state)
         records.append(rec)
-        if keep_step_records:
-            result.step_records.append(srec)
         rate = float(np.max(srec.s * state.rho.values * srec.chi_sqrt
                             / (state.rho.values + params.sigma)))
         env = (env + cfg.dt * params.lam * rate) * (1.0 + cfg.dt * rate)
@@ -605,8 +580,5 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
         if rec.max_theta > env + 1e-9:
             env_ok = False
 
-    result.states = states
-    result.records = records
-    result.theta_envelope = envelope
-    result.theta_envelope_ok = env_ok
-    return result
+    return RunResult(states, records, envelope, env_ok, params, reg, cfg, grid,
+                     model, t_end)

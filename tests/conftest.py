@@ -61,4 +61,4 @@ def run_equilibrium(params, model, n=32, dt=1e-3, steps=100,
     cfg = StepConfig(dt=dt)
     reg = RegularizationParams(eps=eps, nu=nu)
     return run(None, cfg, reg, params, model, grid, t_end=steps * dt,
-               initial_state=equilibrium_state(grid), keep_step_records=True)
+               initial_state=equilibrium_state(grid))

@@ -8,10 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poromoist
+import poromoist.cli
 from poromoist.cli import main
+from poromoist.harness import LadderReport
 
 
 @pytest.fixture()
@@ -151,6 +154,25 @@ def test_ladder_command(smoke_config, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["monotone"] is True
     assert report["passed"] is True
+
+
+def test_ladder_command_fails_when_not_monotone(small_config, tmp_path,
+                                                monkeypatch):
+    path, _ = small_config
+    growing = LadderReport(
+        eps_values=(0.1, 0.05, 0.025), nu_values=(0.05, 0.025, 0.0125),
+        differences=np.array([1.0, 2.0]),
+        entropy_monitors=np.array([0.3, 0.3, 0.3]),
+        l4_monitors=np.array([0.1, 0.1, 0.1]),
+        monotone=False, monitor_variation={"entropy": 0.0, "l4": 0.0})
+    monkeypatch.setattr(poromoist.cli, "regularization_ladder",
+                        lambda *args, **kwargs: growing)
+    out = tmp_path / "ladder"
+    assert main(["ladder", str(path), "--out", str(out), "--quiet"]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["monotone"] is False
+    assert report["passed"] is False
+    assert len((out / "ladder.csv").read_text().splitlines()) == 4
 
 
 def test_sweep_command_isolates_bad_cells(smoke_config, tmp_path):

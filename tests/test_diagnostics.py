@@ -27,7 +27,7 @@ def bump_run(n, dt, t_end, eps=1e-4, nu=5e-5, params=None, model=None):
     data = InitialData(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2),
                        np.ones(n), theta_floor=0.5)
     return run(data, StepConfig(dt=dt), RegularizationParams(eps=eps, nu=nu),
-               params, model, grid, t_end=t_end, keep_step_records=True)
+               params, model, grid, t_end=t_end)
 
 
 def test_initial_record_hand_values(unit_params):

@@ -1,15 +1,12 @@
-"""Grid, mollifier, and difference-operator properties."""
+"""Grid, mollifier, cutoff, and Robin wall-closure properties."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from poromoist.discretization import (Field, FaceField, Grid, cutoff,
-                                      divergence, face_gradient, mollify,
-                                      robin_mass_flux)
+from poromoist.discretization import Field, Grid, cutoff, mollify, robin_fluxes
 from poromoist.errors import (ConfigError, DimensionMismatch,
                               NonPositiveRadius)
-from tests.conftest import make_params
 
 
 def mirror_smooth(values: np.ndarray, mu: float, h: float) -> np.ndarray:
@@ -51,16 +48,14 @@ def test_field_length_checked():
     with pytest.raises(DimensionMismatch):
         Field(np.ones(5), grid)
     with pytest.raises(DimensionMismatch):
-        FaceField(np.ones(4), grid)
-    with pytest.raises(DimensionMismatch):
         Field(np.array([1.0, np.inf, 1.0, 1.0]), grid)
 
 
 def test_mollify_identity_below_cell_width():
     grid = Grid(8)
-    f = Field(np.arange(8, dtype=float), grid)
-    np.testing.assert_array_equal(mollify(f, 0.5 * grid.h).values, f.values)
-    np.testing.assert_array_equal(mollify(f, grid.h).values, f.values)
+    values = np.arange(8, dtype=float)
+    np.testing.assert_array_equal(mollify(values, 0.5 * grid.h, grid.h), values)
+    np.testing.assert_array_equal(mollify(values, grid.h, grid.h), values)
 
 
 @pytest.mark.parametrize("mu_cells", [1.5, 2.5, 4.2])
@@ -69,15 +64,15 @@ def test_mollify_matches_reference_loop(mu_cells):
     rng = np.random.default_rng(7)
     values = rng.uniform(0.0, 3.0, grid.n)
     mu = mu_cells * grid.h
-    got = mollify(Field(values, grid), mu).values
+    got = mollify(values, mu, grid.h)
     np.testing.assert_allclose(got, mirror_smooth(values, mu, grid.h),
                                rtol=0, atol=1e-14)
 
 
 def test_mollify_preserves_constants():
     grid = Grid(10)
-    f = Field(np.full(10, 2.7), grid)
-    np.testing.assert_allclose(mollify(f, 0.35).values, 2.7, rtol=1e-14)
+    np.testing.assert_allclose(mollify(np.full(10, 2.7), 0.35, grid.h), 2.7,
+                               rtol=1e-14)
 
 
 def test_mollify_linear_nonnegative_nonexpansive():
@@ -86,9 +81,9 @@ def test_mollify_linear_nonnegative_nonexpansive():
     a = rng.uniform(0.0, 2.0, grid.n)
     b = rng.uniform(0.0, 2.0, grid.n)
     mu = 3.3 * grid.h
-    ma = mollify(Field(a, grid), mu).values
-    mb = mollify(Field(b, grid), mu).values
-    mab = mollify(Field(2.0 * a + b, grid), mu).values
+    ma = mollify(a, mu, grid.h)
+    mb = mollify(b, mu, grid.h)
+    mab = mollify(2.0 * a + b, mu, grid.h)
     np.testing.assert_allclose(mab, 2.0 * ma + mb, atol=1e-13)
     assert np.all(ma >= 0)
     assert ma.max() <= a.max() + 1e-14
@@ -100,16 +95,16 @@ def test_mollify_commutes_with_reflection():
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 1.0, grid.n)
     mu = 2.8 * grid.h
-    forward = mollify(Field(values, grid), mu).values
-    backward = mollify(Field(values[::-1].copy(), grid), mu).values
+    forward = mollify(values, mu, grid.h)
+    backward = mollify(values[::-1].copy(), mu, grid.h)
     np.testing.assert_allclose(forward, backward[::-1], atol=1e-14)
 
 
 def test_mollify_rejects_nonpositive_radius():
-    f = Field(np.ones(4), Grid(4))
+    grid = Grid(4)
     for mu in (0.0, -0.1):
         with pytest.raises(NonPositiveRadius):
-            mollify(f, mu)
+            mollify(np.ones(4), mu, grid.h)
 
 
 def test_cutoff_scalar_and_array():
@@ -122,37 +117,14 @@ def test_cutoff_scalar_and_array():
         cutoff(1.0, 0.0)
 
 
-def test_face_gradient_exact_on_linear():
-    grid = Grid(8)
-    f = Field(2.0 + 3.0 * grid.centers, grid)
-    g = face_gradient(f)
-    np.testing.assert_allclose(g.values[1:-1], 3.0, rtol=1e-13)
-    assert g.values[0] == 0.0 and g.values[-1] == 0.0
-
-
-def test_divergence_telescopes():
-    grid = Grid(16)
-    rng = np.random.default_rng(5)
-    flux = FaceField(rng.uniform(-1.0, 1.0, grid.n + 1), grid)
-    div = divergence(flux)
-    total = grid.h * div.values.sum()
-    assert abs(total - (flux.values[-1] - flux.values[0])) < 1e-14
-
-
-def test_operator_grid_mismatch():
-    f = Field(np.ones(4), Grid(4))
-    with pytest.raises(DimensionMismatch):
-        face_gradient(f, Grid(8))
-    with pytest.raises(DimensionMismatch):
-        divergence(FaceField(np.ones(5), Grid(4)), Grid(8))
-
-
 def test_robin_mass_flux_signs():
-    params = make_params(alpha0=2.0, alpha1=3.0, rho_bar0=1.0, rho_bar1=1.0)
+    # vapor exchange with alpha0=2, alpha1=3 and unit ambient densities
+    def vapor(trace, s):
+        return robin_fluxes(trace, trace, s, 2.0, 3.0, 1.0, 1.0)
+
     # surplus vapor at a wall leaves the domain on either side
-    assert robin_mass_flux(1.5, "left", 1.0, params) == pytest.approx(1.0)
-    assert robin_mass_flux(1.5, "right", 1.0, params) == pytest.approx(-1.5)
+    left, right = vapor(1.5, 1.0)
+    assert left == pytest.approx(1.0)
+    assert right == pytest.approx(-1.5)
     # s scales the ambient pull, not the trace
-    assert robin_mass_flux(1.5, "left", 0.0, params) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        robin_mass_flux(1.0, "top", 1.0, params)
+    assert vapor(1.5, 0.0)[0] == pytest.approx(3.0)

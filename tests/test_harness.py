@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from poromoist import harness
 from poromoist.discretization import Grid
 from poromoist.errors import ConfigError
 from poromoist.harness import (MMSCase, make_default_mms_case, mms_study,
@@ -72,8 +73,7 @@ def test_manufactured_boundary_corrections(default_case, unit_params,
         flux1 = deriv(pressure, 1.0) * rho(1.0, t)
         g0 = flux0 - p.alpha0 * (rho(0.0, t) - p.rho_bar0)
         g1 = flux1 - p.alpha1 * (p.rho_bar1 - rho(1.0, t))
-        assert case.forcing.rho_flux_left(t) == pytest.approx(g0, rel=1e-5)
-        assert case.forcing.rho_flux_right(t) == pytest.approx(g1, rel=1e-5)
+        assert case.forcing.rho_flux(t) == pytest.approx((g0, g1), rel=1e-5)
 
         kappa0 = p.kappa1 + p.kappa2 * rho(0.0, t) ** 2
         kappa1v = p.kappa1 + p.kappa2 * rho(1.0, t) ** 2
@@ -81,8 +81,7 @@ def test_manufactured_boundary_corrections(default_case, unit_params,
         cond1 = kappa1v * deriv(lambda z: theta(z, t), 1.0)
         h0 = cond0 - p.beta0 * (theta(0.0, t) - p.theta_bar0)
         h1 = cond1 - p.beta1 * (p.theta_bar1 - theta(1.0, t))
-        assert case.forcing.theta_flux_left(t) == pytest.approx(h0, rel=1e-5)
-        assert case.forcing.theta_flux_right(t) == pytest.approx(h1, rel=1e-5)
+        assert case.forcing.theta_flux(t) == pytest.approx((h0, h1), rel=1e-5)
 
 
 def constant_case(rho_value, theta_value, params, model):
@@ -98,10 +97,10 @@ def constant_case(rho_value, theta_value, params, model):
     forcing = Forcing(
         rho_source=const(s_rho),
         theta_source=const(s_theta),
-        rho_flux_left=lambda t: -params.alpha0 * (rho_value - params.rho_bar0),
-        rho_flux_right=lambda t: -params.alpha1 * (params.rho_bar1 - rho_value),
-        theta_flux_left=lambda t: -params.beta0 * (theta_value - params.theta_bar0),
-        theta_flux_right=lambda t: -params.beta1 * (params.theta_bar1 - theta_value),
+        rho_flux=lambda t: (-params.alpha0 * (rho_value - params.rho_bar0),
+                            -params.alpha1 * (params.rho_bar1 - rho_value)),
+        theta_flux=lambda t: (-params.beta0 * (theta_value - params.theta_bar0),
+                              -params.beta1 * (params.theta_bar1 - theta_value)),
     )
     return MMSCase("constants", const(rho_value), const(theta_value), forcing)
 
@@ -161,9 +160,15 @@ def test_ladder_rejects_empty(unit_params, cubic_model):
         smoke_lite_ladder(unit_params, cubic_model, rungs=0)
 
 
-def test_ladder_injection_breaks_monotonicity(unit_params, cubic_model):
-    report = smoke_lite_ladder(unit_params, cubic_model, rungs=3,
-                               inject_non_monotone=True)
+def test_ladder_injection_breaks_monotonicity(unit_params, cubic_model,
+                                              monkeypatch):
+    # A real ladder's distances shrink, so growing ones stand in for the
+    # computed distances and the verdict itself is exercised.
+    distances = iter((1.0, 2.0))
+    monkeypatch.setattr(harness, "_trajectory_difference",
+                        lambda a, b: next(distances))
+    report = smoke_lite_ladder(unit_params, cubic_model, rungs=3)
+    np.testing.assert_array_equal(report.differences, [1.0, 2.0])
     assert not report.monotone
 
 

@@ -138,13 +138,13 @@ def test_darcy_velocity_interior_and_walls():
     state = State(rho, theta, 0.0)
     u = darcy_velocity(state)
     # pressure 2(1+x) has slope 2, interior velocity -2, walls default 0
-    np.testing.assert_allclose(u.values[1:-1], -2.0, rtol=1e-13)
-    assert u.values[0] == 0.0 and u.values[-1] == 0.0
+    np.testing.assert_allclose(u[1:-1], -2.0, rtol=1e-13)
+    assert u[0] == 0.0 and u[-1] == 0.0
 
     params = make_params()
     uw = darcy_velocity(state, params=params, s=1.0)
     # left: flux alpha*(trace - ambient) = 1 outward, donor is the trace 2
-    assert uw.values[0] == pytest.approx(-0.5)
+    assert uw[0] == pytest.approx(-0.5)
     # right: outflow q = alpha*(trace - ambient) = 1, donor is the trace 2
-    assert uw.values[-1] == pytest.approx(0.5)
-    np.testing.assert_allclose(uw.values[1:-1], u.values[1:-1])
+    assert uw[-1] == pytest.approx(0.5)
+    np.testing.assert_allclose(uw[1:-1], u[1:-1])

@@ -64,7 +64,7 @@ def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
         fA[k] = -dface / h + vface * wm
         fB[k] = dface / h + vface * wp
 
-    g0, g1 = forcing.rho_corrections(t_new) if forcing else (0.0, 0.0)
+    g0, g1 = forcing.rho_flux(t_new) if forcing else (0.0, 0.0)
     M = np.zeros((n, n))
     b = np.zeros(n)
     for j in range(n):
@@ -98,7 +98,7 @@ def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
     F[-1] = params.alpha1 * (s * params.rho_bar1 - tr_r) + g1
 
     kcell = params.kappa1 + params.kappa2 * mirror_smooth(rho_new, reg.eps, h) ** 2
-    gt0, gt1 = forcing.theta_corrections(t_new) if forcing else (0.0, 0.0)
+    gt0, gt1 = forcing.theta_flux(t_new) if forcing else (0.0, 0.0)
     T = np.zeros((n, n))
     c = np.zeros(n)
     for j in range(n):
@@ -144,8 +144,8 @@ def crooked_case(cubic_model):
     forcing = Forcing(
         rho_source=lambda x, t: 0.3 + x + 0.1 * t,
         theta_source=lambda x, t: 0.2 - 0.5 * x,
-        rho_flux_left=lambda t: 0.02, rho_flux_right=lambda t: -0.03,
-        theta_flux_left=lambda t: 0.01, theta_flux_right=lambda t: 0.04,
+        rho_flux=lambda t: (0.02, -0.03),
+        theta_flux=lambda t: (0.01, 0.04),
     )
     return grid, params, cubic_model, prev, rho_it, theta_it, reg, forcing
 
@@ -170,13 +170,12 @@ def test_assembled_rows_match_reference(crooked_case, scheme, s):
     np.testing.assert_allclose(rho_new, dense_solve(system.dense(), system.rhs),
                                rtol=0, atol=1e-12)
 
-    theta_sys, mass_flux, kface = assemble_theta_system(
+    theta_sys, mass_flux = assemble_theta_system(
         prev, rho_new, theta_it, s, reg, params, model, grid, dt, coeffs,
         scheme=scheme, forcing=forcing)
     np.testing.assert_allclose(mass_flux, F_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(theta_sys.dense(), T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(theta_sys.rhs, c, rtol=0, atol=1e-12)
-    assert kface.shape == (grid.n - 1,)
 
 
 def test_regularization_params_validation(unit_params):
@@ -321,6 +320,7 @@ def test_run_is_deterministic(unit_params, cubic_model):
     first = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
     second = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
     assert len(first.states) == 51
+    assert len(first.theta_envelope) == 51
     for a, b in zip(first.states, second.states):
         np.testing.assert_array_equal(a.rho.values, b.rho.values)
         np.testing.assert_array_equal(a.theta.values, b.theta.values)
@@ -341,16 +341,3 @@ def test_run_validates_horizon(unit_params, cubic_model):
     assert still.states[0] is state
     assert still.theta_envelope_ok
 
-
-def test_run_keeps_step_records_on_request(unit_params, cubic_model):
-    grid = Grid(8)
-    cfg = StepConfig(dt=1e-3)
-    reg = RegularizationParams(eps=1e-2, nu=5e-3)
-    state = equilibrium_state(grid)
-    bare = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.003,
-               initial_state=state)
-    kept = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.003,
-               initial_state=state, keep_step_records=True)
-    assert bare.step_records == []
-    assert len(kept.step_records) == 3
-    assert len(kept.theta_envelope) == 4
