@@ -6,6 +6,15 @@ elimination / back substitution pass without pivoting, valid because every
 assembled system is strictly diagonally dominant (asserted at assembly
 time).  ``dense_solve`` is the independent reference route used by the
 tests to cross-check the sweep.
+
+The Thomas solve stays pure Python on purpose.  LAPACK's ``dgttrf`` /
+``dgttrs`` from ``scipy.linalg.lapack`` gave byte-identical outputs, with no
+row swaps, on every shipped config, and take about 5 us per solve at
+n=100 against 45-70 us here.  But importing ``scipy.linalg`` costs every
+process 0.26-0.29 s and 28 MB of resident memory (27 -> 55 MB after
+numpy), about what the faster solve would save over the 4400 solves of
+the whole smoke run.  Measured with Python 3.11.7, numpy 2.4 and scipy
+1.17.1 on a 2-core Xeon VM.
 """
 
 from __future__ import annotations

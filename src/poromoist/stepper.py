@@ -17,9 +17,18 @@ conditions close both equations, with ambient values scaled by s.
 The two equations are solved alternately inside a per-step fixed-point
 loop: coefficients and the lagged saturation term are frozen at the
 current iterate, each sweep solves two tridiagonal systems, and the loop
-ends when the combined relative update falls below picard_tol.  If the
-full-strength problem refuses to converge, the step is retried along a
-ramp of s values, warm-starting each stage (homotopy_solve).
+ends when the combined relative update falls below picard_tol.  run starts
+each step's sweeps from an extrapolation of the accepted states (the
+previous state on the first step, linear on the second, quadratic after
+that, clamped to at least half the previous state), which on a smooth
+trajectory leaves about two sweeps per step.  If that predicted attempt
+diverges, turns nonfinite or loses diagonal dominance, the step is solved
+again from the previous state, and its sweeps are still counted.  If the
+full-strength problem refuses to converge from the previous state, the
+step is retried along a ramp of s values, warm-starting each stage
+(homotopy_solve).  Every accepted iterate is a plain sweep output of the
+assembled rows, whatever it started from.  Forcing terms are evaluated
+once per step, at the new time, and shared by every sweep.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -31,7 +40,7 @@ discretization.boundary_traces and discretization.robin_fluxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,6 +51,7 @@ from .errors import (
     DominanceViolation,
     NonfiniteIterate,
     PicardDivergence,
+    PoromoistError,
 )
 from .linalg import TridiagonalSystem, solve_thomas
 from .model import InitialData, PhysicalParams, SaturationModel, saturation_pressure
@@ -52,6 +62,7 @@ __all__ = [
     "StepConfig",
     "PicardReport",
     "Forcing",
+    "ForcingValues",
     "StepRecord",
     "RunResult",
     "mollified_initial_data",
@@ -147,6 +158,16 @@ def _no_correction(t: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
+class ForcingValues:
+    """A Forcing evaluated at one time: cell sources and wall corrections."""
+
+    rho_source: np.ndarray | None
+    theta_source: np.ndarray | None
+    rho_flux: tuple[float, float]
+    theta_flux: tuple[float, float]
+
+
+@dataclass(frozen=True)
 class Forcing:
     """Optional manufactured sources and boundary-flux corrections.
 
@@ -160,6 +181,13 @@ class Forcing:
     theta_source: Callable | None = None
     rho_flux: Callable[[float], tuple[float, float]] = _no_correction
     theta_flux: Callable[[float], tuple[float, float]] = _no_correction
+
+    def at(self, x: np.ndarray, t: float) -> ForcingValues:
+        """Evaluate every term once, at time t on the cell centers x."""
+        def source(f):
+            return None if f is None else np.asarray(f(x, t), dtype=float)
+        return ForcingValues(source(self.rho_source), source(self.theta_source),
+                             self.rho_flux(t), self.theta_flux(t))
 
 
 @dataclass
@@ -287,7 +315,7 @@ def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
 def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarray,
                         s: float, reg: RegularizationParams, params: PhysicalParams,
                         model: SaturationModel, grid: Grid, dt: float,
-                        scheme: str = "upwind", forcing: Forcing | None = None,
+                        scheme: str = "upwind", forcing: ForcingValues | None = None,
                         coeffs: FluxCoefficients | None = None,
                         ) -> tuple[TridiagonalSystem, FluxCoefficients]:
     """Backward-Euler rows for the vapor density with frozen coefficients.
@@ -309,12 +337,9 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     lower = coeffs.A / h
 
     rhs = prev.rho.values / dt + s * coeffs.chi_ps
-    t_new = prev.t + dt
-    src = None
     if forcing is not None and forcing.rho_source is not None:
-        src = np.asarray(forcing.rho_source(grid.centers, t_new), dtype=float)
-        rhs = rhs + src
-    g0, g1 = forcing.rho_flux(t_new) if forcing else (0.0, 0.0)
+        rhs = rhs + forcing.rho_source
+    g0, g1 = forcing.rho_flux if forcing else (0.0, 0.0)
 
     upper = np.array(upper)
     lower = np.array(lower)
@@ -332,7 +357,7 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
 
 def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
                        params: PhysicalParams, grid: Grid,
-                       forcing: Forcing | None, t_new: float) -> np.ndarray:
+                       forcing: ForcingValues | None) -> np.ndarray:
     """All n+1 face values of the vapor flux at the fresh solution.
 
     Uses exactly the assembled coefficient arrays, so these numbers are the
@@ -342,7 +367,7 @@ def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
     flux[1:-1] = coeffs.A * rho_new[:-1] + coeffs.B * rho_new[1:]
     f0, f1 = robin_fluxes(*boundary_traces(rho_new), s, params.alpha0,
                           params.alpha1, params.rho_bar0, params.rho_bar1)
-    g0, g1 = forcing.rho_flux(t_new) if forcing else (0.0, 0.0)
+    g0, g1 = forcing.rho_flux if forcing else (0.0, 0.0)
     flux[0] = f0 + g0
     flux[-1] = f1 + g1
     return flux
@@ -352,7 +377,7 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
                           s: float, reg: RegularizationParams, params: PhysicalParams,
                           model: SaturationModel, grid: Grid, dt: float,
                           coeffs: FluxCoefficients, scheme: str = "upwind",
-                          forcing: Forcing | None = None,
+                          forcing: ForcingValues | None = None,
                           ) -> tuple[TridiagonalSystem, np.ndarray]:
     """Backward-Euler rows for the temperature given the fresh vapor field.
 
@@ -366,11 +391,10 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     Returns the system and the face mass-flux array.
     """
     n, h = grid.n, grid.h
-    t_new = prev.t + dt
 
     kcell = params.kappa1 + params.kappa2 * mollify(rho_new, reg.eps, h) ** 2
     kface = 0.5 * (kcell[:-1] + kcell[1:])
-    mass_flux = evaluate_mass_flux(rho_new, coeffs, s, params, grid, forcing, t_new)
+    mass_flux = evaluate_mass_flux(rho_new, coeffs, s, params, grid, forcing)
     fint = mass_flux[1:-1]
     um, up = _donor_weights(fint, scheme)
 
@@ -384,9 +408,9 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
            + s * params.lam * rho_new * coeffs.chi_sqrt
            - s * (params.lam + theta_iter) * coeffs.ps_iter)
     if forcing is not None and forcing.theta_source is not None:
-        rhs = rhs + np.asarray(forcing.theta_source(grid.centers, t_new), dtype=float)
+        rhs = rhs + forcing.theta_source
 
-    g0, g1 = forcing.theta_flux(t_new) if forcing else (0.0, 0.0)
+    g0, g1 = forcing.theta_flux if forcing else (0.0, 0.0)
     diag[0] += 1.5 * params.beta0 / h + 0.5 * mass_flux[0] / h
     upper[0] += -0.5 * params.beta0 / h - 0.5 * mass_flux[0] / h
     diag[-1] += 1.5 * params.beta1 / h - 0.5 * mass_flux[-1] / h
@@ -401,19 +425,14 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
 def _build_record(prev: State, rho_new: np.ndarray, theta_new: np.ndarray,
                   s: float, dt: float, coeffs: FluxCoefficients,
                   mass_flux: np.ndarray, params: PhysicalParams, grid: Grid,
-                  forcing: Forcing | None) -> StepRecord:
-    t_new = prev.t + dt
+                  forcing: ForcingValues | None) -> StepRecord:
     th_l, th_r = boundary_traces(theta_new)
     cond_l, cond_r = robin_fluxes(th_l, th_r, s, params.beta0, params.beta1,
                                   params.theta_bar0, params.theta_bar1)
-    g0, g1 = forcing.theta_flux(t_new) if forcing else (0.0, 0.0)
-    src_rho = src_theta = None
-    if forcing is not None:
-        if forcing.rho_source is not None:
-            src_rho = np.asarray(forcing.rho_source(grid.centers, t_new), dtype=float)
-        if forcing.theta_source is not None:
-            src_theta = np.asarray(forcing.theta_source(grid.centers, t_new), dtype=float)
-    new = State(Field(rho_new, grid), Field(theta_new, grid), t_new)
+    g0, g1 = forcing.theta_flux if forcing else (0.0, 0.0)
+    src_rho = forcing.rho_source if forcing else None
+    src_theta = forcing.theta_source if forcing else None
+    new = State(Field(rho_new, grid), Field(theta_new, grid), prev.t + dt)
     return StepRecord(
         prev=prev, new=new, s=s, dt=dt,
         chi_sqrt=np.broadcast_to(coeffs.chi_sqrt, (grid.n,)).copy(),
@@ -427,24 +446,30 @@ def _build_record(prev: State, rho_new: np.ndarray, theta_new: np.ndarray,
 
 def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   s: float, forcing: Forcing | None,
+                   s: float, forcing: ForcingValues | None,
                    start: tuple[np.ndarray, np.ndarray]):
     """Run fixed-point sweeps at fixed s until converged or budget spent.
 
     Returns (rho, theta, iterations, final_update, converged, record_parts).
-    Never raises on nonconvergence; raises NonfiniteIterate on NaN/Inf.
+    Never raises on nonconvergence; raises NonfiniteIterate on NaN/Inf and
+    passes DominanceViolation on, either one carrying the sweeps it spent
+    as its ``sweeps`` attribute.
     """
     rho_it, theta_it = start
     update = np.inf
     parts = None
     for k in range(1, cfg.max_picard + 1):
-        rho_sys, coeffs = assemble_rho_system(
-            prev, rho_it, theta_it, s, reg, params, model, grid, cfg.dt,
-            cfg.advection, forcing)
-        rho_new = solve_thomas(rho_sys)
-        theta_sys, mass_flux = assemble_theta_system(
-            prev, rho_new, theta_it, s, reg, params, model, grid, cfg.dt,
-            coeffs, cfg.advection, forcing)
+        try:
+            rho_sys, coeffs = assemble_rho_system(
+                prev, rho_it, theta_it, s, reg, params, model, grid, cfg.dt,
+                cfg.advection, forcing)
+            rho_new = solve_thomas(rho_sys)
+            theta_sys, mass_flux = assemble_theta_system(
+                prev, rho_new, theta_it, s, reg, params, model, grid, cfg.dt,
+                coeffs, cfg.advection, forcing)
+        except DominanceViolation as exc:
+            exc.sweeps = k
+            raise
         theta_new = solve_thomas(theta_sys)
         if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(theta_new))):
             exc = NonfiniteIterate(f"nonfinite iterate at s={s}, sweep {k}, t={prev.t + cfg.dt}")
@@ -460,13 +485,33 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
     return rho_it, theta_it, cfg.max_picard, update, False, parts
 
 
+def _forcing_values(forcing: Forcing | ForcingValues | None, grid: Grid,
+                    t: float) -> ForcingValues | None:
+    """The forcing evaluated at t, unless the caller has evaluated it already."""
+    return forcing.at(grid.centers, t) if isinstance(forcing, Forcing) else forcing
+
+
+def _sweeps_spent(exc: PoromoistError, cfg: StepConfig) -> int:
+    if isinstance(exc, PicardDivergence):
+        return exc.report.iterations if exc.report else cfg.max_picard
+    return getattr(exc, "sweeps", cfg.max_picard)
+
+
 def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
                 params: PhysicalParams, model: SaturationModel, grid: Grid,
-                forcing: Forcing | None = None, s: float | None = None,
+                forcing: Forcing | ForcingValues | None = None,
+                s: float | None = None,
+                start: tuple[np.ndarray, np.ndarray] | None = None,
                 ) -> tuple[State, PicardReport, StepRecord]:
-    """Advance one step by fixed-point iteration at a single coupling s."""
+    """Advance one step by fixed-point iteration at a single coupling s.
+
+    The sweeps start from ``start`` (a (rho, theta) pair) when given, and
+    from the previous state otherwise.
+    """
     s = reg.s if s is None else s
-    start = (prev.rho.values, prev.theta.values)
+    if start is None:
+        start = (prev.rho.values, prev.theta.values)
+    forcing = _forcing_values(forcing, grid, prev.t + cfg.dt)
     rho, theta, iters, update, ok, parts = _picard_sweeps(
         prev, cfg, reg, params, model, grid, s, forcing, start)
     report = PicardReport(iters, update, (s,), ok)
@@ -482,20 +527,35 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
 
 def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   forcing: Forcing | None = None,
+                   forcing: Forcing | ForcingValues | None = None,
+                   start: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> tuple[State, PicardReport, StepRecord]:
     """Advance one step, falling back to an s-ramp when the direct solve fails.
+
+    With a predicted first iterate ``start``, the direct solve is tried
+    from it first; if that attempt diverges, turns nonfinite or loses
+    diagonal dominance, the step is solved as without a prediction, and
+    the sweeps of the failed attempt are added to the report.  Without
+    one, the direct solve starts from the previous state.
 
     The ramp retries the step at s = k/s_ramp_steps * s_target, warm-starting
     every stage from the previous stage's result.  Intermediate stages are
     best-effort; only the final full-strength stage must converge.
     """
+    forcing = _forcing_values(forcing, grid, prev.t + cfg.dt)
+    wasted = 0
+    if start is not None:
+        try:
+            return picard_step(prev, cfg, reg, params, model, grid, forcing,
+                               start=start)
+        except (PicardDivergence, NonfiniteIterate, DominanceViolation) as exc:
+            wasted = _sweeps_spent(exc, cfg)
     try:
-        return picard_step(prev, cfg, reg, params, model, grid, forcing)
-    except PicardDivergence as exc:
-        spent = exc.report.iterations if exc.report else cfg.max_picard
-    except NonfiniteIterate as exc:
-        spent = getattr(exc, "sweeps", cfg.max_picard)
+        new, report, record = picard_step(prev, cfg, reg, params, model, grid,
+                                          forcing)
+        return new, replace(report, iterations=wasted + report.iterations), record
+    except (PicardDivergence, NonfiniteIterate) as exc:
+        spent = wasted + _sweeps_spent(exc, cfg)
 
     s_path = [reg.s]
     total = spent
@@ -519,6 +579,31 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
     record = _build_record(prev, iterate[0], iterate[1], reg.s, cfg.dt, coeffs,
                            mass_flux, params, grid, forcing)
     return record.new, report, record
+
+
+def _predicted_start(states: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """First iterate for the next step, extrapolated from the accepted states.
+
+    None (start from the previous state) after one state, then linear
+    2u^n - u^(n-1), then quadratic 3u^n - 3u^(n-1) + u^(n-2) in the step
+    index: the standard starting values for implicit steps (Hairer &
+    Wanner, Solving ODEs II, IV.8).  The guess is clamped elementwise to at
+    least half the last state, which keeps rho nonnegative and theta
+    positive.
+    """
+    if len(states) < 2:
+        return None
+
+    def extrapolate(history):
+        if len(history) == 2:
+            guess = 2.0 * history[1] - history[0]
+        else:
+            guess = 3.0 * history[2] - 3.0 * history[1] + history[0]
+        return np.maximum(guess, 0.5 * history[-1])
+
+    recent = states[-3:]
+    return (extrapolate([st.rho.values for st in recent]),
+            extrapolate([st.theta.values for st in recent]))
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -567,7 +652,8 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     for _ in range(steps):
         state, report, srec = homotopy_solve(prev=state, cfg=cfg, reg=reg,
                                              params=params, model=model,
-                                             grid=grid, forcing=forcing)
+                                             grid=grid, forcing=forcing,
+                                             start=_predicted_start(states))
         rec = diagnostics.step_record(srec, report, grid, params,
                                       prev_l4=records[-1].l4_accumulator)
         states.append(state)

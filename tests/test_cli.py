@@ -250,3 +250,25 @@ def test_console_script_entry_point(small_config, tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cli" / "report.json").exists()
+
+
+def test_python_dash_m_runs_the_cli(small_config, tmp_path):
+    """`python -m poromoist` takes the CLI's arguments without an install."""
+    path, _ = small_config
+    src = Path(poromoist.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = tmp_path / "module"
+    proc = subprocess.run(
+        [sys.executable, "-m", "poromoist", "run", str(path), "--out", str(out),
+         "--quiet"],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["certification"]["passed"] is True
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "poromoist", "run", str(tmp_path / "absent.json")],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 2

@@ -1,10 +1,16 @@
 """Semi-implicit stepper: row-level oracles, fixed points, homotopy rescue."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from poromoist import stepper
+from poromoist.diagnostics import certify_run
+
 from poromoist.discretization import Field, Grid
+from poromoist.harness import make_default_mms_case
 from poromoist.errors import (ConfigError, DominanceViolation,
                               PicardDivergence)
 from poromoist.linalg import dense_solve, solve_thomas
@@ -159,9 +165,10 @@ def test_assembled_rows_match_reference(crooked_case, scheme, s):
         prev, rho_it, theta_it, s, reg, params, model, grid, dt, scheme,
         forcing)
 
+    values = forcing.at(grid.centers, prev.t + dt)
     system, coeffs = assemble_rho_system(
         prev, rho_it, theta_it, s, reg, params, model, grid, dt,
-        scheme=scheme, forcing=forcing)
+        scheme=scheme, forcing=values)
     np.testing.assert_allclose(system.dense(), M, rtol=0, atol=1e-12)
     np.testing.assert_allclose(system.rhs, b, rtol=0, atol=1e-12)
 
@@ -172,7 +179,7 @@ def test_assembled_rows_match_reference(crooked_case, scheme, s):
 
     theta_sys, mass_flux = assemble_theta_system(
         prev, rho_new, theta_it, s, reg, params, model, grid, dt, coeffs,
-        scheme=scheme, forcing=forcing)
+        scheme=scheme, forcing=values)
     np.testing.assert_allclose(mass_flux, F_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(theta_sys.dense(), T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(theta_sys.rhs, c, rtol=0, atol=1e-12)
@@ -311,12 +318,18 @@ def test_strong_drift_loses_dominance(unit_params, cubic_model):
                             cubic_model, grid, dt=0.05)
 
 
-def test_run_is_deterministic(unit_params, cubic_model):
+def smooth_case():
+    """A relaxing vapor bump on n=32 at dt=1e-3, with a 20-step horizon."""
     grid = Grid(32)
     cfg = StepConfig(dt=1e-3)
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     data = InitialData(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2),
                        np.ones(grid.n), theta_floor=0.5)
+    return grid, cfg, reg, data, 0.02
+
+
+def test_run_is_deterministic(unit_params, cubic_model):
+    grid, cfg, reg, data, _ = smooth_case()
     first = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
     second = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
     assert len(first.states) == 51
@@ -325,6 +338,95 @@ def test_run_is_deterministic(unit_params, cubic_model):
         np.testing.assert_array_equal(a.rho.values, b.rho.values)
         np.testing.assert_array_equal(a.theta.values, b.theta.values)
     assert [r.t for r in first.records] == [r.t for r in second.records]
+
+
+def test_predicted_start_saves_sweeps(unit_params, cubic_model):
+    grid, cfg, reg, data, t_end = smooth_case()
+    result = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
+    predicted = plain = 0
+    # from step 3 on the start is the quadratic extrapolation
+    for k in range(3, len(result.states)):
+        new, report, _ = homotopy_solve(result.states[k - 1], cfg, reg,
+                                        unit_params, cubic_model, grid)
+        predicted += result.records[k].picard_iterations
+        plain += report.iterations
+        for got, ref in ((result.states[k].rho.values, new.rho.values),
+                         (result.states[k].theta.values, new.theta.values)):
+            gap = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+            assert np.max(gap) <= 10 * cfg.picard_tol
+    assert predicted < plain
+
+
+def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
+    grid, cfg, reg, data, t_end = smooth_case()
+    with monkeypatch.context() as patch:
+        patch.setattr(stepper, "_predicted_start", lambda states: None)
+        plain = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
+
+    wasted = 2
+    real_picard_step = stepper.picard_step
+
+    def starved_prediction(prev, cfg, *args, start=None, **kwargs):
+        # A predicted attempt spends `wasted` real sweeps and cannot converge.
+        if start is not None:
+            cfg = replace(cfg, max_picard=wasted, picard_tol=1e-300)
+        return real_picard_step(prev, cfg, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(stepper, "picard_step", starved_prediction)
+    result = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
+    assert certify_run(result).passed
+    sweeps = [r.picard_iterations for r in result.records[1:]]
+    plain_sweeps = [r.picard_iterations for r in plain.records[1:]]
+    # the first step has no prediction; every later one wasted its attempt
+    assert sweeps == [plain_sweeps[0]] + [k + wasted for k in plain_sweeps[1:]]
+    for a, b in zip(result.states, plain.states):
+        np.testing.assert_array_equal(a.rho.values, b.rho.values)
+        np.testing.assert_array_equal(a.theta.values, b.theta.values)
+
+
+class CountingForcing:
+    """Wraps a Forcing's four callables and counts the calls to each."""
+
+    def __init__(self, forcing: Forcing):
+        self.calls = dict.fromkeys(
+            ("rho_source", "theta_source", "rho_flux", "theta_flux"), 0)
+
+        def counted(name):
+            inner = getattr(forcing, name)
+
+            def call(*args):
+                self.calls[name] += 1
+                return inner(*args)
+            return call
+
+        self.forcing = Forcing(**{name: counted(name) for name in self.calls})
+
+
+def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
+    grid = Grid(16)
+    cfg = StepConfig(dt=0.01, picard_tol=1e-12)
+    reg = RegularizationParams(eps=1e-2, nu=5e-3)
+    case = make_default_mms_case(unit_params, cubic_model)
+    x = grid.centers
+    state0 = State(Field(case.exact_rho(x, 0.0), grid),
+                   Field(case.exact_theta(x, 0.0), grid), 0.0)
+    counting = CountingForcing(case.forcing)
+    result = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
+                 forcing=counting.forcing, initial_state=state0)
+    steps = len(result.states) - 1
+    assert steps == 10
+    assert sum(r.picard_iterations for r in result.records) > steps
+    assert counting.calls == dict.fromkeys(counting.calls, steps)
+
+    # a ramped step, with a failed direct attempt and eight stages, evaluates once too
+    grid, params, state, reg = stiff_setup()
+    zero = Forcing(rho_source=lambda x, t: np.zeros_like(x),
+                   theta_source=lambda x, t: np.zeros_like(x))
+    counting = CountingForcing(zero)
+    _, report, _ = homotopy_solve(state, StepConfig(dt=0.01), reg, params,
+                                  cubic_model, grid, forcing=counting.forcing)
+    assert len(report.s_path) == 9
+    assert counting.calls == dict.fromkeys(counting.calls, 1)
 
 
 def test_run_validates_horizon(unit_params, cubic_model):
