@@ -22,7 +22,7 @@ def main():
     result = run(setup.initial, setup.step, setup.reg, setup.params,
                  setup.model, setup.grid, t_end=setup.params.t_end)
 
-    print(f"marched {len(result.states) - 1} steps of dt={setup.step.dt} "
+    print(f"marched {len(result.t) - 1} steps of dt={setup.step.dt} "
           f"on n={setup.grid.n} cells")
     first, last = result.records[0], result.records[-1]
     print(f"total vapor mass   {first.total_mass:.6f} -> {last.total_mass:.6f}")

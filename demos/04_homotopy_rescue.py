@@ -9,7 +9,7 @@ where the direct attempt could not.
 """
 import numpy as np
 
-from poromoist.discretization import Field, Grid
+from poromoist.discretization import Grid
 from poromoist.errors import PicardDivergence
 from poromoist.model import PowerLawSaturation, PhysicalParams
 from poromoist.stepper import (RegularizationParams, State, StepConfig,
@@ -26,7 +26,7 @@ def main():
                             rho_bar0=1.0, rho_bar1=1.0, theta_bar0=1.0,
                             theta_bar1=1.0, t_end=1.0)
     model = PowerLawSaturation(c=1.0, q=3.0, eta=1.0)
-    state = State(Field(np.ones(N), grid), Field(np.full(N, 1.3), grid), 0.0)
+    state = State(np.ones(N), np.full(N, 1.3), 0.0)
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     cfg = StepConfig(dt=0.01)
 
@@ -48,9 +48,9 @@ def main():
     path = ", ".join(f"{s:g}" for s in report.s_path)
     print(f"homotopy: converged in {report.iterations} total sweeps "
           f"along s = [{path}]")
-    print(f"stepped state: rho in [{new.rho.values.min():.4f}, "
-          f"{new.rho.values.max():.4f}], theta in "
-          f"[{new.theta.values.min():.4f}, {new.theta.values.max():.4f}]")
+    print(f"stepped state: rho in [{new.rho.min():.4f}, "
+          f"{new.rho.max():.4f}], theta in "
+          f"[{new.theta.min():.4f}, {new.theta.max():.4f}]")
 
 
 if __name__ == "__main__":

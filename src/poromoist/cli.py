@@ -36,9 +36,7 @@ LADDER_VARIATION_CAP = 0.10
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
@@ -94,17 +92,16 @@ def _cmd_run(args) -> int:
                 for rec in result.records))
 
     snap_path = os.path.join(args.out, "snapshots.csv")
-    steps = len(result.states) - 1
+    steps = len(result.t) - 1
     rows = []
     for k in _snapshot_indices(steps, setup.cadence, setup.step.dt):
-        state = result.states[k]
-        u_face = darcy_velocity(state, params=setup.params, s=setup.reg.s)
+        rho, theta = result.rho[k], result.theta[k]
+        u_face = darcy_velocity(rho, theta, setup.grid, params=setup.params,
+                                s=setup.reg.s)
         u_cell = 0.5 * (u_face[:-1] + u_face[1:])
         for i, x in enumerate(setup.grid.centers):
-            rows.append((_fmt(state.t), _fmt(float(x)),
-                         _fmt(float(state.rho.values[i])),
-                         _fmt(float(state.theta.values[i])),
-                         _fmt(float(u_cell[i]))))
+            rows.append((_fmt(result.t[k]), _fmt(x), _fmt(rho[i]),
+                         _fmt(theta[i]), _fmt(u_cell[i])))
     _write_csv(snap_path, ("t", "x", "rho", "theta", "u"), rows)
 
     report = {

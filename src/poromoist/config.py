@@ -340,7 +340,6 @@ class Setup:
     grid: Grid
     initial: InitialData
     cadence: float
-    raw: dict
 
 
 def _build_model(sat: dict) -> SaturationModel:
@@ -377,4 +376,4 @@ def build_setup(data: dict) -> Setup:
     cadence = float(data.get("output", {}).get("cadence", phys["t_end"]))
     if not math.isfinite(cadence) or cadence <= 0:
         raise ConfigError(f"cadence must be positive and finite, got {cadence}")
-    return Setup(params, model, reg, step, grid, initial, cadence, data)
+    return Setup(params, model, reg, step, grid, initial, cadence)

@@ -11,27 +11,30 @@ independent computation:
 * a growth envelope for the combined mass/heat functional
   integral(lam rho + rho theta + sigma theta) driven by the recorded
   max-temperature history;
-* the discrete max-temperature envelope maintained by the stepper;
+* a discrete max-temperature envelope rebuilt from the recorded
+  latent-heating rates;
 * entropy integral(rho ln rho) with its gradient dissipation;
 * a running fourth-power norm accumulator;
 * weak residuals of the unregularized integral identities against a
   basis of space-time test functions.
 
-All checks read the trajectory (and the per-step records the stepper
-froze); none of them re-runs the solver.
+All checks read the trajectory (and the per-step records built from what
+the stepper froze); none of them re-runs the solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .discretization import Grid, boundary_traces, robin_fluxes
 from .errors import EnvelopeViolation
 from .model import PhysicalParams, phase_change_rate, saturation_pressure
-from .stepper import PicardReport, RunResult, State, StepRecord
+
+if TYPE_CHECKING:
+    from .stepper import PicardReport, RunResult, State, StepRecord
 
 __all__ = [
     "DiagnosticsRecord",
@@ -41,6 +44,7 @@ __all__ = [
     "energy_balance_residual",
     "EnvelopeReport",
     "mass_energy_envelope_check",
+    "theta_envelope",
     "EntropyReport",
     "entropy_monitor",
     "SpaceShape",
@@ -60,7 +64,12 @@ RECORD_FIELDS = (
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Scalar health summary of one time level."""
+    """Scalar health summary of one time level.
+
+    heating_rate is the step's largest latent-heating rate per unit heat
+    capacity, max(s rho X(sqrt(theta)) / (rho + sigma)), zero at the start;
+    it feeds the max-temperature envelope and is not a series.csv column.
+    """
 
     t: float
     total_mass: float
@@ -73,6 +82,7 @@ class DiagnosticsRecord:
     energy_balance_residual: float
     l4_accumulator: float
     picard_iterations: int
+    heating_rate: float
 
 
 def _entropy_value(rho: np.ndarray, h: float) -> float:
@@ -82,7 +92,7 @@ def _entropy_value(rho: np.ndarray, h: float) -> float:
 
 
 def initial_record(state: State, grid: Grid, params: PhysicalParams) -> DiagnosticsRecord:
-    rho, theta = state.rho.values, state.theta.values
+    rho, theta = state.rho, state.theta
     h = grid.h
     return DiagnosticsRecord(
         t=state.t,
@@ -96,6 +106,7 @@ def initial_record(state: State, grid: Grid, params: PhysicalParams) -> Diagnost
         energy_balance_residual=0.0,
         l4_accumulator=0.0,
         picard_iterations=0,
+        heating_rate=0.0,
     )
 
 
@@ -106,8 +117,8 @@ def mass_balance_residual(srec: StepRecord, grid: Grid) -> float:
     roundoff this is zero regardless of resolution.
     """
     h = grid.h
-    rho_new = srec.new.rho.values
-    drho = h * np.sum(rho_new - srec.prev.rho.values) / srec.dt
+    rho_new = srec.new.rho
+    drho = h * np.sum(rho_new - srec.prev.rho) / srec.dt
     reaction = h * srec.s * np.sum(srec.chi_sqrt * rho_new - srec.chi_ps)
     source = h * np.sum(srec.src_rho) if srec.src_rho is not None else 0.0
     boundary = srec.mass_flux[-1] - srec.mass_flux[0]
@@ -123,8 +134,8 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
     order in dt on smooth runs and vanishes at fixed points.
     """
     h = grid.h
-    rho_new, theta_new = srec.new.rho.values, srec.new.theta.values
-    rho_prev, theta_prev = srec.prev.rho.values, srec.prev.theta.values
+    rho_new, theta_new = srec.new.rho, srec.new.theta
+    rho_prev, theta_prev = srec.prev.rho, srec.prev.theta
     e_new = h * np.sum(rho_new * theta_new + params.sigma * theta_new)
     e_prev = h * np.sum(rho_prev * theta_prev + params.sigma * theta_prev)
 
@@ -144,7 +155,7 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
 
 def step_record(srec: StepRecord, report: PicardReport, grid: Grid,
                 params: PhysicalParams, prev_l4: float) -> DiagnosticsRecord:
-    rho, theta = srec.new.rho.values, srec.new.theta.values
+    rho, theta = srec.new.rho, srec.new.theta
     h = grid.h
     return DiagnosticsRecord(
         t=srec.new.t,
@@ -156,8 +167,9 @@ def step_record(srec: StepRecord, report: PicardReport, grid: Grid,
         max_theta=float(np.max(theta)),
         mass_balance_residual=mass_balance_residual(srec, grid),
         energy_balance_residual=energy_balance_residual(srec, grid, params),
-        l4_accumulator=prev_l4 + srec.dt * float(h * np.sum(srec.prev.rho.values**4)),
+        l4_accumulator=prev_l4 + srec.dt * float(h * np.sum(srec.prev.rho**4)),
         picard_iterations=report.iterations,
+        heating_rate=float(np.max(srec.s * rho * srec.chi_sqrt / (rho + params.sigma))),
     )
 
 
@@ -210,6 +222,25 @@ def mass_energy_envelope_check(result: RunResult, tol: float = 1e-9,
     return report
 
 
+def theta_envelope(result: RunResult) -> list:
+    """Discrete growth envelope for max theta, one value per time level.
+
+    The walls pull toward the ambient temperatures and the only interior
+    source is latent heating, so each step grows the envelope by the
+    recorded heating rate r: env <- (env + dt lam r)(1 + dt r), floored at
+    the ambient values.
+    """
+    p, dt = result.params, result.cfg.dt
+    env = max(result.records[0].max_theta, p.theta_bar0, p.theta_bar1)
+    envelope = [env]
+    for rec in result.records[1:]:
+        rate = rec.heating_rate
+        env = (env + dt * p.lam * rate) * (1.0 + dt * rate)
+        env = max(env, p.theta_bar0, p.theta_bar1)
+        envelope.append(env)
+    return envelope
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     max_entropy: float
@@ -228,8 +259,7 @@ def entropy_monitor(result: RunResult) -> EntropyReport:
     series = np.array([r.entropy for r in result.records])
     dt = result.cfg.dt
     dissipation = 0.0
-    for state in result.states[1:]:
-        rho, theta = state.rho.values, state.theta.values
+    for rho, theta in zip(result.rho[1:], result.theta[1:]):
         grad = np.diff(rho) / h
         theta_face = 0.5 * (theta[:-1] + theta[1:])
         dissipation += dt * float(h * np.sum(theta_face * grad**2))
@@ -319,7 +349,7 @@ def weak_residual(result: RunResult,
     s, model = result.reg.s, result.model
     h, dt = grid.h, result.cfg.dt
     x, xf = grid.centers, grid.faces[1:-1]
-    t_final = result.states[-1].t
+    t_final = float(result.t[-1])
     zeta, zeta_prime = _time_window(t_final)
 
     tvals = np.array([sh.value(x) for sh in shapes])           # (m, n)
@@ -330,16 +360,16 @@ def weak_residual(result: RunResult,
     mass_res = np.zeros(len(shapes))
     heat_res = np.zeros(len(shapes))
 
-    rho0, theta0 = result.states[0].rho.values, result.states[0].theta.values
+    rho0, theta0 = result.rho[0], result.theta[0]
     e0 = rho0 * theta0 + p.sigma * theta0
     mass_res -= h * (tvals @ rho0) * zeta(0.0)
     heat_res -= h * (tvals @ e0) * zeta(0.0)
 
-    for prev, new in zip(result.states[:-1], result.states[1:]):
-        r0, th0 = prev.rho.values, prev.theta.values
-        r1, th1 = new.rho.values, new.theta.values
-        zp_mid = zeta_prime(prev.t + 0.5 * dt)
-        z1 = zeta(new.t)
+    for k in range(1, len(result.t)):
+        r0, th0 = result.rho[k - 1], result.theta[k - 1]
+        r1, th1 = result.rho[k], result.theta[k]
+        zp_mid = zeta_prime(float(result.t[k - 1]) + 0.5 * dt)
+        z1 = zeta(float(result.t[k]))
 
         mass_res -= dt * h * (tvals @ (0.5 * (r0 + r1))) * zp_mid
         e_mid = 0.5 * ((r0 * th0 + p.sigma * th0) + (r1 * th1 + p.sigma * th1))
@@ -408,10 +438,11 @@ def certify_run(result: RunResult, mass_tol: float = 1e-10,
                 envelope_tol: float = 1e-9) -> CertificationReport:
     """Run every certification that has a sharp expected outcome.
 
-    Mass balance must sit at solver roundoff, both envelopes must hold,
-    and the fields must stay in the admissible cone.  The energy residual
-    has no universal threshold (it is first order in dt), so it is
-    reported but only checked for finiteness.
+    Mass balance must sit at solver roundoff, both envelopes must hold
+    (the max-temperature one rebuilt here from the records' heating
+    rates), and the fields must stay in the admissible cone.  The energy
+    residual has no universal threshold (it is first order in dt), so it
+    is reported but only checked for finiteness.
     """
     failures = []
     recs = result.records
@@ -426,7 +457,9 @@ def certify_run(result: RunResult, mass_tol: float = 1e-10,
         failures.append(
             f"mass/heat envelope violated at t={envelope.first_violation_t} "
             f"(excess {-envelope.min_slack:.3e})")
-    if not result.theta_envelope_ok:
+    theta_ok = not any(r.max_theta > env + 1e-9
+                       for r, env in zip(recs[1:], theta_envelope(result)[1:]))
+    if not theta_ok:
         failures.append("max-temperature envelope violated")
     min_rho = min(r.min_rho for r in recs)
     min_theta = min(r.min_theta for r in recs)
@@ -443,5 +476,5 @@ def certify_run(result: RunResult, mass_tol: float = 1e-10,
     return CertificationReport(
         passed=not failures, failures=tuple(failures),
         max_mass_residual=float(max_mass), max_energy_residual=float(max_energy),
-        envelope=envelope, theta_envelope_ok=result.theta_envelope_ok,
+        envelope=envelope, theta_envelope_ok=theta_ok,
         min_rho=float(min_rho), min_theta=float(min_theta), entropy=entropy)

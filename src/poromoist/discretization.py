@@ -20,11 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NonPositiveRadius
+from .errors import ConfigError, NonPositiveRadius
 
 __all__ = [
     "Grid",
-    "Field",
     "mollify",
     "cutoff",
     "boundary_traces",
@@ -53,23 +52,6 @@ class Grid:
     @property
     def faces(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.h
-
-
-@dataclass
-class Field:
-    """Cell-centered values bound to a grid."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
-            raise DimensionMismatch(
-                f"field has {self.values.shape} values for an n={self.grid.n} grid"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DimensionMismatch("field contains nonfinite values")
 
 
 @lru_cache(maxsize=64)

@@ -20,9 +20,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discretization import Field, Grid, robin_fluxes
+from .discretization import Grid, robin_fluxes
 from .errors import PoromoistError
-from .model import InitialData, PhysicalParams, SaturationModel, saturation_pressure
+from .model import (
+    InitialData,
+    PhysicalParams,
+    SaturationModel,
+    conductivity,
+    saturation_pressure,
+)
 from .stepper import (
     Forcing,
     RegularizationParams,
@@ -110,7 +116,7 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel,
     def theta_source_cons(x, t):
         r, th = rho(x, t), theta(x, t)
         px = pressure_x(x, t)
-        kappa = params.kappa1 + params.kappa2 * r * r
+        kappa = conductivity(r, params)
         return (rho_t(x, t) * th + r * theta_t(x, t) + params.sigma * theta_t(x, t)
                 - (pressure_xx(x, t) * r * th + px * px)
                 - (2.0 * params.kappa2 * r * rho_x(x, t) * theta_x(x, t)
@@ -124,8 +130,7 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel,
         return float(rho(xv, t) * pressure_x(xv, t))
 
     def cond_flux(xv, t):
-        r = rho(xv, t)
-        return float((params.kappa1 + params.kappa2 * r * r) * theta_x(xv, t))
+        return float(conductivity(rho(xv, t), params) * theta_x(xv, t))
 
     def rho_flux(t):
         f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)), s,
@@ -182,9 +187,7 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         dt = t_end / steps
         grid = Grid(n)
         x = grid.centers
-        state0 = State(Field(np.asarray(case.exact_rho(x, 0.0), dtype=float), grid),
-                       Field(np.asarray(case.exact_theta(x, 0.0), dtype=float), grid),
-                       0.0)
+        state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
         cfg = StepConfig(dt=dt,
                          picard_tol=cfg_template.picard_tol if cfg_template else 1e-12,
                          max_picard=cfg_template.max_picard if cfg_template else 50,
@@ -192,10 +195,10 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         reg = RegularizationParams(eps=eps, nu=nu, s=1.0)
         result = run(None, cfg, reg, params, model, grid, t_end=t_end,
                      forcing=case.forcing, initial_state=state0)
-        final = result.states[-1]
+        t_final = float(result.t[-1])
         h = grid.h
-        err_r = np.sqrt(h * np.sum((final.rho.values - case.exact_rho(x, final.t))**2))
-        err_t = np.sqrt(h * np.sum((final.theta.values - case.exact_theta(x, final.t))**2))
+        err_r = np.sqrt(h * np.sum((result.rho[-1] - case.exact_rho(x, t_final))**2))
+        err_t = np.sqrt(h * np.sum((result.theta[-1] - case.exact_theta(x, t_final))**2))
         rho_errors.append(float(err_r))
         theta_errors.append(float(err_t))
         dts.append(dt)
@@ -224,10 +227,10 @@ def _trajectory_difference(a: RunResult, b: RunResult) -> float:
     h = a.grid.h
     dt = a.cfg.dt
     total = 0.0
-    for sa, sb in zip(a.states[:-1], b.states[:-1]):
+    for k in range(len(a.t) - 1):
         total += dt * h * float(
-            np.sum((sa.rho.values - sb.rho.values)**2)
-            + np.sum((sa.theta.values - sb.theta.values)**2))
+            np.sum((a.rho[k] - b.rho[k])**2)
+            + np.sum((a.theta[k] - b.theta[k])**2))
     return float(np.sqrt(total))
 
 

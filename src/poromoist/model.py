@@ -267,7 +267,7 @@ def validate_saturation_assumptions(model: SaturationModel) -> SaturationReport:
     )
 
 
-def darcy_velocity(state, grid: Grid | None = None,
+def darcy_velocity(rho: np.ndarray, theta: np.ndarray, grid: Grid,
                    params: PhysicalParams | None = None, s: float = 1.0) -> np.ndarray:
     """Filtration velocity u = -(rho * theta)_x at the n+1 faces.
 
@@ -276,10 +276,6 @@ def darcy_velocity(state, grid: Grid | None = None,
     carry the Robin mass flux divided by the upwinded face density (donor
     value by flow direction), otherwise zero placeholders.
     """
-    if grid is None:
-        grid = state.rho.grid
-    rho = state.rho.values
-    theta = state.theta.values
     h = grid.h
     pressure = rho * theta
     u = np.zeros(grid.n + 1)

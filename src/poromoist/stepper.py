@@ -45,16 +45,24 @@ from typing import Callable
 
 import numpy as np
 
-from .discretization import Field, Grid, boundary_traces, cutoff, mollify, robin_fluxes
+from .diagnostics import initial_record, step_record
+from .discretization import Grid, boundary_traces, cutoff, mollify, robin_fluxes
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     DominanceViolation,
     NonfiniteIterate,
     PicardDivergence,
     PoromoistError,
 )
 from .linalg import TridiagonalSystem, solve_thomas
-from .model import InitialData, PhysicalParams, SaturationModel, saturation_pressure
+from .model import (
+    InitialData,
+    PhysicalParams,
+    SaturationModel,
+    conductivity,
+    saturation_pressure,
+)
 
 __all__ = [
     "RegularizationParams",
@@ -103,23 +111,33 @@ class RegularizationParams:
 
 @dataclass(frozen=True)
 class State:
-    """Nonnegative vapor density and positive temperature at one time."""
+    """Nonnegative vapor density and positive temperature at one time.
 
-    rho: Field
-    theta: Field
+    rho and theta are the cell values on one grid, as float arrays of
+    equal length.
+    """
+
+    rho: np.ndarray
+    theta: np.ndarray
     t: float
 
     def __post_init__(self):
-        if self.rho.grid != self.theta.grid:
-            raise ConfigError("rho and theta live on different grids")
-        if np.any(self.rho.values < 0):
+        rho = np.asarray(self.rho, dtype=float)
+        theta = np.asarray(self.theta, dtype=float)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "theta", theta)
+        if rho.ndim != 1 or theta.ndim != 1:
+            raise DimensionMismatch(
+                f"state values must be 1-D, got shapes {rho.shape} and {theta.shape}")
+        if rho.shape != theta.shape:
+            raise ConfigError(
+                f"rho has {rho.shape[0]} cells but theta has {theta.shape[0]}")
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(theta))):
+            raise DimensionMismatch(f"nonfinite state values at t={self.t}")
+        if np.any(rho < 0):
             raise ConfigError(f"negative vapor density at t={self.t}")
-        if np.any(self.theta.values <= 0):
+        if np.any(theta <= 0):
             raise ConfigError(f"nonpositive temperature at t={self.t}")
-
-    @property
-    def grid(self) -> Grid:
-        return self.rho.grid
 
 
 @dataclass(frozen=True)
@@ -229,12 +247,16 @@ class StepRecord:
 
 @dataclass
 class RunResult:
-    """Trajectory plus per-step diagnostics for one simulation."""
+    """Trajectory plus per-step diagnostics for one simulation.
 
-    states: list
+    Row k of rho and theta holds the cell values at time t[k]; row 0 is the
+    start state and records[k] describes the same time level.
+    """
+
+    rho: np.ndarray                # (steps+1, n)
+    theta: np.ndarray              # (steps+1, n)
+    t: np.ndarray                  # steps+1
     records: list
-    theta_envelope: list
-    theta_envelope_ok: bool
     params: PhysicalParams
     reg: RegularizationParams
     cfg: StepConfig
@@ -256,7 +278,7 @@ def mollified_initial_data(data: InitialData, reg: RegularizationParams,
         )
     rho = mollify(data.rho0, reg.eps, grid.h) + reg.eps
     theta = mollify(data.theta0, reg.eps, grid.h)
-    return State(Field(rho, grid), Field(theta, grid), 0.0)
+    return State(rho, theta, 0.0)
 
 
 def _cell_gradient(values: np.ndarray, h: float) -> np.ndarray:
@@ -316,7 +338,6 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
                         s: float, reg: RegularizationParams, params: PhysicalParams,
                         model: SaturationModel, grid: Grid, dt: float,
                         scheme: str = "upwind", forcing: ForcingValues | None = None,
-                        coeffs: FluxCoefficients | None = None,
                         ) -> tuple[TridiagonalSystem, FluxCoefficients]:
     """Backward-Euler rows for the vapor density with frozen coefficients.
 
@@ -326,8 +347,7 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     expression evaluated at the extrapolated trace.
     """
     n, h = grid.n, grid.h
-    if coeffs is None:
-        coeffs = compute_flux_coefficients(rho_iter, theta_iter, reg, grid, model, scheme)
+    coeffs = compute_flux_coefficients(rho_iter, theta_iter, reg, grid, model, scheme)
 
     diag = 1.0 / dt + s * coeffs.chi_sqrt
     diag = np.array(diag)  # chi_sqrt may broadcast from a scalar cutoff
@@ -336,7 +356,7 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     upper = -coeffs.B / h
     lower = coeffs.A / h
 
-    rhs = prev.rho.values / dt + s * coeffs.chi_ps
+    rhs = prev.rho / dt + s * coeffs.chi_ps
     if forcing is not None and forcing.rho_source is not None:
         rhs = rhs + forcing.rho_source
     g0, g1 = forcing.rho_flux if forcing else (0.0, 0.0)
@@ -392,7 +412,7 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     """
     n, h = grid.n, grid.h
 
-    kcell = params.kappa1 + params.kappa2 * mollify(rho_new, reg.eps, h) ** 2
+    kcell = conductivity(mollify(rho_new, reg.eps, h), params)
     kface = 0.5 * (kcell[:-1] + kcell[1:])
     mass_flux = evaluate_mass_flux(rho_new, coeffs, s, params, grid, forcing)
     fint = mass_flux[1:-1]
@@ -404,7 +424,7 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     upper = -kface / h**2 - fint * up / h
     lower = -kface / h**2 + fint * um / h
 
-    rhs = ((rho_new + params.sigma) * prev.theta.values / dt
+    rhs = ((rho_new + params.sigma) * prev.theta / dt
            + s * params.lam * rho_new * coeffs.chi_sqrt
            - s * (params.lam + theta_iter) * coeffs.ps_iter)
     if forcing is not None and forcing.theta_source is not None:
@@ -432,7 +452,7 @@ def _build_record(prev: State, rho_new: np.ndarray, theta_new: np.ndarray,
     g0, g1 = forcing.theta_flux if forcing else (0.0, 0.0)
     src_rho = forcing.rho_source if forcing else None
     src_theta = forcing.theta_source if forcing else None
-    new = State(Field(rho_new, grid), Field(theta_new, grid), prev.t + dt)
+    new = State(rho_new, theta_new, prev.t + dt)
     return StepRecord(
         prev=prev, new=new, s=s, dt=dt,
         chi_sqrt=np.broadcast_to(coeffs.chi_sqrt, (grid.n,)).copy(),
@@ -485,12 +505,6 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
     return rho_it, theta_it, cfg.max_picard, update, False, parts
 
 
-def _forcing_values(forcing: Forcing | ForcingValues | None, grid: Grid,
-                    t: float) -> ForcingValues | None:
-    """The forcing evaluated at t, unless the caller has evaluated it already."""
-    return forcing.at(grid.centers, t) if isinstance(forcing, Forcing) else forcing
-
-
 def _sweeps_spent(exc: PoromoistError, cfg: StepConfig) -> int:
     if isinstance(exc, PicardDivergence):
         return exc.report.iterations if exc.report else cfg.max_picard
@@ -499,19 +513,19 @@ def _sweeps_spent(exc: PoromoistError, cfg: StepConfig) -> int:
 
 def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
                 params: PhysicalParams, model: SaturationModel, grid: Grid,
-                forcing: Forcing | ForcingValues | None = None,
+                forcing: ForcingValues | None = None,
                 s: float | None = None,
                 start: tuple[np.ndarray, np.ndarray] | None = None,
                 ) -> tuple[State, PicardReport, StepRecord]:
     """Advance one step by fixed-point iteration at a single coupling s.
 
     The sweeps start from ``start`` (a (rho, theta) pair) when given, and
-    from the previous state otherwise.
+    from the previous state otherwise.  ``forcing`` holds the forcing
+    terms evaluated at the new time.
     """
     s = reg.s if s is None else s
     if start is None:
-        start = (prev.rho.values, prev.theta.values)
-    forcing = _forcing_values(forcing, grid, prev.t + cfg.dt)
+        start = (prev.rho, prev.theta)
     rho, theta, iters, update, ok, parts = _picard_sweeps(
         prev, cfg, reg, params, model, grid, s, forcing, start)
     report = PicardReport(iters, update, (s,), ok)
@@ -527,7 +541,7 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
 
 def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   forcing: Forcing | ForcingValues | None = None,
+                   forcing: ForcingValues | None = None,
                    start: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> tuple[State, PicardReport, StepRecord]:
     """Advance one step, falling back to an s-ramp when the direct solve fails.
@@ -542,7 +556,6 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
     every stage from the previous stage's result.  Intermediate stages are
     best-effort; only the final full-strength stage must converge.
     """
-    forcing = _forcing_values(forcing, grid, prev.t + cfg.dt)
     wasted = 0
     if start is not None:
         try:
@@ -559,7 +572,7 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
 
     s_path = [reg.s]
     total = spent
-    iterate = (prev.rho.values, prev.theta.values)
+    iterate = (prev.rho, prev.theta)
     update = np.inf
     parts = None
     for k in range(1, cfg.s_ramp_steps + 1):
@@ -581,17 +594,19 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
     return record.new, report, record
 
 
-def _predicted_start(states: list) -> tuple[np.ndarray, np.ndarray] | None:
-    """First iterate for the next step, extrapolated from the accepted states.
+def _predicted_start(rho: np.ndarray, theta: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray] | None:
+    """First iterate for the next step, extrapolated from the accepted rows.
 
-    None (start from the previous state) after one state, then linear
+    rho and theta hold the accepted states so far, one row per time level.
+    None (start from the previous state) after one row, then linear
     2u^n - u^(n-1), then quadratic 3u^n - 3u^(n-1) + u^(n-2) in the step
     index: the standard starting values for implicit steps (Hairer &
     Wanner, Solving ODEs II, IV.8).  The guess is clamped elementwise to at
     least half the last state, which keeps rho nonnegative and theta
     positive.
     """
-    if len(states) < 2:
+    if len(rho) < 2:
         return None
 
     def extrapolate(history):
@@ -601,9 +616,7 @@ def _predicted_start(states: list) -> tuple[np.ndarray, np.ndarray] | None:
             guess = 3.0 * history[2] - 3.0 * history[1] + history[0]
         return np.maximum(guess, 0.5 * history[-1])
 
-    recent = states[-3:]
-    return (extrapolate([st.rho.values for st in recent]),
-            extrapolate([st.theta.values for st in recent]))
+    return extrapolate(rho[-3:]), extrapolate(theta[-3:])
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -621,11 +634,10 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
 
     The start state is the mollified initial data unless an explicit
     initial_state is supplied (equilibrium studies need a start that does
-    not depend on the mollifier radius).  Deterministic: identical inputs
-    produce bit-identical trajectories.
+    not depend on the mollifier radius); it must have grid.n cells.  The
+    forcing is evaluated once per step, at the new time.  Deterministic:
+    identical inputs produce bit-identical trajectories.
     """
-    from . import diagnostics
-
     reg.validate_against(params)
     if t_end is None:
         t_end = params.t_end
@@ -635,36 +647,25 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
 
     if initial_state is not None:
         state = initial_state
+        if state.rho.shape != (grid.n,):
+            raise DimensionMismatch(
+                f"initial state has {state.rho.shape[0]} cells for an n={grid.n} grid")
     else:
         if initial is None:
             raise ConfigError("either initial data or an initial state is required")
         state = mollified_initial_data(initial, reg, grid)
 
-    states = [state]
-    records = [diagnostics.initial_record(state, grid, params)]
-    # Discrete growth envelope for max theta: walls pull toward the ambient
-    # values and the only interior source is latent heating, whose rate per
-    # unit heat capacity is bounded by r below.
-    env = max(float(np.max(state.theta.values)), params.theta_bar0, params.theta_bar1)
-    envelope = [env]
-    env_ok = True
+    rho = np.empty((steps + 1, grid.n))
+    theta = np.empty((steps + 1, grid.n))
+    t = np.empty(steps + 1)
+    rho[0], theta[0], t[0] = state.rho, state.theta, state.t
+    records = [initial_record(state, grid, params)]
+    for k in range(1, steps + 1):
+        values = None if forcing is None else forcing.at(grid.centers, state.t + cfg.dt)
+        state, report, srec = homotopy_solve(state, cfg, reg, params, model, grid,
+                                             values, _predicted_start(rho[:k], theta[:k]))
+        records.append(step_record(srec, report, grid, params,
+                                   prev_l4=records[-1].l4_accumulator))
+        rho[k], theta[k], t[k] = state.rho, state.theta, state.t
 
-    for _ in range(steps):
-        state, report, srec = homotopy_solve(prev=state, cfg=cfg, reg=reg,
-                                             params=params, model=model,
-                                             grid=grid, forcing=forcing,
-                                             start=_predicted_start(states))
-        rec = diagnostics.step_record(srec, report, grid, params,
-                                      prev_l4=records[-1].l4_accumulator)
-        states.append(state)
-        records.append(rec)
-        rate = float(np.max(srec.s * state.rho.values * srec.chi_sqrt
-                            / (state.rho.values + params.sigma)))
-        env = (env + cfg.dt * params.lam * rate) * (1.0 + cfg.dt * rate)
-        env = max(env, params.theta_bar0, params.theta_bar1)
-        envelope.append(env)
-        if rec.max_theta > env + 1e-9:
-            env_ok = False
-
-    return RunResult(states, records, envelope, env_ok, params, reg, cfg, grid,
-                     model, t_end)
+    return RunResult(rho, theta, t, records, params, reg, cfg, grid, model, t_end)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from poromoist.config import build_setup
-from poromoist.discretization import Field, Grid
+from poromoist.discretization import Grid
 from poromoist.model import PhysicalParams, PowerLawSaturation
 from poromoist.stepper import RegularizationParams, State, StepConfig, run
 
@@ -52,7 +52,7 @@ def smoke_result(smoke_config):
 
 def equilibrium_state(grid: Grid) -> State:
     ones = np.ones(grid.n)
-    return State(Field(ones.copy(), grid), Field(ones.copy(), grid), 0.0)
+    return State(ones.copy(), ones.copy(), 0.0)
 
 
 def run_equilibrium(params, model, n=32, dt=1e-3, steps=100,

@@ -15,13 +15,14 @@ import pytest
 
 from poromoist.cli import main
 from poromoist.config import apply_override, build_setup
-from poromoist.diagnostics import mass_energy_envelope_check, weak_residual
+from poromoist.diagnostics import (certify_run, mass_energy_envelope_check,
+                                   weak_residual)
 from poromoist.harness import (make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
 from poromoist.linalg import dense_solve, solve_thomas
 from poromoist.model import PowerLawSaturation, saturation_pressure
 from poromoist.stepper import (RegularizationParams, State, StepConfig, run)
-from poromoist.discretization import Field, Grid
+from poromoist.discretization import Grid
 from tests.conftest import REPO_ROOT, make_params
 from tests.test_linalg import random_dominant_system
 
@@ -59,7 +60,7 @@ def exchange_sweep(smoke_dict):
             "min_rho": min(r.min_rho for r in result.records),
             "min_theta": min(r.min_theta for r in result.records),
             "envelope": mass_energy_envelope_check(result),
-            "theta_env_ok": result.theta_envelope_ok,
+            "theta_env_ok": certify_run(result).theta_envelope_ok,
         }
 
     start = time.monotonic()
@@ -106,7 +107,7 @@ def test_energy_envelope_on_smoke_and_sweep(timed_smoke, exchange_sweep):
     report, _ = exchange_sweep
     smoke_env = mass_energy_envelope_check(result)
     assert smoke_env.ok and smoke_env.first_violation_t is None
-    assert result.theta_envelope_ok
+    assert certify_run(result).theta_envelope_ok
     for cell in report.cells:
         assert cell.payload["envelope"].ok, cell.overrides
         assert cell.payload["theta_env_ok"], cell.overrides
@@ -178,18 +179,17 @@ def test_equilibrium_preserved_over_long_runs(theta_hat):
     params = make_params(rho_bar0=rho_hat, rho_bar1=rho_hat,
                          theta_bar0=theta_hat, theta_bar1=theta_hat)
     grid = Grid(32)
-    state = State(Field(np.full(grid.n, rho_hat), grid),
-                  Field(np.full(grid.n, theta_hat), grid), 0.0)
+    state = State(np.full(grid.n, rho_hat), np.full(grid.n, theta_hat), 0.0)
     steps = 1000
     result = run(None, StepConfig(dt=1e-3),
                  RegularizationParams(eps=1e-2, nu=5e-3), params, model,
                  grid, t_end=steps * 1e-3, initial_state=state)
-    assert len(result.states) == steps + 1
+    assert result.rho.shape == result.theta.shape == (steps + 1, grid.n)
     drift = 0.0
-    for prev, new in zip(result.states, result.states[1:]):
+    for k in range(1, steps + 1):
         drift = max(drift,
-                    np.max(np.abs(new.rho.values - prev.rho.values)),
-                    np.max(np.abs(new.theta.values - prev.theta.values)))
+                    np.max(np.abs(result.rho[k] - result.rho[k - 1])),
+                    np.max(np.abs(result.theta[k] - result.theta[k - 1])))
     assert drift <= 1e-8
     assert max(r.picard_iterations for r in result.records[1:]) == 1
 

@@ -13,7 +13,7 @@ import pytest
 
 import poromoist
 import poromoist.cli
-from poromoist.cli import main
+from poromoist.cli import _fmt, main
 from poromoist.harness import LadderReport
 
 
@@ -62,6 +62,11 @@ def test_run_is_byte_deterministic(small_config, tmp_path):
     assert main(["run", str(path), "--out", str(out2), "--quiet"]) == 0
     for name in ("series.csv", "snapshots.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_fmt_writes_numpy_floats_like_python_floats():
+    assert [_fmt(v) for v in (np.float64(0.1), 0.1, np.float32(0.5), 3)] == \
+        ["0.1", "0.1", "0.5", "3"]
 
 
 def test_run_flags_override_config(small_config, tmp_path):

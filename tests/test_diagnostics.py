@@ -9,8 +9,9 @@ import pytest
 
 from poromoist.diagnostics import (certify_run, default_test_functions,
                                    entropy_monitor, initial_record,
-                                   mass_energy_envelope_check, weak_residual)
-from poromoist.discretization import Field, Grid
+                                   mass_energy_envelope_check, theta_envelope,
+                                   weak_residual)
+from poromoist.discretization import Grid
 from poromoist.errors import EnvelopeViolation
 from poromoist.model import InitialData
 from poromoist.stepper import RegularizationParams, State, StepConfig, run
@@ -32,8 +33,7 @@ def bump_run(n, dt, t_end, eps=1e-4, nu=5e-5, params=None, model=None):
 
 def test_initial_record_hand_values(unit_params):
     grid = Grid(4)
-    state = State(Field(np.array([1.0, 2.0, 3.0, 4.0]), grid),
-                  Field(np.array([1.0, 1.0, 2.0, 1.0]), grid), 0.0)
+    state = State(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 2.0, 1.0]), 0.0)
     rec = initial_record(state, grid, unit_params)
     assert rec.t == 0.0
     assert rec.total_mass == pytest.approx(0.25 * 10.0)
@@ -47,12 +47,12 @@ def test_initial_record_hand_values(unit_params):
     assert rec.energy_balance_residual == 0.0
     assert rec.picard_iterations == 0
     assert rec.l4_accumulator == 0.0
+    assert rec.heating_rate == 0.0
 
 
 def test_entropy_value_handles_zero_density(unit_params):
     grid = Grid(4)
-    state = State(Field(np.array([0.0, 1.0, 0.0, 1.0]), grid),
-                  Field(np.ones(4), grid), 0.0)
+    state = State(np.array([0.0, 1.0, 0.0, 1.0]), np.ones(4), 0.0)
     rec = initial_record(state, grid, unit_params)
     assert rec.entropy == 0.0
 
@@ -153,11 +153,13 @@ def test_weak_residuals_vanish_at_equilibrium(unit_params, cubic_model):
 
 
 def test_theta_envelope_tracks_run(smoke_result):
-    env = np.asarray(smoke_result.theta_envelope)
+    env = np.asarray(theta_envelope(smoke_result))
     maxes = np.array([r.max_theta for r in smoke_result.records])
     assert env.shape == maxes.shape
-    assert smoke_result.theta_envelope_ok
+    assert certify_run(smoke_result).theta_envelope_ok
     assert np.all(maxes <= env + 1e-9)
+    rates = np.array([r.heating_rate for r in smoke_result.records])
+    assert rates[0] == 0.0 and np.all(rates[1:] > 0)
 
 
 def test_certify_run_passes_smoke(smoke_result):
@@ -172,10 +174,8 @@ def test_certify_run_passes_smoke(smoke_result):
 
 def test_certify_run_reports_failures(smoke_result):
     captured = smoke_result.records[10]
-    flag = smoke_result.theta_envelope_ok
     smoke_result.records[10] = replace(captured, mass_balance_residual=1.0,
-                                       min_rho=-1.0)
-    smoke_result.theta_envelope_ok = False
+                                       min_rho=-1.0, max_theta=1e9)
     try:
         report = certify_run(smoke_result)
         assert not report.passed
@@ -183,6 +183,7 @@ def test_certify_run_reports_failures(smoke_result):
         assert "mass balance" in text
         assert "vapor density" in text
         assert "temperature envelope" in text
+        assert not report.theta_envelope_ok
+        assert report.summary()["theta_envelope_ok"] is False
     finally:
         smoke_result.records[10] = captured
-        smoke_result.theta_envelope_ok = flag

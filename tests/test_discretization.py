@@ -4,9 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from poromoist.discretization import Field, Grid, cutoff, mollify, robin_fluxes
-from poromoist.errors import (ConfigError, DimensionMismatch,
-                              NonPositiveRadius)
+from poromoist.discretization import Grid, cutoff, mollify, robin_fluxes
+from poromoist.errors import ConfigError, NonPositiveRadius
 
 
 def mirror_smooth(values: np.ndarray, mu: float, h: float) -> np.ndarray:
@@ -41,14 +40,6 @@ def test_grid_geometry():
 def test_grid_rejects_bad_sizes(n):
     with pytest.raises(ConfigError):
         Grid(n)
-
-
-def test_field_length_checked():
-    grid = Grid(4)
-    with pytest.raises(DimensionMismatch):
-        Field(np.ones(5), grid)
-    with pytest.raises(DimensionMismatch):
-        Field(np.array([1.0, np.inf, 1.0, 1.0]), grid)
 
 
 def test_mollify_identity_below_cell_width():

@@ -4,14 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from poromoist.discretization import Field, Grid
+from poromoist.discretization import Grid
 from poromoist.errors import ConfigError, ModelInvalid
 from poromoist.model import (ExponentialSaturation, InitialData,
                              PhysicalParams, PowerLawSaturation,
                              SaturationModel, conductivity, darcy_velocity,
                              phase_change_rate, saturation_pressure,
                              validate_saturation_assumptions)
-from poromoist.stepper import State
 from tests.conftest import UNIT_PHYSICAL, make_params
 
 
@@ -133,16 +132,15 @@ def test_structurally_invalid_curves_raise(curve):
 
 def test_darcy_velocity_interior_and_walls():
     grid = Grid(8)
-    rho = Field(np.full(grid.n, 2.0), grid)
-    theta = Field(1.0 + grid.centers, grid)
-    state = State(rho, theta, 0.0)
-    u = darcy_velocity(state)
+    rho = np.full(grid.n, 2.0)
+    theta = 1.0 + grid.centers
+    u = darcy_velocity(rho, theta, grid)
     # pressure 2(1+x) has slope 2, interior velocity -2, walls default 0
     np.testing.assert_allclose(u[1:-1], -2.0, rtol=1e-13)
     assert u[0] == 0.0 and u[-1] == 0.0
 
     params = make_params()
-    uw = darcy_velocity(state, params=params, s=1.0)
+    uw = darcy_velocity(rho, theta, grid, params=params, s=1.0)
     # left: flux alpha*(trace - ambient) = 1 outward, donor is the trace 2
     assert uw[0] == pytest.approx(-0.5)
     # right: outflow q = alpha*(trace - ambient) = 1, donor is the trace 2

@@ -9,10 +9,10 @@ import pytest
 from poromoist import stepper
 from poromoist.diagnostics import certify_run
 
-from poromoist.discretization import Field, Grid
+from poromoist.discretization import Grid
 from poromoist.harness import make_default_mms_case
-from poromoist.errors import (ConfigError, DominanceViolation,
-                              PicardDivergence)
+from poromoist.errors import (ConfigError, DimensionMismatch,
+                              DominanceViolation, PicardDivergence)
 from poromoist.linalg import dense_solve, solve_thomas
 from poromoist.model import InitialData, saturation_pressure
 from poromoist.stepper import (Forcing, RegularizationParams, State,
@@ -75,7 +75,7 @@ def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
     b = np.zeros(n)
     for j in range(n):
         M[j, j] += 1.0 / dt + s * chi_s[j]
-        b[j] += prev.rho.values[j] / dt + s * chi_p[j]
+        b[j] += prev.rho[j] / dt + s * chi_p[j]
         if forcing is not None and forcing.rho_source is not None:
             b[j] += forcing.rho_source(grid.centers[j], t_new)
         if j < n - 1:                       # minus outgoing face j+1
@@ -109,7 +109,7 @@ def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
     c = np.zeros(n)
     for j in range(n):
         T[j, j] += (rho_new[j] + params.sigma) / dt - s * rho_new[j] * chi_s[j]
-        c[j] += ((rho_new[j] + params.sigma) * prev.theta.values[j] / dt
+        c[j] += ((rho_new[j] + params.sigma) * prev.theta[j] / dt
                  + s * params.lam * rho_new[j] * chi_s[j]
                  - s * (params.lam + theta_it[j]) * ps_it[j])
         if forcing is not None and forcing.theta_source is not None:
@@ -142,8 +142,7 @@ def crooked_case(cubic_model):
     params = make_params(sigma=0.7, lam=2.0, kappa2=0.4, alpha0=1.3,
                          alpha1=0.8, beta0=0.6, beta1=1.1, rho_bar0=0.9,
                          rho_bar1=1.2, theta_bar0=1.05, theta_bar1=0.95)
-    prev = State(Field(np.array([1.0, 1.4, 0.8, 1.2]), grid),
-                 Field(np.array([1.1, 0.9, 1.3, 1.0]), grid), 0.0)
+    prev = State(np.array([1.0, 1.4, 0.8, 1.2]), np.array([1.1, 0.9, 1.3, 1.0]), 0.0)
     rho_it = np.array([1.2, 1.0, 0.9, 1.1])
     theta_it = np.array([1.0, 1.2, 0.8, 1.05])
     reg = RegularizationParams(eps=0.3, nu=0.26, s=1.0)
@@ -210,15 +209,23 @@ def test_step_config_validation():
 
 
 def test_state_validation():
-    grid = Grid(4)
     with pytest.raises(ConfigError):
-        State(Field(np.array([1.0, -0.1, 1.0, 1.0]), grid),
-              Field(np.ones(4), grid), 0.0)
+        State(np.array([1.0, -0.1, 1.0, 1.0]), np.ones(4), 0.0)
     with pytest.raises(ConfigError):
-        State(Field(np.ones(4), grid),
-              Field(np.array([1.0, 0.0, 1.0, 1.0]), grid), 0.0)
+        State(np.ones(4), np.array([1.0, 0.0, 1.0, 1.0]), 0.0)
     with pytest.raises(ConfigError):
-        State(Field(np.ones(4), Grid(4)), Field(np.ones(8), Grid(8)), 0.0)
+        State(np.ones(4), np.ones(8), 0.0)
+
+
+def test_state_values_checked():
+    with pytest.raises(DimensionMismatch):
+        State(np.ones((2, 2)), np.ones((2, 2)), 0.0)
+    with pytest.raises(DimensionMismatch):
+        State(np.array([1.0, np.inf, 1.0, 1.0]), np.ones(4), 0.0)
+    with pytest.raises(DimensionMismatch):
+        State(np.ones(4), np.array([1.0, np.nan, 1.0, 1.0]), 0.0)
+    state = State([1, 2, 3, 4], [1, 1, 1, 1], 0.0)
+    assert state.rho.dtype == float and state.theta.dtype == float
 
 
 def test_mollified_initial_data_lift():
@@ -228,8 +235,8 @@ def test_mollified_initial_data_lift():
     reg = RegularizationParams(eps=0.01, nu=0.005)
     # radius below the cell width: smoothing is the identity, only the lift acts
     state = mollified_initial_data(data, reg, grid)
-    np.testing.assert_array_equal(state.rho.values, data.rho0 + 0.01)
-    np.testing.assert_array_equal(state.theta.values, data.theta0)
+    np.testing.assert_array_equal(state.rho, data.rho0 + 0.01)
+    np.testing.assert_array_equal(state.theta, data.theta0)
     assert state.t == 0.0
     with pytest.raises(ConfigError):
         mollified_initial_data(data, reg, Grid(8))
@@ -244,8 +251,8 @@ def test_equilibrium_is_picard_fixed_point(unit_params, cubic_model):
                                    grid)
     assert report.converged and report.iterations == 1
     assert report.s_path == (1.0,)
-    np.testing.assert_allclose(new.rho.values, 1.0, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(new.theta.values, 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(new.rho, 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(new.theta, 1.0, rtol=0, atol=1e-14)
     assert new.t == pytest.approx(0.01)
     assert rec.mass_flux.shape == (grid.n + 1,)
     np.testing.assert_allclose(rec.mass_flux, 0.0, atol=1e-14)
@@ -258,8 +265,7 @@ STIFF_LAM = 34.0
 def stiff_setup():
     grid = Grid(STIFF_N)
     params = make_params(lam=STIFF_LAM)
-    state = State(Field(np.ones(STIFF_N), grid),
-                  Field(np.full(STIFF_N, 1.3), grid), 0.0)
+    state = State(np.ones(STIFF_N), np.full(STIFF_N, 1.3), 0.0)
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     return grid, params, state, reg
 
@@ -290,7 +296,7 @@ def test_homotopy_rescues_stiff_step(cubic_model):
     assert report.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
                              0.875, 1.0)
     assert cfg.max_picard < report.iterations <= 9 * cfg.max_picard
-    assert np.all(new.rho.values > 0) and np.all(new.theta.values > 0)
+    assert np.all(new.rho > 0) and np.all(new.theta > 0)
     assert rec.s == 1.0
 
 
@@ -332,11 +338,11 @@ def test_run_is_deterministic(unit_params, cubic_model):
     grid, cfg, reg, data, _ = smooth_case()
     first = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
     second = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
-    assert len(first.states) == 51
-    assert len(first.theta_envelope) == 51
-    for a, b in zip(first.states, second.states):
-        np.testing.assert_array_equal(a.rho.values, b.rho.values)
-        np.testing.assert_array_equal(a.theta.values, b.theta.values)
+    assert first.rho.shape == first.theta.shape == (51, grid.n)
+    assert first.t.shape == (51,) and len(first.records) == 51
+    np.testing.assert_array_equal(first.rho, second.rho)
+    np.testing.assert_array_equal(first.theta, second.theta)
+    np.testing.assert_array_equal(first.t, second.t)
     assert [r.t for r in first.records] == [r.t for r in second.records]
 
 
@@ -345,13 +351,13 @@ def test_predicted_start_saves_sweeps(unit_params, cubic_model):
     result = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
     predicted = plain = 0
     # from step 3 on the start is the quadratic extrapolation
-    for k in range(3, len(result.states)):
-        new, report, _ = homotopy_solve(result.states[k - 1], cfg, reg,
-                                        unit_params, cubic_model, grid)
+    for k in range(3, len(result.t)):
+        prev = State(result.rho[k - 1], result.theta[k - 1], result.t[k - 1])
+        new, report, _ = homotopy_solve(prev, cfg, reg, unit_params,
+                                        cubic_model, grid)
         predicted += result.records[k].picard_iterations
         plain += report.iterations
-        for got, ref in ((result.states[k].rho.values, new.rho.values),
-                         (result.states[k].theta.values, new.theta.values)):
+        for got, ref in ((result.rho[k], new.rho), (result.theta[k], new.theta)):
             gap = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
             assert np.max(gap) <= 10 * cfg.picard_tol
     assert predicted < plain
@@ -360,7 +366,7 @@ def test_predicted_start_saves_sweeps(unit_params, cubic_model):
 def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     grid, cfg, reg, data, t_end = smooth_case()
     with monkeypatch.context() as patch:
-        patch.setattr(stepper, "_predicted_start", lambda states: None)
+        patch.setattr(stepper, "_predicted_start", lambda rho, theta: None)
         plain = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
 
     wasted = 2
@@ -379,9 +385,8 @@ def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     plain_sweeps = [r.picard_iterations for r in plain.records[1:]]
     # the first step has no prediction; every later one wasted its attempt
     assert sweeps == [plain_sweeps[0]] + [k + wasted for k in plain_sweeps[1:]]
-    for a, b in zip(result.states, plain.states):
-        np.testing.assert_array_equal(a.rho.values, b.rho.values)
-        np.testing.assert_array_equal(a.theta.values, b.theta.values)
+    np.testing.assert_array_equal(result.rho, plain.rho)
+    np.testing.assert_array_equal(result.theta, plain.theta)
 
 
 class CountingForcing:
@@ -408,24 +413,24 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     case = make_default_mms_case(unit_params, cubic_model)
     x = grid.centers
-    state0 = State(Field(case.exact_rho(x, 0.0), grid),
-                   Field(case.exact_theta(x, 0.0), grid), 0.0)
+    state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
     counting = CountingForcing(case.forcing)
     result = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
                  forcing=counting.forcing, initial_state=state0)
-    steps = len(result.states) - 1
+    steps = len(result.t) - 1
     assert steps == 10
     assert sum(r.picard_iterations for r in result.records) > steps
     assert counting.calls == dict.fromkeys(counting.calls, steps)
 
     # a ramped step, with a failed direct attempt and eight stages, evaluates once too
     grid, params, state, reg = stiff_setup()
+    cfg = StepConfig(dt=0.01)
     zero = Forcing(rho_source=lambda x, t: np.zeros_like(x),
                    theta_source=lambda x, t: np.zeros_like(x))
     counting = CountingForcing(zero)
-    _, report, _ = homotopy_solve(state, StepConfig(dt=0.01), reg, params,
-                                  cubic_model, grid, forcing=counting.forcing)
-    assert len(report.s_path) == 9
+    result = run(None, cfg, reg, params, cubic_model, grid, t_end=cfg.dt,
+                 forcing=counting.forcing, initial_state=state)
+    assert result.records[1].picard_iterations > cfg.max_picard
     assert counting.calls == dict.fromkeys(counting.calls, 1)
 
 
@@ -439,7 +444,17 @@ def test_run_validates_horizon(unit_params, cubic_model):
             initial_state=state)
     still = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.0,
                 initial_state=state)
-    assert len(still.states) == 1 and len(still.records) == 1
-    assert still.states[0] is state
-    assert still.theta_envelope_ok
+    assert still.rho.shape == (1, grid.n) and len(still.records) == 1
+    np.testing.assert_array_equal(still.rho[0], state.rho)
+    np.testing.assert_array_equal(still.theta[0], state.theta)
+    assert still.t.tolist() == [state.t]
+    assert certify_run(still).theta_envelope_ok
+
+
+def test_run_rejects_initial_state_of_another_grid(unit_params, cubic_model):
+    cfg = StepConfig(dt=1e-3)
+    reg = RegularizationParams(eps=1e-2, nu=5e-3)
+    with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
+        run(None, cfg, reg, unit_params, cubic_model, Grid(16), t_end=cfg.dt,
+            initial_state=equilibrium_state(Grid(8)))
 
