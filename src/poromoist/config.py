@@ -8,17 +8,28 @@ unknown keys and out-of-range scalars, then cross-field checks catch the
 couplings a schema cannot express (nu against eps, step counts dividing
 the horizon, profiles dipping below their floors).  All violations are
 collected into a single ValidationError instead of stopping at the first.
+
+The schema is the ``CONFIG_SCHEMA`` dict below, walked by this module
+itself.  It uses the JSON Schema keywords type, properties, required,
+additionalProperties, oneOf, const, enum, minimum, maximum,
+exclusiveMinimum, exclusiveMaximum, items, minItems and minProperties.
+Numbers must be finite (Python's ``json`` accepts ``NaN`` and
+``Infinity``), a boolean is not a number, and an integer is written
+without a decimal point: ``8.0`` is not a cell count.  A ``oneOf`` is
+decided by the ``const`` tag its branches carry (``profile`` or
+``kind``), and reports the first violation of the tagged branch.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .discretization import Grid
 from .errors import ConfigError, ParseError, ValidationError
@@ -210,16 +221,72 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+def _is_number(value) -> bool:
+    """A finite int or float: NaN fails the comparison, a bool the type test."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _error_path(err) -> str:
-    return ".".join(str(p) for p in err.absolute_path) or "<root>"
+_TYPES = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
+    "number": (_is_number, "a finite number"),
+    "integer": (lambda v: isinstance(v, int) and _is_number(v),
+                "an integer without a decimal point"),
+}
+
+_BOUNDS = (("minimum", operator.ge, ">="), ("maximum", operator.le, "<="),
+           ("exclusiveMinimum", operator.gt, ">"), ("exclusiveMaximum", operator.lt, "<"))
+
+
+def _walk(value, schema: dict, path: tuple):
+    """Yield a (path, message) pair for each violation of schema by value."""
+    if "oneOf" in schema:
+        tags = [{key: sub["const"] for key, sub in branch["properties"].items()
+                 if "const" in sub} for branch in schema["oneOf"]]
+        hits = [branch for branch, tag in zip(schema["oneOf"], tags)
+                if isinstance(value, dict) and tag.items() <= value.items()]
+        if hits:
+            yield from itertools.islice(_walk(value, hits[0], path), 1)
+        else:
+            yield path, f"expected an object tagged as one of {tags}"
+    if "type" in schema:
+        check, noun = _TYPES[schema["type"]]
+        if not check(value):
+            yield path, f"expected {noun}, got {value!r}"
+    if "const" in schema and value != schema["const"]:
+        yield path, f"expected {schema['const']!r}, got {value!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"expected one of {schema['enum']}, got {value!r}"
+    for key, holds, op in _BOUNDS:
+        if key in schema and _is_number(value) and not holds(value, schema[key]):
+            yield path, f"must be {op} {schema[key]}, got {value!r}"
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"missing required key {key!r}"
+        unknown = sorted(key for key in value if key not in props)
+        if extra is False and unknown:
+            yield path, f"unknown key(s) {', '.join(map(repr, unknown))}"
+        if len(value) < schema.get("minProperties", 0):
+            yield path, f"needs at least {schema['minProperties']} key(s)"
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if isinstance(sub, dict):
+                yield from _walk(item, sub, path + (key,))
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"needs at least {schema['minItems']} item(s), got {len(value)}"
+        for index, item in enumerate(value if "items" in schema else ()):
+            yield from _walk(item, schema["items"], path + (index,))
 
 
 def _is_multiple(span: float, step: float) -> bool:
     count = span / step
-    return abs(count - round(count)) <= 1e-9 * max(1.0, abs(count))
+    return math.isfinite(count) and abs(count - round(count)) <= 1e-9 * max(1.0, abs(count))
 
 
 def _profile_values(spec: dict, grid: Grid) -> np.ndarray:
@@ -290,10 +357,9 @@ def _cross_field(data: dict) -> list[tuple[str, str]]:
 
 def validate_config(data: dict) -> None:
     """Raise ValidationError listing every schema and cross-field violation."""
-    violations: list[tuple[str, str]] = []
-    for err in sorted(_VALIDATOR.iter_errors(data), key=_error_path):
-        chosen = best_match([err]) if err.context else err
-        violations.append((_error_path(chosen), chosen.message))
+    violations = sorted(((".".join(map(str, path)) or "<root>", message)
+                         for path, message in _walk(data, CONFIG_SCHEMA, ())),
+                        key=lambda violation: violation[0])
     if not violations:
         violations.extend(_cross_field(data))
     if violations:
@@ -308,6 +374,8 @@ def load_config(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     validate_config(data)
@@ -374,6 +442,4 @@ def build_setup(data: dict) -> Setup:
         theta_floor=float(init["theta_floor"]),
     )
     cadence = float(data.get("output", {}).get("cadence", phys["t_end"]))
-    if not math.isfinite(cadence) or cadence <= 0:
-        raise ConfigError(f"cadence must be positive and finite, got {cadence}")
     return Setup(params, model, reg, step, grid, initial, cadence)

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .discretization import Grid, boundary_traces, robin_fluxes
-from .errors import EnvelopeViolation
 from .model import PhysicalParams, phase_change_rate, saturation_pressure
 
 if TYPE_CHECKING:
@@ -186,8 +185,7 @@ class EnvelopeReport:
     min_slack: float
 
 
-def mass_energy_envelope_check(result: RunResult, tol: float = 1e-9,
-                               raise_on_violation: bool = False) -> EnvelopeReport:
+def mass_energy_envelope_check(result: RunResult, tol: float = 1e-9) -> EnvelopeReport:
     """Check integral(lam rho + rho theta + sigma theta) against its envelope.
 
     The admissible envelope is an affine functional of the run's own
@@ -213,13 +211,8 @@ def mass_energy_envelope_check(result: RunResult, tol: float = 1e-9,
     slack = bounds + tol * np.maximum(1.0, np.abs(bounds)) - values
     bad = np.nonzero(slack < 0)[0]
     first_t = float(recs[bad[0]].t) if bad.size else None
-    report = EnvelopeReport(bad.size == 0, float(c_init), float(c_rate),
-                            values, bounds, first_t, float(np.min(slack)))
-    if raise_on_violation and not report.ok:
-        raise EnvelopeViolation(
-            f"mass/heat functional exceeds its envelope by {-report.min_slack:.3e}",
-            t=first_t)
-    return report
+    return EnvelopeReport(bad.size == 0, float(c_init), float(c_rate),
+                          values, bounds, first_t, float(np.min(slack)))
 
 
 def theta_envelope(result: RunResult) -> list:

@@ -76,11 +76,3 @@ class PicardDivergence(PoromoistError):
 
 class NonfiniteIterate(PoromoistError):
     """A fixed-point sweep produced NaN or Inf values."""
-
-
-class EnvelopeViolation(PoromoistError):
-    """A monitored quantity escaped its a priori envelope."""
-
-    def __init__(self, message: str, t: float):
-        super().__init__(message)
-        self.t = t

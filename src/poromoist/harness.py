@@ -160,7 +160,6 @@ class MMSReport:
 
 
 def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
-              cfg_template: StepConfig | None = None,
               grid_sizes: Sequence[int] = (16, 32, 64, 128),
               t_end: float = 0.1, steps_coarse: int = 10,
               advection: str = "central", eps: float = 1e-8,
@@ -188,10 +187,7 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         grid = Grid(n)
         x = grid.centers
         state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
-        cfg = StepConfig(dt=dt,
-                         picard_tol=cfg_template.picard_tol if cfg_template else 1e-12,
-                         max_picard=cfg_template.max_picard if cfg_template else 50,
-                         advection=advection)
+        cfg = StepConfig(dt=dt, picard_tol=1e-12, advection=advection)
         reg = RegularizationParams(eps=eps, nu=nu, s=1.0)
         result = run(None, cfg, reg, params, model, grid, t_end=t_end,
                      forcing=case.forcing, initial_state=state0)

@@ -133,7 +133,7 @@ class State:
             raise ConfigError(
                 f"rho has {rho.shape[0]} cells but theta has {theta.shape[0]}")
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(theta))):
-            raise DimensionMismatch(f"nonfinite state values at t={self.t}")
+            raise ConfigError(f"nonfinite state values at t={self.t}")
         if np.any(rho < 0):
             raise ConfigError(f"negative vapor density at t={self.t}")
         if np.any(theta <= 0):

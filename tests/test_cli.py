@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,15 @@ def small_config(smoke_config, tmp_path):
     path = tmp_path / "small.json"
     path.write_text(json.dumps(data))
     return path, data
+
+
+def child_env() -> dict:
+    """Environment whose PYTHONPATH puts this checkout's package first."""
+    src = Path(poromoist.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -95,6 +105,25 @@ def test_invalid_config_is_usage_error(smoke_config, tmp_path):
     data["regularization"]["nu"] = 0.5
     path = write_config(tmp_path, data)
     assert main(["run", str(path), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("where,value", [
+    ("output.cadence", math.inf),
+    ("stepping.dt", math.nan),
+    ("physical.t_end", math.inf),
+    ("physical.kappa1", math.inf),
+    ("stepping.picard_tol", math.inf),
+    ("grid.n", 8.0),
+])
+def test_nonfinite_or_fractional_value_is_usage_error(smoke_config, tmp_path, capsys,
+                                                      where, value):
+    section, key = where.split(".")
+    data = copy.deepcopy(smoke_config)
+    data[section][key] = value
+    path = write_config(tmp_path, data)   # json writes NaN and Infinity literals
+    assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{where}:" in err
 
 
 def test_solver_breakdown_exits_one(smoke_config, tmp_path, capsys):
@@ -237,10 +266,7 @@ def test_console_script_entry_point(small_config, tmp_path):
     path, _ = small_config
     # The child imports this checkout's package, whatever the caller's
     # relative PYTHONPATH or an installed copy would resolve to.
-    src = Path(poromoist.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = child_env()
     launcher = (
         "import sys\n"
         "from importlib.metadata import EntryPoint\n"
@@ -260,10 +286,7 @@ def test_console_script_entry_point(small_config, tmp_path):
 def test_python_dash_m_runs_the_cli(small_config, tmp_path):
     """`python -m poromoist` takes the CLI's arguments without an install."""
     path, _ = small_config
-    src = Path(poromoist.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = child_env()
     out = tmp_path / "module"
     proc = subprocess.run(
         [sys.executable, "-m", "poromoist", "run", str(path), "--out", str(out),
@@ -277,3 +300,15 @@ def test_python_dash_m_runs_the_cli(small_config, tmp_path):
         [sys.executable, "-m", "poromoist", "run", str(tmp_path / "absent.json")],
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 2
+
+
+def test_cli_import_loads_no_schema_library():
+    """Configs are validated in-package; jsonschema is only a test oracle."""
+    env = child_env()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, poromoist.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "poromoist" in loaded
+    assert not loaded & {"jsonschema", "referencing", "attr", "attrs", "rpds"}

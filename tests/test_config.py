@@ -3,14 +3,18 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
-from poromoist.config import (apply_override, build_setup, load_config,
-                              validate_config)
+from poromoist.config import (CONFIG_SCHEMA, Setup, _walk, apply_override,
+                              build_setup, load_config, validate_config)
 from poromoist.errors import ConfigError, ParseError, ValidationError
 from poromoist.model import PowerLawSaturation
+from tests.conftest import REPO_ROOT
 
 
 def test_smoke_config_is_valid(smoke_config):
@@ -72,6 +76,7 @@ def test_schema_violations_all_reported(smoke_config):
     ("regularization.eps", 0.0, "regularization"),
     ("physical.rho_bar0", 0.005, "regularization.eps"),
     ("stepping.dt", 0.0003, "stepping.dt"),
+    ("physical.t_end", 1e308, "stepping.dt"),     # t_end / dt overflows to inf
     ("output.cadence", 0.00037, "output.cadence"),
     ("saturation.q", 1.5, "saturation.q"),
     ("initial.rho", {"profile": "bump", "base": 0.1, "amplitude": -1.0,
@@ -145,3 +150,194 @@ def test_profiles_evaluate_as_documented(smoke_config):
 
     data = override(data, "initial.rho", {"profile": "constant", "value": 2.5})
     np.testing.assert_allclose(build_setup(data).initial.rho0, 2.5)
+
+
+def violations(data) -> list:
+    try:
+        validate_config(data)
+    except ValidationError as exc:
+        return exc.violations
+    return []
+
+
+@pytest.mark.parametrize("path,value", [
+    ("physical.sigma", True),          # a boolean is not a number
+    ("grid.n", True),
+    ("physical.sigma", math.nan),      # a number must be finite
+    ("physical.sigma", math.inf),
+    ("regularization.s", -math.inf),
+    ("physical.sigma", 10**400),       # an int beyond the float range
+    ("grid.n", 8.0),                   # an integer is a Python int
+    ("stepping.max_picard", 50.0),
+])
+def test_walker_rules(smoke_config, path, value):
+    assert [where for where, _ in violations(override(smoke_config, path, value))] == [path]
+
+
+@pytest.mark.parametrize("spec,where", [
+    ({"profile": "bump", "base": 1.0, "amplitude": 1.0, "center": 2.0,
+      "width": -1.0}, "initial.rho.center"),
+    ({"profile": "step", "left": 1.0, "right": 2.0}, "initial.rho"),
+    ({"profile": "spline", "value": 1.0}, "initial.rho"),
+    ({"value": 1.0}, "initial.rho"),
+    (1.0, "initial.rho"),
+])
+def test_oneof_reports_one_violation_of_the_tagged_branch(smoke_config, spec, where):
+    assert [path for path, _ in violations(override(smoke_config, "initial.rho", spec))] \
+        == [where]
+
+
+def test_overlong_integer_literal_is_a_config_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"grid": {"n": ' + "9" * 5000 + "}}")
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+
+
+# Every keyword the walker in poromoist.config implements.  A schema edit
+# that brings in another keyword must teach the walker first.
+WALKER_KEYWORDS = {
+    "type", "properties", "required", "additionalProperties", "oneOf", "const",
+    "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "items", "minItems", "minProperties"}
+
+
+def schema_keywords(schema: dict):
+    for key, sub in schema.items():
+        yield key
+        if key == "properties":
+            for child in sub.values():
+                yield from schema_keywords(child)
+        elif key == "oneOf":
+            for child in sub:
+                yield from schema_keywords(child)
+        elif isinstance(sub, dict):
+            yield from schema_keywords(sub)
+
+
+def test_schema_uses_only_walker_keywords():
+    used = set(schema_keywords(CONFIG_SCHEMA))
+    assert used <= WALKER_KEYWORDS, used - WALKER_KEYWORDS
+    assert {"oneOf", "items", "minProperties"} <= used
+
+
+SHIPPED = ("smoke", "mms", "ladder", "sweep")
+ODD_VALUES = (0, -1, 1, 3, 4, 8, 0.5, 8.0, 4.0, 1.5, -0.0, 1e-300, 1e308, 10**400,
+              math.nan, math.inf, -math.inf, True, False, None, "upwind", "bump",
+              "", [], [1.0], [16, 32], {},
+              {"profile": "constant", "value": 1.0},
+              {"profile": "step", "left": 1.0, "right": 2.0, "at": 0.5},
+              {"profile": "inline", "values": [1.0, 1.0, 1.0, 1.0]},
+              {"kind": "exponential", "a": 1.0, "b": 1.0})
+SCALES = (-1.0, 0.0, 0.5, 2.0, 10.0, 1e300, 1e-300)
+
+
+def slots(node):
+    """Yield (container, key) for every value nested in node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in list(items):
+        yield node, key
+        yield from slots(value)
+
+
+def mutate(doc, rng: random.Random) -> None:
+    container, key = rng.choice(list(slots(doc)))
+    value = container[key]
+    roll = rng.random()
+    if roll < 0.1 and isinstance(container, dict):
+        del container[key]
+    elif roll < 0.2 and isinstance(value, dict):
+        value["unknown"] = 1.0
+    elif (roll < 0.5 and isinstance(value, (int, float)) and not isinstance(value, bool)
+          and abs(value) <= 1e308):
+        container[key] = value * rng.choice(SCALES)
+    else:
+        container[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+
+
+@pytest.fixture(scope="module")
+def config_corpus() -> list:
+    """Shipped configs and 2500 seeded copies with one to three mutations."""
+    shipped = []
+    for name in SHIPPED:
+        with open(REPO_ROOT / "configs" / f"{name}.json") as fh:
+            shipped.append(json.load(fh))
+    rng = random.Random(2009)
+    corpus = copy.deepcopy(shipped)
+    for _ in range(2500):
+        doc = copy.deepcopy(rng.choice(shipped))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            mutate(doc, rng)
+        corpus.append(doc)
+    return corpus
+
+
+def test_corpus_builds_a_setup_or_raises_config_error(config_corpus):
+    built = 0
+    # Extreme profile parameters overflow to inf, which InitialData rejects.
+    with np.errstate(all="ignore"):
+        for doc in config_corpus:
+            try:
+                setup = build_setup(doc)
+            except ConfigError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"{type(exc).__name__}: {exc} for {doc}")
+            assert isinstance(setup, Setup)
+            built += 1
+    assert 4 <= built < len(config_corpus)
+
+
+def oneof_locations(schema: dict, path: tuple = ()):
+    if "oneOf" in schema:
+        yield path
+    for key, child in schema.get("properties", {}).items():
+        yield from oneof_locations(child, path + (key,))
+
+
+def test_walker_matches_jsonschema_on_corpus(config_corpus):
+    """The walker is draft 2020-12 with finite numbers and int-only integers.
+
+    The oracle is jsonschema's Draft202012Validator with exactly those two
+    type rules changed.  Both must report violations at the same places, a
+    oneOf counted once at its location; the walker names a place inside
+    the tagged branch, which is cut back to that location here.
+    """
+    jsonschema = pytest.importorskip("jsonschema")
+    draft = jsonschema.Draft202012Validator
+
+    def finite_number(checker, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return abs(value) <= sys.float_info.max
+
+    def python_int(checker, value):
+        return isinstance(value, int) and finite_number(checker, value)
+
+    checker = draft.TYPE_CHECKER.redefine_many(
+        {"number": finite_number, "integer": python_int})
+    strict = jsonschema.validators.extend(draft, type_checker=checker)(CONFIG_SCHEMA)
+    plain = draft(CONFIG_SCHEMA)
+    oneofs = set(oneof_locations(CONFIG_SCHEMA))
+
+    def at_oneof(path: tuple) -> tuple:
+        return next((path[:k] for k in range(len(path)) if path[:k] in oneofs), path)
+
+    accepted = excepted = 0
+    for doc in config_corpus:
+        expected = sorted(".".join(map(str, err.absolute_path))
+                          for err in strict.iter_errors(doc))
+        found = sorted(".".join(map(str, at_oneof(path)))
+                       for path, _ in _walk(doc, CONFIG_SCHEMA, ()))
+        assert found == expected, doc
+        accepted += not found
+        excepted += bool(found) and plain.is_valid(doc)
+    # the corpus holds documents of each kind
+    assert accepted > 4 and excepted > 0 and accepted + excepted < len(config_corpus)

@@ -220,9 +220,9 @@ def test_state_validation():
 def test_state_values_checked():
     with pytest.raises(DimensionMismatch):
         State(np.ones((2, 2)), np.ones((2, 2)), 0.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError):
         State(np.array([1.0, np.inf, 1.0, 1.0]), np.ones(4), 0.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError):
         State(np.ones(4), np.array([1.0, np.nan, 1.0, 1.0]), 0.0)
     state = State([1, 2, 3, 4], [1, 1, 1, 1], 0.0)
     assert state.rho.dtype == float and state.theta.dtype == float
