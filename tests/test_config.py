@@ -76,7 +76,6 @@ def test_schema_violations_all_reported(smoke_config):
     ("regularization.eps", 0.0, "regularization"),
     ("physical.rho_bar0", 0.005, "regularization.eps"),
     ("stepping.dt", 0.0003, "stepping.dt"),
-    ("physical.t_end", 1e308, "stepping.dt"),     # t_end / dt overflows to inf
     ("output.cadence", 0.00037, "output.cadence"),
     ("saturation.q", 1.5, "saturation.q"),
     ("initial.rho", {"profile": "bump", "base": 0.1, "amplitude": -1.0,
@@ -84,6 +83,7 @@ def test_schema_violations_all_reported(smoke_config):
     ("initial.theta", {"profile": "constant", "value": 0.4}, "initial.theta"),
     ("initial.rho", {"profile": "inline", "values": [1.0, 1.0, 1.0, 1.0]},
      "initial.rho.values"),
+    ("physical.t_end", 1e308, "stepping.dt"),     # t_end / dt overflows to inf
 ])
 def test_single_violations(smoke_config, path, value, where):
     bad = override(smoke_config, path, value)
