@@ -1,0 +1,55 @@
+"""Write the deterministic CLI outputs of every shipped study into one tree.
+
+Usage, from anywhere:
+
+    python3 scripts/golden_outputs.py OUTDIR
+
+Runs ``python -m poromoist`` from this checkout's ``src`` on the shipped
+configs (``run`` on smoke, ``mms``, ``ladder`` and ``sweep``, ``run`` on
+smoke with central advection) and ``run`` on ``perfbench/configs/fine.json``
+and ``stiff.json``.  Each case writes its files into ``OUTDIR/<case>/`` plus
+``console.txt`` holding the exit code and the console output.  Every file is
+deterministic, so a refactor that must not change results is checked by
+running this script on the parent and on the change and comparing the two
+trees with ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CASES = (
+    ("run_smoke", ["run", "configs/smoke.json"]),
+    ("run_smoke_central", ["run", "configs/smoke.json", "--advection", "central"]),
+    ("mms", ["mms", "configs/mms.json"]),
+    ("ladder", ["ladder", "configs/ladder.json"]),
+    ("sweep", ["sweep", "configs/sweep.json"]),
+    ("run_fine", ["run", "perfbench/configs/fine.json"]),
+    ("run_stiff", ["run", "perfbench/configs/stiff.json"]),
+)
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: golden_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    out_root = os.path.abspath(argv[0])
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for name, args in CASES:
+        out = os.path.join(out_root, name)
+        os.makedirs(out, exist_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "poromoist", *args, "--out", out],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+        with open(os.path.join(out, "console.txt"), "w", encoding="utf-8") as fh:
+            fh.write(f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

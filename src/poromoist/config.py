@@ -285,8 +285,10 @@ def _walk(value, schema: dict, path: tuple):
 
 
 def _is_multiple(span: float, step: float) -> bool:
+    """Whether span is a whole number of steps, and at least one of them."""
     count = span / step
-    return math.isfinite(count) and abs(count - round(count)) <= 1e-9 * max(1.0, abs(count))
+    return (math.isfinite(count) and round(count) >= 1
+            and abs(count - round(count)) <= 1e-9 * max(1.0, abs(count)))
 
 
 def _profile_values(spec: dict, grid: Grid) -> np.ndarray:
@@ -330,10 +332,10 @@ def _cross_field(data: dict) -> list[tuple[str, str]]:
     dt = stepping["dt"]
     if not _is_multiple(phys["t_end"], dt):
         bad.append(("stepping.dt",
-                    f"t_end={phys['t_end']} is not an integer number of steps of dt={dt}"))
+                    f"t_end={phys['t_end']} is not a positive integer number of steps of dt={dt}"))
     if "output" in data and not _is_multiple(data["output"]["cadence"], dt):
         bad.append(("output.cadence",
-                    f"cadence={data['output']['cadence']} is not a multiple of dt={dt}"))
+                    f"cadence={data['output']['cadence']} is not a positive multiple of dt={dt}"))
 
     n = data["grid"]["n"]
     init = data["initial"]

@@ -87,7 +87,7 @@ class DiagnosticsRecord:
 def _entropy_value(rho: np.ndarray, h: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(rho > 0, rho * np.log(np.where(rho > 0, rho, 1.0)), 0.0)
-    return float(h * np.sum(terms))
+    return float(h * terms.sum())
 
 
 def initial_record(state: State, grid: Grid, params: PhysicalParams) -> DiagnosticsRecord:
@@ -117,9 +117,9 @@ def mass_balance_residual(srec: StepRecord, grid: Grid) -> float:
     """
     h = grid.h
     rho_new = srec.new.rho
-    drho = h * np.sum(rho_new - srec.prev.rho) / srec.dt
-    reaction = h * srec.s * np.sum(srec.chi_sqrt * rho_new - srec.chi_ps)
-    source = h * np.sum(srec.src_rho) if srec.src_rho is not None else 0.0
+    drho = h * (rho_new - srec.prev.rho).sum() / srec.dt
+    reaction = h * srec.s * (srec.chi_sqrt * rho_new - srec.chi_ps).sum()
+    source = h * srec.src_rho.sum() if srec.src_rho is not None else 0.0
     boundary = srec.mass_flux[-1] - srec.mass_flux[0]
     return float(abs(drho + reaction - source - boundary))
 
@@ -135,20 +135,20 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
     h = grid.h
     rho_new, theta_new = srec.new.rho, srec.new.theta
     rho_prev, theta_prev = srec.prev.rho, srec.prev.theta
-    e_new = h * np.sum(rho_new * theta_new + params.sigma * theta_new)
-    e_prev = h * np.sum(rho_prev * theta_prev + params.sigma * theta_prev)
+    e_new = h * (rho_new * theta_new + params.sigma * theta_new).sum()
+    e_prev = h * (rho_prev * theta_prev + params.sigma * theta_prev).sum()
 
     boundary = (srec.cond_flux_right + srec.mass_flux[-1] * srec.theta_trace_right
                 - srec.cond_flux_left - srec.mass_flux[0] * srec.theta_trace_left)
     gamma = rho_new * srec.chi_sqrt - srec.chi_ps
     lag_defect = srec.s * ((params.lam + theta_new) * srec.chi_ps
                            - (params.lam + srec.theta_iter) * srec.ps_iter)
-    interior = h * np.sum(srec.s * params.lam * gamma + lag_defect)
+    interior = h * (srec.s * params.lam * gamma + lag_defect).sum()
     source = 0.0
     if srec.src_theta is not None:
-        source += h * np.sum(srec.src_theta)
+        source += h * srec.src_theta.sum()
     if srec.src_rho is not None:
-        source += h * np.sum(theta_new * srec.src_rho)
+        source += h * (theta_new * srec.src_rho).sum()
     return float(abs((e_new - e_prev) / srec.dt - boundary - interior - source))
 
 
@@ -158,17 +158,17 @@ def step_record(srec: StepRecord, report: PicardReport, grid: Grid,
     h = grid.h
     return DiagnosticsRecord(
         t=srec.new.t,
-        total_mass=float(h * np.sum(rho)),
-        mass_energy=float(h * np.sum(params.lam * rho + rho * theta + params.sigma * theta)),
+        total_mass=float(h * rho.sum()),
+        mass_energy=float(h * (params.lam * rho + rho * theta + params.sigma * theta).sum()),
         entropy=_entropy_value(rho, h),
-        min_rho=float(np.min(rho)),
-        min_theta=float(np.min(theta)),
-        max_theta=float(np.max(theta)),
+        min_rho=float(rho.min()),
+        min_theta=float(theta.min()),
+        max_theta=float(theta.max()),
         mass_balance_residual=mass_balance_residual(srec, grid),
         energy_balance_residual=energy_balance_residual(srec, grid, params),
-        l4_accumulator=prev_l4 + srec.dt * float(h * np.sum(srec.prev.rho**4)),
+        l4_accumulator=prev_l4 + srec.dt * float(h * (srec.prev.rho**4).sum()),
         picard_iterations=report.iterations,
-        heating_rate=float(np.max(srec.s * rho * srec.chi_sqrt / (rho + params.sigma))),
+        heating_rate=float((srec.s * rho * srec.chi_sqrt / (rho + params.sigma)).max()),
     )
 
 

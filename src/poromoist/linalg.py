@@ -10,11 +10,22 @@ tests to cross-check the sweep.
 The Thomas solve stays pure Python on purpose.  LAPACK's ``dgttrf`` /
 ``dgttrs`` from ``scipy.linalg.lapack`` gave byte-identical outputs, with no
 row swaps, on every shipped config, and take about 5 us per solve at
-n=100 against 45-70 us here.  But importing ``scipy.linalg`` costs every
+n=100 against 40-65 us here.  But importing ``scipy.linalg`` costs every
 process 0.26-0.29 s and 28 MB of resident memory (27 -> 55 MB after
 numpy), about what the faster solve would save over the 4400 solves of
 the whole smoke run.  Measured with Python 3.11.7, numpy 2.4 and scipy
 1.17.1 on a 2-core Xeon VM.
+
+The loop itself is kept tight: it walks the bands as Python lists with
+zip, takes the pivot floor from ``np.max(np.abs(diag))``, tests pivots
+with one chained comparison and carries the running right-hand side in a
+local.  On random dominant systems, timed alternately with the loop it
+replaced in one process (minimum of 21 repeats, same VM), a solve takes
+41-63 us against 43-66 us at n=100 and 350-510 us against 430-620 us at
+n=1000; the spread is the host's drift between runs.  What is left,
+0.35-0.5 us per cell, is the interpreter's cost for the five float
+operations, two comparisons and two list stores of each elimination step
+and its back substitution.
 """
 
 from __future__ import annotations
@@ -65,6 +76,21 @@ class TridiagonalSystem:
             if not np.all(np.isfinite(arr)):
                 raise DimensionMismatch(f"nonfinite entries in {name}")
 
+    @classmethod
+    def from_band(cls, band: np.ndarray) -> TridiagonalSystem:
+        """Wrap a (4, n) float band whose rows the caller has already checked.
+
+        Column i holds row i: band[0, i] = lower[i-1], band[1, i] = diag[i],
+        band[2, i] = upper[i] and band[3, i] = rhs[i]; band[0, 0] and
+        band[2, -1] are unused.  The four fields are views of the band, and
+        nothing is re-checked: the assemblers scan their band for nonfinite
+        entries once, before the dominance check.
+        """
+        system = cls.__new__(cls)
+        system.lower, system.diag = band[0, 1:], band[1]
+        system.upper, system.rhs = band[2, :-1], band[3]
+        return system
+
     @property
     def n(self) -> int:
         return self.diag.shape[0]
@@ -95,32 +121,38 @@ def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     PIVOT_FLOOR * max|diag|.  Intended for the strictly diagonally dominant
     systems produced by the assemblers, where breakdown cannot occur.
     """
-    n = system.n
     # Plain Python floats are markedly faster than numpy scalar indexing
     # for the short sequential sweeps used here.
     a = system.lower.tolist()
     d = system.diag.tolist()
     c = system.upper.tolist()
     b = system.rhs.tolist()
+    floor = PIVOT_FLOOR * float(np.max(np.abs(system.diag)))
 
-    floor = PIVOT_FLOOR * max(abs(v) for v in d)
-
+    # -floor < piv < floor is abs(piv) < floor without the call.  The loop
+    # overwrites d with the pivots and b with the eliminated right side.
     piv = d[0]
-    if abs(piv) < floor:
+    if -floor < piv < floor:
         raise ZeroPivot(0, piv)
-    for i in range(1, n):
-        w = a[i - 1] / piv
-        piv = d[i] - w * c[i - 1]
-        if abs(piv) < floor:
+    beta = b[0]
+    i = 0
+    for ai, di, ci, bi in zip(a, d[1:], c, b[1:]):
+        i += 1
+        w = ai / piv
+        piv = di - w * ci
+        if -floor < piv < floor:
             raise ZeroPivot(i, piv)
+        beta = bi - w * beta
         d[i] = piv
-        b[i] = b[i] - w * b[i - 1]
+        b[i] = beta
 
-    x = [0.0] * n
-    x[n - 1] = b[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - c[i] * x[i + 1]) / d[i]
-    return np.array(x, dtype=float)
+    # Back substitution, writing x over b.
+    xi = beta / piv
+    b[-1] = xi
+    for i in range(len(d) - 2, -1, -1):
+        xi = (b[i] - c[i] * xi) / d[i]
+        b[i] = xi
+    return np.array(b, dtype=float)
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -36,6 +36,19 @@ equation's mass fluxes evaluated at the fresh vapor solution, so the
 energy carried by convection is consistent with the mass actually moving.
 The wall traces and the Robin exchange fluxes come from
 discretization.boundary_traces and discretization.robin_fluxes.
+
+The sweep kernel (compute_flux_coefficients, the two assemblies and
+solve_thomas) is most of a run's time, so it is kept lean.  The face
+coefficients are frozen once per sweep, with dface/h formed once; the
+donor products are min(V, 0) and max(V, 0) of the face speed V for upwind
+and 0.5 V for central (_donor_split).  Each assembly writes its rows into
+one (4, n) band (lower shifted by one cell, diag, upper, rhs), scans the
+band once for nonfinite entries (NonfiniteIterate, naming the system and
+row), then checks strict diagonal dominance (DominanceViolation), and
+hands the band to the solver as views, with no copy and no second scan.
+The in-place updates apply the same operations in the same order as the
+plain expressions they stand for, so every entry keeps its value bit for
+bit.
 """
 
 from __future__ import annotations
@@ -132,11 +145,11 @@ class State:
         if rho.shape != theta.shape:
             raise ConfigError(
                 f"rho has {rho.shape[0]} cells but theta has {theta.shape[0]}")
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(theta))):
+        if not (np.isfinite(rho).all() and np.isfinite(theta).all()):
             raise ConfigError(f"nonfinite state values at t={self.t}")
-        if np.any(rho < 0):
+        if (rho < 0).any():
             raise ConfigError(f"negative vapor density at t={self.t}")
-        if np.any(theta <= 0):
+        if (theta <= 0).any():
             raise ConfigError(f"nonpositive temperature at t={self.t}")
 
 
@@ -290,26 +303,39 @@ def _cell_gradient(values: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def _donor_weights(face_speed: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """Face weights (left cell, right cell) of the advected quantity.
+def _donor_split(speed: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """The face speed times its donor weights (left cell, right cell).
 
     The flux term +V q transports q toward decreasing x when V > 0, so the
-    donor cell sits on the right of the face.
+    donor cell sits on the right of the face: upwind gives (min(V, 0),
+    max(V, 0)), each entry the speed times a weight 0 or 1 (0.5 each where
+    V = 0); central gives 0.5 V to both cells, as one shared array.
     """
     if scheme == "central":
-        wp = np.full_like(face_speed, 0.5)
-    else:
-        wp = np.where(face_speed > 0, 1.0, np.where(face_speed < 0, 0.0, 0.5))
-    return 1.0 - wp, wp
+        half = 0.5 * speed
+        return half, half
+    return np.minimum(speed, 0.0), np.maximum(speed, 0.0)
 
 
-def _check_dominance(name: str, lower: np.ndarray, diag: np.ndarray,
-                     upper: np.ndarray) -> None:
-    off = np.zeros_like(diag)
-    off[1:] += np.abs(lower)
-    off[:-1] += np.abs(upper)
-    margin = np.abs(diag) - off
-    worst = int(np.argmin(margin))
+def _new_band(n: int) -> tuple[np.ndarray, ...]:
+    """A (4, n) row buffer for TridiagonalSystem.from_band and its four views."""
+    band = np.empty((4, n))
+    band[0, 0] = band[2, -1] = 0.0
+    return band, band[0, 1:], band[1], band[2, :-1], band[3]
+
+
+def _check_rows(name: str, band: np.ndarray) -> None:
+    """Finite entries first, then strict diagonal dominance of every row.
+
+    The finiteness scan must come first: a NaN margin passes the dominance
+    test, because it compares false with <= 0.
+    """
+    if not np.isfinite(band).all():
+        row = int(np.argmin(np.isfinite(band).all(axis=0)))
+        raise NonfiniteIterate(f"nonfinite entries in {name} system row {row}")
+    mag = np.abs(band[:3])
+    margin = mag[1] - (mag[0] + mag[2])
+    worst = int(margin.argmin())
     if margin[worst] <= 0:
         raise DominanceViolation(name, worst, float(margin[worst]))
 
@@ -321,13 +347,12 @@ def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
     """Freeze the face coefficients and reaction factors at one iterate."""
     h = grid.h
     dcell = mollify(rho_iter * theta_iter, reg.nu, h)
-    dface = reg.eps + 0.5 * (dcell[:-1] + dcell[1:])
+    dface_h = (reg.eps + 0.5 * (dcell[:-1] + dcell[1:])) / h
     rho_sm = mollify(rho_iter, reg.eps, h)
     vcell = mollify(rho_sm * _cell_gradient(theta_iter, h), reg.eps, h)
-    vface = 0.5 * (vcell[:-1] + vcell[1:])
-    wm, wp = _donor_weights(vface, scheme)
-    A = -dface / h + vface * wm
-    B = dface / h + vface * wp
+    vm, vp = _donor_split(0.5 * (vcell[:-1] + vcell[1:]), scheme)
+    A = vm - dface_h
+    B = vp + dface_h
     chi_sqrt = cutoff(np.sqrt(np.clip(theta_iter, 0.0, None)), reg.eps)
     ps_iter = saturation_pressure(model, theta_iter)
     chi_ps = cutoff(ps_iter, reg.eps)
@@ -348,31 +373,31 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     """
     n, h = grid.n, grid.h
     coeffs = compute_flux_coefficients(rho_iter, theta_iter, reg, grid, model, scheme)
+    band, lower, diag, upper, rhs = _new_band(n)
 
-    diag = 1.0 / dt + s * coeffs.chi_sqrt
-    diag = np.array(diag)  # chi_sqrt may broadcast from a scalar cutoff
-    diag[:-1] -= coeffs.A / h
-    diag[1:] += coeffs.B / h
-    upper = -coeffs.B / h
-    lower = coeffs.A / h
+    np.divide(coeffs.A, h, out=lower)
+    np.divide(coeffs.B, h, out=upper)     # B/h until negated below
+    np.multiply(s, coeffs.chi_sqrt, out=diag)
+    diag += 1.0 / dt
+    diag[:-1] -= lower
+    diag[1:] += upper
+    np.negative(upper, out=upper)
 
-    rhs = prev.rho / dt + s * coeffs.chi_ps
+    np.divide(prev.rho, dt, out=rhs)
+    rhs += s * coeffs.chi_ps
     if forcing is not None and forcing.rho_source is not None:
-        rhs = rhs + forcing.rho_source
+        rhs += forcing.rho_source
     g0, g1 = forcing.rho_flux if forcing else (0.0, 0.0)
 
-    upper = np.array(upper)
-    lower = np.array(lower)
     diag[0] += 1.5 * params.alpha0 / h
     upper[0] -= 0.5 * params.alpha0 / h
     diag[-1] += 1.5 * params.alpha1 / h
     lower[-1] -= 0.5 * params.alpha1 / h
-    rhs = np.array(rhs)
     rhs[0] += (params.alpha0 * s * params.rho_bar0 - g0) / h
     rhs[-1] += (params.alpha1 * s * params.rho_bar1 + g1) / h
 
-    _check_dominance("vapor", lower, diag, upper)
-    return TridiagonalSystem(lower, diag, upper, rhs), coeffs
+    _check_rows("vapor", band)
+    return TridiagonalSystem.from_band(band), coeffs
 
 
 def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
@@ -384,7 +409,8 @@ def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
     fluxes the solved rows actually contained.
     """
     flux = np.empty(grid.n + 1)
-    flux[1:-1] = coeffs.A * rho_new[:-1] + coeffs.B * rho_new[1:]
+    np.multiply(coeffs.A, rho_new[:-1], out=flux[1:-1])
+    flux[1:-1] += coeffs.B * rho_new[1:]
     f0, f1 = robin_fluxes(*boundary_traces(rho_new), s, params.alpha0,
                           params.alpha1, params.rho_bar0, params.rho_bar1)
     g0, g1 = forcing.rho_flux if forcing else (0.0, 0.0)
@@ -413,22 +439,28 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     n, h = grid.n, grid.h
 
     kcell = conductivity(mollify(rho_new, reg.eps, h), params)
-    kface = 0.5 * (kcell[:-1] + kcell[1:])
+    kface_h2 = 0.5 * (kcell[:-1] + kcell[1:]) / h**2
     mass_flux = evaluate_mass_flux(rho_new, coeffs, s, params, grid, forcing)
-    fint = mass_flux[1:-1]
-    um, up = _donor_weights(fint, scheme)
+    fm, fp = _donor_split(mass_flux[1:-1], scheme)
+    fm_h, fp_h = fm / h, fp / h
+    band, lower, diag, upper, rhs = _new_band(n)
 
-    diag = (rho_new + params.sigma) / dt - s * rho_new * coeffs.chi_sqrt
-    diag[:-1] += kface / h**2 + fint * up / h
-    diag[1:] += kface / h**2 - fint * um / h
-    upper = -kface / h**2 - fint * up / h
-    lower = -kface / h**2 + fint * um / h
+    heat_cap = rho_new + params.sigma
+    np.divide(heat_cap, dt, out=diag)
+    diag -= s * rho_new * coeffs.chi_sqrt
+    diag[:-1] += kface_h2 + fp_h
+    diag[1:] += kface_h2 - fm_h
+    np.negative(kface_h2, out=upper)
+    upper -= fp_h
+    np.negative(kface_h2, out=lower)
+    lower += fm_h
 
-    rhs = ((rho_new + params.sigma) * prev.theta / dt
-           + s * params.lam * rho_new * coeffs.chi_sqrt
-           - s * (params.lam + theta_iter) * coeffs.ps_iter)
+    np.multiply(heat_cap, prev.theta, out=rhs)
+    rhs /= dt
+    rhs += s * params.lam * rho_new * coeffs.chi_sqrt
+    rhs -= s * (params.lam + theta_iter) * coeffs.ps_iter
     if forcing is not None and forcing.theta_source is not None:
-        rhs = rhs + forcing.theta_source
+        rhs += forcing.theta_source
 
     g0, g1 = forcing.theta_flux if forcing else (0.0, 0.0)
     diag[0] += 1.5 * params.beta0 / h + 0.5 * mass_flux[0] / h
@@ -438,13 +470,13 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     rhs[0] += (params.beta0 * s * params.theta_bar0 - g0) / h
     rhs[-1] += (params.beta1 * s * params.theta_bar1 + g1) / h
 
-    _check_dominance("heat", lower, diag, upper)
-    return TridiagonalSystem(lower, diag, upper, rhs), mass_flux
+    _check_rows("heat", band)
+    return TridiagonalSystem.from_band(band), mass_flux
 
 
 def _build_record(prev: State, rho_new: np.ndarray, theta_new: np.ndarray,
                   s: float, dt: float, coeffs: FluxCoefficients,
-                  mass_flux: np.ndarray, params: PhysicalParams, grid: Grid,
+                  mass_flux: np.ndarray, params: PhysicalParams,
                   forcing: ForcingValues | None) -> StepRecord:
     th_l, th_r = boundary_traces(theta_new)
     cond_l, cond_r = robin_fluxes(th_l, th_r, s, params.beta0, params.beta1,
@@ -455,8 +487,7 @@ def _build_record(prev: State, rho_new: np.ndarray, theta_new: np.ndarray,
     new = State(rho_new, theta_new, prev.t + dt)
     return StepRecord(
         prev=prev, new=new, s=s, dt=dt,
-        chi_sqrt=np.broadcast_to(coeffs.chi_sqrt, (grid.n,)).copy(),
-        chi_ps=np.broadcast_to(coeffs.chi_ps, (grid.n,)).copy(),
+        chi_sqrt=coeffs.chi_sqrt, chi_ps=coeffs.chi_ps,
         ps_iter=coeffs.ps_iter, theta_iter=coeffs.theta_iter,
         mass_flux=mass_flux, cond_flux_left=cond_l + g0,
         cond_flux_right=cond_r + g1, theta_trace_left=th_l,
@@ -487,16 +518,16 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
             theta_sys, mass_flux = assemble_theta_system(
                 prev, rho_new, theta_it, s, reg, params, model, grid, cfg.dt,
                 coeffs, cfg.advection, forcing)
-        except DominanceViolation as exc:
+        except (DominanceViolation, NonfiniteIterate) as exc:
             exc.sweeps = k
             raise
         theta_new = solve_thomas(theta_sys)
-        if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(theta_new))):
+        if not (np.isfinite(rho_new).all() and np.isfinite(theta_new).all()):
             exc = NonfiniteIterate(f"nonfinite iterate at s={s}, sweep {k}, t={prev.t + cfg.dt}")
             exc.sweeps = k
             raise exc
-        dn2 = float(np.sum((rho_new - rho_it) ** 2) + np.sum((theta_new - theta_it) ** 2))
-        base = float(np.sum(rho_it**2) + np.sum(theta_it**2))
+        dn2 = float(((rho_new - rho_it) ** 2).sum() + ((theta_new - theta_it) ** 2).sum())
+        base = float((rho_it**2).sum() + (theta_it**2).sum())
         update = np.sqrt(dn2) / max(np.sqrt(base), UPDATE_FLOOR)
         rho_it, theta_it = rho_new, theta_new
         parts = (coeffs, mass_flux)
@@ -535,7 +566,7 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
             f"(last update {update:.3e})", report=report)
     coeffs, mass_flux = parts
     record = _build_record(prev, rho, theta, s, cfg.dt, coeffs, mass_flux,
-                           params, grid, forcing)
+                           params, forcing)
     return record.new, report, record
 
 
@@ -590,7 +621,7 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
     report = PicardReport(total, update, tuple(s_path), True)
     coeffs, mass_flux = parts
     record = _build_record(prev, iterate[0], iterate[1], reg.s, cfg.dt, coeffs,
-                           mass_flux, params, grid, forcing)
+                           mass_flux, params, forcing)
     return record.new, report, record
 
 
@@ -621,8 +652,9 @@ def _predicted_start(rho: np.ndarray, theta: np.ndarray,
 
 def _step_count(t_end: float, dt: float) -> int:
     steps = int(round(t_end / dt))
-    if abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigError(f"t_end={t_end} is not an integer number of steps of dt={dt}")
+    if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ConfigError(
+            f"t_end={t_end} is not a positive integer number of steps of dt={dt}")
     return steps
 
 

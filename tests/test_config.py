@@ -84,6 +84,9 @@ def test_schema_violations_all_reported(smoke_config):
     ("initial.rho", {"profile": "inline", "values": [1.0, 1.0, 1.0, 1.0]},
      "initial.rho.values"),
     ("physical.t_end", 1e308, "stepping.dt"),     # t_end / dt overflows to inf
+    ("physical.t_end", 1e-12, "stepping.dt"),     # rounds to zero steps
+    ("output.cadence", 1e-12, "output.cadence"),  # rounds to zero steps
+    ("output.cadence", 1e-300, "output.cadence"),
 ])
 def test_single_violations(smoke_config, path, value, where):
     bad = override(smoke_config, path, value)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from poromoist.discretization import Grid, cutoff, mollify, robin_fluxes
+from poromoist.discretization import Grid, _kernel, cutoff, mollify, robin_fluxes
 from poromoist.errors import ConfigError, NonPositiveRadius
 
 
@@ -58,6 +58,27 @@ def test_mollify_matches_reference_loop(mu_cells):
     got = mollify(values, mu, grid.h)
     np.testing.assert_allclose(got, mirror_smooth(values, mu, grid.h),
                                rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 37])
+def test_mollify_bitwise_equal_to_symmetric_pad(n):
+    grid = Grid(n)
+    values = np.random.default_rng(n).uniform(0.0, 3.0, n)
+    for half in range(1, n + 1):
+        mu = (half + 0.5) * grid.h
+        w = _kernel(mu, grid.h)
+        assert w.shape == (2 * half + 1,)
+        ref = np.convolve(np.pad(values, half, mode="symmetric"), w, mode="valid")
+        got = mollify(values, mu, grid.h)
+        assert got.shape == (n,) and np.array_equal(got, ref), half
+
+
+def test_mollify_rejects_kernels_wider_than_the_grid():
+    grid = Grid(8)
+    # radius 1, the largest eps allows, reaches n - 1 cells past a wall
+    assert mollify(np.ones(8), 1.0, grid.h).shape == (8,)
+    with pytest.raises(ConfigError, match="9 cells past a wall of an n=8 grid"):
+        mollify(np.ones(8), 9.5 * grid.h, grid.h)
 
 
 def test_mollify_preserves_constants():

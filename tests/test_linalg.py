@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from poromoist.errors import DimensionMismatch, SingularMatrix, ZeroPivot
-from poromoist.linalg import TridiagonalSystem, dense_solve, solve_thomas
+from poromoist.linalg import (PIVOT_FLOOR, TridiagonalSystem, dense_solve,
+                              solve_thomas)
 
 
 def random_dominant_system(rng: np.random.Generator, n: int) -> TridiagonalSystem:
@@ -17,6 +18,31 @@ def random_dominant_system(rng: np.random.Generator, n: int) -> TridiagonalSyste
     diag += rng.uniform(0.5, 2.0, n)
     diag *= rng.choice([-1.0, 1.0], n)
     return TridiagonalSystem(lower, diag, upper, rng.uniform(-5.0, 5.0, n))
+
+
+def reference_thomas(system: TridiagonalSystem) -> np.ndarray:
+    """The Thomas loop as first written: the bit-for-bit oracle of solve_thomas."""
+    n = system.n
+    a = system.lower.tolist()
+    d = system.diag.tolist()
+    c = system.upper.tolist()
+    b = system.rhs.tolist()
+    floor = PIVOT_FLOOR * max(abs(v) for v in d)
+    piv = d[0]
+    if abs(piv) < floor:
+        raise ZeroPivot(0, piv)
+    for i in range(1, n):
+        w = a[i - 1] / piv
+        piv = d[i] - w * c[i - 1]
+        if abs(piv) < floor:
+            raise ZeroPivot(i, piv)
+        d[i] = piv
+        b[i] = b[i] - w * b[i - 1]
+    x = [0.0] * n
+    x[n - 1] = b[n - 1] / d[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (b[i] - c[i] * x[i + 1]) / d[i]
+    return np.array(x, dtype=float)
 
 
 def test_hand_worked_three_by_three():
@@ -99,3 +125,54 @@ def test_nonfinite_entries_rejected():
 def test_dense_solve_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         dense_solve(np.eye(3), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000])
+def test_bitwise_equal_to_reference_loop(n):
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(10):
+        system = (random_dominant_system(rng, n) if n > 1 else
+                  TridiagonalSystem(np.array([]), rng.uniform(0.5, 2.0, 1),
+                                    np.array([]), rng.uniform(-5.0, 5.0, 1)))
+        x = solve_thomas(system)
+        ref = reference_thomas(system)
+        assert x.dtype == ref.dtype and np.array_equal(x, ref)
+        assert np.array_equal(np.signbit(x), np.signbit(ref))
+
+
+def zero_pivot_system(rng, n, k, nudge):
+    """A random system whose elimination pivot at row k is nudge, up to rounding."""
+    system = random_dominant_system(rng, n)
+    lower, diag, upper = system.lower, system.diag.copy(), system.upper
+    piv = diag[0]
+    for i in range(1, k + 1):
+        w = lower[i - 1] / piv
+        if i == k:
+            diag[k] = w * upper[k - 1] + nudge
+        piv = diag[i] - w * upper[i - 1]
+    return TridiagonalSystem(lower, diag, upper, system.rhs)
+
+
+@pytest.mark.parametrize("n,k,nudge", [(5, 1, 0.0), (40, 17, 0.0), (40, 39, 0.0),
+                                       (40, 17, 1e-16), (40, 23, -1e-16)])
+def test_zero_pivot_matches_reference_loop(n, k, nudge):
+    system = zero_pivot_system(np.random.default_rng(n + k), n, k, nudge)
+    with pytest.raises(ZeroPivot) as expected:
+        reference_thomas(system)
+    with pytest.raises(ZeroPivot) as got:
+        solve_thomas(system)
+    assert got.value.index == expected.value.index == k
+    assert got.value.pivot == expected.value.pivot
+    assert str(got.value) == str(expected.value)
+
+
+def test_from_band_views_the_rows():
+    band = np.arange(12, dtype=float).reshape(4, 3)
+    system = TridiagonalSystem.from_band(band)
+    np.testing.assert_array_equal(system.lower, [1.0, 2.0])
+    np.testing.assert_array_equal(system.diag, [3.0, 4.0, 5.0])
+    np.testing.assert_array_equal(system.upper, [6.0, 7.0])
+    np.testing.assert_array_equal(system.rhs, [9.0, 10.0, 11.0])
+    assert system.n == 3
+    assert all(np.shares_memory(band, row) for row in
+               (system.lower, system.diag, system.upper, system.rhs))

@@ -9,12 +9,14 @@ import pytest
 from poromoist import stepper
 from poromoist.diagnostics import certify_run
 
-from poromoist.discretization import Grid
+from poromoist.discretization import Grid, mollify
 from poromoist.harness import make_default_mms_case
 from poromoist.errors import (ConfigError, DimensionMismatch,
-                              DominanceViolation, PicardDivergence)
+                              DominanceViolation, NonfiniteIterate,
+                              PicardDivergence)
 from poromoist.linalg import dense_solve, solve_thomas
-from poromoist.model import InitialData, saturation_pressure
+from poromoist.model import (InitialData, PowerLawSaturation, conductivity,
+                             saturation_pressure)
 from poromoist.stepper import (Forcing, RegularizationParams, State,
                                StepConfig, assemble_rho_system,
                                assemble_theta_system,
@@ -442,6 +444,9 @@ def test_run_validates_horizon(unit_params, cubic_model):
     with pytest.raises(ConfigError):
         run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.0015,
             initial_state=state)
+    with pytest.raises(ConfigError, match="positive integer number of steps"):
+        run(None, cfg, reg, unit_params, cubic_model, grid, t_end=1e-12,
+            initial_state=state)
     still = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.0,
                 initial_state=state)
     assert still.rho.shape == (1, grid.n) and len(still.records) == 1
@@ -458,3 +463,109 @@ def test_run_rejects_initial_state_of_another_grid(unit_params, cubic_model):
         run(None, cfg, reg, unit_params, cubic_model, Grid(16), t_end=cfg.dt,
             initial_state=equilibrium_state(Grid(8)))
 
+
+
+def donor_weights(face_speed, scheme):
+    """Donor weights (left cell, right cell) as the assemblies first used them."""
+    if scheme == "central":
+        wp = np.full_like(face_speed, 0.5)
+    else:
+        wp = np.where(face_speed > 0, 1.0, np.where(face_speed < 0, 0.0, 0.5))
+    return 1.0 - wp, wp
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+def test_donor_split_is_speed_times_weights(scheme):
+    speed = np.array([2.5, -1.25, 0.0, -0.0, 5e-324, -5e-324, 1e300, -3.0])
+    wm, wp = donor_weights(speed, scheme)
+    left, right = stepper._donor_split(speed, scheme)
+    np.testing.assert_array_equal(left, speed * wm)
+    np.testing.assert_array_equal(right, speed * wp)
+
+
+def face_case(kind):
+    """A lopsided iterate with active radii, or the equilibrium, whose face
+    speeds and mass fluxes are exactly zero.  h = 1/30 is not a power of
+    two, so dividing by h and multiplying by 1/h round differently."""
+    grid = Grid(30)
+    params = make_params(sigma=0.7, lam=2.0, kappa2=0.4, alpha0=1.3, beta1=1.1)
+    reg = RegularizationParams(eps=0.2, nu=0.1)
+    if kind == "equilibrium":
+        params = make_params()
+        ones = np.ones(grid.n)
+        return grid, params, reg, State(ones, ones, 0.0), ones, ones
+    x = grid.centers
+    prev = State(1.0 + 0.3 * x, 1.0 + 0.2 * np.cos(3 * x), 0.0)
+    rho_it = 1.0 + 0.5 * np.exp(-((x - 0.3) / 0.1) ** 2)
+    theta_it = np.where(x < 0.5, 1.0, 1.0 + np.sin(6 * (x - 0.5)) ** 2)
+    return grid, params, reg, prev, rho_it, theta_it
+
+
+@pytest.mark.parametrize("kind", ["lopsided", "equilibrium"])
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+def test_face_coefficients_bitwise_equal_to_donor_formulas(kind, scheme, cubic_model):
+    grid, params, reg, prev, rho_it, theta_it = face_case(kind)
+    h, dt, s = grid.h, 1e-3, 0.8
+
+    dcell = mollify(rho_it * theta_it, reg.nu, h)
+    dface = reg.eps + 0.5 * (dcell[:-1] + dcell[1:])
+    vcell = mollify(mollify(rho_it, reg.eps, h) * cell_slopes(theta_it, h), reg.eps, h)
+    vface = 0.5 * (vcell[:-1] + vcell[1:])
+    wm, wp = donor_weights(vface, scheme)
+    A = -dface / h + vface * wm
+    B = dface / h + vface * wp
+
+    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, s, reg, params,
+                                          cubic_model, grid, dt, scheme)
+    np.testing.assert_array_equal(coeffs.A, A)
+    np.testing.assert_array_equal(coeffs.B, B)
+    np.testing.assert_array_equal(rho_sys.lower[:-1], A[:-1] / h)
+    np.testing.assert_array_equal(rho_sys.upper[1:], -B[1:] / h)
+
+    # the equilibrium vapor field, constant, makes every interior flux zero
+    rho_new = rho_it if kind == "equilibrium" else solve_thomas(rho_sys)
+    theta_sys, flux = assemble_theta_system(prev, rho_new, theta_it, s, reg, params,
+                                            cubic_model, grid, dt, coeffs, scheme)
+    kcell = conductivity(mollify(rho_new, reg.eps, h), params)
+    kface = 0.5 * (kcell[:-1] + kcell[1:])
+    fint = flux[1:-1]
+    um, up = donor_weights(fint, scheme)
+    diag = (rho_new + params.sigma) / dt - s * rho_new * coeffs.chi_sqrt
+    diag[:-1] += kface / h**2 + fint * up / h
+    diag[1:] += kface / h**2 - fint * um / h
+    np.testing.assert_array_equal(theta_sys.diag[1:-1], diag[1:-1])
+    np.testing.assert_array_equal(theta_sys.upper[1:], (-kface / h**2 - fint * up / h)[1:])
+    np.testing.assert_array_equal(theta_sys.lower[:-1], (-kface / h**2 + fint * um / h)[:-1])
+
+    if kind == "equilibrium":
+        assert not vface.any() and not fint.any()
+    else:
+        assert (vface > 0).any() and (vface < 0).any() and (vface == 0).any()
+
+
+class NanAtCell(PowerLawSaturation):
+    """The cubic curve with a NaN saturation value at one cell."""
+
+    def pressure(self, theta):
+        out = super().pressure(theta)
+        out[5] = np.nan
+        return out
+
+
+def test_nan_saturation_raises_nonfinite_from_assembly(unit_params):
+    grid = Grid(16)
+    model = NanAtCell(c=1.0, q=3.0, eta=1.0)
+    state = equilibrium_state(grid)
+    reg = RegularizationParams(eps=0.01, nu=0.005)
+    cfg = StepConfig(dt=0.01)
+    system, coeffs = assemble_rho_system(state, state.rho, state.theta, 1.0, reg,
+                                         unit_params, model, grid, cfg.dt)
+    with pytest.raises(NonfiniteIterate, match="heat system row 5"):
+        assemble_theta_system(state, solve_thomas(system), state.theta, 1.0, reg,
+                              unit_params, model, grid, cfg.dt, coeffs)
+    with pytest.raises(NonfiniteIterate, match="heat system row 5") as exc:
+        picard_step(state, cfg, reg, unit_params, model, grid)
+    assert exc.value.sweeps == 1
+    # a failed attempt: the ramp is tried, and its first stage fails the same way
+    with pytest.raises(NonfiniteIterate, match="heat system row 5"):
+        homotopy_solve(state, cfg, reg, unit_params, model, grid)
