@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .config import apply_override, build_setup, load_config, validate_config
+from .config import apply_override, build_setup, load_config
 from .diagnostics import RECORD_FIELDS, certify_run
 from .errors import ConfigError, PoromoistError
 from .harness import make_default_mms_case, mms_study, regularization_ladder, sweep
@@ -60,15 +60,16 @@ def _say(args, message: str) -> None:
 
 
 def _load_with_flags(args) -> dict:
+    """The run config with the --cadence and --advection overrides applied.
+
+    The loaded document belongs to this call, so it is edited in place;
+    build_setup validates the result.
+    """
     data = load_config(args.config)
-    if getattr(args, "cadence", None) is not None:
-        data = json.loads(json.dumps(data))
+    if args.cadence is not None:
         data.setdefault("output", {})["cadence"] = args.cadence
-        validate_config(data)
-    if getattr(args, "advection", None) is not None:
-        data = json.loads(json.dumps(data))
+    if args.advection is not None:
         data["stepping"]["advection"] = args.advection
-        validate_config(data)
     return data
 
 
@@ -132,17 +133,11 @@ def _cmd_mms(args) -> int:
     data = load_config(args.config)
     setup = build_setup(data)
     opts = data.get("mms", {})
-    advection = args.advection or opts.get("advection", "central")
+    if args.advection is not None:
+        opts["advection"] = args.advection
     case = make_default_mms_case(setup.params, setup.model)
-    report = mms_study(
-        case, setup.params, setup.model,
-        grid_sizes=tuple(opts.get("grid_sizes", (16, 32, 64, 128))),
-        t_end=opts.get("t_end", 0.1),
-        steps_coarse=opts.get("steps_coarse", 10 if advection == "central" else 20),
-        advection=advection,
-        eps=opts.get("eps", 1e-8),
-        nu=opts.get("nu", 5e-9),
-    )
+    report = mms_study(case, setup.params, setup.model, **opts)
+    advection = report.advection
     floor = MMS_ORDER_FLOOR[advection]
     passed = (report.rho_orders[-1] >= floor and report.theta_orders[-1] >= floor)
 
@@ -179,14 +174,8 @@ def _cmd_ladder(args) -> int:
     data = load_config(args.config)
     setup = build_setup(data)
     opts = data.get("ladder", {})
-    report = regularization_ladder(
-        setup.initial, setup.step, setup.params, setup.model, setup.grid,
-        t_end=opts.get("t_end"),
-        eps0=opts.get("eps0", 0.1),
-        rungs=opts.get("rungs", 4),
-        factor=opts.get("factor", 2.0),
-        nu_ratio=opts.get("nu_ratio", 0.5),
-    )
+    report = regularization_ladder(setup.initial, setup.step, setup.params,
+                                   setup.model, setup.grid, **opts)
     variation_ok = all(v <= LADDER_VARIATION_CAP for v in report.monitor_variation.values())
     passed = report.monotone and variation_ok
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .model import (
     PowerLawSaturation,
     SaturationModel,
 )
-from .stepper import RegularizationParams, StepConfig
+from .stepper import RegularizationParams, StepConfig, step_count
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -284,13 +283,6 @@ def _walk(value, schema: dict, path: tuple):
             yield from _walk(item, schema["items"], path + (index,))
 
 
-def _is_multiple(span: float, step: float) -> bool:
-    """Whether span is a whole number of steps, and at least one of them."""
-    count = span / step
-    return (math.isfinite(count) and round(count) >= 1
-            and abs(count - round(count)) <= 1e-9 * max(1.0, abs(count)))
-
-
 def _profile_values(spec: dict, grid: Grid) -> np.ndarray:
     x = grid.centers
     kind = spec["profile"]
@@ -330,12 +322,16 @@ def _cross_field(data: dict) -> list[tuple[str, str]]:
                         f"growth exponent must exceed 1 + eta = {1.0 + eta}, got {sat['q']}"))
 
     dt = stepping["dt"]
-    if not _is_multiple(phys["t_end"], dt):
+    if not step_count(phys["t_end"], dt):
         bad.append(("stepping.dt",
                     f"t_end={phys['t_end']} is not a positive integer number of steps of dt={dt}"))
-    if "output" in data and not _is_multiple(data["output"]["cadence"], dt):
+    if "output" in data and not step_count(data["output"]["cadence"], dt):
         bad.append(("output.cadence",
                     f"cadence={data['output']['cadence']} is not a positive multiple of dt={dt}"))
+    ladder_t_end = data.get("ladder", {}).get("t_end")
+    if ladder_t_end is not None and not step_count(ladder_t_end, dt):
+        bad.append(("ladder.t_end",
+                    f"t_end={ladder_t_end} is not a positive integer number of steps of dt={dt}"))
 
     n = data["grid"]["n"]
     init = data["initial"]

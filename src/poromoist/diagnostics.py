@@ -90,17 +90,23 @@ def _entropy_value(rho: np.ndarray, h: float) -> float:
     return float(h * terms.sum())
 
 
+def _level_functionals(rho: np.ndarray, theta: np.ndarray, h: float,
+                       params: PhysicalParams) -> dict:
+    """The record fields that read one time level alone."""
+    return dict(
+        total_mass=float(h * rho.sum()),
+        mass_energy=float(h * (params.lam * rho + rho * theta + params.sigma * theta).sum()),
+        entropy=_entropy_value(rho, h),
+        min_rho=float(rho.min()),
+        min_theta=float(theta.min()),
+        max_theta=float(theta.max()),
+    )
+
+
 def initial_record(state: State, grid: Grid, params: PhysicalParams) -> DiagnosticsRecord:
-    rho, theta = state.rho, state.theta
-    h = grid.h
     return DiagnosticsRecord(
         t=state.t,
-        total_mass=float(h * np.sum(rho)),
-        mass_energy=float(h * np.sum(params.lam * rho + rho * theta + params.sigma * theta)),
-        entropy=_entropy_value(rho, h),
-        min_rho=float(np.min(rho)),
-        min_theta=float(np.min(theta)),
-        max_theta=float(np.max(theta)),
+        **_level_functionals(state.rho, state.theta, grid.h, params),
         mass_balance_residual=0.0,
         energy_balance_residual=0.0,
         l4_accumulator=0.0,
@@ -116,10 +122,11 @@ def mass_balance_residual(srec: StepRecord, grid: Grid) -> float:
     roundoff this is zero regardless of resolution.
     """
     h = grid.h
-    rho_new = srec.new.rho
+    rho_new, coeffs = srec.rho, srec.coeffs
+    src_rho = srec.forcing.rho_source if srec.forcing else None
     drho = h * (rho_new - srec.prev.rho).sum() / srec.dt
-    reaction = h * srec.s * (srec.chi_sqrt * rho_new - srec.chi_ps).sum()
-    source = h * srec.src_rho.sum() if srec.src_rho is not None else 0.0
+    reaction = h * srec.s * (coeffs.chi_sqrt * rho_new - coeffs.chi_ps).sum()
+    source = h * src_rho.sum() if src_rho is not None else 0.0
     boundary = srec.mass_flux[-1] - srec.mass_flux[0]
     return float(abs(drho + reaction - source - boundary))
 
@@ -130,45 +137,46 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
     Both flux groups telescope exactly, and the frozen reaction terms are
     accounted for verbatim, so the remainder is the time commutator
     sum h (rho_new - rho_prev)(theta_new - theta_prev) / dt.  It is first
-    order in dt on smooth runs and vanishes at fixed points.
+    order in dt on smooth runs and vanishes at fixed points.  The wall
+    terms are the Robin conductive fluxes (plus any forcing correction) and
+    the mass fluxes carrying the wall traces of the new temperature.
     """
     h = grid.h
-    rho_new, theta_new = srec.new.rho, srec.new.theta
+    rho_new, theta_new, coeffs, forcing = srec.rho, srec.theta, srec.coeffs, srec.forcing
     rho_prev, theta_prev = srec.prev.rho, srec.prev.theta
     e_new = h * (rho_new * theta_new + params.sigma * theta_new).sum()
     e_prev = h * (rho_prev * theta_prev + params.sigma * theta_prev).sum()
 
-    boundary = (srec.cond_flux_right + srec.mass_flux[-1] * srec.theta_trace_right
-                - srec.cond_flux_left - srec.mass_flux[0] * srec.theta_trace_left)
-    gamma = rho_new * srec.chi_sqrt - srec.chi_ps
-    lag_defect = srec.s * ((params.lam + theta_new) * srec.chi_ps
-                           - (params.lam + srec.theta_iter) * srec.ps_iter)
+    th_l, th_r = boundary_traces(theta_new)
+    cond_l, cond_r = robin_fluxes(th_l, th_r, srec.s, params.beta0, params.beta1,
+                                  params.theta_bar0, params.theta_bar1)
+    g0, g1 = forcing.theta_flux if forcing else (0.0, 0.0)
+    boundary = ((cond_r + g1) + srec.mass_flux[-1] * th_r
+                - (cond_l + g0) - srec.mass_flux[0] * th_l)
+    gamma = rho_new * coeffs.chi_sqrt - coeffs.chi_ps
+    lag_defect = srec.s * ((params.lam + theta_new) * coeffs.chi_ps
+                           - (params.lam + srec.theta_iter) * coeffs.ps_iter)
     interior = h * (srec.s * params.lam * gamma + lag_defect).sum()
     source = 0.0
-    if srec.src_theta is not None:
-        source += h * srec.src_theta.sum()
-    if srec.src_rho is not None:
-        source += h * (theta_new * srec.src_rho).sum()
+    if forcing and forcing.theta_source is not None:
+        source += h * forcing.theta_source.sum()
+    if forcing and forcing.rho_source is not None:
+        source += h * (theta_new * forcing.rho_source).sum()
     return float(abs((e_new - e_prev) / srec.dt - boundary - interior - source))
 
 
 def step_record(srec: StepRecord, report: PicardReport, grid: Grid,
                 params: PhysicalParams, prev_l4: float) -> DiagnosticsRecord:
-    rho, theta = srec.new.rho, srec.new.theta
+    rho = srec.rho
     h = grid.h
     return DiagnosticsRecord(
-        t=srec.new.t,
-        total_mass=float(h * rho.sum()),
-        mass_energy=float(h * (params.lam * rho + rho * theta + params.sigma * theta).sum()),
-        entropy=_entropy_value(rho, h),
-        min_rho=float(rho.min()),
-        min_theta=float(theta.min()),
-        max_theta=float(theta.max()),
+        t=srec.prev.t + srec.dt,
+        **_level_functionals(rho, srec.theta, h, params),
         mass_balance_residual=mass_balance_residual(srec, grid),
         energy_balance_residual=energy_balance_residual(srec, grid, params),
         l4_accumulator=prev_l4 + srec.dt * float(h * (srec.prev.rho**4).sum()),
         picard_iterations=report.iterations,
-        heating_rate=float((srec.s * rho * srec.chi_sqrt / (rho + params.sigma)).max()),
+        heating_rate=float((srec.s * rho * srec.coeffs.chi_sqrt / (rho + params.sigma)).max()),
     )
 
 

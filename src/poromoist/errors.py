@@ -53,7 +53,16 @@ class SingularMatrix(PoromoistError):
     """Dense solve failed: matrix numerically singular."""
 
 
-class DominanceViolation(PoromoistError):
+class StepFailure(PoromoistError):
+    """A failed attempt at one implicit step.
+
+    sweeps counts the Picard sweeps the attempt spent before it failed.
+    """
+
+    sweeps: int = 0
+
+
+class DominanceViolation(StepFailure):
     """An assembled row lost strict diagonal dominance (dt too large for the drift)."""
 
     def __init__(self, system: str, index: int, margin: float):
@@ -66,13 +75,14 @@ class DominanceViolation(PoromoistError):
         self.margin = margin
 
 
-class PicardDivergence(PoromoistError):
+class PicardDivergence(StepFailure):
     """Fixed-point sweeps did not converge within the iteration budget."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
+        self.sweeps = report.iterations
 
 
-class NonfiniteIterate(PoromoistError):
+class NonfiniteIterate(StepFailure):
     """A fixed-point sweep produced NaN or Inf values."""

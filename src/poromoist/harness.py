@@ -151,6 +151,7 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel,
 
 @dataclass(frozen=True)
 class MMSReport:
+    advection: str
     grid_sizes: tuple
     dts: tuple
     rho_errors: np.ndarray
@@ -161,7 +162,7 @@ class MMSReport:
 
 def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
               grid_sizes: Sequence[int] = (16, 32, 64, 128),
-              t_end: float = 0.1, steps_coarse: int = 10,
+              t_end: float = 0.1, steps_coarse: int | None = None,
               advection: str = "central", eps: float = 1e-8,
               nu: float = 5e-9) -> MMSReport:
     """Observed convergence orders against a manufactured solution.
@@ -175,9 +176,12 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
 
     steps_coarse must keep dt below h/drift on the coarsest grid or the
     boundary rows lose diagonal dominance; for the default case the drift
-    peaks near 4.7, so the default of 10 steps over t_end=0.1 at n=16
-    leaves a comfortable margin (and refinement only widens it).
+    peaks near 4.7, so the default of 10 steps (central; 20 for upwind)
+    over t_end=0.1 at n=16 leaves a comfortable margin (and refinement
+    only widens it).
     """
+    if steps_coarse is None:
+        steps_coarse = 10 if advection == "central" else 20
     n0 = grid_sizes[0]
     rho_errors, theta_errors, dts = [], [], []
     for n in grid_sizes:
@@ -200,7 +204,7 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         dts.append(dt)
     rho_errors = np.array(rho_errors)
     theta_errors = np.array(theta_errors)
-    return MMSReport(tuple(grid_sizes), tuple(dts), rho_errors, theta_errors,
+    return MMSReport(advection, tuple(grid_sizes), tuple(dts), rho_errors, theta_errors,
                      np.log2(rho_errors[:-1] / rho_errors[1:]),
                      np.log2(theta_errors[:-1] / theta_errors[1:]))
 

@@ -21,14 +21,17 @@ ends when the combined relative update falls below picard_tol.  run starts
 each step's sweeps from an extrapolation of the accepted states (the
 previous state on the first step, linear on the second, quadratic after
 that, clamped to at least half the previous state), which on a smooth
-trajectory leaves about two sweeps per step.  If that predicted attempt
-diverges, turns nonfinite or loses diagonal dominance, the step is solved
-again from the previous state, and its sweeps are still counted.  If the
-full-strength problem refuses to converge from the previous state, the
-step is retried along a ramp of s values, warm-starting each stage
-(homotopy_solve).  Every accepted iterate is a plain sweep output of the
-assembled rows, whatever it started from.  Forcing terms are evaluated
-once per step, at the new time, and shared by every sweep.
+trajectory leaves about two sweeps per step.  homotopy_solve then makes
+its attempts in one order: the predicted start, the previous state, and
+a ramp of s values that warm-starts each stage from the last one that
+produced an iterate.  One failure rule covers every attempt: a
+StepFailure (divergence, a nonfinite iterate or lost diagonal dominance)
+adds the attempt's sweeps to the step's count and moves on to the next
+attempt, and the step fails only with the final ramp stage's error.
+Every accepted iterate is a plain sweep output of the assembled rows,
+whatever it started from, and the step's record holds what its last
+sweep froze.  Forcing terms are evaluated once per step, at the new
+time, and shared by every sweep.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -53,6 +56,7 @@ bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -66,7 +70,7 @@ from .errors import (
     DominanceViolation,
     NonfiniteIterate,
     PicardDivergence,
-    PoromoistError,
+    StepFailure,
 )
 from .linalg import TridiagonalSystem, solve_thomas
 from .model import (
@@ -91,6 +95,7 @@ __all__ = [
     "assemble_theta_system",
     "picard_step",
     "homotopy_solve",
+    "step_count",
     "run",
 ]
 
@@ -234,28 +239,25 @@ class FluxCoefficients:
     chi_sqrt: np.ndarray
     chi_ps: np.ndarray
     ps_iter: np.ndarray
-    theta_iter: np.ndarray
 
 
 @dataclass
 class StepRecord:
-    """Everything the balance diagnostics need about one accepted step."""
+    """What the last sweep of a step froze, for the balance diagnostics.
+
+    rho and theta are that sweep's solution, theta_iter the iterate its
+    coefficients were frozen at, and forcing the terms it was given.
+    """
 
     prev: State
-    new: State
+    rho: np.ndarray
+    theta: np.ndarray
     s: float
     dt: float
-    chi_sqrt: np.ndarray
-    chi_ps: np.ndarray
-    ps_iter: np.ndarray
     theta_iter: np.ndarray
-    mass_flux: np.ndarray          # n+1 face values at the accepted solution
-    cond_flux_left: float          # conductive wall fluxes at the accepted theta
-    cond_flux_right: float
-    theta_trace_left: float
-    theta_trace_right: float
-    src_rho: np.ndarray | None
-    src_theta: np.ndarray | None
+    coeffs: FluxCoefficients
+    mass_flux: np.ndarray          # n+1 face values at the solution
+    forcing: ForcingValues | None
 
 
 @dataclass
@@ -356,7 +358,7 @@ def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
     chi_sqrt = cutoff(np.sqrt(np.clip(theta_iter, 0.0, None)), reg.eps)
     ps_iter = saturation_pressure(model, theta_iter)
     chi_ps = cutoff(ps_iter, reg.eps)
-    return FluxCoefficients(A, B, chi_sqrt, chi_ps, ps_iter, theta_iter.copy())
+    return FluxCoefficients(A, B, chi_sqrt, chi_ps, ps_iter)
 
 
 def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarray,
@@ -474,41 +476,18 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     return TridiagonalSystem.from_band(band), mass_flux
 
 
-def _build_record(prev: State, rho_new: np.ndarray, theta_new: np.ndarray,
-                  s: float, dt: float, coeffs: FluxCoefficients,
-                  mass_flux: np.ndarray, params: PhysicalParams,
-                  forcing: ForcingValues | None) -> StepRecord:
-    th_l, th_r = boundary_traces(theta_new)
-    cond_l, cond_r = robin_fluxes(th_l, th_r, s, params.beta0, params.beta1,
-                                  params.theta_bar0, params.theta_bar1)
-    g0, g1 = forcing.theta_flux if forcing else (0.0, 0.0)
-    src_rho = forcing.rho_source if forcing else None
-    src_theta = forcing.theta_source if forcing else None
-    new = State(rho_new, theta_new, prev.t + dt)
-    return StepRecord(
-        prev=prev, new=new, s=s, dt=dt,
-        chi_sqrt=coeffs.chi_sqrt, chi_ps=coeffs.chi_ps,
-        ps_iter=coeffs.ps_iter, theta_iter=coeffs.theta_iter,
-        mass_flux=mass_flux, cond_flux_left=cond_l + g0,
-        cond_flux_right=cond_r + g1, theta_trace_left=th_l,
-        theta_trace_right=th_r, src_rho=src_rho, src_theta=src_theta,
-    )
-
-
 def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
                    s: float, forcing: ForcingValues | None,
-                   start: tuple[np.ndarray, np.ndarray]):
+                   start: tuple[np.ndarray, np.ndarray],
+                   ) -> tuple[PicardReport, StepRecord]:
     """Run fixed-point sweeps at fixed s until converged or budget spent.
 
-    Returns (rho, theta, iterations, final_update, converged, record_parts).
-    Never raises on nonconvergence; raises NonfiniteIterate on NaN/Inf and
-    passes DominanceViolation on, either one carrying the sweeps it spent
-    as its ``sweeps`` attribute.
+    Returns the report and the record of the last sweep.  Never raises on
+    nonconvergence; a StepFailure raised by a sweep (NonfiniteIterate,
+    DominanceViolation) carries the sweeps spent, that one included.
     """
     rho_it, theta_it = start
-    update = np.inf
-    parts = None
     for k in range(1, cfg.max_picard + 1):
         try:
             rho_sys, coeffs = assemble_rho_system(
@@ -518,28 +497,32 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
             theta_sys, mass_flux = assemble_theta_system(
                 prev, rho_new, theta_it, s, reg, params, model, grid, cfg.dt,
                 coeffs, cfg.advection, forcing)
-        except (DominanceViolation, NonfiniteIterate) as exc:
+            theta_new = solve_thomas(theta_sys)
+            if not (np.isfinite(rho_new).all() and np.isfinite(theta_new).all()):
+                raise NonfiniteIterate(
+                    f"nonfinite iterate at s={s}, sweep {k}, t={prev.t + cfg.dt}")
+        except StepFailure as exc:
             exc.sweeps = k
             raise
-        theta_new = solve_thomas(theta_sys)
-        if not (np.isfinite(rho_new).all() and np.isfinite(theta_new).all()):
-            exc = NonfiniteIterate(f"nonfinite iterate at s={s}, sweep {k}, t={prev.t + cfg.dt}")
-            exc.sweeps = k
-            raise exc
         dn2 = float(((rho_new - rho_it) ** 2).sum() + ((theta_new - theta_it) ** 2).sum())
         base = float((rho_it**2).sum() + (theta_it**2).sum())
         update = np.sqrt(dn2) / max(np.sqrt(base), UPDATE_FLOOR)
+        record = StepRecord(prev, rho_new, theta_new, s, cfg.dt, theta_it, coeffs,
+                            mass_flux, forcing)
         rho_it, theta_it = rho_new, theta_new
-        parts = (coeffs, mass_flux)
         if update < cfg.picard_tol:
-            return rho_it, theta_it, k, update, True, parts
-    return rho_it, theta_it, cfg.max_picard, update, False, parts
+            return PicardReport(k, update, (s,), True), record
+    return PicardReport(cfg.max_picard, update, (s,), False), record
 
 
-def _sweeps_spent(exc: PoromoistError, cfg: StepConfig) -> int:
-    if isinstance(exc, PicardDivergence):
-        return exc.report.iterations if exc.report else cfg.max_picard
-    return getattr(exc, "sweeps", cfg.max_picard)
+def _accept(report: PicardReport, record: StepRecord,
+            failure: str) -> tuple[State, PicardReport, StepRecord]:
+    """The new state of a converged solve; PicardDivergence(failure) otherwise."""
+    if not report.converged:
+        raise PicardDivergence(
+            f"{failure} (last update {report.final_update:.3e})", report=report)
+    new = State(record.rho, record.theta, record.prev.t + record.dt)
+    return new, report, record
 
 
 def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
@@ -557,17 +540,9 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
     s = reg.s if s is None else s
     if start is None:
         start = (prev.rho, prev.theta)
-    rho, theta, iters, update, ok, parts = _picard_sweeps(
-        prev, cfg, reg, params, model, grid, s, forcing, start)
-    report = PicardReport(iters, update, (s,), ok)
-    if not ok:
-        raise PicardDivergence(
-            f"no convergence in {cfg.max_picard} sweeps at s={s} "
-            f"(last update {update:.3e})", report=report)
-    coeffs, mass_flux = parts
-    record = _build_record(prev, rho, theta, s, cfg.dt, coeffs, mass_flux,
-                           params, forcing)
-    return record.new, report, record
+    report, record = _picard_sweeps(prev, cfg, reg, params, model, grid, s,
+                                    forcing, start)
+    return _accept(report, record, f"no convergence in {cfg.max_picard} sweeps at s={s}")
 
 
 def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
@@ -577,52 +552,49 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    ) -> tuple[State, PicardReport, StepRecord]:
     """Advance one step, falling back to an s-ramp when the direct solve fails.
 
-    With a predicted first iterate ``start``, the direct solve is tried
-    from it first; if that attempt diverges, turns nonfinite or loses
-    diagonal dominance, the step is solved as without a prediction, and
-    the sweeps of the failed attempt are added to the report.  Without
-    one, the direct solve starts from the previous state.
+    The attempts, in order: the direct solve from the predicted first
+    iterate ``start``, when there is one; the direct solve from the
+    previous state; and the ramp stages s = k/s_ramp_steps * s_target,
+    k = 1..s_ramp_steps.  One rule covers them all: an attempt that
+    raises a StepFailure (it diverges, turns nonfinite or loses diagonal
+    dominance) adds its sweeps to the step's count, and the next attempt
+    runs.  The first direct attempt that converges is the step.
 
-    The ramp retries the step at s = k/s_ramp_steps * s_target, warm-starting
-    every stage from the previous stage's result.  Intermediate stages are
-    best-effort; only the final full-strength stage must converge.
+    Each ramp stage warm-starts from the last stage that produced an
+    iterate (the previous state before any did).  Intermediate stages are
+    best-effort and need not converge; only the final full-strength stage
+    must, and a failing step raises that stage's error.  The accepted
+    ramp record carries s = s_target.
     """
-    wasted = 0
-    if start is not None:
+    spent = 0
+    for guess in ([start] if start is not None else []) + [None]:
         try:
-            return picard_step(prev, cfg, reg, params, model, grid, forcing,
-                               start=start)
-        except (PicardDivergence, NonfiniteIterate, DominanceViolation) as exc:
-            wasted = _sweeps_spent(exc, cfg)
-    try:
-        new, report, record = picard_step(prev, cfg, reg, params, model, grid,
-                                          forcing)
-        return new, replace(report, iterations=wasted + report.iterations), record
-    except (PicardDivergence, NonfiniteIterate) as exc:
-        spent = wasted + _sweeps_spent(exc, cfg)
+            new, report, record = picard_step(prev, cfg, reg, params, model, grid,
+                                              forcing, start=guess)
+        except StepFailure as exc:
+            spent += exc.sweeps
+            continue
+        return new, replace(report, iterations=spent + report.iterations), record
 
     s_path = [reg.s]
-    total = spent
     iterate = (prev.rho, prev.theta)
-    update = np.inf
-    parts = None
     for k in range(1, cfg.s_ramp_steps + 1):
         s_k = reg.s * k / cfg.s_ramp_steps
-        rho, theta, iters, update, ok, parts = _picard_sweeps(
-            prev, cfg, reg, params, model, grid, s_k, forcing, iterate)
-        total += iters
         s_path.append(s_k)
-        iterate = (rho, theta)
-        if k == cfg.s_ramp_steps and not ok:
-            report = PicardReport(total, update, tuple(s_path), False)
-            raise PicardDivergence(
-                f"ramp exhausted: final stage s={s_k} not converged "
-                f"(last update {update:.3e})", report=report)
-    report = PicardReport(total, update, tuple(s_path), True)
-    coeffs, mass_flux = parts
-    record = _build_record(prev, iterate[0], iterate[1], reg.s, cfg.dt, coeffs,
-                           mass_flux, params, forcing)
-    return record.new, report, record
+        try:
+            report, record = _picard_sweeps(prev, cfg, reg, params, model, grid,
+                                            s_k, forcing, iterate)
+        except StepFailure as exc:
+            spent += exc.sweeps
+            if k == cfg.s_ramp_steps:
+                exc.sweeps = spent
+                raise
+            continue
+        spent += report.iterations
+        iterate = (record.rho, record.theta)
+    report = PicardReport(spent, report.final_update, tuple(s_path), report.converged)
+    return _accept(report, replace(record, s=reg.s),
+                   f"ramp exhausted: final stage s={s_k} not converged")
 
 
 def _predicted_start(rho: np.ndarray, theta: np.ndarray,
@@ -650,12 +622,18 @@ def _predicted_start(rho: np.ndarray, theta: np.ndarray,
     return extrapolate(rho[-3:]), extrapolate(theta[-3:])
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    steps = int(round(t_end / dt))
-    if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigError(
-            f"t_end={t_end} is not a positive integer number of steps of dt={dt}")
-    return steps
+def step_count(span: float, dt: float) -> int:
+    """How many steps of dt make up span: 0 unless a whole, positive number.
+
+    The count may miss a whole number by 1e-9 of itself, which absorbs the
+    rounding of span / dt.
+    """
+    count = span / dt
+    if not math.isfinite(count):
+        return 0
+    steps = round(count)
+    whole = steps >= 1 and abs(count - steps) <= 1e-9 * max(1.0, count)
+    return steps if whole else 0
 
 
 def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
@@ -675,7 +653,10 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
         t_end = params.t_end
     if t_end < 0:
         raise ConfigError(f"t_end must be nonnegative, got {t_end}")
-    steps = _step_count(t_end, cfg.dt) if t_end > 0 else 0
+    steps = step_count(t_end, cfg.dt)
+    if t_end > 0 and not steps:
+        raise ConfigError(
+            f"t_end={t_end} is not a positive integer number of steps of dt={cfg.dt}")
 
     if initial_state is not None:
         state = initial_state

@@ -190,6 +190,15 @@ def test_ladder_command(smoke_config, tmp_path):
     assert report["passed"] is True
 
 
+def test_ladder_horizon_overflow_is_usage_error(smoke_config, tmp_path, capsys):
+    data = copy.deepcopy(smoke_config)
+    data["ladder"] = {"t_end": 1e308}
+    path = write_config(tmp_path, data)
+    assert main(["ladder", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "ladder.t_end:" in err
+
+
 def test_ladder_command_fails_when_not_monotone(small_config, tmp_path,
                                                 monkeypatch):
     path, _ = small_config

@@ -87,8 +87,12 @@ def test_schema_violations_all_reported(smoke_config):
     ("physical.t_end", 1e-12, "stepping.dt"),     # rounds to zero steps
     ("output.cadence", 1e-12, "output.cadence"),  # rounds to zero steps
     ("output.cadence", 1e-300, "output.cadence"),
+    ("ladder.t_end", 1e308, "ladder.t_end"),      # t_end / dt overflows to inf
+    ("ladder.t_end", 0.2505, "ladder.t_end"),
 ])
 def test_single_violations(smoke_config, path, value, where):
+    if path.startswith("ladder."):   # the smoke config has no ladder section
+        smoke_config = {**smoke_config, "ladder": {"t_end": 0.25}}
     bad = override(smoke_config, path, value)
     with pytest.raises(ValidationError, match=where.replace(".", r"\.")):
         validate_config(bad)

@@ -315,6 +315,49 @@ def test_homotopy_failure_bookkeeping(cubic_model):
     assert report.final_update > 0
 
 
+def test_failed_ramp_stage_is_counted_and_skipped(monkeypatch, cubic_model):
+    grid, params, state, reg = stiff_setup()
+    cfg = StepConfig(dt=0.01)
+    real_assemble = stepper.assemble_theta_system
+
+    def nonfinite_at_half(prev, rho_new, theta_iter, s, *args, **kwargs):
+        if s == 0.5:
+            raise NonfiniteIterate("injected at s=0.5")
+        return real_assemble(prev, rho_new, theta_iter, s, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "assemble_theta_system", nonfinite_at_half)
+    new, report, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    # the s=0.5 stage spends one sweep; s=0.625 warm-starts from s=0.375
+    assert report.converged
+    assert report.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
+                             0.875, 1.0)
+    assert report.iterations == 226
+    assert rec.s == 1.0
+    assert np.all(new.rho > 0) and np.all(new.theta > 0)
+
+
+def test_dominance_loss_in_direct_attempt_goes_to_ramp(monkeypatch, cubic_model):
+    grid, params, state, reg = stiff_setup()
+    cfg = StepConfig(dt=0.01)
+    plain_new, plain, _ = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    real_assemble = stepper.assemble_rho_system
+    calls = []
+
+    def first_sweep_loses_dominance(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise DominanceViolation("vapor", 0, -1.0)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "assemble_rho_system", first_sweep_loses_dominance)
+    new, report, _ = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    # one sweep of the direct attempt, then the same ramp as the plain step
+    assert report.s_path == plain.s_path and len(report.s_path) == 9
+    assert report.iterations == plain.iterations - cfg.max_picard + 1
+    np.testing.assert_array_equal(new.rho, plain_new.rho)
+    np.testing.assert_array_equal(new.theta, plain_new.theta)
+
+
 def test_strong_drift_loses_dominance(unit_params, cubic_model):
     grid = Grid(16)
     prev = equilibrium_state(grid)
@@ -447,6 +490,9 @@ def test_run_validates_horizon(unit_params, cubic_model):
     with pytest.raises(ConfigError, match="positive integer number of steps"):
         run(None, cfg, reg, unit_params, cubic_model, grid, t_end=1e-12,
             initial_state=state)
+    with pytest.raises(ConfigError, match="positive integer number of steps"):
+        run(None, cfg, reg, unit_params, cubic_model, grid, t_end=1e308,
+            initial_state=state)           # t_end / dt overflows to inf
     still = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.0,
                 initial_state=state)
     assert still.rho.shape == (1, grid.n) and len(still.records) == 1
