@@ -24,11 +24,13 @@ def main():
 
     print(f"marched {len(result.t) - 1} steps of dt={setup.step.dt} "
           f"on n={setup.grid.n} cells")
-    first, last = result.records[0], result.records[-1]
-    print(f"total vapor mass   {first.total_mass:.6f} -> {last.total_mass:.6f}")
-    print(f"temperature range  [{last.min_theta:.6f}, {last.max_theta:.6f}]")
-    print(f"worst mass residual   {max(r.mass_balance_residual for r in result.records):.3e}")
-    print(f"worst energy residual {max(r.energy_balance_residual for r in result.records):.3e}")
+    series = result.series
+    print(f"total vapor mass   {series['total_mass'][0]:.6f} -> "
+          f"{series['total_mass'][-1]:.6f}")
+    print(f"temperature range  [{series['min_theta'][-1]:.6f}, "
+          f"{series['max_theta'][-1]:.6f}]")
+    print(f"worst mass residual   {series['mass_balance_residual'].max():.3e}")
+    print(f"worst energy residual {series['energy_balance_residual'].max():.3e}")
 
     cert = certify_run(result)
     entropy = entropy_monitor(result)

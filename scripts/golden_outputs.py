@@ -8,10 +8,11 @@ Runs ``python -m poromoist`` from this checkout's ``src`` on the shipped
 configs (``run`` on smoke, ``mms``, ``ladder`` and ``sweep``, ``run`` on
 smoke with central advection) and ``run`` on ``perfbench/configs/fine.json``
 and ``stiff.json``.  Each case writes its files into ``OUTDIR/<case>/`` plus
-``console.txt`` holding the exit code and the console output.  Every file is
-deterministic, so a refactor that must not change results is checked by
-running this script on the parent and on the change and comparing the two
-trees with ``diff -r``.
+``console.txt`` holding the exit code and the console output.  Then it runs
+each script in ``demos/`` and writes its exit code and output into
+``OUTDIR/demo_<name>/console.txt``.  Every file is deterministic, so a
+refactor that must not change results is checked by running this script on
+the parent and on the change and comparing the two trees with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -33,21 +34,29 @@ CASES = (
 )
 
 
+def _capture(out: str, name: str, command) -> None:
+    """Run command from the checkout root; write its exit code and output."""
+    os.makedirs(out, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    with open(os.path.join(out, "console.txt"), "w", encoding="utf-8") as fh:
+        fh.write(f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
+    print(f"{name}: exit {proc.returncode}")
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: golden_outputs.py OUTDIR", file=sys.stderr)
         return 2
     out_root = os.path.abspath(argv[0])
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     for name, args in CASES:
         out = os.path.join(out_root, name)
-        os.makedirs(out, exist_ok=True)
-        proc = subprocess.run(
-            [sys.executable, "-m", "poromoist", *args, "--out", out],
-            cwd=ROOT, env=env, capture_output=True, text=True)
-        with open(os.path.join(out, "console.txt"), "w", encoding="utf-8") as fh:
-            fh.write(f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
-        print(f"{name}: exit {proc.returncode}")
+        _capture(out, name, [sys.executable, "-m", "poromoist", *args, "--out", out])
+    demos = os.path.join(ROOT, "demos")
+    for script in sorted(f for f in os.listdir(demos) if f.endswith(".py")):
+        name = "demo_" + script[:-len(".py")]
+        _capture(os.path.join(out_root, name), name,
+                 [sys.executable, os.path.join(demos, script)])
     return 0
 
 

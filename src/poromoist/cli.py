@@ -25,11 +25,11 @@ import sys
 import numpy as np
 
 from .config import apply_override, build_setup, load_config
-from .diagnostics import RECORD_FIELDS, certify_run
+from .diagnostics import SERIES_COLUMNS, certify_run
 from .errors import ConfigError, PoromoistError
 from .harness import make_default_mms_case, mms_study, regularization_ladder, sweep
 from .model import darcy_velocity, validate_saturation_assumptions
-from .stepper import run
+from .stepper import run, step_count
 
 MMS_ORDER_FLOOR = {"central": 1.9, "upwind": 0.9}
 LADDER_VARIATION_CAP = 0.10
@@ -74,8 +74,7 @@ def _load_with_flags(args) -> dict:
 
 
 def _snapshot_indices(steps: int, cadence: float, dt: float) -> list[int]:
-    every = max(1, int(round(cadence / dt)))
-    picked = set(range(0, steps + 1, every))
+    picked = set(range(0, steps + 1, step_count(cadence, dt)))
     picked.add(steps)
     return sorted(picked)
 
@@ -88,9 +87,10 @@ def _cmd_run(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     series_path = os.path.join(args.out, "series.csv")
-    _write_csv(series_path, RECORD_FIELDS,
-               ([_fmt(getattr(rec, name)) for name in RECORD_FIELDS]
-                for rec in result.records))
+    columns = [result.t.tolist()] + [result.series[name].tolist()
+                                     for name in SERIES_COLUMNS]
+    _write_csv(series_path, ("t",) + SERIES_COLUMNS,
+               ([_fmt(value) for value in row] for row in zip(*columns)))
 
     snap_path = os.path.join(args.out, "snapshots.csv")
     steps = len(result.t) - 1
@@ -115,8 +115,8 @@ def _cmd_run(args) -> int:
         "eps": setup.reg.eps,
         "nu": setup.reg.nu,
         "certification": cert.summary(),
-        "picard_total": int(sum(r.picard_iterations for r in result.records)),
-        "picard_max": int(max(r.picard_iterations for r in result.records)),
+        "picard_total": int(result.series["picard_iterations"].sum()),
+        "picard_max": int(result.series["picard_iterations"].max()),
     }
     _write_json(os.path.join(args.out, "report.json"), report)
 

@@ -6,7 +6,8 @@ initial profiles, and the output cadence, plus optional study sections
 (mms, ladder, sweep).  Validation is two-stage: a JSON schema rejects
 unknown keys and out-of-range scalars, then cross-field checks catch the
 couplings a schema cannot express (nu against eps, step counts dividing
-the horizon, profiles dipping below their floors).  All violations are
+the horizon and small enough for numpy to hold the run's (steps+1, n)
+trajectory, profiles dipping below their floors).  All violations are
 collected into a single ValidationError instead of stopping at the first.
 
 The schema is the ``CONFIG_SCHEMA`` dict below, walked by this module
@@ -334,6 +335,13 @@ def _cross_field(data: dict) -> list[tuple[str, str]]:
                     f"t_end={ladder_t_end} is not a positive integer number of steps of dt={dt}"))
 
     n = data["grid"]["n"]
+    # numpy cannot create an array whose byte count overflows np.intp
+    max_bytes = np.iinfo(np.intp).max
+    for where, t_end in (("physical.t_end", phys["t_end"]), ("ladder.t_end", ladder_t_end)):
+        steps = step_count(t_end, dt) if t_end is not None else 0
+        if (steps + 1) * n * np.dtype(float).itemsize > max_bytes:
+            bad.append((where, f"t_end={t_end} takes {steps:.3e} steps of dt={dt}, too "
+                               f"many for numpy to hold as a (steps+1, n={n}) float array"))
     init = data["initial"]
     for name in ("rho", "theta"):
         spec = init[name]

@@ -18,8 +18,9 @@ independent computation:
 * weak residuals of the unregularized integral identities against a
   basis of space-time test functions.
 
-All checks read the trajectory (and the per-step records built from what
-the stepper froze); none of them re-runs the solver.
+All checks read the trajectory and its per-step series (columns with one
+entry per time level, written from what the stepper froze); none of them
+re-runs the solver.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ if TYPE_CHECKING:
     from .stepper import PicardReport, RunResult, State, StepRecord
 
 __all__ = [
-    "DiagnosticsRecord",
-    "initial_record",
+    "SERIES_COLUMNS",
+    "start_series",
     "step_record",
     "mass_balance_residual",
     "energy_balance_residual",
@@ -54,34 +55,15 @@ __all__ = [
     "certify_run",
 ]
 
-RECORD_FIELDS = (
-    "t", "total_mass", "mass_energy", "entropy", "min_rho", "min_theta",
+# The series.csv columns after t, in order.  A run's series also holds
+# heating_rate, the step's largest latent-heating rate per unit heat
+# capacity max(s rho X(sqrt(theta)) / (rho + sigma)), which feeds the
+# max-temperature envelope and is not written.
+SERIES_COLUMNS = (
+    "total_mass", "mass_energy", "entropy", "min_rho", "min_theta",
     "max_theta", "mass_balance_residual", "energy_balance_residual",
     "l4_accumulator", "picard_iterations",
 )
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Scalar health summary of one time level.
-
-    heating_rate is the step's largest latent-heating rate per unit heat
-    capacity, max(s rho X(sqrt(theta)) / (rho + sigma)), zero at the start;
-    it feeds the max-temperature envelope and is not a series.csv column.
-    """
-
-    t: float
-    total_mass: float
-    mass_energy: float
-    entropy: float
-    min_rho: float
-    min_theta: float
-    max_theta: float
-    mass_balance_residual: float
-    energy_balance_residual: float
-    l4_accumulator: float
-    picard_iterations: int
-    heating_rate: float
 
 
 def _entropy_value(rho: np.ndarray, h: float) -> float:
@@ -90,29 +72,28 @@ def _entropy_value(rho: np.ndarray, h: float) -> float:
     return float(h * terms.sum())
 
 
-def _level_functionals(rho: np.ndarray, theta: np.ndarray, h: float,
-                       params: PhysicalParams) -> dict:
-    """The record fields that read one time level alone."""
-    return dict(
-        total_mass=float(h * rho.sum()),
-        mass_energy=float(h * (params.lam * rho + rho * theta + params.sigma * theta).sum()),
-        entropy=_entropy_value(rho, h),
-        min_rho=float(rho.min()),
-        min_theta=float(theta.min()),
-        max_theta=float(theta.max()),
-    )
+def _level_functionals(series: dict, k: int, rho: np.ndarray, theta: np.ndarray,
+                       h: float, params: PhysicalParams) -> None:
+    """Write row k of the columns that read one time level alone."""
+    series["total_mass"][k] = h * rho.sum()
+    series["mass_energy"][k] = h * (params.lam * rho + rho * theta
+                                    + params.sigma * theta).sum()
+    series["entropy"][k] = _entropy_value(rho, h)
+    series["min_rho"][k] = rho.min()
+    series["min_theta"][k] = theta.min()
+    series["max_theta"][k] = theta.max()
 
 
-def initial_record(state: State, grid: Grid, params: PhysicalParams) -> DiagnosticsRecord:
-    return DiagnosticsRecord(
-        t=state.t,
-        **_level_functionals(state.rho, state.theta, grid.h, params),
-        mass_balance_residual=0.0,
-        energy_balance_residual=0.0,
-        l4_accumulator=0.0,
-        picard_iterations=0,
-        heating_rate=0.0,
-    )
+def start_series(steps: int, start: State, grid: Grid, params: PhysicalParams) -> dict:
+    """Zeroed per-step columns for steps + 1 time levels, keyed by name.
+
+    Row 0 gets the start state's functionals; its residuals, accumulator,
+    sweep count and heating rate stay zero.  step_record writes the rest.
+    """
+    series = {name: np.zeros(steps + 1) for name in SERIES_COLUMNS + ("heating_rate",)}
+    series["picard_iterations"] = np.zeros(steps + 1, dtype=int)
+    _level_functionals(series, 0, start.rho, start.theta, grid.h, params)
+    return series
 
 
 def mass_balance_residual(srec: StepRecord, grid: Grid) -> float:
@@ -165,19 +146,23 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
     return float(abs((e_new - e_prev) / srec.dt - boundary - interior - source))
 
 
-def step_record(srec: StepRecord, report: PicardReport, grid: Grid,
-                params: PhysicalParams, prev_l4: float) -> DiagnosticsRecord:
+def step_record(series: dict, k: int, srec: StepRecord, report: PicardReport,
+                grid: Grid, params: PhysicalParams) -> None:
+    """Write row k of the series from step k, which ended at time level k.
+
+    The fourth-power accumulator adds the left-rule term of the step to
+    row k - 1.
+    """
     rho = srec.rho
     h = grid.h
-    return DiagnosticsRecord(
-        t=srec.prev.t + srec.dt,
-        **_level_functionals(rho, srec.theta, h, params),
-        mass_balance_residual=mass_balance_residual(srec, grid),
-        energy_balance_residual=energy_balance_residual(srec, grid, params),
-        l4_accumulator=prev_l4 + srec.dt * float(h * (srec.prev.rho**4).sum()),
-        picard_iterations=report.iterations,
-        heating_rate=float((srec.s * rho * srec.coeffs.chi_sqrt / (rho + params.sigma)).max()),
-    )
+    _level_functionals(series, k, rho, srec.theta, h, params)
+    series["mass_balance_residual"][k] = mass_balance_residual(srec, grid)
+    series["energy_balance_residual"][k] = energy_balance_residual(srec, grid, params)
+    l4 = series["l4_accumulator"]
+    l4[k] = l4[k - 1] + srec.dt * float(h * (srec.prev.rho**4).sum())
+    series["picard_iterations"][k] = report.iterations
+    series["heating_rate"][k] = (srec.s * rho * srec.coeffs.chi_sqrt
+                                 / (rho + params.sigma)).max()
 
 
 @dataclass(frozen=True)
@@ -187,7 +172,6 @@ class EnvelopeReport:
     ok: bool
     c_init: float
     c_rate: float
-    values: np.ndarray
     bounds: np.ndarray
     first_violation_t: float | None
     min_slack: float
@@ -200,15 +184,15 @@ def mass_energy_envelope_check(result: RunResult, tol: float = 1e-9) -> Envelope
     max-temperature history: a startup budget built from the initial norms
     plus the ambient exchange capacity over the full horizon, growing at
     rate (alpha1 rho_bar1 + alpha0 rho_bar0) times the running integral of
-    max theta.  Everything is computed from the recorded diagnostics.
+    max theta.  Everything is computed from the run's series.  A nonfinite
+    value or bound is a violation.
     """
     p = result.params
-    recs = result.records
-    values = np.array([r.mass_energy for r in recs])
-    max_theta = np.array([r.max_theta for r in recs])
-    mass0 = recs[0].total_mass
-    theta0_max = recs[0].max_theta
-    horizon = max(result.t_end, recs[-1].t)
+    values = result.series["mass_energy"]
+    max_theta = result.series["max_theta"]
+    mass0 = result.series["total_mass"][0]
+    theta0_max = max_theta[0]
+    horizon = max(result.t_end, result.t[-1])
     c_init = ((p.lam + theta0_max) * mass0 + p.sigma * theta0_max
               + (p.lam * (p.alpha1 * p.rho_bar1 + p.alpha0 * p.rho_bar0)
                  + p.beta1 * p.theta_bar1 + p.beta0 * p.theta_bar0) * horizon)
@@ -217,10 +201,10 @@ def mass_energy_envelope_check(result: RunResult, tol: float = 1e-9) -> Envelope
     integral = np.concatenate(([0.0], np.cumsum(max_theta[:-1]) * dt))
     bounds = c_init + c_rate * integral
     slack = bounds + tol * np.maximum(1.0, np.abs(bounds)) - values
-    bad = np.nonzero(slack < 0)[0]
-    first_t = float(recs[bad[0]].t) if bad.size else None
+    bad = np.nonzero(~(slack >= 0))[0]
+    first_t = float(result.t[bad[0]]) if bad.size else None
     return EnvelopeReport(bad.size == 0, float(c_init), float(c_rate),
-                          values, bounds, first_t, float(np.min(slack)))
+                          bounds, first_t, float(np.min(slack)))
 
 
 def theta_envelope(result: RunResult) -> list:
@@ -232,10 +216,9 @@ def theta_envelope(result: RunResult) -> list:
     the ambient values.
     """
     p, dt = result.params, result.cfg.dt
-    env = max(result.records[0].max_theta, p.theta_bar0, p.theta_bar1)
+    env = max(float(result.series["max_theta"][0]), p.theta_bar0, p.theta_bar1)
     envelope = [env]
-    for rec in result.records[1:]:
-        rate = rec.heating_rate
+    for rate in result.series["heating_rate"][1:].tolist():
         env = (env + dt * p.lam * rate) * (1.0 + dt * rate)
         env = max(env, p.theta_bar0, p.theta_bar1)
         envelope.append(env)
@@ -246,25 +229,23 @@ def theta_envelope(result: RunResult) -> list:
 class EntropyReport:
     max_entropy: float
     dissipation: float
-    series: np.ndarray
 
 
 def entropy_monitor(result: RunResult) -> EntropyReport:
     """Track integral(rho ln rho) and its gradient dissipation integral.
 
     The dissipation is the time integral of sum_faces h theta (drho/dx)^2
-    evaluated at the end-of-step states; together with the entropy series
+    evaluated at the end-of-step states; together with the entropy column
     it certifies that the degenerate diffusion keeps doing work.
     """
     h = result.grid.h
-    series = np.array([r.entropy for r in result.records])
     dt = result.cfg.dt
     dissipation = 0.0
     for rho, theta in zip(result.rho[1:], result.theta[1:]):
         grad = np.diff(rho) / h
         theta_face = 0.5 * (theta[:-1] + theta[1:])
         dissipation += dt * float(h * np.sum(theta_face * grad**2))
-    return EntropyReport(float(np.max(series)), dissipation, series)
+    return EntropyReport(float(np.max(result.series["entropy"])), dissipation)
 
 
 @dataclass(frozen=True)
@@ -440,16 +421,17 @@ def certify_run(result: RunResult, mass_tol: float = 1e-10,
     """Run every certification that has a sharp expected outcome.
 
     Mass balance must sit at solver roundoff, both envelopes must hold
-    (the max-temperature one rebuilt here from the records' heating
-    rates), and the fields must stay in the admissible cone.  The energy
-    residual has no universal threshold (it is first order in dt), so it
-    is reported but only checked for finiteness.
+    (the max-temperature one rebuilt here from the heating-rate column),
+    and the fields must stay in the admissible cone.  The energy residual
+    has no universal threshold (it is first order in dt), so it is
+    reported but only checked for finiteness.  Every check is written so
+    that a nonfinite entry in the column it reads fails it.
     """
     failures = []
-    recs = result.records
-    max_mass = max(r.mass_balance_residual for r in recs)
-    max_energy = max(r.energy_balance_residual for r in recs)
-    if max_mass > mass_tol:
+    series = result.series
+    max_mass = np.max(series["mass_balance_residual"])
+    max_energy = np.max(series["energy_balance_residual"])
+    if not max_mass <= mass_tol:
         failures.append(f"mass balance residual {max_mass:.3e} exceeds {mass_tol:.1e}")
     if not np.isfinite(max_energy):
         failures.append("energy balance residual is not finite")
@@ -458,20 +440,20 @@ def certify_run(result: RunResult, mass_tol: float = 1e-10,
         failures.append(
             f"mass/heat envelope violated at t={envelope.first_violation_t} "
             f"(excess {-envelope.min_slack:.3e})")
-    theta_ok = not any(r.max_theta > env + 1e-9
-                       for r, env in zip(recs[1:], theta_envelope(result)[1:]))
+    theta_ok = bool(np.all(series["max_theta"][1:]
+                           <= np.array(theta_envelope(result)[1:]) + 1e-9))
     if not theta_ok:
         failures.append("max-temperature envelope violated")
-    min_rho = min(r.min_rho for r in recs)
-    min_theta = min(r.min_theta for r in recs)
-    if min_rho < 0:
+    min_rho = np.min(series["min_rho"])
+    min_theta = np.min(series["min_theta"])
+    if not min_rho >= 0:
         failures.append(f"negative vapor density {min_rho:.3e}")
-    if min_theta <= 0:
+    if not min_theta > 0:
         failures.append(f"nonpositive temperature {min_theta:.3e}")
     entropy = entropy_monitor(result)
     for name, value in (("entropy", entropy.max_entropy),
                         ("entropy dissipation", entropy.dissipation),
-                        ("l4 accumulator", recs[-1].l4_accumulator)):
+                        ("l4 accumulator", np.max(series["l4_accumulator"]))):
         if not np.isfinite(value):
             failures.append(f"{name} is not finite")
     return CertificationReport(

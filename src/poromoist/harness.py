@@ -264,8 +264,8 @@ def regularization_ladder(initial: InitialData | None, cfg: StepConfig,
         for j in range(1, rungs)])
     monotone = bool(np.all(np.diff(differences) < 0)) if differences.size > 1 else True
 
-    entropy = np.array([max(r.entropy for r in res.records) for res in results])
-    l4 = np.array([res.records[-1].l4_accumulator for res in results])
+    entropy = np.array([np.max(res.series["entropy"]) for res in results])
+    l4 = np.array([res.series["l4_accumulator"][-1] for res in results])
     variation = {}
     if rungs >= 2:
         for name, series in (("entropy", entropy), ("l4", l4)):

@@ -29,8 +29,9 @@ StepFailure (divergence, a nonfinite iterate or lost diagonal dominance)
 adds the attempt's sweeps to the step's count and moves on to the next
 attempt, and the step fails only with the final ramp stage's error.
 Every accepted iterate is a plain sweep output of the assembled rows,
-whatever it started from, and the step's record holds what its last
-sweep froze.  Forcing terms are evaluated once per step, at the new
+whatever it started from, and the step's StepRecord holds what its last
+sweep froze; diagnostics.step_record turns it into the step's row of the
+run's per-step series.  Forcing terms are evaluated once per step, at the new
 time, and shared by every sweep.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
@@ -62,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import initial_record, step_record
+from .diagnostics import start_series, step_record
 from .discretization import Grid, boundary_traces, cutoff, mollify, robin_fluxes
 from .errors import (
     ConfigError,
@@ -265,13 +266,15 @@ class RunResult:
     """Trajectory plus per-step diagnostics for one simulation.
 
     Row k of rho and theta holds the cell values at time t[k]; row 0 is the
-    start state and records[k] describes the same time level.
+    start state.  series maps each diagnostic's name (see
+    diagnostics.SERIES_COLUMNS, plus heating_rate) to a steps+1 array whose
+    entry k describes the same time level.
     """
 
     rho: np.ndarray                # (steps+1, n)
     theta: np.ndarray              # (steps+1, n)
     t: np.ndarray                  # steps+1
-    records: list
+    series: dict                   # name -> steps+1
     params: PhysicalParams
     reg: RegularizationParams
     cfg: StepConfig
@@ -672,13 +675,12 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     theta = np.empty((steps + 1, grid.n))
     t = np.empty(steps + 1)
     rho[0], theta[0], t[0] = state.rho, state.theta, state.t
-    records = [initial_record(state, grid, params)]
+    series = start_series(steps, state, grid, params)
     for k in range(1, steps + 1):
         values = None if forcing is None else forcing.at(grid.centers, state.t + cfg.dt)
         state, report, srec = homotopy_solve(state, cfg, reg, params, model, grid,
                                              values, _predicted_start(rho[:k], theta[:k]))
-        records.append(step_record(srec, report, grid, params,
-                                   prev_l4=records[-1].l4_accumulator))
+        step_record(series, k, srec, report, grid, params)
         rho[k], theta[k], t[k] = state.rho, state.theta, state.t
 
-    return RunResult(rho, theta, t, records, params, reg, cfg, grid, model, t_end)
+    return RunResult(rho, theta, t, series, params, reg, cfg, grid, model, t_end)

@@ -57,8 +57,8 @@ def exchange_sweep(smoke_dict):
             data = apply_override(data, path, value)
         result = run_config(data)
         return {
-            "min_rho": min(r.min_rho for r in result.records),
-            "min_theta": min(r.min_theta for r in result.records),
+            "min_rho": np.min(result.series["min_rho"]),
+            "min_theta": np.min(result.series["min_theta"]),
             "envelope": mass_energy_envelope_check(result),
             "theta_env_ok": certify_run(result).theta_envelope_ok,
         }
@@ -84,8 +84,8 @@ def test_thomas_sweep_agrees_with_dense_elimination():
 def test_smoke_mass_balance_every_step(timed_smoke):
     result, elapsed = timed_smoke
     assert elapsed < 10.0
-    rel = np.array([r.mass_balance_residual / max(1.0, abs(r.total_mass))
-                    for r in result.records])
+    rel = (result.series["mass_balance_residual"]
+           / np.maximum(1.0, np.abs(result.series["total_mass"])))
     assert rel.max() <= 1e-10
 
 
@@ -93,8 +93,8 @@ def test_positivity_on_smoke_and_sweep(timed_smoke, exchange_sweep):
     result, smoke_elapsed = timed_smoke
     report, sweep_elapsed = exchange_sweep
     assert smoke_elapsed + sweep_elapsed < 120.0
-    assert min(r.min_rho for r in result.records) > 0
-    assert min(r.min_theta for r in result.records) > 0
+    assert np.min(result.series["min_rho"]) > 0
+    assert np.min(result.series["min_theta"]) > 0
     assert len(report.cells) == 9
     assert report.failures == ()
     for cell in report.cells:
@@ -191,7 +191,7 @@ def test_equilibrium_preserved_over_long_runs(theta_hat):
                     np.max(np.abs(result.rho[k] - result.rho[k - 1])),
                     np.max(np.abs(result.theta[k] - result.theta[k - 1])))
     assert drift <= 1e-8
-    assert max(r.picard_iterations for r in result.records[1:]) == 1
+    assert np.max(result.series["picard_iterations"][1:]) == 1
 
 
 def test_cli_outputs_are_byte_identical(tmp_path):

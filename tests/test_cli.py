@@ -114,6 +114,8 @@ def test_invalid_config_is_usage_error(smoke_config, tmp_path):
     ("physical.kappa1", math.inf),
     ("stepping.picard_tol", math.inf),
     ("grid.n", 8.0),
+    # 1e303 whole steps: numpy rejects their (steps+1, n) array without allocating
+    ("physical.t_end", 1e300),
 ])
 def test_nonfinite_or_fractional_value_is_usage_error(smoke_config, tmp_path, capsys,
                                                       where, value):

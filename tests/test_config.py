@@ -89,6 +89,8 @@ def test_schema_violations_all_reported(smoke_config):
     ("output.cadence", 1e-300, "output.cadence"),
     ("ladder.t_end", 1e308, "ladder.t_end"),      # t_end / dt overflows to inf
     ("ladder.t_end", 0.2505, "ladder.t_end"),
+    ("physical.t_end", 1e300, "physical.t_end"),  # too many steps for numpy
+    ("ladder.t_end", 1e300, "ladder.t_end"),
 ])
 def test_single_violations(smoke_config, path, value, where):
     if path.startswith("ladder."):   # the smoke config has no ladder section

@@ -2,15 +2,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from poromoist.diagnostics import (certify_run, default_test_functions,
-                                   entropy_monitor, initial_record,
-                                   mass_energy_envelope_check, theta_envelope,
-                                   weak_residual)
+                                   entropy_monitor, mass_energy_envelope_check,
+                                   theta_envelope, weak_residual)
 from poromoist.discretization import Grid
 from poromoist.model import InitialData
 from poromoist.stepper import RegularizationParams, State, StepConfig, run
@@ -30,55 +28,60 @@ def bump_run(n, dt, t_end, eps=1e-4, nu=5e-5, params=None, model=None):
                params, model, grid, t_end=t_end)
 
 
-def test_initial_record_hand_values(unit_params):
-    grid = Grid(4)
+def start_row(state, params, model):
+    """Row 0 of the series of a zero-step run from state, by name."""
+    grid = Grid(len(state.rho))
+    result = run(None, StepConfig(dt=1e-3), RegularizationParams(eps=1e-2, nu=5e-3),
+                 params, model, grid, t_end=0.0, initial_state=state)
+    return {name: column[0] for name, column in result.series.items()}, result.t[0]
+
+
+def test_initial_record_hand_values(unit_params, cubic_model):
     state = State(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 2.0, 1.0]), 0.0)
-    rec = initial_record(state, grid, unit_params)
-    assert rec.t == 0.0
-    assert rec.total_mass == pytest.approx(0.25 * 10.0)
+    rec, t = start_row(state, unit_params, cubic_model)
+    assert t == 0.0
+    assert rec["total_mass"] == pytest.approx(0.25 * 10.0)
     expected_entropy = 0.25 * sum(v * math.log(v) for v in (1.0, 2.0, 3.0, 4.0))
-    assert rec.entropy == pytest.approx(expected_entropy, rel=1e-14)
+    assert rec["entropy"] == pytest.approx(expected_entropy, rel=1e-14)
     # lam * mass + integral(rho theta) + sigma * integral(theta)
     expected_energy = 2.5 + 0.25 * (1.0 + 2.0 + 6.0 + 4.0) + 0.25 * 5.0
-    assert rec.mass_energy == pytest.approx(expected_energy, rel=1e-14)
-    assert rec.min_rho == 1.0 and rec.max_theta == 2.0
-    assert rec.mass_balance_residual == 0.0
-    assert rec.energy_balance_residual == 0.0
-    assert rec.picard_iterations == 0
-    assert rec.l4_accumulator == 0.0
-    assert rec.heating_rate == 0.0
+    assert rec["mass_energy"] == pytest.approx(expected_energy, rel=1e-14)
+    assert rec["min_rho"] == 1.0 and rec["max_theta"] == 2.0
+    assert rec["mass_balance_residual"] == 0.0
+    assert rec["energy_balance_residual"] == 0.0
+    assert rec["picard_iterations"] == 0
+    assert rec["l4_accumulator"] == 0.0
+    assert rec["heating_rate"] == 0.0
 
 
-def test_entropy_value_handles_zero_density(unit_params):
-    grid = Grid(4)
+def test_entropy_value_handles_zero_density(unit_params, cubic_model):
     state = State(np.array([0.0, 1.0, 0.0, 1.0]), np.ones(4), 0.0)
-    rec = initial_record(state, grid, unit_params)
-    assert rec.entropy == 0.0
+    rec, _ = start_row(state, unit_params, cubic_model)
+    assert rec["entropy"] == 0.0
 
 
 def test_smoke_mass_balance_is_roundoff(smoke_result):
-    worst = max(r.mass_balance_residual for r in smoke_result.records)
+    worst = np.max(smoke_result.series["mass_balance_residual"])
     assert worst <= 1e-10
 
 
 def test_smoke_energy_balance_bounded(smoke_result):
-    worst = max(r.energy_balance_residual for r in smoke_result.records)
+    worst = np.max(smoke_result.series["energy_balance_residual"])
     assert np.isfinite(worst)
     # commutator-sized defect: first-order in dt, far below the field scale
     assert worst < 1e-2
 
 
 def test_equilibrium_balances_are_roundoff(equilibrium_run):
-    assert max(r.mass_balance_residual for r in equilibrium_run.records) < 1e-11
-    assert max(r.energy_balance_residual for r in equilibrium_run.records) < 1e-10
+    assert np.max(equilibrium_run.series["mass_balance_residual"]) < 1e-11
+    assert np.max(equilibrium_run.series["energy_balance_residual"]) < 1e-10
 
 
 def test_equilibrium_l4_accumulator_left_rule(equilibrium_run):
     # integrand h * sum(rho^4) stays exactly 1, so the left rule gives k*dt
-    recs = equilibrium_run.records
-    assert recs[0].l4_accumulator == 0.0
-    assert recs[-1].l4_accumulator == pytest.approx(
-        (len(recs) - 1) * equilibrium_run.cfg.dt, abs=1e-12)
+    l4 = equilibrium_run.series["l4_accumulator"]
+    assert l4[0] == 0.0
+    assert l4[-1] == pytest.approx((len(l4) - 1) * equilibrium_run.cfg.dt, abs=1e-12)
 
 
 def test_energy_defect_integral_refines(unit_params, cubic_model):
@@ -86,8 +89,7 @@ def test_energy_defect_integral_refines(unit_params, cubic_model):
     fine = bump_run(128, 1e-3, 0.2, params=unit_params, model=cubic_model)
 
     def integrated(result):
-        return result.cfg.dt * sum(r.energy_balance_residual
-                                   for r in result.records[1:])
+        return result.cfg.dt * sum(result.series["energy_balance_residual"][1:])
 
     ratio = integrated(coarse) / integrated(fine)
     assert ratio >= 1.8
@@ -98,33 +100,33 @@ def test_envelope_passes_on_smoke(smoke_result):
     assert report.ok
     assert report.first_violation_t is None
     assert report.min_slack > 0
-    assert report.values.shape == report.bounds.shape
+    assert smoke_result.series["mass_energy"].shape == report.bounds.shape
     assert report.c_rate == pytest.approx(2.0)
 
 
 def test_envelope_flags_doctored_record(smoke_result):
-    captured = smoke_result.records[400]
-    smoke_result.records[400] = replace(captured, mass_energy=1e9)
+    column = smoke_result.series["mass_energy"]
+    captured = column[400]
+    column[400] = 1e9
     try:
         report = mass_energy_envelope_check(smoke_result)
         assert not report.ok
-        assert report.first_violation_t == pytest.approx(captured.t)
+        assert report.first_violation_t == pytest.approx(smoke_result.t[400])
         assert report.min_slack < 0
     finally:
-        smoke_result.records[400] = captured
+        column[400] = captured
 
 
 def test_entropy_monitor_smoke(smoke_result):
     report = entropy_monitor(smoke_result)
-    assert np.all(np.isfinite(report.series))
+    assert np.all(np.isfinite(smoke_result.series["entropy"]))
     assert report.dissipation > 0
-    assert report.max_entropy == pytest.approx(max(r.entropy for r in
-                                                   smoke_result.records))
+    assert report.max_entropy == pytest.approx(np.max(smoke_result.series["entropy"]))
 
 
 def test_entropy_monitor_equilibrium_is_silent(equilibrium_run):
     report = entropy_monitor(equilibrium_run)
-    np.testing.assert_allclose(report.series, 0.0, atol=1e-13)
+    np.testing.assert_allclose(equilibrium_run.series["entropy"], 0.0, atol=1e-13)
     assert report.dissipation <= 1e-20
 
 
@@ -150,11 +152,11 @@ def test_weak_residuals_vanish_at_equilibrium(unit_params, cubic_model):
 
 def test_theta_envelope_tracks_run(smoke_result):
     env = np.asarray(theta_envelope(smoke_result))
-    maxes = np.array([r.max_theta for r in smoke_result.records])
+    maxes = smoke_result.series["max_theta"]
     assert env.shape == maxes.shape
     assert certify_run(smoke_result).theta_envelope_ok
     assert np.all(maxes <= env + 1e-9)
-    rates = np.array([r.heating_rate for r in smoke_result.records])
+    rates = smoke_result.series["heating_rate"]
     assert rates[0] == 0.0 and np.all(rates[1:] > 0)
 
 
@@ -169,9 +171,10 @@ def test_certify_run_passes_smoke(smoke_result):
 
 
 def test_certify_run_reports_failures(smoke_result):
-    captured = smoke_result.records[10]
-    smoke_result.records[10] = replace(captured, mass_balance_residual=1.0,
-                                       min_rho=-1.0, max_theta=1e9)
+    doctored = {"mass_balance_residual": 1.0, "min_rho": -1.0, "max_theta": 1e9}
+    captured = {name: smoke_result.series[name][10] for name in doctored}
+    for name, value in doctored.items():
+        smoke_result.series[name][10] = value
     try:
         report = certify_run(smoke_result)
         assert not report.passed
@@ -182,4 +185,22 @@ def test_certify_run_reports_failures(smoke_result):
         assert not report.theta_envelope_ok
         assert report.summary()["theta_envelope_ok"] is False
     finally:
-        smoke_result.records[10] = captured
+        for name, value in captured.items():
+            smoke_result.series[name][10] = value
+
+
+@pytest.mark.parametrize("name,row", [
+    ("mass_balance_residual", 10), ("energy_balance_residual", 10),
+    ("mass_energy", 10), ("total_mass", 0), ("max_theta", 10),
+    ("heating_rate", 10), ("min_rho", 10), ("min_theta", 10),
+    ("entropy", 10), ("l4_accumulator", 10),
+])
+def test_certify_run_fails_on_nan_entry(smoke_result, name, row):
+    column = smoke_result.series[name]
+    captured = column[row]
+    column[row] = math.nan
+    try:
+        report = certify_run(smoke_result)
+        assert not report.passed, name
+    finally:
+        column[row] = captured

@@ -384,11 +384,14 @@ def test_run_is_deterministic(unit_params, cubic_model):
     first = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
     second = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
     assert first.rho.shape == first.theta.shape == (51, grid.n)
-    assert first.t.shape == (51,) and len(first.records) == 51
+    assert first.t.shape == (51,)
+    assert all(column.shape == (51,) for column in first.series.values())
     np.testing.assert_array_equal(first.rho, second.rho)
     np.testing.assert_array_equal(first.theta, second.theta)
     np.testing.assert_array_equal(first.t, second.t)
-    assert [r.t for r in first.records] == [r.t for r in second.records]
+    assert first.series.keys() == second.series.keys()
+    for name, column in first.series.items():
+        np.testing.assert_array_equal(column, second.series[name])
 
 
 def test_predicted_start_saves_sweeps(unit_params, cubic_model):
@@ -400,7 +403,7 @@ def test_predicted_start_saves_sweeps(unit_params, cubic_model):
         prev = State(result.rho[k - 1], result.theta[k - 1], result.t[k - 1])
         new, report, _ = homotopy_solve(prev, cfg, reg, unit_params,
                                         cubic_model, grid)
-        predicted += result.records[k].picard_iterations
+        predicted += result.series["picard_iterations"][k]
         plain += report.iterations
         for got, ref in ((result.rho[k], new.rho), (result.theta[k], new.theta)):
             gap = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
@@ -426,8 +429,8 @@ def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     monkeypatch.setattr(stepper, "picard_step", starved_prediction)
     result = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
     assert certify_run(result).passed
-    sweeps = [r.picard_iterations for r in result.records[1:]]
-    plain_sweeps = [r.picard_iterations for r in plain.records[1:]]
+    sweeps = result.series["picard_iterations"][1:].tolist()
+    plain_sweeps = plain.series["picard_iterations"][1:].tolist()
     # the first step has no prediction; every later one wasted its attempt
     assert sweeps == [plain_sweeps[0]] + [k + wasted for k in plain_sweeps[1:]]
     np.testing.assert_array_equal(result.rho, plain.rho)
@@ -464,7 +467,7 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
                  forcing=counting.forcing, initial_state=state0)
     steps = len(result.t) - 1
     assert steps == 10
-    assert sum(r.picard_iterations for r in result.records) > steps
+    assert result.series["picard_iterations"].sum() > steps
     assert counting.calls == dict.fromkeys(counting.calls, steps)
 
     # a ramped step, with a failed direct attempt and eight stages, evaluates once too
@@ -475,7 +478,7 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     counting = CountingForcing(zero)
     result = run(None, cfg, reg, params, cubic_model, grid, t_end=cfg.dt,
                  forcing=counting.forcing, initial_state=state)
-    assert result.records[1].picard_iterations > cfg.max_picard
+    assert result.series["picard_iterations"][1] > cfg.max_picard
     assert counting.calls == dict.fromkeys(counting.calls, 1)
 
 
@@ -495,7 +498,8 @@ def test_run_validates_horizon(unit_params, cubic_model):
             initial_state=state)           # t_end / dt overflows to inf
     still = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.0,
                 initial_state=state)
-    assert still.rho.shape == (1, grid.n) and len(still.records) == 1
+    assert still.rho.shape == (1, grid.n)
+    assert all(column.shape == (1,) for column in still.series.values())
     np.testing.assert_array_equal(still.rho[0], state.rho)
     np.testing.assert_array_equal(still.theta[0], state.theta)
     assert still.t.tolist() == [state.t]
