@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -87,22 +88,24 @@ def _cmd_run(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     series_path = os.path.join(args.out, "series.csv")
-    columns = [result.t.tolist()] + [result.series[name].tolist()
-                                     for name in SERIES_COLUMNS]
+    # Whole columns go through tolist() and map(repr, ...): Python floats
+    # and ints print as _fmt prints their numpy counterparts.
+    columns = [result.t] + [result.series[name] for name in SERIES_COLUMNS]
     _write_csv(series_path, ("t",) + SERIES_COLUMNS,
-               ([_fmt(value) for value in row] for row in zip(*columns)))
+               zip(*(map(repr, column.tolist()) for column in columns)))
 
     snap_path = os.path.join(args.out, "snapshots.csv")
     steps = len(result.t) - 1
+    x_text = list(map(repr, setup.grid.centers.tolist()))
     rows = []
     for k in _snapshot_indices(steps, setup.cadence, setup.step.dt):
         rho, theta = result.rho[k], result.theta[k]
         u_face = darcy_velocity(rho, theta, setup.grid, params=setup.params,
                                 s=setup.reg.s)
         u_cell = 0.5 * (u_face[:-1] + u_face[1:])
-        for i, x in enumerate(setup.grid.centers):
-            rows.append((_fmt(result.t[k]), _fmt(x), _fmt(rho[i]),
-                         _fmt(theta[i]), _fmt(u_cell[i])))
+        t_text = repr(result.t[k].item())
+        rows.extend(zip(repeat(t_text), x_text, map(repr, rho.tolist()),
+                        map(repr, theta.tolist()), map(repr, u_cell.tolist())))
     _write_csv(snap_path, ("t", "x", "rho", "theta", "u"), rows)
 
     report = {

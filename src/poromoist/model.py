@@ -109,7 +109,7 @@ class PowerLawSaturation(SaturationModel):
         self.q = float(q)
 
     def pressure(self, theta: np.ndarray) -> np.ndarray:
-        return self.c * np.clip(theta, 0.0, None) ** self.q
+        return self.c * np.maximum(theta, 0.0) ** self.q
 
 
 class ExponentialSaturation(SaturationModel):
@@ -148,7 +148,7 @@ def phase_change_rate(rho, theta, model: SaturationModel):
     """
     rho = np.asarray(rho, dtype=float)
     theta_arr = np.asarray(theta, dtype=float)
-    out = rho * np.sqrt(np.clip(theta_arr, 0.0, None)) - saturation_pressure(model, theta_arr)
+    out = rho * np.sqrt(np.maximum(theta_arr, 0.0)) - saturation_pressure(model, theta_arr)
     return float(out) if out.ndim == 0 else out
 
 

@@ -50,9 +50,11 @@ one (4, n) band (lower shifted by one cell, diag, upper, rhs), scans the
 band once for nonfinite entries (NonfiniteIterate, naming the system and
 row), then checks strict diagonal dominance (DominanceViolation), and
 hands the band to the solver as views, with no copy and no second scan.
-The in-place updates apply the same operations in the same order as the
-plain expressions they stand for, so every entry keeps its value bit for
-bit.
+solve_thomas copies the band into its own buffer and solves it with
+numpy's LAPACK, falling back to its Python loop with the same bits (see
+linalg).  The in-place updates apply the same operations in the same order
+as the plain expressions they stand for, so every entry keeps its value
+bit for bit.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
     vm, vp = _donor_split(0.5 * (vcell[:-1] + vcell[1:]), scheme)
     A = vm - dface_h
     B = vp + dface_h
-    chi_sqrt = cutoff(np.sqrt(np.clip(theta_iter, 0.0, None)), reg.eps)
+    chi_sqrt = cutoff(np.sqrt(np.maximum(theta_iter, 0.0)), reg.eps)
     ps_iter = saturation_pressure(model, theta_iter)
     chi_ps = cutoff(ps_iter, reg.eps)
     return FluxCoefficients(A, B, chi_sqrt, chi_ps, ps_iter)

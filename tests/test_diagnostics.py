@@ -202,5 +202,7 @@ def test_certify_run_fails_on_nan_entry(smoke_result, name, row):
     try:
         report = certify_run(smoke_result)
         assert not report.passed, name
+        assert f"{name} is not finite" in report.failures
+        assert not any("nan" in failure for failure in report.failures)
     finally:
         column[row] = captured

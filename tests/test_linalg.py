@@ -4,9 +4,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from poromoist import linalg
 from poromoist.errors import DimensionMismatch, SingularMatrix, ZeroPivot
 from poromoist.linalg import (PIVOT_FLOOR, TridiagonalSystem, dense_solve,
                               solve_thomas)
+
+# Is numpy's LAPACK reached?  Tests of the LAPACK path skip without it.
+needs_lapack = pytest.mark.skipif(linalg._GTTR is None,
+                                  reason="numpy exposes no ILP64 dgttrf/dgttrs")
+
+
+@pytest.fixture
+def loop_only(monkeypatch):
+    """Hide numpy's LAPACK, so that every solve takes the Python loop."""
+    monkeypatch.setattr(linalg, "_GTTR", None)
 
 
 def random_dominant_system(rng: np.random.Generator, n: int) -> TridiagonalSystem:
@@ -18,6 +29,16 @@ def random_dominant_system(rng: np.random.Generator, n: int) -> TridiagonalSyste
     diag += rng.uniform(0.5, 2.0, n)
     diag *= rng.choice([-1.0, 1.0], n)
     return TridiagonalSystem(lower, diag, upper, rng.uniform(-5.0, 5.0, n))
+
+
+def column_dominant_system(rng: np.random.Generator, n: int) -> TridiagonalSystem:
+    """Dominant by rows and by columns, so partial pivoting never swaps."""
+    system = random_dominant_system(rng, n)
+    column = np.zeros(n)
+    column[:-1] += np.abs(system.lower)
+    column[1:] += np.abs(system.upper)
+    diag = system.diag + np.sign(system.diag) * column
+    return TridiagonalSystem(system.lower, diag, system.upper, system.rhs)
 
 
 def reference_thomas(system: TridiagonalSystem) -> np.ndarray:
@@ -140,9 +161,9 @@ def test_bitwise_equal_to_reference_loop(n):
         assert np.array_equal(np.signbit(x), np.signbit(ref))
 
 
-def zero_pivot_system(rng, n, k, nudge):
+def zero_pivot_system(rng, n, k, nudge, make=random_dominant_system):
     """A random system whose elimination pivot at row k is nudge, up to rounding."""
-    system = random_dominant_system(rng, n)
+    system = make(rng, n)
     lower, diag, upper = system.lower, system.diag.copy(), system.upper
     piv = diag[0]
     for i in range(1, k + 1):
@@ -176,3 +197,120 @@ def test_from_band_views_the_rows():
     assert system.n == 3
     assert all(np.shares_memory(band, row) for row in
                (system.lower, system.diag, system.upper, system.rhs))
+
+
+@pytest.mark.parametrize("n,nudge", [(2, 0.0), (7, -1e-16), (40, 0.0), (40, 1e-16)])
+def test_last_pivot_without_swaps_matches_reference_loop(n, nudge):
+    # No row swaps before the last row, so only the pivot checks keep the
+    # LAPACK result out.
+    system = zero_pivot_system(np.random.default_rng(n), n, n - 1, nudge,
+                               make=column_dominant_system)
+    with pytest.raises(ZeroPivot) as expected:
+        reference_thomas(system)
+    with pytest.raises(ZeroPivot) as got:
+        solve_thomas(system)
+    assert got.value.index == expected.value.index == n - 1
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_zero_diagonal_fails_as_reference_loop(n):
+    # The pivot floor is 0 here, so the loop divides by zero.
+    system = TridiagonalSystem(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1),
+                               np.ones(n))
+    with pytest.raises(ZeroDivisionError):
+        reference_thomas(system)
+    with pytest.raises(ZeroDivisionError):
+        solve_thomas(system)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000])
+def test_bitwise_equal_to_reference_loop_without_lapack(n, loop_only):
+    test_bitwise_equal_to_reference_loop(n)
+
+
+@pytest.mark.parametrize("n,k,nudge", [(5, 1, 0.0), (40, 17, 0.0), (40, 39, 0.0),
+                                       (40, 17, 1e-16), (40, 23, -1e-16)])
+def test_zero_pivot_matches_reference_loop_without_lapack(n, k, nudge, loop_only):
+    test_zero_pivot_matches_reference_loop(n, k, nudge)
+
+
+@needs_lapack
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000])
+def test_lapack_path_bitwise_equal_to_reference_loop(n, monkeypatch):
+    # With the loop unreachable, every solve below is LAPACK's own.
+    def no_loop(system, floor):
+        raise AssertionError("the loop ran")
+    monkeypatch.setattr(linalg, "_thomas_loop", no_loop)
+    rng = np.random.default_rng(3000 + n)
+    for _ in range(10):
+        system = column_dominant_system(rng, n)
+        x = solve_thomas(system)
+        ref = reference_thomas(system)
+        assert x.dtype == ref.dtype and np.array_equal(x, ref)
+        assert np.array_equal(np.signbit(x), np.signbit(ref))
+
+
+def test_row_swap_falls_back_to_loop():
+    # Strictly dominant by rows, but |lower[i]| > |pivot i|: dgttrf swaps.
+    system = TridiagonalSystem(np.full(5, 10.0), np.array([1.0] + [20.0] * 5),
+                               np.array([0.5] + [1.0] * 4), np.arange(1.0, 7.0))
+    if linalg._GTTR is not None:
+        assert linalg._solve_gttr(system, 0.0) is None
+    x = solve_thomas(system)
+    ref = reference_thomas(system)
+    assert np.array_equal(x, ref)
+    assert np.array_equal(np.signbit(x), np.signbit(ref))
+
+
+def assert_same_bits(x, ref):
+    assert np.array_equal(x.view(np.int64), np.asarray(ref, dtype=float).view(np.int64))
+
+
+def test_signed_zero_matches_loop():
+    # Back substitution reaches -0.0 - 0*x[1]; dgtts2 would also subtract
+    # DU2[0]*x[2] = 0*(-1.0) = -0.0 and turn x[0] into +0.0.
+    system = TridiagonalSystem(np.zeros(2), np.ones(3), np.array([0.0, 0.5]),
+                               np.array([-0.0, 1.0, -1.0]))
+    assert_same_bits(solve_thomas(system), reference_thomas(system))
+    assert_same_bits(solve_thomas(system), [-0.0, 1.5, -1.0])
+
+
+def test_overflow_matches_loop():
+    # x[3] overflows to inf; where the loop carries infinities, the
+    # DU2*x term of dgtts2 would make 0*inf = NaN.
+    system = TridiagonalSystem(np.zeros(3), np.array([1.0, 1.0, 1.0, 1e-10]),
+                               np.ones(3), np.array([1.0, 1.0, 1.0, 1e308]))
+    x = solve_thomas(system)
+    assert_same_bits(x, reference_thomas(system))
+    assert_same_bits(x, [-np.inf, np.inf, -np.inf, np.inf])
+
+
+@pytest.mark.parametrize("hide_lapack", [False, True])
+def test_solve_leaves_system_unchanged(hide_lapack, monkeypatch):
+    if hide_lapack:
+        monkeypatch.setattr(linalg, "_GTTR", None)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 50):
+        public = column_dominant_system(rng, n)
+        band = np.zeros((4, n))
+        band[0, 1:], band[1] = public.lower, public.diag
+        band[2, :-1], band[3] = public.upper, public.rhs
+        for system in (public, TridiagonalSystem.from_band(band)):
+            fields = (system.lower, system.diag, system.upper, system.rhs)
+            before = [field.tobytes() for field in fields]
+            band_before = band.tobytes()
+            solve_thomas(system)
+            assert [field.tobytes() for field in fields] == before
+            assert band.tobytes() == band_before
+
+
+def test_numpy_openblas_routines_resolve():
+    # A silent fallback to the loop would only show as a slower benchmark.
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy reports no build configuration")
+    if "scipy-openblas" not in str(lapack.get("name", "")):
+        pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}")
+    assert linalg._GTTR is not None

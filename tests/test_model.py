@@ -66,6 +66,20 @@ def test_phase_change_rate(cubic_model):
                           cubic_model), [0.0, 1.0])
 
 
+def test_clamps_match_clip_bit_for_bit(cubic_model):
+    # np.maximum(theta, 0.0) maps -0.0 to +0.0 as np.clip does;
+    # np.maximum(0.0, theta) would keep -0.0 and flip the sign of a zero rate.
+    theta = np.array([-0.0, 0.0, -1e-300, -2.0, 5e-324, 0.5, 2.0, np.nan])
+    rho = np.full(theta.shape, 0.7)
+    clipped = np.clip(theta, 0.0, None)
+    pressure = np.where(theta > 0, cubic_model.c * clipped**cubic_model.q, 0.0)
+    rate = rho * np.sqrt(clipped) - pressure
+    got_pressure = saturation_pressure(cubic_model, theta)
+    got_rate = phase_change_rate(rho, theta, cubic_model)
+    np.testing.assert_array_equal(got_pressure.view(np.int64), pressure.view(np.int64))
+    np.testing.assert_array_equal(got_rate.view(np.int64), rate.view(np.int64))
+
+
 def test_conductivity():
     params = make_params(kappa1=1.0, kappa2=3.0)
     assert conductivity(2.0, params) == pytest.approx(13.0)
