@@ -324,7 +324,7 @@ def _cross_field(data: dict) -> list[tuple[str, str]]:
 
     dt = stepping["dt"]
     if not step_count(phys["t_end"], dt):
-        bad.append(("stepping.dt",
+        bad.append(("physical.t_end",
                     f"t_end={phys['t_end']} is not a positive integer number of steps of dt={dt}"))
     if "output" in data and not step_count(data["output"]["cadence"], dt):
         bad.append(("output.cadence",

@@ -18,9 +18,13 @@ independent computation:
 * weak residuals of the unregularized integral identities against a
   basis of space-time test functions.
 
-All checks read the trajectory and its per-step series (columns with one
-entry per time level, written from what the stepper froze); none of them
-re-runs the solver.
+All checks read the trajectory and its series (one column per quantity,
+one entry per time level); none of them re-runs the solver.  The columns
+that need what a step's last sweep froze (the balance residuals, the sweep
+count and the heating rate) are written per step by step_record; the
+functionals of the trajectory alone (mass, energy, entropy, the field
+extrema and the fourth-power accumulator) are computed per run by
+run_series.
 """
 
 from __future__ import annotations
@@ -34,12 +38,13 @@ from .discretization import Grid, boundary_traces, robin_fluxes
 from .model import PhysicalParams, phase_change_rate, saturation_pressure
 
 if TYPE_CHECKING:
-    from .stepper import PicardReport, RunResult, State, StepRecord
+    from .stepper import PicardReport, RunResult, StepRecord
 
 __all__ = [
     "SERIES_COLUMNS",
     "start_series",
     "step_record",
+    "run_series",
     "mass_balance_residual",
     "energy_balance_residual",
     "EnvelopeReport",
@@ -65,34 +70,23 @@ SERIES_COLUMNS = (
     "l4_accumulator", "picard_iterations",
 )
 
+# Written per step by step_record; run_series computes the rest per run.
+_STEP_COLUMNS = ("mass_balance_residual", "energy_balance_residual",
+                 "picard_iterations", "heating_rate")
+_TRAJECTORY_COLUMNS = ("total_mass", "mass_energy", "entropy", "min_rho",
+                       "min_theta", "max_theta", "l4_accumulator")
 
-def _entropy_value(rho: np.ndarray, h: float) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(rho > 0, rho * np.log(np.where(rho > 0, rho, 1.0)), 0.0)
-    return float(h * terms.sum())
-
-
-def _level_functionals(series: dict, k: int, rho: np.ndarray, theta: np.ndarray,
-                       h: float, params: PhysicalParams) -> None:
-    """Write row k of the columns that read one time level alone."""
-    series["total_mass"][k] = h * rho.sum()
-    series["mass_energy"][k] = h * (params.lam * rho + rho * theta
-                                    + params.sigma * theta).sum()
-    series["entropy"][k] = _entropy_value(rho, h)
-    series["min_rho"][k] = rho.min()
-    series["min_theta"][k] = theta.min()
-    series["max_theta"][k] = theta.max()
+# Cells per block of run_series: 128 kB per temporary array.
+_BLOCK_CELLS = 16384
 
 
-def start_series(steps: int, start: State, grid: Grid, params: PhysicalParams) -> dict:
-    """Zeroed per-step columns for steps + 1 time levels, keyed by name.
+def start_series(steps: int) -> dict:
+    """Zeroed step columns for steps + 1 time levels, keyed by name.
 
-    Row 0 gets the start state's functionals; its residuals, accumulator,
-    sweep count and heating rate stay zero.  step_record writes the rest.
+    step_record fills rows 1..steps; row 0, the start state, stays zero.
     """
-    series = {name: np.zeros(steps + 1) for name in SERIES_COLUMNS + ("heating_rate",)}
+    series = {name: np.zeros(steps + 1) for name in _STEP_COLUMNS}
     series["picard_iterations"] = np.zeros(steps + 1, dtype=int)
-    _level_functionals(series, 0, start.rho, start.theta, grid.h, params)
     return series
 
 
@@ -148,21 +142,47 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
 
 def step_record(series: dict, k: int, srec: StepRecord, report: PicardReport,
                 grid: Grid, params: PhysicalParams) -> None:
-    """Write row k of the series from step k, which ended at time level k.
-
-    The fourth-power accumulator adds the left-rule term of the step to
-    row k - 1.
-    """
+    """Write row k of the step columns from step k, which ended at time level k."""
     rho = srec.rho
-    h = grid.h
-    _level_functionals(series, k, rho, srec.theta, h, params)
     series["mass_balance_residual"][k] = mass_balance_residual(srec, grid)
     series["energy_balance_residual"][k] = energy_balance_residual(srec, grid, params)
-    l4 = series["l4_accumulator"]
-    l4[k] = l4[k - 1] + srec.dt * float(h * (srec.prev.rho**4).sum())
     series["picard_iterations"][k] = report.iterations
     series["heating_rate"][k] = (srec.s * rho * srec.coeffs.chi_sqrt
                                  / (rho + params.sigma)).max()
+
+
+def run_series(step_columns: dict, rho: np.ndarray, theta: np.ndarray, dt: float,
+               grid: Grid, params: PhysicalParams) -> dict:
+    """The run's series: the step columns plus the trajectory functionals.
+
+    rho and theta hold one time level per row.  Each functional reduces a
+    row along its cells, which adds in the order a reduction of that row
+    alone would, and the fourth-power accumulator sums its left-rule terms
+    dt h sum(rho^4) in sequence, so every entry has the bits of the
+    row-at-a-time recurrence.  The rows are taken in blocks of about
+    _BLOCK_CELLS cells, which bounds the temporaries on long runs.
+    """
+    h, lam, sigma = grid.h, params.lam, params.sigma
+    levels = len(rho)
+    columns = {name: np.empty(levels) for name in _TRAJECTORY_COLUMNS}
+    fourth = np.empty(levels)
+    rows = max(1, _BLOCK_CELLS // grid.n)
+    for lo in range(0, levels, rows):
+        block = slice(lo, lo + rows)
+        r, th = rho[block], theta[block]
+        columns["total_mass"][block] = h * r.sum(axis=1)
+        columns["mass_energy"][block] = h * (lam * r + r * th + sigma * th).sum(axis=1)
+        terms = np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)
+        columns["entropy"][block] = h * terms.sum(axis=1)
+        columns["min_rho"][block] = r.min(axis=1)
+        columns["min_theta"][block] = th.min(axis=1)
+        columns["max_theta"][block] = th.max(axis=1)
+        fourth[block] = h * (r**4).sum(axis=1)
+    l4 = columns["l4_accumulator"]
+    l4[0] = 0.0
+    np.cumsum(dt * fourth[:-1], out=l4[1:])
+    columns.update(step_columns)
+    return {name: columns[name] for name in SERIES_COLUMNS + ("heating_rate",)}
 
 
 @dataclass(frozen=True)

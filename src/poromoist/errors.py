@@ -49,10 +49,6 @@ class ZeroPivot(PoromoistError):
         self.pivot = pivot
 
 
-class SingularMatrix(PoromoistError):
-    """Dense solve failed: matrix numerically singular."""
-
-
 class StepFailure(PoromoistError):
     """A failed attempt at one implicit step.
 

@@ -1,11 +1,10 @@
-"""Tridiagonal and dense linear solvers for the implicit time steps.
+"""Tridiagonal linear solver for the implicit time steps.
 
 Each backward-Euler sweep reduces to one tridiagonal system per unknown
-field.  ``solve_thomas`` is the production path: a single forward
-elimination / back substitution pass without pivoting, valid because every
-assembled system is strictly diagonally dominant (asserted at assembly
-time).  ``dense_solve`` is the independent reference route used by the
-tests to cross-check the sweep.
+field.  ``solve_thomas`` solves it in a single forward elimination / back
+substitution pass without pivoting, valid because every assembled system
+is strictly diagonally dominant (asserted at assembly time).  The tests
+cross-check it against a dense solve, in ``tests/oracles.py``.
 
 ``solve_thomas`` factors with LAPACK ``dgttrf`` and solves with ``dgttrs``
 from numpy's own LAPACK (the OpenBLAS of numpy's wheel), reached through
@@ -18,13 +17,15 @@ swap, dgttrf and dgttrs do the Thomas loop's operations in the same order,
 so the result is the loop's to the bit.
 
 The Python loop stays, as the fallback and as the only code that raises
-``ZeroPivot``.  A solve goes to the loop whenever LAPACK's answer could
-differ from it: dgttrf swapped a row (partial pivoting swaps wherever a
-subdiagonal entry outweighs its pivot, which row dominance allows), a
-pivot fell below the floor, the solution holds a NaN or a zero (where the
-extra ``0 * x`` term of LAPACK's back substitution can turn inf into NaN or
-flip the sign of a zero), or numpy's build does not export the ILP64 names
-(Accelerate, MKL, Windows).  On the shipped configs no solve fell back.
+``ZeroPivot`` for a pivot below the floor; an all-zero diagonal, whose
+floor is 0, is refused before either path.  A solve goes to the loop
+whenever LAPACK's answer could differ from it: dgttrf swapped a row
+(partial pivoting swaps wherever a subdiagonal entry outweighs its pivot,
+which row dominance allows), a pivot fell below the floor, the solution
+holds a NaN or a zero (where the extra ``0 * x`` term of LAPACK's back
+substitution can turn inf into NaN or flip the sign of a zero), or numpy's
+build does not export the ILP64 names (Accelerate, MKL, Windows).  On the
+shipped configs no solve fell back.
 
 Per solve, on random systems dominant by rows and columns (no swaps;
 minimum of 7 x 1000 calls in each of 10 rounds alternating the two paths,
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix, ZeroPivot
+from .errors import DimensionMismatch, ZeroPivot
 
-__all__ = ["TridiagonalSystem", "solve_thomas", "dense_solve"]
+__all__ = ["TridiagonalSystem", "solve_thomas"]
 
 # Pivots smaller than this fraction of the largest diagonal entry are
 # treated as breakdown rather than divided through.
@@ -106,24 +107,6 @@ class TridiagonalSystem:
     def n(self) -> int:
         return self.diag.shape[0]
 
-    def dense(self) -> np.ndarray:
-        """Materialize A as a dense matrix (tests and oracles only)."""
-        a = np.diag(self.diag)
-        n = self.n
-        if n > 1:
-            a[np.arange(1, n), np.arange(n - 1)] = self.lower
-            a[np.arange(n - 1), np.arange(1, n)] = self.upper
-        return a
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """A x - rhs without forming the dense matrix."""
-        x = np.asarray(x, dtype=float)
-        r = self.diag * x - self.rhs
-        if self.n > 1:
-            r[1:] += self.lower * x[:-1]
-            r[:-1] += self.upper * x[1:]
-        return r
-
 
 def _resolve_gttr():
     """numpy's own LAPACK dgttrf and dgttrs as ctypes functions, or None.
@@ -163,11 +146,16 @@ def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     """Thomas sweep: forward elimination then back substitution, no pivoting.
 
     Raises ZeroPivot(index) when an eliminated pivot falls below
-    PIVOT_FLOOR * max|diag|.  Intended for the strictly diagonally dominant
-    systems produced by the assemblers, where breakdown cannot occur.
-    The result is the loop's to the bit, whichever path computes it.
+    PIVOT_FLOOR * max|diag|, and ZeroPivot(0, 0.0) when the diagonal is
+    all zeros, where that floor is 0 and no pivot could fall below it.
+    Intended for the strictly diagonally dominant systems produced by the
+    assemblers, where breakdown cannot occur.  The result is the loop's to
+    the bit, whichever path computes it.
     """
-    floor = PIVOT_FLOOR * float(np.abs(system.diag).max())
+    scale = float(np.abs(system.diag).max())
+    if scale == 0.0:
+        raise ZeroPivot(0, 0.0)
+    floor = PIVOT_FLOOR * scale
     if _GTTR is not None:
         x = _solve_gttr(system, floor)
         if x is not None:
@@ -243,20 +231,3 @@ def _thomas_loop(system: TridiagonalSystem, floor: float) -> np.ndarray:
         xi = (b[i] - c[i] * xi) / d[i]
         b[i] = xi
     return np.array(b, dtype=float)
-
-
-def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting (LAPACK gesv); test oracle."""
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {matrix.shape}")
-    if rhs.shape != (matrix.shape[0],):
-        raise DimensionMismatch("rhs length does not match matrix")
-    try:
-        x = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrix("solution contains nonfinite values")
-    return x

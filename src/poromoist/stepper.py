@@ -30,9 +30,10 @@ adds the attempt's sweeps to the step's count and moves on to the next
 attempt, and the step fails only with the final ramp stage's error.
 Every accepted iterate is a plain sweep output of the assembled rows,
 whatever it started from, and the step's StepRecord holds what its last
-sweep froze; diagnostics.step_record turns it into the step's row of the
-run's per-step series.  Forcing terms are evaluated once per step, at the new
-time, and shared by every sweep.
+sweep froze; diagnostics.step_record writes the step's row of the columns
+that need it, and after the march diagnostics.run_series adds the
+functionals of the trajectory alone, once per run.  Forcing terms are
+evaluated once per step, at the new time, and shared by every sweep.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -65,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import start_series, step_record
+from .diagnostics import run_series, start_series, step_record
 from .discretization import Grid, boundary_traces, cutoff, mollify, robin_fluxes
 from .errors import (
     ConfigError,
@@ -677,12 +678,13 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     theta = np.empty((steps + 1, grid.n))
     t = np.empty(steps + 1)
     rho[0], theta[0], t[0] = state.rho, state.theta, state.t
-    series = start_series(steps, state, grid, params)
+    step_columns = start_series(steps)
     for k in range(1, steps + 1):
         values = None if forcing is None else forcing.at(grid.centers, state.t + cfg.dt)
         state, report, srec = homotopy_solve(state, cfg, reg, params, model, grid,
                                              values, _predicted_start(rho[:k], theta[:k]))
-        step_record(series, k, srec, report, grid, params)
+        step_record(step_columns, k, srec, report, grid, params)
         rho[k], theta[k], t[k] = state.rho, state.theta, state.t
 
+    series = run_series(step_columns, rho, theta, cfg.dt, grid, params)
     return RunResult(rho, theta, t, series, params, reg, cfg, grid, model, t_end)

@@ -19,11 +19,12 @@ from poromoist.diagnostics import (certify_run, mass_energy_envelope_check,
                                    weak_residual)
 from poromoist.harness import (make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
-from poromoist.linalg import dense_solve, solve_thomas
+from poromoist.linalg import solve_thomas
 from poromoist.model import PowerLawSaturation, saturation_pressure
 from poromoist.stepper import (RegularizationParams, State, StepConfig, run)
 from poromoist.discretization import Grid
 from tests.conftest import REPO_ROOT, make_params
+from tests.oracles import dense, dense_solve
 from tests.test_linalg import random_dominant_system
 
 SMOKE_PATH = REPO_ROOT / "configs" / "smoke.json"
@@ -76,7 +77,7 @@ def test_thomas_sweep_agrees_with_dense_elimination():
         n = int(rng.integers(2, 65))
         system = random_dominant_system(rng, n)
         gap = np.max(np.abs(solve_thomas(system)
-                            - dense_solve(system.dense(), system.rhs)))
+                            - dense_solve(dense(system), system.rhs)))
         assert gap <= 1e-12
     assert time.monotonic() - start < 1.0
 

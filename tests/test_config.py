@@ -75,7 +75,7 @@ def test_schema_violations_all_reported(smoke_config):
     ("regularization.nu", 0.02, "0 < nu < eps"),
     ("regularization.eps", 0.0, "regularization"),
     ("physical.rho_bar0", 0.005, "regularization.eps"),
-    ("stepping.dt", 0.0003, "stepping.dt"),
+    ("stepping.dt", 0.0003, "physical.t_end"),    # not a whole number of steps
     ("output.cadence", 0.00037, "output.cadence"),
     ("saturation.q", 1.5, "saturation.q"),
     ("initial.rho", {"profile": "bump", "base": 0.1, "amplitude": -1.0,
@@ -83,8 +83,8 @@ def test_schema_violations_all_reported(smoke_config):
     ("initial.theta", {"profile": "constant", "value": 0.4}, "initial.theta"),
     ("initial.rho", {"profile": "inline", "values": [1.0, 1.0, 1.0, 1.0]},
      "initial.rho.values"),
-    ("physical.t_end", 1e308, "stepping.dt"),     # t_end / dt overflows to inf
-    ("physical.t_end", 1e-12, "stepping.dt"),     # rounds to zero steps
+    ("physical.t_end", 1e308, "physical.t_end"),  # t_end / dt overflows to inf
+    ("physical.t_end", 1e-12, "physical.t_end"),  # rounds to zero steps
     ("output.cadence", 1e-12, "output.cadence"),  # rounds to zero steps
     ("output.cadence", 1e-300, "output.cadence"),
     ("ladder.t_end", 1e308, "ladder.t_end"),      # t_end / dt overflows to inf

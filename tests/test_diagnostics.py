@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from poromoist.config import build_setup
 from poromoist.diagnostics import (certify_run, default_test_functions,
                                    entropy_monitor, mass_energy_envelope_check,
                                    theta_envelope, weak_residual)
@@ -58,6 +60,43 @@ def test_entropy_value_handles_zero_density(unit_params, cubic_model):
     state = State(np.array([0.0, 1.0, 0.0, 1.0]), np.ones(4), 0.0)
     rec, _ = start_row(state, unit_params, cubic_model)
     assert rec["entropy"] == 0.0
+
+
+def row_at_a_time(result):
+    """The seven trajectory columns, one time level at a time.
+
+    The fourth-power accumulator is the left-rule recurrence
+    l4[k] = l4[k-1] + dt h sum(rho[k-1]^4).
+    """
+    h, p, dt = result.grid.h, result.params, result.cfg.dt
+    columns = {name: [] for name in ("total_mass", "mass_energy", "entropy", "min_rho",
+                                     "min_theta", "max_theta")}
+    for rho, theta in zip(result.rho, result.theta):
+        columns["total_mass"].append(h * rho.sum())
+        columns["mass_energy"].append(h * (p.lam * rho + rho * theta + p.sigma * theta).sum())
+        terms = np.where(rho > 0, rho * np.log(np.where(rho > 0, rho, 1.0)), 0.0)
+        columns["entropy"].append(float(h * terms.sum()))
+        columns["min_rho"].append(rho.min())
+        columns["min_theta"].append(theta.min())
+        columns["max_theta"].append(theta.max())
+    l4 = columns["l4_accumulator"] = [0.0]
+    for rho in result.rho[:-1]:
+        l4.append(l4[-1] + dt * float(h * (rho**4).sum()))
+    return {name: np.array(values) for name, values in columns.items()}
+
+
+@pytest.fixture(scope="module")
+def central_result(smoke_config):
+    setup = build_setup(smoke_config)
+    return run(setup.initial, replace(setup.step, advection="central"), setup.reg,
+               setup.params, setup.model, setup.grid, t_end=0.2)
+
+
+@pytest.mark.parametrize("which", ["smoke_result", "central_result"])
+def test_trajectory_columns_match_row_at_a_time(which, request):
+    result = request.getfixturevalue(which)
+    for name, expected in row_at_a_time(result).items():
+        assert np.array_equal(result.series[name], expected), name
 
 
 def test_smoke_mass_balance_is_roundoff(smoke_result):

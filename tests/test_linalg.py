@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from poromoist import linalg
-from poromoist.errors import DimensionMismatch, SingularMatrix, ZeroPivot
-from poromoist.linalg import (PIVOT_FLOOR, TridiagonalSystem, dense_solve,
-                              solve_thomas)
+from poromoist.errors import DimensionMismatch, ZeroPivot
+from poromoist.linalg import PIVOT_FLOOR, TridiagonalSystem, solve_thomas
+from tests.oracles import SingularMatrix, dense, dense_solve, residual
 
 # Is numpy's LAPACK reached?  Tests of the LAPACK path skip without it.
 needs_lapack = pytest.mark.skipif(linalg._GTTR is None,
@@ -90,7 +90,7 @@ def test_matches_dense_elimination(n):
     for _ in range(20):
         system = random_dominant_system(rng, n)
         x = solve_thomas(system)
-        y = dense_solve(system.dense(), system.rhs)
+        y = dense_solve(dense(system), system.rhs)
         assert np.max(np.abs(x - y)) < 1e-12
 
 
@@ -99,13 +99,13 @@ def test_residual_small(n):
     rng = np.random.default_rng(n)
     system = random_dominant_system(rng, n)
     x = solve_thomas(system)
-    assert np.max(np.abs(system.residual(x))) < 1e-12
+    assert np.max(np.abs(residual(system, x))) < 1e-12
 
 
 def test_dense_matches_structure():
     system = TridiagonalSystem(np.array([7.0]), np.array([1.0, 2.0]),
                                np.array([3.0]), np.array([0.0, 0.0]))
-    np.testing.assert_array_equal(system.dense(),
+    np.testing.assert_array_equal(dense(system),
                                   [[1.0, 3.0], [7.0, 2.0]])
 
 
@@ -215,13 +215,20 @@ def test_last_pivot_without_swaps_matches_reference_loop(n, nudge):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_zero_diagonal_fails_as_reference_loop(n):
-    # The pivot floor is 0 here, so the loop divides by zero.
+    # The pivot floor is 0 here, so the reference loop divides by zero;
+    # solve_thomas refuses the system as a zero pivot in row 0 instead.
     system = TridiagonalSystem(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1),
                                np.ones(n))
     with pytest.raises(ZeroDivisionError):
         reference_thomas(system)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroPivot) as got:
         solve_thomas(system)
+    assert got.value.index == 0 and got.value.pivot == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_zero_diagonal_fails_without_lapack(n, loop_only):
+    test_zero_diagonal_fails_as_reference_loop(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000])

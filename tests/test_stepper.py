@@ -14,7 +14,7 @@ from poromoist.harness import make_default_mms_case
 from poromoist.errors import (ConfigError, DimensionMismatch,
                               DominanceViolation, NonfiniteIterate,
                               PicardDivergence)
-from poromoist.linalg import dense_solve, solve_thomas
+from poromoist.linalg import solve_thomas
 from poromoist.model import (InitialData, PowerLawSaturation, conductivity,
                              saturation_pressure)
 from poromoist.stepper import (Forcing, RegularizationParams, State,
@@ -23,6 +23,7 @@ from poromoist.stepper import (Forcing, RegularizationParams, State,
                                compute_flux_coefficients, homotopy_solve,
                                mollified_initial_data, picard_step, run)
 from tests.conftest import equilibrium_state, make_params
+from tests.oracles import dense, dense_solve
 from tests.test_discretization import mirror_smooth
 
 
@@ -170,19 +171,19 @@ def test_assembled_rows_match_reference(crooked_case, scheme, s):
     system, coeffs = assemble_rho_system(
         prev, rho_it, theta_it, s, reg, params, model, grid, dt,
         scheme=scheme, forcing=values)
-    np.testing.assert_allclose(system.dense(), M, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense(system), M, rtol=0, atol=1e-12)
     np.testing.assert_allclose(system.rhs, b, rtol=0, atol=1e-12)
 
     rho_new = solve_thomas(system)
     np.testing.assert_allclose(rho_new, rho_ref, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(rho_new, dense_solve(system.dense(), system.rhs),
+    np.testing.assert_allclose(rho_new, dense_solve(dense(system), system.rhs),
                                rtol=0, atol=1e-12)
 
     theta_sys, mass_flux = assemble_theta_system(
         prev, rho_new, theta_it, s, reg, params, model, grid, dt, coeffs,
         scheme=scheme, forcing=values)
     np.testing.assert_allclose(mass_flux, F_ref, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(theta_sys.dense(), T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense(theta_sys), T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(theta_sys.rhs, c, rtol=0, atol=1e-12)
 
 
