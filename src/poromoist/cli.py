@@ -80,21 +80,17 @@ def _snapshot_indices(steps: int, cadence: float, dt: float) -> list[int]:
     return sorted(picked)
 
 
-def _cmd_run(args) -> int:
-    setup = build_setup(_load_with_flags(args))
-    result = run(setup.initial, setup.step, setup.reg, setup.params,
-                 setup.model, setup.grid)
-    cert = certify_run(result)
-
-    os.makedirs(args.out, exist_ok=True)
-    series_path = os.path.join(args.out, "series.csv")
-    # Whole columns go through tolist() and map(repr, ...): Python floats
-    # and ints print as _fmt prints their numpy counterparts.
+# Whole columns go through tolist() and map(repr, ...) in both writers:
+# Python floats and ints print as _fmt prints their numpy counterparts.
+def _write_series(path: str, result) -> None:
+    """series.csv: t and the SERIES_COLUMNS, one row per time level."""
     columns = [result.t] + [result.series[name] for name in SERIES_COLUMNS]
-    _write_csv(series_path, ("t",) + SERIES_COLUMNS,
+    _write_csv(path, ("t",) + SERIES_COLUMNS,
                zip(*(map(repr, column.tolist()) for column in columns)))
 
-    snap_path = os.path.join(args.out, "snapshots.csv")
+
+def _write_snapshots(path: str, result, setup) -> None:
+    """snapshots.csv: cell values and Darcy velocity at every snapshot time."""
     steps = len(result.t) - 1
     x_text = list(map(repr, setup.grid.centers.tolist()))
     rows = []
@@ -106,8 +102,20 @@ def _cmd_run(args) -> int:
         t_text = repr(result.t[k].item())
         rows.extend(zip(repeat(t_text), x_text, map(repr, rho.tolist()),
                         map(repr, theta.tolist()), map(repr, u_cell.tolist())))
-    _write_csv(snap_path, ("t", "x", "rho", "theta", "u"), rows)
+    _write_csv(path, ("t", "x", "rho", "theta", "u"), rows)
 
+
+def _cmd_run(args) -> int:
+    setup = build_setup(_load_with_flags(args))
+    result = run(setup.initial, setup.step, setup.reg, setup.params,
+                 setup.model, setup.grid)
+    cert = certify_run(result)
+
+    os.makedirs(args.out, exist_ok=True)
+    _write_series(os.path.join(args.out, "series.csv"), result)
+    _write_snapshots(os.path.join(args.out, "snapshots.csv"), result, setup)
+
+    steps = len(result.t) - 1
     report = {
         "command": "run",
         "n": setup.grid.n,

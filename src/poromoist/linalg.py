@@ -17,8 +17,9 @@ swap, dgttrf and dgttrs do the Thomas loop's operations in the same order,
 so the result is the loop's to the bit.
 
 The Python loop stays, as the fallback and as the only code that raises
-``ZeroPivot`` for a pivot below the floor; an all-zero diagonal, whose
-floor is 0, is refused before either path.  A solve goes to the loop
+``ZeroPivot`` for a pivot below the floor.  The floor is never below the
+smallest subnormal, so an exact zero pivot is refused even where
+``PIVOT_FLOOR * max|diag|`` underflows to 0.  A solve goes to the loop
 whenever LAPACK's answer could differ from it: dgttrf swapped a row
 (partial pivoting swaps wherever a subdiagonal entry outweighs its pivot,
 which row dominance allows), a pivot fell below the floor, the solution
@@ -42,6 +43,7 @@ price for each elimination step and its back substitution.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,16 +148,15 @@ def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     """Thomas sweep: forward elimination then back substitution, no pivoting.
 
     Raises ZeroPivot(index) when an eliminated pivot falls below
-    PIVOT_FLOOR * max|diag|, and ZeroPivot(0, 0.0) when the diagonal is
-    all zeros, where that floor is 0 and no pivot could fall below it.
+    PIVOT_FLOOR * max|diag|, or is exactly zero where that floor underflows
+    to 0 (a diagonal of zeros or subnormals).
     Intended for the strictly diagonally dominant systems produced by the
     assemblers, where breakdown cannot occur.  The result is the loop's to
     the bit, whichever path computes it.
     """
-    scale = float(np.abs(system.diag).max())
-    if scale == 0.0:
-        raise ZeroPivot(0, 0.0)
-    floor = PIVOT_FLOOR * scale
+    # At least the smallest subnormal, so that an exact zero pivot fails
+    # even where PIVOT_FLOOR * max|diag| underflows to 0.
+    floor = max(PIVOT_FLOOR * float(np.abs(system.diag).max()), math.ulp(0.0))
     if _GTTR is not None:
         x = _solve_gttr(system, floor)
         if x is not None:

@@ -231,6 +231,20 @@ def test_zero_diagonal_fails_without_lapack(n, loop_only):
     test_zero_diagonal_fails_as_reference_loop(n)
 
 
+def test_subnormal_diagonal_zero_pivot():
+    # PIVOT_FLOOR * 1e-320 underflows to 0, so only the test for an exact
+    # zero pivot keeps the solve from dividing by row 0's zero.
+    system = TridiagonalSystem(np.zeros(1), np.array([0.0, 1e-320]), np.zeros(1),
+                               np.ones(2))
+    with pytest.raises(ZeroPivot) as got:
+        solve_thomas(system)
+    assert got.value.index == 0 and got.value.pivot == 0.0
+
+
+def test_subnormal_diagonal_zero_pivot_without_lapack(loop_only):
+    test_subnormal_diagonal_zero_pivot()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000])
 def test_bitwise_equal_to_reference_loop_without_lapack(n, loop_only):
     test_bitwise_equal_to_reference_loop(n)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from poromoist import stepper
+from poromoist.config import apply_override, build_setup
 from poromoist.diagnostics import certify_run
 
 from poromoist.discretization import Grid, mollify
@@ -399,7 +400,7 @@ def test_predicted_start_saves_sweeps(unit_params, cubic_model):
     grid, cfg, reg, data, t_end = smooth_case()
     result = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
     predicted = plain = 0
-    # from step 3 on the start is the quadratic extrapolation
+    # from step 3 on the start extrapolates at least three accepted states
     for k in range(3, len(result.t)):
         prev = State(result.rho[k - 1], result.theta[k - 1], result.t[k - 1])
         new, report, _ = homotopy_solve(prev, cfg, reg, unit_params,
@@ -410,6 +411,54 @@ def test_predicted_start_saves_sweeps(unit_params, cubic_model):
             gap = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
             assert np.max(gap) <= 10 * cfg.picard_tol
     assert predicted < plain
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6])
+def test_predicted_start_is_exact_on_polynomials(rows):
+    # Dyadic coefficients keep every sum exact; the nonnegative ones make
+    # each history increase, so the clamp stays out of the way.
+    rng = np.random.default_rng(rows)
+    degree = min(rows - 1, 4)
+    steps = np.arange(rows + 1, dtype=float)[:, None]
+
+    def history(cells):
+        coeffs = rng.integers(1, 9, (degree + 1, cells)) / 8.0
+        coeffs[0] += 100.0
+        return sum(c * steps**j for j, c in enumerate(coeffs))
+
+    rho, theta = history(3), history(4)
+    guess = stepper._predicted_start(rho[:-1], theta[:-1])
+    for got, ref in zip(guess, (rho[-1], theta[-1])):
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6])
+def test_predicted_start_clamps_a_steep_drop(rows):
+    history = np.ones((rows, 3))
+    history[-1] = [0.1, 0.01, 1e-8]
+    rho, theta = stepper._predicted_start(history, 2.0 * history)
+    # every weighted sum here lands below half the last row, so the guess
+    # is that half
+    np.testing.assert_array_equal(rho, 0.5 * history[-1])
+    np.testing.assert_array_equal(theta, history[-1])
+
+
+def test_most_smoke_steps_converge_on_first_sweep(smoke_result):
+    sweeps = smoke_result.series["picard_iterations"][1:]
+    assert len(sweeps) == 1000
+    assert np.count_nonzero(sweeps == 1) >= 800
+
+
+def test_dry_start_certifies_with_positive_vapor(smoke_config):
+    data = apply_override(smoke_config, "initial.rho.base", 0.0)
+    for path, value in (("grid.n", 50), ("physical.t_end", 0.1),
+                        ("regularization.eps", 0.01)):
+        data = apply_override(data, path, value)
+    setup = build_setup(data)
+    result = run(setup.initial, setup.step, setup.reg, setup.params,
+                 setup.model, setup.grid)
+    assert certify_run(result).passed
+    assert np.min(result.series["min_rho"]) > 0
 
 
 def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
