@@ -195,7 +195,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "eps0": _POSITIVE,
-                "rungs": {"type": "integer", "minimum": 1},
+                "rungs": {"type": "integer", "minimum": 3},
                 "factor": {"type": "number", "exclusiveMinimum": 1},
                 "nu_ratio": {"type": "number", "exclusiveMinimum": 0,
                              "exclusiveMaximum": 1},
@@ -417,9 +417,10 @@ class Setup:
 
 
 def _build_model(sat: dict) -> SaturationModel:
+    kwargs = {k: v for k, v in sat.items() if k != "kind"}
     if sat["kind"] == "power_law":
-        return PowerLawSaturation(c=sat["c"], q=sat["q"], eta=sat.get("eta", 1.0))
-    return ExponentialSaturation(a=sat["a"], b=sat["b"], eta=sat.get("eta", 1.0))
+        return PowerLawSaturation(**kwargs)
+    return ExponentialSaturation(**kwargs)
 
 
 def build_setup(data: dict) -> Setup:
@@ -429,17 +430,9 @@ def build_setup(data: dict) -> Setup:
     kwargs = {k: float(v) for k, v in phys.items() if k != "lambda"}
     params = PhysicalParams(lam=float(phys["lambda"]), **kwargs)
     model = _build_model(data["saturation"])
-    reg_cfg = data["regularization"]
-    reg = RegularizationParams(eps=float(reg_cfg["eps"]), nu=float(reg_cfg["nu"]),
-                               s=float(reg_cfg.get("s", 1.0)))
+    reg = RegularizationParams(**{k: float(v) for k, v in data["regularization"].items()})
     stepping = data["stepping"]
-    step = StepConfig(
-        dt=float(stepping["dt"]),
-        picard_tol=float(stepping.get("picard_tol", 1e-10)),
-        max_picard=int(stepping.get("max_picard", 50)),
-        s_ramp_steps=int(stepping.get("s_ramp_steps", 8)),
-        advection=stepping.get("advection", "upwind"),
-    )
+    step = StepConfig(**{**stepping, "dt": float(stepping["dt"])})
     grid = Grid(int(data["grid"]["n"]))
     init = data["initial"]
     initial = InitialData(

@@ -30,7 +30,7 @@ run_series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -42,6 +42,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SERIES_COLUMNS",
+    "MASS_TOL",
+    "ENVELOPE_TOL",
     "start_series",
     "step_record",
     "run_series",
@@ -79,6 +81,11 @@ _TRAJECTORY_COLUMNS = ("total_mass", "mass_energy", "entropy", "min_rho",
 # Cells per block of run_series: 128 kB per temporary array.
 _BLOCK_CELLS = 16384
 
+# certify_run's bound on the per-step mass balance residual (roundoff) and
+# the relative slack of the mass/heat envelope.
+MASS_TOL = 1e-10
+ENVELOPE_TOL = 1e-9
+
 
 def start_series(steps: int) -> dict:
     """Zeroed step columns for steps + 1 time levels, keyed by name.
@@ -98,10 +105,9 @@ def mass_balance_residual(srec: StepRecord, grid: Grid) -> float:
     """
     h = grid.h
     rho_new, coeffs = srec.rho, srec.coeffs
-    src_rho = srec.forcing.rho_source if srec.forcing else None
     drho = h * (rho_new - srec.prev.rho).sum() / srec.dt
     reaction = h * srec.s * (coeffs.chi_sqrt * rho_new - coeffs.chi_ps).sum()
-    source = h * src_rho.sum() if src_rho is not None else 0.0
+    source = h * np.sum(srec.forcing.rho_source)
     boundary = srec.mass_flux[-1] - srec.mass_flux[0]
     return float(abs(drho + reaction - source - boundary))
 
@@ -125,18 +131,14 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
     th_l, th_r = boundary_traces(theta_new)
     cond_l, cond_r = robin_fluxes(th_l, th_r, srec.s, params.beta0, params.beta1,
                                   params.theta_bar0, params.theta_bar1)
-    g0, g1 = forcing.theta_flux if forcing else (0.0, 0.0)
+    g0, g1 = forcing.theta_flux
     boundary = ((cond_r + g1) + srec.mass_flux[-1] * th_r
                 - (cond_l + g0) - srec.mass_flux[0] * th_l)
     gamma = rho_new * coeffs.chi_sqrt - coeffs.chi_ps
     lag_defect = srec.s * ((params.lam + theta_new) * coeffs.chi_ps
                            - (params.lam + srec.theta_iter) * coeffs.ps_iter)
     interior = h * (srec.s * params.lam * gamma + lag_defect).sum()
-    source = 0.0
-    if forcing and forcing.theta_source is not None:
-        source += h * forcing.theta_source.sum()
-    if forcing and forcing.rho_source is not None:
-        source += h * (theta_new * forcing.rho_source).sum()
+    source = h * np.sum(forcing.theta_source) + h * np.sum(theta_new * forcing.rho_source)
     return float(abs((e_new - e_prev) / srec.dt - boundary - interior - source))
 
 
@@ -197,15 +199,15 @@ class EnvelopeReport:
     min_slack: float
 
 
-def mass_energy_envelope_check(result: RunResult, tol: float = 1e-9) -> EnvelopeReport:
+def mass_energy_envelope_check(result: RunResult) -> EnvelopeReport:
     """Check integral(lam rho + rho theta + sigma theta) against its envelope.
 
     The admissible envelope is an affine functional of the run's own
     max-temperature history: a startup budget built from the initial norms
     plus the ambient exchange capacity over the full horizon, growing at
     rate (alpha1 rho_bar1 + alpha0 rho_bar0) times the running integral of
-    max theta.  Everything is computed from the run's series.  A nonfinite
-    value or bound is a violation.
+    max theta, with ENVELOPE_TOL relative slack.  Everything is computed
+    from the run's series.  A nonfinite value or bound is a violation.
     """
     p = result.params
     values = result.series["mass_energy"]
@@ -220,7 +222,7 @@ def mass_energy_envelope_check(result: RunResult, tol: float = 1e-9) -> Envelope
     dt = result.cfg.dt
     integral = np.concatenate(([0.0], np.cumsum(max_theta[:-1]) * dt))
     bounds = c_init + c_rate * integral
-    slack = bounds + tol * np.maximum(1.0, np.abs(bounds)) - values
+    slack = bounds + ENVELOPE_TOL * np.maximum(1.0, np.abs(bounds)) - values
     bad = np.nonzero(~(slack >= 0))[0]
     first_t = float(result.t[bad[0]]) if bad.size else None
     return EnvelopeReport(bad.size == 0, float(c_init), float(c_rate),
@@ -328,12 +330,12 @@ class WeakResidualReport:
         return float(np.max(np.abs(self.heat_residuals)))
 
 
-def weak_residual(result: RunResult,
-                  shapes: Sequence[SpaceShape] | None = None) -> WeakResidualReport:
+def weak_residual(result: RunResult) -> WeakResidualReport:
     """Test the trajectory against the unregularized integral identities.
 
-    For each test function phi = T(x) zeta(t), with zeta vanishing at the
-    final time, the mass identity accumulates
+    For each test function phi = T(x) zeta(t), with T one of
+    default_test_functions() and zeta vanishing at the final time, the
+    mass identity accumulates
 
         -int rho phi_t - int rho(0) phi(0) + int flux T'(x) zeta
         - [wall flux * phi] + int gamma phi
@@ -345,8 +347,7 @@ def weak_residual(result: RunResult,
     of each step, matching the implicit scheme's first-order accuracy.
     Forcing corrections are not included, so use unforced runs.
     """
-    if shapes is None:
-        shapes = default_test_functions()
+    shapes = default_test_functions()
     grid, p = result.grid, result.params
     s, model = result.reg.s, result.model
     h, dt = grid.h, result.cfg.dt
@@ -446,14 +447,13 @@ _CERTIFIED_COLUMNS = (
 )
 
 
-def certify_run(result: RunResult, mass_tol: float = 1e-10,
-                envelope_tol: float = 1e-9) -> CertificationReport:
+def certify_run(result: RunResult) -> CertificationReport:
     """Run every certification that has a sharp expected outcome.
 
-    Mass balance must sit at solver roundoff, both envelopes must hold
-    (the max-temperature one rebuilt here from the heating-rate column),
-    and the fields must stay in the admissible cone.  The energy residual
-    has no universal threshold (it is first order in dt), so it is
+    Mass balance must sit at solver roundoff (MASS_TOL), both envelopes
+    must hold (the max-temperature one rebuilt here from the heating-rate
+    column), and the fields must stay in the admissible cone.  The energy
+    residual has no universal threshold (it is first order in dt), so it is
     reported but only checked for finiteness.  Every column read must be
     finite; a check of values runs only on the finite columns it reads.
     """
@@ -464,9 +464,9 @@ def certify_run(result: RunResult, mass_tol: float = 1e-10,
                 if name in nonfinite]
     max_mass = np.max(series["mass_balance_residual"])
     max_energy = np.max(series["energy_balance_residual"])
-    if "mass_balance_residual" not in nonfinite and max_mass > mass_tol:
-        failures.append(f"mass balance residual {max_mass:.3e} exceeds {mass_tol:.1e}")
-    envelope = mass_energy_envelope_check(result, tol=envelope_tol)
+    if "mass_balance_residual" not in nonfinite and max_mass > MASS_TOL:
+        failures.append(f"mass balance residual {max_mass:.3e} exceeds {MASS_TOL:.1e}")
+    envelope = mass_energy_envelope_check(result)
     if not envelope.ok and not nonfinite & {"total_mass", "mass_energy", "max_theta"}:
         failures.append(
             f"mass/heat envelope violated at t={envelope.first_violation_t} "

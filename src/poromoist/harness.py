@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .discretization import Grid, robin_fluxes
-from .errors import PoromoistError
+from .errors import ConfigError, PoromoistError
 from .model import (
     InitialData,
     PhysicalParams,
@@ -61,14 +61,14 @@ class MMSCase:
     forcing: Forcing
 
 
-def make_default_mms_case(params: PhysicalParams, model: SaturationModel,
-                          s: float = 1.0) -> MMSCase:
+def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMSCase:
     """Smooth decaying profiles that stay well inside the admissible cone.
 
     rho = 2 + cos(pi x) e^-t in [1, 3], theta = 1 + sin(pi x) e^-t / 2 in
     [1/2, 3/2].  The sources are composed from the closed-form partial
     derivatives; the boundary corrections are the gap between the exact
-    fluxes and the Robin exchange expressions.
+    fluxes and the Robin exchange expressions at full coupling s = 1,
+    the coupling mms_study runs at.
     """
     pi = np.pi
 
@@ -133,13 +133,13 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel,
         return float(conductivity(rho(xv, t), params) * theta_x(xv, t))
 
     def rho_flux(t):
-        f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)), s,
+        f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)), 1.0,
                               params.alpha0, params.alpha1,
                               params.rho_bar0, params.rho_bar1)
         return mass_flux(0.0, t) - f0, mass_flux(1.0, t) - f1
 
     def theta_flux(t):
-        g0, g1 = robin_fluxes(float(theta(0.0, t)), float(theta(1.0, t)), s,
+        g0, g1 = robin_fluxes(float(theta(0.0, t)), float(theta(1.0, t)), 1.0,
                               params.beta0, params.beta1,
                               params.theta_bar0, params.theta_bar1)
         return cond_flux(0.0, t) - g0, cond_flux(1.0, t) - g1
@@ -167,7 +167,8 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
               nu: float = 5e-9) -> MMSReport:
     """Observed convergence orders against a manufactured solution.
 
-    Each refinement doubles n; the step count grows quadratically for the
+    Each refinement doubles n (other grid_sizes, or fewer than two, raise
+    ConfigError before the first run); the step count grows quadratically for the
     central scheme (so the implicit first-order time error tracks h^2) and
     linearly for upwind.  Runs start from the exact initial profile with a
     regularization small enough that cutoff and mollifier are inert, so
@@ -180,6 +181,10 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
     over t_end=0.1 at n=16 leaves a comfortable margin (and refinement
     only widens it).
     """
+    if len(grid_sizes) < 2 or any(fine != 2 * coarse
+                                  for coarse, fine in zip(grid_sizes, grid_sizes[1:])):
+        raise ConfigError(f"grid_sizes must hold two or more sizes, each twice the "
+                          f"one before, got {list(grid_sizes)}")
     if steps_coarse is None:
         steps_coarse = 10 if advection == "central" else 20
     n0 = grid_sizes[0]

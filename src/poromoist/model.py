@@ -197,10 +197,8 @@ class SaturationReport:
     eta: float
     zero_limit_pass: bool
     infinity_limit_pass: bool
-    theta_small: np.ndarray
-    small_ratios: np.ndarray
-    theta_large: np.ndarray
-    large_ratios: np.ndarray
+    small_ratios: np.ndarray       # p_s/theta at _THETA_SMALL
+    large_ratios: np.ndarray       # p_s/theta**(1+eta) at _THETA_LARGE
 
     @property
     def passed(self) -> bool:
@@ -260,35 +258,32 @@ def validate_saturation_assumptions(model: SaturationModel) -> SaturationReport:
         eta=model.eta,
         zero_limit_pass=zero_ok,
         infinity_limit_pass=rising and tail_ok,
-        theta_small=_THETA_SMALL.copy(),
         small_ratios=small,
-        theta_large=_THETA_LARGE.copy(),
         large_ratios=large,
     )
 
 
 def darcy_velocity(rho: np.ndarray, theta: np.ndarray, grid: Grid,
-                   params: PhysicalParams | None = None, s: float = 1.0) -> np.ndarray:
+                   params: PhysicalParams, s: float) -> np.ndarray:
     """Filtration velocity u = -(rho * theta)_x at the n+1 faces.
 
     Interior faces use the difference quotient of the cell pressure
-    rho * theta.  Wall faces are diagnostic: when params are given they
-    carry the Robin mass flux divided by the upwinded face density (donor
-    value by flow direction), otherwise zero placeholders.
+    rho * theta.  Wall faces are diagnostic: they carry the Robin mass flux
+    at coupling s divided by the upwinded face density (donor value by flow
+    direction).
     """
     h = grid.h
     pressure = rho * theta
     u = np.zeros(grid.n + 1)
     u[1:-1] = -np.diff(pressure) / h
 
-    if params is not None:
-        trace_l, trace_r = boundary_traces(rho)
-        f_left, f_right = robin_fluxes(trace_l, trace_r, s, params.alpha0, params.alpha1,
-                                       params.rho_bar0, params.rho_bar1)
-        # Rightward mass flux q = u * rho is minus the divergence-form flux.
-        q_left, q_right = -f_left, -f_right
-        donor_l = s * params.rho_bar0 if q_left > 0 else trace_l
-        donor_r = trace_r if q_right > 0 else s * params.rho_bar1
-        u[0] = q_left / donor_l if abs(donor_l) > 1e-300 else 0.0
-        u[-1] = q_right / donor_r if abs(donor_r) > 1e-300 else 0.0
+    trace_l, trace_r = boundary_traces(rho)
+    f_left, f_right = robin_fluxes(trace_l, trace_r, s, params.alpha0, params.alpha1,
+                                   params.rho_bar0, params.rho_bar1)
+    # Rightward mass flux q = u * rho is minus the divergence-form flux.
+    q_left, q_right = -f_left, -f_right
+    donor_l = s * params.rho_bar0 if q_left > 0 else trace_l
+    donor_r = trace_r if q_right > 0 else s * params.rho_bar1
+    u[0] = q_left / donor_l if abs(donor_l) > 1e-300 else 0.0
+    u[-1] = q_right / donor_r if abs(donor_r) > 1e-300 else 0.0
     return u

@@ -34,7 +34,8 @@ whatever it started from, and the step's StepRecord holds what its last
 sweep froze; diagnostics.step_record writes the step's row of the columns
 that need it, and after the march diagnostics.run_series adds the
 functionals of the trajectory alone, once per run.  Forcing terms are
-evaluated once per step, at the new time, and shared by every sweep.
+evaluated once per step, at the new time, and shared by every sweep; an
+unforced run shares NO_FORCING, whose zero terms change no value.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -93,6 +94,7 @@ __all__ = [
     "PicardReport",
     "Forcing",
     "ForcingValues",
+    "NO_FORCING",
     "StepRecord",
     "RunResult",
     "mollified_initial_data",
@@ -194,40 +196,39 @@ class PicardReport:
     converged: bool
 
 
-def _no_correction(t: float) -> tuple[float, float]:
-    return 0.0, 0.0
-
-
 @dataclass(frozen=True)
 class ForcingValues:
     """A Forcing evaluated at one time: cell sources and wall corrections."""
 
-    rho_source: np.ndarray | None
-    theta_source: np.ndarray | None
+    rho_source: np.ndarray | float
+    theta_source: np.ndarray | float
     rho_flux: tuple[float, float]
     theta_flux: tuple[float, float]
 
 
+# An unforced run's terms: x + 0.0 is x, so unforced runs need no own path.
+NO_FORCING = ForcingValues(0.0, 0.0, (0.0, 0.0), (0.0, 0.0))
+
+
 @dataclass(frozen=True)
 class Forcing:
-    """Optional manufactured sources and boundary-flux corrections.
+    """Manufactured sources and boundary-flux corrections.
 
     Sources source(x, t) are added to the right-hand sides.  The flux
     corrections rho_flux(t) and theta_flux(t) return the pair (g0, g1)
     added to the Robin face fluxes at the left and right walls.  Used by
-    the manufactured-solution studies; production runs pass no forcing.
+    the manufactured-solution studies; production runs get NO_FORCING.
     """
 
-    rho_source: Callable | None = None
-    theta_source: Callable | None = None
-    rho_flux: Callable[[float], tuple[float, float]] = _no_correction
-    theta_flux: Callable[[float], tuple[float, float]] = _no_correction
+    rho_source: Callable
+    theta_source: Callable
+    rho_flux: Callable[[float], tuple[float, float]]
+    theta_flux: Callable[[float], tuple[float, float]]
 
     def at(self, x: np.ndarray, t: float) -> ForcingValues:
         """Evaluate every term once, at time t on the cell centers x."""
-        def source(f):
-            return None if f is None else np.asarray(f(x, t), dtype=float)
-        return ForcingValues(source(self.rho_source), source(self.theta_source),
+        return ForcingValues(np.asarray(self.rho_source(x, t), dtype=float),
+                             np.asarray(self.theta_source(x, t), dtype=float),
                              self.rho_flux(t), self.theta_flux(t))
 
 
@@ -262,7 +263,7 @@ class StepRecord:
     theta_iter: np.ndarray
     coeffs: FluxCoefficients
     mass_flux: np.ndarray          # n+1 face values at the solution
-    forcing: ForcingValues | None
+    forcing: ForcingValues
 
 
 @dataclass
@@ -371,7 +372,7 @@ def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
 def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarray,
                         s: float, reg: RegularizationParams, params: PhysicalParams,
                         model: SaturationModel, grid: Grid, dt: float,
-                        scheme: str = "upwind", forcing: ForcingValues | None = None,
+                        scheme: str = "upwind", forcing: ForcingValues = NO_FORCING,
                         ) -> tuple[TridiagonalSystem, FluxCoefficients]:
     """Backward-Euler rows for the vapor density with frozen coefficients.
 
@@ -394,9 +395,8 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
 
     np.divide(prev.rho, dt, out=rhs)
     rhs += s * coeffs.chi_ps
-    if forcing is not None and forcing.rho_source is not None:
-        rhs += forcing.rho_source
-    g0, g1 = forcing.rho_flux if forcing else (0.0, 0.0)
+    rhs += forcing.rho_source
+    g0, g1 = forcing.rho_flux
 
     diag[0] += 1.5 * params.alpha0 / h
     upper[0] -= 0.5 * params.alpha0 / h
@@ -411,7 +411,7 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
 
 def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
                        params: PhysicalParams, grid: Grid,
-                       forcing: ForcingValues | None) -> np.ndarray:
+                       forcing: ForcingValues) -> np.ndarray:
     """All n+1 face values of the vapor flux at the fresh solution.
 
     Uses exactly the assembled coefficient arrays, so these numbers are the
@@ -422,7 +422,7 @@ def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
     flux[1:-1] += coeffs.B * rho_new[1:]
     f0, f1 = robin_fluxes(*boundary_traces(rho_new), s, params.alpha0,
                           params.alpha1, params.rho_bar0, params.rho_bar1)
-    g0, g1 = forcing.rho_flux if forcing else (0.0, 0.0)
+    g0, g1 = forcing.rho_flux
     flux[0] = f0 + g0
     flux[-1] = f1 + g1
     return flux
@@ -432,7 +432,7 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
                           s: float, reg: RegularizationParams, params: PhysicalParams,
                           model: SaturationModel, grid: Grid, dt: float,
                           coeffs: FluxCoefficients, scheme: str = "upwind",
-                          forcing: ForcingValues | None = None,
+                          forcing: ForcingValues = NO_FORCING,
                           ) -> tuple[TridiagonalSystem, np.ndarray]:
     """Backward-Euler rows for the temperature given the fresh vapor field.
 
@@ -468,10 +468,9 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     rhs /= dt
     rhs += s * params.lam * rho_new * coeffs.chi_sqrt
     rhs -= s * (params.lam + theta_iter) * coeffs.ps_iter
-    if forcing is not None and forcing.theta_source is not None:
-        rhs += forcing.theta_source
+    rhs += forcing.theta_source
 
-    g0, g1 = forcing.theta_flux if forcing else (0.0, 0.0)
+    g0, g1 = forcing.theta_flux
     diag[0] += 1.5 * params.beta0 / h + 0.5 * mass_flux[0] / h
     upper[0] += -0.5 * params.beta0 / h - 0.5 * mass_flux[0] / h
     diag[-1] += 1.5 * params.beta1 / h - 0.5 * mass_flux[-1] / h
@@ -485,7 +484,7 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
 
 def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   s: float, forcing: ForcingValues | None,
+                   s: float, forcing: ForcingValues,
                    start: tuple[np.ndarray, np.ndarray],
                    ) -> tuple[PicardReport, StepRecord]:
     """Run fixed-point sweeps at fixed s until converged or budget spent.
@@ -534,27 +533,25 @@ def _accept(report: PicardReport, record: StepRecord,
 
 def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
                 params: PhysicalParams, model: SaturationModel, grid: Grid,
-                forcing: ForcingValues | None = None,
-                s: float | None = None,
+                forcing: ForcingValues = NO_FORCING,
                 start: tuple[np.ndarray, np.ndarray] | None = None,
                 ) -> tuple[State, PicardReport, StepRecord]:
-    """Advance one step by fixed-point iteration at a single coupling s.
+    """Advance one step by fixed-point iteration at the coupling reg.s.
 
     The sweeps start from ``start`` (a (rho, theta) pair) when given, and
     from the previous state otherwise.  ``forcing`` holds the forcing
     terms evaluated at the new time.
     """
-    s = reg.s if s is None else s
     if start is None:
         start = (prev.rho, prev.theta)
-    report, record = _picard_sweeps(prev, cfg, reg, params, model, grid, s,
+    report, record = _picard_sweeps(prev, cfg, reg, params, model, grid, reg.s,
                                     forcing, start)
-    return _accept(report, record, f"no convergence in {cfg.max_picard} sweeps at s={s}")
+    return _accept(report, record, f"no convergence in {cfg.max_picard} sweeps at s={reg.s}")
 
 
 def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   forcing: ForcingValues | None = None,
+                   forcing: ForcingValues = NO_FORCING,
                    start: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> tuple[State, PicardReport, StepRecord]:
     """Advance one step, falling back to an s-ramp when the direct solve fails.
@@ -666,8 +663,8 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     The start state is the mollified initial data unless an explicit
     initial_state is supplied (equilibrium studies need a start that does
     not depend on the mollifier radius); it must have grid.n cells.  The
-    forcing is evaluated once per step, at the new time.  Deterministic:
-    identical inputs produce bit-identical trajectories.
+    forcing is evaluated once per step, at the new time (NO_FORCING if None).
+    Deterministic: identical inputs produce bit-identical trajectories.
     """
     reg.validate_against(params)
     if t_end is None:
@@ -695,7 +692,7 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     rho[0], theta[0], t[0] = state.rho, state.theta, state.t
     step_columns = start_series(steps)
     for k in range(1, steps + 1):
-        values = None if forcing is None else forcing.at(grid.centers, state.t + cfg.dt)
+        values = NO_FORCING if forcing is None else forcing.at(grid.centers, state.t + cfg.dt)
         state, report, srec = homotopy_solve(state, cfg, reg, params, model, grid,
                                              values, _predicted_start(rho[:k], theta[:k]))
         step_record(step_columns, k, srec, report, grid, params)

@@ -142,6 +142,30 @@ def test_solver_breakdown_exits_one(smoke_config, tmp_path, capsys):
     assert "dominant" in capsys.readouterr().err
 
 
+EXTREME_KEYS = tuple(
+    [("physical", key) for key in ("sigma", "lambda", "kappa1", "kappa2", "alpha0",
+                                   "alpha1", "beta0", "beta1", "rho_bar0", "rho_bar1",
+                                   "theta_bar0", "theta_bar1", "t_end")]
+    + [("saturation", key) for key in ("c", "q", "eta")]
+    + [("regularization", key) for key in ("eps", "nu")])
+
+
+# Overflow and underflow warnings are expected on the way to exit 1.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [1e300, 1e-300])
+@pytest.mark.parametrize("section,key", EXTREME_KEYS)
+def test_extreme_constant_ends_in_an_exit_code(smoke_config, tmp_path, section, key,
+                                               value):
+    """A finite but extreme constant ends in exit 0, 1 or 2, never a traceback."""
+    data = copy.deepcopy(smoke_config)
+    data["grid"]["n"] = 16
+    data["physical"]["t_end"] = 0.01      # 10 steps of dt = 0.001
+    data["output"]["cadence"] = 0.01
+    data[section][key] = value
+    path = write_config(tmp_path, data)
+    assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) in (0, 1, 2)
+
+
 def test_bad_flag_value_raises_system_exit(small_config):
     path, _ = small_config
     with pytest.raises(SystemExit):
@@ -174,6 +198,17 @@ def test_mms_flags_too_coarse_upwind_ladder(smoke_config, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
     assert report["theta_orders"][-1] < 0.9
+
+
+def test_mms_grid_sizes_must_double(smoke_config, tmp_path, capsys):
+    # base-2 logs of a 4x refinement's error ratios would read as order 4
+    data = copy.deepcopy(smoke_config)
+    data["mms"] = {"grid_sizes": [16, 64], "t_end": 0.1, "advection": "central"}
+    path = write_config(tmp_path, data)
+    out = tmp_path / "mms"
+    assert main(["mms", str(path), "--out", str(out), "--quiet"]) == 2
+    assert "grid_sizes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ladder_command(smoke_config, tmp_path):

@@ -91,10 +91,12 @@ def test_schema_violations_all_reported(smoke_config):
     ("ladder.t_end", 0.2505, "ladder.t_end"),
     ("physical.t_end", 1e300, "physical.t_end"),  # too many steps for numpy
     ("ladder.t_end", 1e300, "ladder.t_end"),
+    ("ladder.rungs", 1, "ladder.rungs"),          # no difference to compare
+    ("ladder.rungs", 2, "ladder.rungs"),          # one difference, no trend
 ])
 def test_single_violations(smoke_config, path, value, where):
     if path.startswith("ladder."):   # the smoke config has no ladder section
-        smoke_config = {**smoke_config, "ladder": {"t_end": 0.25}}
+        smoke_config = {**smoke_config, "ladder": {"t_end": 0.25, "rungs": 4}}
     bad = override(smoke_config, path, value)
     with pytest.raises(ValidationError, match=where.replace(".", r"\.")):
         validate_config(bad)

@@ -131,6 +131,16 @@ def test_upwind_orders_first_accurate(default_case, unit_params, cubic_model):
     assert report.dts[1] == report.dts[0] / 2.0
 
 
+@pytest.mark.parametrize("sizes", [(16, 64), (16, 24), (16, 32, 48), (32, 16), (16,), ()])
+def test_mms_grid_sizes_must_double(default_case, unit_params, cubic_model,
+                                    monkeypatch, sizes):
+    def no_march(*args, **kwargs):
+        raise AssertionError("mms_study marched before checking grid_sizes")
+    monkeypatch.setattr(harness, "run", no_march)
+    with pytest.raises(ConfigError, match="grid_sizes"):
+        mms_study(default_case, unit_params, cubic_model, grid_sizes=sizes)
+
+
 def smoke_lite_ladder(params, model, **kwargs):
     grid = Grid(64)
     data = InitialData(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2),

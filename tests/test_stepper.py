@@ -524,12 +524,34 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     grid, params, state, reg = stiff_setup()
     cfg = StepConfig(dt=0.01)
     zero = Forcing(rho_source=lambda x, t: np.zeros_like(x),
-                   theta_source=lambda x, t: np.zeros_like(x))
+                   theta_source=lambda x, t: np.zeros_like(x),
+                   rho_flux=lambda t: (0.0, 0.0), theta_flux=lambda t: (0.0, 0.0))
     counting = CountingForcing(zero)
     result = run(None, cfg, reg, params, cubic_model, grid, t_end=cfg.dt,
                  forcing=counting.forcing, initial_state=state)
     assert result.series["picard_iterations"][1] > cfg.max_picard
     assert counting.calls == dict.fromkeys(counting.calls, 1)
+
+
+def test_zero_forcing_matches_no_forcing(unit_params, cubic_model):
+    # NO_FORCING holds scalar zeros, a zero Forcing arrays of zeros; adding
+    # either leaves every value's bits as they are
+    grid = Grid(16)
+    cfg = StepConfig(dt=0.01)
+    reg = RegularizationParams(eps=1e-2, nu=5e-3)
+    x = grid.centers
+    state = State(2.0 + np.cos(np.pi * x), 1.0 + 0.5 * np.sin(np.pi * x), 0.0)
+    zero = Forcing(rho_source=lambda x, t: np.zeros_like(x),
+                   theta_source=lambda x, t: np.zeros_like(x),
+                   rho_flux=lambda t: (0.0, 0.0), theta_flux=lambda t: (0.0, 0.0))
+    forced = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
+                 forcing=zero, initial_state=state)
+    plain = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
+                initial_state=state)
+    np.testing.assert_array_equal(forced.rho, plain.rho)
+    np.testing.assert_array_equal(forced.theta, plain.theta)
+    for name, column in plain.series.items():
+        np.testing.assert_array_equal(forced.series[name], column, err_msg=name)
 
 
 def test_run_validates_horizon(unit_params, cubic_model):
