@@ -36,17 +36,17 @@ def main():
         picard_step(state, cfg, reg, params, model, grid)
         print("direct attempt converged (unexpected here)")
     except PicardDivergence as exc:
-        print(f"direct attempt: gave up after {exc.report.iterations} sweeps "
-              f"(update still {exc.report.final_update:.2e})")
+        print(f"direct attempt: gave up after {exc.sweeps} sweeps "
+              f"(update still {exc.record.update:.2e})")
 
     roomy = StepConfig(dt=cfg.dt, max_picard=500)
-    _, report, _ = picard_step(state, roomy, reg, params, model, grid)
+    _, record = picard_step(state, roomy, reg, params, model, grid)
     print(f"for reference, the direct sweeps do converge after "
-          f"{report.iterations} iterations")
+          f"{record.sweeps} iterations")
 
-    new, report, _ = homotopy_solve(state, cfg, reg, params, model, grid)
-    path = ", ".join(f"{s:g}" for s in report.s_path)
-    print(f"homotopy: converged in {report.iterations} total sweeps "
+    new, record = homotopy_solve(state, cfg, reg, params, model, grid)
+    path = ", ".join(f"{s:g}" for s in record.s_path)
+    print(f"homotopy: converged in {record.sweeps} total sweeps "
           f"along s = [{path}]")
     print(f"stepped state: rho in [{new.rho.min():.4f}, "
           f"{new.rho.max():.4f}], theta in "

@@ -88,8 +88,8 @@ def layer_costs(n: int, out: str) -> dict:
     rho_sys, coeffs = stepper.assemble_rho_system(prev, rho, theta, *args,
                                                   cfg.advection)
     rho_new = solve_thomas(rho_sys)
-    _, report, record = stepper.picard_step(prev, cfg, reg, params, model, grid,
-                                            start=(rho, theta))
+    _, record = stepper.picard_step(prev, cfg, reg, params, model, grid,
+                                    start=(rho, theta))
     columns = start_series(1)
     series_path = os.path.join(out, "series.csv")
     snapshots_path = os.path.join(out, "snapshots.csv")
@@ -101,7 +101,7 @@ def layer_costs(n: int, out: str) -> dict:
         "assemble_theta_system": lambda: stepper.assemble_theta_system(
             prev, rho_new, theta, *args, coeffs, cfg.advection),
         "solve_thomas": lambda: solve_thomas(rho_sys),
-        "step_record": lambda: step_record(columns, 1, record, report, grid, params),
+        "step_record": lambda: step_record(columns, 1, record, grid, params),
         "certify_run": lambda: certify_run(result),
         "write_series_csv": lambda: cli._write_series(series_path, result),
         "write_snapshots_csv": lambda: cli._write_snapshots(snapshots_path, result,
@@ -120,9 +120,9 @@ def sweep_counts(command: str, config: str, out: str) -> dict:
     solve = stepper.homotopy_solve
 
     def counted(*args, **kwargs):
-        new, report, record = solve(*args, **kwargs)
-        counts[report.iterations] += 1
-        return new, report, record
+        new, record = solve(*args, **kwargs)
+        counts[record.sweeps] += 1
+        return new, record
 
     stepper.homotopy_solve = counted
     try:

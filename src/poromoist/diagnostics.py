@@ -38,7 +38,7 @@ from .discretization import Grid, boundary_traces, robin_fluxes
 from .model import PhysicalParams, phase_change_rate, saturation_pressure
 
 if TYPE_CHECKING:
-    from .stepper import PicardReport, RunResult, StepRecord
+    from .stepper import RunResult, StepRecord
 
 __all__ = [
     "SERIES_COLUMNS",
@@ -142,13 +142,13 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
     return float(abs((e_new - e_prev) / srec.dt - boundary - interior - source))
 
 
-def step_record(series: dict, k: int, srec: StepRecord, report: PicardReport,
-                grid: Grid, params: PhysicalParams) -> None:
+def step_record(series: dict, k: int, srec: StepRecord, grid: Grid,
+                params: PhysicalParams) -> None:
     """Write row k of the step columns from step k, which ended at time level k."""
     rho = srec.rho
     series["mass_balance_residual"][k] = mass_balance_residual(srec, grid)
     series["energy_balance_residual"][k] = energy_balance_residual(srec, grid, params)
-    series["picard_iterations"][k] = report.iterations
+    series["picard_iterations"][k] = srec.sweeps
     series["heating_rate"][k] = (srec.s * rho * srec.coeffs.chi_sqrt
                                  / (rho + params.sigma)).max()
 

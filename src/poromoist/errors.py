@@ -72,12 +72,12 @@ class DominanceViolation(StepFailure):
 
 
 class PicardDivergence(StepFailure):
-    """Fixed-point sweeps did not converge within the iteration budget."""
+    """Fixed-point sweeps did not converge; record is the failed attempt's StepRecord."""
 
-    def __init__(self, message: str, report):
-        super().__init__(message)
-        self.report = report
-        self.sweeps = report.iterations
+    def __init__(self, message: str, record):
+        super().__init__(f"{message} (last update {record.update:.3e})")
+        self.record = record
+        self.sweeps = record.sweeps
 
 
 class NonfiniteIterate(StepFailure):

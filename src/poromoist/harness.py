@@ -250,10 +250,11 @@ def regularization_ladder(initial: InitialData | None, cfg: StepConfig,
     Convergence of the regularized family shows up as strictly decreasing
     successive space-time distances, while the entropy and fourth-power
     monitors must level off.  Passing initial_state pins the start point
-    so it does not move with the mollifier radius.
+    so it does not move with the mollifier radius.  Fewer than 3 rungs (two
+    distances) raise ConfigError before any run.
     """
-    if rungs < 1:
-        raise ValueError("ladder needs at least one rung")
+    if rungs < 3:
+        raise ConfigError(f"rungs must be at least 3, got {rungs}")
     eps_values, nu_values, results = [], [], []
     for j in range(rungs):
         eps_j = eps0 * factor**(-j)
@@ -267,16 +268,15 @@ def regularization_ladder(initial: InitialData | None, cfg: StepConfig,
     differences = np.array([
         _trajectory_difference(results[j], results[j - 1])
         for j in range(1, rungs)])
-    monotone = bool(np.all(np.diff(differences) < 0)) if differences.size > 1 else True
+    monotone = bool(np.all(np.diff(differences) < 0))
 
     entropy = np.array([np.max(res.series["entropy"]) for res in results])
     l4 = np.array([res.series["l4_accumulator"][-1] for res in results])
     variation = {}
-    if rungs >= 2:
-        for name, series in (("entropy", entropy), ("l4", l4)):
-            coarse, fine = series[-2], series[-1]
-            scale = max(abs(coarse), 1e-300)
-            variation[name] = float(abs(fine - coarse) / scale)
+    for name, series in (("entropy", entropy), ("l4", l4)):
+        coarse, fine = series[-2], series[-1]
+        scale = max(abs(coarse), 1e-300)
+        variation[name] = float(abs(fine - coarse) / scale)
     return LadderReport(tuple(eps_values), tuple(nu_values), differences,
                         entropy, l4, monotone, variation)
 

@@ -30,12 +30,14 @@ StepFailure (divergence, a nonfinite iterate or lost diagonal dominance)
 adds the attempt's sweeps to the step's count and moves on to the next
 attempt, and the step fails only with the final ramp stage's error.
 Every accepted iterate is a plain sweep output of the assembled rows,
-whatever it started from, and the step's StepRecord holds what its last
-sweep froze; diagnostics.step_record writes the step's row of the columns
-that need it, and after the march diagnostics.run_series adds the
-functionals of the trajectory alone, once per run.  Forcing terms are
-evaluated once per step, at the new time, and shared by every sweep; an
-unforced run shares NO_FORCING, whose zero terms change no value.
+whatever it started from, and each step leaves one StepRecord: its sweeps
+and what its last sweep froze.  diagnostics.step_record writes the step's
+row of the columns that need it, and after the march diagnostics.run_series
+adds the functionals of the trajectory alone, once per run.  Only the start
+state is checked for the cone rho >= 0, theta > 0; certify_run judges the
+march.  Forcing terms are evaluated once per step, at the new time, and
+shared by every sweep; an unforced run shares NO_FORCING, whose zero terms
+change no value.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -91,7 +93,6 @@ __all__ = [
     "RegularizationParams",
     "State",
     "StepConfig",
-    "PicardReport",
     "Forcing",
     "ForcingValues",
     "NO_FORCING",
@@ -136,33 +137,16 @@ class RegularizationParams:
 
 @dataclass(frozen=True)
 class State:
-    """Nonnegative vapor density and positive temperature at one time.
+    """Vapor density and temperature at one time.
 
-    rho and theta are the cell values on one grid, as float arrays of
-    equal length.
+    rho and theta are the cell values on one grid: finite 1-D float arrays
+    of equal length, with rho >= 0 and theta > 0.  A State checks none of
+    this; run checks its start, and certify_run the states it marched.
     """
 
     rho: np.ndarray
     theta: np.ndarray
     t: float
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "theta", theta)
-        if rho.ndim != 1 or theta.ndim != 1:
-            raise DimensionMismatch(
-                f"state values must be 1-D, got shapes {rho.shape} and {theta.shape}")
-        if rho.shape != theta.shape:
-            raise ConfigError(
-                f"rho has {rho.shape[0]} cells but theta has {theta.shape[0]}")
-        if not (np.isfinite(rho).all() and np.isfinite(theta).all()):
-            raise ConfigError(f"nonfinite state values at t={self.t}")
-        if (rho < 0).any():
-            raise ConfigError(f"negative vapor density at t={self.t}")
-        if (theta <= 0).any():
-            raise ConfigError(f"nonpositive temperature at t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -184,16 +168,6 @@ class StepConfig:
             raise ConfigError(
                 f"advection must be 'upwind' or 'central', got {self.advection!r}"
             )
-
-
-@dataclass(frozen=True)
-class PicardReport:
-    """Trace of the fixed-point solve for one accepted step."""
-
-    iterations: int
-    final_update: float
-    s_path: tuple
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -249,10 +223,13 @@ class FluxCoefficients:
 
 @dataclass
 class StepRecord:
-    """What the last sweep of a step froze, for the balance diagnostics.
+    """One step's solve: its sweeps and what its last sweep froze.
 
-    rho and theta are that sweep's solution, theta_iter the iterate its
-    coefficients were frozen at, and forcing the terms it was given.
+    sweeps counts the step's sweeps, failed attempts included; update is the
+    last sweep's relative update, and s_path the couplings solved at (the
+    target, then any ramp stages).  rho and theta are the last sweep's
+    solution, theta_iter the iterate its coefficients were frozen at, and
+    forcing the terms it was given.
     """
 
     prev: State
@@ -264,6 +241,9 @@ class StepRecord:
     coeffs: FluxCoefficients
     mass_flux: np.ndarray          # n+1 face values at the solution
     forcing: ForcingValues
+    sweeps: int
+    update: float
+    s_path: tuple
 
 
 @dataclass
@@ -485,13 +465,13 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
 def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
                    s: float, forcing: ForcingValues,
-                   start: tuple[np.ndarray, np.ndarray],
-                   ) -> tuple[PicardReport, StepRecord]:
+                   start: tuple[np.ndarray, np.ndarray]) -> StepRecord:
     """Run fixed-point sweeps at fixed s until converged or budget spent.
 
-    Returns the report and the record of the last sweep.  Never raises on
-    nonconvergence; a StepFailure raised by a sweep (NonfiniteIterate,
-    DominanceViolation) carries the sweeps spent, that one included.
+    Returns the record of the last sweep, converged when its update is
+    below picard_tol.  Never raises on nonconvergence; a StepFailure raised
+    by a sweep (NonfiniteIterate, DominanceViolation) carries the sweeps
+    spent, that one included.
     """
     rho_it, theta_it = start
     for k in range(1, cfg.max_picard + 1):
@@ -513,47 +493,39 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
         dn2 = float(((rho_new - rho_it) ** 2).sum() + ((theta_new - theta_it) ** 2).sum())
         base = float((rho_it**2).sum() + (theta_it**2).sum())
         update = np.sqrt(dn2) / max(np.sqrt(base), UPDATE_FLOOR)
-        record = StepRecord(prev, rho_new, theta_new, s, cfg.dt, theta_it, coeffs,
-                            mass_flux, forcing)
+        if update < cfg.picard_tol or k == cfg.max_picard:
+            break
         rho_it, theta_it = rho_new, theta_new
-        if update < cfg.picard_tol:
-            return PicardReport(k, update, (s,), True), record
-    return PicardReport(cfg.max_picard, update, (s,), False), record
-
-
-def _accept(report: PicardReport, record: StepRecord,
-            failure: str) -> tuple[State, PicardReport, StepRecord]:
-    """The new state of a converged solve; PicardDivergence(failure) otherwise."""
-    if not report.converged:
-        raise PicardDivergence(
-            f"{failure} (last update {report.final_update:.3e})", report=report)
-    new = State(record.rho, record.theta, record.prev.t + record.dt)
-    return new, report, record
+    return StepRecord(prev, rho_new, theta_new, s, cfg.dt, theta_it, coeffs,
+                      mass_flux, forcing, k, update, (s,))
 
 
 def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
                 params: PhysicalParams, model: SaturationModel, grid: Grid,
                 forcing: ForcingValues = NO_FORCING,
                 start: tuple[np.ndarray, np.ndarray] | None = None,
-                ) -> tuple[State, PicardReport, StepRecord]:
+                ) -> tuple[State, StepRecord]:
     """Advance one step by fixed-point iteration at the coupling reg.s.
 
     The sweeps start from ``start`` (a (rho, theta) pair) when given, and
     from the previous state otherwise.  ``forcing`` holds the forcing
-    terms evaluated at the new time.
+    terms evaluated at the new time.  Raises PicardDivergence when the
+    sweeps do not converge within max_picard.
     """
     if start is None:
         start = (prev.rho, prev.theta)
-    report, record = _picard_sweeps(prev, cfg, reg, params, model, grid, reg.s,
-                                    forcing, start)
-    return _accept(report, record, f"no convergence in {cfg.max_picard} sweeps at s={reg.s}")
+    record = _picard_sweeps(prev, cfg, reg, params, model, grid, reg.s, forcing, start)
+    if not record.update < cfg.picard_tol:
+        raise PicardDivergence(
+            f"no convergence in {cfg.max_picard} sweeps at s={reg.s}", record)
+    return State(record.rho, record.theta, prev.t + cfg.dt), record
 
 
 def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
                    forcing: ForcingValues = NO_FORCING,
                    start: tuple[np.ndarray, np.ndarray] | None = None,
-                   ) -> tuple[State, PicardReport, StepRecord]:
+                   ) -> tuple[State, StepRecord]:
     """Advance one step, falling back to an s-ramp when the direct solve fails.
 
     The attempts, in order: the direct solve from the predicted first
@@ -573,12 +545,13 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
     spent = 0
     for guess in ([start] if start is not None else []) + [None]:
         try:
-            new, report, record = picard_step(prev, cfg, reg, params, model, grid,
-                                              forcing, start=guess)
+            new, record = picard_step(prev, cfg, reg, params, model, grid,
+                                      forcing, start=guess)
         except StepFailure as exc:
             spent += exc.sweeps
             continue
-        return new, replace(report, iterations=spent + report.iterations), record
+        record.sweeps += spent
+        return new, record
 
     s_path = [reg.s]
     iterate = (prev.rho, prev.theta)
@@ -586,19 +559,21 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
         s_k = reg.s * k / cfg.s_ramp_steps
         s_path.append(s_k)
         try:
-            report, record = _picard_sweeps(prev, cfg, reg, params, model, grid,
-                                            s_k, forcing, iterate)
+            record = _picard_sweeps(prev, cfg, reg, params, model, grid,
+                                    s_k, forcing, iterate)
         except StepFailure as exc:
             spent += exc.sweeps
             if k == cfg.s_ramp_steps:
                 exc.sweeps = spent
                 raise
             continue
-        spent += report.iterations
+        spent += record.sweeps
         iterate = (record.rho, record.theta)
-    report = PicardReport(spent, report.final_update, tuple(s_path), report.converged)
-    return _accept(report, replace(record, s=reg.s),
-                   f"ramp exhausted: final stage s={s_k} not converged")
+    record = replace(record, s=reg.s, sweeps=spent, s_path=tuple(s_path))
+    if not record.update < cfg.picard_tol:
+        raise PicardDivergence(
+            f"ramp exhausted: final stage s={s_k} not converged", record)
+    return State(record.rho, record.theta, prev.t + cfg.dt), record
 
 
 # Extrapolation weights by history length, oldest state first: with p+1
@@ -662,7 +637,10 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
 
     The start state is the mollified initial data unless an explicit
     initial_state is supplied (equilibrium studies need a start that does
-    not depend on the mollifier radius); it must have grid.n cells.  The
+    not depend on the mollifier radius).  It is taken as float arrays and
+    checked once, here: DimensionMismatch unless 1-D with grid.n cells,
+    ConfigError for unequal lengths, nonfinite values, rho < 0 or theta <= 0.
+    The marched states are not checked again; certify_run judges them.  The
     forcing is evaluated once per step, at the new time (NO_FORCING if None).
     Deterministic: identical inputs produce bit-identical trajectories.
     """
@@ -676,15 +654,28 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
         raise ConfigError(
             f"t_end={t_end} is not a positive integer number of steps of dt={cfg.dt}")
 
-    if initial_state is not None:
-        state = initial_state
-        if state.rho.shape != (grid.n,):
-            raise DimensionMismatch(
-                f"initial state has {state.rho.shape[0]} cells for an n={grid.n} grid")
-    else:
+    if initial_state is None:
         if initial is None:
             raise ConfigError("either initial data or an initial state is required")
-        state = mollified_initial_data(initial, reg, grid)
+        initial_state = mollified_initial_data(initial, reg, grid)
+    t0 = initial_state.t
+    rho0 = np.asarray(initial_state.rho, dtype=float)
+    theta0 = np.asarray(initial_state.theta, dtype=float)
+    if rho0.ndim != 1 or theta0.ndim != 1:
+        raise DimensionMismatch(
+            f"state values must be 1-D, got shapes {rho0.shape} and {theta0.shape}")
+    if rho0.shape != theta0.shape:
+        raise ConfigError(f"rho has {rho0.shape[0]} cells but theta has {theta0.shape[0]}")
+    if not (np.isfinite(rho0).all() and np.isfinite(theta0).all()):
+        raise ConfigError(f"nonfinite state values at t={t0}")
+    if (rho0 < 0).any():
+        raise ConfigError(f"negative vapor density at t={t0}")
+    if (theta0 <= 0).any():
+        raise ConfigError(f"nonpositive temperature at t={t0}")
+    if rho0.shape != (grid.n,):
+        raise DimensionMismatch(
+            f"initial state has {rho0.shape[0]} cells for an n={grid.n} grid")
+    state = State(rho0, theta0, t0)
 
     rho = np.empty((steps + 1, grid.n))
     theta = np.empty((steps + 1, grid.n))
@@ -693,9 +684,9 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     step_columns = start_series(steps)
     for k in range(1, steps + 1):
         values = NO_FORCING if forcing is None else forcing.at(grid.centers, state.t + cfg.dt)
-        state, report, srec = homotopy_solve(state, cfg, reg, params, model, grid,
-                                             values, _predicted_start(rho[:k], theta[:k]))
-        step_record(step_columns, k, srec, report, grid, params)
+        state, srec = homotopy_solve(state, cfg, reg, params, model, grid,
+                                     values, _predicted_start(rho[:k], theta[:k]))
+        step_record(step_columns, k, srec, grid, params)
         rho[k], theta[k], t[k] = state.rho, state.theta, state.t
 
     series = run_series(step_columns, rho, theta, cfg.dt, grid, params)

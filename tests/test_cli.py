@@ -14,7 +14,10 @@ import pytest
 
 import poromoist
 import poromoist.cli
+from poromoist import stepper
 from poromoist.cli import _fmt, main
+from poromoist.config import build_setup
+from poromoist.diagnostics import certify_run
 from poromoist.harness import LadderReport
 
 
@@ -140,6 +143,38 @@ def test_solver_breakdown_exits_one(smoke_config, tmp_path, capsys):
     path = write_config(tmp_path, data)
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path)]) == 1
     assert "dominant" in capsys.readouterr().err
+
+
+def test_state_leaving_the_cone_is_certified_not_rejected(small_config, tmp_path,
+                                                         monkeypatch, capsys):
+    """A march whose vapor solves turn one cell negative ends in exit 1 with outputs."""
+    path, data = small_config
+    real_solve = stepper.solve_thomas
+    calls = []
+
+    def one_negative_vapor_cell(system):
+        # each sweep solves the vapor system first, then the heat system
+        calls.append(None)
+        out = real_solve(system)
+        if len(calls) % 2:
+            out[system.n // 2] = -1e-6
+        return out
+
+    monkeypatch.setattr(stepper, "solve_thomas", one_negative_vapor_cell)
+    setup = build_setup(data)
+    result = stepper.run(setup.initial, setup.step, setup.reg, setup.params,
+                         setup.model, setup.grid)
+    assert len(result.t) == 51
+    assert result.series["min_rho"][-1] == -1e-6 and result.series["min_theta"].min() > 0
+    cert = certify_run(result)
+    assert "negative vapor density -1.000e-06" in cert.failures
+
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "  - negative vapor density -1.000e-06" in capsys.readouterr().out.splitlines()
+    report = json.loads((out / "report.json").read_text())
+    assert report["certification"]["passed"] is False
+    assert len((out / "series.csv").read_text().splitlines()) == 52
 
 
 EXTREME_KEYS = tuple(

@@ -1,4 +1,4 @@
-"""The demos that drive the State/RunResult API run to completion."""
+"""Every script in demos/ runs to completion."""
 from __future__ import annotations
 
 import os
@@ -12,7 +12,14 @@ import poromoist
 from tests.conftest import REPO_ROOT
 
 
-@pytest.mark.parametrize("name", ["01_certified_run.py", "04_homotopy_rescue.py"])
+DEMOS = sorted(path.name for path in (REPO_ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name, tmp_path):
     src = Path(poromoist.__file__).resolve().parents[1]
     env = dict(os.environ)

@@ -159,14 +159,21 @@ def test_ladder_decreases_and_monitors_settle(unit_params, cubic_model):
     assert report.monitor_variation["l4"] <= 0.1
 
 
-def test_ladder_single_rung_vacuous(unit_params, cubic_model):
-    report = smoke_lite_ladder(unit_params, cubic_model, rungs=1)
-    assert report.differences.shape == (0,)
-    assert report.monotone
+def no_ladder_march(*args, **kwargs):
+    raise AssertionError("regularization_ladder marched before checking rungs")
 
 
-def test_ladder_rejects_empty(unit_params, cubic_model):
-    with pytest.raises(ValueError):
+def test_ladder_single_rung_vacuous(unit_params, cubic_model, monkeypatch):
+    # fewer than two distances would make the monotone verdict vacuous
+    monkeypatch.setattr(harness, "run", no_ladder_march)
+    for rungs in (1, 2):
+        with pytest.raises(ConfigError, match=f"rungs must be at least 3, got {rungs}"):
+            smoke_lite_ladder(unit_params, cubic_model, rungs=rungs)
+
+
+def test_ladder_rejects_empty(unit_params, cubic_model, monkeypatch):
+    monkeypatch.setattr(harness, "run", no_ladder_march)
+    with pytest.raises(ConfigError, match="rungs"):
         smoke_lite_ladder(unit_params, cubic_model, rungs=0)
 
 

@@ -212,24 +212,35 @@ def test_step_config_validation():
             StepConfig(**kwargs)
 
 
-def test_state_validation():
-    with pytest.raises(ConfigError):
-        State(np.array([1.0, -0.1, 1.0, 1.0]), np.ones(4), 0.0)
-    with pytest.raises(ConfigError):
-        State(np.ones(4), np.array([1.0, 0.0, 1.0, 1.0]), 0.0)
-    with pytest.raises(ConfigError):
-        State(np.ones(4), np.ones(8), 0.0)
+def run_from(state, params, model):
+    """One step of dt = 1e-3 on a 4-cell grid from an explicit start state."""
+    cfg = StepConfig(dt=1e-3)
+    return run(None, cfg, RegularizationParams(eps=1e-2, nu=5e-3), params, model,
+               Grid(4), t_end=cfg.dt, initial_state=state)
 
 
-def test_state_values_checked():
-    with pytest.raises(DimensionMismatch):
-        State(np.ones((2, 2)), np.ones((2, 2)), 0.0)
-    with pytest.raises(ConfigError):
-        State(np.array([1.0, np.inf, 1.0, 1.0]), np.ones(4), 0.0)
-    with pytest.raises(ConfigError):
-        State(np.ones(4), np.array([1.0, np.nan, 1.0, 1.0]), 0.0)
-    state = State([1, 2, 3, 4], [1, 1, 1, 1], 0.0)
-    assert state.rho.dtype == float and state.theta.dtype == float
+def test_state_validation(unit_params, cubic_model):
+    for rho, theta, message in (
+            (np.array([1.0, -0.1, 1.0, 1.0]), np.ones(4), "negative vapor density"),
+            (np.ones(4), np.array([1.0, 0.0, 1.0, 1.0]), "nonpositive temperature"),
+            (np.ones(4), np.ones(8), "4 cells but theta has 8")):
+        with pytest.raises(ConfigError, match=message):
+            run_from(State(rho, theta, 0.0), unit_params, cubic_model)
+
+
+def test_state_values_checked(unit_params, cubic_model):
+    with pytest.raises(DimensionMismatch, match="must be 1-D"):
+        run_from(State(np.ones((2, 2)), np.ones((2, 2)), 0.0), unit_params, cubic_model)
+    with pytest.raises(ConfigError, match="nonfinite"):
+        run_from(State(np.array([1.0, np.inf, 1.0, 1.0]), np.ones(4), 0.0),
+                 unit_params, cubic_model)
+    with pytest.raises(ConfigError, match="nonfinite"):
+        run_from(State(np.ones(4), np.array([1.0, np.nan, 1.0, 1.0]), 0.0),
+                 unit_params, cubic_model)
+    # lists of ints are taken as float arrays
+    result = run_from(State([1, 2, 3, 4], [1, 1, 1, 1], 0.0), unit_params, cubic_model)
+    assert result.rho[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert result.theta[0].tolist() == [1.0] * 4
 
 
 def test_mollified_initial_data_lift():
@@ -251,10 +262,9 @@ def test_equilibrium_is_picard_fixed_point(unit_params, cubic_model):
     cfg = StepConfig(dt=0.01)
     reg = RegularizationParams(eps=0.01, nu=0.005)
     state = equilibrium_state(grid)
-    new, report, rec = picard_step(state, cfg, reg, unit_params, cubic_model,
-                                   grid)
-    assert report.converged and report.iterations == 1
-    assert report.s_path == (1.0,)
+    new, rec = picard_step(state, cfg, reg, unit_params, cubic_model, grid)
+    assert rec.update < cfg.picard_tol and rec.sweeps == 1
+    assert rec.s_path == (1.0,)
     np.testing.assert_allclose(new.rho, 1.0, rtol=0, atol=1e-14)
     np.testing.assert_allclose(new.theta, 1.0, rtol=0, atol=1e-14)
     assert new.t == pytest.approx(0.01)
@@ -279,27 +289,26 @@ def test_stiff_step_exceeds_direct_budget(cubic_model):
     cfg = StepConfig(dt=0.01)
     with pytest.raises(PicardDivergence) as exc:
         picard_step(state, cfg, reg, params, cubic_model, grid)
-    report = exc.value.report
-    assert not report.converged
-    assert report.iterations == cfg.max_picard
-    assert report.s_path == (1.0,)
+    record = exc.value.record
+    assert record.update >= cfg.picard_tol
+    assert exc.value.sweeps == record.sweeps == cfg.max_picard
+    assert record.s_path == (1.0,)
 
     # the same sweep loop does converge, just beyond the default budget
     roomy = StepConfig(dt=0.01, max_picard=500)
-    _, report, _ = picard_step(state, roomy, reg, params, cubic_model, grid)
-    assert report.converged
-    assert 50 < report.iterations <= 60
+    _, record = picard_step(state, roomy, reg, params, cubic_model, grid)
+    assert record.update < roomy.picard_tol
+    assert 50 < record.sweeps <= 60
 
 
 def test_homotopy_rescues_stiff_step(cubic_model):
     grid, params, state, reg = stiff_setup()
     cfg = StepConfig(dt=0.01)
-    new, report, rec = homotopy_solve(state, cfg, reg, params, cubic_model,
-                                      grid)
-    assert report.converged
-    assert report.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
-                             0.875, 1.0)
-    assert cfg.max_picard < report.iterations <= 9 * cfg.max_picard
+    new, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    assert rec.update < cfg.picard_tol
+    assert rec.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
+                          0.875, 1.0)
+    assert cfg.max_picard < rec.sweeps <= 9 * cfg.max_picard
     assert np.all(new.rho > 0) and np.all(new.theta > 0)
     assert rec.s == 1.0
 
@@ -309,12 +318,12 @@ def test_homotopy_failure_bookkeeping(cubic_model):
     cfg = StepConfig(dt=0.01, max_picard=1)
     with pytest.raises(PicardDivergence) as exc:
         homotopy_solve(state, cfg, reg, params, cubic_model, grid)
-    report = exc.value.report
-    assert not report.converged
-    assert len(report.s_path) == cfg.s_ramp_steps + 1
-    assert report.s_path[0] == 1.0 and report.s_path[-1] == 1.0
-    assert report.iterations == cfg.s_ramp_steps + 1
-    assert report.final_update > 0
+    record = exc.value.record
+    assert record.update >= cfg.picard_tol
+    assert len(record.s_path) == cfg.s_ramp_steps + 1
+    assert record.s_path[0] == 1.0 and record.s_path[-1] == 1.0
+    assert exc.value.sweeps == record.sweeps == cfg.s_ramp_steps + 1
+    assert record.update > 0
 
 
 def test_failed_ramp_stage_is_counted_and_skipped(monkeypatch, cubic_model):
@@ -328,12 +337,12 @@ def test_failed_ramp_stage_is_counted_and_skipped(monkeypatch, cubic_model):
         return real_assemble(prev, rho_new, theta_iter, s, *args, **kwargs)
 
     monkeypatch.setattr(stepper, "assemble_theta_system", nonfinite_at_half)
-    new, report, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    new, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
     # the s=0.5 stage spends one sweep; s=0.625 warm-starts from s=0.375
-    assert report.converged
-    assert report.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
-                             0.875, 1.0)
-    assert report.iterations == 226
+    assert rec.update < cfg.picard_tol
+    assert rec.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
+                          0.875, 1.0)
+    assert rec.sweeps == 226
     assert rec.s == 1.0
     assert np.all(new.rho > 0) and np.all(new.theta > 0)
 
@@ -341,7 +350,7 @@ def test_failed_ramp_stage_is_counted_and_skipped(monkeypatch, cubic_model):
 def test_dominance_loss_in_direct_attempt_goes_to_ramp(monkeypatch, cubic_model):
     grid, params, state, reg = stiff_setup()
     cfg = StepConfig(dt=0.01)
-    plain_new, plain, _ = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    plain_new, plain = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
     real_assemble = stepper.assemble_rho_system
     calls = []
 
@@ -352,10 +361,10 @@ def test_dominance_loss_in_direct_attempt_goes_to_ramp(monkeypatch, cubic_model)
         return real_assemble(*args, **kwargs)
 
     monkeypatch.setattr(stepper, "assemble_rho_system", first_sweep_loses_dominance)
-    new, report, _ = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    new, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
     # one sweep of the direct attempt, then the same ramp as the plain step
-    assert report.s_path == plain.s_path and len(report.s_path) == 9
-    assert report.iterations == plain.iterations - cfg.max_picard + 1
+    assert rec.s_path == plain.s_path and len(rec.s_path) == 9
+    assert rec.sweeps == plain.sweeps - cfg.max_picard + 1
     np.testing.assert_array_equal(new.rho, plain_new.rho)
     np.testing.assert_array_equal(new.theta, plain_new.theta)
 
@@ -403,10 +412,9 @@ def test_predicted_start_saves_sweeps(unit_params, cubic_model):
     # from step 3 on the start extrapolates at least three accepted states
     for k in range(3, len(result.t)):
         prev = State(result.rho[k - 1], result.theta[k - 1], result.t[k - 1])
-        new, report, _ = homotopy_solve(prev, cfg, reg, unit_params,
-                                        cubic_model, grid)
+        new, rec = homotopy_solve(prev, cfg, reg, unit_params, cubic_model, grid)
         predicted += result.series["picard_iterations"][k]
-        plain += report.iterations
+        plain += rec.sweeps
         for got, ref in ((result.rho[k], new.rho), (result.theta[k], new.theta)):
             gap = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
             assert np.max(gap) <= 10 * cfg.picard_tol
