@@ -1,7 +1,8 @@
 """Rescue a stiff step by ramping the coupling instead of giving up.
 
-With a large latent-heat coefficient the Picard sweeps for a single
-backward-Euler step contract too slowly to fit the iteration budget.
+With a large latent-heat coefficient and a long step, the Picard sweeps
+for a single backward-Euler step contract too slowly to fit the iteration
+budget, even with their inputs Anderson-mixed.
 Instead of failing the step, the solver re-solves it along a ramp of
 coupling strengths s = 1/8, 2/8, ..., 1, warm-starting each stage from
 the previous one.  Each stage is mildly nonlinear, so the ramp converges
@@ -16,7 +17,8 @@ from poromoist.stepper import (RegularizationParams, State, StepConfig,
                                homotopy_solve, picard_step)
 
 N = 16
-LATENT = 34.0
+LATENT = 120.0
+DT = 0.02
 
 
 def main():
@@ -28,7 +30,7 @@ def main():
     model = PowerLawSaturation(c=1.0, q=3.0, eta=1.0)
     state = State(np.ones(N), np.full(N, 1.3), 0.0)
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
-    cfg = StepConfig(dt=0.01)
+    cfg = StepConfig(dt=DT)
 
     print(f"latent heat {LATENT}, superheated start, "
           f"budget {cfg.max_picard} sweeps per attempt")

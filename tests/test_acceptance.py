@@ -1,9 +1,10 @@
 """End-to-end acceptance suite.
 
-Nine desk-scale checks, each with an explicit tolerance and a runtime
-budget: solver oracle, conservation, positivity, growth envelope, observed
-convergence orders, regularization refinement, weak-form residual decay,
-equilibrium preservation, and byte-level determinism of the CLI.
+Ten desk-scale checks, each with an explicit tolerance and most with a
+runtime budget: solver oracle, conservation, positivity, growth envelope,
+observed convergence orders, regularization refinement, weak-form residual
+decay, equilibrium preservation, byte-level determinism of the CLI, and a
+certified run on every cell of the robustness grid.
 """
 from __future__ import annotations
 
@@ -205,3 +206,24 @@ def test_cli_outputs_are_byte_identical(tmp_path):
         assert len(first) > 0
     assert (out1 / "report.json").read_bytes() == \
         (out2 / "report.json").read_bytes()
+
+
+# The robustness grid: the smoke problem to t = 0.4 over the step, the latent
+# heat and the start temperature.  With plain (unmixed) Picard sweeps, 11 of
+# its 32 cells exit 1.  (dt, lambda, theta0) = (0.01, 60, 1.0), (0.01, 60,
+# 1.3), (0.02, 30, 1.0), (0.02, 30, 1.3), (0.02, 60, 1.0), (0.04, 10, 1.3) and
+# (0.04, 30, 1.0) end in PicardDivergence; (0.02, 60, 1.3), (0.04, 30, 1.3),
+# (0.04, 60, 1.0) and (0.04, 60, 1.3) in DominanceViolation.
+@pytest.mark.parametrize("theta0", [1.0, 1.3])
+@pytest.mark.parametrize("lam", [1.0, 10.0, 30.0, 60.0])
+@pytest.mark.parametrize("dt", [0.005, 0.01, 0.02, 0.04])
+def test_robustness_grid_cell_certifies(smoke_dict, dt, lam, theta0):
+    data = smoke_dict
+    for path, value in (("physical.t_end", 0.4), ("output.cadence", 0.2),
+                        ("stepping.dt", dt), ("physical.lambda", lam),
+                        ("initial.theta.value", theta0)):
+        data = apply_override(data, path, value)
+    result = run_config(data)
+    assert len(result.t) == round(0.4 / dt) + 1
+    cert = certify_run(result)
+    assert cert.passed, cert.failures

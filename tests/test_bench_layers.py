@@ -41,6 +41,6 @@ def test_bench_layers_times_every_layer_and_counts_smoke_sweeps(monkeypatch, tmp
     counts = bench.sweep_counts("run", "configs/smoke.json", str(tmp_path / "smoke"))
     assert counts["exit"] == 0
     assert counts["steps"] == 1000
-    assert counts["sweeps"] == 1204
+    assert counts["sweeps"] == 1198
     assert counts["first_sweep_steps"] == 874
     assert (written.read_bytes() if written.exists() else None) == before

@@ -274,19 +274,23 @@ def test_equilibrium_is_picard_fixed_point(unit_params, cubic_model):
 
 STIFF_N = 16
 STIFF_LAM = 34.0
+# The mixed sweeps converge directly on the STIFF_LAM step at dt=0.01; this
+# step's direct attempt still fails, so the ramp has to rescue it.
+RAMP_LAM = 120.0
+RAMP_DT = 0.02
 
 
-def stiff_setup():
+def stiff_setup(lam=STIFF_LAM):
     grid = Grid(STIFF_N)
-    params = make_params(lam=STIFF_LAM)
+    params = make_params(lam=lam)
     state = State(np.ones(STIFF_N), np.full(STIFF_N, 1.3), 0.0)
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     return grid, params, state, reg
 
 
 def test_stiff_step_exceeds_direct_budget(cubic_model):
-    grid, params, state, reg = stiff_setup()
-    cfg = StepConfig(dt=0.01)
+    grid, params, state, reg = stiff_setup(RAMP_LAM)
+    cfg = StepConfig(dt=RAMP_DT)
     with pytest.raises(PicardDivergence) as exc:
         picard_step(state, cfg, reg, params, cubic_model, grid)
     record = exc.value.record
@@ -295,15 +299,15 @@ def test_stiff_step_exceeds_direct_budget(cubic_model):
     assert record.s_path == (1.0,)
 
     # the same sweep loop does converge, just beyond the default budget
-    roomy = StepConfig(dt=0.01, max_picard=500)
+    roomy = StepConfig(dt=RAMP_DT, max_picard=500)
     _, record = picard_step(state, roomy, reg, params, cubic_model, grid)
     assert record.update < roomy.picard_tol
     assert 50 < record.sweeps <= 60
 
 
 def test_homotopy_rescues_stiff_step(cubic_model):
-    grid, params, state, reg = stiff_setup()
-    cfg = StepConfig(dt=0.01)
+    grid, params, state, reg = stiff_setup(RAMP_LAM)
+    cfg = StepConfig(dt=RAMP_DT)
     new, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
     assert rec.update < cfg.picard_tol
     assert rec.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
@@ -327,8 +331,8 @@ def test_homotopy_failure_bookkeeping(cubic_model):
 
 
 def test_failed_ramp_stage_is_counted_and_skipped(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup()
-    cfg = StepConfig(dt=0.01)
+    grid, params, state, reg = stiff_setup(RAMP_LAM)
+    cfg = StepConfig(dt=RAMP_DT)
     real_assemble = stepper.assemble_theta_system
 
     def nonfinite_at_half(prev, rho_new, theta_iter, s, *args, **kwargs):
@@ -342,14 +346,14 @@ def test_failed_ramp_stage_is_counted_and_skipped(monkeypatch, cubic_model):
     assert rec.update < cfg.picard_tol
     assert rec.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
                           0.875, 1.0)
-    assert rec.sweeps == 226
+    assert rec.sweeps == 209
     assert rec.s == 1.0
     assert np.all(new.rho > 0) and np.all(new.theta > 0)
 
 
 def test_dominance_loss_in_direct_attempt_goes_to_ramp(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup()
-    cfg = StepConfig(dt=0.01)
+    grid, params, state, reg = stiff_setup(RAMP_LAM)
+    cfg = StepConfig(dt=RAMP_DT)
     plain_new, plain = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
     real_assemble = stepper.assemble_rho_system
     calls = []
@@ -367,6 +371,97 @@ def test_dominance_loss_in_direct_attempt_goes_to_ramp(monkeypatch, cubic_model)
     assert rec.sweeps == plain.sweeps - cfg.max_picard + 1
     np.testing.assert_array_equal(new.rho, plain_new.rho)
     np.testing.assert_array_equal(new.theta, plain_new.theta)
+
+
+def log_sweeps(monkeypatch) -> list:
+    """Log every sweep of the step kernel as [s, input, output].
+
+    A sweep assembles the vapor rows at its input (rho, theta), then solves
+    the vapor system and the heat system; its output is the two solutions.
+    """
+    sweeps = []
+    real_assemble, real_solve = stepper.assemble_rho_system, stepper.solve_thomas
+
+    def assemble(prev, rho_iter, theta_iter, s, *args, **kwargs):
+        sweeps.append([s, (rho_iter.copy(), theta_iter.copy()), []])
+        return real_assemble(prev, rho_iter, theta_iter, s, *args, **kwargs)
+
+    def solve(system):
+        solution = real_solve(system)
+        sweeps[-1][2].append(solution.copy())
+        return solution
+
+    monkeypatch.setattr(stepper, "assemble_rho_system", assemble)
+    monkeypatch.setattr(stepper, "solve_thomas", solve)
+    return sweeps
+
+
+def anderson_input(inputs, outputs):
+    """The mixed next input from a step's sweeps so far, by QR least squares.
+
+    An independent route to the depth-2 rule: the last three residuals
+    f = g - x give the differences dF, gamma minimizes |f_k - dF gamma|, and
+    the input g_k - dG gamma is clamped to at least min(g_k, 0.5 g_k).
+    """
+    x = np.array([np.concatenate(pair) for pair in inputs[-3:]])
+    g = np.array([np.concatenate(pair) for pair in outputs[-3:]])
+    f = g - x
+    q, r = np.linalg.qr((f[1:] - f[:-1]).T)
+    gamma = np.linalg.solve(r, q.T @ f[-1])
+    mixed = g[-1] - (g[1:] - g[:-1]).T @ gamma
+    return np.maximum(mixed, np.minimum(g[-1], 0.5 * g[-1]))
+
+
+def test_sweep_inputs_mix_from_the_third_sweep_on(monkeypatch, cubic_model):
+    grid, params, state, reg = stiff_setup()
+    cfg = StepConfig(dt=0.01)
+    sweeps = log_sweeps(monkeypatch)
+    new, rec = picard_step(state, cfg, reg, params, cubic_model, grid)
+    # the mixed sweeps converge directly where plain ones need the ramp
+    assert rec.sweeps == len(sweeps) == 12
+    inputs = [sweep[1] for sweep in sweeps]
+    outputs = [tuple(sweep[2]) for sweep in sweeps]
+    np.testing.assert_array_equal(np.concatenate(inputs[0]),
+                                  np.concatenate((state.rho, state.theta)))
+    np.testing.assert_array_equal(np.concatenate(inputs[1]), np.concatenate(outputs[0]))
+    for k in range(2, len(sweeps)):
+        got = np.concatenate(inputs[k])
+        np.testing.assert_allclose(got, anderson_input(inputs[:k], outputs[:k]),
+                                   rtol=1e-12, atol=0, err_msg=f"sweep {k + 1}")
+        assert not np.array_equal(got, np.concatenate(outputs[k - 1]))
+    # the accepted state is the last sweep's plain output, recorded with its input
+    np.testing.assert_array_equal(new.rho, outputs[-1][0])
+    np.testing.assert_array_equal(new.theta, outputs[-1][1])
+    np.testing.assert_array_equal(rec.theta_iter, inputs[-1][1])
+    gap = np.concatenate(outputs[-1]) - np.concatenate(inputs[-1])
+    assert rec.update == pytest.approx(
+        np.linalg.norm(gap) / np.linalg.norm(np.concatenate(inputs[-1])), rel=1e-12)
+    assert rec.update < cfg.picard_tol
+
+
+def test_each_ramp_stage_starts_without_history(monkeypatch, cubic_model):
+    grid, params, state, reg = stiff_setup(RAMP_LAM)
+    cfg = StepConfig(dt=RAMP_DT)
+    sweeps = log_sweeps(monkeypatch)
+    _, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    assert rec.sweeps == len(sweeps)
+    # consecutive sweeps at one s: the direct attempt, then the eight stages
+    stages = []
+    for s, x, g in sweeps:
+        if not stages or stages[-1][0] != s:
+            stages.append((s, []))
+        stages[-1][1].append((x, tuple(g)))
+    assert len(rec.s_path) == cfg.s_ramp_steps + 1
+    assert tuple(s for s, _ in stages) == rec.s_path
+    starts = [(state.rho, state.theta)] + [stage[-1][1] for _, stage in stages[1:-1]]
+    for (s, stage), start in zip(stages[1:], starts):
+        assert len(stage) >= 3, s
+        (x1, g1), (x2, g2), (x3, _) = stage[:3]
+        # a warm start from the last stage's plain output, one plain sweep,
+        # and mixing only once the stage has two residuals of its own
+        np.testing.assert_array_equal(np.concatenate(x1), np.concatenate(start))
+        np.testing.assert_array_equal(np.concatenate(x2), np.concatenate(g1))
+        assert not np.array_equal(np.concatenate(x3), np.concatenate(g2))
 
 
 def test_strong_drift_loses_dominance(unit_params, cubic_model):
@@ -529,8 +624,8 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     assert counting.calls == dict.fromkeys(counting.calls, steps)
 
     # a ramped step, with a failed direct attempt and eight stages, evaluates once too
-    grid, params, state, reg = stiff_setup()
-    cfg = StepConfig(dt=0.01)
+    grid, params, state, reg = stiff_setup(RAMP_LAM)
+    cfg = StepConfig(dt=RAMP_DT)
     zero = Forcing(rho_source=lambda x, t: np.zeros_like(x),
                    theta_source=lambda x, t: np.zeros_like(x),
                    rho_flux=lambda t: (0.0, 0.0), theta_flux=lambda t: (0.0, 0.0))
