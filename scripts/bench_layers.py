@@ -21,9 +21,11 @@ minimum over REPEATS repeats of a ``timeit`` loop sized by ``autorange``
 ``sweeps`` holds the Picard sweeps per step of ``run`` on the smoke, fine
 and stiff configs and of ``mms``, ``ladder`` and ``sweep`` on their
 shipped configs, each run in-process through ``poromoist.cli.main``: the
-number of steps at each sweep count, their total and the exit code.
-These counts are exact and repeat on every host; ``wall_s``, the wall
-time of the one command, does not.
+number of steps at each sweep count, their total, the steps taken in more
+than one substep (``split_steps``) and the exit code.  A step is one
+output level, and its sweeps are those of all its substeps.  These counts
+are exact and repeat on every host; ``wall_s``, the wall time of the one
+command, does not.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def layer_costs(n: int, out: str) -> dict:
     result = stepper.run(setup.initial, cfg, reg, params, model, grid)
     prev = State(result.rho[-2], result.theta[-2], result.t[-2])
     rho, theta = result.rho[-1], result.theta[-1]
-    args = (reg.s, reg, params, model, grid, cfg.dt)
+    args = (reg, params, model, grid, cfg.dt)
 
     rho_sys, coeffs = stepper.assemble_rho_system(prev, rho, theta, *args,
                                                   cfg.advection)
@@ -101,7 +103,7 @@ def layer_costs(n: int, out: str) -> dict:
         "assemble_theta_system": lambda: stepper.assemble_theta_system(
             prev, rho_new, theta, *args, coeffs, cfg.advection),
         "solve_thomas": lambda: solve_thomas(rho_sys),
-        "step_record": lambda: step_record(columns, 1, record, grid, params),
+        "step_record": lambda: step_record(columns, 1, (record,), grid, params),
         "certify_run": lambda: certify_run(result),
         "write_series_csv": lambda: cli._write_series(series_path, result),
         "write_snapshots_csv": lambda: cli._write_snapshots(snapshots_path, result,
@@ -114,15 +116,18 @@ def sweep_counts(command: str, config: str, out: str) -> dict:
     """Run one CLI command, counting its accepted steps by their sweeps.
 
     stepper.run looks homotopy_solve up in its module on every step, so a
-    wrapper there sees each step of every march the command makes.
+    wrapper there sees each step of every march the command makes, with
+    one record per substep.
     """
     counts = Counter()
+    split = []
     solve = stepper.homotopy_solve
 
     def counted(*args, **kwargs):
-        new, record = solve(*args, **kwargs)
-        counts[record.sweeps] += 1
-        return new, record
+        new, records = solve(*args, **kwargs)
+        counts[sum(record.sweeps for record in records)] += 1
+        split.append(len(records) > 1)
+        return new, records
 
     stepper.homotopy_solve = counted
     try:
@@ -139,6 +144,7 @@ def sweep_counts(command: str, config: str, out: str) -> dict:
         "sweeps": sweeps,
         "sweeps_per_step": sweeps / steps if steps else 0.0,
         "first_sweep_steps": counts[1],
+        "split_steps": sum(split),
         "steps_by_sweeps": sorted(counts.items()),
         "wall_s": wall,
     }
@@ -169,7 +175,8 @@ def main() -> int:
         fh.write("\n")
     for name, case in sweeps.items():
         print(f"{name}: exit {case['exit']}, {case['sweeps']} sweeps over "
-              f"{case['steps']} steps, {case['first_sweep_steps']} on the first")
+              f"{case['steps']} steps, {case['first_sweep_steps']} on the first, "
+              f"{case['split_steps']} split")
     print(f"wrote {path}")
     return 0
 

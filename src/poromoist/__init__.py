@@ -3,7 +3,7 @@
 The package solves a degenerate parabolic system for vapor density and
 temperature on the unit interval with Robin exchange boundaries, using a
 regularized implicit finite-volume scheme with a per-step fixed-point
-solve and a coupling-strength continuation fallback.  Alongside the
+solve that retakes a failed step as smaller substeps.  Alongside the
 solver it ships the diagnostics that certify the discrete analogues of
 the model's a priori estimates, plus verification harnesses
 (manufactured solutions, regularization ladders, parameter sweeps).

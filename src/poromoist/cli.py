@@ -96,8 +96,7 @@ def _write_snapshots(path: str, result, setup) -> None:
     rows = []
     for k in _snapshot_indices(steps, setup.cadence, setup.step.dt):
         rho, theta = result.rho[k], result.theta[k]
-        u_face = darcy_velocity(rho, theta, setup.grid, params=setup.params,
-                                s=setup.reg.s)
+        u_face = darcy_velocity(rho, theta, setup.grid, params=setup.params)
         u_cell = 0.5 * (u_face[:-1] + u_face[1:])
         t_text = repr(result.t[k].item())
         rows.extend(zip(repeat(t_text), x_text, map(repr, rho.tolist()),

@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+# Keys of the retired coupling ramp, which older configs set: the schema
+# takes each at the one value those configs carry, and build_setup drops them.
+_RETIRED_KEYS = ("s", "s_ramp_steps")
 _UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 
 _PROFILE_SCHEMA = {
@@ -140,7 +143,7 @@ CONFIG_SCHEMA = {
         },
         "regularization": {
             "type": "object",
-            "properties": {"eps": _POSITIVE, "nu": _POSITIVE, "s": _UNIT},
+            "properties": {"eps": _POSITIVE, "nu": _POSITIVE, "s": {"const": 1.0}},
             "required": ["eps", "nu"],
             "additionalProperties": False,
         },
@@ -150,7 +153,7 @@ CONFIG_SCHEMA = {
                 "dt": _POSITIVE,
                 "picard_tol": _POSITIVE,
                 "max_picard": {"type": "integer", "minimum": 1},
-                "s_ramp_steps": {"type": "integer", "minimum": 1},
+                "s_ramp_steps": {"const": 8},
                 "advection": {"enum": ["upwind", "central"]},
             },
             "required": ["dt"],
@@ -255,7 +258,8 @@ def _walk(value, schema: dict, path: tuple):
         check, noun = _TYPES[schema["type"]]
         if not check(value):
             yield path, f"expected {noun}, got {value!r}"
-    if "const" in schema and value != schema["const"]:
+    if "const" in schema and (value != schema["const"]
+                              or isinstance(value, bool) != isinstance(schema["const"], bool)):
         yield path, f"expected {schema['const']!r}, got {value!r}"
     if "enum" in schema and value not in schema["enum"]:
         yield path, f"expected one of {schema['enum']}, got {value!r}"
@@ -430,8 +434,9 @@ def build_setup(data: dict) -> Setup:
     kwargs = {k: float(v) for k, v in phys.items() if k != "lambda"}
     params = PhysicalParams(lam=float(phys["lambda"]), **kwargs)
     model = _build_model(data["saturation"])
-    reg = RegularizationParams(**{k: float(v) for k, v in data["regularization"].items()})
-    stepping = data["stepping"]
+    reg = RegularizationParams(**{k: float(v) for k, v in data["regularization"].items()
+                                  if k not in _RETIRED_KEYS})
+    stepping = {k: v for k, v in data["stepping"].items() if k not in _RETIRED_KEYS}
     step = StepConfig(**{**stepping, "dt": float(stepping["dt"])})
     grid = Grid(int(data["grid"]["n"]))
     init = data["initial"]

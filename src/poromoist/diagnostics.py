@@ -11,8 +11,8 @@ independent computation:
 * a growth envelope for the combined mass/heat functional
   integral(lam rho + rho theta + sigma theta) driven by the recorded
   max-temperature history;
-* a discrete max-temperature envelope rebuilt from the recorded
-  latent-heating rates;
+* a discrete max-temperature envelope rebuilt from each level's recorded
+  latent-heating map;
 * entropy integral(rho ln rho) with its gradient dissipation;
 * a running fourth-power norm accumulator;
 * weak residuals of the unregularized integral identities against a
@@ -21,10 +21,10 @@ independent computation:
 All checks read the trajectory and its series (one column per quantity,
 one entry per time level); none of them re-runs the solver.  The columns
 that need what a step's last sweep froze (the balance residuals, the sweep
-count and the heating rate) are written per step by step_record; the
-functionals of the trajectory alone (mass, energy, entropy, the field
-extrema and the fourth-power accumulator) are computed per run by
-run_series.
+count and the envelope map) are written per level by step_record, from
+its substeps' records; the functionals of the trajectory alone (mass,
+energy, entropy, the field extrema and the fourth-power accumulator) are
+computed per run by run_series.
 """
 
 from __future__ import annotations
@@ -62,19 +62,18 @@ __all__ = [
     "certify_run",
 ]
 
-# The series.csv columns after t, in order.  A run's series also holds
-# heating_rate, the step's largest latent-heating rate per unit heat
-# capacity max(s rho X(sqrt(theta)) / (rho + sigma)), which feeds the
-# max-temperature envelope and is not written.
+# The series.csv columns after t, in order.  A run's series also holds the
+# _ENVELOPE_COLUMNS, each level's max-temperature envelope map (not written).
 SERIES_COLUMNS = (
     "total_mass", "mass_energy", "entropy", "min_rho", "min_theta",
     "max_theta", "mass_balance_residual", "energy_balance_residual",
     "l4_accumulator", "picard_iterations",
 )
 
-# Written per step by step_record; run_series computes the rest per run.
+_ENVELOPE_COLUMNS = ("envelope_lift", "envelope_gain")
+# Written per level by step_record; run_series computes the rest per run.
 _STEP_COLUMNS = ("mass_balance_residual", "energy_balance_residual",
-                 "picard_iterations", "heating_rate")
+                 "picard_iterations") + _ENVELOPE_COLUMNS
 _TRAJECTORY_COLUMNS = ("total_mass", "mass_energy", "entropy", "min_rho",
                        "min_theta", "max_theta", "l4_accumulator")
 
@@ -88,12 +87,14 @@ ENVELOPE_TOL = 1e-9
 
 
 def start_series(steps: int) -> dict:
-    """Zeroed step columns for steps + 1 time levels, keyed by name.
+    """Step columns for steps + 1 time levels, keyed by name.
 
-    step_record fills rows 1..steps; row 0, the start state, stays zero.
+    step_record fills rows 1..steps; row 0, the start state, stays zero but
+    for its envelope map, the identity (lift 0, gain 1).
     """
     series = {name: np.zeros(steps + 1) for name in _STEP_COLUMNS}
     series["picard_iterations"] = np.zeros(steps + 1, dtype=int)
+    series["envelope_gain"][0] = 1.0
     return series
 
 
@@ -106,7 +107,7 @@ def mass_balance_residual(srec: StepRecord, grid: Grid) -> float:
     h = grid.h
     rho_new, coeffs = srec.rho, srec.coeffs
     drho = h * (rho_new - srec.prev.rho).sum() / srec.dt
-    reaction = h * srec.s * (coeffs.chi_sqrt * rho_new - coeffs.chi_ps).sum()
+    reaction = h * (coeffs.chi_sqrt * rho_new - coeffs.chi_ps).sum()
     source = h * np.sum(srec.forcing.rho_source)
     boundary = srec.mass_flux[-1] - srec.mass_flux[0]
     return float(abs(drho + reaction - source - boundary))
@@ -129,28 +130,40 @@ def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams
     e_prev = h * (rho_prev * theta_prev + params.sigma * theta_prev).sum()
 
     th_l, th_r = boundary_traces(theta_new)
-    cond_l, cond_r = robin_fluxes(th_l, th_r, srec.s, params.beta0, params.beta1,
+    cond_l, cond_r = robin_fluxes(th_l, th_r, params.beta0, params.beta1,
                                   params.theta_bar0, params.theta_bar1)
     g0, g1 = forcing.theta_flux
     boundary = ((cond_r + g1) + srec.mass_flux[-1] * th_r
                 - (cond_l + g0) - srec.mass_flux[0] * th_l)
     gamma = rho_new * coeffs.chi_sqrt - coeffs.chi_ps
-    lag_defect = srec.s * ((params.lam + theta_new) * coeffs.chi_ps
-                           - (params.lam + srec.theta_iter) * coeffs.ps_iter)
-    interior = h * (srec.s * params.lam * gamma + lag_defect).sum()
+    lag_defect = ((params.lam + theta_new) * coeffs.chi_ps
+                  - (params.lam + srec.theta_iter) * coeffs.ps_iter)
+    interior = h * (params.lam * gamma + lag_defect).sum()
     source = h * np.sum(forcing.theta_source) + h * np.sum(theta_new * forcing.rho_source)
     return float(abs((e_new - e_prev) / srec.dt - boundary - interior - source))
 
 
-def step_record(series: dict, k: int, srec: StepRecord, grid: Grid,
+def step_record(series: dict, k: int, records: tuple[StepRecord, ...], grid: Grid,
                 params: PhysicalParams) -> None:
-    """Write row k of the step columns from step k, which ended at time level k."""
-    rho = srec.rho
-    series["mass_balance_residual"][k] = mass_balance_residual(srec, grid)
-    series["energy_balance_residual"][k] = energy_balance_residual(srec, grid, params)
-    series["picard_iterations"][k] = srec.sweeps
-    series["heating_rate"][k] = (srec.s * rho * srec.coeffs.chi_sqrt
-                                 / (rho + params.sigma)).max()
+    """Write row k of the step columns from the substeps that reached level k.
+
+    The balance residuals are the largest over the substeps (np.maximum
+    keeps a NaN), and picard_iterations counts every sweep.  A substep of
+    size h at heating rate r = max(rho X(sqrt(theta)) / (rho + sigma)) maps
+    the max-temperature envelope by env <- (env + h lam r)(1 + h r); their
+    composition is the level's env <- (env + lift) gain.
+    """
+    mass = energy = lift = sweeps = 0
+    gain = 1.0
+    for srec in records:
+        mass = np.maximum(mass, mass_balance_residual(srec, grid))
+        energy = np.maximum(energy, energy_balance_residual(srec, grid, params))
+        sweeps += srec.sweeps
+        rate = (srec.rho * srec.coeffs.chi_sqrt / (srec.rho + params.sigma)).max()
+        lift += srec.dt * params.lam * rate / gain
+        gain *= 1.0 + srec.dt * rate
+    for name, value in zip(_STEP_COLUMNS, (mass, energy, sweeps, lift, gain)):
+        series[name][k] = value
 
 
 def run_series(step_columns: dict, rho: np.ndarray, theta: np.ndarray, dt: float,
@@ -184,7 +197,7 @@ def run_series(step_columns: dict, rho: np.ndarray, theta: np.ndarray, dt: float
     l4[0] = 0.0
     np.cumsum(dt * fourth[:-1], out=l4[1:])
     columns.update(step_columns)
-    return {name: columns[name] for name in SERIES_COLUMNS + ("heating_rate",)}
+    return {name: columns[name] for name in SERIES_COLUMNS + _ENVELOPE_COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -233,16 +246,16 @@ def theta_envelope(result: RunResult) -> list:
     """Discrete growth envelope for max theta, one value per time level.
 
     The walls pull toward the ambient temperatures and the only interior
-    source is latent heating, so each step grows the envelope by the
-    recorded heating rate r: env <- (env + dt lam r)(1 + dt r), floored at
-    the ambient values.
+    source is latent heating, so each level grows the envelope by its map
+    (see step_record), env <- max((env + lift) gain, theta_bar0, theta_bar1):
+    (env + dt lam r)(1 + dt r) for one step of dt at heating rate r.
     """
-    p, dt = result.params, result.cfg.dt
-    env = max(float(result.series["max_theta"][0]), p.theta_bar0, p.theta_bar1)
+    p, series = result.params, result.series
+    env = max(float(series["max_theta"][0]), p.theta_bar0, p.theta_bar1)
     envelope = [env]
-    for rate in result.series["heating_rate"][1:].tolist():
-        env = (env + dt * p.lam * rate) * (1.0 + dt * rate)
-        env = max(env, p.theta_bar0, p.theta_bar1)
+    for lift, gain in zip(series["envelope_lift"][1:].tolist(),
+                          series["envelope_gain"][1:].tolist()):
+        env = max((env + lift) * gain, p.theta_bar0, p.theta_bar1)
         envelope.append(env)
     return envelope
 
@@ -349,7 +362,7 @@ def weak_residual(result: RunResult) -> WeakResidualReport:
     """
     shapes = default_test_functions()
     grid, p = result.grid, result.params
-    s, model = result.reg.s, result.model
+    model = result.model
     h, dt = grid.h, result.cfg.dt
     x, xf = grid.centers, grid.faces[1:-1]
     t_final = float(result.t[-1])
@@ -387,9 +400,9 @@ def weak_residual(result: RunResult) -> WeakResidualReport:
         heat_flux = flux * theta_face + kappa_face * np.diff(th1) / h
 
         th_l, th_r = boundary_traces(th1)
-        f_left, f_right = robin_fluxes(*boundary_traces(r1), s, p.alpha0, p.alpha1,
+        f_left, f_right = robin_fluxes(*boundary_traces(r1), p.alpha0, p.alpha1,
                                        p.rho_bar0, p.rho_bar1)
-        g_left, g_right = robin_fluxes(th_l, th_r, s, p.beta0, p.beta1,
+        g_left, g_right = robin_fluxes(th_l, th_r, p.beta0, p.beta1,
                                        p.theta_bar0, p.theta_bar1)
 
         gamma = phase_change_rate(r1, th1, model)
@@ -442,8 +455,8 @@ class CertificationReport:
 # are skipped, so no message reports a NaN as a size.
 _CERTIFIED_COLUMNS = (
     "mass_balance_residual", "energy_balance_residual", "total_mass",
-    "mass_energy", "max_theta", "heating_rate", "min_rho", "min_theta",
-    "entropy", "l4_accumulator",
+    "mass_energy", "max_theta", "envelope_lift", "envelope_gain", "min_rho",
+    "min_theta", "entropy", "l4_accumulator",
 )
 
 
@@ -451,8 +464,8 @@ def certify_run(result: RunResult) -> CertificationReport:
     """Run every certification that has a sharp expected outcome.
 
     Mass balance must sit at solver roundoff (MASS_TOL), both envelopes
-    must hold (the max-temperature one rebuilt here from the heating-rate
-    column), and the fields must stay in the admissible cone.  The energy
+    must hold (the max-temperature one rebuilt here from the envelope-map
+    columns), and the fields must stay in the admissible cone.  The energy
     residual has no universal threshold (it is first order in dt), so it is
     reported but only checked for finiteness.  Every column read must be
     finite; a check of values runs only on the finite columns it reads.
@@ -473,7 +486,7 @@ def certify_run(result: RunResult) -> CertificationReport:
             f"(excess {-envelope.min_slack:.3e})")
     theta_ok = bool(np.all(series["max_theta"][1:]
                            <= np.array(theta_envelope(result)[1:]) + 1e-9))
-    if not theta_ok and not nonfinite & {"max_theta", "heating_rate"}:
+    if not theta_ok and not nonfinite & {"max_theta", *_ENVELOPE_COLUMNS}:
         failures.append("max-temperature envelope violated")
     min_rho = np.min(series["min_rho"])
     min_theta = np.min(series["min_theta"])

@@ -121,15 +121,15 @@ def boundary_traces(values: np.ndarray) -> tuple[float, float]:
     return 1.5 * values[0] - 0.5 * values[1], 1.5 * values[-1] - 0.5 * values[-2]
 
 
-def robin_fluxes(left: float, right: float, s: float, k0: float, k1: float,
+def robin_fluxes(left: float, right: float, k0: float, k1: float,
                  bar0: float, bar1: float) -> tuple[float, float]:
     """Exchange fluxes at the two walls for traces left/right.
 
     Returns the face values of the flux inside the divergence:
-    k0 (left - s bar0) at x = 0 and k1 (s bar1 - right) at x = 1, with
-    exchange coefficients k0/k1 and ambient values bar0/bar1 scaled by the
-    coupling s.  A surplus at either wall gives an outflow: positive at the
-    left wall, negative at the right.  Vapor uses alpha and rho_bar, heat
-    conduction beta and theta_bar.
+    k0 (left - bar0) at x = 0 and k1 (bar1 - right) at x = 1, with
+    exchange coefficients k0/k1 and ambient values bar0/bar1.  A surplus at
+    either wall gives an outflow: positive at the left wall, negative at
+    the right.  Vapor uses alpha and rho_bar, heat conduction beta and
+    theta_bar.
     """
-    return k0 * (left - s * bar0), k1 * (s * bar1 - right)
+    return k0 * (left - bar0), k1 * (bar1 - right)

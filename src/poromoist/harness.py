@@ -67,8 +67,7 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
     rho = 2 + cos(pi x) e^-t in [1, 3], theta = 1 + sin(pi x) e^-t / 2 in
     [1/2, 3/2].  The sources are composed from the closed-form partial
     derivatives; the boundary corrections are the gap between the exact
-    fluxes and the Robin exchange expressions at full coupling s = 1,
-    the coupling mms_study runs at.
+    fluxes and the Robin exchange expressions.
     """
     pi = np.pi
 
@@ -133,13 +132,13 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
         return float(conductivity(rho(xv, t), params) * theta_x(xv, t))
 
     def rho_flux(t):
-        f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)), 1.0,
+        f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)),
                               params.alpha0, params.alpha1,
                               params.rho_bar0, params.rho_bar1)
         return mass_flux(0.0, t) - f0, mass_flux(1.0, t) - f1
 
     def theta_flux(t):
-        g0, g1 = robin_fluxes(float(theta(0.0, t)), float(theta(1.0, t)), 1.0,
+        g0, g1 = robin_fluxes(float(theta(0.0, t)), float(theta(1.0, t)),
                               params.beta0, params.beta1,
                               params.theta_bar0, params.theta_bar1)
         return cond_flux(0.0, t) - g0, cond_flux(1.0, t) - g1
@@ -197,7 +196,7 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         x = grid.centers
         state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
         cfg = StepConfig(dt=dt, picard_tol=1e-12, advection=advection)
-        reg = RegularizationParams(eps=eps, nu=nu, s=1.0)
+        reg = RegularizationParams(eps=eps, nu=nu)
         result = run(None, cfg, reg, params, model, grid, t_end=t_end,
                      forcing=case.forcing, initial_state=state0)
         t_final = float(result.t[-1])
@@ -259,7 +258,7 @@ def regularization_ladder(initial: InitialData | None, cfg: StepConfig,
     for j in range(rungs):
         eps_j = eps0 * factor**(-j)
         nu_j = nu_ratio * eps_j
-        reg = RegularizationParams(eps=eps_j, nu=nu_j, s=1.0)
+        reg = RegularizationParams(eps=eps_j, nu=nu_j)
         results.append(run(initial, cfg, reg, params, model, grid, t_end=t_end,
                            initial_state=initial_state))
         eps_values.append(eps_j)

@@ -17,16 +17,15 @@ swap, dgttrf and dgttrs do the Thomas loop's operations in the same order,
 so the result is the loop's to the bit.
 
 The Python loop stays, as the fallback and as the only code that raises
-``ZeroPivot`` for a pivot below the floor.  The floor is never below the
-smallest subnormal, so an exact zero pivot is refused even where
-``PIVOT_FLOOR * max|diag|`` underflows to 0.  A solve goes to the loop
-whenever LAPACK's answer could differ from it: dgttrf swapped a row
-(partial pivoting swaps wherever a subdiagonal entry outweighs its pivot,
-which row dominance allows), a pivot fell below the floor, the solution
-holds a NaN or a zero (where the extra ``0 * x`` term of LAPACK's back
-substitution can turn inf into NaN or flip the sign of a zero), or numpy's
-build does not export the ILP64 names (Accelerate, MKL, Windows).  On the
-shipped configs no solve fell back.
+``ZeroPivot`` for a pivot below its row's floor (see ``solve_thomas``), so
+a row of 1e300 at a wall does not make an interior pivot of 1e3 count as
+zero.  A solve goes to the loop whenever LAPACK's answer could differ from
+it: dgttrf swapped a row (partial pivoting swaps wherever a subdiagonal
+entry outweighs its pivot, which row dominance allows), a pivot fell below
+its floor, the solution holds a NaN or a zero (where the extra ``0 * x``
+term of LAPACK's back substitution can turn inf into NaN or flip the sign
+of a zero), or numpy's build does not export the ILP64 names (Accelerate,
+MKL, Windows).  On the shipped configs no solve fell back.
 
 Per solve, on random systems dominant by rows and columns (no swaps;
 minimum of 7 x 1000 calls in each of 10 rounds alternating the two paths,
@@ -52,8 +51,8 @@ from .errors import DimensionMismatch, ZeroPivot
 
 __all__ = ["TridiagonalSystem", "solve_thomas"]
 
-# Pivots smaller than this fraction of the largest diagonal entry are
-# treated as breakdown rather than divided through.
+# Pivots smaller than this fraction of the largest magnitude in their own
+# row are treated as breakdown rather than divided through.
 PIVOT_FLOOR = 1e-14
 
 
@@ -147,16 +146,17 @@ _GTTR = _resolve_gttr()
 def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     """Thomas sweep: forward elimination then back substitution, no pivoting.
 
-    Raises ZeroPivot(index) when an eliminated pivot falls below
-    PIVOT_FLOOR * max|diag|, or is exactly zero where that floor underflows
-    to 0 (a diagonal of zeros or subnormals).
+    Raises ZeroPivot(index) when the eliminated pivot of row i falls below
+    PIVOT_FLOOR times the largest magnitude in row i, or is exactly zero
+    where that floor underflows to 0 (a row of zeros and subnormals).
     Intended for the strictly diagonally dominant systems produced by the
     assemblers, where breakdown cannot occur.  The result is the loop's to
     the bit, whichever path computes it.
     """
-    # At least the smallest subnormal, so that an exact zero pivot fails
-    # even where PIVOT_FLOOR * max|diag| underflows to 0.
-    floor = max(PIVOT_FLOOR * float(np.abs(system.diag).max()), math.ulp(0.0))
+    floor = np.abs(system.diag)
+    np.maximum(floor[1:], np.abs(system.lower), out=floor[1:])
+    np.maximum(floor[:-1], np.abs(system.upper), out=floor[:-1])
+    floor = np.maximum(PIVOT_FLOOR * floor, math.ulp(0.0))
     if _GTTR is not None:
         x = _solve_gttr(system, floor)
         if x is not None:
@@ -164,14 +164,15 @@ def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     return _thomas_loop(system, floor)
 
 
-def _solve_gttr(system: TridiagonalSystem, floor: float) -> np.ndarray | None:
+def _solve_gttr(system: TridiagonalSystem, floor: np.ndarray) -> np.ndarray | None:
     """The loop's solution through LAPACK, or None where only the loop can tell.
 
+    floor holds each row's pivot floor (a scalar stands for every row).
     Without a row swap, dgttrf and dgttrs do the loop's operations in the
     loop's order, plus one term DU2(i)*x(i+2) with DU2 = 0 in the back
-    substitution.  That term changes a result only when it meets a
-    nonfinite x or a signed zero, so a solution holding a NaN or a zero is
-    handed back to the loop too.  The system itself is never written to.
+    substitution.  That term changes a result only when it meets a nonfinite
+    x or a signed zero, so a solution holding a NaN or a zero is handed back
+    to the loop too.  The system itself is never written to.
     """
     n = system.diag.shape[0]
     # One buffer, in doubles: rhs (solved in place), lower, diag, upper,
@@ -190,7 +191,7 @@ def _solve_gttr(system: TridiagonalSystem, floor: float) -> np.ndarray | None:
     gttrf(nn, dl, d, du, du2, ipiv, info)
     # ipiv[i] is i+1 (1-based) or i+2 after a swap, so the sum counts swaps.
     if (ints[n] or ints[:n].sum() != n * (n + 1) // 2
-            or not np.abs(buf[2 * n - 1:3 * n - 1]).min() >= floor):
+            or not (np.abs(buf[2 * n - 1:3 * n - 1]) >= floor).all()):
         return None
     gttrs(b"N", nn, one, dl, d, du, du2, ipiv, b, nn, info, 1)
     x = buf[:n]
@@ -199,7 +200,7 @@ def _solve_gttr(system: TridiagonalSystem, floor: float) -> np.ndarray | None:
     return x.copy()
 
 
-def _thomas_loop(system: TridiagonalSystem, floor: float) -> np.ndarray:
+def _thomas_loop(system: TridiagonalSystem, floor: np.ndarray) -> np.ndarray:
     """The Thomas sweep in Python floats: the reference and the fallback."""
     # Plain Python floats are markedly faster than numpy scalar indexing
     # for the short sequential sweeps used here.
@@ -207,19 +208,20 @@ def _thomas_loop(system: TridiagonalSystem, floor: float) -> np.ndarray:
     d = system.diag.tolist()
     c = system.upper.tolist()
     b = system.rhs.tolist()
+    floors = floor.tolist()
 
-    # -floor < piv < floor is abs(piv) < floor without the call.  The loop
-    # overwrites d with the pivots and b with the eliminated right side.
+    # -f < piv < f is abs(piv) < f without the call.  The loop overwrites d
+    # with the pivots and b with the eliminated right side.
     piv = d[0]
-    if -floor < piv < floor:
+    if -floors[0] < piv < floors[0]:
         raise ZeroPivot(0, piv)
     beta = b[0]
     i = 0
-    for ai, di, ci, bi in zip(a, d[1:], c, b[1:]):
+    for ai, di, ci, bi, f in zip(a, d[1:], c, b[1:], floors[1:]):
         i += 1
         w = ai / piv
         piv = di - w * ci
-        if -floor < piv < floor:
+        if -f < piv < f:
             raise ZeroPivot(i, piv)
         beta = bi - w * beta
         d[i] = piv

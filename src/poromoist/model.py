@@ -264,13 +264,13 @@ def validate_saturation_assumptions(model: SaturationModel) -> SaturationReport:
 
 
 def darcy_velocity(rho: np.ndarray, theta: np.ndarray, grid: Grid,
-                   params: PhysicalParams, s: float) -> np.ndarray:
+                   params: PhysicalParams) -> np.ndarray:
     """Filtration velocity u = -(rho * theta)_x at the n+1 faces.
 
     Interior faces use the difference quotient of the cell pressure
     rho * theta.  Wall faces are diagnostic: they carry the Robin mass flux
-    at coupling s divided by the upwinded face density (donor value by flow
-    direction).
+    divided by the upwinded face density (donor value by flow direction:
+    the ambient value on inflow, the wall trace on outflow).
     """
     h = grid.h
     pressure = rho * theta
@@ -278,12 +278,12 @@ def darcy_velocity(rho: np.ndarray, theta: np.ndarray, grid: Grid,
     u[1:-1] = -np.diff(pressure) / h
 
     trace_l, trace_r = boundary_traces(rho)
-    f_left, f_right = robin_fluxes(trace_l, trace_r, s, params.alpha0, params.alpha1,
+    f_left, f_right = robin_fluxes(trace_l, trace_r, params.alpha0, params.alpha1,
                                    params.rho_bar0, params.rho_bar1)
     # Rightward mass flux q = u * rho is minus the divergence-form flux.
     q_left, q_right = -f_left, -f_right
-    donor_l = s * params.rho_bar0 if q_left > 0 else trace_l
-    donor_r = trace_r if q_right > 0 else s * params.rho_bar1
+    donor_l = params.rho_bar0 if q_left > 0 else trace_l
+    donor_r = trace_r if q_right > 0 else params.rho_bar1
     u[0] = q_left / donor_l if abs(donor_l) > 1e-300 else 0.0
     u[-1] = q_right / donor_r if abs(donor_r) > 1e-300 else 0.0
     return u

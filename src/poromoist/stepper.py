@@ -3,49 +3,37 @@
 Each backward-Euler step solves the regularized coupled system
 
     rho_t - ((eps + m_nu(rho theta)) rho_x)_x - (rho * m_eps(m_eps(rho) theta_x))_x
-          + s rho X(sqrt(theta)) = s X(p_s(theta))
+          + rho X(sqrt(theta)) = X(p_s(theta))
 
     (rho + sigma) theta_t - ((kappa1 + kappa2 m_eps(rho)^2) theta_x)_x
-          - F theta_x - s rho X(sqrt(theta)) theta + s (lam + theta) p_s(theta)
-          = s lam rho X(sqrt(theta))
+          - F theta_x - rho X(sqrt(theta)) theta + (lam + theta) p_s(theta)
+          = lam rho X(sqrt(theta))
 
-where m_mu is the mollifier, X the cutoff at level 1/eps, F the total mass
-flux (the expression under the divergence of the vapor equation), and
-s in [0, 1] the coupling strength used for continuation.  Robin exchange
-conditions close both equations, with ambient values scaled by s.
+where m_mu is the mollifier, X the cutoff at level 1/eps and F the total
+mass flux (the expression under the divergence of the vapor equation).
+Robin exchange conditions with the ambient values close both equations.
 
 The two equations are solved alternately inside a per-step fixed-point
 loop: coefficients and the lagged saturation term are frozen at the
 sweep's input, each sweep solves two tridiagonal systems, and the loop
 ends when the combined relative update of a sweep's output from its own
 input falls below picard_tol.  From the third sweep of an attempt on, the
-input is not the last output but an Anderson mix of the attempt's last
-ANDERSON_DEPTH + 1 inputs and outputs (a least-squares combination,
-Walker & Ni 2011), clamped elementwise to at least min(g, 0.5 g) of the
-last output g, so rho and theta stay positive wherever g is; on the stiff
-benchmark config no step then takes more than 12 sweeps, against 35 with
-plain sweeps.  Each attempt and each ramp stage starts without history,
-and a step that converges within two sweeps is never mixed.  run starts
-each step's sweeps from an extrapolation of the accepted states (the
-previous state on the first step, then a polynomial through the last
-states, of degree 4 from the fifth step on, clamped to at least half the
-previous state), which on the smoke config lets 874 of 1000 steps
-converge on their first sweep.  homotopy_solve then makes
-its attempts in one order: the predicted start, the previous state, and
-a ramp of s values that warm-starts each stage from the last one that
-produced an iterate.  One failure rule covers every attempt: a
-StepFailure (divergence, a nonfinite iterate or lost diagonal dominance)
-adds the attempt's sweeps to the step's count and moves on to the next
-attempt, and the step fails only with the final ramp stage's error.
-Every accepted iterate is a plain sweep output of the assembled rows,
-whatever it started from (a mixed input is never accepted), and each step
-leaves one StepRecord: its sweeps and what its last sweep froze.
-diagnostics.step_record writes the step's row of the columns that need it,
-and after the march diagnostics.run_series adds the functionals of the
-trajectory alone, once per run.  Only the start state is checked for the
-cone rho >= 0, theta > 0; certify_run judges the march.  Forcing terms
-are evaluated once per step, at the new time, and shared by every sweep;
-an unforced run shares NO_FORCING, whose zero terms change no value.
+input is Anderson-mixed from the attempt's own sweeps (see
+_picard_sweeps), which on the stiff benchmark config keeps every step
+within 12 sweeps, against 35 with plain sweeps.  run starts each step's
+sweeps from an extrapolation of the accepted states (see
+_predicted_start), which on the smoke config lets 874 of 1000 steps
+converge on their first sweep.  homotopy_solve advances one output level
+of dt and, where both of its direct attempts fail, retakes the level in
+halved substeps.  Every accepted iterate is a plain sweep output of the
+assembled rows (a mixed input is never accepted), and each substep leaves
+one StepRecord: its sweeps and what its last sweep froze.
+diagnostics.step_record folds a level's records into its row, and
+diagnostics.run_series adds the functionals of the trajectory alone, once
+per run.  Only the start state is checked for the cone rho >= 0,
+theta > 0; certify_run judges the march.  Forcing terms are evaluated once
+per time a substep ends and shared by its sweeps; an unforced run shares
+NO_FORCING, whose zero terms change no value.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -118,23 +106,21 @@ __all__ = [
 UPDATE_FLOOR = 1e-30
 # Residual differences that mix each sweep input from the third on (see _picard_sweeps).
 ANDERSON_DEPTH = 2
+SPLIT_DEPTH = 6  # halvings of a level's step that homotopy_solve may make: dt/64
 
 
 @dataclass(frozen=True)
 class RegularizationParams:
-    """Cutoff level 1/eps, mollifier radii (eps outer, nu inner), coupling s."""
+    """Cutoff level 1/eps and mollifier radii (eps outer, nu inner)."""
 
     eps: float
     nu: float
-    s: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.nu < self.eps <= 1):
             raise ConfigError(
                 f"regularization requires 0 < nu < eps <= 1, got eps={self.eps}, nu={self.nu}"
             )
-        if not (0 <= self.s <= 1):
-            raise ConfigError(f"coupling strength must lie in [0, 1], got {self.s}")
 
     def validate_against(self, params: PhysicalParams) -> None:
         limit = min(params.ambient_min, 1.0)
@@ -164,7 +150,6 @@ class StepConfig:
     dt: float
     picard_tol: float = 1e-10
     max_picard: int = 50
-    s_ramp_steps: int = 8
     advection: str = "upwind"
 
     def __post_init__(self):
@@ -172,8 +157,8 @@ class StepConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.picard_tol > 0:
             raise ConfigError("picard_tol must be positive")
-        if self.max_picard < 1 or self.s_ramp_steps < 1:
-            raise ConfigError("max_picard and s_ramp_steps must be at least 1")
+        if self.max_picard < 1:
+            raise ConfigError("max_picard must be at least 1")
         if self.advection not in ("upwind", "central"):
             raise ConfigError(
                 f"advection must be 'upwind' or 'central', got {self.advection!r}"
@@ -233,19 +218,16 @@ class FluxCoefficients:
 
 @dataclass
 class StepRecord:
-    """One step's solve: its sweeps and what its last sweep froze.
+    """One (sub)step's solve over dt from prev: its sweeps and what its last sweep froze.
 
-    sweeps counts the step's sweeps, failed attempts included; update is the
-    last sweep's relative update, and s_path the couplings solved at (the
-    target, then any ramp stages).  rho and theta are the last sweep's
-    solution, theta_iter the iterate its coefficients were frozen at, and
-    forcing the terms it was given.
+    sweeps counts failed attempts too (see _substeps); update is the last
+    sweep's relative update, rho and theta its solution, theta_iter the
+    iterate its coefficients were frozen at, and forcing its terms.
     """
 
     prev: State
     rho: np.ndarray
     theta: np.ndarray
-    s: float
     dt: float
     theta_iter: np.ndarray
     coeffs: FluxCoefficients
@@ -253,7 +235,6 @@ class StepRecord:
     forcing: ForcingValues
     sweeps: int
     update: float
-    s_path: tuple
 
 
 @dataclass
@@ -262,8 +243,8 @@ class RunResult:
 
     Row k of rho and theta holds the cell values at time t[k]; row 0 is the
     start state.  series maps each diagnostic's name (see
-    diagnostics.SERIES_COLUMNS, plus heating_rate) to a steps+1 array whose
-    entry k describes the same time level.
+    diagnostics.SERIES_COLUMNS and _ENVELOPE_COLUMNS) to a steps+1 array
+    whose entry k describes the same time level.
     """
 
     rho: np.ndarray                # (steps+1, n)
@@ -360,7 +341,7 @@ def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
 
 
 def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarray,
-                        s: float, reg: RegularizationParams, params: PhysicalParams,
+                        reg: RegularizationParams, params: PhysicalParams,
                         model: SaturationModel, grid: Grid, dt: float,
                         scheme: str = "upwind", forcing: ForcingValues = NO_FORCING,
                         ) -> tuple[TridiagonalSystem, FluxCoefficients]:
@@ -377,14 +358,13 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
 
     np.divide(coeffs.A, h, out=lower)
     np.divide(coeffs.B, h, out=upper)     # B/h until negated below
-    np.multiply(s, coeffs.chi_sqrt, out=diag)
-    diag += 1.0 / dt
+    np.add(coeffs.chi_sqrt, 1.0 / dt, out=diag)
     diag[:-1] -= lower
     diag[1:] += upper
     np.negative(upper, out=upper)
 
     np.divide(prev.rho, dt, out=rhs)
-    rhs += s * coeffs.chi_ps
+    rhs += coeffs.chi_ps
     rhs += forcing.rho_source
     g0, g1 = forcing.rho_flux
 
@@ -392,14 +372,14 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     upper[0] -= 0.5 * params.alpha0 / h
     diag[-1] += 1.5 * params.alpha1 / h
     lower[-1] -= 0.5 * params.alpha1 / h
-    rhs[0] += (params.alpha0 * s * params.rho_bar0 - g0) / h
-    rhs[-1] += (params.alpha1 * s * params.rho_bar1 + g1) / h
+    rhs[0] += (params.alpha0 * params.rho_bar0 - g0) / h
+    rhs[-1] += (params.alpha1 * params.rho_bar1 + g1) / h
 
     _check_rows("vapor", band)
     return TridiagonalSystem.from_band(band), coeffs
 
 
-def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
+def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients,
                        params: PhysicalParams, grid: Grid,
                        forcing: ForcingValues) -> np.ndarray:
     """All n+1 face values of the vapor flux at the fresh solution.
@@ -410,7 +390,7 @@ def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
     flux = np.empty(grid.n + 1)
     np.multiply(coeffs.A, rho_new[:-1], out=flux[1:-1])
     flux[1:-1] += coeffs.B * rho_new[1:]
-    f0, f1 = robin_fluxes(*boundary_traces(rho_new), s, params.alpha0,
+    f0, f1 = robin_fluxes(*boundary_traces(rho_new), params.alpha0,
                           params.alpha1, params.rho_bar0, params.rho_bar1)
     g0, g1 = forcing.rho_flux
     flux[0] = f0 + g0
@@ -419,7 +399,7 @@ def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, s: float,
 
 
 def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarray,
-                          s: float, reg: RegularizationParams, params: PhysicalParams,
+                          reg: RegularizationParams, params: PhysicalParams,
                           model: SaturationModel, grid: Grid, dt: float,
                           coeffs: FluxCoefficients, scheme: str = "upwind",
                           forcing: ForcingValues = NO_FORCING,
@@ -430,7 +410,7 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     product-rule form -(1/h)[F_{j+1}(that_{j+1} - th_i) - F_j(that_j - th_i)]
     so each face carries exactly the vapor mass flux F as its convective
     coefficient; that_j is the donor-weighted face temperature.  The
-    saturation sink s (lam + theta) p_s(theta) is lagged at the iterate and
+    saturation sink (lam + theta) p_s(theta) is lagged at the iterate and
     sits on the right-hand side.
 
     Returns the system and the face mass-flux array.
@@ -439,14 +419,14 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
 
     kcell = conductivity(mollify(rho_new, reg.eps, h), params)
     kface_h2 = 0.5 * (kcell[:-1] + kcell[1:]) / h**2
-    mass_flux = evaluate_mass_flux(rho_new, coeffs, s, params, grid, forcing)
+    mass_flux = evaluate_mass_flux(rho_new, coeffs, params, grid, forcing)
     fm, fp = _donor_split(mass_flux[1:-1], scheme)
     fm_h, fp_h = fm / h, fp / h
     band, lower, diag, upper, rhs = _new_band(n)
 
     heat_cap = rho_new + params.sigma
     np.divide(heat_cap, dt, out=diag)
-    diag -= s * rho_new * coeffs.chi_sqrt
+    diag -= rho_new * coeffs.chi_sqrt
     diag[:-1] += kface_h2 + fp_h
     diag[1:] += kface_h2 - fm_h
     np.negative(kface_h2, out=upper)
@@ -456,8 +436,8 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
 
     np.multiply(heat_cap, prev.theta, out=rhs)
     rhs /= dt
-    rhs += s * params.lam * rho_new * coeffs.chi_sqrt
-    rhs -= s * (params.lam + theta_iter) * coeffs.ps_iter
+    rhs += params.lam * rho_new * coeffs.chi_sqrt
+    rhs -= (params.lam + theta_iter) * coeffs.ps_iter
     rhs += forcing.theta_source
 
     g0, g1 = forcing.theta_flux
@@ -465,8 +445,8 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     upper[0] += -0.5 * params.beta0 / h - 0.5 * mass_flux[0] / h
     diag[-1] += 1.5 * params.beta1 / h - 0.5 * mass_flux[-1] / h
     lower[-1] += -0.5 * params.beta1 / h + 0.5 * mass_flux[-1] / h
-    rhs[0] += (params.beta0 * s * params.theta_bar0 - g0) / h
-    rhs[-1] += (params.beta1 * s * params.theta_bar1 + g1) / h
+    rhs[0] += (params.beta0 * params.theta_bar0 - g0) / h
+    rhs[-1] += (params.beta1 * params.theta_bar1 + g1) / h
 
     _check_rows("heat", band)
     return TridiagonalSystem.from_band(band), mass_flux
@@ -474,9 +454,9 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
 
 def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   s: float, forcing: ForcingValues,
+                   forcing: ForcingValues,
                    start: tuple[np.ndarray, np.ndarray]) -> StepRecord:
-    """Run fixed-point sweeps at fixed s until converged or budget spent.
+    """Run fixed-point sweeps until converged or budget spent.
 
     Sweep k freezes its coefficients at the input x_k and returns the plain
     output g_k; f_k = g_k - x_k is its residual.  Sweep 2's input is sweep
@@ -499,16 +479,16 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
     for k in range(1, cfg.max_picard + 1):
         try:
             rho_sys, coeffs = assemble_rho_system(
-                prev, rho_it, theta_it, s, reg, params, model, grid, cfg.dt,
+                prev, rho_it, theta_it, reg, params, model, grid, cfg.dt,
                 cfg.advection, forcing)
             rho_new = solve_thomas(rho_sys)
             theta_sys, mass_flux = assemble_theta_system(
-                prev, rho_new, theta_it, s, reg, params, model, grid, cfg.dt,
+                prev, rho_new, theta_it, reg, params, model, grid, cfg.dt,
                 coeffs, cfg.advection, forcing)
             theta_new = solve_thomas(theta_sys)
             if not (np.isfinite(rho_new).all() and np.isfinite(theta_new).all()):
                 raise NonfiniteIterate(
-                    f"nonfinite iterate at s={s}, sweep {k}, t={prev.t + cfg.dt}")
+                    f"nonfinite iterate at sweep {k}, t={prev.t + cfg.dt}")
         except StepFailure as exc:
             exc.sweeps = k
             raise
@@ -529,8 +509,8 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
             rho_it, theta_it = mixed[:grid.n], mixed[grid.n:]
         else:
             rho_it, theta_it = rho_new, theta_new
-    return StepRecord(prev, rho_new, theta_new, s, cfg.dt, theta_it, coeffs,
-                      mass_flux, forcing, k, update, (s,))
+    return StepRecord(prev, rho_new, theta_new, cfg.dt, theta_it, coeffs,
+                      mass_flux, forcing, k, update)
 
 
 def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
@@ -538,7 +518,7 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
                 forcing: ForcingValues = NO_FORCING,
                 start: tuple[np.ndarray, np.ndarray] | None = None,
                 ) -> tuple[State, StepRecord]:
-    """Advance one step by fixed-point iteration at the coupling reg.s.
+    """Advance one step of cfg.dt by fixed-point iteration.
 
     The sweeps start from ``start`` (a (rho, theta) pair) when given, and
     from the previous state otherwise.  ``forcing`` holds the forcing
@@ -547,69 +527,71 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
     """
     if start is None:
         start = (prev.rho, prev.theta)
-    record = _picard_sweeps(prev, cfg, reg, params, model, grid, reg.s, forcing, start)
+    record = _picard_sweeps(prev, cfg, reg, params, model, grid, forcing, start)
     if not record.update < cfg.picard_tol:
         raise PicardDivergence(
-            f"no convergence in {cfg.max_picard} sweeps at s={reg.s}", record)
+            f"no convergence in {cfg.max_picard} sweeps at dt={cfg.dt}", record)
     return State(record.rho, record.theta, prev.t + cfg.dt), record
 
 
 def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   forcing: ForcingValues = NO_FORCING,
+                   forcing: Forcing | None = None,
                    start: tuple[np.ndarray, np.ndarray] | None = None,
-                   ) -> tuple[State, StepRecord]:
-    """Advance one step, falling back to an s-ramp when the direct solve fails.
+                   ) -> tuple[State, tuple[StepRecord, ...]]:
+    """Advance one output level of cfg.dt, in substeps where direct solves fail.
 
-    The attempts, in order: the direct solve from the predicted first
-    iterate ``start``, when there is one; the direct solve from the
-    previous state; and the ramp stages s = k/s_ramp_steps * s_target,
-    k = 1..s_ramp_steps.  One rule covers them all: an attempt that
-    raises a StepFailure (it diverges, turns nonfinite or loses diagonal
-    dominance) adds its sweeps to the step's count, and the next attempt
-    runs.  The first direct attempt that converges is the step.  Every
-    attempt mixes its sweep inputs from the third sweep on (see
-    _picard_sweeps), from its own sweeps only, and accepts only a plain
-    sweep output whose update from its own input is below picard_tol.
-
-    Each ramp stage warm-starts from the last stage that produced an
-    iterate (the previous state before any did), with no mixing history.
-    Intermediate stages are best-effort and need not converge; only the
-    final full-strength stage must, and a failing step raises that stage's
-    error.  The accepted ramp record carries s = s_target.
+    The direct attempts start from the predicted iterate ``start``, if any,
+    then from the previous state; an attempt that raises a StepFailure adds
+    its sweeps to the level's count.  When both fail, the level is retaken
+    as two steps of dt/2 (see _substeps).  ``forcing`` is evaluated once at
+    each time a substep ends.  Returns the state at prev.t + cfg.dt and one
+    StepRecord per substep, in order.  A failing level raises the error of
+    an attempt at depth SPLIT_DEPTH, whose sweeps count every attempt.
     """
-    spent = 0
+    def at(t):
+        return NO_FORCING if forcing is None else forcing.at(grid.centers, t)
+
+    t = prev.t + cfg.dt
+    new, records = _substeps(prev, cfg, reg, params, model, grid, at, at(t), start, 0)
+    return State(new.rho, new.theta, t), records
+
+
+def _substeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
+              params: PhysicalParams, model: SaturationModel, grid: Grid,
+              at: Callable[[float], ForcingValues], forcing: ForcingValues,
+              start: tuple[np.ndarray, np.ndarray] | None, depth: int, spent: int = 0,
+              ) -> tuple[State, tuple[StepRecord, ...]]:
+    """Step from prev over cfg.dt directly, or as two halves that may split again.
+
+    forcing holds the terms at the span's end, at(t) those at time t.  The
+    sweeps of failed attempts at spans this one starts, spent, are counted
+    in its first record or in the error it raises.
+    """
     for guess in ([start] if start is not None else []) + [None]:
         try:
-            new, record = picard_step(prev, cfg, reg, params, model, grid,
-                                      forcing, start=guess)
+            new, record = picard_step(prev, cfg, reg, params, model, grid, forcing,
+                                      start=guess)
         except StepFailure as exc:
             spent += exc.sweeps
+            failure = exc
             continue
         record.sweeps += spent
-        return new, record
+        return new, (record,)
+    if depth == SPLIT_DEPTH:
+        failure.sweeps = spent
+        raise failure
 
-    s_path = [reg.s]
-    iterate = (prev.rho, prev.theta)
-    for k in range(1, cfg.s_ramp_steps + 1):
-        s_k = reg.s * k / cfg.s_ramp_steps
-        s_path.append(s_k)
-        try:
-            record = _picard_sweeps(prev, cfg, reg, params, model, grid,
-                                    s_k, forcing, iterate)
-        except StepFailure as exc:
-            spent += exc.sweeps
-            if k == cfg.s_ramp_steps:
-                exc.sweeps = spent
-                raise
-            continue
-        spent += record.sweeps
-        iterate = (record.rho, record.theta)
-    record = replace(record, s=reg.s, sweeps=spent, s_path=tuple(s_path))
-    if not record.update < cfg.picard_tol:
-        raise PicardDivergence(
-            f"ramp exhausted: final stage s={s_k} not converged", record)
-    return State(record.rho, record.theta, prev.t + cfg.dt), record
+    half = replace(cfg, dt=0.5 * cfg.dt)
+    mid, first = _substeps(prev, half, reg, params, model, grid, at,
+                           at(prev.t + half.dt), None, depth + 1, spent)
+    try:
+        new, second = _substeps(mid, half, reg, params, model, grid, at, forcing,
+                                None, depth + 1)
+    except StepFailure as exc:
+        exc.sweeps += sum(record.sweeps for record in first)
+        raise
+    return new, first + second
 
 
 # Extrapolation weights by history length, oldest state first: with p+1
@@ -677,7 +659,7 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     checked once, here: DimensionMismatch unless 1-D with grid.n cells,
     ConfigError for unequal lengths, nonfinite values, rho < 0 or theta <= 0.
     The marched states are not checked again; certify_run judges them.  The
-    forcing is evaluated once per step, at the new time (NO_FORCING if None).
+    forcing is evaluated once per (sub)step, at its new time.
     Deterministic: identical inputs produce bit-identical trajectories.
     """
     reg.validate_against(params)
@@ -719,10 +701,9 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     rho[0], theta[0], t[0] = state.rho, state.theta, state.t
     step_columns = start_series(steps)
     for k in range(1, steps + 1):
-        values = NO_FORCING if forcing is None else forcing.at(grid.centers, state.t + cfg.dt)
-        state, srec = homotopy_solve(state, cfg, reg, params, model, grid,
-                                     values, _predicted_start(rho[:k], theta[:k]))
-        step_record(step_columns, k, srec, grid, params)
+        state, records = homotopy_solve(state, cfg, reg, params, model, grid,
+                                        forcing, _predicted_start(rho[:k], theta[:k]))
+        step_record(step_columns, k, records, grid, params)
         rho[k], theta[k], t[k] = state.rho, state.theta, state.t
 
     series = run_series(step_columns, rho, theta, cfg.dt, grid, params)

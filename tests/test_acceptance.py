@@ -4,7 +4,7 @@ Ten desk-scale checks, each with an explicit tolerance and most with a
 runtime budget: solver oracle, conservation, positivity, growth envelope,
 observed convergence orders, regularization refinement, weak-form residual
 decay, equilibrium preservation, byte-level determinism of the CLI, and a
-certified run on every cell of the robustness grid.
+certified run on every cell of the robustness grid and of the harder grid.
 """
 from __future__ import annotations
 
@@ -220,6 +220,25 @@ def test_cli_outputs_are_byte_identical(tmp_path):
 def test_robustness_grid_cell_certifies(smoke_dict, dt, lam, theta0):
     data = smoke_dict
     for path, value in (("physical.t_end", 0.4), ("output.cadence", 0.2),
+                        ("stepping.dt", dt), ("physical.lambda", lam),
+                        ("initial.theta.value", theta0)):
+        data = apply_override(data, path, value)
+    result = run_config(data)
+    assert len(result.t) == round(0.4 / dt) + 1
+    cert = certify_run(result)
+    assert cert.passed, cert.failures
+
+
+# The harder grid: the smoke problem to t = 0.4 in steps of 0.04 and 0.08,
+# with latent heats up to 250.  Before steps were retaken in substeps, 10 of
+# its 12 cells ended in PicardDivergence or DominanceViolation; now 10 cells
+# split some of their steps (161 splits over the grid) and all 12 certify.
+@pytest.mark.parametrize("theta0", [1.0, 1.3])
+@pytest.mark.parametrize("lam", [60.0, 120.0, 250.0])
+@pytest.mark.parametrize("dt", [0.04, 0.08])
+def test_harder_grid_cell_certifies(smoke_dict, dt, lam, theta0):
+    data = smoke_dict
+    for path, value in (("physical.t_end", 0.4), ("output.cadence", 0.4),
                         ("stepping.dt", dt), ("physical.lambda", lam),
                         ("initial.theta.value", theta0)):
         data = apply_override(data, path, value)

@@ -43,4 +43,5 @@ def test_bench_layers_times_every_layer_and_counts_smoke_sweeps(monkeypatch, tmp
     assert counts["steps"] == 1000
     assert counts["sweeps"] == 1198
     assert counts["first_sweep_steps"] == 874
+    assert counts["split_steps"] == 0
     assert (written.read_bytes() if written.exists() else None) == before

@@ -131,7 +131,8 @@ def test_nonfinite_or_fractional_value_is_usage_error(smoke_config, tmp_path, ca
     assert err.startswith("config error:") and f"{where}:" in err
 
 
-def test_solver_breakdown_exits_one(smoke_config, tmp_path, capsys):
+def temperature_step_config(smoke_config, right):
+    """n=16 and ten steps of dt=0.05 from a temperature step 0.6 | right."""
     data = copy.deepcopy(smoke_config)
     data["grid"]["n"] = 16
     data["physical"]["t_end"] = 0.5
@@ -139,10 +140,25 @@ def test_solver_breakdown_exits_one(smoke_config, tmp_path, capsys):
     data["output"]["cadence"] = 0.5
     data["initial"]["rho"] = {"profile": "constant", "value": 1.0}
     data["initial"]["theta"] = {"profile": "step", "left": 0.6,
-                                "right": 1.4, "at": 0.5}
-    path = write_config(tmp_path, data)
+                                "right": right, "at": 0.5}
+    return data
+
+
+def test_solver_breakdown_exits_one(smoke_config, tmp_path, capsys):
+    # The drift of a 0.6 | 50 step outweighs the vapor rows' diagonal even
+    # at dt/64, the deepest substep.
+    path = write_config(tmp_path, temperature_step_config(smoke_config, 50.0))
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path)]) == 1
-    assert "dominant" in capsys.readouterr().err
+    assert "vapor system row 6 not strictly diagonally dominant" in capsys.readouterr().err
+
+
+def test_lost_dominance_is_rescued_by_substeps(smoke_config, tmp_path, capsys):
+    # A 0.6 | 1.4 step loses dominance at dt = 0.05 and keeps it in substeps.
+    path = write_config(tmp_path, temperature_step_config(smoke_config, 1.4))
+    assert main(["run", str(path), "--quiet", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["steps"] == 10 and report["certification"]["passed"] is True
 
 
 def test_state_leaving_the_cone_is_certified_not_rejected(small_config, tmp_path,
@@ -199,6 +215,29 @@ def test_extreme_constant_ends_in_an_exit_code(smoke_config, tmp_path, section, 
     data[section][key] = value
     path = write_config(tmp_path, data)
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) in (0, 1, 2)
+
+
+# Overflow and underflow warnings are expected on the way to exit 1.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key,code", [("beta0", 0), ("beta1", 0), ("alpha0", 1),
+                                      ("alpha1", 1)])
+def test_huge_wall_exchange_is_no_pivot_failure(smoke_config, tmp_path, capsys, key, code):
+    """A wall row of 1e300 does not make the interior pivots count as zero.
+
+    The beta rows certify; the alpha rows fail on their own dominance,
+    where 1/dt is lost below one ulp of the wall terms.
+    """
+    data = copy.deepcopy(smoke_config)
+    data["grid"]["n"] = 16
+    data["physical"]["t_end"] = 0.01
+    data["output"]["cadence"] = 0.01
+    data["physical"][key] = 1e300
+    path = write_config(tmp_path, data)
+    assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "pivot" not in err
+    if code:
+        assert "not strictly diagonally dominant (margin 0.000e+00)" in err
 
 
 def test_bad_flag_value_raises_system_exit(small_config):

@@ -21,6 +21,37 @@ def test_smoke_config_is_valid(smoke_config):
     validate_config(smoke_config)
 
 
+SHIPPED_CONFIGS = sorted(str(path.relative_to(REPO_ROOT)) for pattern in
+                         ("configs/*.json", "perfbench/configs/*.json")
+                         for path in REPO_ROOT.glob(pattern))
+
+
+def test_shipped_configs_found():
+    assert len(SHIPPED_CONFIGS) >= 7
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_shipped_config_loads(name):
+    setup = build_setup(load_config(str(REPO_ROOT / name)))
+    assert isinstance(setup, Setup)
+
+
+@pytest.mark.parametrize("section,key,kept", [("regularization", "s", 1.0),
+                                              ("stepping", "s_ramp_steps", 8)])
+def test_retired_key_accepts_only_its_one_value(smoke_config, section, key, kept):
+    # Older configs set the keys of the retired coupling ramp; the schema
+    # still takes them at the one value those configs carry, and
+    # build_setup drops them.
+    data = copy.deepcopy(smoke_config)
+    data[section][key] = kept
+    setup, plain = build_setup(data), build_setup(smoke_config)
+    assert (setup.reg, setup.step) == (plain.reg, plain.step)
+    for value in ({"s": 0.5, "s_ramp_steps": 4}[key], True, "8"):
+        data[section][key] = value
+        with pytest.raises(ValidationError, match=f"{section}.{key}: expected {kept!r}"):
+            validate_config(data)
+
+
 def test_load_config_round_trip(smoke_config, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(smoke_config))
@@ -176,7 +207,7 @@ def violations(data) -> list:
     ("grid.n", True),
     ("physical.sigma", math.nan),      # a number must be finite
     ("physical.sigma", math.inf),
-    ("regularization.s", -math.inf),
+    ("regularization.eps", -math.inf),
     ("physical.sigma", 10**400),       # an int beyond the float range
     ("grid.n", 8.0),                   # an integer is a Python int
     ("stepping.max_picard", 50.0),

@@ -9,11 +9,14 @@ import pytest
 
 from poromoist.config import build_setup
 from poromoist.diagnostics import (certify_run, default_test_functions,
-                                   entropy_monitor, mass_energy_envelope_check,
-                                   theta_envelope, weak_residual)
+                                   energy_balance_residual, entropy_monitor,
+                                   mass_balance_residual, mass_energy_envelope_check,
+                                   start_series, step_record, theta_envelope,
+                                   weak_residual)
 from poromoist.discretization import Grid
 from poromoist.model import InitialData
-from poromoist.stepper import RegularizationParams, State, StepConfig, run
+from poromoist.stepper import (RegularizationParams, State, StepConfig, homotopy_solve,
+                               run)
 from tests.conftest import make_params, run_equilibrium
 
 
@@ -53,7 +56,8 @@ def test_initial_record_hand_values(unit_params, cubic_model):
     assert rec["energy_balance_residual"] == 0.0
     assert rec["picard_iterations"] == 0
     assert rec["l4_accumulator"] == 0.0
-    assert rec["heating_rate"] == 0.0
+    # the start level's envelope map is the identity
+    assert rec["envelope_lift"] == 0.0 and rec["envelope_gain"] == 1.0
 
 
 def test_entropy_value_handles_zero_density(unit_params, cubic_model):
@@ -195,8 +199,67 @@ def test_theta_envelope_tracks_run(smoke_result):
     assert env.shape == maxes.shape
     assert certify_run(smoke_result).theta_envelope_ok
     assert np.all(maxes <= env + 1e-9)
-    rates = smoke_result.series["heating_rate"]
-    assert rates[0] == 0.0 and np.all(rates[1:] > 0)
+    lift, gain = (smoke_result.series[name] for name in ("envelope_lift", "envelope_gain"))
+    assert lift[0] == 0.0 and np.all(lift[1:] > 0)
+    assert gain[0] == 1.0 and np.all(gain[1:] > 1)
+
+
+def heating_rate(srec, params):
+    return float((srec.rho * srec.coeffs.chi_sqrt / (srec.rho + params.sigma)).max())
+
+
+def test_step_record_of_one_step_keeps_the_level_map(smoke_result):
+    # One substep of dt at rate r maps env to (env + dt lam r)(1 + dt r):
+    # lift and gain hold those two factors to the bit.
+    params, cfg = smoke_result.params, smoke_result.cfg
+    prev = State(smoke_result.rho[9], smoke_result.theta[9], smoke_result.t[9])
+    _, records = homotopy_solve(prev, cfg, smoke_result.reg, params,
+                                smoke_result.model, smoke_result.grid)
+    assert len(records) == 1
+    series = start_series(1)
+    step_record(series, 1, records, smoke_result.grid, params)
+    rate = heating_rate(records[0], params)
+    assert series["envelope_lift"][1] == cfg.dt * params.lam * rate
+    assert series["envelope_gain"][1] == 1.0 + cfg.dt * rate
+
+
+def test_step_record_folds_substeps(cubic_model):
+    # The stiff step that homotopy_solve takes as two halves (see test_stepper).
+    grid, params = Grid(16), make_params(lam=120.0)
+    prev = State(np.ones(16), np.full(16, 1.3), 0.0)
+    reg, cfg = RegularizationParams(eps=1e-2, nu=5e-3), StepConfig(dt=0.02)
+    _, records = homotopy_solve(prev, cfg, reg, params, cubic_model, grid)
+    assert [srec.dt for srec in records] == [0.01, 0.01]
+    series = start_series(1)
+    step_record(series, 1, records, grid, params)
+
+    residuals = [(mass_balance_residual(srec, grid),
+                  energy_balance_residual(srec, grid, params)) for srec in records]
+    assert series["mass_balance_residual"][1] == max(m for m, _ in residuals)
+    assert series["energy_balance_residual"][1] == max(e for _, e in residuals)
+    assert series["picard_iterations"][1] == sum(srec.sweeps for srec in records)
+
+    # applying the two substep maps in turn gives the composed map's bound
+    lift, gain = series["envelope_lift"][1], series["envelope_gain"][1]
+    for env in (1.0, 1.3, 7.5):
+        step = env
+        for srec in records:
+            rate = heating_rate(srec, params)
+            step = (step + srec.dt * params.lam * rate) * (1.0 + srec.dt * rate)
+        assert (env + lift) * gain == pytest.approx(step, rel=1e-15)
+
+
+def test_step_record_keeps_a_nan_residual(smoke_result):
+    params, grid = smoke_result.params, smoke_result.grid
+    prev = State(smoke_result.rho[9], smoke_result.theta[9], smoke_result.t[9])
+    _, records = homotopy_solve(prev, smoke_result.cfg, smoke_result.reg, params,
+                                smoke_result.model, grid)
+    nan_first = (replace(records[0], forcing=replace(
+        records[0].forcing, rho_source=np.nan, theta_source=np.nan)),)
+    series = start_series(1)
+    step_record(series, 1, nan_first + records, grid, params)
+    assert math.isnan(series["mass_balance_residual"][1])
+    assert math.isnan(series["energy_balance_residual"][1])
 
 
 def test_certify_run_passes_smoke(smoke_result):
@@ -231,7 +294,7 @@ def test_certify_run_reports_failures(smoke_result):
 @pytest.mark.parametrize("name,row", [
     ("mass_balance_residual", 10), ("energy_balance_residual", 10),
     ("mass_energy", 10), ("total_mass", 0), ("max_theta", 10),
-    ("heating_rate", 10), ("min_rho", 10), ("min_theta", 10),
+    ("envelope_lift", 10), ("envelope_gain", 10), ("min_rho", 10), ("min_theta", 10),
     ("entropy", 10), ("l4_accumulator", 10),
 ])
 def test_certify_run_fails_on_nan_entry(smoke_result, name, row):

@@ -131,12 +131,10 @@ def test_cutoff_scalar_and_array():
 
 def test_robin_mass_flux_signs():
     # vapor exchange with alpha0=2, alpha1=3 and unit ambient densities
-    def vapor(trace, s):
-        return robin_fluxes(trace, trace, s, 2.0, 3.0, 1.0, 1.0)
+    def vapor(trace):
+        return robin_fluxes(trace, trace, 2.0, 3.0, 1.0, 1.0)
 
     # surplus vapor at a wall leaves the domain on either side
-    left, right = vapor(1.5, 1.0)
+    left, right = vapor(1.5)
     assert left == pytest.approx(1.0)
     assert right == pytest.approx(-1.5)
-    # s scales the ambient pull, not the trace
-    assert vapor(1.5, 0.0)[0] == pytest.approx(3.0)

@@ -272,6 +272,29 @@ def test_lapack_path_bitwise_equal_to_reference_loop(n, monkeypatch):
         assert np.array_equal(np.signbit(x), np.signbit(ref))
 
 
+def wide_diagonal_system(n: int) -> TridiagonalSystem:
+    """Dominant by rows and by columns, with a diagonal from 1e300 down to 1."""
+    diag = np.logspace(300.0, 0.0, n)
+    off = 0.3 * diag[1:]
+    return TridiagonalSystem(off, diag, off, np.linspace(-2.0, 3.0, n))
+
+
+@pytest.mark.parametrize("n", [2, 7, 100])
+def test_wide_diagonal_solves_on_both_paths(n, monkeypatch):
+    # Each pivot is near its own row's diagonal; a floor measured against
+    # the largest diagonal, 1e300, would refuse every pivot below 1e286.
+    system = wide_diagonal_system(n)
+    x = solve_thomas(system)
+    if linalg._GTTR is not None:
+        lapack = linalg._solve_gttr(system, PIVOT_FLOOR * np.abs(system.diag))
+        assert lapack is not None
+        assert_same_bits(lapack, x)
+    monkeypatch.setattr(linalg, "_GTTR", None)
+    assert_same_bits(solve_thomas(system), x)
+    scale = np.maximum(np.abs(dense(system)).max(axis=1), 1.0)
+    assert np.max(np.abs(residual(system, x)) / scale) < 1e-15
+
+
 def test_row_swap_falls_back_to_loop():
     # Strictly dominant by rows, but |lower[i]| > |pivot i|: dgttrf swaps.
     system = TridiagonalSystem(np.full(5, 10.0), np.array([1.0] + [20.0] * 5),

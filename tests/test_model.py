@@ -149,7 +149,7 @@ def test_darcy_velocity_interior_and_walls():
     rho = np.full(grid.n, 2.0)
     theta = 1.0 + grid.centers
     params = make_params()
-    uw = darcy_velocity(rho, theta, grid, params=params, s=1.0)
+    uw = darcy_velocity(rho, theta, grid, params=params)
     # pressure 2(1+x) has slope 2, interior velocity -2
     np.testing.assert_allclose(uw[1:-1], -2.0, rtol=1e-13)
     # left: flux alpha*(trace - ambient) = 1 outward, donor is the trace 2

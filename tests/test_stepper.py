@@ -1,4 +1,4 @@
-"""Semi-implicit stepper: row-level oracles, fixed points, homotopy rescue."""
+"""Semi-implicit stepper: row-level oracles, fixed points, substep rescue."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -36,7 +36,7 @@ def cell_slopes(values: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
+def reference_dense_systems(prev, rho_it, theta_it, reg, params, model,
                             grid, dt, scheme, forcing):
     """Scalar-loop re-derivation of both linear systems for one sweep.
 
@@ -78,8 +78,8 @@ def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
     M = np.zeros((n, n))
     b = np.zeros(n)
     for j in range(n):
-        M[j, j] += 1.0 / dt + s * chi_s[j]
-        b[j] += prev.rho[j] / dt + s * chi_p[j]
+        M[j, j] += 1.0 / dt + chi_s[j]
+        b[j] += prev.rho[j] / dt + chi_p[j]
         if forcing is not None and forcing.rho_source is not None:
             b[j] += forcing.rho_source(grid.centers[j], t_new)
         if j < n - 1:                       # minus outgoing face j+1
@@ -91,10 +91,10 @@ def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
     # Robin closures at extrapolated traces 1.5 v0 - 0.5 v1
     M[0, 0] += 1.5 * params.alpha0 / h
     M[0, 1] -= 0.5 * params.alpha0 / h
-    b[0] += (params.alpha0 * s * params.rho_bar0 - g0) / h
+    b[0] += (params.alpha0 * params.rho_bar0 - g0) / h
     M[-1, -1] += 1.5 * params.alpha1 / h
     M[-1, -2] -= 0.5 * params.alpha1 / h
-    b[-1] += (params.alpha1 * s * params.rho_bar1 + g1) / h
+    b[-1] += (params.alpha1 * params.rho_bar1 + g1) / h
 
     rho_new = np.linalg.solve(M, b)
 
@@ -104,18 +104,18 @@ def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
         F[k] = fA[k] * rho_new[k - 1] + fB[k] * rho_new[k]
     tr_l = 1.5 * rho_new[0] - 0.5 * rho_new[1]
     tr_r = 1.5 * rho_new[-1] - 0.5 * rho_new[-2]
-    F[0] = params.alpha0 * (tr_l - s * params.rho_bar0) + g0
-    F[-1] = params.alpha1 * (s * params.rho_bar1 - tr_r) + g1
+    F[0] = params.alpha0 * (tr_l - params.rho_bar0) + g0
+    F[-1] = params.alpha1 * (params.rho_bar1 - tr_r) + g1
 
     kcell = params.kappa1 + params.kappa2 * mirror_smooth(rho_new, reg.eps, h) ** 2
     gt0, gt1 = forcing.theta_flux(t_new) if forcing else (0.0, 0.0)
     T = np.zeros((n, n))
     c = np.zeros(n)
     for j in range(n):
-        T[j, j] += (rho_new[j] + params.sigma) / dt - s * rho_new[j] * chi_s[j]
+        T[j, j] += (rho_new[j] + params.sigma) / dt - rho_new[j] * chi_s[j]
         c[j] += ((rho_new[j] + params.sigma) * prev.theta[j] / dt
-                 + s * params.lam * rho_new[j] * chi_s[j]
-                 - s * (params.lam + theta_it[j]) * ps_it[j])
+                 + params.lam * rho_new[j] * chi_s[j]
+                 - (params.lam + theta_it[j]) * ps_it[j])
         if forcing is not None and forcing.theta_source is not None:
             c[j] += forcing.theta_source(grid.centers[j], t_new)
         if j < n - 1:
@@ -131,10 +131,10 @@ def reference_dense_systems(prev, rho_it, theta_it, s, reg, params, model,
     # conductive Robin closure plus the advected trace at the wall faces
     T[0, 0] += 1.5 * params.beta0 / h + 0.5 * F[0] / h
     T[0, 1] += -0.5 * params.beta0 / h - 0.5 * F[0] / h
-    c[0] += (params.beta0 * s * params.theta_bar0 - gt0) / h
+    c[0] += (params.beta0 * params.theta_bar0 - gt0) / h
     T[-1, -1] += 1.5 * params.beta1 / h - 0.5 * F[-1] / h
     T[-1, -2] += -0.5 * params.beta1 / h + 0.5 * F[-1] / h
-    c[-1] += (params.beta1 * s * params.theta_bar1 + gt1) / h
+    c[-1] += (params.beta1 * params.theta_bar1 + gt1) / h
 
     return M, b, rho_new, F, T, c
 
@@ -149,7 +149,7 @@ def crooked_case(cubic_model):
     prev = State(np.array([1.0, 1.4, 0.8, 1.2]), np.array([1.1, 0.9, 1.3, 1.0]), 0.0)
     rho_it = np.array([1.2, 1.0, 0.9, 1.1])
     theta_it = np.array([1.0, 1.2, 0.8, 1.05])
-    reg = RegularizationParams(eps=0.3, nu=0.26, s=1.0)
+    reg = RegularizationParams(eps=0.3, nu=0.26)
     forcing = Forcing(
         rho_source=lambda x, t: 0.3 + x + 0.1 * t,
         theta_source=lambda x, t: 0.2 - 0.5 * x,
@@ -160,17 +160,16 @@ def crooked_case(cubic_model):
 
 
 @pytest.mark.parametrize("scheme", ["upwind", "central"])
-@pytest.mark.parametrize("s", [1.0, 0.6, 0.0])
-def test_assembled_rows_match_reference(crooked_case, scheme, s):
+def test_assembled_rows_match_reference(crooked_case, scheme):
     grid, params, model, prev, rho_it, theta_it, reg, forcing = crooked_case
     dt = 0.05
     M, b, rho_ref, F_ref, T, c = reference_dense_systems(
-        prev, rho_it, theta_it, s, reg, params, model, grid, dt, scheme,
+        prev, rho_it, theta_it, reg, params, model, grid, dt, scheme,
         forcing)
 
     values = forcing.at(grid.centers, prev.t + dt)
     system, coeffs = assemble_rho_system(
-        prev, rho_it, theta_it, s, reg, params, model, grid, dt,
+        prev, rho_it, theta_it, reg, params, model, grid, dt,
         scheme=scheme, forcing=values)
     np.testing.assert_allclose(dense(system), M, rtol=0, atol=1e-12)
     np.testing.assert_allclose(system.rhs, b, rtol=0, atol=1e-12)
@@ -181,7 +180,7 @@ def test_assembled_rows_match_reference(crooked_case, scheme, s):
                                rtol=0, atol=1e-12)
 
     theta_sys, mass_flux = assemble_theta_system(
-        prev, rho_new, theta_it, s, reg, params, model, grid, dt, coeffs,
+        prev, rho_new, theta_it, reg, params, model, grid, dt, coeffs,
         scheme=scheme, forcing=values)
     np.testing.assert_allclose(mass_flux, F_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dense(theta_sys), T, rtol=0, atol=1e-12)
@@ -193,10 +192,6 @@ def test_regularization_params_validation(unit_params):
         RegularizationParams(eps=0.01, nu=0.02)
     with pytest.raises(ConfigError):
         RegularizationParams(eps=1.5, nu=0.1)
-    with pytest.raises(ConfigError):
-        RegularizationParams(eps=0.01, nu=0.005, s=-0.1)
-    with pytest.raises(ConfigError):
-        RegularizationParams(eps=0.01, nu=0.005, s=1.2)
     reg = RegularizationParams(eps=0.01, nu=0.005)
     reg.validate_against(unit_params)
     with pytest.raises(ConfigError):
@@ -206,7 +201,6 @@ def test_regularization_params_validation(unit_params):
 def test_step_config_validation():
     for kwargs in (dict(dt=0.0), dict(dt=1e-3, picard_tol=0.0),
                    dict(dt=1e-3, max_picard=0),
-                   dict(dt=1e-3, s_ramp_steps=0),
                    dict(dt=1e-3, advection="quick")):
         with pytest.raises(ConfigError):
             StepConfig(**kwargs)
@@ -264,7 +258,7 @@ def test_equilibrium_is_picard_fixed_point(unit_params, cubic_model):
     state = equilibrium_state(grid)
     new, rec = picard_step(state, cfg, reg, unit_params, cubic_model, grid)
     assert rec.update < cfg.picard_tol and rec.sweeps == 1
-    assert rec.s_path == (1.0,)
+    assert rec.dt == cfg.dt
     np.testing.assert_allclose(new.rho, 1.0, rtol=0, atol=1e-14)
     np.testing.assert_allclose(new.theta, 1.0, rtol=0, atol=1e-14)
     assert new.t == pytest.approx(0.01)
@@ -275,9 +269,9 @@ def test_equilibrium_is_picard_fixed_point(unit_params, cubic_model):
 STIFF_N = 16
 STIFF_LAM = 34.0
 # The mixed sweeps converge directly on the STIFF_LAM step at dt=0.01; this
-# step's direct attempt still fails, so the ramp has to rescue it.
-RAMP_LAM = 120.0
-RAMP_DT = 0.02
+# step's direct attempt still fails, so homotopy_solve takes it in two halves.
+SPLIT_LAM = 120.0
+SPLIT_DT = 0.02
 
 
 def stiff_setup(lam=STIFF_LAM):
@@ -289,71 +283,98 @@ def stiff_setup(lam=STIFF_LAM):
 
 
 def test_stiff_step_exceeds_direct_budget(cubic_model):
-    grid, params, state, reg = stiff_setup(RAMP_LAM)
-    cfg = StepConfig(dt=RAMP_DT)
+    grid, params, state, reg = stiff_setup(SPLIT_LAM)
+    cfg = StepConfig(dt=SPLIT_DT)
     with pytest.raises(PicardDivergence) as exc:
         picard_step(state, cfg, reg, params, cubic_model, grid)
     record = exc.value.record
     assert record.update >= cfg.picard_tol
     assert exc.value.sweeps == record.sweeps == cfg.max_picard
-    assert record.s_path == (1.0,)
+    assert record.dt == SPLIT_DT
 
     # the same sweep loop does converge, just beyond the default budget
-    roomy = StepConfig(dt=RAMP_DT, max_picard=500)
+    roomy = StepConfig(dt=SPLIT_DT, max_picard=500)
     _, record = picard_step(state, roomy, reg, params, cubic_model, grid)
     assert record.update < roomy.picard_tol
     assert 50 < record.sweeps <= 60
 
 
+def half_steps(state, cfg, reg, params, model, grid):
+    """The step of cfg.dt from state as two direct steps of cfg.dt/2."""
+    half = replace(cfg, dt=0.5 * cfg.dt)
+    mid, first = picard_step(state, half, reg, params, model, grid)
+    new, second = picard_step(mid, half, reg, params, model, grid)
+    return new, (first, second)
+
+
 def test_homotopy_rescues_stiff_step(cubic_model):
-    grid, params, state, reg = stiff_setup(RAMP_LAM)
-    cfg = StepConfig(dt=RAMP_DT)
-    new, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
-    assert rec.update < cfg.picard_tol
-    assert rec.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
-                          0.875, 1.0)
-    assert cfg.max_picard < rec.sweeps <= 9 * cfg.max_picard
+    grid, params, state, reg = stiff_setup(SPLIT_LAM)
+    cfg = StepConfig(dt=SPLIT_DT)
+    new, records = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    # the failed direct attempt's 50 sweeps, then the halves' 25 and 19
+    assert [rec.dt for rec in records] == [0.01, 0.01]
+    assert [rec.sweeps for rec in records] == [75, 19]
+    assert all(rec.update < cfg.picard_tol for rec in records)
+    halves_new, halves = half_steps(state, cfg, reg, params, cubic_model, grid)
+    assert [rec.sweeps for rec in halves] == [25, 19]
+    assert records[1].prev.t == 0.01 and new.t == SPLIT_DT
+    np.testing.assert_array_equal(new.rho, halves_new.rho)
+    np.testing.assert_array_equal(new.theta, halves_new.theta)
     assert np.all(new.rho > 0) and np.all(new.theta > 0)
-    assert rec.s == 1.0
 
 
-def test_homotopy_failure_bookkeeping(cubic_model):
+def test_homotopy_failure_bookkeeping(monkeypatch, cubic_model):
+    # With one sweep per attempt every attempt fails: the level and the
+    # first substep at each depth 1..6 make one attempt each.
     grid, params, state, reg = stiff_setup()
     cfg = StepConfig(dt=0.01, max_picard=1)
+    sweeps = log_sweeps(monkeypatch)
     with pytest.raises(PicardDivergence) as exc:
         homotopy_solve(state, cfg, reg, params, cubic_model, grid)
     record = exc.value.record
-    assert record.update >= cfg.picard_tol
-    assert len(record.s_path) == cfg.s_ramp_steps + 1
-    assert record.s_path[0] == 1.0 and record.s_path[-1] == 1.0
-    assert exc.value.sweeps == record.sweeps == cfg.s_ramp_steps + 1
-    assert record.update > 0
+    assert record.update >= cfg.picard_tol > 0
+    assert record.dt == cfg.dt / 2**stepper.SPLIT_DEPTH
+    assert exc.value.sweeps == len(sweeps) == stepper.SPLIT_DEPTH + 1
+    assert [dt for _, dt, _, _ in sweeps] == [cfg.dt / 2**k for k in range(7)]
+
+    # a predicted start adds one attempt at the level
+    del sweeps[:]
+    with pytest.raises(PicardDivergence) as exc:
+        homotopy_solve(state, cfg, reg, params, cubic_model, grid,
+                       start=(state.rho, state.theta))
+    assert exc.value.sweeps == len(sweeps) == stepper.SPLIT_DEPTH + 2
 
 
-def test_failed_ramp_stage_is_counted_and_skipped(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup(RAMP_LAM)
-    cfg = StepConfig(dt=RAMP_DT)
+def test_failed_substep_is_counted_and_split(monkeypatch, cubic_model):
+    grid, params, state, reg = stiff_setup(SPLIT_LAM)
+    cfg = StepConfig(dt=SPLIT_DT)
+    plain_new, plain = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
     real_assemble = stepper.assemble_theta_system
 
-    def nonfinite_at_half(prev, rho_new, theta_iter, s, *args, **kwargs):
-        if s == 0.5:
-            raise NonfiniteIterate("injected at s=0.5")
-        return real_assemble(prev, rho_new, theta_iter, s, *args, **kwargs)
+    def nonfinite_in_second_half(prev, rho_new, theta_iter, reg, params, model, grid,
+                                 dt, *args, **kwargs):
+        if prev.t == 0.01 and dt == 0.01:
+            raise NonfiniteIterate("injected in the second half")
+        return real_assemble(prev, rho_new, theta_iter, reg, params, model, grid, dt,
+                             *args, **kwargs)
 
-    monkeypatch.setattr(stepper, "assemble_theta_system", nonfinite_at_half)
-    new, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
-    # the s=0.5 stage spends one sweep; s=0.625 warm-starts from s=0.375
-    assert rec.update < cfg.picard_tol
-    assert rec.s_path == (1.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
-                          0.875, 1.0)
-    assert rec.sweeps == 209
-    assert rec.s == 1.0
-    assert np.all(new.rho > 0) and np.all(new.theta > 0)
+    monkeypatch.setattr(stepper, "assemble_theta_system", nonfinite_in_second_half)
+    new, records = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    # the second half spends one sweep and is taken as two quarters
+    assert [rec.dt for rec in records] == [0.01, 0.005, 0.005]
+    assert records[0].sweeps == plain[0].sweeps == 75
+    quarter = replace(cfg, dt=0.005)
+    mid, first = picard_step(records[1].prev, quarter, reg, params, cubic_model, grid)
+    last, second = picard_step(mid, quarter, reg, params, cubic_model, grid)
+    assert [rec.sweeps for rec in records[1:]] == [first.sweeps + 1, second.sweeps]
+    np.testing.assert_array_equal(new.rho, last.rho)
+    np.testing.assert_array_equal(new.theta, last.theta)
+    assert new.t == plain_new.t == SPLIT_DT
 
 
-def test_dominance_loss_in_direct_attempt_goes_to_ramp(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup(RAMP_LAM)
-    cfg = StepConfig(dt=RAMP_DT)
+def test_dominance_loss_in_direct_attempt_goes_to_substeps(monkeypatch, cubic_model):
+    grid, params, state, reg = stiff_setup(SPLIT_LAM)
+    cfg = StepConfig(dt=SPLIT_DT)
     plain_new, plain = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
     real_assemble = stepper.assemble_rho_system
     calls = []
@@ -365,30 +386,55 @@ def test_dominance_loss_in_direct_attempt_goes_to_ramp(monkeypatch, cubic_model)
         return real_assemble(*args, **kwargs)
 
     monkeypatch.setattr(stepper, "assemble_rho_system", first_sweep_loses_dominance)
-    new, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
-    # one sweep of the direct attempt, then the same ramp as the plain step
-    assert rec.s_path == plain.s_path and len(rec.s_path) == 9
-    assert rec.sweeps == plain.sweeps - cfg.max_picard + 1
+    new, records = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    # one sweep of the direct attempt, then the same halves as the plain step
+    assert [rec.dt for rec in records] == [rec.dt for rec in plain]
+    assert [rec.sweeps for rec in records] == [plain[0].sweeps - cfg.max_picard + 1,
+                                               plain[1].sweeps]
     np.testing.assert_array_equal(new.rho, plain_new.rho)
     np.testing.assert_array_equal(new.theta, plain_new.theta)
 
 
-def log_sweeps(monkeypatch) -> list:
-    """Log every sweep of the step kernel as [s, input, output].
+def test_level_is_one_homotopy_call(monkeypatch, cubic_model):
+    # Substeps recurse in a private helper, so a traced homotopy_solve spans
+    # exactly one output level, split or not.
+    grid, params, state, reg = stiff_setup(SPLIT_LAM)
+    cfg = StepConfig(dt=SPLIT_DT)
+    real_solve, levels = stepper.homotopy_solve, []
 
-    A sweep assembles the vapor rows at its input (rho, theta), then solves
-    the vapor system and the heat system; its output is the two solutions.
+    def counted(*args, **kwargs):
+        new, records = real_solve(*args, **kwargs)
+        levels.append(len(records))
+        return new, records
+
+    monkeypatch.setattr(stepper, "homotopy_solve", counted)
+    result = run(None, cfg, reg, params, cubic_model, grid, t_end=2 * SPLIT_DT,
+                 initial_state=state)
+    assert len(levels) == 2 and levels[0] == 2
+    assert result.t.tolist() == [0.0, SPLIT_DT, 2 * SPLIT_DT]
+    assert result.series["picard_iterations"][1] == 94
+    assert certify_run(result).passed
+
+
+def log_sweeps(monkeypatch) -> list:
+    """Log every sweep of the step kernel as [t, dt, input, output].
+
+    A sweep assembles the vapor rows at its input (rho, theta) for the step
+    of dt from the state at t, then solves the vapor system and the heat
+    system; its output is the two solutions.
     """
     sweeps = []
     real_assemble, real_solve = stepper.assemble_rho_system, stepper.solve_thomas
 
-    def assemble(prev, rho_iter, theta_iter, s, *args, **kwargs):
-        sweeps.append([s, (rho_iter.copy(), theta_iter.copy()), []])
-        return real_assemble(prev, rho_iter, theta_iter, s, *args, **kwargs)
+    def assemble(prev, rho_iter, theta_iter, reg, params, model, grid, dt,
+                 *args, **kwargs):
+        sweeps.append([prev.t, dt, (rho_iter.copy(), theta_iter.copy()), []])
+        return real_assemble(prev, rho_iter, theta_iter, reg, params, model, grid,
+                             dt, *args, **kwargs)
 
     def solve(system):
         solution = real_solve(system)
-        sweeps[-1][2].append(solution.copy())
+        sweeps[-1][3].append(solution.copy())
         return solution
 
     monkeypatch.setattr(stepper, "assemble_rho_system", assemble)
@@ -417,10 +463,10 @@ def test_sweep_inputs_mix_from_the_third_sweep_on(monkeypatch, cubic_model):
     cfg = StepConfig(dt=0.01)
     sweeps = log_sweeps(monkeypatch)
     new, rec = picard_step(state, cfg, reg, params, cubic_model, grid)
-    # the mixed sweeps converge directly where plain ones need the ramp
+    # the mixed sweeps converge within the budget, where plain ones take 35
     assert rec.sweeps == len(sweeps) == 12
-    inputs = [sweep[1] for sweep in sweeps]
-    outputs = [tuple(sweep[2]) for sweep in sweeps]
+    inputs = [sweep[2] for sweep in sweeps]
+    outputs = [tuple(sweep[3]) for sweep in sweeps]
     np.testing.assert_array_equal(np.concatenate(inputs[0]),
                                   np.concatenate((state.rho, state.theta)))
     np.testing.assert_array_equal(np.concatenate(inputs[1]), np.concatenate(outputs[0]))
@@ -439,29 +485,31 @@ def test_sweep_inputs_mix_from_the_third_sweep_on(monkeypatch, cubic_model):
     assert rec.update < cfg.picard_tol
 
 
-def test_each_ramp_stage_starts_without_history(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup(RAMP_LAM)
-    cfg = StepConfig(dt=RAMP_DT)
+def test_each_substep_starts_without_history(monkeypatch, cubic_model):
+    grid, params, state, reg = stiff_setup(SPLIT_LAM)
+    cfg = StepConfig(dt=SPLIT_DT)
     sweeps = log_sweeps(monkeypatch)
-    _, rec = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
-    assert rec.sweeps == len(sweeps)
-    # consecutive sweeps at one s: the direct attempt, then the eight stages
-    stages = []
-    for s, x, g in sweeps:
-        if not stages or stages[-1][0] != s:
-            stages.append((s, []))
-        stages[-1][1].append((x, tuple(g)))
-    assert len(rec.s_path) == cfg.s_ramp_steps + 1
-    assert tuple(s for s, _ in stages) == rec.s_path
-    starts = [(state.rho, state.theta)] + [stage[-1][1] for _, stage in stages[1:-1]]
-    for (s, stage), start in zip(stages[1:], starts):
-        assert len(stage) >= 3, s
-        (x1, g1), (x2, g2), (x3, _) = stage[:3]
-        # a warm start from the last stage's plain output, one plain sweep,
-        # and mixing only once the stage has two residuals of its own
+    new, records = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    assert sum(rec.sweeps for rec in records) == len(sweeps)
+    # consecutive sweeps of one (t, dt): the direct attempt, then the halves
+    attempts = []
+    for t, dt, x, g in sweeps:
+        if not attempts or attempts[-1][0] != (t, dt):
+            attempts.append(((t, dt), []))
+        attempts[-1][1].append((x, tuple(g)))
+    assert [key for key, _ in attempts] == [(0.0, 0.02), (0.0, 0.01), (0.01, 0.01)]
+    first_half_end = attempts[1][1][-1][1]
+    starts = [(state.rho, state.theta)] * 2 + [first_half_end]
+    for (key, attempt), start in zip(attempts, starts):
+        assert len(attempt) >= 3, key
+        (x1, g1), (x2, g2), (x3, _) = attempt[:3]
+        # the substep's own previous state, one plain sweep, and mixing only
+        # once the attempt has two residuals of its own
         np.testing.assert_array_equal(np.concatenate(x1), np.concatenate(start))
         np.testing.assert_array_equal(np.concatenate(x2), np.concatenate(g1))
         assert not np.array_equal(np.concatenate(x3), np.concatenate(g2))
+    np.testing.assert_array_equal(np.concatenate((new.rho, new.theta)),
+                                  np.concatenate(attempts[-1][1][-1][1]))
 
 
 def test_strong_drift_loses_dominance(unit_params, cubic_model):
@@ -471,7 +519,7 @@ def test_strong_drift_loses_dominance(unit_params, cubic_model):
     rho_it = np.full(grid.n, 3.0)
     reg = RegularizationParams(eps=0.5, nu=0.25)
     with pytest.raises(DominanceViolation, match="vapor"):
-        assemble_rho_system(prev, rho_it, theta_it, 1.0, reg, unit_params,
+        assemble_rho_system(prev, rho_it, theta_it, reg, unit_params,
                             cubic_model, grid, dt=0.05)
 
 
@@ -507,9 +555,9 @@ def test_predicted_start_saves_sweeps(unit_params, cubic_model):
     # from step 3 on the start extrapolates at least three accepted states
     for k in range(3, len(result.t)):
         prev = State(result.rho[k - 1], result.theta[k - 1], result.t[k - 1])
-        new, rec = homotopy_solve(prev, cfg, reg, unit_params, cubic_model, grid)
+        new, records = homotopy_solve(prev, cfg, reg, unit_params, cubic_model, grid)
         predicted += result.series["picard_iterations"][k]
-        plain += rec.sweeps
+        plain += sum(rec.sweeps for rec in records)
         for got, ref in ((result.rho[k], new.rho), (result.theta[k], new.theta)):
             gap = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
             assert np.max(gap) <= 10 * cfg.picard_tol
@@ -623,17 +671,21 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     assert result.series["picard_iterations"].sum() > steps
     assert counting.calls == dict.fromkeys(counting.calls, steps)
 
-    # a ramped step, with a failed direct attempt and eight stages, evaluates once too
-    grid, params, state, reg = stiff_setup(RAMP_LAM)
-    cfg = StepConfig(dt=RAMP_DT)
-    zero = Forcing(rho_source=lambda x, t: np.zeros_like(x),
+    # a split step, with a failed direct attempt and two halves, evaluates once
+    # per time a substep ends: t = dt, shared by the attempt and the second
+    # half, then t = dt/2
+    grid, params, state, reg = stiff_setup(SPLIT_LAM)
+    cfg = StepConfig(dt=SPLIT_DT)
+    times = []
+    zero = Forcing(rho_source=lambda x, t: times.append(t) or np.zeros_like(x),
                    theta_source=lambda x, t: np.zeros_like(x),
                    rho_flux=lambda t: (0.0, 0.0), theta_flux=lambda t: (0.0, 0.0))
     counting = CountingForcing(zero)
     result = run(None, cfg, reg, params, cubic_model, grid, t_end=cfg.dt,
                  forcing=counting.forcing, initial_state=state)
-    assert result.series["picard_iterations"][1] > cfg.max_picard
-    assert counting.calls == dict.fromkeys(counting.calls, 1)
+    assert result.series["picard_iterations"][1] == 94
+    assert counting.calls == dict.fromkeys(counting.calls, 2)
+    assert times == [SPLIT_DT, SPLIT_DT / 2]
 
 
 def test_zero_forcing_matches_no_forcing(unit_params, cubic_model):
@@ -730,7 +782,7 @@ def face_case(kind):
 @pytest.mark.parametrize("scheme", ["upwind", "central"])
 def test_face_coefficients_bitwise_equal_to_donor_formulas(kind, scheme, cubic_model):
     grid, params, reg, prev, rho_it, theta_it = face_case(kind)
-    h, dt, s = grid.h, 1e-3, 0.8
+    h, dt = grid.h, 1e-3
 
     dcell = mollify(rho_it * theta_it, reg.nu, h)
     dface = reg.eps + 0.5 * (dcell[:-1] + dcell[1:])
@@ -740,7 +792,7 @@ def test_face_coefficients_bitwise_equal_to_donor_formulas(kind, scheme, cubic_m
     A = -dface / h + vface * wm
     B = dface / h + vface * wp
 
-    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, s, reg, params,
+    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, reg, params,
                                           cubic_model, grid, dt, scheme)
     np.testing.assert_array_equal(coeffs.A, A)
     np.testing.assert_array_equal(coeffs.B, B)
@@ -749,13 +801,13 @@ def test_face_coefficients_bitwise_equal_to_donor_formulas(kind, scheme, cubic_m
 
     # the equilibrium vapor field, constant, makes every interior flux zero
     rho_new = rho_it if kind == "equilibrium" else solve_thomas(rho_sys)
-    theta_sys, flux = assemble_theta_system(prev, rho_new, theta_it, s, reg, params,
+    theta_sys, flux = assemble_theta_system(prev, rho_new, theta_it, reg, params,
                                             cubic_model, grid, dt, coeffs, scheme)
     kcell = conductivity(mollify(rho_new, reg.eps, h), params)
     kface = 0.5 * (kcell[:-1] + kcell[1:])
     fint = flux[1:-1]
     um, up = donor_weights(fint, scheme)
-    diag = (rho_new + params.sigma) / dt - s * rho_new * coeffs.chi_sqrt
+    diag = (rho_new + params.sigma) / dt - rho_new * coeffs.chi_sqrt
     diag[:-1] += kface / h**2 + fint * up / h
     diag[1:] += kface / h**2 - fint * um / h
     np.testing.assert_array_equal(theta_sys.diag[1:-1], diag[1:-1])
@@ -783,14 +835,16 @@ def test_nan_saturation_raises_nonfinite_from_assembly(unit_params):
     state = equilibrium_state(grid)
     reg = RegularizationParams(eps=0.01, nu=0.005)
     cfg = StepConfig(dt=0.01)
-    system, coeffs = assemble_rho_system(state, state.rho, state.theta, 1.0, reg,
+    system, coeffs = assemble_rho_system(state, state.rho, state.theta, reg,
                                          unit_params, model, grid, cfg.dt)
     with pytest.raises(NonfiniteIterate, match="heat system row 5"):
-        assemble_theta_system(state, solve_thomas(system), state.theta, 1.0, reg,
+        assemble_theta_system(state, solve_thomas(system), state.theta, reg,
                               unit_params, model, grid, cfg.dt, coeffs)
     with pytest.raises(NonfiniteIterate, match="heat system row 5") as exc:
         picard_step(state, cfg, reg, unit_params, model, grid)
     assert exc.value.sweeps == 1
-    # a failed attempt: the ramp is tried, and its first stage fails the same way
-    with pytest.raises(NonfiniteIterate, match="heat system row 5"):
+    # a failed attempt: the step splits down to the deepest substep, whose
+    # attempt fails the same way, one sweep at each depth
+    with pytest.raises(NonfiniteIterate, match="heat system row 5") as exc:
         homotopy_solve(state, cfg, reg, unit_params, model, grid)
+    assert exc.value.sweeps == stepper.SPLIT_DEPTH + 1
