@@ -6,13 +6,14 @@ Usage, from anywhere:
 
 Runs ``python -m poromoist`` from this checkout's ``src`` on the shipped
 configs (``run`` on smoke, ``mms``, ``ladder`` and ``sweep``, ``run`` on
-smoke with central advection) and ``run`` on ``perfbench/configs/fine.json``
-and ``stiff.json``.  Each case writes its files into ``OUTDIR/<case>/`` plus
-``console.txt`` holding the exit code and the console output.  Then it runs
-each script in ``demos/`` and writes its exit code and output into
-``OUTDIR/demo_<name>/console.txt``.  Every file is deterministic, so a
-refactor that must not change results is checked by running this script on
-the parent and on the change and comparing the two trees with ``diff -r``.
+smoke with central advection), ``run`` on ``perfbench/configs/fine.json``
+and ``stiff.json``, and ``validate-saturation`` on smoke.  Each case writes
+its files into ``OUTDIR/<case>/`` plus ``console.txt`` holding the exit
+code and the console output.  Then it runs each script in ``demos/`` and
+writes its exit code and output into ``OUTDIR/demo_<name>/console.txt``.
+Every file is deterministic, so a refactor that must not change results is
+checked by running this script on the parent and on the change and
+comparing the two trees with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ CASES = (
     ("sweep", ["sweep", "configs/sweep.json"]),
     ("run_fine", ["run", "perfbench/configs/fine.json"]),
     ("run_stiff", ["run", "perfbench/configs/stiff.json"]),
+    ("validate_saturation", ["validate-saturation", "configs/smoke.json"]),
 )
 
 

@@ -5,10 +5,11 @@ the saturation model, the regularization, the stepping, the grid, the
 initial profiles, and the output cadence, plus optional study sections
 (mms, ladder, sweep).  Validation is two-stage: a JSON schema rejects
 unknown keys and out-of-range scalars, then cross-field checks catch the
-couplings a schema cannot express (nu against eps, step counts dividing
-the horizon and small enough for numpy to hold the run's (steps+1, n)
-trajectory, profiles dipping below their floors).  All violations are
-collected into a single ValidationError instead of stopping at the first.
+couplings a schema cannot express (nu against eps, the saturation
+family's admissibility condition, step counts dividing the horizon and
+small enough for numpy to hold the run's (steps+1, n) trajectory, profiles
+dipping below their floors).  All violations are collected into a single
+ValidationError instead of stopping at the first.
 
 The schema is the ``CONFIG_SCHEMA`` dict below, walked by this module
 itself.  It uses the JSON Schema keywords type, properties, required,
@@ -33,13 +34,7 @@ import numpy as np
 
 from .discretization import Grid
 from .errors import ConfigError, ParseError, ValidationError
-from .model import (
-    ExponentialSaturation,
-    InitialData,
-    PhysicalParams,
-    PowerLawSaturation,
-    SaturationModel,
-)
+from .model import SATURATION_FAMILIES, InitialData, PhysicalParams, SaturationModel
 from .stepper import RegularizationParams, StepConfig, step_count
 
 __all__ = [
@@ -303,6 +298,11 @@ def _profile_values(spec: dict, grid: Grid) -> np.ndarray:
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
+def _saturation_family(sat: dict) -> tuple[type, dict]:
+    """The class of the configured curve and its constructor arguments."""
+    return SATURATION_FAMILIES[sat["kind"]], {k: v for k, v in sat.items() if k != "kind"}
+
+
 def _cross_field(data: dict) -> list[tuple[str, str]]:
     bad: list[tuple[str, str]] = []
     phys = data["physical"]
@@ -319,12 +319,9 @@ def _cross_field(data: dict) -> list[tuple[str, str]]:
         bad.append(("regularization.eps",
                     f"eps={eps} exceeds min(ambient values, 1) = {min(ambient_min, 1.0)}"))
 
-    sat = data["saturation"]
-    if sat["kind"] == "power_law":
-        eta = sat.get("eta", 1.0)
-        if not sat["q"] > 1.0 + eta:
-            bad.append(("saturation.q",
-                        f"growth exponent must exceed 1 + eta = {1.0 + eta}, got {sat['q']}"))
+    family, params = _saturation_family(data["saturation"])
+    bad.extend((f"saturation.{key}", message)
+               for key, message in family.admissibility(**params).violations())
 
     dt = stepping["dt"]
     if not step_count(phys["t_end"], dt):
@@ -420,20 +417,14 @@ class Setup:
     cadence: float
 
 
-def _build_model(sat: dict) -> SaturationModel:
-    kwargs = {k: v for k, v in sat.items() if k != "kind"}
-    if sat["kind"] == "power_law":
-        return PowerLawSaturation(**kwargs)
-    return ExponentialSaturation(**kwargs)
-
-
 def build_setup(data: dict) -> Setup:
     """Resolve a validated config dict into the objects the solver needs."""
     validate_config(data)
     phys = data["physical"]
     kwargs = {k: float(v) for k, v in phys.items() if k != "lambda"}
     params = PhysicalParams(lam=float(phys["lambda"]), **kwargs)
-    model = _build_model(data["saturation"])
+    family, sat_params = _saturation_family(data["saturation"])
+    model = family(**sat_params)
     reg = RegularizationParams(**{k: float(v) for k, v in data["regularization"].items()
                                   if k not in _RETIRED_KEYS})
     stepping = {k: v for k, v in data["stepping"].items() if k not in _RETIRED_KEYS}

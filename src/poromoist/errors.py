@@ -28,10 +28,6 @@ class ValidationError(ConfigError):
         super().__init__(f"{len(self.violations)} config violation(s): {lines}")
 
 
-class ModelInvalid(PoromoistError):
-    """Saturation model violates a structural requirement (sign, monotonicity)."""
-
-
 class NonPositiveRadius(PoromoistError):
     """Mollifier radius must be strictly positive."""
 
@@ -59,12 +55,12 @@ class StepFailure(PoromoistError):
 
 
 class DominanceViolation(StepFailure):
-    """An assembled row lost strict diagonal dominance (dt too large for the drift)."""
+    """An assembled row lost strict diagonal dominance."""
 
     def __init__(self, system: str, index: int, margin: float):
         super().__init__(
             f"{system} system row {index} not strictly diagonally dominant "
-            f"(margin {margin:.3e}); reduce dt or drift strength"
+            f"(margin {margin:.3e})"
         )
         self.system = system
         self.index = index

@@ -8,31 +8,35 @@ latent heat lam, evaporation does the reverse.  Conductivity grows with
 the amount of condensate, modeled as kappa1 + kappa2 * rho**2.
 
 Saturation curves are pluggable: subclass SaturationModel and implement
-``pressure``.  Two families ship with the package; the exponential one
-deliberately violates the superlinear-growth requirement and is used to
-exercise the validator.
+``pressure``.  The existence theory asks two things of a curve, for the
+growth exponent eta > 0: p_s(theta)/theta -> 0 as theta -> 0, and
+p_s(theta)/theta**(1+eta) unbounded as theta -> infinity.  Each of the two
+shipped families reduces both to one closed-form condition on its
+parameters (``admissibility``), and its constructor refuses a curve that
+fails it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .discretization import Grid, boundary_traces, robin_fluxes
-from .errors import ConfigError, ModelInvalid
+from .errors import ConfigError
 
 __all__ = [
     "PhysicalParams",
     "SaturationModel",
+    "Admissibility",
     "PowerLawSaturation",
     "ExponentialSaturation",
+    "SATURATION_FAMILIES",
     "InitialData",
-    "SaturationReport",
     "saturation_pressure",
     "phase_change_rate",
     "conductivity",
-    "validate_saturation_assumptions",
     "darcy_velocity",
 ]
 
@@ -82,9 +86,8 @@ class SaturationModel:
     """Base saturation curve; subclasses implement ``pressure`` for theta > 0.
 
     The full curve is extended by zero to theta <= 0.  ``eta`` is the
-    superlinear-growth exponent the curve is validated against: admissible
-    curves have p_s(theta)/theta -> 0 near zero and
-    p_s(theta)/theta**(1+eta) unbounded at infinity.
+    growth exponent of the admissibility requirements in the module
+    docstring.  A custom curve is not checked against them.
     """
 
     def __init__(self, eta: float):
@@ -96,27 +99,58 @@ class SaturationModel:
         raise NotImplementedError
 
 
+class Admissibility(NamedTuple):
+    """A family's closed-form admissibility condition at given parameters."""
+
+    key: str        # the saturation parameter the condition bounds
+    formula: str    # e.g. "q > 1 + eta"
+    values: str     # the formula's two sides, e.g. "3.0 > 2.0"
+    holds: bool
+
+    def violations(self) -> list[tuple[str, str]]:
+        """No pairs if the condition holds, else one (key, message) pair."""
+        message = f"requires {self.formula}; {self.values} is false"
+        return [] if self.holds else [(self.key, message)]
+
+    def enforce(self) -> Admissibility:
+        """Return self if the condition holds, else raise ConfigError."""
+        for key, message in self.violations():
+            raise ConfigError(f"saturation {key} {message}")
+        return self
+
+
 class PowerLawSaturation(SaturationModel):
-    """p_s(theta) = c * theta**q with c > 0 and q > 1."""
+    """p_s(theta) = c * theta**q with c > 0 and q > 1 + eta.
+
+    p_s/theta = c * theta**(q-1) and p_s/theta**(1+eta) = c * theta**(q-1-eta),
+    so q > 1 + eta is exactly the two requirements together.
+    """
 
     def __init__(self, c: float, q: float, eta: float = 1.0):
         super().__init__(eta)
         if not c > 0:
             raise ConfigError(f"power-law coefficient must be positive, got {c}")
-        if not q > 1:
-            raise ConfigError(f"power-law exponent must exceed 1, got {q}")
         self.c = float(c)
         self.q = float(q)
+        self.condition = self.admissibility(c, q, eta).enforce()
+
+    @staticmethod
+    def admissibility(c: float, q: float, eta: float = 1.0) -> Admissibility:
+        """The condition at the constructor's arguments."""
+        return Admissibility("q", "q > 1 + eta", f"{float(q)!r} > {1.0 + eta!r}",
+                             q > 1.0 + eta)
 
     def pressure(self, theta: np.ndarray) -> np.ndarray:
         return self.c * np.maximum(theta, 0.0) ** self.q
 
 
 class ExponentialSaturation(SaturationModel):
-    """p_s(theta) = a * theta**2 * exp(-b / theta) for theta > 0.
+    """p_s(theta) = a * theta**2 * exp(-b / theta) for theta > 0, with eta < 1.
 
-    Grows slower than theta**(2+eta') for every eta' > 0, so the validator
-    is expected to flag the growth requirement at infinity.
+    p_s/theta = a * theta * exp(-b/theta) vanishes at zero for every a, b,
+    and p_s/theta**(1+eta) = a * theta**(1-eta) * exp(-b/theta) is unbounded
+    exactly when eta < 1.  The default eta = 1 is therefore not admissible:
+    a config names its eta below 1.
     """
 
     def __init__(self, a: float, b: float, eta: float = 1.0):
@@ -125,11 +159,22 @@ class ExponentialSaturation(SaturationModel):
             raise ConfigError(f"exponential coefficients must be positive, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
+        self.condition = self.admissibility(a, b, eta).enforce()
+
+    @staticmethod
+    def admissibility(a: float, b: float, eta: float = 1.0) -> Admissibility:
+        """The condition at the constructor's arguments."""
+        return Admissibility("eta", "eta < 1", f"{float(eta)!r} < 1.0", eta < 1.0)
 
     def pressure(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         safe = np.where(theta > 0, theta, 1.0)
         return np.where(theta > 0, self.a * theta**2 * np.exp(-self.b / safe), 0.0)
+
+
+# The config's saturation.kind names one of these families.
+SATURATION_FAMILIES = {"power_law": PowerLawSaturation,
+                       "exponential": ExponentialSaturation}
 
 
 def saturation_pressure(model: SaturationModel, theta) -> np.ndarray | float:
@@ -188,79 +233,6 @@ class InitialData:
                 problems.append("theta0 must not fall below theta_floor")
         if problems:
             raise ConfigError("invalid initial data: " + "; ".join(problems))
-
-
-@dataclass(frozen=True)
-class SaturationReport:
-    """Finite-sample verdicts for the structural saturation requirements."""
-
-    eta: float
-    zero_limit_pass: bool
-    infinity_limit_pass: bool
-    small_ratios: np.ndarray       # p_s/theta at _THETA_SMALL
-    large_ratios: np.ndarray       # p_s/theta**(1+eta) at _THETA_LARGE
-
-    @property
-    def passed(self) -> bool:
-        return self.zero_limit_pass and self.infinity_limit_pass
-
-    def summary(self) -> dict:
-        return {
-            "eta": self.eta,
-            "zero_limit_pass": self.zero_limit_pass,
-            "infinity_limit_pass": self.infinity_limit_pass,
-            "passed": self.passed,
-            "small_ratio_first": float(self.small_ratios[0]),
-            "small_ratio_last": float(self.small_ratios[-1]),
-            "large_ratio_first": float(self.large_ratios[0]),
-            "large_ratio_last": float(self.large_ratios[-1]),
-        }
-
-
-# Sampling ranges for the finite validator: limits at 0 and infinity are not
-# finitely checkable, so monotone trends over twelve decades stand in.
-_THETA_SMALL = np.geomspace(1e-6, 1.0, 25)
-_THETA_LARGE = np.geomspace(1.0, 1e6, 25)
-_TAIL_POINTS = 5
-_TAIL_GROWTH = 1.05
-
-
-def validate_saturation_assumptions(model: SaturationModel) -> SaturationReport:
-    """Sample the curve and check sign, monotonicity, and both limit trends.
-
-    Structural failures (negative values, nonmonotone curve, nonzero value
-    at theta <= 0) raise ModelInvalid.  The two limit requirements produce
-    pass/fail verdicts in the report: the ratio p_s/theta must fall
-    strictly toward zero over theta in [1e-6, 1] (exact-zero ties from
-    underflow allowed), and p_s/theta**(1+eta) must rise strictly over
-    [1, 1e6] and still be growing by at least 5% across the last sampled
-    decade, the finite stand-in for "unbounded".
-    """
-    scan = np.geomspace(1e-6, 1e6, 49)
-    p = saturation_pressure(model, scan)
-    if np.any(p < 0):
-        raise ModelInvalid("saturation pressure negative at a sampled temperature")
-    tol = 1e-12 * np.maximum(1.0, np.abs(p[:-1]))
-    if np.any(np.diff(p) < -tol):
-        raise ModelInvalid("saturation pressure not nondecreasing over the sampled range")
-    nonpos = saturation_pressure(model, np.array([-1.0, -1e-9, 0.0]))
-    if np.any(nonpos != 0):
-        raise ModelInvalid("saturation pressure must vanish for theta <= 0")
-
-    small = saturation_pressure(model, _THETA_SMALL) / _THETA_SMALL
-    gaps = np.diff(small)
-    zero_ok = bool(np.all((gaps > 0) | (small[:-1] == 0)))
-
-    large = saturation_pressure(model, _THETA_LARGE) / _THETA_LARGE ** (1.0 + model.eta)
-    rising = bool(np.all(np.diff(large) > 0))
-    tail_ok = bool(large[-1] > _TAIL_GROWTH * large[-_TAIL_POINTS])
-    return SaturationReport(
-        eta=model.eta,
-        zero_limit_pass=zero_ok,
-        infinity_limit_pass=rising and tail_ok,
-        small_ratios=small,
-        large_ratios=large,
-    )
 
 
 def darcy_velocity(rho: np.ndarray, theta: np.ndarray, grid: Grid,

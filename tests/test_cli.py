@@ -16,7 +16,7 @@ import poromoist
 import poromoist.cli
 from poromoist import stepper
 from poromoist.cli import _fmt, main
-from poromoist.config import build_setup
+from poromoist.config import Setup, build_setup
 from poromoist.diagnostics import certify_run
 from poromoist.harness import LadderReport
 
@@ -149,7 +149,10 @@ def test_solver_breakdown_exits_one(smoke_config, tmp_path, capsys):
     # at dt/64, the deepest substep.
     path = write_config(tmp_path, temperature_step_config(smoke_config, 50.0))
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path)]) == 1
-    assert "vapor system row 6 not strictly diagonally dominant" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "vapor system row 6 not strictly diagonally dominant" in err
+    # by now the step has been retaken down to dt/64, so no advice to reduce dt
+    assert "reduce dt" not in err
 
 
 def test_lost_dominance_is_rescued_by_substeps(smoke_config, tmp_path, capsys):
@@ -362,11 +365,62 @@ def test_validate_saturation_exit_codes(smoke_config, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
 
+    assert report["condition"] == "q > 1 + eta" and report["values"] == "3.0 > 2.0"
+
     data = copy.deepcopy(smoke_config)
     data["saturation"] = {"kind": "exponential", "a": 2.0, "b": 1.0,
                           "eta": 1.0}
     path2 = write_config(tmp_path, data, "exp.json")
-    assert main(["validate-saturation", str(path2), "--quiet"]) == 1
+    assert main(["validate-saturation", str(path2), "--quiet"]) == 2
+
+
+def ten_step_config(smoke_config, saturation):
+    """Smoke physics at n=16 for ten steps of dt=0.001 with the given curve."""
+    data = copy.deepcopy(smoke_config)
+    data["grid"]["n"] = 16
+    data["physical"]["t_end"] = 0.01
+    data["output"]["cadence"] = 0.01
+    data["saturation"] = saturation
+    return data
+
+
+# Each is admissible by a small margin, below the growth that a finite
+# sample of the curve can tell from the boundary.
+BOUNDARY_CURVES = ({"kind": "power_law", "c": 1.0, "q": 2.01, "eta": 1.0},
+                   {"kind": "exponential", "a": 2.0, "b": 1.0, "eta": 0.99})
+
+
+@pytest.mark.parametrize("saturation", BOUNDARY_CURVES, ids=("power_law", "exponential"))
+def test_boundary_curves_are_accepted(smoke_config, tmp_path, capsys, saturation):
+    data = ten_step_config(smoke_config, saturation)
+    assert isinstance(build_setup(data), Setup)
+    path = write_config(tmp_path, data)
+    assert main(["validate-saturation", str(path)]) == 0
+    assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 0
+    assert "saturation model: PASS" in capsys.readouterr().out
+
+
+AGREEMENT_GRID = (
+    [({"kind": "power_law", "c": 1.0, "q": q, "eta": eta}, q > 1.0 + eta)
+     for q in (1.5, 2.0, 2.01, 3.0) for eta in (0.5, 1.0, 1.5)]
+    + [({"kind": "exponential", "a": 2.0, "b": 1.0, "eta": eta}, eta < 1.0)
+       for eta in (0.5, 0.99, 1.0, 1.5)]
+    + [({"kind": "exponential", "a": 2.0, "b": 1.0}, False)])
+
+
+@pytest.mark.parametrize("saturation,admissible", AGREEMENT_GRID)
+def test_run_and_validate_saturation_agree(smoke_config, tmp_path, capsys, saturation,
+                                           admissible):
+    """Both commands accept exactly the curves that meet the closed form."""
+    path = write_config(tmp_path, ten_step_config(smoke_config, saturation))
+    validated = main(["validate-saturation", str(path), "--quiet"])
+    ran = main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")])
+    if admissible:
+        assert validated == ran == 0
+    else:
+        key = "saturation.q" if saturation["kind"] == "power_law" else "saturation.eta"
+        assert validated == ran == 2
+        assert capsys.readouterr().err.count(f"{key}: requires") == 2
 
 
 def test_console_script_entry_point(small_config, tmp_path):

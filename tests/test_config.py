@@ -124,6 +124,10 @@ def test_schema_violations_all_reported(smoke_config):
     ("ladder.t_end", 1e300, "ladder.t_end"),
     ("ladder.rungs", 1, "ladder.rungs"),          # no difference to compare
     ("ladder.rungs", 2, "ladder.rungs"),          # one difference, no trend
+    ("saturation", {"kind": "exponential", "a": 1.0, "b": 1.0, "eta": 1.0},
+     "saturation.eta"),                           # needs eta < 1
+    ("saturation", {"kind": "exponential", "a": 1.0, "b": 1.0},
+     "saturation.eta"),                           # the default eta = 1
 ])
 def test_single_violations(smoke_config, path, value, where):
     if path.startswith("ladder."):   # the smoke config has no ladder section

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from poromoist.discretization import Grid
-from poromoist.errors import ConfigError, ModelInvalid
+from poromoist.errors import ConfigError
 from poromoist.model import (ExponentialSaturation, InitialData,
                              PhysicalParams, PowerLawSaturation,
-                             SaturationModel, conductivity, darcy_velocity,
-                             phase_change_rate, saturation_pressure,
-                             validate_saturation_assumptions)
+                             conductivity, darcy_velocity,
+                             phase_change_rate, saturation_pressure)
 from tests.conftest import UNIT_PHYSICAL, make_params
 
 
@@ -37,7 +36,7 @@ def test_power_law_pressure_values(cubic_model):
 
 
 def test_exponential_pressure_values():
-    model = ExponentialSaturation(a=2.0, b=1.0)
+    model = ExponentialSaturation(a=2.0, b=1.0, eta=0.5)
     assert saturation_pressure(model, 1.0) == pytest.approx(2.0 * np.exp(-1.0))
     assert saturation_pressure(model, 0.0) == 0.0
     assert saturation_pressure(model, -1.0) == 0.0
@@ -50,10 +49,23 @@ def test_exponential_pressure_values():
     lambda: PowerLawSaturation(c=1.0, q=3.0, eta=0.0),
     lambda: ExponentialSaturation(a=0.0, b=1.0),
     lambda: ExponentialSaturation(a=1.0, b=-2.0),
+    lambda: PowerLawSaturation(c=1, q=2, eta=1),
+    lambda: ExponentialSaturation(a=1, b=1, eta=1),
 ])
 def test_saturation_constructor_validation(make):
     with pytest.raises(ConfigError):
         make()
+
+
+def test_admissibility_is_the_closed_form():
+    assert PowerLawSaturation.admissibility(c=1.0, q=3.0) == (
+        "q", "q > 1 + eta", "3.0 > 2.0", True)
+    assert PowerLawSaturation.admissibility(c=1.0, q=1.5, eta=0.5).violations() == [
+        ("q", "requires q > 1 + eta; 1.5 > 1.5 is false")]
+    assert ExponentialSaturation.admissibility(a=1.0, b=1.0, eta=0.99).holds
+    assert ExponentialSaturation.admissibility(a=1.0, b=1.0).violations() == [
+        ("eta", "requires eta < 1; 1.0 < 1.0 is false")]
+    assert PowerLawSaturation(c=1.0, q=3.0).condition.holds
 
 
 def test_phase_change_rate(cubic_model):
@@ -100,48 +112,6 @@ def test_initial_data_validation():
     for kwargs in cases:
         with pytest.raises(ConfigError, match="invalid initial data"):
             InitialData(**kwargs)
-
-
-def test_cubic_curve_passes_both_limits(cubic_model):
-    report = validate_saturation_assumptions(cubic_model)
-    assert report.passed
-    assert report.zero_limit_pass and report.infinity_limit_pass
-    # p_s/theta decays toward theta=0, p_s/theta^2 grows toward infinity
-    assert report.small_ratios[0] < report.small_ratios[-1]
-    assert report.small_ratios[0] < 1e-11
-    assert report.large_ratios[-1] > report.large_ratios[0]
-
-
-def test_subcritical_power_law_fails_growth():
-    report = validate_saturation_assumptions(PowerLawSaturation(c=1.0, q=1.5))
-    assert report.zero_limit_pass
-    assert not report.infinity_limit_pass
-    assert not report.passed
-
-
-def test_exponential_fails_growth_only():
-    report = validate_saturation_assumptions(ExponentialSaturation(a=2.0, b=1.0))
-    assert report.zero_limit_pass
-    assert not report.infinity_limit_pass
-    assert report.summary()["passed"] is False
-
-
-class NegativeCurve(SaturationModel):
-    def pressure(self, theta):
-        return -np.asarray(theta, dtype=float)
-
-
-class WigglyCurve(SaturationModel):
-    def pressure(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.clip(theta, 0, None) ** 2 * (1.1 + np.sin(3.0 * np.log(
-            np.where(theta > 0, theta, 1.0))))
-
-
-@pytest.mark.parametrize("curve", [NegativeCurve(eta=1.0), WigglyCurve(eta=1.0)])
-def test_structurally_invalid_curves_raise(curve):
-    with pytest.raises(ModelInvalid):
-        validate_saturation_assumptions(curve)
 
 
 def test_darcy_velocity_interior_and_walls():
