@@ -12,11 +12,14 @@ smoke-physics state at n = 100, 400 and 1000: the march of
 ``configs/smoke.json`` over STATE_STEPS steps, with snapshots every
 SNAPSHOT_CADENCE.  The coefficient freeze and both assemblies are timed
 at the march's last step, with its last state as the iterate; the solve
-takes the assembled vapor system; ``step_record`` writes that step's row
-from a converged ``picard_step``; ``certify_run`` and the ``series.csv``
-and ``snapshots.csv`` writers take the whole march.  Each figure is the
-minimum over REPEATS repeats of a ``timeit`` loop sized by ``autorange``
-(at least 0.2 s), so it is the cost of the layer on a quiet host.
+takes the assembled vapor system; ``predicted_start`` extrapolates the
+march's last five states; ``step_record_per_level`` is the cost per level
+of one ``step_record`` call on a block of as many levels as ``run`` folds
+at once, each holding the record of a converged ``picard_step`` from the
+last state; ``certify_run`` and the ``series.csv`` and ``snapshots.csv``
+writers take the whole march.  Each figure is the minimum over REPEATS
+repeats of a ``timeit`` loop sized by ``autorange`` (at least 0.2 s), so
+it is the cost of the layer on a quiet host.
 
 ``sweeps`` holds the Picard sweeps per step of ``run`` on the smoke, fine
 and stiff configs and of ``mms``, ``ladder`` and ``sweep`` on their
@@ -92,7 +95,10 @@ def layer_costs(n: int, out: str) -> dict:
     rho_new = solve_thomas(rho_sys)
     _, record = stepper.picard_step(prev, cfg, reg, params, model, grid,
                                     start=(rho, theta))
-    columns = start_series(1)
+    block = max(1, stepper._STEP_BLOCK_CELLS // n)
+    levels = [(record,)] * block
+    columns = start_series(block)
+    history = np.hstack((result.rho[-5:], result.theta[-5:]))
     series_path = os.path.join(out, "series.csv")
     snapshots_path = os.path.join(out, "snapshots.csv")
     layers = {
@@ -103,13 +109,16 @@ def layer_costs(n: int, out: str) -> dict:
         "assemble_theta_system": lambda: stepper.assemble_theta_system(
             prev, rho_new, theta, *args, coeffs, cfg.advection),
         "solve_thomas": lambda: solve_thomas(rho_sys),
-        "step_record": lambda: step_record(columns, 1, (record,), grid, params),
+        "predicted_start": lambda: stepper._predicted_start(history),
+        "step_record_per_level": lambda: step_record(columns, 1, levels, grid, params),
         "certify_run": lambda: certify_run(result),
         "write_series_csv": lambda: cli._write_series(series_path, result),
         "write_snapshots_csv": lambda: cli._write_snapshots(snapshots_path, result,
                                                             setup),
     }
-    return {name: best_seconds(fn) for name, fn in layers.items()}
+    costs = {name: best_seconds(fn) for name, fn in layers.items()}
+    costs["step_record_per_level"] /= block
+    return costs
 
 
 def sweep_counts(command: str, config: str, out: str) -> dict:

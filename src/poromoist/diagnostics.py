@@ -21,16 +21,20 @@ independent computation:
 All checks read the trajectory and its series (one column per quantity,
 one entry per time level); none of them re-runs the solver.  The columns
 that need what a step's last sweep froze (the balance residuals, the sweep
-count and the envelope map) are written per level by step_record, from
-its substeps' records; the functionals of the trajectory alone (mass,
-energy, entropy, the field extrema and the fourth-power accumulator) are
-computed per run by run_series.
+count and the envelope map) are written by step_record for a block of
+levels at a time, from their substeps' records; the functionals of the
+trajectory alone (mass, energy, entropy, the field extrema and the
+fourth-power accumulator) are computed per run by run_series.  Both, and
+the entropy dissipation, reduce stacked rows along axis 1, which adds in
+the order a reduction of one row alone would, so every value has the bits
+of a row-at-a-time computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -47,8 +51,6 @@ __all__ = [
     "start_series",
     "step_record",
     "run_series",
-    "mass_balance_residual",
-    "energy_balance_residual",
     "EnvelopeReport",
     "mass_energy_envelope_check",
     "theta_envelope",
@@ -71,13 +73,14 @@ SERIES_COLUMNS = (
 )
 
 _ENVELOPE_COLUMNS = ("envelope_lift", "envelope_gain")
-# Written per level by step_record; run_series computes the rest per run.
+# Written by step_record, a block of levels at a time; run_series computes
+# the rest per run.
 _STEP_COLUMNS = ("mass_balance_residual", "energy_balance_residual",
                  "picard_iterations") + _ENVELOPE_COLUMNS
 _TRAJECTORY_COLUMNS = ("total_mass", "mass_energy", "entropy", "min_rho",
                        "min_theta", "max_theta", "l4_accumulator")
 
-# Cells per block of run_series: 128 kB per temporary array.
+# Cells per block of run_series and entropy_monitor: 128 kB per temporary array.
 _BLOCK_CELLS = 16384
 
 # certify_run's bound on the per-step mass balance residual (roundoff) and
@@ -89,8 +92,9 @@ ENVELOPE_TOL = 1e-9
 def start_series(steps: int) -> dict:
     """Step columns for steps + 1 time levels, keyed by name.
 
-    step_record fills rows 1..steps; row 0, the start state, stays zero but
-    for its envelope map, the identity (lift 0, gain 1).
+    step_record fills rows 1..steps, one block of levels per call; row 0,
+    the start state, stays zero but for its envelope map, the identity
+    (lift 0, gain 1).
     """
     series = {name: np.zeros(steps + 1) for name in _STEP_COLUMNS}
     series["picard_iterations"] = np.zeros(steps + 1, dtype=int)
@@ -98,72 +102,102 @@ def start_series(steps: int) -> dict:
     return series
 
 
-def mass_balance_residual(srec: StepRecord, grid: Grid) -> float:
-    """Defect of the summed vapor rows against the wall fluxes.
+def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...]],
+                grid: Grid, params: PhysicalParams) -> None:
+    """Write rows first, first + 1, ... of the step columns, one per level.
 
-    The interior rows are exact flux differences, so up to linear-solver
+    levels[i] holds the records of the substeps that reached level
+    first + i.  Each record's mass and energy balance residuals and its
+    heating rate are row reductions of the block's stacked (records, n)
+    arrays, which add in the order a reduction of that record alone would,
+    so every entry has the bits of a record-at-a-time computation.
+
+    Mass balance: the summed vapor rows against the wall fluxes.  The
+    interior rows are exact flux differences, so up to linear-solver
     roundoff this is zero regardless of resolution.
-    """
-    h = grid.h
-    rho_new, coeffs = srec.rho, srec.coeffs
-    drho = h * (rho_new - srec.prev.rho).sum() / srec.dt
-    reaction = h * (coeffs.chi_sqrt * rho_new - coeffs.chi_ps).sum()
-    source = h * np.sum(srec.forcing.rho_source)
-    boundary = srec.mass_flux[-1] - srec.mass_flux[0]
-    return float(abs(drho + reaction - source - boundary))
 
-
-def energy_balance_residual(srec: StepRecord, grid: Grid, params: PhysicalParams) -> float:
-    """Defect of the conservative heat balance over one step.
-
-    Both flux groups telescope exactly, and the frozen reaction terms are
+    Energy balance: the conservative heat balance over the substep.  Both
+    flux groups telescope exactly, and the frozen reaction terms are
     accounted for verbatim, so the remainder is the time commutator
     sum h (rho_new - rho_prev)(theta_new - theta_prev) / dt.  It is first
     order in dt on smooth runs and vanishes at fixed points.  The wall
     terms are the Robin conductive fluxes (plus any forcing correction) and
-    the mass fluxes carrying the wall traces of the new temperature.
-    """
-    h = grid.h
-    rho_new, theta_new, coeffs, forcing = srec.rho, srec.theta, srec.coeffs, srec.forcing
-    rho_prev, theta_prev = srec.prev.rho, srec.prev.theta
-    e_new = h * (rho_new * theta_new + params.sigma * theta_new).sum()
-    e_prev = h * (rho_prev * theta_prev + params.sigma * theta_prev).sum()
+    the mass fluxes carrying the wall traces of the new temperature.  An
+    unforced block skips the zero forcing terms, which change no value.
 
-    th_l, th_r = boundary_traces(theta_new)
+    A level's balance residuals are the largest over its substeps
+    (np.maximum keeps a NaN), and picard_iterations counts every sweep.  A
+    substep of size h at heating rate r = max(rho X(sqrt(theta)) / (rho + sigma))
+    maps the max-temperature envelope by env <- (env + h lam r)(1 + h r);
+    their composition is the level's env <- (env + lift) gain.
+    """
+    from .stepper import NO_FORCING  # stepper imports this module
+
+    h, lam, sigma = grid.h, params.lam, params.sigma
+    records = [srec for level in levels for srec in level]
+
+    def stack(field):
+        get = attrgetter(field)
+        return np.array([get(srec) for srec in records])
+
+    rho_new, theta_new, theta_iter, mass_flux = (
+        stack(field) for field in ("rho", "theta", "theta_iter", "mass_flux"))
+    rho_prev, theta_prev = stack("prev.rho"), stack("prev.theta")
+    chi_sqrt, chi_ps, ps_iter = (stack("coeffs." + field)
+                                 for field in ("chi_sqrt", "chi_ps", "ps_iter"))
+    dt = np.array([srec.dt for srec in records])
+    flux_l, flux_r = mass_flux[:, 0], mass_flux[:, -1]
+
+    mass = h * (rho_new - rho_prev).sum(axis=1) / dt + h * (
+        chi_sqrt * rho_new - chi_ps).sum(axis=1)
+    e_new = h * (rho_new * theta_new + sigma * theta_new).sum(axis=1)
+    e_prev = h * (rho_prev * theta_prev + sigma * theta_prev).sum(axis=1)
+    th_l, th_r = boundary_traces(theta_new.T)
     cond_l, cond_r = robin_fluxes(th_l, th_r, params.beta0, params.beta1,
                                   params.theta_bar0, params.theta_bar1)
-    g0, g1 = forcing.theta_flux
-    boundary = ((cond_r + g1) + srec.mass_flux[-1] * th_r
-                - (cond_l + g0) - srec.mass_flux[0] * th_l)
-    gamma = rho_new * coeffs.chi_sqrt - coeffs.chi_ps
-    lag_defect = ((params.lam + theta_new) * coeffs.chi_ps
-                  - (params.lam + srec.theta_iter) * coeffs.ps_iter)
-    interior = h * (params.lam * gamma + lag_defect).sum()
-    source = h * np.sum(forcing.theta_source) + h * np.sum(theta_new * forcing.rho_source)
-    return float(abs((e_new - e_prev) / srec.dt - boundary - interior - source))
+    gamma = rho_new * chi_sqrt - chi_ps
+    lag_defect = (lam + theta_new) * chi_ps - (lam + theta_iter) * ps_iter
+    interior = h * (lam * gamma + lag_defect).sum(axis=1)
 
+    if all(srec.forcing is NO_FORCING for srec in records):
+        boundary = cond_r + flux_r * th_r - cond_l - flux_l * th_l
+        energy = (e_new - e_prev) / dt - boundary - interior
+    else:
+        rho_source, theta_source = (
+            np.array([np.broadcast_to(getattr(srec.forcing, field), (grid.n,))
+                      for srec in records])
+            for field in ("rho_source", "theta_source"))
+        g0, g1 = np.array([srec.forcing.theta_flux for srec in records], dtype=float).T
+        mass -= h * rho_source.sum(axis=1)
+        boundary = (cond_r + g1) + flux_r * th_r - (cond_l + g0) - flux_l * th_l
+        source = h * theta_source.sum(axis=1) + h * (theta_new * rho_source).sum(axis=1)
+        energy = (e_new - e_prev) / dt - boundary - interior - source
+    mass = np.abs(mass - (flux_r - flux_l))
+    energy = np.abs(energy)
+    rate = (rho_new * chi_sqrt / (rho_new + sigma)).max(axis=1)
 
-def step_record(series: dict, k: int, records: tuple[StepRecord, ...], grid: Grid,
-                params: PhysicalParams) -> None:
-    """Write row k of the step columns from the substeps that reached level k.
-
-    The balance residuals are the largest over the substeps (np.maximum
-    keeps a NaN), and picard_iterations counts every sweep.  A substep of
-    size h at heating rate r = max(rho X(sqrt(theta)) / (rho + sigma)) maps
-    the max-temperature envelope by env <- (env + h lam r)(1 + h r); their
-    composition is the level's env <- (env + lift) gain.
-    """
-    mass = energy = lift = sweeps = 0
-    gain = 1.0
-    for srec in records:
-        mass = np.maximum(mass, mass_balance_residual(srec, grid))
-        energy = np.maximum(energy, energy_balance_residual(srec, grid, params))
-        sweeps += srec.sweeps
-        rate = (srec.rho * srec.coeffs.chi_sqrt / (srec.rho + params.sigma)).max()
-        lift += srec.dt * params.lam * rate / gain
-        gain *= 1.0 + srec.dt * rate
-    for name, value in zip(_STEP_COLUMNS, (mass, energy, sweeps, lift, gain)):
-        series[name][k] = value
+    # Fold each level's substeps in order: the j-th pass takes the j-th
+    # record of every level that has one.
+    rows = len(levels)
+    counts = np.array([len(level) for level in levels])
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    sweeps = np.array([srec.sweeps for srec in records])
+    columns = {"mass_balance_residual": np.zeros(rows),
+               "energy_balance_residual": np.zeros(rows),
+               "picard_iterations": np.zeros(rows, dtype=int),
+               "envelope_lift": np.zeros(rows), "envelope_gain": np.ones(rows)}
+    for j in range(counts.max()):
+        at = np.flatnonzero(counts > j)
+        r = starts[at] + j
+        for name, values in (("mass_balance_residual", mass),
+                             ("energy_balance_residual", energy)):
+            columns[name][at] = np.maximum(columns[name][at], values[r])
+        columns["picard_iterations"][at] += sweeps[r]
+        gain = columns["envelope_gain"]
+        columns["envelope_lift"][at] += dt[r] * lam * rate[r] / gain[at]
+        gain[at] *= 1.0 + dt[r] * rate[r]
+    for name, values in columns.items():
+        series[name][first:first + rows] = values
 
 
 def run_series(step_columns: dict, rho: np.ndarray, theta: np.ndarray, dt: float,
@@ -271,15 +305,22 @@ def entropy_monitor(result: RunResult) -> EntropyReport:
 
     The dissipation is the time integral of sum_faces h theta (drho/dx)^2
     evaluated at the end-of-step states; together with the entropy column
-    it certifies that the degenerate diffusion keeps doing work.
+    it certifies that the degenerate diffusion keeps doing work.  Each
+    level's term is a row reduction over a block of about _BLOCK_CELLS
+    cells, and the terms are added in level order, so the integral has the
+    bits of a level-at-a-time loop.
     """
     h = result.grid.h
     dt = result.cfg.dt
+    levels = len(result.t)
+    rows = max(1, _BLOCK_CELLS // result.grid.n)
     dissipation = 0.0
-    for rho, theta in zip(result.rho[1:], result.theta[1:]):
-        grad = np.diff(rho) / h
-        theta_face = 0.5 * (theta[:-1] + theta[1:])
-        dissipation += dt * float(h * np.sum(theta_face * grad**2))
+    for lo in range(1, levels, rows):
+        rho, theta = result.rho[lo:lo + rows], result.theta[lo:lo + rows]
+        grad = np.diff(rho, axis=1) / h
+        theta_face = 0.5 * (theta[:, :-1] + theta[:, 1:])
+        for term in (dt * (h * (theta_face * grad**2).sum(axis=1))).tolist():
+            dissipation += term
     return EntropyReport(float(np.max(result.series["entropy"])), dissipation)
 
 

@@ -21,17 +21,20 @@ input falls below picard_tol.  From the third sweep of an attempt on, the
 input is Anderson-mixed from the attempt's own sweeps (see
 _picard_sweeps), which on the stiff benchmark config keeps every step
 within 12 sweeps, against 35 with plain sweeps.  run starts each step's
-sweeps from an extrapolation of the accepted states (see
-_predicted_start), which on the smoke config lets 874 of 1000 steps
-converge on their first sweep.  homotopy_solve advances one output level
-of dt and, where both of its direct attempts fail, retakes the level in
-halved substeps.  Every accepted iterate is a plain sweep output of the
-assembled rows (a mixed input is never accepted), and each substep leaves
-one StepRecord: its sweeps and what its last sweep froze.
-diagnostics.step_record folds a level's records into its row, and
-diagnostics.run_series adds the functionals of the trajectory alone, once
-per run.  Only the start state is checked for the cone rho >= 0,
-theta > 0; certify_run judges the march.  Forcing terms are evaluated once
+sweeps from an extrapolation of the last five accepted states, which it
+keeps as one (5, 2n) history of (rho, theta) rows (see _predicted_start);
+on the smoke config this lets 874 of 1000 steps converge on their first
+sweep.  homotopy_solve advances one output level of dt and, where both of
+its direct attempts fail, retakes the level in halved substeps.  Every
+accepted iterate is a plain sweep output of the assembled rows (a mixed
+input is never accepted), and each substep leaves one StepRecord: its
+sweeps and what its last sweep froze.  run holds the records of a block of
+levels of about _STEP_BLOCK_CELLS cells and hands each block to one
+diagnostics.step_record call, which folds every level's records into its
+row; so the step loop does little besides the solve, and no buffer grows
+with the step count.  diagnostics.run_series adds the functionals of the
+trajectory alone, once per run.  Only the start state is checked for the
+cone rho >= 0, theta > 0; certify_run judges the march.  Forcing terms are evaluated once
 per time a substep ends and shared by its sweeps; an unforced run shares
 NO_FORCING, whose zero terms change no value.
 
@@ -107,6 +110,10 @@ UPDATE_FLOOR = 1e-30
 # Residual differences that mix each sweep input from the third on (see _picard_sweeps).
 ANDERSON_DEPTH = 2
 SPLIT_DEPTH = 6  # halvings of a level's step that homotopy_solve may make: dt/64
+# Cells of the levels whose records run holds for one step_record call:
+# 40 levels at n = 100.  Larger blocks cost more per level from n = 400 on,
+# where the stacked arrays outgrow the data caches.
+_STEP_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -596,41 +603,41 @@ def _substeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
 
 # Extrapolation weights by history length, oldest state first: with p+1
 # states, the degree-p polynomial through them at the next step index,
-# (-1)^(p-j) C(p+1, j) for the state j steps from the oldest.
-_EXTRAPOLATION_WEIGHTS = {
-    2: (-1.0, 2.0),
-    3: (1.0, -3.0, 3.0),
-    4: (-1.0, 4.0, -6.0, 4.0),
-    5: (1.0, -5.0, 10.0, -10.0, 5.0),
-}
+# (-1)^(p-j) C(p+1, j) for the state j steps from the oldest.  One column
+# each, to scale the rows of a history.
+_EXTRAPOLATION_WEIGHTS = {len(weights): np.array(weights)[:, None] for weights in (
+    (-1.0, 2.0),
+    (1.0, -3.0, 3.0),
+    (-1.0, 4.0, -6.0, 4.0),
+    (1.0, -5.0, 10.0, -10.0, 5.0),
+)}
 
 
-def _predicted_start(rho: np.ndarray, theta: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray] | None:
-    """First iterate for the next step, extrapolated from the accepted rows.
+def _predicted_start(history: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """First iterate for the next step, extrapolated from the accepted states.
 
-    rho and theta hold the accepted states so far, one row per time level.
-    None (start from the previous state) after one row; then the
-    polynomial in the step index through the last rows, of degree 4 from
-    five rows on and one less than the row count before that: the standard
-    starting values for implicit steps (Hairer & Wanner, Solving ODEs II,
-    IV.8), off by O(dt^5) on a smooth trajectory.  The sum runs term by
-    term in the weights' order, so the guess is deterministic.  It is
-    clamped elementwise to at least half the last state, which keeps rho
-    nonnegative and theta positive.
+    history holds the last accepted states, oldest first, one (rho, theta)
+    row of 2n values per time level.  None (start from the previous state)
+    after one row; then the polynomial in the step index through the last
+    rows, of degree 4 from five rows on and one less than the row count
+    before that: the standard starting values for implicit steps (Hairer &
+    Wanner, Solving ODEs II, IV.8), off by O(dt^5) on a smooth trajectory.
+    The weighted rows are added one at a time in the weights' order, so
+    the guess is deterministic.  It is clamped elementwise to at least half
+    the last state, which keeps rho nonnegative and theta positive.
+    Returns the (rho, theta) halves of the guess.
     """
-    if len(rho) < 2:
+    if len(history) < 2:
         return None
-    weights = _EXTRAPOLATION_WEIGHTS[min(len(rho), max(_EXTRAPOLATION_WEIGHTS))]
-
-    def extrapolate(history):
-        rows = history[-len(weights):]
-        guess = weights[0] * rows[0]
-        for weight, row in zip(weights[1:], rows[1:]):
-            guess += weight * row
-        return np.maximum(guess, 0.5 * rows[-1])
-
-    return extrapolate(rho), extrapolate(theta)
+    weights = _EXTRAPOLATION_WEIGHTS[min(len(history), max(_EXTRAPOLATION_WEIGHTS))]
+    rows = history[-len(weights):]
+    terms = weights * rows
+    guess = terms[0]
+    for term in terms[1:]:
+        guess += term
+    np.maximum(guess, 0.5 * rows[-1], out=guess)
+    n = history.shape[1] // 2
+    return guess[:n], guess[n:]
 
 
 def step_count(span: float, dt: float) -> int:
@@ -659,7 +666,8 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     checked once, here: DimensionMismatch unless 1-D with grid.n cells,
     ConfigError for unequal lengths, nonfinite values, rho < 0 or theta <= 0.
     The marched states are not checked again; certify_run judges them.  The
-    forcing is evaluated once per (sub)step, at its new time.
+    forcing is evaluated once per (sub)step, at its new time.  The step
+    columns are written a block of levels at a time (see step_record).
     Deterministic: identical inputs produce bit-identical trajectories.
     """
     reg.validate_against(params)
@@ -699,12 +707,26 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     theta = np.empty((steps + 1, grid.n))
     t = np.empty(steps + 1)
     rho[0], theta[0], t[0] = state.rho, state.theta, state.t
+    # The last accepted states for _predicted_start, one (rho, theta) row each.
+    history = np.empty((max(_EXTRAPOLATION_WEIGHTS), 2 * grid.n))
+    history[0, :grid.n], history[0, grid.n:] = state.rho, state.theta
+    kept = 1
     step_columns = start_series(steps)
+    block = max(1, _STEP_BLOCK_CELLS // grid.n)
+    pending = []
     for k in range(1, steps + 1):
         state, records = homotopy_solve(state, cfg, reg, params, model, grid,
-                                        forcing, _predicted_start(rho[:k], theta[:k]))
-        step_record(step_columns, k, records, grid, params)
+                                        forcing, _predicted_start(history[:kept]))
         rho[k], theta[k], t[k] = state.rho, state.theta, state.t
+        if kept == len(history):
+            history[:-1] = history[1:]
+        else:
+            kept += 1
+        history[kept - 1, :grid.n], history[kept - 1, grid.n:] = state.rho, state.theta
+        pending.append(records)
+        if len(pending) == block or k == steps:
+            step_record(step_columns, k + 1 - len(pending), pending, grid, params)
+            pending = []
 
     series = run_series(step_columns, rho, theta, cfg.dt, grid, params)
     return RunResult(rho, theta, t, series, params, reg, cfg, grid, model, t_end)

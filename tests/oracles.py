@@ -1,13 +1,18 @@
-"""Dense reference routes for the tridiagonal solver, used only by the tests.
+"""Reference routes computed one object at a time, used only by the tests.
 
 A TridiagonalSystem is checked against these independent computations: its
 matrix written out in full, its residual A x - rhs, and a dense solve by
-Gaussian elimination with partial pivoting.
+Gaussian elimination with partial pivoting.  The blocked kernels of the
+step loop are checked against their one-at-a-time forms: the balance
+residuals of one StepRecord and the fold of one level's records, the
+predictor's extrapolation of each field apart, and the entropy
+dissipation summed level by level.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from poromoist.discretization import boundary_traces, robin_fluxes
 from poromoist.errors import DimensionMismatch
 from poromoist.linalg import TridiagonalSystem
 
@@ -51,3 +56,83 @@ def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("solution contains nonfinite values")
     return x
+
+
+def mass_balance_residual(srec, grid) -> float:
+    """Defect of one record's summed vapor rows against its wall fluxes."""
+    h = grid.h
+    rho_new, coeffs = srec.rho, srec.coeffs
+    drho = h * (rho_new - srec.prev.rho).sum() / srec.dt
+    reaction = h * (coeffs.chi_sqrt * rho_new - coeffs.chi_ps).sum()
+    source = h * np.sum(srec.forcing.rho_source)
+    boundary = srec.mass_flux[-1] - srec.mass_flux[0]
+    return float(abs(drho + reaction - source - boundary))
+
+
+def energy_balance_residual(srec, grid, params) -> float:
+    """Defect of one record's conservative heat balance."""
+    h = grid.h
+    rho_new, theta_new, coeffs, forcing = srec.rho, srec.theta, srec.coeffs, srec.forcing
+    rho_prev, theta_prev = srec.prev.rho, srec.prev.theta
+    e_new = h * (rho_new * theta_new + params.sigma * theta_new).sum()
+    e_prev = h * (rho_prev * theta_prev + params.sigma * theta_prev).sum()
+
+    th_l, th_r = boundary_traces(theta_new)
+    cond_l, cond_r = robin_fluxes(th_l, th_r, params.beta0, params.beta1,
+                                  params.theta_bar0, params.theta_bar1)
+    g0, g1 = forcing.theta_flux
+    boundary = ((cond_r + g1) + srec.mass_flux[-1] * th_r
+                - (cond_l + g0) - srec.mass_flux[0] * th_l)
+    gamma = rho_new * coeffs.chi_sqrt - coeffs.chi_ps
+    lag_defect = ((params.lam + theta_new) * coeffs.chi_ps
+                  - (params.lam + srec.theta_iter) * coeffs.ps_iter)
+    interior = h * (params.lam * gamma + lag_defect).sum()
+    source = h * np.sum(forcing.theta_source) + h * np.sum(theta_new * forcing.rho_source)
+    return float(abs((e_new - e_prev) / srec.dt - boundary - interior - source))
+
+
+def level_row(records, grid, params) -> dict:
+    """One level's step columns, folded from its records one at a time."""
+    mass = energy = lift = sweeps = 0
+    gain = 1.0
+    for srec in records:
+        mass = np.maximum(mass, mass_balance_residual(srec, grid))
+        energy = np.maximum(energy, energy_balance_residual(srec, grid, params))
+        sweeps += srec.sweeps
+        rate = (srec.rho * srec.coeffs.chi_sqrt / (srec.rho + params.sigma)).max()
+        lift += srec.dt * params.lam * rate / gain
+        gain *= 1.0 + srec.dt * rate
+    return {"mass_balance_residual": mass, "energy_balance_residual": energy,
+            "picard_iterations": sweeps, "envelope_lift": lift, "envelope_gain": gain}
+
+
+def two_field_prediction(rho, theta):
+    """The predicted start extrapolated for rho and theta apart.
+
+    rho and theta hold the accepted states, one row per time level.
+    """
+    if len(rho) < 2:
+        return None
+    weights = {2: (-1.0, 2.0), 3: (1.0, -3.0, 3.0), 4: (-1.0, 4.0, -6.0, 4.0),
+               5: (1.0, -5.0, 10.0, -10.0, 5.0)}[min(len(rho), 5)]
+
+    def extrapolate(history):
+        rows = history[-len(weights):]
+        guess = weights[0] * rows[0]
+        for weight, row in zip(weights[1:], rows[1:]):
+            guess += weight * row
+        return np.maximum(guess, 0.5 * rows[-1])
+
+    return extrapolate(rho), extrapolate(theta)
+
+
+def sequential_dissipation(result) -> float:
+    """The entropy dissipation integral, one level at a time."""
+    h = result.grid.h
+    dt = result.cfg.dt
+    dissipation = 0.0
+    for rho, theta in zip(result.rho[1:], result.theta[1:]):
+        grad = np.diff(rho) / h
+        theta_face = 0.5 * (theta[:-1] + theta[1:])
+        dissipation += dt * float(h * np.sum(theta_face * grad**2))
+    return dissipation

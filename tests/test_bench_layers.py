@@ -7,11 +7,11 @@ import sys
 from tests.conftest import REPO_ROOT
 
 
-def load_bench(monkeypatch):
-    # the script puts src on sys.path when loaded; the patch undoes that
+def load_bench(monkeypatch, name="bench_layers"):
+    # the script may put src on sys.path when loaded; the patch undoes that
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(
-        "bench_layers", REPO_ROOT / "scripts" / "bench_layers.py")
+        name, REPO_ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,8 +33,8 @@ def test_bench_layers_times_every_layer_and_counts_smoke_sweeps(monkeypatch, tmp
     layers = bench.layer_costs(16, str(tmp_path))
     assert set(layers) == {
         "compute_flux_coefficients", "assemble_rho_system", "assemble_theta_system",
-        "solve_thomas", "step_record", "certify_run", "write_series_csv",
-        "write_snapshots_csv"}
+        "solve_thomas", "predicted_start", "step_record_per_level", "certify_run",
+        "write_series_csv", "write_snapshots_csv"}
     assert len(timed) == len(layers)
     assert (tmp_path / "series.csv").exists() and (tmp_path / "snapshots.csv").exists()
 

@@ -7,17 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poromoist.config import build_setup
-from poromoist.diagnostics import (certify_run, default_test_functions,
-                                   energy_balance_residual, entropy_monitor,
-                                   mass_balance_residual, mass_energy_envelope_check,
-                                   start_series, step_record, theta_envelope,
-                                   weak_residual)
+from poromoist import diagnostics, stepper
+from poromoist.config import apply_override, build_setup
+from poromoist.diagnostics import (certify_run, default_test_functions, entropy_monitor,
+                                   mass_energy_envelope_check, start_series, step_record,
+                                   theta_envelope, weak_residual)
 from poromoist.discretization import Grid
+from poromoist.harness import make_default_mms_case
 from poromoist.model import InitialData
 from poromoist.stepper import (RegularizationParams, State, StepConfig, homotopy_solve,
                                run)
 from tests.conftest import make_params, run_equilibrium
+from tests.oracles import (energy_balance_residual, level_row, mass_balance_residual,
+                           sequential_dissipation)
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +219,7 @@ def test_step_record_of_one_step_keeps_the_level_map(smoke_result):
                                 smoke_result.model, smoke_result.grid)
     assert len(records) == 1
     series = start_series(1)
-    step_record(series, 1, records, smoke_result.grid, params)
+    step_record(series, 1, [records], smoke_result.grid, params)
     rate = heating_rate(records[0], params)
     assert series["envelope_lift"][1] == cfg.dt * params.lam * rate
     assert series["envelope_gain"][1] == 1.0 + cfg.dt * rate
@@ -231,7 +233,7 @@ def test_step_record_folds_substeps(cubic_model):
     _, records = homotopy_solve(prev, cfg, reg, params, cubic_model, grid)
     assert [srec.dt for srec in records] == [0.01, 0.01]
     series = start_series(1)
-    step_record(series, 1, records, grid, params)
+    step_record(series, 1, [records], grid, params)
 
     residuals = [(mass_balance_residual(srec, grid),
                   energy_balance_residual(srec, grid, params)) for srec in records]
@@ -256,10 +258,127 @@ def test_step_record_keeps_a_nan_residual(smoke_result):
                                 smoke_result.model, grid)
     nan_first = (replace(records[0], forcing=replace(
         records[0].forcing, rho_source=np.nan, theta_source=np.nan)),)
-    series = start_series(1)
-    step_record(series, 1, nan_first + records, grid, params)
+    series = start_series(2)
+    step_record(series, 1, [nan_first + records, records], grid, params)
     assert math.isnan(series["mass_balance_residual"][1])
     assert math.isnan(series["energy_balance_residual"][1])
+    # the NaN stays in its own level's row
+    assert series["mass_balance_residual"][2] == mass_balance_residual(records[0], grid)
+    assert series["energy_balance_residual"][2] == energy_balance_residual(
+        records[0], grid, params)
+
+
+def traced_run(monkeypatch, *args, **kwargs):
+    """run, keeping each level's records and the rows of each step_record call."""
+    levels, calls = [], []
+    solve, record = stepper.homotopy_solve, stepper.step_record
+
+    def keep(*solve_args, **solve_kwargs):
+        new, records = solve(*solve_args, **solve_kwargs)
+        levels.append(records)
+        return new, records
+
+    def count(series, first, block, *record_args):
+        calls.append((first, len(block)))
+        record(series, first, block, *record_args)
+
+    monkeypatch.setattr(stepper, "homotopy_solve", keep)
+    monkeypatch.setattr(stepper, "step_record", count)
+    return run(*args, **kwargs), levels, calls
+
+
+def smoke_run(smoke_config, t_end, advection="upwind"):
+    setup = build_setup(apply_override(smoke_config, "physical.t_end", t_end))
+    return (setup.initial, replace(setup.step, advection=advection), setup.reg,
+            setup.params, setup.model, setup.grid)
+
+
+def mms_run(unit_params, cubic_model):
+    case = make_default_mms_case(unit_params, cubic_model)
+    grid = Grid(32)
+    state = State(case.exact_rho(grid.centers, 0.0), case.exact_theta(grid.centers, 0.0),
+                  0.0)
+    return ((None, StepConfig(dt=0.0025, picard_tol=1e-12, advection="central"),
+             RegularizationParams(eps=1e-8, nu=5e-9), unit_params, cubic_model, grid),
+            dict(t_end=0.1, forcing=case.forcing, initial_state=state))
+
+
+def split_run(cubic_model):
+    grid = Grid(16)
+    return ((None, StepConfig(dt=0.02), RegularizationParams(eps=1e-2, nu=5e-3),
+             make_params(lam=120.0), cubic_model, grid),
+            dict(t_end=0.1, initial_state=State(np.ones(16), np.full(16, 1.3), 0.0)))
+
+
+@pytest.mark.parametrize("case", ["smoke", "central", "mms", "split", "one_level_blocks"])
+def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
+                                             unit_params, cubic_model):
+    kwargs = {}
+    if case == "smoke":
+        args = smoke_run(smoke_config, 0.123)
+    elif case == "central":
+        args = smoke_run(smoke_config, 0.2, "central")
+    elif case == "mms":
+        args, kwargs = mms_run(unit_params, cubic_model)
+    elif case == "split":
+        args, kwargs = split_run(cubic_model)
+    else:
+        monkeypatch.setattr(stepper, "_STEP_BLOCK_CELLS", 1)
+        args = smoke_run(smoke_config, 0.05)
+    result, levels, calls = traced_run(monkeypatch, *args, **kwargs)
+    grid, params = result.grid, result.params
+
+    block = max(1, stepper._STEP_BLOCK_CELLS // grid.n)
+    assert [first for first, _ in calls] == list(range(1, len(levels) + 1, block))
+    if case == "smoke":
+        assert calls[-1][1] < block       # the last block is partial
+    if case == "one_level_blocks":
+        assert block == 1
+    if case == "mms":
+        assert all(srec.forcing is not stepper.NO_FORCING for srec in levels[0])
+    if case == "split":
+        assert len(levels[0]) == 2
+    rows = [level_row(records, grid, params) for records in levels]
+    for name in ("mass_balance_residual", "energy_balance_residual", "picard_iterations",
+                 "envelope_lift", "envelope_gain"):
+        column = result.series[name]
+        expected = np.array([column[0]] + [row[name] for row in rows], dtype=column.dtype)
+        assert column.tobytes() == expected.tobytes(), name
+
+
+def test_step_record_calls_stay_bounded(monkeypatch, smoke_config):
+    # No buffer grows with the step count: a 1000-step run holds at most
+    # one block of levels at a time.
+    result, levels, calls = traced_run(monkeypatch, *smoke_run(smoke_config, 1.0))
+    steps, block = len(levels), stepper._STEP_BLOCK_CELLS // result.grid.n
+    assert steps == 1000
+    assert len(calls) == math.ceil(steps / block)
+    assert max(size for _, size in calls) <= block
+    assert sum(size for _, size in calls) == steps
+
+
+@pytest.mark.parametrize("case", ["smoke", "block_of_eight", "equilibrium", "zero_steps"])
+def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
+                                                unit_params, cubic_model):
+    if case == "zero_steps":
+        result = run(None, StepConfig(dt=1e-3), RegularizationParams(eps=1e-2, nu=5e-3),
+                     unit_params, cubic_model, Grid(8), t_end=0.0,
+                     initial_state=State(np.ones(8), np.ones(8), 0.0))
+    elif case == "equilibrium":
+        result = request.getfixturevalue("equilibrium_run")
+    else:
+        result = request.getfixturevalue("smoke_result")
+    if case == "block_of_eight":
+        monkeypatch.setattr(diagnostics, "_BLOCK_CELLS", 8 * result.grid.n)
+    rows = max(1, diagnostics._BLOCK_CELLS // result.grid.n)
+    if case in ("smoke", "equilibrium"):
+        assert (len(result.t) - 1) % rows     # the last block is partial
+    if case == "block_of_eight":
+        assert (len(result.t) - 1) % rows == 0
+    dissipation = entropy_monitor(result).dissipation
+    assert dissipation == sequential_dissipation(result)
+    assert math.copysign(1.0, dissipation) == math.copysign(
+        1.0, sequential_dissipation(result))
 
 
 def test_certify_run_passes_smoke(smoke_result):

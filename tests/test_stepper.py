@@ -24,7 +24,7 @@ from poromoist.stepper import (Forcing, RegularizationParams, State,
                                compute_flux_coefficients, homotopy_solve,
                                mollified_initial_data, picard_step, run)
 from tests.conftest import equilibrium_state, make_params
-from tests.oracles import dense, dense_solve
+from tests.oracles import dense, dense_solve, two_field_prediction
 from tests.test_discretization import mirror_smooth
 
 
@@ -577,8 +577,8 @@ def test_predicted_start_is_exact_on_polynomials(rows):
         coeffs[0] += 100.0
         return sum(c * steps**j for j, c in enumerate(coeffs))
 
-    rho, theta = history(3), history(4)
-    guess = stepper._predicted_start(rho[:-1], theta[:-1])
+    rho, theta = history(3), history(3)
+    guess = stepper._predicted_start(np.hstack((rho[:-1], theta[:-1])))
     for got, ref in zip(guess, (rho[-1], theta[-1])):
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
 
@@ -587,11 +587,33 @@ def test_predicted_start_is_exact_on_polynomials(rows):
 def test_predicted_start_clamps_a_steep_drop(rows):
     history = np.ones((rows, 3))
     history[-1] = [0.1, 0.01, 1e-8]
-    rho, theta = stepper._predicted_start(history, 2.0 * history)
+    rho, theta = stepper._predicted_start(np.hstack((history, 2.0 * history)))
     # every weighted sum here lands below half the last row, so the guess
     # is that half
     np.testing.assert_array_equal(rho, 0.5 * history[-1])
     np.testing.assert_array_equal(theta, history[-1])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("drop", [False, True])
+def test_stacked_prediction_equals_two_field_prediction(rows, drop):
+    # The same weights in the same order and the same clamp, to the bit;
+    # the steep drop of test_predicted_start_clamps_a_steep_drop clamps every cell.
+    if drop:
+        rho = np.ones((rows, 3))
+        rho[-1] = [0.1, 0.01, 1e-8]
+        theta = 2.0 * rho
+    else:
+        rho, theta = np.random.default_rng(rows).uniform(0.5, 2.0, (2, rows, 7))
+    got = stepper._predicted_start(np.hstack((rho, theta)))
+    expected = two_field_prediction(rho, theta)
+    if expected is None:
+        assert got is None
+        return
+    for field, ref in zip(got, expected):
+        assert field.tobytes() == ref.tobytes()
+    if drop and rows > 1:
+        assert np.array_equal(got[0], 0.5 * rho[-1])
 
 
 def test_most_smoke_steps_converge_on_first_sweep(smoke_result):
@@ -615,7 +637,7 @@ def test_dry_start_certifies_with_positive_vapor(smoke_config):
 def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     grid, cfg, reg, data, t_end = smooth_case()
     with monkeypatch.context() as patch:
-        patch.setattr(stepper, "_predicted_start", lambda rho, theta: None)
+        patch.setattr(stepper, "_predicted_start", lambda history: None)
         plain = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
 
     wasted = 2
