@@ -21,11 +21,20 @@ writers take the whole march.  Each figure is the minimum over REPEATS
 repeats of a ``timeit`` loop sized by ``autorange`` (at least 0.2 s), so
 it is the cost of the layer on a quiet host.
 
+Absolute times drift with the host's load between runs, even of the same
+code, so ``layers_per_gauge`` holds each layer's seconds per call over the
+gauge of ``perfbench/run.py`` (a fixed pure-Python loop), timed right
+before and right after the layer's timing: the mean of the two gauges
+divides it.  Compare two files by ``layers_per_gauge``.
+
 ``sweeps`` holds the Picard sweeps per step of ``run`` on the smoke, fine
 and stiff configs and of ``mms``, ``ladder`` and ``sweep`` on their
 shipped configs, each run in-process through ``poromoist.cli.main``: the
 number of steps at each sweep count, their total, the steps taken in more
-than one substep (``split_steps``) and the exit code.  A step is one
+than one substep (``split_steps``) and the exit code.  ``harder_grid`` is
+the harder grid of ``tests/test_acceptance.py`` (the smoke problem to
+t = 0.4 over HARDER_GRID) as one ``sweep``, which exits 0 only when all
+12 cells certify.  A step is one
 output level, and its sweeps are those of all its substeps.  These counts
 are exact and repeat on every host; ``wall_s``, the wall time of the one
 command, does not.
@@ -53,6 +62,9 @@ from poromoist.diagnostics import certify_run, start_series, step_record  # noqa
 from poromoist.linalg import solve_thomas  # noqa: E402
 from poromoist.stepper import State  # noqa: E402
 
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import gauge  # noqa: E402
+
 SIZES = (100, 400, 1000)
 STATE_STEPS = 50
 SNAPSHOT_CADENCE = 0.01
@@ -67,6 +79,13 @@ SWEEP_CASES = (
     ("sweep", ("sweep", "configs/sweep.json")),
 )
 
+# The harder grid's axes; its cells run the smoke problem to t = 0.4.
+HARDER_GRID = {
+    "stepping.dt": [0.04, 0.08],
+    "physical.lambda": [60.0, 120.0, 250.0],
+    "initial.theta.value": [1.0, 1.3],
+}
+
 
 def best_seconds(fn) -> float:
     """Seconds per call: the minimum over REPEATS timeit loops."""
@@ -75,8 +94,12 @@ def best_seconds(fn) -> float:
     return min(timer.repeat(REPEATS, number)) / number
 
 
-def layer_costs(n: int, out: str) -> dict:
-    """Seconds per call of every layer, on the smoke state at n cells."""
+def layer_costs(n: int, out: str) -> tuple[dict, dict]:
+    """Seconds per call of every layer, on the smoke state at n cells.
+
+    Returns the seconds and the seconds over the mean of the gauges timed
+    right before and right after each layer's timing.
+    """
     data = load_config(os.path.join(ROOT, "configs", "smoke.json"))
     for path, value in (("grid.n", n),
                         ("physical.t_end", STATE_STEPS * data["stepping"]["dt"]),
@@ -116,9 +139,28 @@ def layer_costs(n: int, out: str) -> dict:
         "write_snapshots_csv": lambda: cli._write_snapshots(snapshots_path, result,
                                                             setup),
     }
-    costs = {name: best_seconds(fn) for name, fn in layers.items()}
+    costs, gauges = {}, [gauge()]
+    for name, fn in layers.items():
+        costs[name] = best_seconds(fn)
+        gauges.append(gauge())
     costs["step_record_per_level"] /= block
-    return costs
+    per_gauge = {name: seconds / (0.5 * (before + after))
+                 for (name, seconds), before, after in zip(costs.items(), gauges,
+                                                           gauges[1:])}
+    return costs, per_gauge
+
+
+def harder_grid_config(out: str) -> str:
+    """Write the harder grid as a sweep config into out; return its path."""
+    with open(os.path.join(ROOT, "configs", "smoke.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    for path, value in (("physical.t_end", 0.4), ("output.cadence", 0.4)):
+        data = apply_override(data, path, value)
+    data["sweep"] = {"axes": HARDER_GRID}
+    path = os.path.join(out, "harder_grid.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return path
 
 
 def sweep_counts(command: str, config: str, out: str) -> dict:
@@ -161,9 +203,12 @@ def sweep_counts(command: str, config: str, out: str) -> dict:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as out:
-        layers = {str(n): layer_costs(n, out) for n in SIZES}
+        layers, per_gauge = {}, {}
+        for n in SIZES:
+            layers[str(n)], per_gauge[str(n)] = layer_costs(n, out)
+        cases = SWEEP_CASES + (("harder_grid", ("sweep", harder_grid_config(out))),)
         sweeps = {name: sweep_counts(command, config, os.path.join(out, name))
-                  for name, (command, config) in SWEEP_CASES}
+                  for name, (command, config) in cases}
     payload = {
         "host": {
             "platform": platform.platform(),
@@ -174,8 +219,11 @@ def main() -> int:
         },
         "state": (f"configs/smoke.json physics at grid.n in {list(SIZES)}, "
                   f"{STATE_STEPS} steps, snapshots every {SNAPSHOT_CADENCE}"),
-        "timing": f"seconds per call, minimum over {REPEATS} timeit autorange loops",
+        "timing": (f"seconds per call, minimum over {REPEATS} timeit autorange loops; "
+                   "layers_per_gauge divides them by the mean of the perfbench/run.py "
+                   "gauge timed before and after each layer"),
         "layers_s": layers,
+        "layers_per_gauge": per_gauge,
         "sweeps": sweeps,
     }
     path = os.path.join(ROOT, "BENCH_layers.json")

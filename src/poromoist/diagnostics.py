@@ -23,11 +23,11 @@ one entry per time level); none of them re-runs the solver.  The columns
 that need what a step's last sweep froze (the balance residuals, the sweep
 count and the envelope map) are written by step_record for a block of
 levels at a time, from their substeps' records; the functionals of the
-trajectory alone (mass, energy, entropy, the field extrema and the
-fourth-power accumulator) are computed per run by run_series.  Both, and
-the entropy dissipation, reduce stacked rows along axis 1, which adds in
-the order a reduction of one row alone would, so every value has the bits
-of a row-at-a-time computation.
+trajectory alone (mass, energy, entropy and its dissipation terms, the
+field extrema and the fourth-power accumulator) are computed per run by
+run_series, so certify_run reads only the series.  Both reduce stacked
+rows along axis 1, which adds in the order a reduction of one row alone
+would, so every value has the bits of a row-at-a-time computation.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ __all__ = [
 ]
 
 # The series.csv columns after t, in order.  A run's series also holds the
-# _ENVELOPE_COLUMNS, each level's max-temperature envelope map (not written).
+# _ENVELOPE_COLUMNS, each level's max-temperature envelope map, and
+# "dissipation", each level's term of the entropy dissipation integral;
+# neither is written.
 SERIES_COLUMNS = (
     "total_mass", "mass_energy", "entropy", "min_rho", "min_theta",
     "max_theta", "mass_balance_residual", "energy_balance_residual",
@@ -78,9 +80,9 @@ _ENVELOPE_COLUMNS = ("envelope_lift", "envelope_gain")
 _STEP_COLUMNS = ("mass_balance_residual", "energy_balance_residual",
                  "picard_iterations") + _ENVELOPE_COLUMNS
 _TRAJECTORY_COLUMNS = ("total_mass", "mass_energy", "entropy", "min_rho",
-                       "min_theta", "max_theta", "l4_accumulator")
+                       "min_theta", "max_theta", "l4_accumulator", "dissipation")
 
-# Cells per block of run_series and entropy_monitor: 128 kB per temporary array.
+# Cells per block of run_series: 128 kB per temporary array.
 _BLOCK_CELLS = 16384
 
 # certify_run's bound on the per-step mass balance residual (roundoff) and
@@ -208,8 +210,10 @@ def run_series(step_columns: dict, rho: np.ndarray, theta: np.ndarray, dt: float
     row along its cells, which adds in the order a reduction of that row
     alone would, and the fourth-power accumulator sums its left-rule terms
     dt h sum(rho^4) in sequence, so every entry has the bits of the
-    row-at-a-time recurrence.  The rows are taken in blocks of about
-    _BLOCK_CELLS cells, which bounds the temporaries on long runs.
+    row-at-a-time recurrence.  The dissipation term of level k >= 1 is
+    dt sum_faces h theta (drho/dx)^2 at that level, and 0 at level 0.  The
+    rows are taken in blocks of about _BLOCK_CELLS cells, which bounds the
+    temporaries on long runs.
     """
     h, lam, sigma = grid.h, params.lam, params.sigma
     levels = len(rho)
@@ -227,11 +231,16 @@ def run_series(step_columns: dict, rho: np.ndarray, theta: np.ndarray, dt: float
         columns["min_theta"][block] = th.min(axis=1)
         columns["max_theta"][block] = th.max(axis=1)
         fourth[block] = h * (r**4).sum(axis=1)
+        theta_face = 0.5 * (th[:, :-1] + th[:, 1:])
+        grad = np.diff(r, axis=1) / h
+        columns["dissipation"][block] = dt * (h * (theta_face * grad**2).sum(axis=1))
+    columns["dissipation"][0] = 0.0
     l4 = columns["l4_accumulator"]
     l4[0] = 0.0
     np.cumsum(dt * fourth[:-1], out=l4[1:])
     columns.update(step_columns)
-    return {name: columns[name] for name in SERIES_COLUMNS + _ENVELOPE_COLUMNS}
+    return {name: columns[name]
+            for name in SERIES_COLUMNS + _ENVELOPE_COLUMNS + ("dissipation",)}
 
 
 @dataclass(frozen=True)
@@ -305,22 +314,13 @@ def entropy_monitor(result: RunResult) -> EntropyReport:
 
     The dissipation is the time integral of sum_faces h theta (drho/dx)^2
     evaluated at the end-of-step states; together with the entropy column
-    it certifies that the degenerate diffusion keeps doing work.  Each
-    level's term is a row reduction over a block of about _BLOCK_CELLS
-    cells, and the terms are added in level order, so the integral has the
-    bits of a level-at-a-time loop.
+    it certifies that the degenerate diffusion keeps doing work.  Its terms
+    are the series' dissipation column (see run_series), added in level
+    order, so the integral has the bits of a level-at-a-time loop.
     """
-    h = result.grid.h
-    dt = result.cfg.dt
-    levels = len(result.t)
-    rows = max(1, _BLOCK_CELLS // result.grid.n)
     dissipation = 0.0
-    for lo in range(1, levels, rows):
-        rho, theta = result.rho[lo:lo + rows], result.theta[lo:lo + rows]
-        grad = np.diff(rho, axis=1) / h
-        theta_face = 0.5 * (theta[:, :-1] + theta[:, 1:])
-        for term in (dt * (h * (theta_face * grad**2).sum(axis=1))).tolist():
-            dissipation += term
+    for term in result.series["dissipation"][1:].tolist():
+        dissipation += term
     return EntropyReport(float(np.max(result.series["entropy"])), dissipation)
 
 

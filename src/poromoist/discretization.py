@@ -10,7 +10,8 @@ cells are never artificially damped.
 
 Both equations are closed by Robin exchange with ambient reservoirs at the
 two walls.  The wall traces and the exchange fluxes are written once here
-and shared by the stepper, the diagnostics and the manufactured solutions.
+and shared by the stepper, the diagnostics and the manufactured solutions;
+add_robin_rows closes the implicit rows of both equations with them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "cutoff",
     "boundary_traces",
     "robin_fluxes",
+    "add_robin_rows",
 ]
 
 
@@ -133,3 +135,24 @@ def robin_fluxes(left: float, right: float, k0: float, k1: float,
     theta_bar.
     """
     return k0 * (left - bar0), k1 * (bar1 - right)
+
+
+def add_robin_rows(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                   rhs: np.ndarray, h: float, k0: float, k1: float, bar0: float,
+                   bar1: float, corrections: tuple[float, float],
+                   carried: tuple[float, float]) -> None:
+    """Add the Robin wall faces to rows 0 and n-1 of a tridiagonal system, in place.
+
+    The faces carry robin_fluxes at the boundary_traces of the unknowns plus
+    the corrections (g0, g1) and, where they also convect at speeds
+    carried = (c0, c1), c (trace - wall cell value); the vapor rows pass
+    (0.0, 0.0).  Each entry gets one += of its whole wall term over h.
+    """
+    g0, g1 = corrections
+    c0, c1 = carried
+    diag[0] += 1.5 * k0 / h + 0.5 * c0 / h
+    upper[0] += -0.5 * k0 / h - 0.5 * c0 / h
+    diag[-1] += 1.5 * k1 / h - 0.5 * c1 / h
+    lower[-1] += -0.5 * k1 / h + 0.5 * c1 / h
+    rhs[0] += (k0 * bar0 - g0) / h
+    rhs[-1] += (k1 * bar1 + g1) / h

@@ -3,8 +3,11 @@
 Each backward-Euler sweep reduces to one tridiagonal system per unknown
 field.  ``solve_thomas`` solves it in a single forward elimination / back
 substitution pass without pivoting, valid because every assembled system
-is strictly diagonally dominant (asserted at assembly time).  The tests
-cross-check it against a dense solve, in ``tests/oracles.py``.
+is strictly diagonally dominant (asserted at assembly time).
+``TridiagonalSystem`` holds the four bands as given and checks nothing:
+the assemblers check each system they build, once, and the solver checks
+only its pivots.  The tests cross-check it against a dense solve, in
+``tests/oracles.py``.
 
 ``solve_thomas`` factors with LAPACK ``dgttrf`` and solves with ``dgttrs``
 from numpy's own LAPACK (the OpenBLAS of numpy's wheel), reached through
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroPivot
+from .errors import ZeroPivot
 
 __all__ = ["TridiagonalSystem", "solve_thomas"]
 
@@ -58,51 +61,19 @@ PIVOT_FLOOR = 1e-14
 
 @dataclass
 class TridiagonalSystem:
-    """A x = rhs with A tridiagonal.
+    """A x = rhs with A tridiagonal, as four float arrays.
 
     lower[i] multiplies x[i] in row i+1, diag[i] multiplies x[i] in row i,
-    upper[i] multiplies x[i+1] in row i.
+    upper[i] multiplies x[i+1] in row i; lower and upper hold n - 1
+    entries, diag and rhs n.  Nothing is checked here: the assemblers
+    write the four fields as views of one (4, n) band and scan it once,
+    for nonfinite entries and then for diagonal dominance.
     """
 
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
     rhs: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        n = self.diag.shape[0]
-        if n < 1:
-            raise DimensionMismatch("empty diagonal")
-        if self.lower.shape != (n - 1,) or self.upper.shape != (n - 1,):
-            raise DimensionMismatch(
-                f"off-diagonals must have length {n - 1}, got "
-                f"{self.lower.shape[0]} and {self.upper.shape[0]}"
-            )
-        if self.rhs.shape != (n,):
-            raise DimensionMismatch(f"rhs must have length {n}, got {self.rhs.shape[0]}")
-        for name, arr in (("lower", self.lower), ("diag", self.diag),
-                          ("upper", self.upper), ("rhs", self.rhs)):
-            if not np.all(np.isfinite(arr)):
-                raise DimensionMismatch(f"nonfinite entries in {name}")
-
-    @classmethod
-    def from_band(cls, band: np.ndarray) -> TridiagonalSystem:
-        """Wrap a (4, n) float band whose rows the caller has already checked.
-
-        Column i holds row i: band[0, i] = lower[i-1], band[1, i] = diag[i],
-        band[2, i] = upper[i] and band[3, i] = rhs[i]; band[0, 0] and
-        band[2, -1] are unused.  The four fields are views of the band, and
-        nothing is re-checked: the assemblers scan their band for nonfinite
-        entries once, before the dominance check.
-        """
-        system = cls.__new__(cls)
-        system.lower, system.diag = band[0, 1:], band[1]
-        system.upper, system.rhs = band[2, :-1], band[3]
-        return system
 
     @property
     def n(self) -> int:

@@ -19,16 +19,17 @@ sweep's input, each sweep solves two tridiagonal systems, and the loop
 ends when the combined relative update of a sweep's output from its own
 input falls below picard_tol.  From the third sweep of an attempt on, the
 input is Anderson-mixed from the attempt's own sweeps (see
-_picard_sweeps), which on the stiff benchmark config keeps every step
+picard_step), which on the stiff benchmark config keeps every step
 within 12 sweeps, against 35 with plain sweeps.  run starts each step's
 sweeps from an extrapolation of the last five accepted states, which it
 keeps as one (5, 2n) history of (rho, theta) rows (see _predicted_start);
 on the smoke config this lets 874 of 1000 steps converge on their first
-sweep.  homotopy_solve advances one output level of dt and, where both of
-its direct attempts fail, retakes the level in halved substeps.  Every
-accepted iterate is a plain sweep output of the assembled rows (a mixed
-input is never accepted), and each substep leaves one StepRecord: its
-sweeps and what its last sweep froze.  run holds the records of a block of
+sweep.  homotopy_solve advances one output level of dt by one direct
+attempt from that start and, where it fails, retakes the level in halved
+substeps (Hairer & Wanner, Solving ODEs II, IV.8).  Every accepted
+iterate is a plain sweep output of the assembled rows (a mixed input is
+never accepted), and each substep leaves one StepRecord: its sweeps and
+what its last sweep froze.  run holds the records of a block of
 levels of about _STEP_BLOCK_CELLS cells and hands each block to one
 diagnostics.step_record call, which folds every level's records into its
 row; so the step loop does little besides the solve, and no buffer grows
@@ -42,8 +43,9 @@ Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
 equation's mass fluxes evaluated at the fresh vapor solution, so the
 energy carried by convection is consistent with the mass actually moving.
-The wall traces and the Robin exchange fluxes come from
-discretization.boundary_traces and discretization.robin_fluxes.
+The wall traces, the Robin exchange fluxes and the Robin wall rows of
+both assemblies come from discretization.boundary_traces, robin_fluxes
+and add_robin_rows.
 
 The sweep kernel (compute_flux_coefficients, the two assemblies and
 solve_thomas) is most of a run's time, so it is kept lean.  The face
@@ -70,7 +72,8 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import run_series, start_series, step_record
-from .discretization import Grid, boundary_traces, cutoff, mollify, robin_fluxes
+from .discretization import (Grid, add_robin_rows, boundary_traces, cutoff, mollify,
+                             robin_fluxes)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -107,7 +110,7 @@ __all__ = [
 ]
 
 UPDATE_FLOOR = 1e-30
-# Residual differences that mix each sweep input from the third on (see _picard_sweeps).
+# Residual differences that mix each sweep input from the third on (see picard_step).
 ANDERSON_DEPTH = 2
 SPLIT_DEPTH = 6  # halvings of a level's step that homotopy_solve may make: dt/64
 # Cells of the levels whose records run holds for one step_record call:
@@ -227,9 +230,10 @@ class FluxCoefficients:
 class StepRecord:
     """One (sub)step's solve over dt from prev: its sweeps and what its last sweep froze.
 
-    sweeps counts failed attempts too (see _substeps); update is the last
-    sweep's relative update, rho and theta its solution, theta_iter the
-    iterate its coefficients were frozen at, and forcing its terms.
+    sweeps counts the failed attempts at the spans it starts too (see
+    _substeps); update is the last sweep's relative update, rho and theta
+    its solution, theta_iter the iterate its coefficients were frozen at,
+    and forcing its terms.
     """
 
     prev: State
@@ -250,8 +254,8 @@ class RunResult:
 
     Row k of rho and theta holds the cell values at time t[k]; row 0 is the
     start state.  series maps each diagnostic's name (see
-    diagnostics.SERIES_COLUMNS and _ENVELOPE_COLUMNS) to a steps+1 array
-    whose entry k describes the same time level.
+    diagnostics.SERIES_COLUMNS, _ENVELOPE_COLUMNS and "dissipation") to a
+    steps+1 array whose entry k describes the same time level.
     """
 
     rho: np.ndarray                # (steps+1, n)
@@ -306,7 +310,12 @@ def _donor_split(speed: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray
 
 
 def _new_band(n: int) -> tuple[np.ndarray, ...]:
-    """A (4, n) row buffer for TridiagonalSystem.from_band and its four views."""
+    """A (4, n) row buffer and its views lower, diag, upper and rhs.
+
+    Column i holds row i: band[0, i] = lower[i-1], band[1, i] = diag[i],
+    band[2, i] = upper[i] and band[3, i] = rhs[i]; band[0, 0] and
+    band[2, -1] are unused and zero, so _check_rows scans the whole band.
+    """
     band = np.empty((4, n))
     band[0, 0] = band[2, -1] = 0.0
     return band, band[0, 1:], band[1], band[2, :-1], band[3]
@@ -373,17 +382,11 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     np.divide(prev.rho, dt, out=rhs)
     rhs += coeffs.chi_ps
     rhs += forcing.rho_source
-    g0, g1 = forcing.rho_flux
-
-    diag[0] += 1.5 * params.alpha0 / h
-    upper[0] -= 0.5 * params.alpha0 / h
-    diag[-1] += 1.5 * params.alpha1 / h
-    lower[-1] -= 0.5 * params.alpha1 / h
-    rhs[0] += (params.alpha0 * params.rho_bar0 - g0) / h
-    rhs[-1] += (params.alpha1 * params.rho_bar1 + g1) / h
+    add_robin_rows(lower, diag, upper, rhs, h, params.alpha0, params.alpha1,
+                   params.rho_bar0, params.rho_bar1, forcing.rho_flux, (0.0, 0.0))
 
     _check_rows("vapor", band)
-    return TridiagonalSystem.from_band(band), coeffs
+    return TridiagonalSystem(lower, diag, upper, rhs), coeffs
 
 
 def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients,
@@ -446,24 +449,24 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     rhs += params.lam * rho_new * coeffs.chi_sqrt
     rhs -= (params.lam + theta_iter) * coeffs.ps_iter
     rhs += forcing.theta_source
-
-    g0, g1 = forcing.theta_flux
-    diag[0] += 1.5 * params.beta0 / h + 0.5 * mass_flux[0] / h
-    upper[0] += -0.5 * params.beta0 / h - 0.5 * mass_flux[0] / h
-    diag[-1] += 1.5 * params.beta1 / h - 0.5 * mass_flux[-1] / h
-    lower[-1] += -0.5 * params.beta1 / h + 0.5 * mass_flux[-1] / h
-    rhs[0] += (params.beta0 * params.theta_bar0 - g0) / h
-    rhs[-1] += (params.beta1 * params.theta_bar1 + g1) / h
+    add_robin_rows(lower, diag, upper, rhs, h, params.beta0, params.beta1,
+                   params.theta_bar0, params.theta_bar1, forcing.theta_flux,
+                   (mass_flux[0], mass_flux[-1]))
 
     _check_rows("heat", band)
-    return TridiagonalSystem.from_band(band), mass_flux
+    return TridiagonalSystem(lower, diag, upper, rhs), mass_flux
 
 
-def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
-                   params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   forcing: ForcingValues,
-                   start: tuple[np.ndarray, np.ndarray]) -> StepRecord:
-    """Run fixed-point sweeps until converged or budget spent.
+def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
+                params: PhysicalParams, model: SaturationModel, grid: Grid,
+                forcing: ForcingValues = NO_FORCING,
+                start: tuple[np.ndarray, np.ndarray] | None = None,
+                ) -> tuple[State, StepRecord]:
+    """Advance one step of cfg.dt by fixed-point sweeps.
+
+    The sweeps start from ``start`` (a (rho, theta) pair) when given, and
+    from the previous state otherwise.  ``forcing`` holds the forcing
+    terms evaluated at the new time.
 
     Sweep k freezes its coefficients at the input x_k and returns the plain
     output g_k; f_k = g_k - x_k is its residual.  Sweep 2's input is sweep
@@ -475,13 +478,14 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
     keeps rho >= 0 and theta > 0 wherever the output is positive.  Every
     call starts without history.
 
-    Returns the record of the last sweep, converged when its update (the
-    plain output's relative distance from its own input) is below
-    picard_tol; a mixed iterate is never accepted.  Never raises on
-    nonconvergence; a StepFailure raised by a sweep (NonfiniteIterate,
+    Returns the new state and the record of the last sweep, converged when
+    its update (the plain output's relative distance from its own input) is
+    below picard_tol; a mixed iterate is never accepted.  Raises
+    PicardDivergence, holding that record, when max_picard sweeps do not
+    converge.  A StepFailure raised by a sweep (NonfiniteIterate,
     DominanceViolation) carries the sweeps spent, that one included.
     """
-    rho_it, theta_it = start
+    rho_it, theta_it = (prev.rho, prev.theta) if start is None else start
     residuals, outputs = [], []
     for k in range(1, cfg.max_picard + 1):
         try:
@@ -516,29 +520,12 @@ def _picard_sweeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
             rho_it, theta_it = mixed[:grid.n], mixed[grid.n:]
         else:
             rho_it, theta_it = rho_new, theta_new
-    return StepRecord(prev, rho_new, theta_new, cfg.dt, theta_it, coeffs,
-                      mass_flux, forcing, k, update)
-
-
-def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
-                params: PhysicalParams, model: SaturationModel, grid: Grid,
-                forcing: ForcingValues = NO_FORCING,
-                start: tuple[np.ndarray, np.ndarray] | None = None,
-                ) -> tuple[State, StepRecord]:
-    """Advance one step of cfg.dt by fixed-point iteration.
-
-    The sweeps start from ``start`` (a (rho, theta) pair) when given, and
-    from the previous state otherwise.  ``forcing`` holds the forcing
-    terms evaluated at the new time.  Raises PicardDivergence when the
-    sweeps do not converge within max_picard.
-    """
-    if start is None:
-        start = (prev.rho, prev.theta)
-    record = _picard_sweeps(prev, cfg, reg, params, model, grid, forcing, start)
-    if not record.update < cfg.picard_tol:
+    record = StepRecord(prev, rho_new, theta_new, cfg.dt, theta_it, coeffs,
+                        mass_flux, forcing, k, update)
+    if not update < cfg.picard_tol:
         raise PicardDivergence(
             f"no convergence in {cfg.max_picard} sweeps at dt={cfg.dt}", record)
-    return State(record.rho, record.theta, prev.t + cfg.dt), record
+    return State(rho_new, theta_new, prev.t + cfg.dt), record
 
 
 def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
@@ -546,15 +533,16 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
                    forcing: Forcing | None = None,
                    start: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> tuple[State, tuple[StepRecord, ...]]:
-    """Advance one output level of cfg.dt, in substeps where direct solves fail.
+    """Advance one output level of cfg.dt, in substeps where a direct solve fails.
 
-    The direct attempts start from the predicted iterate ``start``, if any,
-    then from the previous state; an attempt that raises a StepFailure adds
-    its sweeps to the level's count.  When both fail, the level is retaken
-    as two steps of dt/2 (see _substeps).  ``forcing`` is evaluated once at
-    each time a substep ends.  Returns the state at prev.t + cfg.dt and one
-    StepRecord per substep, in order.  A failing level raises the error of
-    an attempt at depth SPLIT_DEPTH, whose sweeps count every attempt.
+    The direct attempt starts from the predicted iterate ``start`` when
+    given, and from the previous state otherwise; if it raises a
+    StepFailure, its sweeps count toward the level and the level is
+    retaken as two steps of dt/2 (see _substeps).  ``forcing`` is evaluated
+    once at each time a substep ends.  Returns the state at prev.t + cfg.dt
+    and one StepRecord per substep, in order.  A failing level raises the
+    error of an attempt at depth SPLIT_DEPTH, whose sweeps count every
+    attempt.
     """
     def at(t):
         return NO_FORCING if forcing is None else forcing.at(grid.centers, t)
@@ -571,23 +559,22 @@ def _substeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
               ) -> tuple[State, tuple[StepRecord, ...]]:
     """Step from prev over cfg.dt directly, or as two halves that may split again.
 
+    The direct attempt starts from start, or from prev where start is None.
     forcing holds the terms at the span's end, at(t) those at time t.  The
     sweeps of failed attempts at spans this one starts, spent, are counted
     in its first record or in the error it raises.
     """
-    for guess in ([start] if start is not None else []) + [None]:
-        try:
-            new, record = picard_step(prev, cfg, reg, params, model, grid, forcing,
-                                      start=guess)
-        except StepFailure as exc:
-            spent += exc.sweeps
-            failure = exc
-            continue
+    try:
+        new, record = picard_step(prev, cfg, reg, params, model, grid, forcing,
+                                  start=start)
+    except StepFailure as exc:
+        spent += exc.sweeps
+        if depth == SPLIT_DEPTH:
+            exc.sweeps = spent
+            raise
+    else:
         record.sweeps += spent
         return new, (record,)
-    if depth == SPLIT_DEPTH:
-        failure.sweeps = spent
-        raise failure
 
     half = replace(cfg, dt=0.5 * cfg.dt)
     mid, first = _substeps(prev, half, reg, params, model, grid, at,

@@ -232,7 +232,8 @@ def test_robustness_grid_cell_certifies(smoke_dict, dt, lam, theta0):
 # The harder grid: the smoke problem to t = 0.4 in steps of 0.04 and 0.08,
 # with latent heats up to 250.  Before steps were retaken in substeps, 10 of
 # its 12 cells ended in PicardDivergence or DominanceViolation; now 10 cells
-# split some of their steps (161 splits over the grid) and all 12 certify.
+# split some of their steps (64 levels, 168 halvings over the grid) and all
+# 12 certify.
 @pytest.mark.parametrize("theta0", [1.0, 1.3])
 @pytest.mark.parametrize("lam", [60.0, 120.0, 250.0])
 @pytest.mark.parametrize("dt", [0.04, 0.08])

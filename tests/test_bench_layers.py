@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import sys
+
+from poromoist.config import apply_override, build_setup, load_config
 
 from tests.conftest import REPO_ROOT
 
@@ -26,16 +29,20 @@ def test_bench_layers_times_every_layer_and_counts_smoke_sweeps(monkeypatch, tmp
         timed.append(fn)
         return 0.0
 
+    gauges = iter(range(1, 100))
     monkeypatch.setattr(bench, "best_seconds", one_call)
+    monkeypatch.setattr(bench, "gauge", lambda: float(next(gauges)))
     written = REPO_ROOT / "BENCH_layers.json"
     before = written.read_bytes() if written.exists() else None
 
-    layers = bench.layer_costs(16, str(tmp_path))
+    layers, per_gauge = bench.layer_costs(16, str(tmp_path))
     assert set(layers) == {
         "compute_flux_coefficients", "assemble_rho_system", "assemble_theta_system",
         "solve_thomas", "predicted_start", "step_record_per_level", "certify_run",
         "write_series_csv", "write_snapshots_csv"}
     assert len(timed) == len(layers)
+    # one gauge before the first layer and one after each
+    assert list(per_gauge) == list(layers) and next(gauges) == len(layers) + 2
     assert (tmp_path / "series.csv").exists() and (tmp_path / "snapshots.csv").exists()
 
     counts = bench.sweep_counts("run", "configs/smoke.json", str(tmp_path / "smoke"))
@@ -45,3 +52,17 @@ def test_bench_layers_times_every_layer_and_counts_smoke_sweeps(monkeypatch, tmp
     assert counts["first_sweep_steps"] == 874
     assert counts["split_steps"] == 0
     assert (written.read_bytes() if written.exists() else None) == before
+
+
+def test_harder_grid_config_is_the_acceptance_grid(monkeypatch, tmp_path):
+    bench = load_bench(monkeypatch)
+    data = load_config(bench.harder_grid_config(str(tmp_path)))
+    assert data["physical"]["t_end"] == data["output"]["cadence"] == 0.4
+    axes = data["sweep"]["axes"]
+    assert axes == {"stepping.dt": [0.04, 0.08], "physical.lambda": [60.0, 120.0, 250.0],
+                    "initial.theta.value": [1.0, 1.3]}
+    for dt, lam, theta0 in itertools.product(*axes.values()):
+        cell = data
+        for path, value in zip(axes, (dt, lam, theta0)):
+            cell = apply_override(cell, path, value)
+        assert build_setup(cell).step.dt == dt

@@ -366,15 +366,19 @@ def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
                      initial_state=State(np.ones(8), np.ones(8), 0.0))
     elif case == "equilibrium":
         result = request.getfixturevalue("equilibrium_run")
-    else:
+    elif case == "smoke":
         result = request.getfixturevalue("smoke_result")
-    if case == "block_of_eight":
-        monkeypatch.setattr(diagnostics, "_BLOCK_CELLS", 8 * result.grid.n)
+    else:
+        # run_series writes the terms, so the block size is set before the run
+        smoke_config = request.getfixturevalue("smoke_config")
+        monkeypatch.setattr(diagnostics, "_BLOCK_CELLS",
+                            8 * smoke_config["grid"]["n"])
+        result = run(*smoke_run(smoke_config, 0.199))
     rows = max(1, diagnostics._BLOCK_CELLS // result.grid.n)
     if case in ("smoke", "equilibrium"):
-        assert (len(result.t) - 1) % rows     # the last block is partial
+        assert len(result.t) % rows     # the last block is partial
     if case == "block_of_eight":
-        assert (len(result.t) - 1) % rows == 0
+        assert len(result.t) == 200 and rows == 8
     dissipation = entropy_monitor(result).dissipation
     assert dissipation == sequential_dissipation(result)
     assert math.copysign(1.0, dissipation) == math.copysign(

@@ -187,6 +187,27 @@ def test_assembled_rows_match_reference(crooked_case, scheme):
     np.testing.assert_allclose(theta_sys.rhs, c, rtol=0, atol=1e-12)
 
 
+def test_assembled_systems_view_one_band(crooked_case):
+    # Each system's four fields are views of its own (4, n) band, the one
+    # _check_rows scanned; column i holds row i.
+    grid, params, model, prev, rho_it, theta_it, reg, forcing = crooked_case
+    dt = 0.05
+    values = forcing.at(grid.centers, prev.t + dt)
+    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, reg, params, model,
+                                          grid, dt, forcing=values)
+    theta_sys, _ = assemble_theta_system(prev, solve_thomas(rho_sys), theta_it, reg,
+                                         params, model, grid, dt, coeffs, forcing=values)
+    assert rho_sys.diag.base is not theta_sys.diag.base
+    for system in (rho_sys, theta_sys):
+        band = system.diag.base
+        assert band.shape == (4, grid.n) and system.n == grid.n
+        fields = (system.lower, system.diag, system.upper, system.rhs)
+        assert all(field.base is band for field in fields)
+        for field, row in zip(fields, (band[0, 1:], band[1], band[2, :-1], band[3])):
+            assert field.__array_interface__ == row.__array_interface__
+        assert band[0, 0] == band[2, -1] == 0.0
+
+
 def test_regularization_params_validation(unit_params):
     with pytest.raises(ConfigError):
         RegularizationParams(eps=0.01, nu=0.02)
@@ -337,12 +358,13 @@ def test_homotopy_failure_bookkeeping(monkeypatch, cubic_model):
     assert exc.value.sweeps == len(sweeps) == stepper.SPLIT_DEPTH + 1
     assert [dt for _, dt, _, _ in sweeps] == [cfg.dt / 2**k for k in range(7)]
 
-    # a predicted start adds one attempt at the level
+    # a predicted start replaces the level's start and adds no attempt
     del sweeps[:]
     with pytest.raises(PicardDivergence) as exc:
         homotopy_solve(state, cfg, reg, params, cubic_model, grid,
                        start=(state.rho, state.theta))
-    assert exc.value.sweeps == len(sweeps) == stepper.SPLIT_DEPTH + 2
+    assert exc.value.sweeps == len(sweeps) == stepper.SPLIT_DEPTH + 1
+    assert [dt for _, dt, _, _ in sweeps] == [cfg.dt / 2**k for k in range(7)]
 
 
 def test_failed_substep_is_counted_and_split(monkeypatch, cubic_model):
@@ -635,16 +657,16 @@ def test_dry_start_certifies_with_positive_vapor(smoke_config):
 
 
 def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
+    # A failed predicted attempt is not retried from the previous state: the
+    # level goes straight to two halves, and each span gets one direct attempt.
     grid, cfg, reg, data, t_end = smooth_case()
-    with monkeypatch.context() as patch:
-        patch.setattr(stepper, "_predicted_start", lambda history: None)
-        plain = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
-
     wasted = 2
     real_picard_step = stepper.picard_step
+    attempts = []
 
     def starved_prediction(prev, cfg, *args, start=None, **kwargs):
         # A predicted attempt spends `wasted` real sweeps and cannot converge.
+        attempts.append((prev.t, cfg.dt, start is not None))
         if start is not None:
             cfg = replace(cfg, max_picard=wasted, picard_tol=1e-300)
         return real_picard_step(prev, cfg, *args, start=start, **kwargs)
@@ -652,12 +674,20 @@ def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     monkeypatch.setattr(stepper, "picard_step", starved_prediction)
     result = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
     assert certify_run(result).passed
-    sweeps = result.series["picard_iterations"][1:].tolist()
-    plain_sweeps = plain.series["picard_iterations"][1:].tolist()
-    # the first step has no prediction; every later one wasted its attempt
-    assert sweeps == [plain_sweeps[0]] + [k + wasted for k in plain_sweeps[1:]]
-    np.testing.assert_array_equal(result.rho, plain.rho)
-    np.testing.assert_array_equal(result.theta, plain.theta)
+    steps, half = len(result.t) - 1, 0.5 * cfg.dt
+    # the first level has no prediction; every later one wastes its attempt
+    expected = [(0.0, cfg.dt, False)]
+    for t in result.t[1:-1].tolist():
+        expected += [(t, cfg.dt, True), (t, half, False), (t + half, half, False)]
+    assert attempts == expected
+
+    sweeps = result.series["picard_iterations"]
+    for k in range(2, steps + 1):
+        prev = State(result.rho[k - 1], result.theta[k - 1], result.t[k - 1])
+        new, halves = half_steps(prev, cfg, reg, unit_params, cubic_model, grid)
+        assert sweeps[k] == wasted + sum(rec.sweeps for rec in halves)
+        np.testing.assert_array_equal(result.rho[k], new.rho)
+        np.testing.assert_array_equal(result.theta[k], new.theta)
 
 
 class CountingForcing:
