@@ -16,10 +16,12 @@ takes the assembled vapor system; ``predicted_start`` extrapolates the
 march's last five states; ``step_record_per_level`` is the cost per level
 of one ``step_record`` call on a block of as many levels as ``run`` folds
 at once, each holding the record of a converged ``picard_step`` from the
-last state; ``certify_run`` and the ``series.csv`` and ``snapshots.csv``
-writers take the whole march.  Each figure is the minimum over REPEATS
-repeats of a ``timeit`` loop sized by ``autorange`` (at least 0.2 s), so
-it is the cost of the layer on a quiet host.
+last state, which writes every series column of those levels (the state
+functionals and both time integrals too); ``certify_run`` and the
+``series.csv`` and ``snapshots.csv`` writers take the whole march.  Each
+figure is the minimum over REPEATS repeats of a ``timeit`` loop sized by
+``autorange`` (at least 0.2 s), so it is the cost of the layer on a quiet
+host.
 
 Absolute times drift with the host's load between runs, even of the same
 code, so ``layers_per_gauge`` holds each layer's seconds per call over the
@@ -120,7 +122,7 @@ def layer_costs(n: int, out: str) -> tuple[dict, dict]:
                                     start=(rho, theta))
     block = max(1, stepper._STEP_BLOCK_CELLS // n)
     levels = [(record,)] * block
-    columns = start_series(block)
+    columns = start_series(block, prev, grid, params)
     history = np.hstack((result.rho[-5:], result.theta[-5:]))
     series_path = os.path.join(out, "series.csv")
     snapshots_path = os.path.join(out, "snapshots.csv")
@@ -133,7 +135,8 @@ def layer_costs(n: int, out: str) -> tuple[dict, dict]:
             prev, rho_new, theta, *args, coeffs, cfg.advection),
         "solve_thomas": lambda: solve_thomas(rho_sys),
         "predicted_start": lambda: stepper._predicted_start(history),
-        "step_record_per_level": lambda: step_record(columns, 1, levels, grid, params),
+        "step_record_per_level": lambda: step_record(columns, 1, levels, cfg.dt, grid,
+                                                     params),
         "certify_run": lambda: certify_run(result),
         "write_series_csv": lambda: cli._write_series(series_path, result),
         "write_snapshots_csv": lambda: cli._write_snapshots(snapshots_path, result,

@@ -19,15 +19,18 @@ independent computation:
   basis of space-time test functions.
 
 All checks read the trajectory and its series (one column per quantity,
-one entry per time level); none of them re-runs the solver.  The columns
-that need what a step's last sweep froze (the balance residuals, the sweep
-count and the envelope map) are written by step_record for a block of
-levels at a time, from their substeps' records; the functionals of the
-trajectory alone (mass, energy, entropy and its dissipation terms, the
-field extrema and the fourth-power accumulator) are computed per run by
-run_series, so certify_run reads only the series.  Both reduce stacked
-rows along axis 1, which adds in the order a reduction of one row alone
-would, so every value has the bits of a row-at-a-time computation.
+one entry per time level); none of them re-runs the solver.  Every column
+of a block of levels is written by one step_record call from the records
+of their substeps: the balance residuals, the sweep count and the
+envelope map from what each substep's last sweep froze, and the
+functionals of the level states (mass, energy, entropy, the field
+extrema) from each level's last substep.  The two time integrals, the
+fourth-power accumulator and the entropy dissipation, carry on from the
+row before the block.  start_series writes the start level, so
+certify_run reads only the series.  Every functional reduces stacked rows
+along axis 1, which adds in the order a reduction of one row alone would,
+and each integral adds its terms in level order, so every value has the
+bits of a row-at-a-time computation.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .discretization import Grid, boundary_traces, robin_fluxes
-from .model import PhysicalParams, phase_change_rate, saturation_pressure
+from .discretization import NO_FORCING, Grid, boundary_traces, robin_fluxes
+from .model import PhysicalParams, phase_change_rate
 
 if TYPE_CHECKING:
-    from .stepper import RunResult, StepRecord
+    from .stepper import RunResult, State, StepRecord
 
 __all__ = [
     "SERIES_COLUMNS",
@@ -50,7 +53,6 @@ __all__ = [
     "ENVELOPE_TOL",
     "start_series",
     "step_record",
-    "run_series",
     "EnvelopeReport",
     "mass_energy_envelope_check",
     "theta_envelope",
@@ -66,8 +68,8 @@ __all__ = [
 
 # The series.csv columns after t, in order.  A run's series also holds the
 # _ENVELOPE_COLUMNS, each level's max-temperature envelope map, and
-# "dissipation", each level's term of the entropy dissipation integral;
-# neither is written.
+# "dissipation", the running entropy dissipation integral; neither is
+# written.
 SERIES_COLUMNS = (
     "total_mass", "mass_energy", "entropy", "min_rho", "min_theta",
     "max_theta", "mass_balance_residual", "energy_balance_residual",
@@ -75,15 +77,6 @@ SERIES_COLUMNS = (
 )
 
 _ENVELOPE_COLUMNS = ("envelope_lift", "envelope_gain")
-# Written by step_record, a block of levels at a time; run_series computes
-# the rest per run.
-_STEP_COLUMNS = ("mass_balance_residual", "energy_balance_residual",
-                 "picard_iterations") + _ENVELOPE_COLUMNS
-_TRAJECTORY_COLUMNS = ("total_mass", "mass_energy", "entropy", "min_rho",
-                       "min_theta", "max_theta", "l4_accumulator", "dissipation")
-
-# Cells per block of run_series: 128 kB per temporary array.
-_BLOCK_CELLS = 16384
 
 # certify_run's bound on the per-step mass balance residual (roundoff) and
 # the relative slack of the mass/heat envelope.
@@ -91,22 +84,40 @@ MASS_TOL = 1e-10
 ENVELOPE_TOL = 1e-9
 
 
-def start_series(steps: int) -> dict:
-    """Step columns for steps + 1 time levels, keyed by name.
+def _state_functionals(rho: np.ndarray, theta: np.ndarray, h: float,
+                       params: PhysicalParams) -> dict:
+    """The six functionals of the states in the rows of rho and theta, by column."""
+    lam, sigma = params.lam, params.sigma
+    terms = np.where(rho > 0, rho * np.log(np.where(rho > 0, rho, 1.0)), 0.0)
+    return {"total_mass": h * rho.sum(axis=1),
+            "mass_energy": h * (lam * rho + rho * theta + sigma * theta).sum(axis=1),
+            "entropy": h * terms.sum(axis=1),
+            "min_rho": rho.min(axis=1),
+            "min_theta": theta.min(axis=1),
+            "max_theta": theta.max(axis=1)}
 
-    step_record fills rows 1..steps, one block of levels per call; row 0,
-    the start state, stays zero but for its envelope map, the identity
-    (lift 0, gain 1).
+
+def start_series(steps: int, start: State, grid: Grid, params: PhysicalParams) -> dict:
+    """The series of a run of steps levels from start, keyed by name.
+
+    Row 0 holds the state functionals of start; its balance residuals,
+    sweep count and time integrals are zero and its envelope map is the
+    identity (lift 0, gain 1).  step_record fills rows 1..steps, one block
+    of levels per call.
     """
-    series = {name: np.zeros(steps + 1) for name in _STEP_COLUMNS}
+    series = {name: np.zeros(steps + 1)
+              for name in SERIES_COLUMNS + _ENVELOPE_COLUMNS + ("dissipation",)}
     series["picard_iterations"] = np.zeros(steps + 1, dtype=int)
     series["envelope_gain"][0] = 1.0
+    for name, values in _state_functionals(start.rho[None], start.theta[None],
+                                           grid.h, params).items():
+        series[name][0] = values[0]
     return series
 
 
 def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...]],
-                grid: Grid, params: PhysicalParams) -> None:
-    """Write rows first, first + 1, ... of the step columns, one per level.
+                dt: float, grid: Grid, params: PhysicalParams) -> None:
+    """Write rows first, first + 1, ... of every column, one per level of dt.
 
     levels[i] holds the records of the substeps that reached level
     first + i.  Each record's mass and energy balance residuals and its
@@ -132,9 +143,14 @@ def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...
     substep of size h at heating rate r = max(rho X(sqrt(theta)) / (rho + sigma))
     maps the max-temperature envelope by env <- (env + h lam r)(1 + h r);
     their composition is the level's env <- (env + lift) gain.
-    """
-    from .stepper import NO_FORCING  # stepper imports this module
 
+    A level's state is its last substep's solution, and the state before
+    it its first substep's prev.  The state functionals are those of the
+    level's state.  The fourth-power accumulator adds dt h sum(rho^4) of
+    the state before each level (the left rule), and "dissipation" adds
+    dt sum_faces h theta (drho/dx)^2 of the level's state; both continue
+    from row first - 1 and add in level order.
+    """
     h, lam, sigma = grid.h, params.lam, params.sigma
     records = [srec for level in levels for srec in level]
 
@@ -147,10 +163,10 @@ def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...
     rho_prev, theta_prev = stack("prev.rho"), stack("prev.theta")
     chi_sqrt, chi_ps, ps_iter = (stack("coeffs." + field)
                                  for field in ("chi_sqrt", "chi_ps", "ps_iter"))
-    dt = np.array([srec.dt for srec in records])
+    record_dt = np.array([srec.dt for srec in records])
     flux_l, flux_r = mass_flux[:, 0], mass_flux[:, -1]
 
-    mass = h * (rho_new - rho_prev).sum(axis=1) / dt + h * (
+    mass = h * (rho_new - rho_prev).sum(axis=1) / record_dt + h * (
         chi_sqrt * rho_new - chi_ps).sum(axis=1)
     e_new = h * (rho_new * theta_new + sigma * theta_new).sum(axis=1)
     e_prev = h * (rho_prev * theta_prev + sigma * theta_prev).sum(axis=1)
@@ -163,7 +179,7 @@ def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...
 
     if all(srec.forcing is NO_FORCING for srec in records):
         boundary = cond_r + flux_r * th_r - cond_l - flux_l * th_l
-        energy = (e_new - e_prev) / dt - boundary - interior
+        energy = (e_new - e_prev) / record_dt - boundary - interior
     else:
         rho_source, theta_source = (
             np.array([np.broadcast_to(getattr(srec.forcing, field), (grid.n,))
@@ -173,7 +189,7 @@ def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...
         mass -= h * rho_source.sum(axis=1)
         boundary = (cond_r + g1) + flux_r * th_r - (cond_l + g0) - flux_l * th_l
         source = h * theta_source.sum(axis=1) + h * (theta_new * rho_source).sum(axis=1)
-        energy = (e_new - e_prev) / dt - boundary - interior - source
+        energy = (e_new - e_prev) / record_dt - boundary - interior - source
     mass = np.abs(mass - (flux_r - flux_l))
     energy = np.abs(energy)
     rate = (rho_new * chi_sqrt / (rho_new + sigma)).max(axis=1)
@@ -196,51 +212,21 @@ def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...
             columns[name][at] = np.maximum(columns[name][at], values[r])
         columns["picard_iterations"][at] += sweeps[r]
         gain = columns["envelope_gain"]
-        columns["envelope_lift"][at] += dt[r] * lam * rate[r] / gain[at]
-        gain[at] *= 1.0 + dt[r] * rate[r]
+        columns["envelope_lift"][at] += record_dt[r] * lam * rate[r] / gain[at]
+        gain[at] *= 1.0 + record_dt[r] * rate[r]
+
+    ends = starts + counts - 1
+    rho, theta, before = rho_new[ends], theta_new[ends], rho_prev[starts]
+    columns.update(_state_functionals(rho, theta, h, params))
     for name, values in columns.items():
         series[name][first:first + rows] = values
-
-
-def run_series(step_columns: dict, rho: np.ndarray, theta: np.ndarray, dt: float,
-               grid: Grid, params: PhysicalParams) -> dict:
-    """The run's series: the step columns plus the trajectory functionals.
-
-    rho and theta hold one time level per row.  Each functional reduces a
-    row along its cells, which adds in the order a reduction of that row
-    alone would, and the fourth-power accumulator sums its left-rule terms
-    dt h sum(rho^4) in sequence, so every entry has the bits of the
-    row-at-a-time recurrence.  The dissipation term of level k >= 1 is
-    dt sum_faces h theta (drho/dx)^2 at that level, and 0 at level 0.  The
-    rows are taken in blocks of about _BLOCK_CELLS cells, which bounds the
-    temporaries on long runs.
-    """
-    h, lam, sigma = grid.h, params.lam, params.sigma
-    levels = len(rho)
-    columns = {name: np.empty(levels) for name in _TRAJECTORY_COLUMNS}
-    fourth = np.empty(levels)
-    rows = max(1, _BLOCK_CELLS // grid.n)
-    for lo in range(0, levels, rows):
-        block = slice(lo, lo + rows)
-        r, th = rho[block], theta[block]
-        columns["total_mass"][block] = h * r.sum(axis=1)
-        columns["mass_energy"][block] = h * (lam * r + r * th + sigma * th).sum(axis=1)
-        terms = np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)
-        columns["entropy"][block] = h * terms.sum(axis=1)
-        columns["min_rho"][block] = r.min(axis=1)
-        columns["min_theta"][block] = th.min(axis=1)
-        columns["max_theta"][block] = th.max(axis=1)
-        fourth[block] = h * (r**4).sum(axis=1)
-        theta_face = 0.5 * (th[:, :-1] + th[:, 1:])
-        grad = np.diff(r, axis=1) / h
-        columns["dissipation"][block] = dt * (h * (theta_face * grad**2).sum(axis=1))
-    columns["dissipation"][0] = 0.0
-    l4 = columns["l4_accumulator"]
-    l4[0] = 0.0
-    np.cumsum(dt * fourth[:-1], out=l4[1:])
-    columns.update(step_columns)
-    return {name: columns[name]
-            for name in SERIES_COLUMNS + _ENVELOPE_COLUMNS + ("dissipation",)}
+    theta_face = 0.5 * (theta[:, :-1] + theta[:, 1:])
+    grad = np.diff(rho, axis=1) / h
+    for name, terms in (("l4_accumulator", dt * (h * (before**4).sum(axis=1))),
+                        ("dissipation", dt * (h * (theta_face * grad**2).sum(axis=1)))):
+        column = series[name]
+        np.cumsum(np.concatenate((column[first - 1:first], terms)),
+                  out=column[first - 1:first + rows])
 
 
 @dataclass(frozen=True)
@@ -313,15 +299,13 @@ def entropy_monitor(result: RunResult) -> EntropyReport:
     """Track integral(rho ln rho) and its gradient dissipation integral.
 
     The dissipation is the time integral of sum_faces h theta (drho/dx)^2
-    evaluated at the end-of-step states; together with the entropy column
-    it certifies that the degenerate diffusion keeps doing work.  Its terms
-    are the series' dissipation column (see run_series), added in level
-    order, so the integral has the bits of a level-at-a-time loop.
+    evaluated at the end-of-step states, the last entry of the series'
+    running "dissipation" column (see step_record); together with the
+    entropy column it certifies that the degenerate diffusion keeps doing
+    work.
     """
-    dissipation = 0.0
-    for term in result.series["dissipation"][1:].tolist():
-        dissipation += term
-    return EntropyReport(float(np.max(result.series["entropy"])), dissipation)
+    series = result.series
+    return EntropyReport(float(np.max(series["entropy"])), float(series["dissipation"][-1]))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ Both equations are closed by Robin exchange with ambient reservoirs at the
 two walls.  The wall traces and the exchange fluxes are written once here
 and shared by the stepper, the diagnostics and the manufactured solutions;
 add_robin_rows closes the implicit rows of both equations with them.
+ForcingValues holds the manufactured sources and wall-flux corrections at
+one time; an unforced run shares NO_FORCING, whose zero terms change no
+value.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "boundary_traces",
     "robin_fluxes",
     "add_robin_rows",
+    "ForcingValues",
+    "NO_FORCING",
 ]
 
 
@@ -54,6 +59,20 @@ class Grid:
     @property
     def faces(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.h
+
+
+@dataclass(frozen=True)
+class ForcingValues:
+    """A Forcing evaluated at one time: cell sources and wall corrections."""
+
+    rho_source: np.ndarray | float
+    theta_source: np.ndarray | float
+    rho_flux: tuple[float, float]
+    theta_flux: tuple[float, float]
+
+
+# An unforced run's terms: x + 0.0 is x, so unforced runs need no own path.
+NO_FORCING = ForcingValues(0.0, 0.0, (0.0, 0.0), (0.0, 0.0))
 
 
 @lru_cache(maxsize=64)

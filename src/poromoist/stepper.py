@@ -29,15 +29,16 @@ attempt from that start and, where it fails, retakes the level in halved
 substeps (Hairer & Wanner, Solving ODEs II, IV.8).  Every accepted
 iterate is a plain sweep output of the assembled rows (a mixed input is
 never accepted), and each substep leaves one StepRecord: its sweeps and
-what its last sweep froze.  run holds the records of a block of
-levels of about _STEP_BLOCK_CELLS cells and hands each block to one
-diagnostics.step_record call, which folds every level's records into its
-row; so the step loop does little besides the solve, and no buffer grows
-with the step count.  diagnostics.run_series adds the functionals of the
-trajectory alone, once per run.  Only the start state is checked for the
-cone rho >= 0, theta > 0; certify_run judges the march.  Forcing terms are evaluated once
-per time a substep ends and shared by its sweeps; an unforced run shares
-NO_FORCING, whose zero terms change no value.
+what its last sweep froze.  diagnostics.start_series writes the series
+row of the start state; then run holds the records of a block of levels
+of about _STEP_BLOCK_CELLS cells and hands each block to one
+diagnostics.step_record call, which writes every series column of those
+levels from their records; so the step loop does little besides the
+solve, and no buffer grows with the step count.  Only the start state is
+checked for the cone rho >= 0, theta > 0; certify_run judges the march.
+Forcing terms are evaluated once per time a substep ends and shared by
+its sweeps; an unforced run shares discretization.NO_FORCING, whose zero
+terms change no value.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -71,9 +72,9 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import run_series, start_series, step_record
-from .discretization import (Grid, add_robin_rows, boundary_traces, cutoff, mollify,
-                             robin_fluxes)
+from .diagnostics import start_series, step_record
+from .discretization import (NO_FORCING, ForcingValues, Grid, add_robin_rows,
+                             boundary_traces, cutoff, mollify, robin_fluxes)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -96,8 +97,6 @@ __all__ = [
     "State",
     "StepConfig",
     "Forcing",
-    "ForcingValues",
-    "NO_FORCING",
     "StepRecord",
     "RunResult",
     "mollified_initial_data",
@@ -176,20 +175,6 @@ class StepConfig:
 
 
 @dataclass(frozen=True)
-class ForcingValues:
-    """A Forcing evaluated at one time: cell sources and wall corrections."""
-
-    rho_source: np.ndarray | float
-    theta_source: np.ndarray | float
-    rho_flux: tuple[float, float]
-    theta_flux: tuple[float, float]
-
-
-# An unforced run's terms: x + 0.0 is x, so unforced runs need no own path.
-NO_FORCING = ForcingValues(0.0, 0.0, (0.0, 0.0), (0.0, 0.0))
-
-
-@dataclass(frozen=True)
 class Forcing:
     """Manufactured sources and boundary-flux corrections.
 
@@ -255,7 +240,9 @@ class RunResult:
     Row k of rho and theta holds the cell values at time t[k]; row 0 is the
     start state.  series maps each diagnostic's name (see
     diagnostics.SERIES_COLUMNS, _ENVELOPE_COLUMNS and "dissipation") to a
-    steps+1 array whose entry k describes the same time level.
+    steps+1 array whose entry k describes the same time level; the
+    fourth-power accumulator and "dissipation" are running time integrals
+    up to t[k].
     """
 
     rho: np.ndarray                # (steps+1, n)
@@ -653,8 +640,8 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     checked once, here: DimensionMismatch unless 1-D with grid.n cells,
     ConfigError for unequal lengths, nonfinite values, rho < 0 or theta <= 0.
     The marched states are not checked again; certify_run judges them.  The
-    forcing is evaluated once per (sub)step, at its new time.  The step
-    columns are written a block of levels at a time (see step_record).
+    forcing is evaluated once per (sub)step, at its new time.  The series
+    is written a block of levels at a time (see step_record).
     Deterministic: identical inputs produce bit-identical trajectories.
     """
     reg.validate_against(params)
@@ -698,7 +685,7 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     history = np.empty((max(_EXTRAPOLATION_WEIGHTS), 2 * grid.n))
     history[0, :grid.n], history[0, grid.n:] = state.rho, state.theta
     kept = 1
-    step_columns = start_series(steps)
+    series = start_series(steps, state, grid, params)
     block = max(1, _STEP_BLOCK_CELLS // grid.n)
     pending = []
     for k in range(1, steps + 1):
@@ -712,8 +699,7 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
         history[kept - 1, :grid.n], history[kept - 1, grid.n:] = state.rho, state.theta
         pending.append(records)
         if len(pending) == block or k == steps:
-            step_record(step_columns, k + 1 - len(pending), pending, grid, params)
+            step_record(series, k + 1 - len(pending), pending, cfg.dt, grid, params)
             pending = []
 
-    series = run_series(step_columns, rho, theta, cfg.dt, grid, params)
     return RunResult(rho, theta, t, series, params, reg, cfg, grid, model, t_end)

@@ -10,11 +10,11 @@ from poromoist.config import apply_override, build_setup, load_config
 from tests.conftest import REPO_ROOT
 
 
-def load_bench(monkeypatch, name="bench_layers"):
+def load_bench(monkeypatch):
     # the script may put src on sys.path when loaded; the patch undoes that
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "scripts" / f"{name}.py")
+        "bench_layers", REPO_ROOT / "scripts" / "bench_layers.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

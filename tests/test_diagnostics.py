@@ -7,12 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poromoist import diagnostics, stepper
+from poromoist import stepper
 from poromoist.config import apply_override, build_setup
 from poromoist.diagnostics import (certify_run, default_test_functions, entropy_monitor,
                                    mass_energy_envelope_check, start_series, step_record,
                                    theta_envelope, weak_residual)
-from poromoist.discretization import Grid
+from poromoist.discretization import NO_FORCING, Grid
 from poromoist.harness import make_default_mms_case
 from poromoist.model import InitialData
 from poromoist.stepper import (RegularizationParams, State, StepConfig, homotopy_solve,
@@ -69,7 +69,7 @@ def test_entropy_value_handles_zero_density(unit_params, cubic_model):
 
 
 def row_at_a_time(result):
-    """The seven trajectory columns, one time level at a time.
+    """The seven state and fourth-power columns, one time level at a time.
 
     The fourth-power accumulator is the left-rule recurrence
     l4[k] = l4[k-1] + dt h sum(rho[k-1]^4).
@@ -89,20 +89,6 @@ def row_at_a_time(result):
     for rho in result.rho[:-1]:
         l4.append(l4[-1] + dt * float(h * (rho**4).sum()))
     return {name: np.array(values) for name, values in columns.items()}
-
-
-@pytest.fixture(scope="module")
-def central_result(smoke_config):
-    setup = build_setup(smoke_config)
-    return run(setup.initial, replace(setup.step, advection="central"), setup.reg,
-               setup.params, setup.model, setup.grid, t_end=0.2)
-
-
-@pytest.mark.parametrize("which", ["smoke_result", "central_result"])
-def test_trajectory_columns_match_row_at_a_time(which, request):
-    result = request.getfixturevalue(which)
-    for name, expected in row_at_a_time(result).items():
-        assert np.array_equal(result.series[name], expected), name
 
 
 def test_smoke_mass_balance_is_roundoff(smoke_result):
@@ -218,8 +204,8 @@ def test_step_record_of_one_step_keeps_the_level_map(smoke_result):
     _, records = homotopy_solve(prev, cfg, smoke_result.reg, params,
                                 smoke_result.model, smoke_result.grid)
     assert len(records) == 1
-    series = start_series(1)
-    step_record(series, 1, [records], smoke_result.grid, params)
+    series = start_series(1, prev, smoke_result.grid, params)
+    step_record(series, 1, [records], cfg.dt, smoke_result.grid, params)
     rate = heating_rate(records[0], params)
     assert series["envelope_lift"][1] == cfg.dt * params.lam * rate
     assert series["envelope_gain"][1] == 1.0 + cfg.dt * rate
@@ -232,8 +218,8 @@ def test_step_record_folds_substeps(cubic_model):
     reg, cfg = RegularizationParams(eps=1e-2, nu=5e-3), StepConfig(dt=0.02)
     _, records = homotopy_solve(prev, cfg, reg, params, cubic_model, grid)
     assert [srec.dt for srec in records] == [0.01, 0.01]
-    series = start_series(1)
-    step_record(series, 1, [records], grid, params)
+    series = start_series(1, prev, grid, params)
+    step_record(series, 1, [records], cfg.dt, grid, params)
 
     residuals = [(mass_balance_residual(srec, grid),
                   energy_balance_residual(srec, grid, params)) for srec in records]
@@ -258,8 +244,9 @@ def test_step_record_keeps_a_nan_residual(smoke_result):
                                 smoke_result.model, grid)
     nan_first = (replace(records[0], forcing=replace(
         records[0].forcing, rho_source=np.nan, theta_source=np.nan)),)
-    series = start_series(2)
-    step_record(series, 1, [nan_first + records, records], grid, params)
+    series = start_series(2, prev, grid, params)
+    step_record(series, 1, [nan_first + records, records], smoke_result.cfg.dt, grid,
+                params)
     assert math.isnan(series["mass_balance_residual"][1])
     assert math.isnan(series["energy_balance_residual"][1])
     # the NaN stays in its own level's row
@@ -310,21 +297,29 @@ def split_run(cubic_model):
             dict(t_end=0.1, initial_state=State(np.ones(16), np.full(16, 1.3), 0.0)))
 
 
+def blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model):
+    """run's arguments for one case of the blocked series.
+
+    smoke runs to t = 0.123, so its last block is partial; central advects
+    by central differences; mms is forced; split halves its first level;
+    one_level_blocks sets the block size to one level here, before the run.
+    """
+    if case == "smoke":
+        return smoke_run(smoke_config, 0.123), {}
+    if case == "central":
+        return smoke_run(smoke_config, 0.2, "central"), {}
+    if case == "mms":
+        return mms_run(unit_params, cubic_model)
+    if case == "split":
+        return split_run(cubic_model)
+    monkeypatch.setattr(stepper, "_STEP_BLOCK_CELLS", 1)
+    return smoke_run(smoke_config, 0.05), {}
+
+
 @pytest.mark.parametrize("case", ["smoke", "central", "mms", "split", "one_level_blocks"])
 def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
                                              unit_params, cubic_model):
-    kwargs = {}
-    if case == "smoke":
-        args = smoke_run(smoke_config, 0.123)
-    elif case == "central":
-        args = smoke_run(smoke_config, 0.2, "central")
-    elif case == "mms":
-        args, kwargs = mms_run(unit_params, cubic_model)
-    elif case == "split":
-        args, kwargs = split_run(cubic_model)
-    else:
-        monkeypatch.setattr(stepper, "_STEP_BLOCK_CELLS", 1)
-        args = smoke_run(smoke_config, 0.05)
+    args, kwargs = blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model)
     result, levels, calls = traced_run(monkeypatch, *args, **kwargs)
     grid, params = result.grid, result.params
 
@@ -335,7 +330,7 @@ def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
     if case == "one_level_blocks":
         assert block == 1
     if case == "mms":
-        assert all(srec.forcing is not stepper.NO_FORCING for srec in levels[0])
+        assert all(srec.forcing is not NO_FORCING for srec in levels[0])
     if case == "split":
         assert len(levels[0]) == 2
     rows = [level_row(records, grid, params) for records in levels]
@@ -344,6 +339,28 @@ def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
         column = result.series[name]
         expected = np.array([column[0]] + [row[name] for row in rows], dtype=column.dtype)
         assert column.tobytes() == expected.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def central_result(smoke_config):
+    setup = build_setup(smoke_config)
+    return run(setup.initial, replace(setup.step, advection="central"), setup.reg,
+               setup.params, setup.model, setup.grid, t_end=0.2)
+
+
+@pytest.mark.parametrize("which", ["smoke_result", "central_result", "smoke", "mms",
+                                   "split", "one_level_blocks"])
+def test_trajectory_columns_match_row_at_a_time(which, request, monkeypatch,
+                                                smoke_config, unit_params, cubic_model):
+    if which.endswith("_result"):
+        result = request.getfixturevalue(which)
+    else:
+        args, kwargs = blocked_case(which, monkeypatch, smoke_config, unit_params,
+                                    cubic_model)
+        result = run(*args, **kwargs)
+    for name, expected in row_at_a_time(result).items():
+        assert result.series[name].tobytes() == expected.tobytes(), name
+    assert result.series["dissipation"][-1] == sequential_dissipation(result)
 
 
 def test_step_record_calls_stay_bounded(monkeypatch, smoke_config):
@@ -369,16 +386,16 @@ def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
     elif case == "smoke":
         result = request.getfixturevalue("smoke_result")
     else:
-        # run_series writes the terms, so the block size is set before the run
+        # the march writes the series, so the block size is set before the run
         smoke_config = request.getfixturevalue("smoke_config")
-        monkeypatch.setattr(diagnostics, "_BLOCK_CELLS",
-                            8 * smoke_config["grid"]["n"])
+        monkeypatch.setattr(stepper, "_STEP_BLOCK_CELLS", 8 * smoke_config["grid"]["n"])
         result = run(*smoke_run(smoke_config, 0.199))
-    rows = max(1, diagnostics._BLOCK_CELLS // result.grid.n)
-    if case in ("smoke", "equilibrium"):
-        assert len(result.t) % rows     # the last block is partial
+    steps, block = len(result.t) - 1, max(1, stepper._STEP_BLOCK_CELLS // result.grid.n)
     if case == "block_of_eight":
-        assert len(result.t) == 200 and rows == 8
+        assert steps == 199 and block == 8
+    if case != "zero_steps":
+        # smoke fills 25 blocks of 40 levels; the others end in a partial block
+        assert bool(steps % block) == (case != "smoke")
     dissipation = entropy_monitor(result).dissipation
     assert dissipation == sequential_dissipation(result)
     assert math.copysign(1.0, dissipation) == math.copysign(

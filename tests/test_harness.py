@@ -10,8 +10,8 @@ from poromoist.errors import ConfigError
 from poromoist.harness import (MMSCase, make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
 from poromoist.model import InitialData, saturation_pressure
-from poromoist.stepper import Forcing, RegularizationParams, StepConfig
-from tests.conftest import equilibrium_state, make_params
+from poromoist.stepper import Forcing, StepConfig
+from tests.conftest import equilibrium_state
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,10 @@ import pytest
 
 from poromoist.discretization import Grid
 from poromoist.errors import ConfigError
-from poromoist.model import (ExponentialSaturation, InitialData,
-                             PhysicalParams, PowerLawSaturation,
+from poromoist.model import (ExponentialSaturation, InitialData, PowerLawSaturation,
                              conductivity, darcy_velocity,
                              phase_change_rate, saturation_pressure)
-from tests.conftest import UNIT_PHYSICAL, make_params
+from tests.conftest import make_params
 
 
 def test_physical_params_reject_nonpositive_fields():

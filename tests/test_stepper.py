@@ -20,8 +20,7 @@ from poromoist.model import (InitialData, PowerLawSaturation, conductivity,
                              saturation_pressure)
 from poromoist.stepper import (Forcing, RegularizationParams, State,
                                StepConfig, assemble_rho_system,
-                               assemble_theta_system,
-                               compute_flux_coefficients, homotopy_solve,
+                               assemble_theta_system, homotopy_solve,
                                mollified_initial_data, picard_step, run)
 from tests.conftest import equilibrium_state, make_params
 from tests.oracles import dense, dense_solve, two_field_prediction
