@@ -44,6 +44,7 @@ command, does not.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import platform
@@ -59,10 +60,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from poromoist import cli, stepper  # noqa: E402
-from poromoist.config import apply_override, build_setup, load_config  # noqa: E402
-from poromoist.diagnostics import certify_run, start_series, step_record  # noqa: E402
-from poromoist.linalg import solve_thomas  # noqa: E402
-from poromoist.stepper import State  # noqa: E402
+from poromoist.config import apply_override  # noqa: E402
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import gauge  # noqa: E402
@@ -96,52 +94,68 @@ def best_seconds(fn) -> float:
     return min(timer.repeat(REPEATS, number)) / number
 
 
-def layer_costs(n: int, out: str) -> tuple[dict, dict]:
-    """Seconds per call of every layer, on the smoke state at n cells.
+def layer_table(n: int, out: str, package: str = "poromoist") -> tuple[dict, int]:
+    """Every layer's call on the smoke state at n cells, and step_record's block.
 
-    Returns the seconds and the seconds over the mean of the gauges timed
-    right before and right after each layer's timing.
+    Returns a dict from each layer's name to a function of no arguments that
+    makes one call, and the number of levels that one step_record call
+    folds.  The state, the inputs and the calls all come from the named
+    package, so a second copy of the package loaded under another name (see
+    scripts/bench_ab.py) gets a table of its own.  The CSV writers write
+    into out.
     """
-    data = load_config(os.path.join(ROOT, "configs", "smoke.json"))
+    cli, config, diagnostics, linalg, stepper = (
+        importlib.import_module(f"{package}.{name}")
+        for name in ("cli", "config", "diagnostics", "linalg", "stepper"))
+    data = config.load_config(os.path.join(ROOT, "configs", "smoke.json"))
     for path, value in (("grid.n", n),
                         ("physical.t_end", STATE_STEPS * data["stepping"]["dt"]),
                         ("output.cadence", SNAPSHOT_CADENCE)):
-        data = apply_override(data, path, value)
-    setup = build_setup(data)
+        data = config.apply_override(data, path, value)
+    setup = config.build_setup(data)
     cfg, reg, params, model, grid = (setup.step, setup.reg, setup.params,
                                      setup.model, setup.grid)
     result = stepper.run(setup.initial, cfg, reg, params, model, grid)
-    prev = State(result.rho[-2], result.theta[-2], result.t[-2])
+    prev = stepper.State(result.rho[-2], result.theta[-2], result.t[-2])
     rho, theta = result.rho[-1], result.theta[-1]
     args = (reg, params, model, grid, cfg.dt)
 
     rho_sys, coeffs = stepper.assemble_rho_system(prev, rho, theta, *args,
                                                   cfg.advection)
-    rho_new = solve_thomas(rho_sys)
+    rho_new = linalg.solve_thomas(rho_sys)
     _, record = stepper.picard_step(prev, cfg, reg, params, model, grid,
                                     start=(rho, theta))
     block = max(1, stepper._STEP_BLOCK_CELLS // n)
     levels = [(record,)] * block
-    columns = start_series(block, prev, grid, params)
+    columns = diagnostics.start_series(block, prev, grid, params)
     history = np.hstack((result.rho[-5:], result.theta[-5:]))
     series_path = os.path.join(out, "series.csv")
     snapshots_path = os.path.join(out, "snapshots.csv")
-    layers = {
+    return {
         "compute_flux_coefficients": lambda: stepper.compute_flux_coefficients(
             rho, theta, reg, grid, model, cfg.advection),
         "assemble_rho_system": lambda: stepper.assemble_rho_system(
             prev, rho, theta, *args, cfg.advection),
         "assemble_theta_system": lambda: stepper.assemble_theta_system(
             prev, rho_new, theta, *args, coeffs, cfg.advection),
-        "solve_thomas": lambda: solve_thomas(rho_sys),
+        "solve_thomas": lambda: linalg.solve_thomas(rho_sys),
         "predicted_start": lambda: stepper._predicted_start(history),
-        "step_record_per_level": lambda: step_record(columns, 1, levels, cfg.dt, grid,
-                                                     params),
-        "certify_run": lambda: certify_run(result),
+        "step_record_per_level": lambda: diagnostics.step_record(
+            columns, 1, levels, cfg.dt, grid, params),
+        "certify_run": lambda: diagnostics.certify_run(result),
         "write_series_csv": lambda: cli._write_series(series_path, result),
         "write_snapshots_csv": lambda: cli._write_snapshots(snapshots_path, result,
                                                             setup),
-    }
+    }, block
+
+
+def layer_costs(n: int, out: str) -> tuple[dict, dict]:
+    """Seconds per call of every layer, on the smoke state at n cells.
+
+    Returns the seconds and the seconds over the mean of the gauges timed
+    right before and right after each layer's timing.
+    """
+    layers, block = layer_table(n, out)
     costs, gauges = {}, [gauge()]
     for name, fn in layers.items():
         costs[name] = best_seconds(fn)

@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -47,6 +47,18 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_fields(path: str, header, rows) -> None:
+    """_write_csv for fields that never need quoting, written as joined text.
+
+    Each row is its fields joined by commas and ended by \r\n, which is
+    what csv.writer writes for them: repr floats and the fixed headers hold
+    no comma, quote or line break.  The lines stream into the file, as
+    csv.writer's rows do, so no copy of the whole file is held.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(",".join(row) + "\r\n" for row in chain((header,), rows))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -85,8 +97,8 @@ def _snapshot_indices(steps: int, cadence: float, dt: float) -> list[int]:
 def _write_series(path: str, result) -> None:
     """series.csv: t and the SERIES_COLUMNS, one row per time level."""
     columns = [result.t] + [result.series[name] for name in SERIES_COLUMNS]
-    _write_csv(path, ("t",) + SERIES_COLUMNS,
-               zip(*(map(repr, column.tolist()) for column in columns)))
+    _write_fields(path, ("t",) + SERIES_COLUMNS,
+                  zip(*(map(repr, column.tolist()) for column in columns)))
 
 
 def _write_snapshots(path: str, result, setup) -> None:
@@ -101,7 +113,7 @@ def _write_snapshots(path: str, result, setup) -> None:
         t_text = repr(result.t[k].item())
         rows.extend(zip(repeat(t_text), x_text, map(repr, rho.tolist()),
                         map(repr, theta.tolist()), map(repr, u_cell.tolist())))
-    _write_csv(path, ("t", "x", "rho", "theta", "u"), rows)
+    _write_fields(path, ("t", "x", "rho", "theta", "u"), rows)
 
 
 def _cmd_run(args) -> int:

@@ -80,8 +80,12 @@ def _kernel(mu: float, h: float) -> np.ndarray:
     """Sampled bump kernel exp(-1/(1-(d/mu)^2)) at cell offsets, sum-normalized.
 
     Support strictly inside radius mu; when mu <= h only the center sample
-    survives and the kernel is the identity weight.
+    survives and the kernel is the identity weight.  Raises
+    NonPositiveRadius unless mu > 0; a raise is not cached, so every call
+    with such a radius raises.
     """
+    if mu <= 0:
+        raise NonPositiveRadius(f"mollifier radius must be positive, got {mu}")
     half = int(np.floor(mu / h))
     while half > 0 and half * h >= mu:
         half -= 1
@@ -101,14 +105,15 @@ def mollify(values: np.ndarray, mu: float, h: float) -> np.ndarray:
     width, and those layers steepen the advective drift instead of
     smoothing it.  The kernel may reach at most n cells past each wall,
     which every radius mu <= 1 satisfies; a wider one raises ConfigError.
+    The identity returns values itself, as a float array, not a copy.
+    The kernel of each (mu, h), and the check that mu > 0, are made once
+    (see _kernel), which is once per run for the stepper's radii.
     """
-    if mu <= 0:
-        raise NonPositiveRadius(f"mollifier radius must be positive, got {mu}")
-    w = _kernel(float(mu), float(h))
-    half = (w.shape[0] - 1) // 2
-    if half == 0:
-        return np.array(values, dtype=float)
+    w = _kernel(mu, h)
+    half = w.shape[0] // 2
     values = np.asarray(values, dtype=float)
+    if half == 0:
+        return values
     if half > values.shape[0]:
         raise ConfigError(
             f"mollifier radius {mu} reaches {half} cells past a wall of an "
@@ -121,17 +126,25 @@ def mollify(values: np.ndarray, mu: float, h: float) -> np.ndarray:
 def cutoff(hval, eps: float):
     """Clamp at level 1/eps: returns hval where |hval| <= 1/eps, else 1/eps.
 
-    The clamp is one-sided by definition: magnitudes at or beyond 1/eps map
-    to +1/eps regardless of sign.  Callers only ever pass nonnegative
-    quantities, so the negative branch is unreachable in practice but kept
-    literal.
+    The clamp is one-sided by definition: a value whose magnitude exceeds
+    1/eps maps to +1/eps regardless of sign, and so does NaN, while -1/eps
+    itself is kept.  Callers only ever pass nonnegative quantities, so the
+    negative branch is unreachable in practice but kept literal.  A scalar
+    gives a float, anything else a float array.
+
+    np.fmin(hval, 1/eps) is the clamp everywhere but below -1/eps, and its
+    smallest entry tells whether any entry lies there; only then are those
+    entries set to +1/eps.
     """
     if eps <= 0:
         raise ValueError(f"cutoff level requires eps > 0, got {eps}")
     level = 1.0 / eps
-    hval = np.asarray(hval, dtype=float)
-    out = np.where(np.abs(hval) <= level, hval, level)
-    return float(out) if out.ndim == 0 else out
+    out = np.fmin(hval, level)
+    if out.ndim == 0:
+        return float(out) if out >= -level else level
+    if out.size and out.flat[out.argmin()] < -level:
+        out[out < -level] = level
+    return out
 
 
 def boundary_traces(values: np.ndarray) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +61,24 @@ class MMSCase:
     forcing: Forcing
 
 
+class _ExactFields(NamedTuple):
+    """The manufactured rho and theta at some (x, t) with the derivatives the sources use.
+
+    p_x and p_xx are those of the pressure P = rho theta.  Each field is an
+    array on an array of points x and a float at one point.
+    """
+
+    r: np.ndarray | float
+    r_t: np.ndarray | float
+    r_x: np.ndarray | float
+    th: np.ndarray | float
+    th_t: np.ndarray | float
+    th_x: np.ndarray | float
+    th_xx: np.ndarray | float
+    p_x: np.ndarray | float
+    p_xx: np.ndarray | float
+
+
 def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMSCase:
     """Smooth decaying profiles that stay well inside the admissible cone.
 
@@ -74,62 +92,48 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
     def rho(x, t):
         return 2.0 + np.cos(pi * x) * np.exp(-t)
 
-    def rho_t(x, t):
-        return -np.cos(pi * x) * np.exp(-t)
-
-    def rho_x(x, t):
-        return -pi * np.sin(pi * x) * np.exp(-t)
-
-    def rho_xx(x, t):
-        return -pi * pi * np.cos(pi * x) * np.exp(-t)
-
     def theta(x, t):
         return 1.0 + 0.5 * np.sin(pi * x) * np.exp(-t)
 
-    def theta_t(x, t):
-        return -0.5 * np.sin(pi * x) * np.exp(-t)
+    def solution(x, t) -> _ExactFields:
+        """The exact fields at (x, t), with cos(pi x), sin(pi x) and exp(-t) evaluated once.
 
-    def theta_x(x, t):
-        return 0.5 * pi * np.cos(pi * x) * np.exp(-t)
+        Every other expression is the closed form, term for term.
+        """
+        c, s, e = np.cos(pi * x), np.sin(pi * x), np.exp(-t)
+        r, r_x, th, th_x = 2.0 + c * e, -pi * s * e, 1.0 + 0.5 * s * e, 0.5 * pi * c * e
+        r_xx, th_xx = -pi * pi * c * e, -0.5 * pi * pi * s * e
+        return _ExactFields(r, -c * e, r_x, th, -0.5 * s * e, th_x, th_xx,
+                            r_x * th + r * th_x,
+                            r_xx * th + 2.0 * r_x * th_x + r * th_xx)
 
-    def theta_xx(x, t):
-        return -0.5 * pi * pi * np.sin(pi * x) * np.exp(-t)
-
-    def gamma(x, t):
-        th = theta(x, t)
-        return rho(x, t) * np.sqrt(th) - saturation_pressure(model, th)
-
-    def pressure_x(x, t):
-        return rho_x(x, t) * theta(x, t) + rho(x, t) * theta_x(x, t)
-
-    def pressure_xx(x, t):
-        return (rho_xx(x, t) * theta(x, t) + 2.0 * rho_x(x, t) * theta_x(x, t)
-                + rho(x, t) * theta_xx(x, t))
+    def vapor_source(f: _ExactFields):
+        """rho_t - (rho P_x)_x + gamma, and the phase change gamma."""
+        gamma = f.r * np.sqrt(f.th) - saturation_pressure(model, f.th)
+        return f.r_t - (f.p_xx * f.r + f.p_x * f.r_x) + gamma, gamma
 
     def rho_source(x, t):
-        # rho_t - (rho P_x)_x + gamma, with P = rho theta
-        return (rho_t(x, t)
-                - (pressure_xx(x, t) * rho(x, t) + pressure_x(x, t) * rho_x(x, t))
-                + gamma(x, t))
-
-    def theta_source_cons(x, t):
-        r, th = rho(x, t), theta(x, t)
-        px = pressure_x(x, t)
-        kappa = conductivity(r, params)
-        return (rho_t(x, t) * th + r * theta_t(x, t) + params.sigma * theta_t(x, t)
-                - (pressure_xx(x, t) * r * th + px * px)
-                - (2.0 * params.kappa2 * r * rho_x(x, t) * theta_x(x, t)
-                   + kappa * theta_xx(x, t))
-                - params.lam * gamma(x, t))
+        return vapor_source(solution(x, t))[0]
 
     def theta_source(x, t):
-        return theta_source_cons(x, t) - theta(x, t) * rho_source(x, t)
+        # the conservative heat source minus theta times the vapor source
+        f = solution(x, t)
+        source, gamma = vapor_source(f)
+        r, th = f.r, f.th
+        kappa = conductivity(r, params)
+        conservative = (f.r_t * th + r * f.th_t + params.sigma * f.th_t
+                        - (f.p_xx * r * th + f.p_x * f.p_x)
+                        - (2.0 * params.kappa2 * r * f.r_x * f.th_x + kappa * f.th_xx)
+                        - params.lam * gamma)
+        return conservative - th * source
 
     def mass_flux(xv, t):
-        return float(rho(xv, t) * pressure_x(xv, t))
+        f = solution(xv, t)
+        return float(f.r * f.p_x)
 
     def cond_flux(xv, t):
-        return float(conductivity(rho(xv, t), params) * theta_x(xv, t))
+        f = solution(xv, t)
+        return float(conductivity(f.r, params) * f.th_x)
 
     def rho_flux(t):
         f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)),

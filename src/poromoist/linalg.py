@@ -30,16 +30,20 @@ term of LAPACK's back substitution can turn inf into NaN or flip the sign
 of a zero), or numpy's build does not export the ILP64 names (Accelerate,
 MKL, Windows).  On the shipped configs no solve fell back.
 
-Per solve, on random systems dominant by rows and columns (no swaps;
-minimum of 7 x 1000 calls in each of 10 rounds alternating the two paths,
-Python 3.11.7 and numpy 2.4.6 on a shared 2-core Xeon VM), the LAPACK path
-takes 20-30 us against 36-56 us for the loop at n=100, and 49-66 us
-against 400-490 us at n=1000; the spread is the host's drift.  What the
-LAPACK path spends is mostly fixed per call: the two foreign calls (about
-2.5 us each), the copy into its work buffer, the pointer arithmetic and
-the numpy reductions of the floor and the checks.  The loop walks the bands
-as Python lists with zip and costs 0.35-0.5 us per cell, the interpreter's
-price for each elimination step and its back substitution.
+Per solve of the smoke state's vapor system (the median of 10 rounds of
+scripts/bench_ab.py, BENCH_ab.json; Python 3.11.7 and numpy 2.4.6 on a
+shared 2-core x86-64 VM), the LAPACK path takes about 18 us at n=100, 29
+us at n=400 and 44 us at n=1000, little of it fixed per call.  The
+buffer, its integer views and both argument tuples are built once per
+system size (_workspace), so a solve pays for the copy of the system
+into the buffer, the two foreign calls (about 2.5 us each), four
+reductions (the largest band magnitude, the ipiv sum that counts swaps,
+the smallest pivot and the smallest |x|) and the copy of the solution
+out.  The per-row pivot floors, seven array operations, are formed only
+where the one-comparison screen fails (see _solve_gttr), which no solve
+of the shipped configs does.  The loop walks the bands as Python lists
+with zip and costs 0.35-0.5 us per cell, the interpreter's price for
+each elimination step and its back substitution.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +119,38 @@ def _resolve_gttr():
 _GTTR = _resolve_gttr()
 
 
+@lru_cache(maxsize=16)
+def _workspace(n: int) -> tuple:
+    """The LAPACK buffer of an n-row solve, its views and both argument tuples.
+
+    One buffer, in doubles: rhs (solved in place), lower, diag, upper, du2,
+    then ipiv, info, N and NRHS as 64-bit integers.  N and NRHS are written
+    here, once; every argument is an address into the buffer, which the
+    cache keeps alive.  Returns the target of the system's copy, the
+    solution, the three bands, the pivots, ipiv, and the dgttrf and dgttrs
+    arguments.
+    """
+    buf = np.empty(6 * n + 1)
+    ints = buf[5 * n - 2:].view(np.int64)
+    ints[n + 1] = n
+    ints[n + 2] = 1
+    b = buf.ctypes.data
+    dl, d, du = b + 8 * n, b + 8 * (2 * n - 1), b + 8 * (3 * n - 1)
+    du2, ipiv = b + 8 * (4 * n - 2), b + 8 * (5 * n - 2)
+    info, nn, one = ipiv + 8 * n, ipiv + 8 * (n + 1), ipiv + 8 * (n + 2)
+    return (buf[:4 * n - 2], buf[:n], buf[n:4 * n - 2], buf[2 * n - 1:3 * n - 1],
+            ints[:n], (nn, dl, d, du, du2, ipiv, info),
+            (b"N", nn, one, dl, d, du, du2, ipiv, b, nn, info, 1))
+
+
+def _row_floors(system: TridiagonalSystem) -> np.ndarray:
+    """Each row's pivot floor: PIVOT_FLOOR times its largest magnitude, at least ulp(0)."""
+    floor = np.abs(system.diag)
+    np.maximum(floor[1:], np.abs(system.lower), out=floor[1:])
+    np.maximum(floor[:-1], np.abs(system.upper), out=floor[:-1])
+    return np.maximum(PIVOT_FLOOR * floor, math.ulp(0.0))
+
+
 def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     """Thomas sweep: forward elimination then back substitution, no pivoting.
 
@@ -122,50 +159,58 @@ def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     where that floor underflows to 0 (a row of zeros and subnormals).
     Intended for the strictly diagonally dominant systems produced by the
     assemblers, where breakdown cannot occur.  The result is the loop's to
-    the bit, whichever path computes it.
+    the bit, whichever path computes it, and a new array; the system is
+    never written to.
+
+    On LAPACK's path a solve costs the copy of the system into the buffer
+    kept for its size, the two foreign calls, four reductions, one of
+    which screens every pivot at once against the floors, and the copy of
+    the solution out (about 18 us at n=100; see the module docstring).
+
+    Not reentrant: every solve of n rows works in the one buffer kept for
+    n (see _workspace), so two threads must not solve at once.  The
+    package solves from one thread.
     """
-    floor = np.abs(system.diag)
-    np.maximum(floor[1:], np.abs(system.lower), out=floor[1:])
-    np.maximum(floor[:-1], np.abs(system.upper), out=floor[:-1])
-    floor = np.maximum(PIVOT_FLOOR * floor, math.ulp(0.0))
     if _GTTR is not None:
-        x = _solve_gttr(system, floor)
+        x = _solve_gttr(system)
         if x is not None:
             return x
-    return _thomas_loop(system, floor)
+    return _thomas_loop(system, _row_floors(system))
 
 
-def _solve_gttr(system: TridiagonalSystem, floor: np.ndarray) -> np.ndarray | None:
+def _solve_gttr(system: TridiagonalSystem) -> np.ndarray | None:
     """The loop's solution through LAPACK, or None where only the loop can tell.
 
-    floor holds each row's pivot floor (a scalar stands for every row).
     Without a row swap, dgttrf and dgttrs do the loop's operations in the
     loop's order, plus one term DU2(i)*x(i+2) with DU2 = 0 in the back
     substitution.  That term changes a result only when it meets a nonfinite
     x or a signed zero, so a solution holding a NaN or a zero is handed back
-    to the loop too.  The system itself is never written to.
+    to the loop too.
+
+    The pivots are screened with one comparison: if the smallest |pivot| is
+    positive and at least PIVOT_FLOOR times the largest band magnitude, it
+    is at least every row's floor, because rounding a positive product is
+    monotone and a positive double is at least ulp(0).  Only where the
+    screen fails (a zero or NaN pivot, or rows of widely different scale)
+    are the per-row floors formed and compared pivot by pivot.  dgttrf
+    completes the factorization through an exactly zero pivot and reports
+    it in INFO, which is not read: the screen and the per-row test refuse
+    that pivot themselves.
     """
     n = system.diag.shape[0]
-    # One buffer, in doubles: rhs (solved in place), lower, diag, upper,
-    # du2, then ipiv, info, N and NRHS as 64-bit integers.
-    buf = np.empty(6 * n + 1)
-    np.concatenate((system.rhs, system.lower, system.diag, system.upper),
-                   out=buf[:4 * n - 2])
-    ints = buf[5 * n - 2:].view(np.int64)
-    ints[n + 1] = n
-    ints[n + 2] = 1
-    b = buf.ctypes.data
-    dl, d, du = b + 8 * n, b + 8 * (2 * n - 1), b + 8 * (3 * n - 1)
-    du2, ipiv = b + 8 * (4 * n - 2), b + 8 * (5 * n - 2)
-    info, nn, one = ipiv + 8 * n, ipiv + 8 * (n + 1), ipiv + 8 * (n + 2)
+    target, x, bands, pivots, ipiv, factor_args, solve_args = _workspace(n)
+    np.concatenate((system.rhs, system.lower, system.diag, system.upper), out=target)
+    largest = np.abs(bands).max()
     gttrf, gttrs = _GTTR
-    gttrf(nn, dl, d, du, du2, ipiv, info)
+    gttrf(*factor_args)
     # ipiv[i] is i+1 (1-based) or i+2 after a swap, so the sum counts swaps.
-    if (ints[n] or ints[:n].sum() != n * (n + 1) // 2
-            or not (np.abs(buf[2 * n - 1:3 * n - 1]) >= floor).all()):
+    if ipiv.sum() != n * (n + 1) // 2:
         return None
-    gttrs(b"N", nn, one, dl, d, du, du2, ipiv, b, nn, info, 1)
-    x = buf[:n]
+    smallest = np.abs(pivots).min()
+    if not (smallest > 0.0 and smallest >= PIVOT_FLOOR * largest):
+        if not (np.abs(pivots) >= _row_floors(system)).all():
+            return None
+    gttrs(*solve_args)
     if not np.abs(x).min() > 0.0:
         return None
     return x.copy()

@@ -178,10 +178,19 @@ SATURATION_FAMILIES = {"power_law": PowerLawSaturation,
 
 
 def saturation_pressure(model: SaturationModel, theta) -> np.ndarray | float:
-    """Evaluate the saturation curve, zero for theta <= 0."""
-    arr = np.asarray(theta, dtype=float)
-    out = np.where(arr > 0, model.pressure(arr), 0.0)
-    return float(out) if out.ndim == 0 else out
+    """Evaluate the saturation curve, zero for theta <= 0 (and NaN).
+
+    Where every temperature is positive, the curve's values are returned
+    as they are; the smallest temperature tells, because argmin finds a
+    NaN first.
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = model.pressure(theta)
+    if theta.ndim == 0:
+        return float(out) if theta > 0 else 0.0
+    if theta.size and theta.flat[theta.argmin()] > 0:
+        return out
+    return np.where(theta > 0, out, 0.0)
 
 
 def phase_change_rate(rho, theta, model: SaturationModel):
@@ -199,8 +208,7 @@ def phase_change_rate(rho, theta, model: SaturationModel):
 
 def conductivity(rho, params: PhysicalParams):
     """Heat conductivity kappa1 + kappa2 * rho**2 (bounded below by kappa1)."""
-    rho = np.asarray(rho, dtype=float)
-    out = params.kappa1 + params.kappa2 * rho**2
+    out = params.kappa1 + params.kappa2 * np.square(rho, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

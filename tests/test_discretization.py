@@ -45,8 +45,10 @@ def test_grid_rejects_bad_sizes(n):
 def test_mollify_identity_below_cell_width():
     grid = Grid(8)
     values = np.arange(8, dtype=float)
-    np.testing.assert_array_equal(mollify(values, 0.5 * grid.h, grid.h), values)
-    np.testing.assert_array_equal(mollify(values, grid.h, grid.h), values)
+    # the identity hands back the float array itself, not a copy
+    assert mollify(values, 0.5 * grid.h, grid.h) is values
+    assert mollify(values, grid.h, grid.h) is values
+    np.testing.assert_array_equal(mollify(list(values), grid.h, grid.h), values)
 
 
 @pytest.mark.parametrize("mu_cells", [1.5, 2.5, 4.2])
@@ -127,6 +129,32 @@ def test_cutoff_scalar_and_array():
                                   [0.5, 1.0, 1.0])
     with pytest.raises(ValueError):
         cutoff(1.0, 0.0)
+
+
+def literal_cutoff(values, eps):
+    """The clamp as its docstring states it: hval where |hval| <= 1/eps, else 1/eps."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.abs(values) <= 1.0 / eps, values, 1.0 / eps)
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, -0.0, 0.0, 1.0, 3.0, np.inf, np.nan],          # nothing below -1/eps
+    [-3.0, -1.0, -0.5, -np.inf, np.nan, 2.0, 0.25],      # some below -1/eps
+    [-1.0, -1.0 - 2e-16, -5e-324],
+    [],
+])
+def test_cutoff_is_the_literal_clamp(values):
+    # -1/eps is kept, anything of larger magnitude or NaN becomes +1/eps
+    for shape in ((-1,), (1, -1)):
+        got = cutoff(np.array(values).reshape(shape), 1.0)
+        want = literal_cutoff(values, 1.0).reshape(shape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for value in values:
+        scalar = cutoff(value, 1.0)
+        assert isinstance(scalar, float)
+        assert np.array_equal(np.float64(scalar).view(np.int64),
+                              literal_cutoff(value, 1.0).view(np.int64))
 
 
 def test_robin_mass_flux_signs():

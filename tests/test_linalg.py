@@ -259,11 +259,15 @@ def wide_diagonal_system(n: int) -> TridiagonalSystem:
 def test_wide_diagonal_solves_on_both_paths(n, monkeypatch):
     # Each pivot is near its own row's diagonal; a floor measured against
     # the largest diagonal, 1e300, would refuse every pivot below 1e286.
+    # So the one-comparison screen fails here, and LAPACK answers only
+    # because each pivot clears its own row's floor.
     system = wide_diagonal_system(n)
     x = solve_thomas(system)
     if linalg._GTTR is not None:
-        lapack = linalg._solve_gttr(system, PIVOT_FLOOR * np.abs(system.diag))
+        lapack = linalg._solve_gttr(system)
         assert lapack is not None
+        pivots = linalg._workspace(n)[3]
+        assert np.abs(pivots).min() < PIVOT_FLOOR * np.abs(system.diag).max()
         assert_same_bits(lapack, x)
     monkeypatch.setattr(linalg, "_GTTR", None)
     assert_same_bits(solve_thomas(system), x)
@@ -271,12 +275,18 @@ def test_wide_diagonal_solves_on_both_paths(n, monkeypatch):
     assert np.max(np.abs(residual(system, x)) / scale) < 1e-15
 
 
+def row_swap_system() -> TridiagonalSystem:
+    # Strictly dominant by rows, but |lower[0]| > |diag[0]|: dgttrf swaps.
+    return TridiagonalSystem(np.full(5, 10.0), np.array([1.0] + [20.0] * 5),
+                             np.array([0.5] + [1.0] * 4), np.arange(1.0, 7.0))
+
+
 def test_row_swap_falls_back_to_loop():
-    # Strictly dominant by rows, but |lower[i]| > |pivot i|: dgttrf swaps.
-    system = TridiagonalSystem(np.full(5, 10.0), np.array([1.0] + [20.0] * 5),
-                               np.array([0.5] + [1.0] * 4), np.arange(1.0, 7.0))
+    system = row_swap_system()
     if linalg._GTTR is not None:
-        assert linalg._solve_gttr(system, 0.0) is None
+        assert linalg._solve_gttr(system) is None
+        ipiv = linalg._workspace(system.n)[4]
+        assert not np.array_equal(ipiv, np.arange(1, system.n + 1))
     x = solve_thomas(system)
     ref = reference_thomas(system)
     assert np.array_equal(x, ref)
@@ -285,6 +295,11 @@ def test_row_swap_falls_back_to_loop():
 
 def assert_same_bits(x, ref):
     assert np.array_equal(x.view(np.int64), np.asarray(ref, dtype=float).view(np.int64))
+
+
+def loop_solution(system: TridiagonalSystem) -> np.ndarray:
+    """The fallback loop at each row's own floor, as solve_thomas would call it."""
+    return linalg._thomas_loop(system, linalg._row_floors(system))
 
 
 def test_signed_zero_matches_loop():
@@ -308,19 +323,27 @@ def test_overflow_matches_loop():
 
 @pytest.mark.parametrize("hide_lapack", [False, True])
 def test_solve_leaves_system_unchanged(hide_lapack, monkeypatch):
+    # With LAPACK, the cases take its own answer, its answer after the
+    # per-row floors (wide diagonal) and the loop after a swap.  Each solve
+    # returns a new array, which a later solve of the same size leaves alone.
     if hide_lapack:
         monkeypatch.setattr(linalg, "_GTTR", None)
     rng = np.random.default_rng(11)
-    for n in (1, 2, 50):
+    cases = [column_dominant_system(rng, n) for n in (1, 2, 50)]
+    for rows in cases + [wide_diagonal_system(6), row_swap_system()]:
         # views of one band, as the assemblers build their systems
-        rows = column_dominant_system(rng, n)
+        n = rows.n
         band = np.zeros((4, n))
         band[0, 1:], band[1] = rows.lower, rows.diag
         band[2, :-1], band[3] = rows.upper, rows.rhs
         system = TridiagonalSystem(band[0, 1:], band[1], band[2, :-1], band[3])
         before = band.tobytes()
-        solve_thomas(system)
+        x = solve_thomas(system)
+        kept = x.copy()
         assert band.tobytes() == before
+        assert_same_bits(x, loop_solution(system))
+        solve_thomas(column_dominant_system(rng, n))
+        assert_same_bits(x, kept)
 
 
 def test_numpy_openblas_routines_resolve():
@@ -332,3 +355,24 @@ def test_numpy_openblas_routines_resolve():
     if "scipy-openblas" not in str(lapack.get("name", "")):
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}")
     assert linalg._GTTR is not None
+
+
+def test_interleaved_sizes_each_match_the_loop():
+    # Each size keeps its own workspace; a solve of another size in between
+    # must not disturb it.
+    rng = np.random.default_rng(4000)
+    for n in (5, 100, 5, 1000):
+        system = column_dominant_system(rng, n)
+        assert_same_bits(solve_thomas(system), loop_solution(system))
+
+
+@needs_lapack
+@pytest.mark.parametrize("n", [1, 2, 100, 1000])
+def test_dominant_pivots_pass_the_screen(n, monkeypatch):
+    # On scaled, dominant rows the one-comparison screen admits every pivot,
+    # so the per-row floors are never formed.
+    def no_floors(system):
+        raise AssertionError("the per-row floors were formed")
+    monkeypatch.setattr(linalg, "_row_floors", no_floors)
+    system = column_dominant_system(np.random.default_rng(5000 + n), n)
+    assert_same_bits(solve_thomas(system), reference_thomas(system))

@@ -1,6 +1,8 @@
 """Material laws: saturation curves, phase change, conductivity, velocity."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ def test_power_law_pressure_values(cubic_model):
     np.testing.assert_allclose(
         saturation_pressure(cubic_model, np.array([1.0, 2.0, -1.0])),
         [1.0, 8.0, 0.0])
+
+
+@pytest.mark.parametrize("theta", [[0.5, 1.0, 2.0], [1.0, 0.0, -1.0], [2.0, np.nan, 1.0],
+                                   [-0.0, 3.0], []])
+def test_saturation_pressure_is_zero_off_positive_temperatures(theta, cubic_model):
+    # bit for bit the curve where theta > 0 and 0.0 elsewhere, NaN included
+    models = (cubic_model, ExponentialSaturation(a=2.0, b=1.0, eta=0.5))
+    for model, shape in itertools.product(models, ((-1,), (1, -1))):
+        values = np.array(theta).reshape(shape)
+        want = np.where(values > 0, model.pressure(values), 0.0)
+        got = saturation_pressure(model, values)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_exponential_pressure_values():

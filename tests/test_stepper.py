@@ -899,3 +899,33 @@ def test_nan_saturation_raises_nonfinite_from_assembly(unit_params):
     with pytest.raises(NonfiniteIterate, match="heat system row 5") as exc:
         homotopy_solve(state, cfg, reg, unit_params, model, grid)
     assert exc.value.sweeps == stepper.SPLIT_DEPTH + 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value,raised", [(np.inf, NonfiniteIterate),
+                                          (np.nan, NonfiniteIterate),
+                                          (1e200, PicardDivergence)])
+def test_nonfinite_heat_solution_fails_its_sweep(value, raised, monkeypatch,
+                                                 unit_params, cubic_model):
+    # An infinite or NaN solution fails the sweep that produced it.  A finite
+    # one whose squared update overflows does not: the sweep goes on, and
+    # here, with one sweep allowed, fails to converge.  (A poisoned vapor
+    # solution fails earlier, in the heat assembly.)
+    grid = Grid(16)
+    state = equilibrium_state(grid)
+    reg = RegularizationParams(eps=0.01, nu=0.005)
+    cfg = StepConfig(dt=0.01, max_picard=1)
+    solves = []
+
+    def poisoned(system):
+        x = solve_thomas(system)
+        if solves:
+            x[5] = value
+        solves.append(x)
+        return x
+
+    monkeypatch.setattr(stepper, "solve_thomas", poisoned)
+    with pytest.raises(raised, match="nonfinite iterate at sweep 1"
+                       if raised is NonfiniteIterate else "no convergence") as exc:
+        picard_step(state, cfg, reg, unit_params, cubic_model, grid)
+    assert exc.value.sweeps == len(solves) // 2 == 1
