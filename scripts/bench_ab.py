@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 scripts/bench_ab.py REV [--rounds N] [--case NAME ...] [--out FILE]
+    python3 scripts/bench_ab.py REV [--case NAME ...] [--out FILE]
     python3 scripts/bench_ab.py --parent-src DIR [...]
 
 The parent is ``src/poromoist`` of git revision REV (through ``git
@@ -16,7 +16,7 @@ The cases are the layers of ``scripts/bench_layers.py`` at n = 100, 400
 and 1000 (``solve_thomas/100`` and so on), each timed as a fixed number
 of calls, and whole in-process commands through each side's
 ``cli.main``: ``run`` on smoke, fine and stiff, and ``mms``, ``ladder``
-and ``sweep`` on their shipped configs, each one call.  In each of N
+and ``sweep`` on their shipped configs, each one call.  In each of ROUNDS
 rounds every case is timed on each side, the side that goes first
 alternating from round to round (A B, B A, ...), so the host's drift
 between rounds cancels in each round's ratio of change over parent.  A
@@ -58,6 +58,7 @@ PARENT = "poromoist_parent"
 # number of calls, and the slices those calls are split into.
 LAYER_SECONDS = 0.05
 SLICES = 8
+ROUNDS = 10
 
 COMMANDS = (
     ("run_smoke", ("run", "configs/smoke.json")),
@@ -82,8 +83,11 @@ def extract(rev: str, into: str) -> str:
     """Write src/poromoist of git revision rev under into; return its path."""
     archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev,
                               "src/poromoist"], capture_output=True, check=True).stdout
+    # The "data" filter exists from Python 3.11.4 and 3.10.12 on; the
+    # archive of our own history needs none where it is missing.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        tar.extractall(into, **safe)
     return os.path.join(into, "src", "poromoist")
 
 
@@ -154,8 +158,7 @@ def paired_seconds(sides: dict, number: int, order: tuple) -> dict:
 
 
 def summary(values: list) -> dict:
-    q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                      else values * 3)
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -164,13 +167,10 @@ def main(argv) -> int:
     which = parser.add_mutually_exclusive_group(required=True)
     which.add_argument("rev", nargs="?", help="git revision of the parent")
     which.add_argument("--parent-src", help="the parent's package directory")
-    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--case", action="append", default=[],
                         help="keep only this case (repeatable)")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_ab.json"))
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
 
     with tempfile.TemporaryDirectory() as workdir:
         if args.parent_src:
@@ -198,12 +198,12 @@ def main(argv) -> int:
                 number = max(1, round(LAYER_SECONDS / seconds(sides["change"], 3)))
                 numbers[name] = number // SLICES * SLICES or number
         timings = {name: {"change": [], "parent": []} for name in cases}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for name, sides in cases.items():
                 for side, t in paired_seconds(sides, numbers[name], order).items():
                     timings[name][side].append(t)
-            print(f"round {r + 1} of {args.rounds}", file=sys.stderr)
+            print(f"round {r + 1} of {ROUNDS}", file=sys.stderr)
 
     results = {}
     for name, sides in timings.items():
@@ -217,7 +217,7 @@ def main(argv) -> int:
         "host": {"platform": platform.platform(), "machine": platform.machine(),
                  "cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__},
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "timing": ("per round and case, each side's seconds per call over "
                    "calls_per_timing calls, the side that goes first alternating "
                    f"and a layer's calls split into {SLICES} slices per side, "

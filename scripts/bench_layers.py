@@ -27,7 +27,10 @@ Absolute times drift with the host's load between runs, even of the same
 code, so ``layers_per_gauge`` holds each layer's seconds per call over the
 gauge of ``perfbench/run.py`` (a fixed pure-Python loop), timed right
 before and right after the layer's timing: the mean of the two gauges
-divides it.  Compare two files by ``layers_per_gauge``.
+divides it.  Even so, two files from different runs cannot be compared
+layer by layer: the host drifts more between runs than most changes move
+a layer.  To compare two revisions, time them side by side in one process
+with ``scripts/bench_ab.py``, which imports ``layer_table`` from here.
 
 ``sweeps`` holds the Picard sweeps per step of ``run`` on the smoke, fine
 and stiff configs and of ``mms``, ``ladder`` and ``sweep`` on their

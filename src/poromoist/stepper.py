@@ -273,14 +273,16 @@ def mollified_initial_data(data: InitialData, reg: RegularizationParams,
     """Smooth the initial samples over radius eps and lift rho by eps.
 
     The lift keeps the vapor density strictly positive so the degenerate
-    diffusion coefficient starts away from zero.
+    diffusion coefficient starts away from zero.  Both returned arrays are
+    new: where the kernel is the identity, mollify returns its input, so
+    theta is copied and never aliases data.theta0.
     """
     if data.rho0.shape != (grid.n,):
         raise ConfigError(
             f"initial data has {data.rho0.shape[0]} samples for an n={grid.n} grid"
         )
     rho = mollify(data.rho0, reg.eps, grid.h) + reg.eps
-    theta = mollify(data.theta0, reg.eps, grid.h)
+    theta = np.array(mollify(data.theta0, reg.eps, grid.h), dtype=float)
     return State(rho, theta, 0.0)
 
 

@@ -13,7 +13,7 @@ def test_bench_ab_writes_paired_ratios_of_one_case(tmp_path):
     out = tmp_path / "BENCH_ab.json"
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / "bench_ab.py"),
-         "--parent-src", "src/poromoist", "--rounds", "3",
+         "--parent-src", "src/poromoist",
          "--case", "solve_thomas/100", "--out", str(out)],
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
@@ -22,12 +22,12 @@ def test_bench_ab_writes_paired_ratios_of_one_case(tmp_path):
     assert data["revisions"]["parent"] == "src/poromoist"
     assert data["revisions"]["change"]
     assert {"python", "numpy", "cpus"} <= set(data["host"])
-    assert data["rounds"] == 3
+    assert data["rounds"] == 10
     assert list(data["cases"]) == ["solve_thomas/100"]
     case = data["cases"]["solve_thomas/100"]
     assert set(case) == {"calls_per_timing", "ratios", "ratio", "change_s", "parent_s"}
     assert case["calls_per_timing"] >= 1
-    assert len(case["ratios"]) == 3 and all(r > 0 for r in case["ratios"])
+    assert len(case["ratios"]) == 10 and all(r > 0 for r in case["ratios"])
     ratio = case["ratio"]
     assert set(ratio) == {"median", "q1", "q3"}
     assert ratio["q1"] <= ratio["median"] <= ratio["q3"]

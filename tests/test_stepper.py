@@ -266,6 +266,8 @@ def test_mollified_initial_data_lift():
     state = mollified_initial_data(data, reg, grid)
     np.testing.assert_array_equal(state.rho, data.rho0 + 0.01)
     np.testing.assert_array_equal(state.theta, data.theta0)
+    assert not np.shares_memory(state.theta, data.theta0)
+    assert not np.shares_memory(state.rho, data.rho0)
     assert state.t == 0.0
     with pytest.raises(ConfigError):
         mollified_initial_data(data, reg, Grid(8))
