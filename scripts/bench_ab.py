@@ -123,7 +123,7 @@ def build_cases(out: str, wanted: set) -> dict:
     for n in SIZES:
         if wanted and not any(name.endswith(f"/{n}") for name in wanted):
             continue
-        tables = {side: layer_table(n, os.path.join(out, side), package)[0]
+        tables = {side: layer_table(n, os.path.join(out, side), package)
                   for side, package in sides}
         for layer in tables["change"]:
             name = f"{layer}/{n}"

@@ -1,48 +1,36 @@
-"""Time each layer of a step in-process, and count the sweeps of every shipped study.
+"""Count the Picard sweeps of every shipped study; hold the layers bench_ab.py times.
 
 Usage, from anywhere:
 
     python3 scripts/bench_layers.py
 
 Writes ``BENCH_layers.json`` at the repository root, with the host, Python
-and numpy versions.  It has two parts.
+and numpy versions, and ``sweeps``: the Picard sweeps per step of ``run``
+on the smoke, fine and stiff configs and of ``mms``, ``ladder`` and
+``sweep`` on their shipped configs, each run in-process through
+``poromoist.cli.main``: the number of steps at each sweep count, their
+total, the steps that converged on their first sweep, the steps taken in
+more than one substep (``split_steps``) and the exit code.
+``harder_grid`` is the harder grid of ``tests/test_acceptance.py`` (the
+smoke problem to t = 0.4 over HARDER_GRID) as one ``sweep``, which exits 0
+only when all 12 cells certify.  A step is one output level, and its
+sweeps are those of all its substeps.  These counts are exact and repeat
+on every host; ``wall_s``, the wall time of the one command, does not.
 
-``layers_s`` holds the seconds per call of each layer, on a fixed
-smoke-physics state at n = 100, 400 and 1000: the march of
+This script times nothing else.  Layer times from two runs cannot be
+compared, because the host drifts more between runs than most changes move
+a layer; ``scripts/bench_ab.py`` times two revisions side by side in one
+process instead, on the calls of ``layer_table``: each layer of a step on
+a fixed smoke-physics state at n = 100, 400 and 1000 (the march of
 ``configs/smoke.json`` over STATE_STEPS steps, with snapshots every
-SNAPSHOT_CADENCE.  The coefficient freeze and both assemblies are timed
-at the march's last step, with its last state as the iterate; the solve
-takes the assembled vapor system; ``predicted_start`` extrapolates the
-march's last five states; ``step_record_per_level`` is the cost per level
-of one ``step_record`` call on a block of as many levels as ``run`` folds
-at once, each holding the record of a converged ``picard_step`` from the
-last state, which writes every series column of those levels (the state
-functionals and both time integrals too); ``certify_run`` and the
-``series.csv`` and ``snapshots.csv`` writers take the whole march.  Each
-figure is the minimum over REPEATS repeats of a ``timeit`` loop sized by
-``autorange`` (at least 0.2 s), so it is the cost of the layer on a quiet
-host.
-
-Absolute times drift with the host's load between runs, even of the same
-code, so ``layers_per_gauge`` holds each layer's seconds per call over the
-gauge of ``perfbench/run.py`` (a fixed pure-Python loop), timed right
-before and right after the layer's timing: the mean of the two gauges
-divides it.  Even so, two files from different runs cannot be compared
-layer by layer: the host drifts more between runs than most changes move
-a layer.  To compare two revisions, time them side by side in one process
-with ``scripts/bench_ab.py``, which imports ``layer_table`` from here.
-
-``sweeps`` holds the Picard sweeps per step of ``run`` on the smoke, fine
-and stiff configs and of ``mms``, ``ladder`` and ``sweep`` on their
-shipped configs, each run in-process through ``poromoist.cli.main``: the
-number of steps at each sweep count, their total, the steps taken in more
-than one substep (``split_steps``) and the exit code.  ``harder_grid`` is
-the harder grid of ``tests/test_acceptance.py`` (the smoke problem to
-t = 0.4 over HARDER_GRID) as one ``sweep``, which exits 0 only when all
-12 cells certify.  A step is one
-output level, and its sweeps are those of all its substeps.  These counts
-are exact and repeat on every host; ``wall_s``, the wall time of the one
-command, does not.
+SNAPSHOT_CADENCE).  The coefficient freeze and both assemblies take the
+march's last step, with its last state as the iterate; the solve takes the
+assembled vapor system; ``predicted_start`` extrapolates the march's last
+PREDICTOR_STATES states; ``step_record_per_level`` is one ``step_record``
+call on a block of as many levels as ``run`` folds at once, each holding
+the record of a converged ``picard_step`` from the last state;
+``certify_run`` and the ``series.csv`` and ``snapshots.csv`` writers take
+the whole march.
 """
 
 from __future__ import annotations
@@ -54,7 +42,6 @@ import platform
 import sys
 import tempfile
 import time
-import timeit
 from collections import Counter
 
 import numpy as np
@@ -65,13 +52,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from poromoist import cli, stepper  # noqa: E402
 from poromoist.config import apply_override  # noqa: E402
 
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from run import gauge  # noqa: E402
-
 SIZES = (100, 400, 1000)
 STATE_STEPS = 50
 SNAPSHOT_CADENCE = 0.01
-REPEATS = 5
+# The states run keeps for the predicted start; a predictor that reads
+# fewer takes the newest of them.
+PREDICTOR_STATES = 8
 
 SWEEP_CASES = (
     ("run_smoke", ("run", "configs/smoke.json")),
@@ -90,22 +76,15 @@ HARDER_GRID = {
 }
 
 
-def best_seconds(fn) -> float:
-    """Seconds per call: the minimum over REPEATS timeit loops."""
-    timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
-    return min(timer.repeat(REPEATS, number)) / number
-
-
-def layer_table(n: int, out: str, package: str = "poromoist") -> tuple[dict, int]:
-    """Every layer's call on the smoke state at n cells, and step_record's block.
+def layer_table(n: int, out: str, package: str = "poromoist") -> dict:
+    """Every layer's call on the smoke state at n cells.
 
     Returns a dict from each layer's name to a function of no arguments that
-    makes one call, and the number of levels that one step_record call
-    folds.  The state, the inputs and the calls all come from the named
-    package, so a second copy of the package loaded under another name (see
-    scripts/bench_ab.py) gets a table of its own.  The CSV writers write
-    into out.
+    makes one call; one step_record_per_level call folds a block of as many
+    levels as run does at n.  The state, the inputs and the calls all come
+    from the named package, so a second copy of the package loaded under
+    another name (see scripts/bench_ab.py) gets a table of its own.  The CSV
+    writers write into out.
     """
     cli, config, diagnostics, linalg, stepper = (
         importlib.import_module(f"{package}.{name}")
@@ -131,7 +110,8 @@ def layer_table(n: int, out: str, package: str = "poromoist") -> tuple[dict, int
     block = max(1, stepper._STEP_BLOCK_CELLS // n)
     levels = [(record,)] * block
     columns = diagnostics.start_series(block, prev, grid, params)
-    history = np.hstack((result.rho[-5:], result.theta[-5:]))
+    history = np.hstack((result.rho[-PREDICTOR_STATES:],
+                         result.theta[-PREDICTOR_STATES:]))
     series_path = os.path.join(out, "series.csv")
     snapshots_path = os.path.join(out, "snapshots.csv")
     return {
@@ -149,25 +129,7 @@ def layer_table(n: int, out: str, package: str = "poromoist") -> tuple[dict, int
         "write_series_csv": lambda: cli._write_series(series_path, result),
         "write_snapshots_csv": lambda: cli._write_snapshots(snapshots_path, result,
                                                             setup),
-    }, block
-
-
-def layer_costs(n: int, out: str) -> tuple[dict, dict]:
-    """Seconds per call of every layer, on the smoke state at n cells.
-
-    Returns the seconds and the seconds over the mean of the gauges timed
-    right before and right after each layer's timing.
-    """
-    layers, block = layer_table(n, out)
-    costs, gauges = {}, [gauge()]
-    for name, fn in layers.items():
-        costs[name] = best_seconds(fn)
-        gauges.append(gauge())
-    costs["step_record_per_level"] /= block
-    per_gauge = {name: seconds / (0.5 * (before + after))
-                 for (name, seconds), before, after in zip(costs.items(), gauges,
-                                                           gauges[1:])}
-    return costs, per_gauge
+    }
 
 
 def harder_grid_config(out: str) -> str:
@@ -223,9 +185,6 @@ def sweep_counts(command: str, config: str, out: str) -> dict:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as out:
-        layers, per_gauge = {}, {}
-        for n in SIZES:
-            layers[str(n)], per_gauge[str(n)] = layer_costs(n, out)
         cases = SWEEP_CASES + (("harder_grid", ("sweep", harder_grid_config(out))),)
         sweeps = {name: sweep_counts(command, config, os.path.join(out, name))
                   for name, (command, config) in cases}
@@ -237,13 +196,6 @@ def main() -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "state": (f"configs/smoke.json physics at grid.n in {list(SIZES)}, "
-                  f"{STATE_STEPS} steps, snapshots every {SNAPSHOT_CADENCE}"),
-        "timing": (f"seconds per call, minimum over {REPEATS} timeit autorange loops; "
-                   "layers_per_gauge divides them by the mean of the perfbench/run.py "
-                   "gauge timed before and after each layer"),
-        "layers_s": layers,
-        "layers_per_gauge": per_gauge,
         "sweeps": sweeps,
     }
     path = os.path.join(ROOT, "BENCH_layers.json")

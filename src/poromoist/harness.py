@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .discretization import Grid, robin_fluxes
+from .discretization import ForcingValues, Grid, robin_fluxes
 from .errors import ConfigError, PoromoistError
 from .model import (
     InitialData,
@@ -79,13 +79,29 @@ class _ExactFields(NamedTuple):
     p_xx: np.ndarray | float
 
 
+@dataclass(frozen=True)
+class _SharedForcing(Forcing):
+    """A Forcing whose at evaluates all four terms through one function, terms.
+
+    terms(x, t) shares its evaluations between the terms; each of the four
+    callables, called alone, evaluates what it needs itself.
+    """
+
+    terms: Callable[[np.ndarray, float], ForcingValues]
+
+    def at(self, x: np.ndarray, t: float) -> ForcingValues:
+        return self.terms(x, t)
+
+
 def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMSCase:
     """Smooth decaying profiles that stay well inside the admissible cone.
 
     rho = 2 + cos(pi x) e^-t in [1, 3], theta = 1 + sin(pi x) e^-t / 2 in
     [1/2, 3/2].  The sources are composed from the closed-form partial
     derivatives; the boundary corrections are the gap between the exact
-    fluxes and the Robin exchange expressions.
+    fluxes and the Robin exchange expressions.  The forcing's at evaluates
+    the exact fields once on the cells, for both sources, and once at each
+    wall, as a scalar, for both corrections and the Robin traces.
     """
     pi = np.pi
 
@@ -98,7 +114,8 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
     def solution(x, t) -> _ExactFields:
         """The exact fields at (x, t), with cos(pi x), sin(pi x) and exp(-t) evaluated once.
 
-        Every other expression is the closed form, term for term.
+        Every other expression is the closed form, term for term; r and th
+        keep the bits of rho and theta.
         """
         c, s, e = np.cos(pi * x), np.sin(pi * x), np.exp(-t)
         r, r_x, th, th_x = 2.0 + c * e, -pi * s * e, 1.0 + 0.5 * s * e, 0.5 * pi * c * e
@@ -112,13 +129,8 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
         gamma = f.r * np.sqrt(f.th) - saturation_pressure(model, f.th)
         return f.r_t - (f.p_xx * f.r + f.p_x * f.r_x) + gamma, gamma
 
-    def rho_source(x, t):
-        return vapor_source(solution(x, t))[0]
-
-    def theta_source(x, t):
-        # the conservative heat source minus theta times the vapor source
-        f = solution(x, t)
-        source, gamma = vapor_source(f)
+    def heat_source(f: _ExactFields, source, gamma):
+        """The conservative heat source minus theta times the vapor source."""
         r, th = f.r, f.th
         kappa = conductivity(r, params)
         conservative = (f.r_t * th + r * f.th_t + params.sigma * f.th_t
@@ -127,28 +139,44 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
                         - params.lam * gamma)
         return conservative - th * source
 
-    def mass_flux(xv, t):
-        f = solution(xv, t)
-        return float(f.r * f.p_x)
+    def rho_corrections(left: _ExactFields, right: _ExactFields):
+        """Exact mass flux minus the Robin exchange, at x = 0 and x = 1."""
+        f0, f1 = robin_fluxes(float(left.r), float(right.r), params.alpha0,
+                              params.alpha1, params.rho_bar0, params.rho_bar1)
+        return float(left.r * left.p_x) - f0, float(right.r * right.p_x) - f1
 
-    def cond_flux(xv, t):
-        f = solution(xv, t)
-        return float(conductivity(f.r, params) * f.th_x)
+    def theta_corrections(left: _ExactFields, right: _ExactFields):
+        """Exact conduction flux minus the Robin exchange, at x = 0 and x = 1."""
+        g0, g1 = robin_fluxes(float(left.th), float(right.th), params.beta0,
+                              params.beta1, params.theta_bar0, params.theta_bar1)
+        return (float(conductivity(left.r, params) * left.th_x) - g0,
+                float(conductivity(right.r, params) * right.th_x) - g1)
+
+    def rho_source(x, t):
+        return vapor_source(solution(x, t))[0]
+
+    def theta_source(x, t):
+        f = solution(x, t)
+        return heat_source(f, *vapor_source(f))
 
     def rho_flux(t):
-        f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)),
-                              params.alpha0, params.alpha1,
-                              params.rho_bar0, params.rho_bar1)
-        return mass_flux(0.0, t) - f0, mass_flux(1.0, t) - f1
+        return rho_corrections(solution(0.0, t), solution(1.0, t))
 
     def theta_flux(t):
-        g0, g1 = robin_fluxes(float(theta(0.0, t)), float(theta(1.0, t)),
-                              params.beta0, params.beta1,
-                              params.theta_bar0, params.theta_bar1)
-        return cond_flux(0.0, t) - g0, cond_flux(1.0, t) - g1
+        return theta_corrections(solution(0.0, t), solution(1.0, t))
 
-    case_forcing = Forcing(rho_source=rho_source, theta_source=theta_source,
-                           rho_flux=rho_flux, theta_flux=theta_flux)
+    def terms(x, t) -> ForcingValues:
+        # The walls stay scalar evaluations: numpy's SIMD loops need not give
+        # an array element the bits of a scalar call.
+        f = solution(x, t)
+        source, gamma = vapor_source(f)
+        left, right = solution(0.0, t), solution(1.0, t)
+        return ForcingValues(np.asarray(source, dtype=float),
+                             np.asarray(heat_source(f, source, gamma), dtype=float),
+                             rho_corrections(left, right), theta_corrections(left, right))
+
+    case_forcing = _SharedForcing(rho_source=rho_source, theta_source=theta_source,
+                                  rho_flux=rho_flux, theta_flux=theta_flux, terms=terms)
     return MMSCase("decaying-wave", rho, theta, case_forcing)
 
 

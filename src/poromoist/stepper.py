@@ -21,20 +21,22 @@ input falls below picard_tol.  From the third sweep of an attempt on, the
 input is Anderson-mixed from the attempt's own sweeps (see
 picard_step), which on the stiff benchmark config keeps every step
 within 12 sweeps, against 35 with plain sweeps.  run starts each step's
-sweeps from an extrapolation of the last five accepted states, which it
-keeps as one (5, 2n) history of (rho, theta) rows (see _predicted_start);
-on the smoke config this lets 874 of 1000 steps converge on their first
-sweep.  homotopy_solve advances one output level of dt by one direct
-attempt from that start and, where it fails, retakes the level in halved
-substeps (Hairer & Wanner, Solving ODEs II, IV.8).  Every accepted
-iterate is a plain sweep output of the assembled rows (a mixed input is
-never accepted), and each substep leaves one StepRecord: its sweeps and
-what its last sweep froze.  diagnostics.start_series writes the series
-row of the start state; then run holds the records of a block of levels
-of about _STEP_BLOCK_CELLS cells and hands each block to one
-diagnostics.step_record call, which writes every series column of those
-levels from their records; so the step loop does little besides the
-solve, and no buffer grows with the step count.  Only the start state is
+sweeps from an extrapolation of the last accepted states, which it keeps
+as one (HISTORY_DEPTH, 2n) = (8, 2n) history of (rho, theta) rows; from
+six states on, the extrapolation's degree is the one that best predicted
+the newest state (see _predicted_start).  On the smoke config this lets
+949 of 1000 steps converge on their first sweep.  homotopy_solve advances
+one output level of dt by one direct attempt from that start and, where
+it fails, retakes the level in halved substeps (Hairer & Wanner, Solving
+ODEs II, IV.8).  Every accepted iterate is a plain sweep output of the
+assembled rows (a mixed input is never accepted), and each substep leaves
+one StepRecord: its sweeps and what its last sweep froze.
+diagnostics.start_series writes the series row of the start state; then
+run holds the records of a block of levels of about _STEP_BLOCK_CELLS
+cells and hands each block to one diagnostics.step_record call, which
+writes every series column of those levels from their records; so the
+step loop does little besides the solve, and no buffer grows with the
+step count.  Only the start state is
 checked for the cone rho >= 0, theta > 0; certify_run judges the march.
 Forcing terms are evaluated once per time a substep ends and shared by
 its sweeps; an unforced run shares discretization.NO_FORCING, whose zero
@@ -123,6 +125,12 @@ UPDATE_FLOOR = 1e-30
 # Residual differences that mix each sweep input from the third on (see picard_step).
 ANDERSON_DEPTH = 2
 SPLIT_DEPTH = 6  # halvings of a level's step that homotopy_solve may make: dt/64
+# Accepted states run keeps for _predicted_start, which chooses the start's
+# degree from _SELECTION_ROWS of them on: up to degree 6 with eight.  Degrees
+# 7 and 8, or a choice from fewer states, cost sweeps on the stiff config and
+# the harder grid.
+HISTORY_DEPTH = 8
+_SELECTION_ROWS = 6
 # Cells of the levels whose records run holds for one step_record call:
 # 40 levels at n = 100.  Larger blocks cost more per level from n = 400 on,
 # where the stacked arrays outgrow the data caches.
@@ -596,41 +604,71 @@ def _substeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
     return new, first + second
 
 
-# Extrapolation weights by history length, oldest state first: with p+1
-# states, the degree-p polynomial through them at the next step index,
-# (-1)^(p-j) C(p+1, j) for the state j steps from the oldest.  One column
-# each, to scale the rows of a history.
-_EXTRAPOLATION_WEIGHTS = {len(weights): np.array(weights)[:, None] for weights in (
-    (-1.0, 2.0),
-    (1.0, -3.0, 3.0),
-    (-1.0, 4.0, -6.0, 4.0),
-    (1.0, -5.0, 10.0, -10.0, 5.0),
-)}
+def _newest_weights(rows: int, order: int, shift: int) -> np.ndarray:
+    """Weights on rows states, oldest first, of sum_i (-1)^i C(order, i + shift) x_(k-i).
+
+    x_k is the newest state.  shift 0 gives the backward difference of that
+    order at x_k; shift 1 the polynomial of degree order - 1 through the
+    newest order states, at the next step index.
+    """
+    return np.array([(-1) ** i * math.comb(order, i + shift)
+                     for i in reversed(range(rows))], dtype=float)
+
+
+# With fewer than _SELECTION_ROWS states, the polynomial through all of them:
+# one weight column per history length, to scale the rows of a history.
+_EXTRAPOLATION_WEIGHTS = {rows: _newest_weights(rows, rows, 1)[:, None]
+                          for rows in range(2, _SELECTION_ROWS)}
+# From _SELECTION_ROWS states on, one (2m - 4, m) matrix per history length
+# m: the backward differences of orders 2 .. m - 1 at the newest state, then
+# the extrapolations of degrees 1 .. m - 2.
+_SELECTION_WEIGHTS = {
+    rows: np.array([_newest_weights(rows, order, 0) for order in range(2, rows)]
+                   + [_newest_weights(rows, degree + 1, 1)
+                      for degree in range(1, rows - 1)])
+    for rows in range(_SELECTION_ROWS, HISTORY_DEPTH + 1)}
 
 
 def _predicted_start(history: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """First iterate for the next step, extrapolated from the accepted states.
 
     history holds the last accepted states, oldest first, one (rho, theta)
-    row of 2n values per time level.  None (start from the previous state)
-    after one row; then the polynomial in the step index through the last
-    rows, of degree 4 from five rows on and one less than the row count
-    before that: the standard starting values for implicit steps (Hairer &
-    Wanner, Solving ODEs II, IV.8), off by O(dt^5) on a smooth trajectory.
-    The weighted rows are added one at a time in the weights' order, so
-    the guess is deterministic.  It is clamped elementwise to at least half
-    the last state, which keeps rho nonnegative and theta positive.
-    Returns the (rho, theta) halves of the guess.
+    row of 2n values per time level; only the last HISTORY_DEPTH are read.
+    None (start from the previous state) after one row.  With m rows:
+
+    * m < _SELECTION_ROWS: the polynomial in the step index through all m
+      rows (degree m - 1), its weighted rows added one at a time in the
+      weights' order;
+    * from _SELECTION_ROWS rows on, the polynomial of the degree p in
+      1 .. m - 2 that best predicted the newest state x_k from the states
+      before it: the one whose error there, max |nabla^(p+1) x_k| over the
+      2n values, is smallest (the lowest p on ties), as variable-order
+      Adams codes choose their order from the backward differences of the
+      accepted states (Shampine & Gordon, Computer Solution of Ordinary
+      Differential Equations, 1975; Hairer, Norsett & Wanner, Solving
+      ODEs I, III.7).  One product of the fixed (2m - 4, m) weight matrix
+      with the rows gives the differences and every candidate.
+
+    These are the standard starting values for implicit steps (Hairer &
+    Wanner, Solving ODEs II, IV.8).  The guess is deterministic, and it is
+    clamped elementwise to at least half the last state, which keeps rho
+    nonnegative and theta positive.  Returns the (rho, theta) halves of the
+    guess.
     """
-    if len(history) < 2:
+    history = history[-HISTORY_DEPTH:]
+    rows = len(history)
+    if rows < 2:
         return None
-    weights = _EXTRAPOLATION_WEIGHTS[min(len(history), max(_EXTRAPOLATION_WEIGHTS))]
-    rows = history[-len(weights):]
-    terms = weights * rows
-    guess = terms[0]
-    for term in terms[1:]:
-        guess += term
-    np.maximum(guess, 0.5 * rows[-1], out=guess)
+    if rows < _SELECTION_ROWS:
+        terms = _EXTRAPOLATION_WEIGHTS[rows] * history
+        guess = terms[0]
+        for term in terms[1:]:
+            guess += term
+    else:
+        weighted = _SELECTION_WEIGHTS[rows] @ history
+        errors = np.abs(weighted[:rows - 2]).max(axis=1)
+        guess = weighted[rows - 2 + int(errors.argmin())]
+    np.maximum(guess, 0.5 * history[-1], out=guess)
     n = history.shape[1] // 2
     return guess[:n], guess[n:]
 
@@ -703,7 +741,7 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
     t = np.empty(steps + 1)
     rho[0], theta[0], t[0] = state.rho, state.theta, state.t
     # The last accepted states for _predicted_start, one (rho, theta) row each.
-    history = np.empty((max(_EXTRAPOLATION_WEIGHTS), 2 * grid.n))
+    history = np.empty((HISTORY_DEPTH, 2 * grid.n))
     history[0, :grid.n], history[0, grid.n:] = state.rho, state.theta
     kept = 1
     series = start_series(steps, state, grid, params)

@@ -10,6 +10,8 @@ dissipation summed level by level.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from poromoist.discretization import boundary_traces, robin_fluxes
@@ -109,12 +111,26 @@ def level_row(records, grid, params) -> dict:
 def two_field_prediction(rho, theta):
     """The predicted start extrapolated for rho and theta apart.
 
-    rho and theta hold the accepted states, one row per time level.
+    rho and theta hold the accepted states, one row per time level; only the
+    last eight are read.  With m rows, the degree is m - 1 below six rows;
+    from six on it is the p in 1 .. m - 2 whose error on the newest state,
+    the largest |nabla^(p+1)| there over both fields (np.diff of each
+    field), is smallest, the lowest p on ties.  Each field's polynomial of
+    that degree through its last p + 1 rows is summed term by term.
     """
-    if len(rho) < 2:
+    rho, theta = rho[-8:], theta[-8:]
+    rows = len(rho)
+    if rows < 2:
         return None
-    weights = {2: (-1.0, 2.0), 3: (1.0, -3.0, 3.0), 4: (-1.0, 4.0, -6.0, 4.0),
-               5: (1.0, -5.0, 10.0, -10.0, 5.0)}[min(len(rho), 5)]
+    degree = rows - 1
+    if rows >= 6:
+        errors = [max(np.abs(np.diff(field, p + 1, axis=0)[-1]).max()
+                      for field in (rho, theta)) for p in range(1, rows - 1)]
+        degree = 1 + errors.index(min(errors))
+    # the state j rows from the oldest of the last degree + 1 weighs
+    # (-1)^(degree - j) C(degree + 1, j)
+    weights = [(-1.0) ** (degree - j) * math.comb(degree + 1, j)
+               for j in range(degree + 1)]
 
     def extrapolate(history):
         rows = history[-len(weights):]

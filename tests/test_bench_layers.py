@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import json
 import sys
 
 from poromoist.config import apply_override, build_setup, load_config
@@ -20,38 +21,39 @@ def load_bench(monkeypatch):
     return module
 
 
-def test_bench_layers_times_every_layer_and_counts_smoke_sweeps(monkeypatch, tmp_path):
+def test_bench_layers_builds_every_layer_and_counts_smoke_sweeps(monkeypatch, tmp_path):
     bench = load_bench(monkeypatch)
-    timed = []
-
-    def one_call(fn):
-        fn()
-        timed.append(fn)
-        return 0.0
-
-    gauges = iter(range(1, 100))
-    monkeypatch.setattr(bench, "best_seconds", one_call)
-    monkeypatch.setattr(bench, "gauge", lambda: float(next(gauges)))
     written = REPO_ROOT / "BENCH_layers.json"
-    before = written.read_bytes() if written.exists() else None
+    before = written.read_bytes()
 
-    layers, per_gauge = bench.layer_costs(16, str(tmp_path))
+    layers = bench.layer_table(16, str(tmp_path))
     assert set(layers) == {
         "compute_flux_coefficients", "assemble_rho_system", "assemble_theta_system",
         "solve_thomas", "predicted_start", "step_record_per_level", "certify_run",
         "write_series_csv", "write_snapshots_csv"}
-    assert len(timed) == len(layers)
-    # one gauge before the first layer and one after each
-    assert list(per_gauge) == list(layers) and next(gauges) == len(layers) + 2
+    for call in layers.values():
+        call()
     assert (tmp_path / "series.csv").exists() and (tmp_path / "snapshots.csv").exists()
 
     counts = bench.sweep_counts("run", "configs/smoke.json", str(tmp_path / "smoke"))
     assert counts["exit"] == 0
     assert counts["steps"] == 1000
-    assert counts["sweeps"] == 1198
-    assert counts["first_sweep_steps"] == 874
+    assert counts["sweeps"] == 1107
+    assert counts["first_sweep_steps"] == 949
     assert counts["split_steps"] == 0
-    assert (written.read_bytes() if written.exists() else None) == before
+    assert written.read_bytes() == before
+
+    # The committed file holds the host and the exact counts, and no times
+    # but each command's wall_s; its smoke counts are today's.
+    data = json.loads(before)
+    assert set(data) == {"host", "sweeps"}
+    assert list(data["sweeps"]) == [name for name, _ in bench.SWEEP_CASES] + ["harder_grid"]
+    assert all(set(case) == set(counts) for case in data["sweeps"].values())
+    committed = data["sweeps"]["run_smoke"]
+    assert {key: committed[key] for key in ("exit", "steps", "sweeps", "first_sweep_steps",
+                                            "split_steps")} == {
+        key: counts[key] for key in ("exit", "steps", "sweeps", "first_sweep_steps",
+                                     "split_steps")}
 
 
 def test_harder_grid_config_is_the_acceptance_grid(monkeypatch, tmp_path):

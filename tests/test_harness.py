@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from poromoist import harness
-from poromoist.discretization import Grid
+from poromoist.discretization import Grid, robin_fluxes
 from poromoist.errors import ConfigError
 from poromoist.harness import (MMSCase, make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
-from poromoist.model import InitialData, saturation_pressure
+from poromoist.model import InitialData, conductivity, saturation_pressure
 from poromoist.stepper import Forcing, StepConfig
-from tests.conftest import equilibrium_state
+from tests.conftest import equilibrium_state, make_params
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,95 @@ def test_manufactured_boundary_corrections(default_case, unit_params,
         h0 = cond0 - p.beta0 * (theta(0.0, t) - p.theta_bar0)
         h1 = cond1 - p.beta1 * (p.theta_bar1 - theta(1.0, t))
         assert case.forcing.theta_flux(t) == pytest.approx((h0, h1), rel=1e-5)
+
+
+def forcing_as_four_calls(params, model):
+    """The default case's four forcing terms, each evaluating the exact fields itself.
+
+    This is the closed form term for term, as Forcing.at computed it by
+    calling the four callables one at a time: solution on the cells once per
+    source, and at each wall once per correction, with rho and theta at the
+    walls on top of that.
+    """
+    pi = np.pi
+
+    def rho(x, t):
+        return 2.0 + np.cos(pi * x) * np.exp(-t)
+
+    def theta(x, t):
+        return 1.0 + 0.5 * np.sin(pi * x) * np.exp(-t)
+
+    def solution(x, t):
+        c, s, e = np.cos(pi * x), np.sin(pi * x), np.exp(-t)
+        r, r_x, th, th_x = 2.0 + c * e, -pi * s * e, 1.0 + 0.5 * s * e, 0.5 * pi * c * e
+        r_xx, th_xx = -pi * pi * c * e, -0.5 * pi * pi * s * e
+        return dict(r=r, r_t=-c * e, r_x=r_x, th=th, th_t=-0.5 * s * e, th_x=th_x,
+                    th_xx=th_xx, p_x=r_x * th + r * th_x,
+                    p_xx=r_xx * th + 2.0 * r_x * th_x + r * th_xx)
+
+    def vapor_source(f):
+        gamma = f["r"] * np.sqrt(f["th"]) - saturation_pressure(model, f["th"])
+        return f["r_t"] - (f["p_xx"] * f["r"] + f["p_x"] * f["r_x"]) + gamma, gamma
+
+    def rho_source(x, t):
+        return vapor_source(solution(x, t))[0]
+
+    def theta_source(x, t):
+        f = solution(x, t)
+        source, gamma = vapor_source(f)
+        r, th = f["r"], f["th"]
+        kappa = conductivity(r, params)
+        conservative = (f["r_t"] * th + r * f["th_t"] + params.sigma * f["th_t"]
+                        - (f["p_xx"] * r * th + f["p_x"] * f["p_x"])
+                        - (2.0 * params.kappa2 * r * f["r_x"] * f["th_x"]
+                           + kappa * f["th_xx"])
+                        - params.lam * gamma)
+        return conservative - th * source
+
+    def mass_flux(xv, t):
+        f = solution(xv, t)
+        return float(f["r"] * f["p_x"])
+
+    def cond_flux(xv, t):
+        f = solution(xv, t)
+        return float(conductivity(f["r"], params) * f["th_x"])
+
+    def rho_flux(t):
+        f0, f1 = robin_fluxes(float(rho(0.0, t)), float(rho(1.0, t)),
+                              params.alpha0, params.alpha1,
+                              params.rho_bar0, params.rho_bar1)
+        return mass_flux(0.0, t) - f0, mass_flux(1.0, t) - f1
+
+    def theta_flux(t):
+        g0, g1 = robin_fluxes(float(theta(0.0, t)), float(theta(1.0, t)),
+                              params.beta0, params.beta1,
+                              params.theta_bar0, params.theta_bar1)
+        return cond_flux(0.0, t) - g0, cond_flux(1.0, t) - g1
+
+    return Forcing(rho_source, theta_source, rho_flux, theta_flux)
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_forcing_at_equals_the_four_calls_to_the_byte(n, unit_params, cubic_model):
+    # at shares one evaluation of the exact fields between the terms; every
+    # value keeps the bits of the four terms evaluated one at a time, on unit
+    # physics and on lopsided constants and ambients.
+    x = Grid(n).centers
+    lopsided = make_params(sigma=0.5, lam=3.0, kappa1=0.7, kappa2=1.9, alpha0=2.5,
+                           alpha1=0.3, beta0=0.9, beta1=4.0, rho_bar0=0.6,
+                           rho_bar1=1.4, theta_bar0=1.2, theta_bar1=0.8)
+    for params in (unit_params, lopsided):
+        case = make_default_mms_case(params, cubic_model)
+        reference = forcing_as_four_calls(params, cubic_model)
+        for t in (0.0, 0.0125, 0.07, 0.1, 1.0 / 3.0):
+            got, expected = case.forcing.at(x, t), reference.at(x, t)
+            alone = (case.forcing.rho_source(x, t), case.forcing.theta_source(x, t),
+                     case.forcing.rho_flux(t), case.forcing.theta_flux(t))
+            for name, value in zip(("rho_source", "theta_source", "rho_flux",
+                                    "theta_flux"), alone):
+                want = np.asarray(getattr(expected, name)).tobytes()
+                assert np.asarray(getattr(got, name)).tobytes() == want, (name, t)
+                assert np.asarray(value).tobytes() == want, (name, t)
 
 
 def constant_case(rho_value, theta_value, params, model):

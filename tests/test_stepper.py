@@ -587,12 +587,20 @@ def test_predicted_start_saves_sweeps(unit_params, cubic_model):
     assert predicted < plain
 
 
-@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6])
-def test_predicted_start_is_exact_on_polynomials(rows):
+# (rows, degree): the polynomial through every row below six rows, and from
+# six on each degree d <= 6 with d + 2 <= rows <= 8, so that the error of
+# degree d on the newest row is zero and the chosen degree is d.
+POLYNOMIAL_CASES = (
+    [pytest.param(rows, min(rows - 1, 4), id=str(rows)) for rows in range(2, 7)]
+    + [pytest.param(rows, degree, id=f"degree{degree}-rows{rows}")
+       for degree in range(7) for rows in range(max(degree + 2, 6), 9)])
+
+
+@pytest.mark.parametrize("rows, degree", POLYNOMIAL_CASES)
+def test_predicted_start_is_exact_on_polynomials(rows, degree):
     # Dyadic coefficients keep every sum exact; the nonnegative ones make
     # each history increase, so the clamp stays out of the way.
     rng = np.random.default_rng(rows)
-    degree = min(rows - 1, 4)
     steps = np.arange(rows + 1, dtype=float)[:, None]
 
     def history(cells):
@@ -606,7 +614,30 @@ def test_predicted_start_is_exact_on_polynomials(rows):
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
 
 
-@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6])
+def test_predicted_start_chooses_the_line_under_alternating_noise():
+    # A line with +-1e-6 alternating in its last four rows: the error of
+    # degree p on the newest row, |nabla^(p+1)| of the noise, is 4e-6 for
+    # p = 1 and grows with p (8e-6, 15e-6, ... 64e-6), so degree 1 is chosen,
+    # and its guess 2 x_k - x_(k-1) is off the clean line by 3e-6.
+    steps = np.arange(9, dtype=float)[:, None]
+    clean = 1.0 + 0.01 * steps * np.array([1.0, 2.0, 3.0, -1.0])
+    noisy = clean[:-1].copy()
+    noisy[-4:] += 1e-6 * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    rho, theta = stepper._predicted_start(noisy)
+    guess = np.concatenate((rho, theta))
+    assert np.array_equal(guess, 2.0 * noisy[-1] - noisy[-2])
+    assert np.max(np.abs(guess - clean[-1])) <= 3e-6 * (1 + 1e-6)
+
+
+def test_predicted_start_of_a_constant_history_is_the_constant():
+    # Every degree's error is zero; the tie goes to degree 1, whose guess
+    # 2c - c is exactly c, which a higher degree's weights need not give.
+    history = np.full((8, 6), 0.7)
+    rho, theta = stepper._predicted_start(history)
+    assert np.array_equal(rho, history[-1, :3]) and np.array_equal(theta, history[-1, 3:])
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6, 7, 8])
 def test_predicted_start_clamps_a_steep_drop(rows):
     history = np.ones((rows, 3))
     history[-1] = [0.1, 0.01, 1e-8]
@@ -617,11 +648,13 @@ def test_predicted_start_clamps_a_steep_drop(rows):
     np.testing.assert_array_equal(theta, history[-1])
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 @pytest.mark.parametrize("drop", [False, True])
 def test_stacked_prediction_equals_two_field_prediction(rows, drop):
-    # The same weights in the same order and the same clamp, to the bit;
-    # the steep drop of test_predicted_start_clamps_a_steep_drop clamps every cell.
+    # Below six rows, the same weights in the same order and the same clamp,
+    # to the bit; from six on, the degree chosen from the differences and
+    # the extrapolation of the one weight product, within 4 ulps.  The
+    # steep drop of test_predicted_start_clamps_a_steep_drop clamps every cell.
     if drop:
         rho = np.ones((rows, 3))
         rho[-1] = [0.1, 0.01, 1e-8]
@@ -634,7 +667,10 @@ def test_stacked_prediction_equals_two_field_prediction(rows, drop):
         assert got is None
         return
     for field, ref in zip(got, expected):
-        assert field.tobytes() == ref.tobytes()
+        if rows < 6:
+            assert field.tobytes() == ref.tobytes()
+        else:
+            assert np.all(np.abs(field - ref) <= 4 * np.spacing(np.abs(ref)))
     if drop and rows > 1:
         assert np.array_equal(got[0], 0.5 * rho[-1])
 
@@ -642,7 +678,7 @@ def test_stacked_prediction_equals_two_field_prediction(rows, drop):
 def test_most_smoke_steps_converge_on_first_sweep(smoke_result):
     sweeps = smoke_result.series["picard_iterations"][1:]
     assert len(sweeps) == 1000
-    assert np.count_nonzero(sweeps == 1) >= 800
+    assert np.count_nonzero(sweeps == 1) >= 940
 
 
 def test_dry_start_certifies_with_positive_vapor(smoke_config):
