@@ -11,7 +11,7 @@ from pathlib import Path
 
 from poromoist.config import build_setup
 from poromoist.diagnostics import certify_run, entropy_monitor
-from poromoist.stepper import run
+from poromoist.stepper import mollified_initial_data, run
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 
@@ -19,8 +19,9 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 def main():
     with open(CONFIG) as fh:
         setup = build_setup(json.load(fh))
-    result = run(setup.initial, setup.step, setup.reg, setup.params,
-                 setup.model, setup.grid, t_end=setup.params.t_end)
+    result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+                 setup.step, setup.reg, setup.params, setup.model, setup.grid,
+                 t_end=setup.params.t_end)
 
     print(f"marched {len(result.t) - 1} steps of dt={setup.step.dt} "
           f"on n={setup.grid.n} cells")

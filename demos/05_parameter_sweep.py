@@ -11,7 +11,7 @@ from pathlib import Path
 from poromoist.config import apply_override, build_setup
 from poromoist.diagnostics import certify_run
 from poromoist.harness import sweep
-from poromoist.stepper import run
+from poromoist.stepper import mollified_initial_data, run
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 
@@ -25,8 +25,9 @@ def main():
         for path, value in overrides.items():
             data = apply_override(data, path, value)
         setup = build_setup(data)
-        result = run(setup.initial, setup.step, setup.reg, setup.params,
-                     setup.model, setup.grid, t_end=setup.params.t_end)
+        result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+                     setup.step, setup.reg, setup.params, setup.model, setup.grid,
+                     t_end=setup.params.t_end)
         return certify_run(result).summary()
 
     report = sweep({"physical.lambda": [0.5, 1.0, 2.0],

@@ -25,6 +25,13 @@ in the order A B B A A B B A ..., so the drift within the round cancels
 too: the host's speed wanders within a tenth of a second.  ``--case``
 (repeatable) keeps only the named cases.
 
+The layer cases call both packages through this tree's ``layer_table``,
+with this tree's signatures, so they pair only revisions whose layer API
+matches: not a revision whose ``stepper.run`` took initial data where this
+tree's takes a start ``State``.  The command cases go through each side's
+own ``cli.main``, so they pair any two revisions; name them with
+``--case`` to compare across such a change.
+
 Writes FILE (default ``BENCH_ab.json`` at the repository root): both
 revisions, the host, and per case the paired ratios, their median and
 quartiles, and each side's median seconds per call.  A ratio below 1

@@ -97,7 +97,8 @@ def layer_table(n: int, out: str, package: str = "poromoist") -> dict:
     setup = config.build_setup(data)
     cfg, reg, params, model, grid = (setup.step, setup.reg, setup.params,
                                      setup.model, setup.grid)
-    result = stepper.run(setup.initial, cfg, reg, params, model, grid)
+    result = stepper.run(stepper.mollified_initial_data(setup.initial, reg, grid),
+                         cfg, reg, params, model, grid)
     prev = stepper.State(result.rho[-2], result.theta[-2], result.t[-2])
     rho, theta = result.rho[-1], result.theta[-1]
     args = (reg, params, model, grid, cfg.dt)

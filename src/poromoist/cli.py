@@ -30,7 +30,7 @@ from .diagnostics import SERIES_COLUMNS, certify_run
 from .errors import ConfigError, PoromoistError
 from .harness import make_default_mms_case, mms_study, regularization_ladder, sweep
 from .model import darcy_velocity
-from .stepper import run, step_count
+from .stepper import mollified_initial_data, run, step_count
 
 MMS_ORDER_FLOOR = {"central": 1.9, "upwind": 0.9}
 LADDER_VARIATION_CAP = 0.10
@@ -118,8 +118,8 @@ def _write_snapshots(path: str, result, setup) -> None:
 
 def _cmd_run(args) -> int:
     setup = build_setup(_load_with_flags(args))
-    result = run(setup.initial, setup.step, setup.reg, setup.params,
-                 setup.model, setup.grid)
+    result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+                 setup.step, setup.reg, setup.params, setup.model, setup.grid)
     cert = certify_run(result)
 
     os.makedirs(args.out, exist_ok=True)
@@ -238,8 +238,8 @@ def _cmd_sweep(args) -> int:
         for path, value in overrides.items():
             cell = apply_override(cell, path, value)
         setup = build_setup(cell)
-        result = run(setup.initial, setup.step, setup.reg, setup.params,
-                     setup.model, setup.grid)
+        result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+                     setup.step, setup.reg, setup.params, setup.model, setup.grid)
         return certify_run(result).summary()
 
     report = sweep(axes, run_cell)

@@ -35,6 +35,7 @@ from .stepper import (
     RunResult,
     State,
     StepConfig,
+    mollified_initial_data,
     run,
 )
 
@@ -79,29 +80,16 @@ class _ExactFields(NamedTuple):
     p_xx: np.ndarray | float
 
 
-@dataclass(frozen=True)
-class _SharedForcing(Forcing):
-    """A Forcing whose at evaluates all four terms through one function, terms.
-
-    terms(x, t) shares its evaluations between the terms; each of the four
-    callables, called alone, evaluates what it needs itself.
-    """
-
-    terms: Callable[[np.ndarray, float], ForcingValues]
-
-    def at(self, x: np.ndarray, t: float) -> ForcingValues:
-        return self.terms(x, t)
-
-
 def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMSCase:
     """Smooth decaying profiles that stay well inside the admissible cone.
 
     rho = 2 + cos(pi x) e^-t in [1, 3], theta = 1 + sin(pi x) e^-t / 2 in
     [1/2, 3/2].  The sources are composed from the closed-form partial
     derivatives; the boundary corrections are the gap between the exact
-    fluxes and the Robin exchange expressions.  The forcing's at evaluates
-    the exact fields once on the cells, for both sources, and once at each
-    wall, as a scalar, for both corrections and the Robin traces.
+    fluxes and the Robin exchange expressions.  The forcing, terms(x, t),
+    evaluates the exact fields once on the cells, for both sources, and
+    once at each wall, as a scalar, for both corrections and the Robin
+    traces.
     """
     pi = np.pi
 
@@ -152,19 +140,6 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
         return (float(conductivity(left.r, params) * left.th_x) - g0,
                 float(conductivity(right.r, params) * right.th_x) - g1)
 
-    def rho_source(x, t):
-        return vapor_source(solution(x, t))[0]
-
-    def theta_source(x, t):
-        f = solution(x, t)
-        return heat_source(f, *vapor_source(f))
-
-    def rho_flux(t):
-        return rho_corrections(solution(0.0, t), solution(1.0, t))
-
-    def theta_flux(t):
-        return theta_corrections(solution(0.0, t), solution(1.0, t))
-
     def terms(x, t) -> ForcingValues:
         # The walls stay scalar evaluations: numpy's SIMD loops need not give
         # an array element the bits of a scalar call.
@@ -175,9 +150,7 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
                              np.asarray(heat_source(f, source, gamma), dtype=float),
                              rho_corrections(left, right), theta_corrections(left, right))
 
-    case_forcing = _SharedForcing(rho_source=rho_source, theta_source=theta_source,
-                                  rho_flux=rho_flux, theta_flux=theta_flux, terms=terms)
-    return MMSCase("decaying-wave", rho, theta, case_forcing)
+    return MMSCase("decaying-wave", rho, theta, terms)
 
 
 @dataclass(frozen=True)
@@ -229,8 +202,8 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
         cfg = StepConfig(dt=dt, picard_tol=1e-12, advection=advection)
         reg = RegularizationParams(eps=eps, nu=nu)
-        result = run(None, cfg, reg, params, model, grid, t_end=t_end,
-                     forcing=case.forcing, initial_state=state0)
+        result = run(state0, cfg, reg, params, model, grid, t_end=t_end,
+                     forcing=case.forcing)
         t_final = float(result.t[-1])
         h = grid.h
         err_r = np.sqrt(h * np.sum((result.rho[-1] - case.exact_rho(x, t_final))**2))
@@ -270,19 +243,18 @@ def _trajectory_difference(a: RunResult, b: RunResult) -> float:
     return float(np.sqrt(total))
 
 
-def regularization_ladder(initial: InitialData | None, cfg: StepConfig,
+def regularization_ladder(initial: InitialData, cfg: StepConfig,
                           params: PhysicalParams, model: SaturationModel,
                           grid: Grid, t_end: float | None = None,
                           eps0: float = 0.1, rungs: int = 4,
-                          factor: float = 2.0, nu_ratio: float = 0.5,
-                          initial_state: State | None = None) -> LadderReport:
+                          factor: float = 2.0, nu_ratio: float = 0.5) -> LadderReport:
     """Shrink (eps, nu) geometrically and compare successive trajectories.
 
     Convergence of the regularized family shows up as strictly decreasing
     successive space-time distances, while the entropy and fourth-power
-    monitors must level off.  Passing initial_state pins the start point
-    so it does not move with the mollifier radius.  Fewer than 3 rungs (two
-    distances) raise ConfigError before any run.
+    monitors must level off.  Each rung starts from the initial data
+    mollified at its own radius.  Fewer than 3 rungs (two distances) raise
+    ConfigError before any run.
     """
     if rungs < 3:
         raise ConfigError(f"rungs must be at least 3, got {rungs}")
@@ -291,8 +263,8 @@ def regularization_ladder(initial: InitialData | None, cfg: StepConfig,
         eps_j = eps0 * factor**(-j)
         nu_j = nu_ratio * eps_j
         reg = RegularizationParams(eps=eps_j, nu=nu_j)
-        results.append(run(initial, cfg, reg, params, model, grid, t_end=t_end,
-                           initial_state=initial_state))
+        results.append(run(mollified_initial_data(initial, reg, grid), cfg, reg,
+                           params, model, grid, t_end=t_end))
         eps_values.append(eps_j)
         nu_values.append(nu_j)
 

@@ -36,11 +36,12 @@ run holds the records of a block of levels of about _STEP_BLOCK_CELLS
 cells and hands each block to one diagnostics.step_record call, which
 writes every series column of those levels from their records; so the
 step loop does little besides the solve, and no buffer grows with the
-step count.  Only the start state is
-checked for the cone rho >= 0, theta > 0; certify_run judges the march.
-Forcing terms are evaluated once per time a substep ends and shared by
-its sweeps; an unforced run shares discretization.NO_FORCING, whose zero
-terms change no value.
+step count.  run takes one start State, which the commands build with
+mollified_initial_data, and checks only it for the cone rho >= 0,
+theta > 0; certify_run judges the march.  A Forcing is one function of
+(x, t) that returns every forcing term at once; it is evaluated once per
+time a substep ends and shared by its sweeps, and an unforced run shares
+discretization.NO_FORCING, whose zero terms change no value.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -193,26 +194,10 @@ class StepConfig:
             )
 
 
-@dataclass(frozen=True)
-class Forcing:
-    """Manufactured sources and boundary-flux corrections.
-
-    Sources source(x, t) are added to the right-hand sides.  The flux
-    corrections rho_flux(t) and theta_flux(t) return the pair (g0, g1)
-    added to the Robin face fluxes at the left and right walls.  Used by
-    the manufactured-solution studies; production runs get NO_FORCING.
-    """
-
-    rho_source: Callable
-    theta_source: Callable
-    rho_flux: Callable[[float], tuple[float, float]]
-    theta_flux: Callable[[float], tuple[float, float]]
-
-    def at(self, x: np.ndarray, t: float) -> ForcingValues:
-        """Evaluate every term once, at time t on the cell centers x."""
-        return ForcingValues(np.asarray(self.rho_source(x, t), dtype=float),
-                             np.asarray(self.theta_source(x, t), dtype=float),
-                             self.rho_flux(t), self.theta_flux(t))
+# Manufactured sources and wall-flux corrections: forcing(x, t) holds every
+# term at time t on the cell centers x.  Used by the manufactured-solution
+# studies; production runs get NO_FORCING.
+Forcing = Callable[[np.ndarray, float], ForcingValues]
 
 
 @dataclass
@@ -283,12 +268,9 @@ def mollified_initial_data(data: InitialData, reg: RegularizationParams,
     The lift keeps the vapor density strictly positive so the degenerate
     diffusion coefficient starts away from zero.  Both returned arrays are
     new: where the kernel is the identity, mollify returns its input, so
-    theta is copied and never aliases data.theta0.
+    theta is copied and never aliases data.theta0.  run rejects the
+    state unless the data has grid.n samples.
     """
-    if data.rho0.shape != (grid.n,):
-        raise ConfigError(
-            f"initial data has {data.rho0.shape[0]} samples for an n={grid.n} grid"
-        )
     rho = mollify(data.rho0, reg.eps, grid.h) + reg.eps
     theta = np.array(mollify(data.theta0, reg.eps, grid.h), dtype=float)
     return State(rho, theta, 0.0)
@@ -561,7 +543,7 @@ def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
     attempt.
     """
     def at(t):
-        return NO_FORCING if forcing is None else forcing.at(grid.centers, t)
+        return NO_FORCING if forcing is None else forcing(grid.centers, t)
 
     t = prev.t + cfg.dt
     new, records = _substeps(prev, cfg, reg, params, model, grid, at, at(t), start, 0)
@@ -687,21 +669,18 @@ def step_count(span: float, dt: float) -> int:
     return steps if whole else 0
 
 
-def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
+def run(start: State, cfg: StepConfig, reg: RegularizationParams,
         params: PhysicalParams, model: SaturationModel, grid: Grid,
-        t_end: float | None = None, forcing: Forcing | None = None,
-        initial_state: State | None = None) -> RunResult:
-    """March the coupled system from t=0 to t_end with per-step diagnostics.
+        t_end: float | None = None, forcing: Forcing | None = None) -> RunResult:
+    """March the coupled system from start to t_end with per-step diagnostics.
 
-    The start state is the mollified initial data unless an explicit
-    initial_state is supplied (equilibrium studies need a start that does
-    not depend on the mollifier radius).  It is taken as float arrays and
-    checked once, here: DimensionMismatch unless 1-D with grid.n cells,
-    ConfigError for unequal lengths, nonfinite values, rho < 0 or theta <= 0.
-    The marched states are not checked again; certify_run judges them.  The
-    forcing is evaluated once per (sub)step, at its new time.  The series
-    is written a block of levels at a time (see step_record).
-    Deterministic: identical inputs produce bit-identical trajectories.
+    start is taken as float arrays and checked once, here: DimensionMismatch
+    unless 1-D with grid.n cells, ConfigError for unequal lengths, nonfinite
+    values, rho < 0 or theta <= 0.  The marched states are not checked
+    again; certify_run judges them.  The forcing is evaluated once per
+    (sub)step, at its new time.  The series is written a block of levels at
+    a time (see step_record).  Deterministic: identical inputs produce
+    bit-identical trajectories.
     """
     reg.validate_against(params)
     if t_end is None:
@@ -713,13 +692,9 @@ def run(initial: InitialData | None, cfg: StepConfig, reg: RegularizationParams,
         raise ConfigError(
             f"t_end={t_end} is not a positive integer number of steps of dt={cfg.dt}")
 
-    if initial_state is None:
-        if initial is None:
-            raise ConfigError("either initial data or an initial state is required")
-        initial_state = mollified_initial_data(initial, reg, grid)
-    t0 = initial_state.t
-    rho0 = np.asarray(initial_state.rho, dtype=float)
-    theta0 = np.asarray(initial_state.theta, dtype=float)
+    t0 = start.t
+    rho0 = np.asarray(start.rho, dtype=float)
+    theta0 = np.asarray(start.theta, dtype=float)
     if rho0.ndim != 1 or theta0.ndim != 1:
         raise DimensionMismatch(
             f"state values must be 1-D, got shapes {rho0.shape} and {theta0.shape}")

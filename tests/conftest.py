@@ -10,7 +10,8 @@ import pytest
 from poromoist.config import build_setup
 from poromoist.discretization import Grid
 from poromoist.model import PhysicalParams, PowerLawSaturation
-from poromoist.stepper import RegularizationParams, State, StepConfig, run
+from poromoist.stepper import (RegularizationParams, State, StepConfig,
+                               mollified_initial_data, run)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,8 +47,9 @@ def smoke_config() -> dict:
 @pytest.fixture(scope="session")
 def smoke_result(smoke_config):
     setup = build_setup(smoke_config)
-    return run(setup.initial, setup.step, setup.reg, setup.params,
-               setup.model, setup.grid, t_end=setup.params.t_end)
+    return run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+               setup.step, setup.reg, setup.params, setup.model, setup.grid,
+               t_end=setup.params.t_end)
 
 
 def equilibrium_state(grid: Grid) -> State:
@@ -60,5 +62,5 @@ def run_equilibrium(params, model, n=32, dt=1e-3, steps=100,
     grid = Grid(n)
     cfg = StepConfig(dt=dt)
     reg = RegularizationParams(eps=eps, nu=nu)
-    return run(None, cfg, reg, params, model, grid, t_end=steps * dt,
-               initial_state=equilibrium_state(grid))
+    return run(equilibrium_state(grid), cfg, reg, params, model, grid,
+               t_end=steps * dt)

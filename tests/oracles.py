@@ -6,17 +6,42 @@ Gaussian elimination with partial pivoting.  The blocked kernels of the
 step loop are checked against their one-at-a-time forms: the balance
 residuals of one StepRecord and the fold of one level's records, the
 predictor's extrapolation of each field apart, and the entropy
-dissipation summed level by level.
+dissipation summed level by level.  TermForcing builds a forcing from one
+callable per term.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from poromoist.discretization import boundary_traces, robin_fluxes
+from poromoist.discretization import ForcingValues, boundary_traces, robin_fluxes
 from poromoist.errors import DimensionMismatch
 from poromoist.linalg import TridiagonalSystem
+
+
+@dataclass(frozen=True)
+class TermForcing:
+    """A forcing made of one callable per term.
+
+    The sources rho_source(x, t) and theta_source(x, t) are added to the
+    right-hand sides; the flux corrections rho_flux(t) and theta_flux(t)
+    return the pair (g0, g1) added to the Robin face fluxes at the left and
+    right walls.  A call evaluates each term once, the sources as float
+    arrays.
+    """
+
+    rho_source: Callable
+    theta_source: Callable
+    rho_flux: Callable[[float], tuple[float, float]]
+    theta_flux: Callable[[float], tuple[float, float]]
+
+    def __call__(self, x: np.ndarray, t: float) -> ForcingValues:
+        return ForcingValues(np.asarray(self.rho_source(x, t), dtype=float),
+                             np.asarray(self.theta_source(x, t), dtype=float),
+                             self.rho_flux(t), self.theta_flux(t))
 
 
 class SingularMatrix(Exception):

@@ -22,7 +22,8 @@ from poromoist.harness import (make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
 from poromoist.linalg import solve_thomas
 from poromoist.model import PowerLawSaturation, saturation_pressure
-from poromoist.stepper import (RegularizationParams, State, StepConfig, run)
+from poromoist.stepper import (RegularizationParams, State, StepConfig,
+                               mollified_initial_data, run)
 from poromoist.discretization import Grid
 from tests.conftest import REPO_ROOT, make_params
 from tests.oracles import dense, dense_solve
@@ -33,8 +34,9 @@ SMOKE_PATH = REPO_ROOT / "configs" / "smoke.json"
 
 def run_config(data):
     setup = build_setup(data)
-    return run(setup.initial, setup.step, setup.reg, setup.params,
-               setup.model, setup.grid, t_end=setup.params.t_end)
+    return run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+               setup.step, setup.reg, setup.params, setup.model, setup.grid,
+               t_end=setup.params.t_end)
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +185,9 @@ def test_equilibrium_preserved_over_long_runs(theta_hat):
     grid = Grid(32)
     state = State(np.full(grid.n, rho_hat), np.full(grid.n, theta_hat), 0.0)
     steps = 1000
-    result = run(None, StepConfig(dt=1e-3),
+    result = run(state, StepConfig(dt=1e-3),
                  RegularizationParams(eps=1e-2, nu=5e-3), params, model,
-                 grid, t_end=steps * 1e-3, initial_state=state)
+                 grid, t_end=steps * 1e-3)
     assert result.rho.shape == result.theta.shape == (steps + 1, grid.n)
     drift = 0.0
     for k in range(1, steps + 1):

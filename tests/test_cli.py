@@ -181,8 +181,9 @@ def test_state_leaving_the_cone_is_certified_not_rejected(small_config, tmp_path
 
     monkeypatch.setattr(stepper, "solve_thomas", one_negative_vapor_cell)
     setup = build_setup(data)
-    result = stepper.run(setup.initial, setup.step, setup.reg, setup.params,
-                         setup.model, setup.grid)
+    result = stepper.run(stepper.mollified_initial_data(setup.initial, setup.reg,
+                                                        setup.grid),
+                         setup.step, setup.reg, setup.params, setup.model, setup.grid)
     assert len(result.t) == 51
     assert result.series["min_rho"][-1] == -1e-6 and result.series["min_theta"].min() > 0
     cert = certify_run(result)

@@ -16,7 +16,7 @@ from poromoist.discretization import NO_FORCING, Grid
 from poromoist.harness import make_default_mms_case
 from poromoist.model import InitialData
 from poromoist.stepper import (RegularizationParams, State, StepConfig, homotopy_solve,
-                               run)
+                               mollified_initial_data, run)
 from tests.conftest import make_params, run_equilibrium
 from tests.oracles import (energy_balance_residual, level_row, mass_balance_residual,
                            sequential_dissipation)
@@ -31,15 +31,16 @@ def bump_run(n, dt, t_end, eps=1e-4, nu=5e-5, params=None, model=None):
     grid = Grid(n)
     data = InitialData(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2),
                        np.ones(n), theta_floor=0.5)
-    return run(data, StepConfig(dt=dt), RegularizationParams(eps=eps, nu=nu),
+    reg = RegularizationParams(eps=eps, nu=nu)
+    return run(mollified_initial_data(data, reg, grid), StepConfig(dt=dt), reg,
                params, model, grid, t_end=t_end)
 
 
 def start_row(state, params, model):
     """Row 0 of the series of a zero-step run from state, by name."""
     grid = Grid(len(state.rho))
-    result = run(None, StepConfig(dt=1e-3), RegularizationParams(eps=1e-2, nu=5e-3),
-                 params, model, grid, t_end=0.0, initial_state=state)
+    result = run(state, StepConfig(dt=1e-3), RegularizationParams(eps=1e-2, nu=5e-3),
+                 params, model, grid, t_end=0.0)
     return {name: column[0] for name, column in result.series.items()}, result.t[0]
 
 
@@ -276,7 +277,8 @@ def traced_run(monkeypatch, *args, **kwargs):
 
 def smoke_run(smoke_config, t_end, advection="upwind"):
     setup = build_setup(apply_override(smoke_config, "physical.t_end", t_end))
-    return (setup.initial, replace(setup.step, advection=advection), setup.reg,
+    return (mollified_initial_data(setup.initial, setup.reg, setup.grid),
+            replace(setup.step, advection=advection), setup.reg,
             setup.params, setup.model, setup.grid)
 
 
@@ -285,16 +287,17 @@ def mms_run(unit_params, cubic_model):
     grid = Grid(32)
     state = State(case.exact_rho(grid.centers, 0.0), case.exact_theta(grid.centers, 0.0),
                   0.0)
-    return ((None, StepConfig(dt=0.0025, picard_tol=1e-12, advection="central"),
+    return ((state, StepConfig(dt=0.0025, picard_tol=1e-12, advection="central"),
              RegularizationParams(eps=1e-8, nu=5e-9), unit_params, cubic_model, grid),
-            dict(t_end=0.1, forcing=case.forcing, initial_state=state))
+            dict(t_end=0.1, forcing=case.forcing))
 
 
 def split_run(cubic_model):
     grid = Grid(16)
-    return ((None, StepConfig(dt=0.02), RegularizationParams(eps=1e-2, nu=5e-3),
-             make_params(lam=120.0), cubic_model, grid),
-            dict(t_end=0.1, initial_state=State(np.ones(16), np.full(16, 1.3), 0.0)))
+    return ((State(np.ones(16), np.full(16, 1.3), 0.0), StepConfig(dt=0.02),
+             RegularizationParams(eps=1e-2, nu=5e-3), make_params(lam=120.0),
+             cubic_model, grid),
+            dict(t_end=0.1))
 
 
 def blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model):
@@ -344,7 +347,8 @@ def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
 @pytest.fixture(scope="module")
 def central_result(smoke_config):
     setup = build_setup(smoke_config)
-    return run(setup.initial, replace(setup.step, advection="central"), setup.reg,
+    return run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+               replace(setup.step, advection="central"), setup.reg,
                setup.params, setup.model, setup.grid, t_end=0.2)
 
 
@@ -378,9 +382,9 @@ def test_step_record_calls_stay_bounded(monkeypatch, smoke_config):
 def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
                                                 unit_params, cubic_model):
     if case == "zero_steps":
-        result = run(None, StepConfig(dt=1e-3), RegularizationParams(eps=1e-2, nu=5e-3),
-                     unit_params, cubic_model, Grid(8), t_end=0.0,
-                     initial_state=State(np.ones(8), np.ones(8), 0.0))
+        result = run(State(np.ones(8), np.ones(8), 0.0), StepConfig(dt=1e-3),
+                     RegularizationParams(eps=1e-2, nu=5e-3),
+                     unit_params, cubic_model, Grid(8), t_end=0.0)
     elif case == "equilibrium":
         result = request.getfixturevalue("equilibrium_run")
     elif case == "smoke":

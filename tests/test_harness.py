@@ -10,8 +10,9 @@ from poromoist.errors import ConfigError
 from poromoist.harness import (MMSCase, make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
 from poromoist.model import InitialData, conductivity, saturation_pressure
-from poromoist.stepper import Forcing, StepConfig
+from poromoist.stepper import StepConfig
 from tests.conftest import equilibrium_state, make_params
+from tests.oracles import TermForcing
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ def test_manufactured_sources_match_finite_differences(default_case,
                  - saturation_pressure(cubic_model, theta(x, t)))
         s_rho = (deriv(lambda tz: rho(x, tz), t)
                  - deriv(lambda z: mass_flux(z), x) + gamma)
-        np.testing.assert_allclose(case.forcing.rho_source(x, t), s_rho,
+        np.testing.assert_allclose(case.forcing(x, t).rho_source, s_rho,
                                    rtol=2e-4, atol=2e-6)
 
         def heat_flux(xv, tv=t):
@@ -56,7 +57,7 @@ def test_manufactured_sources_match_finite_differences(default_case,
                   - deriv(lambda z: heat_flux(z), x)
                   - p.lam * gamma)
         s_theta = s_cons - theta(x, t) * s_rho
-        np.testing.assert_allclose(case.forcing.theta_source(x, t), s_theta,
+        np.testing.assert_allclose(case.forcing(x, t).theta_source, s_theta,
                                    rtol=2e-4, atol=2e-6)
 
 
@@ -65,6 +66,7 @@ def test_manufactured_boundary_corrections(default_case, unit_params,
     case = default_case
     p = unit_params
     rho, theta = case.exact_rho, case.exact_theta
+    x = Grid(8).centers
     for t in (0.02, 0.4):
         def pressure(z, tv=t):
             return rho(z, tv) * theta(z, tv)
@@ -73,7 +75,7 @@ def test_manufactured_boundary_corrections(default_case, unit_params,
         flux1 = deriv(pressure, 1.0) * rho(1.0, t)
         g0 = flux0 - p.alpha0 * (rho(0.0, t) - p.rho_bar0)
         g1 = flux1 - p.alpha1 * (p.rho_bar1 - rho(1.0, t))
-        assert case.forcing.rho_flux(t) == pytest.approx((g0, g1), rel=1e-5)
+        assert case.forcing(x, t).rho_flux == pytest.approx((g0, g1), rel=1e-5)
 
         kappa0 = p.kappa1 + p.kappa2 * rho(0.0, t) ** 2
         kappa1v = p.kappa1 + p.kappa2 * rho(1.0, t) ** 2
@@ -81,16 +83,15 @@ def test_manufactured_boundary_corrections(default_case, unit_params,
         cond1 = kappa1v * deriv(lambda z: theta(z, t), 1.0)
         h0 = cond0 - p.beta0 * (theta(0.0, t) - p.theta_bar0)
         h1 = cond1 - p.beta1 * (p.theta_bar1 - theta(1.0, t))
-        assert case.forcing.theta_flux(t) == pytest.approx((h0, h1), rel=1e-5)
+        assert case.forcing(x, t).theta_flux == pytest.approx((h0, h1), rel=1e-5)
 
 
 def forcing_as_four_calls(params, model):
     """The default case's four forcing terms, each evaluating the exact fields itself.
 
-    This is the closed form term for term, as Forcing.at computed it by
-    calling the four callables one at a time: solution on the cells once per
-    source, and at each wall once per correction, with rho and theta at the
-    walls on top of that.
+    This is the closed form term for term, called one term at a time:
+    solution on the cells once per source, and at each wall once per
+    correction, with rho and theta at the walls on top of that.
     """
     pi = np.pi
 
@@ -147,14 +148,14 @@ def forcing_as_four_calls(params, model):
                               params.theta_bar0, params.theta_bar1)
         return cond_flux(0.0, t) - g0, cond_flux(1.0, t) - g1
 
-    return Forcing(rho_source, theta_source, rho_flux, theta_flux)
+    return TermForcing(rho_source, theta_source, rho_flux, theta_flux)
 
 
 @pytest.mark.parametrize("n", [16, 32, 128])
 def test_forcing_at_equals_the_four_calls_to_the_byte(n, unit_params, cubic_model):
-    # at shares one evaluation of the exact fields between the terms; every
-    # value keeps the bits of the four terms evaluated one at a time, on unit
-    # physics and on lopsided constants and ambients.
+    # The case's forcing shares one evaluation of the exact fields between the
+    # terms; every value keeps the bits of the four terms evaluated one at a
+    # time, on unit physics and on lopsided constants and ambients.
     x = Grid(n).centers
     lopsided = make_params(sigma=0.5, lam=3.0, kappa1=0.7, kappa2=1.9, alpha0=2.5,
                            alpha1=0.3, beta0=0.9, beta1=4.0, rho_bar0=0.6,
@@ -163,14 +164,10 @@ def test_forcing_at_equals_the_four_calls_to_the_byte(n, unit_params, cubic_mode
         case = make_default_mms_case(params, cubic_model)
         reference = forcing_as_four_calls(params, cubic_model)
         for t in (0.0, 0.0125, 0.07, 0.1, 1.0 / 3.0):
-            got, expected = case.forcing.at(x, t), reference.at(x, t)
-            alone = (case.forcing.rho_source(x, t), case.forcing.theta_source(x, t),
-                     case.forcing.rho_flux(t), case.forcing.theta_flux(t))
-            for name, value in zip(("rho_source", "theta_source", "rho_flux",
-                                    "theta_flux"), alone):
+            got, expected = case.forcing(x, t), reference(x, t)
+            for name in ("rho_source", "theta_source", "rho_flux", "theta_flux"):
                 want = np.asarray(getattr(expected, name)).tobytes()
                 assert np.asarray(getattr(got, name)).tobytes() == want, (name, t)
-                assert np.asarray(value).tobytes() == want, (name, t)
 
 
 def constant_case(rho_value, theta_value, params, model):
@@ -183,7 +180,7 @@ def constant_case(rho_value, theta_value, params, model):
     def const(value):
         return lambda x, t: np.full_like(np.asarray(x, dtype=float), value)
 
-    forcing = Forcing(
+    forcing = TermForcing(
         rho_source=const(s_rho),
         theta_source=const(s_theta),
         rho_flux=lambda t: (-params.alpha0 * (rho_value - params.rho_bar0),
@@ -278,11 +275,14 @@ def test_ladder_injection_breaks_monotonicity(unit_params, cubic_model,
     assert not report.monotone
 
 
-def test_ladder_is_insensitive_at_equilibrium(unit_params, cubic_model):
+def test_ladder_is_insensitive_at_equilibrium(unit_params, cubic_model, monkeypatch):
+    # Every rung starts at the equilibrium, whatever its mollifier radius.
     grid = Grid(16)
+    monkeypatch.setattr(harness, "mollified_initial_data",
+                        lambda data, reg, grid: equilibrium_state(grid))
+    data = InitialData(np.ones(grid.n), np.ones(grid.n), theta_floor=0.5)
     report = regularization_ladder(
-        None, StepConfig(dt=1e-3), unit_params, cubic_model, grid,
-        t_end=0.02, initial_state=equilibrium_state(grid))
+        data, StepConfig(dt=1e-3), unit_params, cubic_model, grid, t_end=0.02)
     assert np.all(report.differences <= 1e-8)
     assert report.monitor_variation["entropy"] <= 1e-8
     assert report.monitor_variation["l4"] <= 1e-8

@@ -18,12 +18,12 @@ from poromoist.errors import (ConfigError, DimensionMismatch,
 from poromoist.linalg import solve_thomas
 from poromoist.model import (InitialData, PowerLawSaturation, conductivity,
                              saturation_pressure)
-from poromoist.stepper import (Forcing, RegularizationParams, State,
+from poromoist.stepper import (RegularizationParams, State,
                                StepConfig, assemble_rho_system,
                                assemble_theta_system, homotopy_solve,
                                mollified_initial_data, picard_step, run)
 from tests.conftest import equilibrium_state, make_params
-from tests.oracles import dense, dense_solve, two_field_prediction
+from tests.oracles import TermForcing, dense, dense_solve, two_field_prediction
 from tests.test_discretization import mirror_smooth
 
 
@@ -149,7 +149,7 @@ def crooked_case(cubic_model):
     rho_it = np.array([1.2, 1.0, 0.9, 1.1])
     theta_it = np.array([1.0, 1.2, 0.8, 1.05])
     reg = RegularizationParams(eps=0.3, nu=0.26)
-    forcing = Forcing(
+    forcing = TermForcing(
         rho_source=lambda x, t: 0.3 + x + 0.1 * t,
         theta_source=lambda x, t: 0.2 - 0.5 * x,
         rho_flux=lambda t: (0.02, -0.03),
@@ -166,7 +166,7 @@ def test_assembled_rows_match_reference(crooked_case, scheme):
         prev, rho_it, theta_it, reg, params, model, grid, dt, scheme,
         forcing)
 
-    values = forcing.at(grid.centers, prev.t + dt)
+    values = forcing(grid.centers, prev.t + dt)
     system, coeffs = assemble_rho_system(
         prev, rho_it, theta_it, reg, params, model, grid, dt,
         scheme=scheme, forcing=values)
@@ -191,7 +191,7 @@ def test_assembled_systems_view_one_band(crooked_case):
     # _check_rows scanned; column i holds row i.
     grid, params, model, prev, rho_it, theta_it, reg, forcing = crooked_case
     dt = 0.05
-    values = forcing.at(grid.centers, prev.t + dt)
+    values = forcing(grid.centers, prev.t + dt)
     rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, reg, params, model,
                                           grid, dt, forcing=values)
     theta_sys, _ = assemble_theta_system(prev, solve_thomas(rho_sys), theta_it, reg,
@@ -229,8 +229,8 @@ def test_step_config_validation():
 def run_from(state, params, model):
     """One step of dt = 1e-3 on a 4-cell grid from an explicit start state."""
     cfg = StepConfig(dt=1e-3)
-    return run(None, cfg, RegularizationParams(eps=1e-2, nu=5e-3), params, model,
-               Grid(4), t_end=cfg.dt, initial_state=state)
+    return run(state, cfg, RegularizationParams(eps=1e-2, nu=5e-3), params, model,
+               Grid(4), t_end=cfg.dt)
 
 
 def test_state_validation(unit_params, cubic_model):
@@ -269,8 +269,6 @@ def test_mollified_initial_data_lift():
     assert not np.shares_memory(state.theta, data.theta0)
     assert not np.shares_memory(state.rho, data.rho0)
     assert state.t == 0.0
-    with pytest.raises(ConfigError):
-        mollified_initial_data(data, reg, Grid(8))
 
 
 def test_equilibrium_is_picard_fixed_point(unit_params, cubic_model):
@@ -431,8 +429,7 @@ def test_level_is_one_homotopy_call(monkeypatch, cubic_model):
         return new, records
 
     monkeypatch.setattr(stepper, "homotopy_solve", counted)
-    result = run(None, cfg, reg, params, cubic_model, grid, t_end=2 * SPLIT_DT,
-                 initial_state=state)
+    result = run(state, cfg, reg, params, cubic_model, grid, t_end=2 * SPLIT_DT)
     assert len(levels) == 2 and levels[0] == 2
     assert result.t.tolist() == [0.0, SPLIT_DT, 2 * SPLIT_DT]
     assert result.series["picard_iterations"][1] == 94
@@ -553,13 +550,13 @@ def smooth_case():
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     data = InitialData(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2),
                        np.ones(grid.n), theta_floor=0.5)
-    return grid, cfg, reg, data, 0.02
+    return grid, cfg, reg, mollified_initial_data(data, reg, grid), 0.02
 
 
 def test_run_is_deterministic(unit_params, cubic_model):
-    grid, cfg, reg, data, _ = smooth_case()
-    first = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
-    second = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
+    grid, cfg, reg, start, _ = smooth_case()
+    first = run(start, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
+    second = run(start, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
     assert first.rho.shape == first.theta.shape == (51, grid.n)
     assert first.t.shape == (51,)
     assert all(column.shape == (51,) for column in first.series.values())
@@ -572,8 +569,8 @@ def test_run_is_deterministic(unit_params, cubic_model):
 
 
 def test_predicted_start_saves_sweeps(unit_params, cubic_model):
-    grid, cfg, reg, data, t_end = smooth_case()
-    result = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
+    grid, cfg, reg, start, t_end = smooth_case()
+    result = run(start, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
     predicted = plain = 0
     # from step 3 on the start extrapolates at least three accepted states
     for k in range(3, len(result.t)):
@@ -687,8 +684,8 @@ def test_dry_start_certifies_with_positive_vapor(smoke_config):
                         ("regularization.eps", 0.01)):
         data = apply_override(data, path, value)
     setup = build_setup(data)
-    result = run(setup.initial, setup.step, setup.reg, setup.params,
-                 setup.model, setup.grid)
+    result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+                 setup.step, setup.reg, setup.params, setup.model, setup.grid)
     assert certify_run(result).passed
     assert np.min(result.series["min_rho"]) > 0
 
@@ -696,7 +693,7 @@ def test_dry_start_certifies_with_positive_vapor(smoke_config):
 def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     # A failed predicted attempt is not retried from the previous state: the
     # level goes straight to two halves, and each span gets one direct attempt.
-    grid, cfg, reg, data, t_end = smooth_case()
+    grid, cfg, reg, start, t_end = smooth_case()
     wasted = 2
     real_picard_step = stepper.picard_step
     attempts = []
@@ -709,7 +706,7 @@ def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
         return real_picard_step(prev, cfg, *args, start=start, **kwargs)
 
     monkeypatch.setattr(stepper, "picard_step", starved_prediction)
-    result = run(data, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
+    result = run(start, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
     assert certify_run(result).passed
     steps, half = len(result.t) - 1, 0.5 * cfg.dt
     # the first level has no prediction; every later one wastes its attempt
@@ -727,22 +724,22 @@ def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
         np.testing.assert_array_equal(result.theta[k], new.theta)
 
 
+# Arrays of zeros for every term at every time.
+ZERO_FORCING = TermForcing(rho_source=lambda x, t: np.zeros_like(x),
+                           theta_source=lambda x, t: np.zeros_like(x),
+                           rho_flux=lambda t: (0.0, 0.0), theta_flux=lambda t: (0.0, 0.0))
+
+
 class CountingForcing:
-    """Wraps a Forcing's four callables and counts the calls to each."""
+    """Wraps a forcing and keeps the time of each call."""
 
-    def __init__(self, forcing: Forcing):
-        self.calls = dict.fromkeys(
-            ("rho_source", "theta_source", "rho_flux", "theta_flux"), 0)
+    def __init__(self, forcing):
+        self.forcing = forcing
+        self.times = []
 
-        def counted(name):
-            inner = getattr(forcing, name)
-
-            def call(*args):
-                self.calls[name] += 1
-                return inner(*args)
-            return call
-
-        self.forcing = Forcing(**{name: counted(name) for name in self.calls})
+    def __call__(self, x, t):
+        self.times.append(t)
+        return self.forcing(x, t)
 
 
 def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
@@ -753,45 +750,36 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     x = grid.centers
     state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
     counting = CountingForcing(case.forcing)
-    result = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
-                 forcing=counting.forcing, initial_state=state0)
+    result = run(state0, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
+                 forcing=counting)
     steps = len(result.t) - 1
     assert steps == 10
     assert result.series["picard_iterations"].sum() > steps
-    assert counting.calls == dict.fromkeys(counting.calls, steps)
+    assert len(counting.times) == steps
 
     # a split step, with a failed direct attempt and two halves, evaluates once
     # per time a substep ends: t = dt, shared by the attempt and the second
     # half, then t = dt/2
     grid, params, state, reg = stiff_setup(SPLIT_LAM)
     cfg = StepConfig(dt=SPLIT_DT)
-    times = []
-    zero = Forcing(rho_source=lambda x, t: times.append(t) or np.zeros_like(x),
-                   theta_source=lambda x, t: np.zeros_like(x),
-                   rho_flux=lambda t: (0.0, 0.0), theta_flux=lambda t: (0.0, 0.0))
-    counting = CountingForcing(zero)
-    result = run(None, cfg, reg, params, cubic_model, grid, t_end=cfg.dt,
-                 forcing=counting.forcing, initial_state=state)
+    counting = CountingForcing(ZERO_FORCING)
+    result = run(state, cfg, reg, params, cubic_model, grid, t_end=cfg.dt,
+                 forcing=counting)
     assert result.series["picard_iterations"][1] == 94
-    assert counting.calls == dict.fromkeys(counting.calls, 2)
-    assert times == [SPLIT_DT, SPLIT_DT / 2]
+    assert counting.times == [SPLIT_DT, SPLIT_DT / 2]
 
 
 def test_zero_forcing_matches_no_forcing(unit_params, cubic_model):
-    # NO_FORCING holds scalar zeros, a zero Forcing arrays of zeros; adding
+    # NO_FORCING holds scalar zeros, ZERO_FORCING arrays of zeros; adding
     # either leaves every value's bits as they are
     grid = Grid(16)
     cfg = StepConfig(dt=0.01)
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     x = grid.centers
     state = State(2.0 + np.cos(np.pi * x), 1.0 + 0.5 * np.sin(np.pi * x), 0.0)
-    zero = Forcing(rho_source=lambda x, t: np.zeros_like(x),
-                   theta_source=lambda x, t: np.zeros_like(x),
-                   rho_flux=lambda t: (0.0, 0.0), theta_flux=lambda t: (0.0, 0.0))
-    forced = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
-                 forcing=zero, initial_state=state)
-    plain = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
-                initial_state=state)
+    forced = run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
+                 forcing=ZERO_FORCING)
+    plain = run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.1)
     np.testing.assert_array_equal(forced.rho, plain.rho)
     np.testing.assert_array_equal(forced.theta, plain.theta)
     for name, column in plain.series.items():
@@ -804,16 +792,13 @@ def test_run_validates_horizon(unit_params, cubic_model):
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     state = equilibrium_state(grid)
     with pytest.raises(ConfigError):
-        run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.0015,
-            initial_state=state)
+        run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.0015)
     with pytest.raises(ConfigError, match="positive integer number of steps"):
-        run(None, cfg, reg, unit_params, cubic_model, grid, t_end=1e-12,
-            initial_state=state)
+        run(state, cfg, reg, unit_params, cubic_model, grid, t_end=1e-12)
     with pytest.raises(ConfigError, match="positive integer number of steps"):
-        run(None, cfg, reg, unit_params, cubic_model, grid, t_end=1e308,
-            initial_state=state)           # t_end / dt overflows to inf
-    still = run(None, cfg, reg, unit_params, cubic_model, grid, t_end=0.0,
-                initial_state=state)
+        # t_end / dt overflows to inf
+        run(state, cfg, reg, unit_params, cubic_model, grid, t_end=1e308)
+    still = run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.0)
     assert still.rho.shape == (1, grid.n)
     assert all(column.shape == (1,) for column in still.series.values())
     np.testing.assert_array_equal(still.rho[0], state.rho)
@@ -826,8 +811,13 @@ def test_run_rejects_initial_state_of_another_grid(unit_params, cubic_model):
     cfg = StepConfig(dt=1e-3)
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
     with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
-        run(None, cfg, reg, unit_params, cubic_model, Grid(16), t_end=cfg.dt,
-            initial_state=equilibrium_state(Grid(8)))
+        run(equilibrium_state(Grid(8)), cfg, reg, unit_params, cubic_model, Grid(16),
+            t_end=cfg.dt)
+    # initial data of another grid is mollified as it is, then rejected by run
+    data = InitialData(np.ones(8), np.ones(8), theta_floor=0.5)
+    with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
+        run(mollified_initial_data(data, reg, Grid(16)), cfg, reg, unit_params,
+            cubic_model, Grid(16), t_end=cfg.dt)
 
 
 
