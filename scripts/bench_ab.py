@@ -28,9 +28,12 @@ too: the host's speed wanders within a tenth of a second.  ``--case``
 The layer cases call both packages through this tree's ``layer_table``,
 with this tree's signatures, so they pair only revisions whose layer API
 matches: not a revision whose ``stepper.run`` took initial data where this
-tree's takes a start ``State``.  The command cases go through each side's
-own ``cli.main``, so they pair any two revisions; name them with
-``--case`` to compare across such a change.
+tree's takes a start ``State``, nor one whose predictor takes no
+tolerance.  Where building the parent's table or a first call of one of
+its layers fails, the script exits 2 and says so, and writes no file.
+The command cases go through each side's own ``cli.main``, so they pair
+any two revisions; name them with ``--case`` to compare across such a
+change.
 
 Writes FILE (default ``BENCH_ab.json`` at the repository root): both
 revisions, the host, and per case the paired ratios, their median and
@@ -123,6 +126,25 @@ def command_call(package: str, argv: tuple, out: str):
     return call
 
 
+class LayerMismatch(Exception):
+    """The parent's package does not take this tree's layer calls."""
+
+
+def parent_layers(n: int, out: str) -> dict:
+    """The parent's layer table at n, each layer called once.
+
+    Raises LayerMismatch where building the table or a first call fails,
+    as it does where the parent's layer API differs from this tree's.
+    """
+    try:
+        table = layer_table(n, out, PARENT)
+        for call in table.values():
+            call()
+    except Exception as exc:
+        raise LayerMismatch(f"{type(exc).__name__}: {exc}") from exc
+    return table
+
+
 def build_cases(out: str, wanted: set) -> dict:
     """Case name -> {side: call}, for the cases in wanted (all where it is empty)."""
     sides = (("change", "poromoist"), ("parent", PARENT))
@@ -130,8 +152,8 @@ def build_cases(out: str, wanted: set) -> dict:
     for n in SIZES:
         if wanted and not any(name.endswith(f"/{n}") for name in wanted):
             continue
-        tables = {side: layer_table(n, os.path.join(out, side), package)
-                  for side, package in sides}
+        tables = {"change": layer_table(n, os.path.join(out, "change")),
+                  "parent": parent_layers(n, os.path.join(out, "parent"))}
         for layer in tables["change"]:
             name = f"{layer}/{n}"
             if not wanted or name in wanted:
@@ -190,7 +212,14 @@ def main(argv) -> int:
                                     check=True).stdout.strip()
         for side in ("change", "parent"):
             os.makedirs(os.path.join(workdir, side))
-        cases = build_cases(workdir, set(args.case))
+        try:
+            cases = build_cases(workdir, set(args.case))
+        except LayerMismatch as exc:
+            parser.error(
+                f"the parent's layers do not take this tree's calls ({exc}), so the "
+                "layer cases (such as solve_thomas/100) cannot be paired; name the "
+                "command cases with --case: "
+                + " ".join(f"--case {name}" for name, _ in COMMANDS))
         unknown = set(args.case) - set(cases)
         if unknown:
             parser.error(f"unknown cases: {sorted(unknown)}")

@@ -123,7 +123,7 @@ def layer_table(n: int, out: str, package: str = "poromoist") -> dict:
         "assemble_theta_system": lambda: stepper.assemble_theta_system(
             prev, rho_new, theta, *args, coeffs, cfg.advection),
         "solve_thomas": lambda: linalg.solve_thomas(rho_sys),
-        "predicted_start": lambda: stepper._predicted_start(history),
+        "predicted_start": lambda: stepper._predicted_start(history, cfg.picard_tol),
         "step_record_per_level": lambda: diagnostics.step_record(
             columns, 1, levels, cfg.dt, grid, params),
         "certify_run": lambda: diagnostics.certify_run(result),

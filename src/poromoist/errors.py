@@ -3,8 +3,25 @@
 from __future__ import annotations
 
 
+def _rebuild(cls: type, args: tuple, state: dict) -> PoromoistError:
+    """An instance of cls with args and attributes state, made without __init__."""
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
+
 class PoromoistError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Every instance survives pickling, as it must to cross a process pool:
+    the default rebuilds an exception by calling its class with args, which
+    a subclass whose __init__ takes other arguments than its message cannot
+    take.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class ConfigError(PoromoistError):

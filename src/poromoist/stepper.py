@@ -24,8 +24,11 @@ within 12 sweeps, against 35 with plain sweeps.  run starts each step's
 sweeps from an extrapolation of the last accepted states, which it keeps
 as one (HISTORY_DEPTH, 2n) = (8, 2n) history of (rho, theta) rows; from
 six states on, the extrapolation's degree is the one that best predicted
-the newest state (see _predicted_start).  On the smoke config this lets
-949 of 1000 steps converge on their first sweep.  homotopy_solve advances
+the newest state, and where even that one missed by more than picard_tol,
+a least-squares linear predictor of the states' differences may replace
+it (see _predicted_start).  On the smoke config this lets 957 of 1000
+steps converge on their first sweep, and on the stiff benchmark config
+91 of 200, where the polynomial alone let 31.  homotopy_solve advances
 one output level of dt by one direct attempt from that start and, where
 it fails, retakes the level in halved substeps (Hairer & Wanner, Solving
 ODEs II, IV.8).  Every accepted iterate is a plain sweep output of the
@@ -127,9 +130,10 @@ UPDATE_FLOOR = 1e-30
 ANDERSON_DEPTH = 2
 SPLIT_DEPTH = 6  # halvings of a level's step that homotopy_solve may make: dt/64
 # Accepted states run keeps for _predicted_start, which chooses the start's
-# degree from _SELECTION_ROWS of them on: up to degree 6 with eight.  Degrees
-# 7 and 8, or a choice from fewer states, cost sweeps on the stiff config and
-# the harder grid.
+# degree, and fits its linear-prediction candidates, from _SELECTION_ROWS of
+# them on: up to degree 6 and order 6 with eight.  Degrees 7 and 8, or a
+# choice from fewer states, cost sweeps on the stiff config and the harder
+# grid.
 HISTORY_DEPTH = 8
 _SELECTION_ROWS = 6
 # Cells of the levels whose records run holds for one step_record call:
@@ -601,17 +605,91 @@ def _newest_weights(rows: int, order: int, shift: int) -> np.ndarray:
 # one weight column per history length, to scale the rows of a history.
 _EXTRAPOLATION_WEIGHTS = {rows: _newest_weights(rows, rows, 1)[:, None]
                           for rows in range(2, _SELECTION_ROWS)}
-# From _SELECTION_ROWS states on, one (2m - 4, m) matrix per history length
-# m: the backward differences of orders 2 .. m - 1 at the newest state, then
-# the extrapolations of degrees 1 .. m - 2.
+# From _SELECTION_ROWS states on, one (2m - 3, m) matrix per history length
+# m: the backward differences of orders 2 .. m - 1 at the newest state x_k,
+# x_k itself, and the extrapolations of degrees 1 .. m - 2.
 _SELECTION_WEIGHTS = {
     rows: np.array([_newest_weights(rows, order, 0) for order in range(2, rows)]
+                   + [np.eye(rows)[-1]]
                    + [_newest_weights(rows, degree + 1, 1)
                       for degree in range(1, rows - 1)])
     for rows in range(_SELECTION_ROWS, HISTORY_DEPTH + 1)}
+# Orders of the linear-prediction candidates of _predicted_start.
+_PREDICTION_ORDERS = (3, 6)
 
 
-def _predicted_start(history: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _linear_prediction_arrays(rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed arrays of the linear-prediction candidates for m = rows states.
+
+    With the m - 1 first differences d_0 .. d_(m-2) of the states, oldest
+    first, and their Gram matrix G, normal @ G.ravel() holds the normal
+    equations of every order in _PREDICTION_ORDERS up to m - 2: a
+    block-diagonal (size, size) matrix with one block per order,
+    row-major, then its right-hand side.  With the coefficients c, combos
+    + (scatter @ c).reshape(combos.shape) weighs the m states into each
+    order's residual, then each order's guess.
+    """
+    newest = rows - 2              # d_newest = x_(newest+1) - x_newest
+    orders = [p for p in _PREDICTION_ORDERS if p <= newest]
+    size = sum(orders)
+    normal = np.zeros((size + 1, size, newest + 1, newest + 1))
+    combos = np.zeros((2, len(orders), rows))
+    scatter = np.zeros((2, len(orders), rows, size))
+    first = 0
+    for c, p in enumerate(orders):
+        block = range(first, first + p)
+        # the equations d_t ~ sum_j a_j d_(t-1-j), t = p .. newest
+        for t in range(p, newest + 1):
+            for j, row in enumerate(block):
+                normal[row, block, t - 1 - j, range(t - 1, t - 1 - p, -1)] += 1.0
+                normal[size, row, t - 1 - j, t] += 1.0
+        # the residual d_newest - sum_j a_j d_(newest-1-j) and the guess
+        # x_k + sum_j a_j d_(newest-j), as weights on the states
+        combos[0, c, [newest + 1, newest]] = 1.0, -1.0
+        combos[1, c, newest + 1] = 1.0
+        for j, coeff in enumerate(block):
+            scatter[0, c, [newest - j, newest - 1 - j], coeff] = -1.0, 1.0
+            scatter[1, c, [newest + 1 - j, newest - j], coeff] = 1.0, -1.0
+        first += p
+    return (normal.reshape(-1, (newest + 1) ** 2), combos.reshape(-1, rows),
+            scatter.reshape(-1, size))
+
+
+_LINEAR_PREDICTION = {rows: _linear_prediction_arrays(rows)
+                      for rows in range(_SELECTION_ROWS, HISTORY_DEPTH + 1)}
+
+
+def _linear_prediction(history: np.ndarray, bound: float) -> np.ndarray | None:
+    """The best linear-prediction guess whose residual is below bound, or None.
+
+    history holds m states x_0 .. x_k, oldest first, one row each, and d_i
+    = x_(i+1) - x_i are their first differences.  The candidate of order p
+    fits scalar coefficients a, shared by all 2n values, to the
+    differences, d_t ~ sum_j a_j d_(t-1-j) (j < p), by least squares
+    through the normal equations of their one Gram matrix.  Its residual
+    is max |d_(m-2) - sum_j a_j d_(m-3-j)|, how far it predicted the
+    newest difference, and its guess x_k + sum_j a_j d_(m-2-j).  Where the
+    normal equations are singular (the differences span fewer directions
+    than an order has coefficients) there is no guess.
+    """
+    normal, combos, scatter = _LINEAR_PREDICTION[len(history)]
+    differences = history[1:] - history[:-1]
+    equations = normal @ (differences @ differences.T).ravel()
+    size = scatter.shape[1]
+    try:
+        coeffs = np.linalg.solve(equations[:-size].reshape(size, size),
+                                 equations[-size:])
+    except np.linalg.LinAlgError:
+        return None
+    out = (combos + (scatter @ coeffs).reshape(combos.shape)) @ history
+    count = len(out) // 2
+    residuals = np.abs(out[:count]).max(axis=1)
+    best = int(residuals.argmin())
+    return out[count + best] if residuals[best] < bound else None
+
+
+def _predicted_start(history: np.ndarray,
+                     tol: float) -> tuple[np.ndarray, np.ndarray] | None:
     """First iterate for the next step, extrapolated from the accepted states.
 
     history holds the last accepted states, oldest first, one (rho, theta)
@@ -628,14 +706,27 @@ def _predicted_start(history: np.ndarray) -> tuple[np.ndarray, np.ndarray] | Non
       Adams codes choose their order from the backward differences of the
       accepted states (Shampine & Gordon, Computer Solution of Ordinary
       Differential Equations, 1975; Hairer, Norsett & Wanner, Solving
-      ODEs I, III.7).  One product of the fixed (2m - 4, m) weight matrix
-      with the rows gives the differences and every candidate.
+      ODEs I, III.7);
+    * where that smallest error exceeds tol * max |x_k|, the linear-
+      prediction candidates of orders 3 and 6 (those up to m - 2) are
+      fitted to the first differences of the rows (_linear_prediction),
+      and the one with the smallest residual on the newest difference
+      replaces the polynomial if that residual is smaller than its error.
+      A polynomial in the step index cannot follow states that decay like
+      a few geometric modes, as a run relaxing toward equilibrium does; a
+      linear recurrence of the differences is exact for them.  This is the
+      least-squares linear prediction behind minimal polynomial vector
+      extrapolation, with coefficients shared by all values (Sidi, Vector
+      Extrapolation Methods with Applications, SIAM 2017).  A step the
+      polynomial predicts within tol fits nothing.
 
-    These are the standard starting values for implicit steps (Hairer &
-    Wanner, Solving ODEs II, IV.8).  The guess is deterministic, and it is
-    clamped elementwise to at least half the last state, which keeps rho
-    nonnegative and theta positive.  Returns the (rho, theta) halves of the
-    guess.
+    One product of the fixed (2m - 3, m) weight matrix with the rows gives
+    the polynomial errors, max |x_k| and every polynomial guess.
+    Polynomial extrapolations are the standard starting values for implicit
+    steps (Hairer & Wanner, Solving ODEs II, IV.8).  The guess is
+    deterministic, and it is clamped elementwise to at least half the last
+    state, which keeps rho nonnegative and theta positive.  tol is the
+    run's picard_tol.  Returns the (rho, theta) halves of the guess.
     """
     history = history[-HISTORY_DEPTH:]
     rows = len(history)
@@ -648,8 +739,14 @@ def _predicted_start(history: np.ndarray) -> tuple[np.ndarray, np.ndarray] | Non
             guess += term
     else:
         weighted = _SELECTION_WEIGHTS[rows] @ history
-        errors = np.abs(weighted[:rows - 2]).max(axis=1)
-        guess = weighted[rows - 2 + int(errors.argmin())]
+        # the errors of degrees 1 .. m - 2, then max |x_k|
+        errors = np.abs(weighted[:rows - 1]).max(axis=1)
+        degree = int(errors[:-1].argmin())
+        guess = weighted[rows - 1 + degree]
+        if errors[degree] > tol * errors[-1]:
+            better = _linear_prediction(history, errors[degree])
+            if better is not None:
+                guess = better
     np.maximum(guess, 0.5 * history[-1], out=guess)
     n = history.shape[1] // 2
     return guess[:n], guess[n:]
@@ -723,8 +820,9 @@ def run(start: State, cfg: StepConfig, reg: RegularizationParams,
     block = max(1, _STEP_BLOCK_CELLS // grid.n)
     pending = []
     for k in range(1, steps + 1):
+        guess = _predicted_start(history[:kept], cfg.picard_tol)
         state, records = homotopy_solve(state, cfg, reg, params, model, grid,
-                                        forcing, _predicted_start(history[:kept]))
+                                        forcing, guess)
         rho[k], theta[k], t[k] = state.rho, state.theta, state.t
         if kept == len(history):
             history[:-1] = history[1:]

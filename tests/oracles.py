@@ -6,8 +6,8 @@ Gaussian elimination with partial pivoting.  The blocked kernels of the
 step loop are checked against their one-at-a-time forms: the balance
 residuals of one StepRecord and the fold of one level's records, the
 predictor's extrapolation of each field apart, and the entropy
-dissipation summed level by level.  TermForcing builds a forcing from one
-callable per term.
+dissipation and the ladder's trajectory distance summed level by level.
+TermForcing builds a forcing from one callable per term.
 """
 from __future__ import annotations
 
@@ -133,7 +133,34 @@ def level_row(records, grid, params) -> dict:
             "picard_iterations": sweeps, "envelope_lift": lift, "envelope_gain": gain}
 
 
-def two_field_prediction(rho, theta):
+def linear_prediction(rho, theta, order):
+    """One linear-prediction candidate of the predicted start, by lstsq.
+
+    The first differences d_i of both fields share scalar coefficients a:
+    d_t ~ sum_j a_j d_(t-1-j) for every t with all its regressors, fitted
+    by np.linalg.lstsq on the regression written out.  Returns the
+    residual on the newest difference, the largest |.| over both fields,
+    and each field's guess x_k + sum_j a_j d_(k-j), or None where the
+    differences are too few for the order.
+    """
+    diffs = [np.diff(field, axis=0) for field in (rho, theta)]
+    newest = len(diffs[0]) - 1
+    if order > newest:
+        return None
+    targets = range(order, newest + 1)
+    columns = np.array([np.concatenate([d[t - 1 - j] for t in targets for d in diffs])
+                        for j in range(order)]).T
+    values = np.concatenate([d[t] for t in targets for d in diffs])
+    a = np.linalg.lstsq(columns, values, rcond=None)[0]
+    residual = max(
+        np.abs(d[newest] - sum(a[j] * d[newest - 1 - j] for j in range(order))).max()
+        for d in diffs)
+    guesses = [field[-1] + sum(a[j] * d[newest - j] for j in range(order))
+               for field, d in zip((rho, theta), diffs)]
+    return residual, guesses
+
+
+def two_field_prediction(rho, theta, tol):
     """The predicted start extrapolated for rho and theta apart.
 
     rho and theta hold the accepted states, one row per time level; only the
@@ -141,17 +168,28 @@ def two_field_prediction(rho, theta):
     from six on it is the p in 1 .. m - 2 whose error on the newest state,
     the largest |nabla^(p+1)| there over both fields (np.diff of each
     field), is smallest, the lowest p on ties.  Each field's polynomial of
-    that degree through its last p + 1 rows is summed term by term.
+    that degree through its last p + 1 rows is summed term by term.  From
+    six rows on, where that error exceeds tol times the largest |value| of
+    the newest state, the linear-prediction candidate of order 3 or 6
+    (linear_prediction) with the smallest residual replaces it, if that
+    residual is smaller.
     """
     rho, theta = rho[-8:], theta[-8:]
     rows = len(rho)
     if rows < 2:
         return None
     degree = rows - 1
+    candidate = None
     if rows >= 6:
         errors = [max(np.abs(np.diff(field, p + 1, axis=0)[-1]).max()
                       for field in (rho, theta)) for p in range(1, rows - 1)]
         degree = 1 + errors.index(min(errors))
+        scale = max(np.abs(rho[-1]).max(), np.abs(theta[-1]).max())
+        if min(errors) > tol * scale:
+            fits = [fit for fit in (linear_prediction(rho, theta, p) for p in (3, 6))
+                    if fit is not None and fit[0] < min(errors)]
+            if fits:
+                candidate = min(fits, key=lambda fit: fit[0])[1]
     # the state j rows from the oldest of the last degree + 1 weighs
     # (-1)^(degree - j) C(degree + 1, j)
     weights = [(-1.0) ** (degree - j) * math.comb(degree + 1, j)
@@ -162,9 +200,23 @@ def two_field_prediction(rho, theta):
         guess = weights[0] * rows[0]
         for weight, row in zip(weights[1:], rows[1:]):
             guess += weight * row
-        return np.maximum(guess, 0.5 * rows[-1])
+        return guess
 
-    return extrapolate(rho), extrapolate(theta)
+    guesses = candidate or [extrapolate(rho), extrapolate(theta)]
+    return tuple(np.maximum(guess, 0.5 * field[-1])
+                 for guess, field in zip(guesses, (rho, theta)))
+
+
+def sequential_trajectory_difference(a, b) -> float:
+    """The ladder's space-time L2 distance of two trajectories, level by level."""
+    h = a.grid.h
+    dt = a.cfg.dt
+    total = 0.0
+    for k in range(len(a.t) - 1):
+        total += dt * h * float(
+            np.sum((a.rho[k] - b.rho[k])**2)
+            + np.sum((a.theta[k] - b.theta[k])**2))
+    return float(np.sqrt(total))
 
 
 def sequential_dissipation(result) -> float:

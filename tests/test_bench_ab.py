@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -41,4 +42,23 @@ def test_bench_ab_rejects_an_unknown_case(tmp_path):
          "--out", str(tmp_path / "BENCH_ab.json")],
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 2 and "unknown cases: ['no_such_case']" in proc.stderr
+    assert not (tmp_path / "BENCH_ab.json").exists()
+
+
+def test_bench_ab_rejects_a_parent_whose_layers_differ(tmp_path):
+    # A parent without mollified_initial_data cannot build this tree's
+    # layer table; the script names the layer cases and the --case way out.
+    parent = tmp_path / "poromoist"
+    shutil.copytree(REPO_ROOT / "src" / "poromoist", parent,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(parent / "stepper.py", "a", encoding="utf-8") as fh:
+        fh.write("\ndel mollified_initial_data\n")
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "bench_ab.py"),
+         "--parent-src", str(parent), "--out", str(tmp_path / "BENCH_ab.json")],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "mollified_initial_data" in proc.stderr
+    assert "layer cases" in proc.stderr and "--case run_stiff" in proc.stderr
     assert not (tmp_path / "BENCH_ab.json").exists()

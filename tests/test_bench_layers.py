@@ -38,8 +38,8 @@ def test_bench_layers_builds_every_layer_and_counts_smoke_sweeps(monkeypatch, tm
     counts = bench.sweep_counts("run", "configs/smoke.json", str(tmp_path / "smoke"))
     assert counts["exit"] == 0
     assert counts["steps"] == 1000
-    assert counts["sweeps"] == 1107
-    assert counts["first_sweep_steps"] == 949
+    assert counts["sweeps"] == 1081
+    assert counts["first_sweep_steps"] == 957
     assert counts["split_steps"] == 0
     assert written.read_bytes() == before
 

@@ -1,6 +1,8 @@
 """Manufactured solutions, the regularization ladder, and parameter sweeps."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from poromoist.harness import (MMSCase, make_default_mms_case, mms_study,
 from poromoist.model import InitialData, conductivity, saturation_pressure
 from poromoist.stepper import StepConfig
 from tests.conftest import equilibrium_state, make_params
-from tests.oracles import TermForcing
+from tests.oracles import TermForcing, sequential_trajectory_difference
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +275,30 @@ def test_ladder_injection_breaks_monotonicity(unit_params, cubic_model,
     report = smoke_lite_ladder(unit_params, cubic_model, rungs=3)
     np.testing.assert_array_equal(report.differences, [1.0, 2.0])
     assert not report.monotone
+
+
+def test_trajectory_difference_equals_the_level_loop_to_the_bit(unit_params, cubic_model,
+                                                                monkeypatch):
+    # The rungs of a real ladder, and random trajectories on grids whose
+    # rows numpy sums unrolled (7, 64 cells) and pairwise in blocks (1000).
+    pairs = []
+    difference = harness._trajectory_difference
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return difference(a, b)
+
+    monkeypatch.setattr(harness, "_trajectory_difference", recording)
+    smoke_lite_ladder(unit_params, cubic_model)
+    rng = np.random.default_rng(3)
+    for n in (7, 64, 1000):
+        a, b = (SimpleNamespace(grid=Grid(n), cfg=StepConfig(dt=1e-3), t=np.arange(31),
+                                rho=rng.uniform(0.5, 2.0, (31, n)),
+                                theta=rng.uniform(0.5, 2.0, (31, n))) for _ in range(2))
+        pairs.append((a, b))
+    assert len(pairs) == 6
+    for a, b in pairs:
+        assert difference(a, b).hex() == sequential_trajectory_difference(a, b).hex()
 
 
 def test_ladder_is_insensitive_at_equilibrium(unit_params, cubic_model, monkeypatch):

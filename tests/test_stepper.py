@@ -26,6 +26,9 @@ from tests.conftest import equilibrium_state, make_params
 from tests.oracles import TermForcing, dense, dense_solve, two_field_prediction
 from tests.test_discretization import mirror_smooth
 
+# The shipped configs' picard_tol, the gate of the predictor's candidates.
+TOL = 1e-10
+
 
 def cell_slopes(values: np.ndarray, h: float) -> np.ndarray:
     g = np.empty_like(values)
@@ -606,31 +609,97 @@ def test_predicted_start_is_exact_on_polynomials(rows, degree):
         return sum(c * steps**j for j, c in enumerate(coeffs))
 
     rho, theta = history(3), history(3)
-    guess = stepper._predicted_start(np.hstack((rho[:-1], theta[:-1])))
+    guess = stepper._predicted_start(np.hstack((rho[:-1], theta[:-1])), TOL)
     for got, ref in zip(guess, (rho[-1], theta[-1])):
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
 
 
 def test_predicted_start_chooses_the_line_under_alternating_noise():
-    # A line with +-1e-6 alternating in its last four rows: the error of
-    # degree p on the newest row, |nabla^(p+1)| of the noise, is 4e-6 for
-    # p = 1 and grows with p (8e-6, 15e-6, ... 64e-6), so degree 1 is chosen,
-    # and its guess 2 x_k - x_(k-1) is off the clean line by 3e-6.
+    # The error of degree p on the newest row, |nabla^(p+1)| of the noise,
+    # is 4e-6 for p = 1 and grows with p (8e-6, 15e-6, ... 64e-6), so degree
+    # 1 is chosen, and its guess 2 x_k - x_(k-1) is off the clean line by
+    # 3e-6.  A tol above 4e-6 / max |x_k| keeps the candidates out.
     steps = np.arange(9, dtype=float)[:, None]
     clean = 1.0 + 0.01 * steps * np.array([1.0, 2.0, 3.0, -1.0])
     noisy = clean[:-1].copy()
     noisy[-4:] += 1e-6 * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-    rho, theta = stepper._predicted_start(noisy)
+    rho, theta = stepper._predicted_start(noisy, 1e-5)
     guess = np.concatenate((rho, theta))
     assert np.array_equal(guess, 2.0 * noisy[-1] - noisy[-2])
     assert np.max(np.abs(guess - clean[-1])) <= 3e-6 * (1 + 1e-6)
 
 
+def test_linear_prediction_is_exact_on_decaying_geometric_modes():
+    # Three decaying modes over a constant: the differences obey
+    # d_t = 1.63 d_(t-1) - 0.814 d_(t-2) + 0.1245 d_(t-3) exactly, the
+    # order-3 recurrence of the ratios 0.83, 0.5 and 0.3, so with seven
+    # states (order 6 needs eight) the order-3 candidate predicts the next
+    # state to roundoff, where the best polynomial misses by 1e-4 and more.
+    rng = np.random.default_rng(5)
+    k = np.arange(8, dtype=float)[:, None]
+    states = 1.0 + sum(rng.uniform(-0.3, 0.3, 10) * ratio ** k
+                       for ratio in (0.83, 0.5, 0.3))
+    history, newest = states[:-1], states[-1]
+    rho, theta = stepper._predicted_start(history, TOL)
+    miss = np.max(np.abs(np.concatenate((rho, theta)) - newest))
+    assert miss <= 1e-12 * np.max(np.abs(newest))
+    weighted = stepper._SELECTION_WEIGHTS[7] @ history
+    polynomial_misses = [np.max(np.abs(weighted[7 - 1 + degree] - newest))
+                         for degree in range(5)]
+    assert min(polynomial_misses) > 1e-4
+    # seven states fit three coefficients: order 3's, and no order 6
+    assert stepper._LINEAR_PREDICTION[7][2].shape[1] == 3
+
+
+def test_predicted_start_fits_nothing_where_a_polynomial_predicts(monkeypatch,
+                                                                  smoke_config):
+    # Replay every start of a smoke run with the fitter patched to raise.
+    # Each start whose best polynomial error was within picard_tol max|x_k|
+    # is returned again, to the bit, without a fit; the starts that raise
+    # are the ones the run fitted candidates for, about 5%.
+    setup = build_setup(smoke_config)
+    starts, fitted = [], []
+    predict, fit = stepper._predicted_start, stepper._linear_prediction
+
+    def recording(history, tol):
+        guess = predict(history, tol)
+        starts.append((history.copy(), tol, guess))
+        return guess
+
+    def counting(history, bound):
+        fitted.append(bound > setup.step.picard_tol * np.abs(history[-1]).max())
+        return fit(history, bound)
+
+    monkeypatch.setattr(stepper, "_predicted_start", recording)
+    monkeypatch.setattr(stepper, "_linear_prediction", counting)
+    run(mollified_initial_data(setup.initial, setup.reg, setup.grid), setup.step,
+        setup.reg, setup.params, setup.model, setup.grid)
+    assert len(starts) == 1000 and all(fitted) and 0 < len(fitted) <= 60
+
+    def refuse(history, bound):
+        raise AssertionError("a candidate was fitted")
+
+    monkeypatch.setattr(stepper, "_linear_prediction", refuse)
+    raised = 0
+    for history, tol, guess in starts:
+        try:
+            again = predict(history, tol)
+        except AssertionError:
+            raised += 1
+            continue
+        if guess is None:
+            assert again is None
+        else:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(again, guess))
+    assert raised == len(fitted)
+
+
 def test_predicted_start_of_a_constant_history_is_the_constant():
-    # Every degree's error is zero; the tie goes to degree 1, whose guess
-    # 2c - c is exactly c, which a higher degree's weights need not give.
+    # Every degree's error is zero, so no candidate is fitted, and the tie
+    # goes to degree 1, whose guess 2c - c is exactly c, which a higher
+    # degree's weights need not give.
     history = np.full((8, 6), 0.7)
-    rho, theta = stepper._predicted_start(history)
+    rho, theta = stepper._predicted_start(history, TOL)
     assert np.array_equal(rho, history[-1, :3]) and np.array_equal(theta, history[-1, 3:])
 
 
@@ -638,9 +707,10 @@ def test_predicted_start_of_a_constant_history_is_the_constant():
 def test_predicted_start_clamps_a_steep_drop(rows):
     history = np.ones((rows, 3))
     history[-1] = [0.1, 0.01, 1e-8]
-    rho, theta = stepper._predicted_start(np.hstack((history, 2.0 * history)))
+    rho, theta = stepper._predicted_start(np.hstack((history, 2.0 * history)), TOL)
     # every weighted sum here lands below half the last row, so the guess
-    # is that half
+    # is that half; the candidates' normal equations are singular, because
+    # every difference but the newest is zero
     np.testing.assert_array_equal(rho, 0.5 * history[-1])
     np.testing.assert_array_equal(theta, history[-1])
 
@@ -649,23 +719,33 @@ def test_predicted_start_clamps_a_steep_drop(rows):
 @pytest.mark.parametrize("drop", [False, True])
 def test_stacked_prediction_equals_two_field_prediction(rows, drop):
     # Below six rows, the same weights in the same order and the same clamp,
-    # to the bit; from six on, the degree chosen from the differences and
-    # the extrapolation of the one weight product, within 4 ulps.  The
-    # steep drop of test_predicted_start_clamps_a_steep_drop clamps every cell.
+    # to the bit.  From six on, the degree chosen from the differences and
+    # the extrapolation of the one weight product, within 4 ulps, where no
+    # candidate is chosen; a chosen candidate's normal equations against
+    # the oracle's np.linalg.lstsq, within 1e-12 relative.  The random
+    # histories are far from any polynomial, and a candidate replaces the
+    # polynomial on each of them.  The steep drop of
+    # test_predicted_start_clamps_a_steep_drop clamps every cell and
+    # chooses no candidate.
     if drop:
         rho = np.ones((rows, 3))
         rho[-1] = [0.1, 0.01, 1e-8]
         theta = 2.0 * rho
     else:
         rho, theta = np.random.default_rng(rows).uniform(0.5, 2.0, (2, rows, 7))
-    got = stepper._predicted_start(np.hstack((rho, theta)))
-    expected = two_field_prediction(rho, theta)
+    got = stepper._predicted_start(np.hstack((rho, theta)), TOL)
+    expected = two_field_prediction(rho, theta, TOL)
     if expected is None:
         assert got is None
         return
+    polynomial = two_field_prediction(rho, theta, np.inf)
+    chosen = not all(np.array_equal(a, b) for a, b in zip(expected, polynomial))
+    assert chosen == (rows >= 6 and not drop)
     for field, ref in zip(got, expected):
         if rows < 6:
             assert field.tobytes() == ref.tobytes()
+        elif chosen:
+            np.testing.assert_allclose(field, ref, rtol=1e-12, atol=0)
         else:
             assert np.all(np.abs(field - ref) <= 4 * np.spacing(np.abs(ref)))
     if drop and rows > 1:
