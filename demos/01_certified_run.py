@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 from poromoist.config import build_setup
-from poromoist.diagnostics import certify_run, entropy_monitor
+from poromoist.diagnostics import certify_run
 from poromoist.stepper import mollified_initial_data, run
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
@@ -34,10 +34,9 @@ def main():
     print(f"worst energy residual {series['energy_balance_residual'].max():.3e}")
 
     cert = certify_run(result)
-    entropy = entropy_monitor(result)
-    print(f"entropy peak {entropy.max_entropy:.6f}, "
-          f"gradient dissipation {entropy.dissipation:.6f}")
-    print(f"envelope slack {cert.envelope.min_slack:.6f}")
+    print(f"entropy peak {cert.max_entropy:.6f}, "
+          f"gradient dissipation {cert.entropy_dissipation:.6f}")
+    print(f"envelope slack {cert.envelope_min_slack:.6f}")
     print("certification:", "PASS" if cert.passed else "FAIL")
     for failure in cert.failures:
         print("  -", failure)

@@ -145,7 +145,7 @@ def _cmd_run(args) -> int:
     verdict = "PASS" if cert.passed else "FAIL"
     _say(args, f"certification: {verdict} "
                f"(mass residual {cert.max_mass_residual:.3e}, "
-               f"envelope slack {cert.envelope.min_slack:.3e})")
+               f"envelope slack {cert.envelope_min_slack:.3e})")
     for failure in cert.failures:
         _say(args, f"  - {failure}")
     return 0 if cert.passed else 1

@@ -1,6 +1,6 @@
 """Certification diagnostics for simulated trajectories.
 
-Every estimate the solver is supposed to respect is checked here by an
+certify_run checks every estimate the solver is supposed to respect by an
 independent computation:
 
 * per-step mass balance, exact up to solver roundoff because the vapor
@@ -8,15 +8,19 @@ independent computation:
 * per-step energy balance in conservative form, whose only defect is the
   discrete product-rule commutator (rho jump times theta jump over dt),
   so it shrinks linearly under refinement and vanishes at steady states;
+  it is reported and must be finite;
 * a growth envelope for the combined mass/heat functional
   integral(lam rho + rho theta + sigma theta) driven by the recorded
   max-temperature history;
 * a discrete max-temperature envelope rebuilt from each level's recorded
   latent-heating map;
-* entropy integral(rho ln rho) with its gradient dissipation;
-* a running fourth-power norm accumulator;
-* weak residuals of the unregularized integral identities against a
-  basis of space-time test functions.
+* positivity of both fields;
+* entropy integral(rho ln rho) and its gradient dissipation, which must be
+  finite, as must the running fourth-power norm accumulator.
+
+weak_residual is a separate probe that certify_run does not run: it tests
+the trajectory against the unregularized integral identities on a basis
+of space-time test functions.
 
 All checks read the trajectory and its series (one column per quantity,
 one entry per time level); none of them re-runs the solver.  Every column
@@ -35,7 +39,7 @@ bits of a row-at-a-time computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -53,11 +57,6 @@ __all__ = [
     "ENVELOPE_TOL",
     "start_series",
     "step_record",
-    "EnvelopeReport",
-    "mass_energy_envelope_check",
-    "theta_envelope",
-    "EntropyReport",
-    "entropy_monitor",
     "SpaceShape",
     "default_test_functions",
     "WeakResidualReport",
@@ -232,85 +231,6 @@ def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...
 
 
 @dataclass(frozen=True)
-class EnvelopeReport:
-    """Outcome of the combined mass/heat growth-envelope check."""
-
-    ok: bool
-    c_init: float
-    c_rate: float
-    bounds: np.ndarray
-    first_violation_t: float | None
-    min_slack: float
-
-
-def mass_energy_envelope_check(result: RunResult) -> EnvelopeReport:
-    """Check integral(lam rho + rho theta + sigma theta) against its envelope.
-
-    The admissible envelope is an affine functional of the run's own
-    max-temperature history: a startup budget built from the initial norms
-    plus the ambient exchange capacity over the full horizon, growing at
-    rate (alpha1 rho_bar1 + alpha0 rho_bar0) times the running integral of
-    max theta, with ENVELOPE_TOL relative slack.  Everything is computed
-    from the run's series.  A nonfinite value or bound is a violation.
-    """
-    p = result.params
-    values = result.series["mass_energy"]
-    max_theta = result.series["max_theta"]
-    mass0 = result.series["total_mass"][0]
-    theta0_max = max_theta[0]
-    horizon = max(result.t_end, result.t[-1])
-    c_init = ((p.lam + theta0_max) * mass0 + p.sigma * theta0_max
-              + (p.lam * (p.alpha1 * p.rho_bar1 + p.alpha0 * p.rho_bar0)
-                 + p.beta1 * p.theta_bar1 + p.beta0 * p.theta_bar0) * horizon)
-    c_rate = p.alpha1 * p.rho_bar1 + p.alpha0 * p.rho_bar0
-    dt = result.cfg.dt
-    integral = np.concatenate(([0.0], np.cumsum(max_theta[:-1]) * dt))
-    bounds = c_init + c_rate * integral
-    slack = bounds + ENVELOPE_TOL * np.maximum(1.0, np.abs(bounds)) - values
-    bad = np.nonzero(~(slack >= 0))[0]
-    first_t = float(result.t[bad[0]]) if bad.size else None
-    return EnvelopeReport(bad.size == 0, float(c_init), float(c_rate),
-                          bounds, first_t, float(np.min(slack)))
-
-
-def theta_envelope(result: RunResult) -> list:
-    """Discrete growth envelope for max theta, one value per time level.
-
-    The walls pull toward the ambient temperatures and the only interior
-    source is latent heating, so each level grows the envelope by its map
-    (see step_record), env <- max((env + lift) gain, theta_bar0, theta_bar1):
-    (env + dt lam r)(1 + dt r) for one step of dt at heating rate r.
-    """
-    p, series = result.params, result.series
-    env = max(float(series["max_theta"][0]), p.theta_bar0, p.theta_bar1)
-    envelope = [env]
-    for lift, gain in zip(series["envelope_lift"][1:].tolist(),
-                          series["envelope_gain"][1:].tolist()):
-        env = max((env + lift) * gain, p.theta_bar0, p.theta_bar1)
-        envelope.append(env)
-    return envelope
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    max_entropy: float
-    dissipation: float
-
-
-def entropy_monitor(result: RunResult) -> EntropyReport:
-    """Track integral(rho ln rho) and its gradient dissipation integral.
-
-    The dissipation is the time integral of sum_faces h theta (drho/dx)^2
-    evaluated at the end-of-step states, the last entry of the series'
-    running "dissipation" column (see step_record); together with the
-    entropy column it certifies that the degenerate diffusion keeps doing
-    work.
-    """
-    series = result.series
-    return EntropyReport(float(np.max(series["entropy"])), float(series["dissipation"][-1]))
-
-
-@dataclass(frozen=True)
 class SpaceShape:
     """Spatial test-function factor with its exact derivative."""
 
@@ -449,32 +369,26 @@ def weak_residual(result: RunResult) -> WeakResidualReport:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Aggregate verdict over every per-run certification."""
+    """Aggregate verdict over every per-run certification.
+
+    The fields are the keys of the certification block of report.json;
+    summary() gives them with failures as a list.
+    """
 
     passed: bool
     failures: tuple
     max_mass_residual: float
     max_energy_residual: float
-    envelope: EnvelopeReport
+    envelope_ok: bool
+    envelope_min_slack: float
     theta_envelope_ok: bool
     min_rho: float
     min_theta: float
-    entropy: EntropyReport
+    max_entropy: float
+    entropy_dissipation: float
 
     def summary(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "max_mass_residual": self.max_mass_residual,
-            "max_energy_residual": self.max_energy_residual,
-            "envelope_ok": self.envelope.ok,
-            "envelope_min_slack": self.envelope.min_slack,
-            "theta_envelope_ok": self.theta_envelope_ok,
-            "min_rho": self.min_rho,
-            "min_theta": self.min_theta,
-            "max_entropy": self.entropy.max_entropy,
-            "entropy_dissipation": self.entropy.dissipation,
-        }
+        return dict(asdict(self), failures=list(self.failures))
 
 
 # The columns certify_run reads.  A nonfinite entry in one of them fails the
@@ -491,13 +405,31 @@ def certify_run(result: RunResult) -> CertificationReport:
     """Run every certification that has a sharp expected outcome.
 
     Mass balance must sit at solver roundoff (MASS_TOL), both envelopes
-    must hold (the max-temperature one rebuilt here from the envelope-map
-    columns), and the fields must stay in the admissible cone.  The energy
+    must hold, and the fields must stay in the admissible cone.  The energy
     residual has no universal threshold (it is first order in dt), so it is
     reported but only checked for finiteness.  Every column read must be
     finite; a check of values runs only on the finite columns it reads.
+
+    Mass/heat envelope: integral(lam rho + rho theta + sigma theta) is
+    bounded by an affine functional of the run's own max-temperature
+    history, a startup budget built from the initial norms plus the
+    ambient exchange capacity over the full horizon, growing at rate
+    (alpha1 rho_bar1 + alpha0 rho_bar0) times the running integral of max
+    theta, with ENVELOPE_TOL relative slack.  A nonfinite value or bound
+    is a violation.
+
+    Max-temperature envelope: the walls pull toward the ambient
+    temperatures and the only interior source is latent heating, so each
+    level grows the envelope by its map (see step_record),
+    env <- max((env + lift) gain, theta_bar0, theta_bar1), from the start
+    level's max theta and the ambients; max theta must stay within 1e-9 of
+    it at every later level (a NaN fails).
+
+    Entropy: the largest integral(rho ln rho) and the time integral of
+    sum_faces h theta (drho/dx)^2 at the end-of-step states, the last entry
+    of the running "dissipation" column, which must be finite.
     """
-    series = result.series
+    p, series = result.params, result.series
     nonfinite = {name for name in _CERTIFIED_COLUMNS
                  if not np.isfinite(series[name]).all()}
     failures = [f"{name} is not finite" for name in _CERTIFIED_COLUMNS
@@ -506,26 +438,45 @@ def certify_run(result: RunResult) -> CertificationReport:
     max_energy = np.max(series["energy_balance_residual"])
     if "mass_balance_residual" not in nonfinite and max_mass > MASS_TOL:
         failures.append(f"mass balance residual {max_mass:.3e} exceeds {MASS_TOL:.1e}")
-    envelope = mass_energy_envelope_check(result)
-    if not envelope.ok and not nonfinite & {"total_mass", "mass_energy", "max_theta"}:
-        failures.append(
-            f"mass/heat envelope violated at t={envelope.first_violation_t} "
-            f"(excess {-envelope.min_slack:.3e})")
-    theta_ok = bool(np.all(series["max_theta"][1:]
-                           <= np.array(theta_envelope(result)[1:]) + 1e-9))
+
+    max_theta = series["max_theta"]
+    mass0, theta0_max = series["total_mass"][0], max_theta[0]
+    horizon = max(result.t_end, result.t[-1])
+    c_init = ((p.lam + theta0_max) * mass0 + p.sigma * theta0_max
+              + (p.lam * (p.alpha1 * p.rho_bar1 + p.alpha0 * p.rho_bar0)
+                 + p.beta1 * p.theta_bar1 + p.beta0 * p.theta_bar0) * horizon)
+    c_rate = p.alpha1 * p.rho_bar1 + p.alpha0 * p.rho_bar0
+    integral = np.concatenate(([0.0], np.cumsum(max_theta[:-1]) * result.cfg.dt))
+    bounds = c_init + c_rate * integral
+    slack = bounds + ENVELOPE_TOL * np.maximum(1.0, np.abs(bounds)) - series["mass_energy"]
+    bad = np.nonzero(~(slack >= 0))[0]
+    min_slack = float(np.min(slack))
+    if bad.size and not nonfinite & {"total_mass", "mass_energy", "max_theta"}:
+        failures.append(f"mass/heat envelope violated at t={float(result.t[bad[0]])} "
+                        f"(excess {-min_slack:.3e})")
+
+    env = max(float(max_theta[0]), p.theta_bar0, p.theta_bar1)
+    envelope = []
+    for lift, gain in zip(series["envelope_lift"][1:].tolist(),
+                          series["envelope_gain"][1:].tolist()):
+        env = max((env + lift) * gain, p.theta_bar0, p.theta_bar1)
+        envelope.append(env)
+    theta_ok = bool(np.all(max_theta[1:] <= np.array(envelope) + 1e-9))
     if not theta_ok and not nonfinite & {"max_theta", *_ENVELOPE_COLUMNS}:
         failures.append("max-temperature envelope violated")
+
     min_rho = np.min(series["min_rho"])
     min_theta = np.min(series["min_theta"])
     if "min_rho" not in nonfinite and min_rho < 0:
         failures.append(f"negative vapor density {min_rho:.3e}")
     if "min_theta" not in nonfinite and min_theta <= 0:
         failures.append(f"nonpositive temperature {min_theta:.3e}")
-    entropy = entropy_monitor(result)
-    if not np.isfinite(entropy.dissipation):
+    dissipation = float(series["dissipation"][-1])
+    if not np.isfinite(dissipation):
         failures.append("entropy dissipation is not finite")
     return CertificationReport(
         passed=not failures, failures=tuple(failures),
         max_mass_residual=float(max_mass), max_energy_residual=float(max_energy),
-        envelope=envelope, theta_envelope_ok=theta_ok,
-        min_rho=float(min_rho), min_theta=float(min_theta), entropy=entropy)
+        envelope_ok=bad.size == 0, envelope_min_slack=min_slack,
+        theta_envelope_ok=theta_ok, min_rho=float(min_rho), min_theta=float(min_theta),
+        max_entropy=float(np.max(series["entropy"])), entropy_dissipation=dissipation)

@@ -16,8 +16,7 @@ import pytest
 
 from poromoist.cli import main
 from poromoist.config import apply_override, build_setup
-from poromoist.diagnostics import (certify_run, mass_energy_envelope_check,
-                                   weak_residual)
+from poromoist.diagnostics import certify_run, weak_residual
 from poromoist.harness import (make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
 from poromoist.linalg import solve_thomas
@@ -63,8 +62,7 @@ def exchange_sweep(smoke_dict):
         return {
             "min_rho": np.min(result.series["min_rho"]),
             "min_theta": np.min(result.series["min_theta"]),
-            "envelope": mass_energy_envelope_check(result),
-            "theta_env_ok": certify_run(result).theta_envelope_ok,
+            "certification": certify_run(result),
         }
 
     start = time.monotonic()
@@ -109,12 +107,11 @@ def test_positivity_on_smoke_and_sweep(timed_smoke, exchange_sweep):
 def test_energy_envelope_on_smoke_and_sweep(timed_smoke, exchange_sweep):
     result, _ = timed_smoke
     report, _ = exchange_sweep
-    smoke_env = mass_energy_envelope_check(result)
-    assert smoke_env.ok and smoke_env.first_violation_t is None
-    assert certify_run(result).theta_envelope_ok
+    smoke = certify_run(result)
+    assert smoke.envelope_ok and smoke.theta_envelope_ok
     for cell in report.cells:
-        assert cell.payload["envelope"].ok, cell.overrides
-        assert cell.payload["theta_env_ok"], cell.overrides
+        cert = cell.payload["certification"]
+        assert cert.envelope_ok and cert.theta_envelope_ok, cell.overrides
 
 
 def test_observed_convergence_orders(unit_params, cubic_model):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import poromoist.cli
 from poromoist import stepper
 from poromoist.cli import _fmt, main
 from poromoist.config import Setup, build_setup
-from poromoist.diagnostics import certify_run
+from poromoist.diagnostics import CertificationReport, certify_run
 from poromoist.harness import LadderReport
 
 
@@ -64,6 +65,7 @@ def test_run_writes_outputs(small_config, tmp_path, capsys):
 
     report = json.loads((out / "report.json").read_text())
     assert report["certification"]["passed"] is True
+    assert set(report["certification"]) == {f.name for f in fields(CertificationReport)}
     assert report["steps"] == 50
     assert report["advection"] == "upwind"
 

@@ -2,16 +2,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from poromoist import stepper
 from poromoist.config import apply_override, build_setup
-from poromoist.diagnostics import (certify_run, default_test_functions, entropy_monitor,
-                                   mass_energy_envelope_check, start_series, step_record,
-                                   theta_envelope, weak_residual)
+from poromoist.diagnostics import (CertificationReport, certify_run, default_test_functions,
+                                   start_series, step_record, weak_residual)
 from poromoist.discretization import NO_FORCING, Grid
 from poromoist.harness import make_default_mms_case
 from poromoist.model import InitialData
@@ -128,38 +127,38 @@ def test_energy_defect_integral_refines(unit_params, cubic_model):
 
 
 def test_envelope_passes_on_smoke(smoke_result):
-    report = mass_energy_envelope_check(smoke_result)
-    assert report.ok
-    assert report.first_violation_t is None
-    assert report.min_slack > 0
-    assert smoke_result.series["mass_energy"].shape == report.bounds.shape
-    assert report.c_rate == pytest.approx(2.0)
+    report = certify_run(smoke_result)
+    assert report.envelope_ok
+    assert report.envelope_min_slack > 0
 
 
 def test_envelope_flags_doctored_record(smoke_result):
     column = smoke_result.series["mass_energy"]
-    captured = column[400]
-    column[400] = 1e9
+    captured = column[[400, 600]]
+    column[[400, 600]] = 1e9
     try:
-        report = mass_energy_envelope_check(smoke_result)
-        assert not report.ok
-        assert report.first_violation_t == pytest.approx(smoke_result.t[400])
-        assert report.min_slack < 0
+        report = certify_run(smoke_result)
+        assert not report.envelope_ok
+        assert report.envelope_min_slack < 0
+        # the message names the first violating level's time
+        assert report.failures == (
+            f"mass/heat envelope violated at t={float(smoke_result.t[400])} "
+            f"(excess {-report.envelope_min_slack:.3e})",)
     finally:
-        column[400] = captured
+        column[[400, 600]] = captured
 
 
 def test_entropy_monitor_smoke(smoke_result):
-    report = entropy_monitor(smoke_result)
+    report = certify_run(smoke_result)
     assert np.all(np.isfinite(smoke_result.series["entropy"]))
-    assert report.dissipation > 0
-    assert report.max_entropy == pytest.approx(np.max(smoke_result.series["entropy"]))
+    assert report.entropy_dissipation > 0
+    assert report.max_entropy == np.max(smoke_result.series["entropy"])
 
 
 def test_entropy_monitor_equilibrium_is_silent(equilibrium_run):
-    report = entropy_monitor(equilibrium_run)
+    report = certify_run(equilibrium_run)
     np.testing.assert_allclose(equilibrium_run.series["entropy"], 0.0, atol=1e-13)
-    assert report.dissipation <= 1e-20
+    assert report.entropy_dissipation <= 1e-20
 
 
 def test_default_test_functions_slopes_match():
@@ -183,14 +182,27 @@ def test_weak_residuals_vanish_at_equilibrium(unit_params, cubic_model):
 
 
 def test_theta_envelope_tracks_run(smoke_result):
-    env = np.asarray(theta_envelope(smoke_result))
-    maxes = smoke_result.series["max_theta"]
-    assert env.shape == maxes.shape
+    series, p = smoke_result.series, smoke_result.params
+    maxes, lift, gain = (series[name] for name in ("max_theta", "envelope_lift",
+                                                   "envelope_gain"))
+    env = [max(maxes[0], p.theta_bar0, p.theta_bar1)]
+    for k in range(1, len(maxes)):
+        env.append(max((env[-1] + lift[k]) * gain[k], p.theta_bar0, p.theta_bar1))
     assert certify_run(smoke_result).theta_envelope_ok
-    assert np.all(maxes <= env + 1e-9)
-    lift, gain = (smoke_result.series[name] for name in ("envelope_lift", "envelope_gain"))
+    assert np.all(maxes <= np.array(env) + 1e-9)
     assert lift[0] == 0.0 and np.all(lift[1:] > 0)
     assert gain[0] == 1.0 and np.all(gain[1:] > 1)
+    # certify_run rebuilds the same envelope: max theta may exceed it by 1e-9
+    k = 500
+    captured = maxes[k]
+    try:
+        for excess, ok in ((0.5e-9, True), (2e-9, False)):
+            maxes[k] = env[k] + excess
+            report = certify_run(smoke_result)
+            assert report.theta_envelope_ok is ok, excess
+            assert ("max-temperature envelope violated" in report.failures) is not ok
+    finally:
+        maxes[k] = captured
 
 
 def heating_rate(srec, params):
@@ -400,7 +412,7 @@ def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
     if case != "zero_steps":
         # smoke fills 25 blocks of 40 levels; the others end in a partial block
         assert bool(steps % block) == (case != "smoke")
-    dissipation = entropy_monitor(result).dissipation
+    dissipation = certify_run(result).entropy_dissipation
     assert dissipation == sequential_dissipation(result)
     assert math.copysign(1.0, dissipation) == math.copysign(
         1.0, sequential_dissipation(result))
@@ -411,6 +423,8 @@ def test_certify_run_passes_smoke(smoke_result):
     assert report.passed
     assert report.failures == ()
     summary = report.summary()
+    assert list(summary) == [field.name for field in fields(CertificationReport)]
+    assert summary["failures"] == []
     assert summary["passed"] is True
     assert summary["max_mass_residual"] <= 1e-10
     assert summary["min_rho"] > 0 and summary["min_theta"] > 0
@@ -450,5 +464,20 @@ def test_certify_run_fails_on_nan_entry(smoke_result, name, row):
         assert not report.passed, name
         assert f"{name} is not finite" in report.failures
         assert not any("nan" in failure for failure in report.failures)
+        if name in ("max_theta", "envelope_lift", "envelope_gain"):
+            assert not report.theta_envelope_ok
     finally:
         column[row] = captured
+
+
+def test_certify_run_fails_on_nonfinite_dissipation(smoke_result):
+    column = smoke_result.series["dissipation"]
+    captured = column[-1]
+    column[-1] = math.nan
+    try:
+        report = certify_run(smoke_result)
+        assert not report.passed
+        assert report.failures == ("entropy dissipation is not finite",)
+        assert math.isnan(report.entropy_dissipation)
+    finally:
+        column[-1] = captured
