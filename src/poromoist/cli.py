@@ -21,19 +21,17 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from itertools import chain, repeat
 
 import numpy as np
 
-from .config import apply_override, build_setup, load_config
+from .config import build_setup, load_config
 from .diagnostics import SERIES_COLUMNS, certify_run
 from .errors import ConfigError, PoromoistError
 from .harness import make_default_mms_case, mms_study, regularization_ladder, sweep
 from .model import darcy_velocity
 from .stepper import mollified_initial_data, run, step_count
-
-MMS_ORDER_FLOOR = {"central": 1.9, "upwind": 0.9}
-LADDER_VARIATION_CAP = 0.10
 
 
 def _fmt(value) -> str:
@@ -42,15 +40,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_columns(path: str, columns: dict) -> None:
+    """A CSV with one named column per entry of columns, each value by _fmt.
+
+    A column shorter than the first is blank in its top rows, so a column
+    of differences between successive rows ends level with the rest.
+    """
+    height = len(next(iter(columns.values())))
+    padded = [[""] * (height - len(column)) + [_fmt(value) for value in column]
+              for column in columns.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*padded))
 
 
 def _write_fields(path: str, header, rows) -> None:
-    """_write_csv for fields that never need quoting, written as joined text.
+    """A CSV of fields that never need quoting, written as joined text.
 
     Each row is its fields joined by commas and ended by \r\n, which is
     what csv.writer writes for them: repr floats and the fixed headers hold
@@ -62,8 +68,10 @@ def _write_fields(path: str, header, rows) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """payload as sorted, indented JSON, numpy arrays and scalars by tolist()."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=lambda value: value.tolist())
         fh.write("\n")
 
 
@@ -159,37 +167,17 @@ def _cmd_mms(args) -> int:
         opts["advection"] = args.advection
     case = make_default_mms_case(setup.params, setup.model)
     report = mms_study(case, setup.params, setup.model, **opts)
-    advection = report.advection
-    floor = MMS_ORDER_FLOOR[advection]
-    passed = (report.rho_orders[-1] >= floor and report.theta_orders[-1] >= floor)
 
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for i, n in enumerate(report.grid_sizes):
-        rows.append((str(n), _fmt(report.dts[i]),
-                     _fmt(float(report.rho_errors[i])),
-                     _fmt(float(report.theta_errors[i])),
-                     _fmt(float(report.rho_orders[i - 1])) if i else "",
-                     _fmt(float(report.theta_orders[i - 1])) if i else ""))
-    _write_csv(os.path.join(args.out, "mms.csv"),
-               ("n", "dt", "rho_error", "theta_error", "rho_order", "theta_order"),
-               rows)
-    _write_json(os.path.join(args.out, "report.json"), {
-        "command": "mms",
-        "case": case.name,
-        "advection": advection,
-        "order_floor": floor,
-        "grid_sizes": list(report.grid_sizes),
-        "dts": list(report.dts),
-        "rho_errors": report.rho_errors.tolist(),
-        "theta_errors": report.theta_errors.tolist(),
-        "rho_orders": report.rho_orders.tolist(),
-        "theta_orders": report.theta_orders.tolist(),
-        "passed": bool(passed),
-    })
+    _write_columns(os.path.join(args.out, "mms.csv"), {
+        "n": report.grid_sizes, "dt": report.dts,
+        "rho_error": report.rho_errors, "theta_error": report.theta_errors,
+        "rho_order": report.rho_orders, "theta_order": report.theta_orders})
+    _write_json(os.path.join(args.out, "report.json"),
+                {"command": "mms", "case": case.name, **asdict(report)})
     _say(args, f"observed orders (finest pair): rho {report.rho_orders[-1]:.3f}, "
-               f"theta {report.theta_orders[-1]:.3f} (floor {floor})")
-    return 0 if passed else 1
+               f"theta {report.theta_orders[-1]:.3f} (floor {report.order_floor})")
+    return 0 if report.passed else 1
 
 
 def _cmd_ladder(args) -> int:
@@ -198,76 +186,37 @@ def _cmd_ladder(args) -> int:
     opts = data.get("ladder", {})
     report = regularization_ladder(setup.initial, setup.step, setup.params,
                                    setup.model, setup.grid, **opts)
-    variation_ok = all(v <= LADDER_VARIATION_CAP for v in report.monitor_variation.values())
-    passed = report.monotone and variation_ok
 
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for j, (eps_j, nu_j) in enumerate(zip(report.eps_values, report.nu_values)):
-        diff = _fmt(float(report.differences[j - 1])) if j else ""
-        rows.append((str(j), _fmt(eps_j), _fmt(nu_j), diff,
-                     _fmt(float(report.entropy_monitors[j])),
-                     _fmt(float(report.l4_monitors[j]))))
-    _write_csv(os.path.join(args.out, "ladder.csv"),
-               ("rung", "eps", "nu", "difference", "entropy", "l4"), rows)
-    _write_json(os.path.join(args.out, "report.json"), {
-        "command": "ladder",
-        "eps_values": list(report.eps_values),
-        "nu_values": list(report.nu_values),
-        "differences": report.differences.tolist(),
-        "entropy_monitors": report.entropy_monitors.tolist(),
-        "l4_monitors": report.l4_monitors.tolist(),
-        "monotone": bool(report.monotone),
-        "monitor_variation": report.monitor_variation,
-        "variation_cap": LADDER_VARIATION_CAP,
-        "passed": bool(passed),
-    })
+    _write_columns(os.path.join(args.out, "ladder.csv"), {
+        "rung": range(len(report.eps_values)), "eps": report.eps_values,
+        "nu": report.nu_values, "difference": report.differences,
+        "entropy": report.entropy_monitors, "l4": report.l4_monitors})
+    _write_json(os.path.join(args.out, "report.json"),
+                {"command": "ladder", **asdict(report)})
     _say(args, f"ladder: monotone={report.monotone}, "
                f"variation={report.monitor_variation}")
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_sweep(args) -> int:
     data = load_config(args.config)
     if "sweep" not in data:
         raise ConfigError(f"{args.config}: config has no sweep section")
-    axes = data["sweep"]["axes"]
+    report = sweep(data, data["sweep"]["axes"])
+    cells = report.cells
 
-    def run_cell(overrides: dict):
-        cell = data
-        for path, value in overrides.items():
-            cell = apply_override(cell, path, value)
-        setup = build_setup(cell)
-        result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
-                     setup.step, setup.reg, setup.params, setup.model, setup.grid)
-        return certify_run(result).summary()
-
-    report = sweep(axes, run_cell)
-    keys = sorted(axes)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    all_ok = True
-    for cell in report.cells:
-        certified = cell.status == "ok" and cell.payload["passed"]
-        all_ok = all_ok and certified
-        rows.append(tuple(_fmt(cell.overrides[k]) for k in keys)
-                    + (cell.status, str(certified).lower(), cell.detail))
-    _write_csv(os.path.join(args.out, "sweep.csv"),
-               tuple(keys) + ("status", "certified", "detail"), rows)
-    _write_json(os.path.join(args.out, "report.json"), {
-        "command": "sweep",
-        "axes": {k: list(v) for k, v in axes.items()},
-        "cells": [
-            {"overrides": cell.overrides, "status": cell.status,
-             "detail": cell.detail,
-             "certification": cell.payload if cell.status == "ok" else None}
-            for cell in report.cells
-        ],
-        "passed": all_ok,
-    })
-    _say(args, f"sweep: {len(report.cells)} cells, "
-               f"{len(report.failures)} raised, passed={all_ok}")
-    return 0 if all_ok else 1
+    _write_columns(os.path.join(args.out, "sweep.csv"), {
+        **{key: [cell.overrides[key] for cell in cells] for key in sorted(report.axes)},
+        "status": [cell.status for cell in cells],
+        "certified": [str(cell.certified).lower() for cell in cells],
+        "detail": [cell.detail for cell in cells]})
+    _write_json(os.path.join(args.out, "report.json"),
+                {"command": "sweep", **asdict(report)})
+    _say(args, f"sweep: {len(cells)} cells, "
+               f"{len(report.failures)} raised, passed={report.passed}")
+    return 0 if report.passed else 1
 
 
 def _cmd_validate_saturation(args) -> int:
@@ -334,10 +283,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PoromoistError as exc:

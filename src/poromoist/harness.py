@@ -9,7 +9,12 @@ Three instruments:
   cutoff/mollifier parameters along a geometric schedule and checks that
   the trajectories form a Cauchy sequence while the a priori monitors
   stay level;
-* a cartesian parameter sweep (sweep) with per-cell fault isolation.
+* a cartesian parameter sweep (sweep) of certified runs with per-cell
+  fault isolation.
+
+Each study judges itself: its report's passed field is its verdict, and
+its fields are the keys of its report.json apart from the command and the
+MMS case name, so the CLI only writes them.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import apply_override, build_setup
+from .diagnostics import CertificationReport, certify_run
 from .discretization import ForcingValues, Grid, robin_fluxes
 from .errors import ConfigError, PoromoistError
 from .model import (
@@ -40,6 +47,8 @@ from .stepper import (
 )
 
 __all__ = [
+    "MMS_ORDER_FLOOR",
+    "LADDER_VARIATION_CAP",
     "MMSCase",
     "make_default_mms_case",
     "MMSReport",
@@ -50,6 +59,12 @@ __all__ = [
     "SweepReport",
     "sweep",
 ]
+
+# The least observed order, on the finest pair of grids, that passes an MMS
+# study of each advection scheme.
+MMS_ORDER_FLOOR = {"central": 1.9, "upwind": 0.9}
+# The largest relative change of a monitor between a ladder's last two rungs.
+LADDER_VARIATION_CAP = 0.10
 
 
 @dataclass(frozen=True)
@@ -155,13 +170,17 @@ def make_default_mms_case(params: PhysicalParams, model: SaturationModel) -> MMS
 
 @dataclass(frozen=True)
 class MMSReport:
+    """Observed orders and the verdict: both finest-pair orders reach order_floor."""
+
     advection: str
+    order_floor: float
     grid_sizes: tuple
     dts: tuple
     rho_errors: np.ndarray
     theta_errors: np.ndarray
     rho_orders: np.ndarray
     theta_orders: np.ndarray
+    passed: bool
 
 
 def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
@@ -213,14 +232,21 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         dts.append(dt)
     rho_errors = np.array(rho_errors)
     theta_errors = np.array(theta_errors)
-    return MMSReport(advection, tuple(grid_sizes), tuple(dts), rho_errors, theta_errors,
-                     np.log2(rho_errors[:-1] / rho_errors[1:]),
-                     np.log2(theta_errors[:-1] / theta_errors[1:]))
+    rho_orders = np.log2(rho_errors[:-1] / rho_errors[1:])
+    theta_orders = np.log2(theta_errors[:-1] / theta_errors[1:])
+    floor = MMS_ORDER_FLOOR[advection]
+    return MMSReport(advection, floor, tuple(grid_sizes), tuple(dts), rho_errors,
+                     theta_errors, rho_orders, theta_orders,
+                     bool(rho_orders[-1] >= floor and theta_orders[-1] >= floor))
 
 
 @dataclass(frozen=True)
 class LadderReport:
-    """Cauchy-in-regularization evidence from a rung-by-rung comparison."""
+    """Cauchy-in-regularization evidence from a rung-by-rung comparison.
+
+    passed: the distances fall strictly (monotone) and every monitor's
+    variation is at most variation_cap.
+    """
 
     eps_values: tuple
     nu_values: tuple
@@ -229,6 +255,8 @@ class LadderReport:
     l4_monitors: np.ndarray
     monotone: bool
     monitor_variation: dict
+    variation_cap: float
+    passed: bool
 
 
 def _trajectory_difference(a: RunResult, b: RunResult) -> float:
@@ -257,9 +285,10 @@ def regularization_ladder(initial: InitialData, cfg: StepConfig,
 
     Convergence of the regularized family shows up as strictly decreasing
     successive space-time distances, while the entropy and fourth-power
-    monitors must level off.  Each rung starts from the initial data
-    mollified at its own radius.  Fewer than 3 rungs (two distances) raise
-    ConfigError before any run.
+    monitors level off: their relative change between the last two rungs
+    may not exceed LADDER_VARIATION_CAP.  Each rung starts from the initial
+    data mollified at its own radius.  Fewer than 3 rungs (two distances)
+    raise ConfigError before any run.
     """
     if rungs < 3:
         raise ConfigError(f"rungs must be at least 3, got {rungs}")
@@ -285,43 +314,69 @@ def regularization_ladder(initial: InitialData, cfg: StepConfig,
         coarse, fine = series[-2], series[-1]
         scale = max(abs(coarse), 1e-300)
         variation[name] = float(abs(fine - coarse) / scale)
+    settled = all(v <= LADDER_VARIATION_CAP for v in variation.values())
     return LadderReport(tuple(eps_values), tuple(nu_values), differences,
-                        entropy, l4, monotone, variation)
+                        entropy, l4, monotone, variation, LADDER_VARIATION_CAP,
+                        monotone and settled)
 
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One point of a sweep: its overrides and how its run ended.
+
+    status is "ok" for a run that finished, with its certification, and
+    otherwise the class name of the library error it raised, with the
+    message as detail and no certification.
+    """
+
     overrides: dict
     status: str
     detail: str
-    payload: object
+    certification: CertificationReport | None
+
+    @property
+    def certified(self) -> bool:
+        return self.certification is not None and self.certification.passed
 
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Every cell of a sweep; passed when every cell certified."""
+
+    axes: dict
     cells: tuple
+    passed: bool
 
     @property
     def failures(self) -> tuple:
         return tuple(c for c in self.cells if c.status != "ok")
 
 
-def sweep(axes: dict, run_cell: Callable[[dict], object]) -> SweepReport:
-    """Run every point of a cartesian parameter grid, isolating failures.
+def sweep(data: dict, axes: dict) -> SweepReport:
+    """Run and certify the config data at every point of a cartesian grid.
 
     Axes are keyed by dotted override paths; cells are visited in sorted
     key order with each axis in its given order, so the report layout is
-    deterministic.  A cell that raises any library error is recorded with
-    the exception's class name and message instead of aborting the sweep.
+    deterministic.  Each cell applies its overrides to data, runs
+    build_setup, marches from the mollified initial data to the configured
+    t_end and calls certify_run.  A cell that raises any library error is
+    recorded with the exception's class name and message instead of
+    aborting the sweep.
     """
     keys = sorted(axes)
     cells = []
     for combo in itertools.product(*(axes[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         try:
-            payload = run_cell(dict(overrides))
+            config = data
+            for path, value in overrides.items():
+                config = apply_override(config, path, value)
+            setup = build_setup(config)
+            result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
+                         setup.step, setup.reg, setup.params, setup.model, setup.grid)
+            certification = certify_run(result)
         except PoromoistError as exc:
             cells.append(SweepCell(overrides, type(exc).__name__, str(exc), None))
         else:
-            cells.append(SweepCell(overrides, "ok", "", payload))
-    return SweepReport(tuple(cells))
+            cells.append(SweepCell(overrides, "ok", "", certification))
+    return SweepReport(dict(axes), tuple(cells), all(c.certified for c in cells))

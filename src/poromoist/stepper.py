@@ -21,12 +21,13 @@ input falls below picard_tol.  From the third sweep of an attempt on, the
 input is Anderson-mixed from the attempt's own sweeps (see
 picard_step), which on the stiff benchmark config keeps every step
 within 12 sweeps, against 35 with plain sweeps.  run starts each step's
-sweeps from an extrapolation of the last accepted states, which it keeps
-as one (HISTORY_DEPTH, 2n) = (8, 2n) history of (rho, theta) rows; from
-six states on, the extrapolation's degree is the one that best predicted
-the newest state, and where even that one missed by more than picard_tol,
-a least-squares linear predictor of the states' differences may replace
-it (see _predicted_start).  On the smoke config this lets 957 of 1000
+sweeps from an extrapolation of the last HISTORY_DEPTH = 8 accepted
+states, the newest rows of the one (steps + 1, 2n) array of (rho, theta)
+rows that holds the trajectory; from six states on, the extrapolation's
+degree is the one that best predicted the newest state, and where even
+that one missed by more than picard_tol, a least-squares linear
+predictor of the states' differences may replace it (see
+_predicted_start).  On the smoke config this lets 957 of 1000
 steps converge on their first sweep, and on the stiff benchmark config
 91 of 200, where the polynomial alone let 31.  homotopy_solve advances
 one output level of dt by one direct attempt from that start and, where
@@ -808,30 +809,23 @@ def run(start: State, cfg: StepConfig, reg: RegularizationParams,
             f"initial state has {rho0.shape[0]} cells for an n={grid.n} grid")
     state = State(rho0, theta0, t0)
 
-    rho = np.empty((steps + 1, grid.n))
-    theta = np.empty((steps + 1, grid.n))
+    # The trajectory as (rho, theta) rows; _predicted_start reads the newest.
+    n = grid.n
+    states = np.empty((steps + 1, 2 * n))
     t = np.empty(steps + 1)
-    rho[0], theta[0], t[0] = state.rho, state.theta, state.t
-    # The last accepted states for _predicted_start, one (rho, theta) row each.
-    history = np.empty((HISTORY_DEPTH, 2 * grid.n))
-    history[0, :grid.n], history[0, grid.n:] = state.rho, state.theta
-    kept = 1
+    states[0, :n], states[0, n:], t[0] = state.rho, state.theta, state.t
     series = start_series(steps, state, grid, params)
-    block = max(1, _STEP_BLOCK_CELLS // grid.n)
+    block = max(1, _STEP_BLOCK_CELLS // n)
     pending = []
     for k in range(1, steps + 1):
-        guess = _predicted_start(history[:kept], cfg.picard_tol)
+        guess = _predicted_start(states[:k], cfg.picard_tol)
         state, records = homotopy_solve(state, cfg, reg, params, model, grid,
                                         forcing, guess)
-        rho[k], theta[k], t[k] = state.rho, state.theta, state.t
-        if kept == len(history):
-            history[:-1] = history[1:]
-        else:
-            kept += 1
-        history[kept - 1, :grid.n], history[kept - 1, grid.n:] = state.rho, state.theta
+        states[k, :n], states[k, n:], t[k] = state.rho, state.theta, state.t
         pending.append(records)
         if len(pending) == block or k == steps:
             step_record(series, k + 1 - len(pending), pending, cfg.dt, grid, params)
             pending = []
 
-    return RunResult(rho, theta, t, series, params, reg, cfg, grid, model, t_end)
+    return RunResult(states[:, :n], states[:, n:], t, series, params, reg, cfg, grid,
+                     model, t_end)

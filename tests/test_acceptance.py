@@ -54,20 +54,9 @@ def timed_smoke(smoke_dict):
 @pytest.fixture(scope="module")
 def exchange_sweep(smoke_dict):
     """3x3 grid over latent heat and heat capacity on the smoke problem."""
-    def cell(overrides):
-        data = smoke_dict
-        for path, value in overrides.items():
-            data = apply_override(data, path, value)
-        result = run_config(data)
-        return {
-            "min_rho": np.min(result.series["min_rho"]),
-            "min_theta": np.min(result.series["min_theta"]),
-            "certification": certify_run(result),
-        }
-
     start = time.monotonic()
-    report = sweep({"physical.lambda": [0.5, 1.0, 2.0],
-                    "physical.sigma": [0.5, 1.0, 2.0]}, cell)
+    report = sweep(smoke_dict, {"physical.lambda": [0.5, 1.0, 2.0],
+                                "physical.sigma": [0.5, 1.0, 2.0]})
     return report, time.monotonic() - start
 
 
@@ -99,9 +88,10 @@ def test_positivity_on_smoke_and_sweep(timed_smoke, exchange_sweep):
     assert np.min(result.series["min_theta"]) > 0
     assert len(report.cells) == 9
     assert report.failures == ()
+    assert report.passed
     for cell in report.cells:
-        assert cell.payload["min_rho"] > 0, cell.overrides
-        assert cell.payload["min_theta"] > 0, cell.overrides
+        assert cell.certification.min_rho > 0, cell.overrides
+        assert cell.certification.min_theta > 0, cell.overrides
 
 
 def test_energy_envelope_on_smoke_and_sweep(timed_smoke, exchange_sweep):
@@ -110,7 +100,7 @@ def test_energy_envelope_on_smoke_and_sweep(timed_smoke, exchange_sweep):
     smoke = certify_run(result)
     assert smoke.envelope_ok and smoke.theta_envelope_ok
     for cell in report.cells:
-        cert = cell.payload["certification"]
+        cert = cell.certification
         assert cert.envelope_ok and cert.theta_envelope_ok, cell.overrides
 
 
@@ -128,6 +118,7 @@ def test_observed_convergence_orders(unit_params, cubic_model):
     assert central.theta_orders[-1] >= 1.9
     assert upwind.rho_orders[-1] >= 0.9
     assert upwind.theta_orders[-1] >= 0.9
+    assert central.passed and upwind.passed
 
 
 def test_regularization_ladder_on_smoke(smoke_dict):
@@ -143,6 +134,7 @@ def test_regularization_ladder_on_smoke(smoke_dict):
     assert report.monotone
     assert report.monitor_variation["entropy"] <= 0.10
     assert report.monitor_variation["l4"] <= 0.10
+    assert report.passed
 
 
 def test_weak_residuals_shrink_under_refinement(smoke_dict):

@@ -14,12 +14,10 @@ import numpy as np
 import pytest
 
 import poromoist
-import poromoist.cli
-from poromoist import stepper
+from poromoist import harness, stepper
 from poromoist.cli import _fmt, main
 from poromoist.config import Setup, build_setup
 from poromoist.diagnostics import CertificationReport, certify_run
-from poromoist.harness import LadderReport
 
 
 @pytest.fixture()
@@ -318,21 +316,74 @@ def test_ladder_horizon_overflow_is_usage_error(smoke_config, tmp_path, capsys):
 
 def test_ladder_command_fails_when_not_monotone(small_config, tmp_path,
                                                 monkeypatch):
-    path, _ = small_config
-    growing = LadderReport(
-        eps_values=(0.1, 0.05, 0.025), nu_values=(0.05, 0.025, 0.0125),
-        differences=np.array([1.0, 2.0]),
-        entropy_monitors=np.array([0.3, 0.3, 0.3]),
-        l4_monitors=np.array([0.1, 0.1, 0.1]),
-        monotone=False, monitor_variation={"entropy": 0.0, "l4": 0.0})
-    monkeypatch.setattr(poromoist.cli, "regularization_ladder",
-                        lambda *args, **kwargs: growing)
+    # Growing distances stand in for the rungs' computed ones.
+    path, data = small_config
+    data["ladder"] = {"rungs": 3}
+    path = write_config(tmp_path, data)
+    distances = iter((1.0, 2.0))
+    monkeypatch.setattr(harness, "_trajectory_difference", lambda a, b: next(distances))
     out = tmp_path / "ladder"
     assert main(["ladder", str(path), "--out", str(out), "--quiet"]) == 1
     report = json.loads((out / "report.json").read_text())
+    assert report["differences"] == [1.0, 2.0]
     assert report["monotone"] is False
+    assert all(v <= 0.10 for v in report["monitor_variation"].values())
     assert report["passed"] is False
     assert len((out / "ladder.csv").read_text().splitlines()) == 4
+
+
+def test_ladder_command_fails_when_a_monitor_moves(small_config, tmp_path, monkeypatch):
+    # The last rung's fourth-power monitor is doubled after its march; its
+    # distances still fall, so only the variation cap can fail the ladder.
+    path, data = small_config
+    data["ladder"] = {"rungs": 3}
+    path = write_config(tmp_path, data)
+    real_run, rungs = harness.run, []
+
+    def doubled_last_l4(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        rungs.append(result)
+        if len(rungs) == 3:
+            result.series["l4_accumulator"] *= 2.0
+        return result
+
+    monkeypatch.setattr(harness, "run", doubled_last_l4)
+    out = tmp_path / "ladder"
+    assert main(["ladder", str(path), "--out", str(out), "--quiet"]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["monotone"] is True
+    assert report["variation_cap"] == 0.10
+    assert report["monitor_variation"]["l4"] > 0.10
+    assert report["monitor_variation"]["entropy"] <= 0.10
+    assert report["passed"] is False
+
+
+def test_sweep_command_fails_on_an_uncertified_cell(smoke_config, tmp_path, monkeypatch):
+    # One cell's march runs to the end but leaves a nonpositive temperature
+    # in its series: the cell is "ok" and uncertified, and fails the sweep.
+    data = copy.deepcopy(smoke_config)
+    data["grid"]["n"] = 16
+    data["physical"]["t_end"] = 0.02
+    data["output"]["cadence"] = 0.02
+    data["sweep"] = {"axes": {"physical.lambda": [0.5, 1.0]}}
+    path = write_config(tmp_path, data)
+    real_run = harness.run
+
+    def cold_second_cell(start, cfg, reg, params, *args, **kwargs):
+        result = real_run(start, cfg, reg, params, *args, **kwargs)
+        if params.lam == 1.0:
+            result.series["min_theta"][-1] = -1.0
+        return result
+
+    monkeypatch.setattr(harness, "run", cold_second_cell)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--out", str(out), "--quiet"]) == 1
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[1:] == ["0.5,ok,true,", "1.0,ok,false,"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["cells"][1]["certification"]["failures"] == [
+        "nonpositive temperature -1.000e+00"]
 
 
 def test_sweep_command_isolates_bad_cells(smoke_config, tmp_path):

@@ -431,7 +431,8 @@ def test_certify_run_passes_smoke(smoke_result):
 
 
 def test_certify_run_reports_failures(smoke_result):
-    doctored = {"mass_balance_residual": 1.0, "min_rho": -1.0, "max_theta": 1e9}
+    doctored = {"mass_balance_residual": 1.0, "min_rho": -1.0, "min_theta": 0.0,
+                "max_theta": 1e9}
     captured = {name: smoke_result.series[name][10] for name in doctored}
     for name, value in doctored.items():
         smoke_result.series[name][10] = value
@@ -441,6 +442,7 @@ def test_certify_run_reports_failures(smoke_result):
         text = " ".join(report.failures)
         assert "mass balance" in text
         assert "vapor density" in text
+        assert "nonpositive temperature 0.000e+00" in report.failures
         assert "temperature envelope" in text
         assert not report.theta_envelope_ok
         assert report.summary()["theta_envelope_ok"] is False

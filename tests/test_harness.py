@@ -1,6 +1,7 @@
 """Manufactured solutions, the regularization ladder, and parameter sweeps."""
 from __future__ import annotations
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,6 +209,8 @@ def test_central_orders_second_accurate(default_case, unit_params,
     assert report.rho_orders[-1] > 1.9
     assert report.theta_orders[-1] > 1.85
     assert report.dts[1] == report.dts[0] / 4.0
+    assert report.order_floor == 1.9
+    assert report.passed == (report.theta_orders[-1] >= 1.9)
 
 
 def test_upwind_orders_first_accurate(default_case, unit_params, cubic_model):
@@ -217,6 +220,8 @@ def test_upwind_orders_first_accurate(default_case, unit_params, cubic_model):
     assert report.rho_orders[-1] > 0.95
     assert report.theta_orders[-1] > 0.85
     assert report.dts[1] == report.dts[0] / 2.0
+    assert report.order_floor == 0.9
+    assert report.passed == (report.theta_orders[-1] >= 0.9)
 
 
 @pytest.mark.parametrize("sizes", [(16, 64), (16, 24), (16, 32, 48), (32, 16), (16,), ()])
@@ -245,6 +250,8 @@ def test_ladder_decreases_and_monitors_settle(unit_params, cubic_model):
     assert report.monotone
     assert report.monitor_variation["entropy"] <= 0.1
     assert report.monitor_variation["l4"] <= 0.1
+    assert report.variation_cap == 0.1
+    assert report.passed
 
 
 def no_ladder_march(*args, **kwargs):
@@ -275,6 +282,7 @@ def test_ladder_injection_breaks_monotonicity(unit_params, cubic_model,
     report = smoke_lite_ladder(unit_params, cubic_model, rungs=3)
     np.testing.assert_array_equal(report.differences, [1.0, 2.0])
     assert not report.monotone
+    assert not report.passed
 
 
 def test_trajectory_difference_equals_the_level_loop_to_the_bit(unit_params, cubic_model,
@@ -314,37 +322,57 @@ def test_ladder_is_insensitive_at_equilibrium(unit_params, cubic_model, monkeypa
     assert report.monitor_variation["l4"] <= 1e-8
 
 
-def test_sweep_visits_cells_in_sorted_order():
-    seen = []
+@pytest.fixture()
+def tiny_smoke(smoke_config):
+    """The smoke problem at n=16 to t=0.02, a two-step run."""
+    data = copy.deepcopy(smoke_config)
+    data["grid"]["n"] = 16
+    data["physical"]["t_end"] = 0.02
+    data["output"]["cadence"] = 0.02
+    return data
 
-    def record(overrides):
-        seen.append((overrides["a"], overrides["b"]))
-        return sum(overrides.values())
 
-    report = sweep({"b": [3, 4], "a": [1, 2]}, record)
-    assert seen == [(1, 3), (1, 4), (2, 3), (2, 4)]
-    assert all(c.status == "ok" for c in report.cells)
-    assert [c.payload for c in report.cells] == [4, 5, 5, 6]
+def test_sweep_visits_cells_in_sorted_order(tiny_smoke, monkeypatch):
+    seen, real_build = [], harness.build_setup
+
+    def record(data):
+        seen.append((data["physical"]["lambda"], data["physical"]["sigma"]))
+        return real_build(data)
+
+    monkeypatch.setattr(harness, "build_setup", record)
+    report = sweep(tiny_smoke, {"physical.sigma": [3.0, 4.0], "physical.lambda": [1.0, 2.0]})
+    assert seen == [(1.0, 3.0), (1.0, 4.0), (2.0, 3.0), (2.0, 4.0)]
+    assert [c.overrides for c in report.cells] == [
+        {"physical.lambda": lam, "physical.sigma": sigma} for lam, sigma in seen]
+    assert all(c.status == "ok" and c.certified for c in report.cells)
+    assert all(c.certification.passed for c in report.cells)
     assert report.failures == ()
+    assert report.passed
+    assert report.axes == {"physical.sigma": [3.0, 4.0], "physical.lambda": [1.0, 2.0]}
 
 
-def test_sweep_isolates_library_failures():
-    def run_cell(overrides):
-        if overrides["a"] == 2:
-            raise ConfigError("cell is out of range")
-        return overrides["a"]
-
-    report = sweep({"a": [1, 2, 3]}, run_cell)
+def test_sweep_isolates_library_failures(tiny_smoke):
+    report = sweep(tiny_smoke, {"regularization.eps": [0.01, 2.0, 0.02]})
     statuses = [c.status for c in report.cells]
-    assert statuses == ["ok", "ConfigError", "ok"]
-    assert report.cells[1].detail == "cell is out of range"
-    assert report.cells[1].payload is None
+    assert statuses == ["ok", "ValidationError", "ok"]
+    assert "regularization" in report.cells[1].detail
+    assert report.cells[1].certification is None
+    assert not report.cells[1].certified
+    assert report.cells[0].certified and report.cells[2].certified
     assert len(report.failures) == 1
+    assert not report.passed
 
 
-def test_sweep_propagates_foreign_errors():
-    def run_cell(overrides):
+def test_sweep_propagates_foreign_errors(tiny_smoke, monkeypatch):
+    def foreign(*args, **kwargs):
         raise ValueError("not a library error")
 
+    monkeypatch.setattr(harness, "run", foreign)
     with pytest.raises(ValueError):
-        sweep({"a": [1]}, run_cell)
+        sweep(tiny_smoke, {"physical.lambda": [1.0]})
+
+
+def test_verdict_constants():
+    # The acceptance floors of the MMS orders and the ladder's monitor cap.
+    assert harness.MMS_ORDER_FLOOR == {"central": 1.9, "upwind": 0.9}
+    assert harness.LADDER_VARIATION_CAP == 0.10

@@ -1,4 +1,4 @@
-"""No module of the package or its scripts imports a name it never uses."""
+"""No module of the package, its scripts or its demos imports a name it never uses."""
 from __future__ import annotations
 
 import ast
@@ -7,8 +7,8 @@ import pytest
 
 from tests.conftest import REPO_ROOT
 
-SOURCES = sorted((REPO_ROOT / "src" / "poromoist").glob("*.py")) + sorted(
-    (REPO_ROOT / "scripts").glob("*.py"))
+SOURCES = [path for folder in ("src/poromoist", "scripts", "demos")
+           for path in sorted((REPO_ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

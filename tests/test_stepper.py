@@ -396,6 +396,29 @@ def test_failed_substep_is_counted_and_split(monkeypatch, cubic_model):
     assert new.t == plain_new.t == SPLIT_DT
 
 
+def test_failed_second_half_counts_the_first_half(monkeypatch, cubic_model):
+    # The direct attempt fails, the first half converges, and every attempt
+    # at a span from its end on fails: the error counts every sweep.
+    grid, params, state, reg = stiff_setup(SPLIT_LAM)
+    cfg = StepConfig(dt=SPLIT_DT)
+    sweeps = log_sweeps(monkeypatch)
+    real_assemble = stepper.assemble_theta_system
+
+    def nonfinite_from_the_midpoint(prev, *args, **kwargs):
+        if prev.t == 0.01:
+            raise NonfiniteIterate("injected from the midpoint on")
+        return real_assemble(prev, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "assemble_theta_system", nonfinite_from_the_midpoint)
+    with pytest.raises(NonfiniteIterate) as exc:
+        homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    # the direct attempt's 50 sweeps and the first half's 25, then one sweep
+    # at each depth 1 .. SPLIT_DEPTH from t = 0.01
+    assert exc.value.sweeps == len(sweeps) == 75 + stepper.SPLIT_DEPTH
+    assert [(t, dt) for t, dt, _, _ in sweeps[75:]] == [
+        (0.01, 0.01 / 2**k) for k in range(stepper.SPLIT_DEPTH)]
+
+
 def test_dominance_loss_in_direct_attempt_goes_to_substeps(monkeypatch, cubic_model):
     grid, params, state, reg = stiff_setup(SPLIT_LAM)
     cfg = StepConfig(dt=SPLIT_DT)
@@ -873,6 +896,8 @@ def test_run_validates_horizon(unit_params, cubic_model):
     state = equilibrium_state(grid)
     with pytest.raises(ConfigError):
         run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.0015)
+    with pytest.raises(ConfigError, match=r"t_end must be nonnegative, got -0\.001"):
+        run(state, cfg, reg, unit_params, cubic_model, grid, t_end=-1e-3)
     with pytest.raises(ConfigError, match="positive integer number of steps"):
         run(state, cfg, reg, unit_params, cubic_model, grid, t_end=1e-12)
     with pytest.raises(ConfigError, match="positive integer number of steps"):
