@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -55,16 +55,23 @@ def _write_columns(path: str, columns: dict) -> None:
         writer.writerows(zip(*padded))
 
 
-def _write_fields(path: str, header, rows) -> None:
-    """A CSV of fields that never need quoting, written as joined text.
+def _write_fields(path: str, header, blocks) -> None:
+    """A CSV of fields that never need quoting, one block of rows at a time.
 
     Each row is its fields joined by commas and ended by \r\n, which is
-    what csv.writer writes for them: repr floats and the fixed headers hold
-    no comma, quote or line break.  The lines stream into the file, as
-    csv.writer's rows do, so no copy of the whole file is held.
+    what csv.writer writes for them: repr floats and the fixed headers are
+    nonempty and hold no comma, quote or line break.  After the header each
+    block of rows is joined into one text and written with its final \r\n,
+    so only one block's text is held at a time; a block with no rows writes
+    nothing.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(",".join(row) + "\r\n" for row in chain((header,), rows))
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            text = "\r\n".join(map(",".join, block))
+            if text:
+                fh.write(text)
+                fh.write("\r\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -103,25 +110,31 @@ def _snapshot_indices(steps: int, cadence: float, dt: float) -> list[int]:
 # Whole columns go through tolist() and map(repr, ...) in both writers:
 # Python floats and ints print as _fmt prints their numpy counterparts.
 def _write_series(path: str, result) -> None:
-    """series.csv: t and the SERIES_COLUMNS, one row per time level."""
+    """series.csv: t and the SERIES_COLUMNS, one row per time level, one block."""
     columns = [result.t] + [result.series[name] for name in SERIES_COLUMNS]
     _write_fields(path, ("t",) + SERIES_COLUMNS,
-                  zip(*(map(repr, column.tolist()) for column in columns)))
+                  (zip(*(map(repr, column.tolist()) for column in columns)),))
 
 
 def _write_snapshots(path: str, result, setup) -> None:
-    """snapshots.csv: cell values and Darcy velocity at every snapshot time."""
+    """snapshots.csv: cell values and Darcy velocity at every snapshot time.
+
+    Each snapshot is one block of rows, made as it is written, so the text
+    of one snapshot is held at a time.
+    """
     steps = len(result.t) - 1
     x_text = list(map(repr, setup.grid.centers.tolist()))
-    rows = []
-    for k in _snapshot_indices(steps, setup.cadence, setup.step.dt):
-        rho, theta = result.rho[k], result.theta[k]
-        u_face = darcy_velocity(rho, theta, setup.grid, params=setup.params)
-        u_cell = 0.5 * (u_face[:-1] + u_face[1:])
-        t_text = repr(result.t[k].item())
-        rows.extend(zip(repeat(t_text), x_text, map(repr, rho.tolist()),
-                        map(repr, theta.tolist()), map(repr, u_cell.tolist())))
-    _write_fields(path, ("t", "x", "rho", "theta", "u"), rows)
+
+    def blocks():
+        for k in _snapshot_indices(steps, setup.cadence, setup.step.dt):
+            rho, theta = result.rho[k], result.theta[k]
+            u_face = darcy_velocity(rho, theta, setup.grid, params=setup.params)
+            u_cell = 0.5 * (u_face[:-1] + u_face[1:])
+            t_text = repr(result.t[k].item())
+            yield zip(repeat(t_text), x_text, map(repr, rho.tolist()),
+                      map(repr, theta.tolist()), map(repr, u_cell.tolist()))
+
+    _write_fields(path, ("t", "x", "rho", "theta", "u"), blocks())
 
 
 def _cmd_run(args) -> int:

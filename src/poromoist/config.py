@@ -7,7 +7,7 @@ initial profiles, and the output cadence, plus optional study sections
 unknown keys and out-of-range scalars, then cross-field checks catch the
 couplings a schema cannot express (nu against eps, the saturation
 family's admissibility condition, step counts dividing the horizon and
-small enough for numpy to hold the run's (steps+1, n) trajectory, profiles
+small enough for numpy to hold the run's (steps+1, 2n) trajectory, profiles
 dipping below their floors).  All violations are collected into a single
 ValidationError instead of stopping at the first.
 
@@ -340,9 +340,10 @@ def _cross_field(data: dict) -> list[tuple[str, str]]:
     max_bytes = np.iinfo(np.intp).max
     for where, t_end in (("physical.t_end", phys["t_end"]), ("ladder.t_end", ladder_t_end)):
         steps = step_count(t_end, dt) if t_end is not None else 0
-        if (steps + 1) * n * np.dtype(float).itemsize > max_bytes:
-            bad.append((where, f"t_end={t_end} takes {steps:.3e} steps of dt={dt}, too "
-                               f"many for numpy to hold as a (steps+1, n={n}) float array"))
+        if (steps + 1) * 2 * n * np.dtype(float).itemsize > max_bytes:
+            bad.append((where, f"t_end={t_end} takes {steps:.3e} steps of dt={dt}, too many "
+                               f"for numpy to hold as the run's (steps+1, 2n={2 * n}) float "
+                               f"trajectory array"))
     init = data["initial"]
     for name in ("rho", "theta"):
         spec = init[name]

@@ -117,7 +117,7 @@ def test_invalid_config_is_usage_error(smoke_config, tmp_path):
     ("physical.kappa1", math.inf),
     ("stepping.picard_tol", math.inf),
     ("grid.n", 8.0),
-    # 1e303 whole steps: numpy rejects their (steps+1, n) array without allocating
+    # 1e303 whole steps: numpy rejects their (steps+1, 2n) array without allocating
     ("physical.t_end", 1e300),
 ])
 def test_nonfinite_or_fractional_value_is_usage_error(smoke_config, tmp_path, capsys,
@@ -129,6 +129,27 @@ def test_nonfinite_or_fractional_value_is_usage_error(smoke_config, tmp_path, ca
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{where}:" in err
+
+
+@pytest.mark.parametrize("command,where", [("run", "physical.t_end"),
+                                           ("ladder", "ladder.t_end")])
+def test_trajectory_too_big_for_numpy_is_usage_error(smoke_config, tmp_path, capsys,
+                                                     command, where):
+    # 2^57 + 2^56 steps of n=4: a (steps+1, n) float array fits numpy's byte
+    # count, the run's (steps+1, 2n) trajectory does not
+    horizon = float(2**57 + 2**56)
+    data = copy.deepcopy(smoke_config)
+    data["grid"]["n"] = 4
+    data["initial"]["rho"] = {"profile": "constant", "value": 1.0}
+    data["stepping"]["dt"] = 1.0
+    data["physical"]["t_end"] = data["output"]["cadence"] = (
+        horizon if command == "run" else 1.0)
+    if command == "ladder":
+        data["ladder"] = {"t_end": horizon, "rungs": 4}
+    path = write_config(tmp_path, data)
+    assert main([command, str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{where}:" in err and "2n=8" in err
 
 
 def temperature_step_config(smoke_config, right):
