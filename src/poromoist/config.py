@@ -8,8 +8,8 @@ unknown keys and out-of-range scalars, then cross-field checks catch the
 couplings a schema cannot express (nu against eps, the saturation
 family's admissibility condition, step counts dividing the horizon and
 small enough for numpy to hold the run's (steps+1, 2n) trajectory, profiles
-dipping below their floors).  All violations are collected into a single
-ValidationError instead of stopping at the first.
+that overflow or dip below their floors).  All violations are collected
+into a single ValidationError instead of stopping at the first.
 
 The schema is the ``CONFIG_SCHEMA`` dict below, walked by this module
 itself.  It uses the JSON Schema keywords type, properties, required,
@@ -34,8 +34,8 @@ import numpy as np
 
 from .discretization import Grid
 from .errors import ConfigError, ParseError, ValidationError
-from .model import SATURATION_FAMILIES, InitialData, PhysicalParams, SaturationModel
-from .stepper import RegularizationParams, StepConfig, step_count
+from .model import SATURATION_FAMILIES, PhysicalParams, SaturationModel
+from .stepper import RegularizationParams, State, StepConfig, step_count
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -352,14 +352,16 @@ def _cross_field(data: dict) -> list[tuple[str, str]]:
                         f"expected {n} samples, got {len(spec['values'])}"))
     if not bad:
         grid = Grid(n)
-        rho0 = _profile_values(init["rho"], grid)
-        theta0 = _profile_values(init["theta"], grid)
-        if np.any(rho0 < 0):
-            bad.append(("initial.rho", f"profile dips to {float(np.min(rho0)):.6g} < 0"))
-        if np.any(theta0 < init["theta_floor"]):
-            bad.append(("initial.theta",
-                        f"profile dips to {float(np.min(theta0)):.6g} below "
-                        f"theta_floor={init['theta_floor']}"))
+        floor = init["theta_floor"]
+        for name, least, below in (("rho", 0.0, "< 0"),
+                                   ("theta", floor, f"below theta_floor={floor}")):
+            with np.errstate(over="ignore"):  # reported as a violation here
+                values = _profile_values(init[name], grid)
+            if not np.isfinite(values).all():
+                bad.append((f"initial.{name}", "profile overflows to a nonfinite value"))
+            elif np.any(values < least):
+                bad.append((f"initial.{name}",
+                            f"profile dips to {float(np.min(values)):.6g} {below}"))
     return bad
 
 
@@ -414,7 +416,7 @@ class Setup:
     reg: RegularizationParams
     step: StepConfig
     grid: Grid
-    initial: InitialData
+    initial: State                 # the raw profile samples at t = 0
     cadence: float
 
 
@@ -432,10 +434,7 @@ def build_setup(data: dict) -> Setup:
     step = StepConfig(**{**stepping, "dt": float(stepping["dt"])})
     grid = Grid(int(data["grid"]["n"]))
     init = data["initial"]
-    initial = InitialData(
-        rho0=_profile_values(init["rho"], grid),
-        theta0=_profile_values(init["theta"], grid),
-        theta_floor=float(init["theta_floor"]),
-    )
+    initial = State(_profile_values(init["rho"], grid),
+                    _profile_values(init["theta"], grid), 0.0)
     cadence = float(data.get("output", {}).get("cadence", phys["t_end"]))
     return Setup(params, model, reg, step, grid, initial, cadence)

@@ -29,13 +29,7 @@ from .config import apply_override, build_setup
 from .diagnostics import CertificationReport, certify_run
 from .discretization import ForcingValues, Grid, robin_fluxes
 from .errors import ConfigError, PoromoistError
-from .model import (
-    InitialData,
-    PhysicalParams,
-    SaturationModel,
-    conductivity,
-    saturation_pressure,
-)
+from .model import PhysicalParams, SaturationModel, conductivity, saturation_pressure
 from .stepper import (
     Forcing,
     RegularizationParams,
@@ -276,7 +270,7 @@ def _trajectory_difference(a: RunResult, b: RunResult) -> float:
     return float(np.sqrt(total))
 
 
-def regularization_ladder(initial: InitialData, cfg: StepConfig,
+def regularization_ladder(initial: State, cfg: StepConfig,
                           params: PhysicalParams, model: SaturationModel,
                           grid: Grid, t_end: float | None = None,
                           eps0: float = 0.1, rungs: int = 4,
@@ -286,9 +280,9 @@ def regularization_ladder(initial: InitialData, cfg: StepConfig,
     Convergence of the regularized family shows up as strictly decreasing
     successive space-time distances, while the entropy and fourth-power
     monitors level off: their relative change between the last two rungs
-    may not exceed LADDER_VARIATION_CAP.  Each rung starts from the initial
-    data mollified at its own radius.  Fewer than 3 rungs (two distances)
-    raise ConfigError before any run.
+    may not exceed LADDER_VARIATION_CAP.  Each rung starts from the raw
+    samples initial, mollified at its own radius.  Fewer than 3 rungs (two
+    distances) raise ConfigError before any run.
     """
     if rungs < 3:
         raise ConfigError(f"rungs must be at least 3, got {rungs}")

@@ -33,7 +33,6 @@ __all__ = [
     "PowerLawSaturation",
     "ExponentialSaturation",
     "SATURATION_FAMILIES",
-    "InitialData",
     "saturation_pressure",
     "phase_change_rate",
     "conductivity",
@@ -210,37 +209,6 @@ def conductivity(rho, params: PhysicalParams):
     """Heat conductivity kappa1 + kappa2 * rho**2 (bounded below by kappa1)."""
     out = params.kappa1 + params.kappa2 * np.square(rho, dtype=float)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class InitialData:
-    """Cell samples of the initial state.
-
-    rho0 must be nonnegative and theta0 must stay at or above the positive
-    floor theta_floor.
-    """
-
-    rho0: np.ndarray
-    theta0: np.ndarray
-    theta_floor: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho0", np.asarray(self.rho0, dtype=float))
-        object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
-        problems = []
-        if not self.theta_floor > 0:
-            problems.append(f"theta_floor must be positive, got {self.theta_floor}")
-        if self.rho0.shape != self.theta0.shape:
-            problems.append("rho0 and theta0 must have equal length")
-        if not np.all(np.isfinite(self.rho0)) or not np.all(np.isfinite(self.theta0)):
-            problems.append("initial samples must be finite")
-        else:
-            if np.any(self.rho0 < 0):
-                problems.append("rho0 must be nonnegative")
-            if self.theta_floor > 0 and np.any(self.theta0 < self.theta_floor):
-                problems.append("theta0 must not fall below theta_floor")
-        if problems:
-            raise ConfigError("invalid initial data: " + "; ".join(problems))
 
 
 def darcy_velocity(rho: np.ndarray, theta: np.ndarray, grid: Grid,

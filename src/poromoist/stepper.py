@@ -41,11 +41,13 @@ cells and hands each block to one diagnostics.step_record call, which
 writes every series column of those levels from their records; so the
 step loop does little besides the solve, and no buffer grows with the
 step count.  run takes one start State, which the commands build with
-mollified_initial_data, and checks only it for the cone rho >= 0,
-theta > 0; certify_run judges the march.  A Forcing is one function of
-(x, t) that returns every forcing term at once; it is evaluated once per
-time a substep ends and shared by its sweeps, and an unforced run shares
-discretization.NO_FORCING, whose zero terms change no value.
+mollified_initial_data from the raw samples build_setup holds as a State;
+both check only their input State, for the grid and the cone rho >= 0,
+theta > 0 (_checked_start), and certify_run judges the march.  A Forcing
+is one function of (x, t) that returns every forcing term at once; it is
+evaluated once per time a substep ends and shared by its sweeps, and an
+unforced run shares discretization.NO_FORCING, whose zero terms change no
+value.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -102,13 +104,7 @@ from .errors import (
     StepFailure,
 )
 from .linalg import TridiagonalSystem, solve_thomas
-from .model import (
-    InitialData,
-    PhysicalParams,
-    SaturationModel,
-    conductivity,
-    saturation_pressure,
-)
+from .model import PhysicalParams, SaturationModel, conductivity, saturation_pressure
 
 __all__ = [
     "RegularizationParams",
@@ -171,7 +167,10 @@ class State:
 
     rho and theta are the cell values on one grid: finite 1-D float arrays
     of equal length, with rho >= 0 and theta > 0.  A State checks none of
-    this; run checks its start, and certify_run the states it marched.
+    this: mollified_initial_data checks the raw samples it smooths and run
+    its start (both through _checked_start), and certify_run judges the
+    states a run marched.  build_setup holds a config's raw profile samples
+    as the State at t = 0 that mollified_initial_data smooths.
     """
 
     rho: np.ndarray
@@ -266,19 +265,49 @@ class RunResult:
     t_end: float
 
 
-def mollified_initial_data(data: InitialData, reg: RegularizationParams,
-                           grid: Grid) -> State:
-    """Smooth the initial samples over radius eps and lift rho by eps.
+def _checked_start(start: State, grid: Grid) -> State:
+    """start with float arrays, once they pass the checks of a march's start.
 
-    The lift keeps the vapor density strictly positive so the degenerate
-    diffusion coefficient starts away from zero.  Both returned arrays are
-    new: where the kernel is the identity, mollify returns its input, so
-    theta is copied and never aliases data.theta0.  run rejects the
-    state unless the data has grid.n samples.
+    DimensionMismatch unless both arrays are 1-D with grid.n cells,
+    ConfigError for unequal lengths, nonfinite values, rho < 0 or
+    theta <= 0.
     """
-    rho = mollify(data.rho0, reg.eps, grid.h) + reg.eps
-    theta = np.array(mollify(data.theta0, reg.eps, grid.h), dtype=float)
-    return State(rho, theta, 0.0)
+    t0 = start.t
+    rho = np.asarray(start.rho, dtype=float)
+    theta = np.asarray(start.theta, dtype=float)
+    if rho.ndim != 1 or theta.ndim != 1:
+        raise DimensionMismatch(
+            f"state values must be 1-D, got shapes {rho.shape} and {theta.shape}")
+    if rho.shape != theta.shape:
+        raise ConfigError(f"rho has {rho.shape[0]} cells but theta has {theta.shape[0]}")
+    if not (np.isfinite(rho).all() and np.isfinite(theta).all()):
+        raise ConfigError(f"nonfinite state values at t={t0}")
+    if (rho < 0).any():
+        raise ConfigError(f"negative vapor density at t={t0}")
+    if (theta <= 0).any():
+        raise ConfigError(f"nonpositive temperature at t={t0}")
+    if rho.shape != (grid.n,):
+        raise DimensionMismatch(
+            f"initial state has {rho.shape[0]} cells for an n={grid.n} grid")
+    return State(rho, theta, t0)
+
+
+def mollified_initial_data(start: State, reg: RegularizationParams,
+                           grid: Grid) -> State:
+    """Smooth the raw initial samples over radius eps and lift rho by eps.
+
+    start is checked as run checks its start (see _checked_start), so raw
+    samples off the grid or outside the cone rho >= 0, theta > 0 raise
+    before any smoothing.  The lift keeps the vapor density strictly
+    positive so the degenerate diffusion coefficient starts away from
+    zero.  Both returned arrays are new: where the kernel is the identity,
+    mollify returns its input, so theta is copied and never aliases
+    start.theta.
+    """
+    start = _checked_start(start, grid)
+    rho = mollify(start.rho, reg.eps, grid.h) + reg.eps
+    theta = np.array(mollify(start.theta, reg.eps, grid.h), dtype=float)
+    return State(rho, theta, start.t)
 
 
 def _cell_gradient(values: np.ndarray, h: float) -> np.ndarray:
@@ -734,10 +763,7 @@ def _predicted_start(history: np.ndarray,
     if rows < 2:
         return None
     if rows < _SELECTION_ROWS:
-        terms = _EXTRAPOLATION_WEIGHTS[rows] * history
-        guess = terms[0]
-        for term in terms[1:]:
-            guess += term
+        guess = (_EXTRAPOLATION_WEIGHTS[rows] * history).sum(axis=0)
     else:
         weighted = _SELECTION_WEIGHTS[rows] @ history
         # the errors of degrees 1 .. m - 2, then max |x_k|
@@ -772,13 +798,14 @@ def run(start: State, cfg: StepConfig, reg: RegularizationParams,
         t_end: float | None = None, forcing: Forcing | None = None) -> RunResult:
     """March the coupled system from start to t_end with per-step diagnostics.
 
-    start is taken as float arrays and checked once, here: DimensionMismatch
-    unless 1-D with grid.n cells, ConfigError for unequal lengths, nonfinite
-    values, rho < 0 or theta <= 0.  The marched states are not checked
-    again; certify_run judges them.  The forcing is evaluated once per
-    (sub)step, at its new time.  The series is written a block of levels at
-    a time (see step_record).  Deterministic: identical inputs produce
-    bit-identical trajectories.
+    start is taken as float arrays and checked once, here, by
+    _checked_start: DimensionMismatch unless 1-D with grid.n cells,
+    ConfigError for unequal lengths, nonfinite values, rho < 0 or
+    theta <= 0.  The marched states are not checked again; certify_run
+    judges them.  The forcing is evaluated once per (sub)step, at its new
+    time.  The series is written a block of levels at a time (see
+    step_record).  Deterministic: identical inputs produce bit-identical
+    trajectories.
     """
     reg.validate_against(params)
     if t_end is None:
@@ -790,24 +817,7 @@ def run(start: State, cfg: StepConfig, reg: RegularizationParams,
         raise ConfigError(
             f"t_end={t_end} is not a positive integer number of steps of dt={cfg.dt}")
 
-    t0 = start.t
-    rho0 = np.asarray(start.rho, dtype=float)
-    theta0 = np.asarray(start.theta, dtype=float)
-    if rho0.ndim != 1 or theta0.ndim != 1:
-        raise DimensionMismatch(
-            f"state values must be 1-D, got shapes {rho0.shape} and {theta0.shape}")
-    if rho0.shape != theta0.shape:
-        raise ConfigError(f"rho has {rho0.shape[0]} cells but theta has {theta0.shape[0]}")
-    if not (np.isfinite(rho0).all() and np.isfinite(theta0).all()):
-        raise ConfigError(f"nonfinite state values at t={t0}")
-    if (rho0 < 0).any():
-        raise ConfigError(f"negative vapor density at t={t0}")
-    if (theta0 <= 0).any():
-        raise ConfigError(f"nonpositive temperature at t={t0}")
-    if rho0.shape != (grid.n,):
-        raise DimensionMismatch(
-            f"initial state has {rho0.shape[0]} cells for an n={grid.n} grid")
-    state = State(rho0, theta0, t0)
+    state = _checked_start(start, grid)
 
     # The trajectory as (rho, theta) rows; _predicted_start reads the newest.
     n = grid.n

@@ -128,6 +128,9 @@ def test_schema_violations_all_reported(smoke_config):
      "saturation.eta"),                           # needs eta < 1
     ("saturation", {"kind": "exponential", "a": 1.0, "b": 1.0},
      "saturation.eta"),                           # the default eta = 1
+    ("initial.rho", {"profile": "bump", "base": 1e308, "amplitude": 1e308,
+                     "center": 0.5, "width": 0.2}, "initial.rho"),  # overflows to inf
+    ("initial.theta_floor", 0.0, "initial.theta_floor"),
 ])
 def test_single_violations(smoke_config, path, value, where):
     if path.startswith("ladder."):   # the smoke config has no ladder section
@@ -135,6 +138,13 @@ def test_single_violations(smoke_config, path, value, where):
     bad = override(smoke_config, path, value)
     with pytest.raises(ValidationError, match=where.replace(".", r"\.")):
         validate_config(bad)
+
+
+def test_empty_sweep_axes_rejected(smoke_config):
+    bad = {**smoke_config, "sweep": {"axes": {}}}
+    with pytest.raises(ValidationError) as exc:
+        validate_config(bad)
+    assert exc.value.violations == [("sweep.axes", "needs at least 1 key(s)")]
 
 
 def test_profile_oneof_mentions_location(smoke_config):
@@ -151,6 +161,8 @@ def test_apply_override_copies(smoke_config):
         apply_override(smoke_config, "grid.m", 64)
     with pytest.raises(ConfigError, match="unknown override path"):
         apply_override(smoke_config, "grid.n.deeper", 64)
+    with pytest.raises(ConfigError, match="unknown override path"):
+        apply_override(smoke_config, "physical.nope.x", 1)
 
 
 def test_build_setup_resolves_objects(smoke_config):
@@ -161,7 +173,8 @@ def test_build_setup_resolves_objects(smoke_config):
     assert setup.step.advection == "upwind"
     assert setup.reg.eps == 0.01
     assert setup.cadence == 0.1
-    assert setup.initial.rho0.shape == (100,)
+    assert setup.initial.rho.shape == (100,)
+    assert setup.initial.t == 0.0
 
 
 def test_build_setup_default_cadence(smoke_config):
@@ -182,20 +195,20 @@ def test_profiles_evaluate_as_documented(smoke_config):
         "profile": "bump", "base": 1.0, "amplitude": 2.0,
         "center": 0.5, "width": 0.3})
     expected = 1.0 + 2.0 * np.exp(-((x - 0.5) / 0.3) ** 2)
-    np.testing.assert_allclose(build_setup(data).initial.rho0, expected)
+    np.testing.assert_allclose(build_setup(data).initial.rho, expected)
 
     data = override(data, "initial.rho", {
         "profile": "step", "left": 0.5, "right": 2.0, "at": 0.5})
-    np.testing.assert_allclose(build_setup(data).initial.rho0,
+    np.testing.assert_allclose(build_setup(data).initial.rho,
                                [0.5, 0.5, 2.0, 2.0])
 
     data = override(data, "initial.rho", {
         "profile": "inline", "values": [1.0, 2.0, 3.0, 4.0]})
-    np.testing.assert_allclose(build_setup(data).initial.rho0,
+    np.testing.assert_allclose(build_setup(data).initial.rho,
                                [1.0, 2.0, 3.0, 4.0])
 
     data = override(data, "initial.rho", {"profile": "constant", "value": 2.5})
-    np.testing.assert_allclose(build_setup(data).initial.rho0, 2.5)
+    np.testing.assert_allclose(build_setup(data).initial.rho, 2.5)
 
 
 def violations(data) -> list:
@@ -325,7 +338,7 @@ def config_corpus() -> list:
 
 def test_corpus_builds_a_setup_or_raises_config_error(config_corpus):
     built = 0
-    # Extreme profile parameters overflow to inf, which InitialData rejects.
+    # Extreme profile parameters overflow to inf, which the cross-field checks reject.
     with np.errstate(all="ignore"):
         for doc in config_corpus:
             try:

@@ -13,7 +13,6 @@ from poromoist.diagnostics import (CertificationReport, certify_run, default_tes
                                    start_series, step_record, weak_residual)
 from poromoist.discretization import NO_FORCING, Grid
 from poromoist.harness import make_default_mms_case
-from poromoist.model import InitialData
 from poromoist.stepper import (RegularizationParams, State, StepConfig, homotopy_solve,
                                mollified_initial_data, run)
 from tests.conftest import make_params, run_equilibrium
@@ -28,8 +27,7 @@ def equilibrium_run(unit_params, cubic_model):
 
 def bump_run(n, dt, t_end, eps=1e-4, nu=5e-5, params=None, model=None):
     grid = Grid(n)
-    data = InitialData(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2),
-                       np.ones(n), theta_floor=0.5)
+    data = State(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2), np.ones(n), 0.0)
     reg = RegularizationParams(eps=eps, nu=nu)
     return run(mollified_initial_data(data, reg, grid), StepConfig(dt=dt), reg,
                params, model, grid, t_end=t_end)

@@ -12,8 +12,8 @@ from poromoist.discretization import Grid, robin_fluxes
 from poromoist.errors import ConfigError
 from poromoist.harness import (MMSCase, make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
-from poromoist.model import InitialData, conductivity, saturation_pressure
-from poromoist.stepper import StepConfig
+from poromoist.model import conductivity, saturation_pressure
+from poromoist.stepper import State, StepConfig
 from tests.conftest import equilibrium_state, make_params
 from tests.oracles import TermForcing, sequential_trajectory_difference
 
@@ -236,8 +236,7 @@ def test_mms_grid_sizes_must_double(default_case, unit_params, cubic_model,
 
 def smoke_lite_ladder(params, model, **kwargs):
     grid = Grid(64)
-    data = InitialData(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2),
-                       np.ones(grid.n), theta_floor=0.5)
+    data = State(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2), np.ones(grid.n), 0.0)
     return regularization_ladder(data, StepConfig(dt=1e-3), params, model,
                                  grid, t_end=0.1, **kwargs)
 
@@ -314,7 +313,7 @@ def test_ladder_is_insensitive_at_equilibrium(unit_params, cubic_model, monkeypa
     grid = Grid(16)
     monkeypatch.setattr(harness, "mollified_initial_data",
                         lambda data, reg, grid: equilibrium_state(grid))
-    data = InitialData(np.ones(grid.n), np.ones(grid.n), theta_floor=0.5)
+    data = State(np.ones(grid.n), np.ones(grid.n), 0.0)
     report = regularization_ladder(
         data, StepConfig(dt=1e-3), unit_params, cubic_model, grid, t_end=0.02)
     assert np.all(report.differences <= 1e-8)

@@ -1,6 +1,8 @@
 """Tridiagonal solver against hand-worked and dense-elimination oracles."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,19 @@ def test_numpy_openblas_routines_resolve():
     if "scipy-openblas" not in str(lapack.get("name", "")):
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}")
     assert linalg._GTTR is not None
+
+
+def test_resolver_falls_back_to_none(monkeypatch):
+    # Builds where numpy's linalg extension cannot be loaded, or exports no
+    # ILP64 pair (only LP64 names, or half a pair), solve with the loop.
+    def unloadable(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(linalg.ctypes, "CDLL", unloadable)
+    assert linalg._resolve_gttr() is None
+    lp64_only = SimpleNamespace(dgttrf_=None, dgttrs_=None, scipy_dgttrf_64_=None)
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: lp64_only)
+    assert linalg._resolve_gttr() is None
 
 
 def test_interleaved_sizes_each_match_the_loop():

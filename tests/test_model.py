@@ -8,7 +8,7 @@ import pytest
 
 from poromoist.discretization import Grid
 from poromoist.errors import ConfigError
-from poromoist.model import (ExponentialSaturation, InitialData, PowerLawSaturation,
+from poromoist.model import (ExponentialSaturation, PowerLawSaturation,
                              conductivity, darcy_velocity,
                              phase_change_rate, saturation_pressure)
 from tests.conftest import make_params
@@ -111,21 +111,6 @@ def test_conductivity():
     assert conductivity(2.0, params) == pytest.approx(13.0)
     np.testing.assert_allclose(conductivity(np.array([0.0, 1.0]), params),
                                [1.0, 4.0])
-
-
-def test_initial_data_validation():
-    good = InitialData(np.ones(4), np.ones(4), theta_floor=0.5)
-    assert good.theta_floor == 0.5
-    cases = [
-        dict(rho0=[-0.1, 1, 1, 1], theta0=[1, 1, 1, 1], theta_floor=0.5),
-        dict(rho0=[1, 1, 1, 1], theta0=[0.4, 1, 1, 1], theta_floor=0.5),
-        dict(rho0=[1, 1, 1], theta0=[1, 1, 1, 1], theta_floor=0.5),
-        dict(rho0=[1, np.nan, 1, 1], theta0=[1, 1, 1, 1], theta_floor=0.5),
-        dict(rho0=[1, 1, 1, 1], theta0=[1, 1, 1, 1], theta_floor=0.0),
-    ]
-    for kwargs in cases:
-        with pytest.raises(ConfigError, match="invalid initial data"):
-            InitialData(**kwargs)
 
 
 def test_darcy_velocity_interior_and_walls():

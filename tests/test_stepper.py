@@ -16,8 +16,7 @@ from poromoist.errors import (ConfigError, DimensionMismatch,
                               DominanceViolation, NonfiniteIterate,
                               PicardDivergence)
 from poromoist.linalg import solve_thomas
-from poromoist.model import (InitialData, PowerLawSaturation, conductivity,
-                             saturation_pressure)
+from poromoist.model import PowerLawSaturation, conductivity, saturation_pressure
 from poromoist.stepper import (RegularizationParams, State,
                                StepConfig, assemble_rho_system,
                                assemble_theta_system, homotopy_solve,
@@ -262,16 +261,32 @@ def test_state_values_checked(unit_params, cubic_model):
 
 def test_mollified_initial_data_lift():
     grid = Grid(16)
-    data = InitialData(np.linspace(1.0, 2.0, 16), np.full(16, 1.5),
-                       theta_floor=0.5)
+    data = State(np.linspace(1.0, 2.0, 16), np.full(16, 1.5), 0.0)
     reg = RegularizationParams(eps=0.01, nu=0.005)
     # radius below the cell width: smoothing is the identity, only the lift acts
     state = mollified_initial_data(data, reg, grid)
-    np.testing.assert_array_equal(state.rho, data.rho0 + 0.01)
-    np.testing.assert_array_equal(state.theta, data.theta0)
-    assert not np.shares_memory(state.theta, data.theta0)
-    assert not np.shares_memory(state.rho, data.rho0)
+    np.testing.assert_array_equal(state.rho, data.rho + 0.01)
+    np.testing.assert_array_equal(state.theta, data.theta)
+    assert not np.shares_memory(state.theta, data.theta)
+    assert not np.shares_memory(state.rho, data.rho)
     assert state.t == 0.0
+
+
+def test_mollified_initial_data_rejects_raw_samples():
+    # Raw samples from a library caller get the checks of run's start
+    # before any smoothing, whatever the mollifier would make of them.
+    reg = RegularizationParams(eps=0.01, nu=0.005)
+    for rho, theta, error, message in (
+            ([-0.1, 1, 1, 1], [1, 1, 1, 1], ConfigError, "negative vapor density"),
+            ([1, 1, 1, 1], [1, 0.0, 1, 1], ConfigError, "nonpositive temperature"),
+            ([1, 1, 1, 1], [1, -0.4, 1, 1], ConfigError, "nonpositive temperature"),
+            ([1, np.nan, 1, 1], [1, 1, 1, 1], ConfigError, "nonfinite"),
+            ([1, 1, 1, 1], [1, np.inf, 1, 1], ConfigError, "nonfinite"),
+            ([1, 1, 1], [1, 1, 1, 1], ConfigError, "3 cells but theta has 4"),
+            ([1] * 5, [1] * 5, DimensionMismatch, "5 cells for an n=4 grid"),
+            ([[1, 1], [1, 1]], [[1, 1], [1, 1]], DimensionMismatch, "must be 1-D")):
+        with pytest.raises(error, match=message):
+            mollified_initial_data(State(rho, theta, 0.0), reg, Grid(4))
 
 
 def test_equilibrium_is_picard_fixed_point(unit_params, cubic_model):
@@ -574,8 +589,7 @@ def smooth_case():
     grid = Grid(32)
     cfg = StepConfig(dt=1e-3)
     reg = RegularizationParams(eps=1e-2, nu=5e-3)
-    data = InitialData(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2),
-                       np.ones(grid.n), theta_floor=0.5)
+    data = State(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2), np.ones(grid.n), 0.0)
     return grid, cfg, reg, mollified_initial_data(data, reg, grid), 0.02
 
 
@@ -918,8 +932,8 @@ def test_run_rejects_initial_state_of_another_grid(unit_params, cubic_model):
     with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
         run(equilibrium_state(Grid(8)), cfg, reg, unit_params, cubic_model, Grid(16),
             t_end=cfg.dt)
-    # initial data of another grid is mollified as it is, then rejected by run
-    data = InitialData(np.ones(8), np.ones(8), theta_floor=0.5)
+    # raw samples of another grid are rejected before they are mollified
+    data = State(np.ones(8), np.ones(8), 0.0)
     with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
         run(mollified_initial_data(data, reg, Grid(16)), cfg, reg, unit_params,
             cubic_model, Grid(16), t_end=cfg.dt)
