@@ -19,9 +19,7 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 def main():
     with open(CONFIG) as fh:
         setup = build_setup(json.load(fh))
-    report = regularization_ladder(setup.initial, setup.step, setup.params,
-                                   setup.model, setup.grid,
-                                   t_end=setup.params.t_end)
+    report = regularization_ladder(setup, t_end=setup.params.t_end)
 
     print(f"{'rung':>4} {'eps':>9} {'nu':>9} {'distance to previous':>21} "
           f"{'entropy':>9} {'L4':>9}")

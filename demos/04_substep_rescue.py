@@ -13,7 +13,7 @@ import numpy as np
 from poromoist.discretization import Grid
 from poromoist.errors import PicardDivergence
 from poromoist.model import PowerLawSaturation, PhysicalParams
-from poromoist.stepper import (RegularizationParams, State, StepConfig,
+from poromoist.stepper import (RegularizationParams, Setup, State, StepConfig,
                                homotopy_solve, picard_step)
 
 N = 16
@@ -29,14 +29,14 @@ def main():
                             theta_bar1=1.0, t_end=1.0)
     model = PowerLawSaturation(c=1.0, q=3.0, eta=1.0)
     state = State(np.ones(N), np.full(N, 1.3), 0.0)
-    reg = RegularizationParams(eps=1e-2, nu=5e-3)
-    cfg = StepConfig(dt=DT)
+    setup = Setup(params, model, RegularizationParams(eps=1e-2, nu=5e-3),
+                  StepConfig(dt=DT), grid, state)
 
     print(f"latent heat {LATENT}, superheated start, step {DT}, "
-          f"budget {cfg.max_picard} sweeps per attempt")
+          f"budget {setup.step.max_picard} sweeps per attempt")
     failed = 0
     try:
-        picard_step(state, cfg, reg, params, model, grid)
+        picard_step(state, setup, DT)
         print("direct attempt converged (unexpected here)")
     except PicardDivergence as exc:
         failed = exc.sweeps
@@ -44,7 +44,7 @@ def main():
               f"(update still {exc.record.update:.2e})")
 
     # The first substep's record also counts the failed attempt's sweeps.
-    new, records = homotopy_solve(state, cfg, reg, params, model, grid)
+    new, records = homotopy_solve(state, setup)
     total = sum(record.sweeps for record in records)
     print(f"rescued in {len(records)} substeps, {total} sweeps in all:")
     for k, record in enumerate(records):

@@ -29,7 +29,9 @@ The layer cases call both packages through this tree's ``layer_table``,
 with this tree's signatures, so they pair only revisions whose layer API
 matches: not a revision whose ``stepper.run`` took initial data where this
 tree's takes a start ``State``, nor one whose predictor takes no
-tolerance.  Where building the parent's table or a first call of one of
+tolerance, nor one whose kernel took the step, regularization, physics,
+curve and grid as five arguments where this tree's takes one ``Setup``
+(``3929668`` and older).  Where building the parent's table or a first call of one of
 its layers fails, the script exits 2 and says so, and writes no file.
 The command cases go through each side's own ``cli.main``, so they pair
 any two revisions; name them with ``--case`` to compare across such a

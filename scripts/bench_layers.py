@@ -95,41 +95,37 @@ def layer_table(n: int, out: str, package: str = "poromoist") -> dict:
                         ("output.cadence", SNAPSHOT_CADENCE)):
         data = config.apply_override(data, path, value)
     setup = config.build_setup(data)
-    cfg, reg, params, model, grid = (setup.step, setup.reg, setup.params,
-                                     setup.model, setup.grid)
-    result = stepper.run(stepper.mollified_initial_data(setup.initial, reg, grid),
-                         cfg, reg, params, model, grid)
+    dt = setup.step.dt
+    result = stepper.run(setup, stepper.mollified_initial_data(setup))
     prev = stepper.State(result.rho[-2], result.theta[-2], result.t[-2])
     rho, theta = result.rho[-1], result.theta[-1]
-    args = (reg, params, model, grid, cfg.dt)
 
-    rho_sys, coeffs = stepper.assemble_rho_system(prev, rho, theta, *args,
-                                                  cfg.advection)
+    rho_sys, coeffs = stepper.assemble_rho_system(prev, rho, theta, setup, dt)
     rho_new = linalg.solve_thomas(rho_sys)
-    _, record = stepper.picard_step(prev, cfg, reg, params, model, grid,
-                                    start=(rho, theta))
+    _, record = stepper.picard_step(prev, setup, dt, start=(rho, theta))
     block = max(1, stepper._STEP_BLOCK_CELLS // n)
     levels = [(record,)] * block
-    columns = diagnostics.start_series(block, prev, grid, params)
+    columns = diagnostics.start_series(block, prev, setup)
     history = np.hstack((result.rho[-PREDICTOR_STATES:],
                          result.theta[-PREDICTOR_STATES:]))
     series_path = os.path.join(out, "series.csv")
     snapshots_path = os.path.join(out, "snapshots.csv")
     return {
         "compute_flux_coefficients": lambda: stepper.compute_flux_coefficients(
-            rho, theta, reg, grid, model, cfg.advection),
+            rho, theta, setup),
         "assemble_rho_system": lambda: stepper.assemble_rho_system(
-            prev, rho, theta, *args, cfg.advection),
+            prev, rho, theta, setup, dt),
         "assemble_theta_system": lambda: stepper.assemble_theta_system(
-            prev, rho_new, theta, *args, coeffs, cfg.advection),
+            prev, rho_new, theta, setup, dt, coeffs),
         "solve_thomas": lambda: linalg.solve_thomas(rho_sys),
-        "predicted_start": lambda: stepper._predicted_start(history, cfg.picard_tol),
+        "predicted_start": lambda: stepper._predicted_start(history,
+                                                            setup.step.picard_tol),
         "step_record_per_level": lambda: diagnostics.step_record(
-            columns, 1, levels, cfg.dt, grid, params),
+            columns, 1, levels, setup),
         "certify_run": lambda: diagnostics.certify_run(result),
         "write_series_csv": lambda: cli._write_series(series_path, result),
         "write_snapshots_csv": lambda: cli._write_snapshots(snapshots_path, result,
-                                                            setup),
+                                                            SNAPSHOT_CADENCE),
     }
 
 

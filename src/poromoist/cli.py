@@ -116,17 +116,17 @@ def _write_series(path: str, result) -> None:
                   (zip(*(map(repr, column.tolist()) for column in columns)),))
 
 
-def _write_snapshots(path: str, result, setup) -> None:
-    """snapshots.csv: cell values and Darcy velocity at every snapshot time.
+def _write_snapshots(path: str, result, cadence: float) -> None:
+    """snapshots.csv: cell values and Darcy velocity every cadence time units.
 
     Each snapshot is one block of rows, made as it is written, so the text
     of one snapshot is held at a time.
     """
-    steps = len(result.t) - 1
+    setup, steps = result.setup, len(result.t) - 1
     x_text = list(map(repr, setup.grid.centers.tolist()))
 
     def blocks():
-        for k in _snapshot_indices(steps, setup.cadence, setup.step.dt):
+        for k in _snapshot_indices(steps, cadence, setup.step.dt):
             rho, theta = result.rho[k], result.theta[k]
             u_face = darcy_velocity(rho, theta, setup.grid, params=setup.params)
             u_cell = 0.5 * (u_face[:-1] + u_face[1:])
@@ -138,14 +138,15 @@ def _write_snapshots(path: str, result, setup) -> None:
 
 
 def _cmd_run(args) -> int:
-    setup = build_setup(_load_with_flags(args))
-    result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
-                 setup.step, setup.reg, setup.params, setup.model, setup.grid)
+    data = _load_with_flags(args)
+    setup = build_setup(data)
+    result = run(setup, mollified_initial_data(setup))
     cert = certify_run(result)
 
     os.makedirs(args.out, exist_ok=True)
     _write_series(os.path.join(args.out, "series.csv"), result)
-    _write_snapshots(os.path.join(args.out, "snapshots.csv"), result, setup)
+    cadence = float(data.get("output", {}).get("cadence", setup.params.t_end))
+    _write_snapshots(os.path.join(args.out, "snapshots.csv"), result, cadence)
 
     steps = len(result.t) - 1
     report = {
@@ -197,8 +198,7 @@ def _cmd_ladder(args) -> int:
     data = load_config(args.config)
     setup = build_setup(data)
     opts = data.get("ladder", {})
-    report = regularization_ladder(setup.initial, setup.step, setup.params,
-                                   setup.model, setup.grid, **opts)
+    report = regularization_ladder(setup, **opts)
 
     os.makedirs(args.out, exist_ok=True)
     _write_columns(os.path.join(args.out, "ladder.csv"), {

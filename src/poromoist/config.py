@@ -28,21 +28,19 @@ import itertools
 import json
 import operator
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import Grid
 from .errors import ConfigError, ParseError, ValidationError
-from .model import SATURATION_FAMILIES, PhysicalParams, SaturationModel
-from .stepper import RegularizationParams, State, StepConfig, step_count
+from .model import SATURATION_FAMILIES, PhysicalParams
+from .stepper import RegularizationParams, Setup, State, StepConfig, step_count
 
 __all__ = [
     "CONFIG_SCHEMA",
     "load_config",
     "validate_config",
     "apply_override",
-    "Setup",
     "build_setup",
 ]
 
@@ -407,21 +405,8 @@ def apply_override(data: dict, path: str, value) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Setup:
-    """Validated config resolved into library objects."""
-
-    params: PhysicalParams
-    model: SaturationModel
-    reg: RegularizationParams
-    step: StepConfig
-    grid: Grid
-    initial: State                 # the raw profile samples at t = 0
-    cadence: float
-
-
 def build_setup(data: dict) -> Setup:
-    """Resolve a validated config dict into the objects the solver needs."""
+    """Resolve a validated config dict into its problem (the output cadence stays in data)."""
     validate_config(data)
     phys = data["physical"]
     kwargs = {k: float(v) for k, v in phys.items() if k != "lambda"}
@@ -432,9 +417,8 @@ def build_setup(data: dict) -> Setup:
                                   if k not in _RETIRED_KEYS})
     stepping = {k: v for k, v in data["stepping"].items() if k not in _RETIRED_KEYS}
     step = StepConfig(**{**stepping, "dt": float(stepping["dt"])})
-    grid = Grid(int(data["grid"]["n"]))
+    grid = Grid(data["grid"]["n"])
     init = data["initial"]
     initial = State(_profile_values(init["rho"], grid),
                     _profile_values(init["theta"], grid), 0.0)
-    cadence = float(data.get("output", {}).get("cadence", phys["t_end"]))
-    return Setup(params, model, reg, step, grid, initial, cadence)
+    return Setup(params, model, reg, step, grid, initial)

@@ -45,11 +45,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .discretization import NO_FORCING, Grid, boundary_traces, robin_fluxes
+from .discretization import NO_FORCING, boundary_traces, robin_fluxes
 from .model import PhysicalParams, phase_change_rate
 
 if TYPE_CHECKING:
-    from .stepper import RunResult, State, StepRecord
+    from .stepper import RunResult, Setup, State, StepRecord
 
 __all__ = [
     "SERIES_COLUMNS",
@@ -96,7 +96,7 @@ def _state_functionals(rho: np.ndarray, theta: np.ndarray, h: float,
             "max_theta": theta.max(axis=1)}
 
 
-def start_series(steps: int, start: State, grid: Grid, params: PhysicalParams) -> dict:
+def start_series(steps: int, start: State, setup: Setup) -> dict:
     """The series of a run of steps levels from start, keyed by name.
 
     Row 0 holds the state functionals of start; its balance residuals,
@@ -109,14 +109,14 @@ def start_series(steps: int, start: State, grid: Grid, params: PhysicalParams) -
     series["picard_iterations"] = np.zeros(steps + 1, dtype=int)
     series["envelope_gain"][0] = 1.0
     for name, values in _state_functionals(start.rho[None], start.theta[None],
-                                           grid.h, params).items():
+                                           setup.grid.h, setup.params).items():
         series[name][0] = values[0]
     return series
 
 
 def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...]],
-                dt: float, grid: Grid, params: PhysicalParams) -> None:
-    """Write rows first, first + 1, ... of every column, one per level of dt.
+                setup: Setup) -> None:
+    """Write rows first, first + 1, ... of every column, one per level of setup.step.dt.
 
     levels[i] holds the records of the substeps that reached level
     first + i.  Each record's mass and energy balance residuals and its
@@ -152,7 +152,8 @@ def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...
     dt sum_faces h theta (drho/dx)^2 of the level's state; both continue
     from row first - 1 and add in level order.
     """
-    h, lam, sigma = grid.h, params.lam, params.sigma
+    params, dt, n, h = setup.params, setup.step.dt, setup.grid.n, setup.grid.h
+    lam, sigma = params.lam, params.sigma
     records = [srec for level in levels for srec in level]
 
     def stack(field):
@@ -183,7 +184,7 @@ def step_record(series: dict, first: int, levels: Sequence[tuple[StepRecord, ...
         energy = (e_new - e_prev) / record_dt - boundary - interior
     else:
         rho_source, theta_source = (
-            np.array([np.broadcast_to(getattr(srec.forcing, field), (grid.n,))
+            np.array([np.broadcast_to(getattr(srec.forcing, field), (n,))
                       for srec in records])
             for field in ("rho_source", "theta_source"))
         g0, g1 = np.array([srec.forcing.theta_flux for srec in records], dtype=float).T
@@ -308,9 +309,8 @@ def weak_residual(result: RunResult) -> WeakResidualReport:
     Forcing corrections are not included, so use unforced runs.
     """
     shapes = default_test_functions()
-    grid, p = result.grid, result.params
-    model = result.model
-    h, dt = grid.h, result.cfg.dt
+    grid, p, model = result.setup.grid, result.setup.params, result.setup.model
+    h, dt = grid.h, result.setup.step.dt
     x, xf = grid.centers, grid.faces[1:-1]
     t_final = float(result.t[-1])
     zeta, zeta_prime = _time_window(t_final)
@@ -429,7 +429,7 @@ def certify_run(result: RunResult) -> CertificationReport:
     sum_faces h theta (drho/dx)^2 at the end-of-step states, the last entry
     of the running "dissipation" column, which must be finite.
     """
-    p, series = result.params, result.series
+    p, series = result.setup.params, result.series
     nonfinite = {name for name in _CERTIFIED_COLUMNS
                  if not np.isfinite(series[name]).all()}
     failures = [f"{name} is not finite" for name in _CERTIFIED_COLUMNS
@@ -446,7 +446,7 @@ def certify_run(result: RunResult) -> CertificationReport:
               + (p.lam * (p.alpha1 * p.rho_bar1 + p.alpha0 * p.rho_bar0)
                  + p.beta1 * p.theta_bar1 + p.beta0 * p.theta_bar0) * horizon)
     c_rate = p.alpha1 * p.rho_bar1 + p.alpha0 * p.rho_bar0
-    integral = np.concatenate(([0.0], np.cumsum(max_theta[:-1]) * result.cfg.dt))
+    integral = np.concatenate(([0.0], np.cumsum(max_theta[:-1]) * result.setup.step.dt))
     bounds = c_init + c_rate * integral
     slack = bounds + ENVELOPE_TOL * np.maximum(1.0, np.abs(bounds)) - series["mass_energy"]
     bad = np.nonzero(~(slack >= 0))[0]

@@ -19,6 +19,7 @@ value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import ConfigError, NonPositiveRadius
 
 __all__ = [
+    "integer",
     "Grid",
     "mollify",
     "cutoff",
@@ -38,14 +40,25 @@ __all__ = [
 ]
 
 
+def integer(value, name: str) -> int:
+    """value as a Python int by operator.index; ConfigError for a bool, 8.0 or "8"."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform subdivision of (0, 1) into n >= 4 cells."""
+    """Uniform subdivision of (0, 1) into n >= 4 cells; n is stored as a Python int."""
 
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 4:
+        object.__setattr__(self, "n", integer(self.n, "n"))
+        if self.n < 4:
             raise ConfigError(f"grid needs at least 4 cells, got {self.n!r}")
 
     @property

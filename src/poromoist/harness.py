@@ -20,7 +20,7 @@ MMS case name, so the CLI only writes them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .stepper import (
     Forcing,
     RegularizationParams,
     RunResult,
+    Setup,
     State,
     StepConfig,
     mollified_initial_data,
@@ -187,7 +188,8 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
     Each refinement doubles n (other grid_sizes, or fewer than two, raise
     ConfigError before the first run); the step count grows quadratically for the
     central scheme (so the implicit first-order time error tracks h^2) and
-    linearly for upwind.  Runs start from the exact initial profile with a
+    linearly for upwind.  Each level is one Setup of params and model on its
+    own grid and step.  Runs start from the exact initial profile with a
     regularization small enough that cutoff and mollifier are inert, so
     the measured error is pure discretization error.  Orders are base-2
     logs of successive final-time L2 error ratios.
@@ -213,10 +215,10 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         grid = Grid(n)
         x = grid.centers
         state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
-        cfg = StepConfig(dt=dt, picard_tol=1e-12, advection=advection)
-        reg = RegularizationParams(eps=eps, nu=nu)
-        result = run(state0, cfg, reg, params, model, grid, t_end=t_end,
-                     forcing=case.forcing)
+        step = StepConfig(dt=dt, picard_tol=1e-12, advection=advection)
+        setup = Setup(params, model, RegularizationParams(eps=eps, nu=nu), step, grid,
+                      state0)
+        result = run(setup, setup.initial, t_end=t_end, forcing=case.forcing)
         t_final = float(result.t[-1])
         h = grid.h
         err_r = np.sqrt(h * np.sum((result.rho[-1] - case.exact_rho(x, t_final))**2))
@@ -260,8 +262,8 @@ def _trajectory_difference(a: RunResult, b: RunResult) -> float:
     levels' terms are accumulated in order, so the value is the level-by-
     level loop's to the bit (tests/oracles.py).
     """
-    h = a.grid.h
-    dt = a.cfg.dt
+    h = a.setup.grid.h
+    dt = a.setup.step.dt
     levels = (((a.rho[:-1] - b.rho[:-1])**2).sum(axis=1)
               + ((a.theta[:-1] - b.theta[:-1])**2).sum(axis=1))
     total = 0.0
@@ -270,19 +272,18 @@ def _trajectory_difference(a: RunResult, b: RunResult) -> float:
     return float(np.sqrt(total))
 
 
-def regularization_ladder(initial: State, cfg: StepConfig,
-                          params: PhysicalParams, model: SaturationModel,
-                          grid: Grid, t_end: float | None = None,
+def regularization_ladder(setup: Setup, t_end: float | None = None,
                           eps0: float = 0.1, rungs: int = 4,
                           factor: float = 2.0, nu_ratio: float = 0.5) -> LadderReport:
-    """Shrink (eps, nu) geometrically and compare successive trajectories.
+    """Shrink (eps, nu) of setup geometrically and compare successive trajectories.
 
     Convergence of the regularized family shows up as strictly decreasing
     successive space-time distances, while the entropy and fourth-power
     monitors level off: their relative change between the last two rungs
-    may not exceed LADDER_VARIATION_CAP.  Each rung starts from the raw
-    samples initial, mollified at its own radius.  Fewer than 3 rungs (two
-    distances) raise ConfigError before any run.
+    may not exceed LADDER_VARIATION_CAP.  Each rung is setup with its own
+    (eps, nu), and starts from setup's raw samples mollified at its own
+    radius.  Fewer than 3 rungs (two distances) raise ConfigError before
+    any run.
     """
     if rungs < 3:
         raise ConfigError(f"rungs must be at least 3, got {rungs}")
@@ -290,9 +291,8 @@ def regularization_ladder(initial: State, cfg: StepConfig,
     for j in range(rungs):
         eps_j = eps0 * factor**(-j)
         nu_j = nu_ratio * eps_j
-        reg = RegularizationParams(eps=eps_j, nu=nu_j)
-        results.append(run(mollified_initial_data(initial, reg, grid), cfg, reg,
-                           params, model, grid, t_end=t_end))
+        rung = replace(setup, reg=RegularizationParams(eps=eps_j, nu=nu_j))
+        results.append(run(rung, mollified_initial_data(rung), t_end=t_end))
         eps_values.append(eps_j)
         nu_values.append(nu_j)
 
@@ -366,8 +366,7 @@ def sweep(data: dict, axes: dict) -> SweepReport:
             for path, value in overrides.items():
                 config = apply_override(config, path, value)
             setup = build_setup(config)
-            result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
-                         setup.step, setup.reg, setup.params, setup.model, setup.grid)
+            result = run(setup, mollified_initial_data(setup))
             certification = certify_run(result)
         except PoromoistError as exc:
             cells.append(SweepCell(overrides, type(exc).__name__, str(exc), None))

@@ -1,6 +1,10 @@
 """Implicit time stepping for the coupled vapor/heat system.
 
-Each backward-Euler step solves the regularized coupled system
+A Setup is one regularized problem: the physics, the saturation curve,
+(eps, nu), the step settings, the grid and the raw initial samples.  It is
+passed whole, from build_setup to the sweep kernel, and it checks eps
+against the ambients once, where it is made.  Each backward-Euler step
+solves the regularized coupled system
 
     rho_t - ((eps + m_nu(rho theta)) rho_x)_x - (rho * m_eps(m_eps(rho) theta_x))_x
           + rho X(sqrt(theta)) = X(p_s(theta))
@@ -40,10 +44,10 @@ run holds the records of a block of levels of about _STEP_BLOCK_CELLS
 cells and hands each block to one diagnostics.step_record call, which
 writes every series column of those levels from their records; so the
 step loop does little besides the solve, and no buffer grows with the
-step count.  run takes one start State, which the commands build with
-mollified_initial_data from the raw samples build_setup holds as a State;
-both check only their input State, for the grid and the cone rho >= 0,
-theta > 0 (_checked_start), and certify_run judges the march.  A Forcing
+step count.  run takes a Setup and one start State, which the commands
+build with mollified_initial_data from the Setup's raw samples; both check
+only their input State, for the grid and the cone rho >= 0, theta > 0
+(_checked_start), and certify_run judges the march.  A Forcing
 is one function of (x, t) that returns every forcing term at once; it is
 evaluated once per time a substep ends and shared by its sweeps, and an
 unforced run shares discretization.NO_FORCING, whose zero terms change no
@@ -87,14 +91,14 @@ scripts/bench_ab.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .diagnostics import start_series, step_record
 from .discretization import (NO_FORCING, ForcingValues, Grid, add_robin_rows,
-                             boundary_traces, cutoff, mollify, robin_fluxes)
+                             boundary_traces, cutoff, integer, mollify, robin_fluxes)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -110,6 +114,7 @@ __all__ = [
     "RegularizationParams",
     "State",
     "StepConfig",
+    "Setup",
     "Forcing",
     "StepRecord",
     "RunResult",
@@ -152,14 +157,6 @@ class RegularizationParams:
                 f"regularization requires 0 < nu < eps <= 1, got eps={self.eps}, nu={self.nu}"
             )
 
-    def validate_against(self, params: PhysicalParams) -> None:
-        limit = min(params.ambient_min, 1.0)
-        if self.eps > limit:
-            raise ConfigError(
-                f"eps={self.eps} exceeds min(ambient values, 1) = {limit}; "
-                "the cutoff would clip ambient data"
-            )
-
 
 @dataclass(frozen=True)
 class State:
@@ -169,8 +166,8 @@ class State:
     of equal length, with rho >= 0 and theta > 0.  A State checks none of
     this: mollified_initial_data checks the raw samples it smooths and run
     its start (both through _checked_start), and certify_run judges the
-    states a run marched.  build_setup holds a config's raw profile samples
-    as the State at t = 0 that mollified_initial_data smooths.
+    states a run marched.  Setup.initial holds a config's raw profile
+    samples as the State at t = 0 that mollified_initial_data smooths.
     """
 
     rho: np.ndarray
@@ -190,11 +187,37 @@ class StepConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.picard_tol > 0:
             raise ConfigError("picard_tol must be positive")
+        object.__setattr__(self, "max_picard", integer(self.max_picard, "max_picard"))
         if self.max_picard < 1:
             raise ConfigError("max_picard must be at least 1")
         if self.advection not in ("upwind", "central"):
             raise ConfigError(
                 f"advection must be 'upwind' or 'central', got {self.advection!r}"
+            )
+
+
+@dataclass(frozen=True)
+class Setup:
+    """One regularized problem: physics, saturation curve, (eps, nu), step and grid.
+
+    initial holds the raw profile samples at t = 0, which
+    mollified_initial_data smooths into a run's start.  ConfigError where
+    eps exceeds min(ambient values, 1): the cutoff would clip ambient data.
+    """
+
+    params: PhysicalParams
+    model: SaturationModel
+    reg: RegularizationParams
+    step: StepConfig
+    grid: Grid
+    initial: State
+
+    def __post_init__(self):
+        limit = min(self.params.ambient_min, 1.0)
+        if self.reg.eps > limit:
+            raise ConfigError(
+                f"eps={self.reg.eps} exceeds min(ambient values, 1) = {limit}; "
+                "the cutoff would clip ambient data"
             )
 
 
@@ -257,11 +280,7 @@ class RunResult:
     theta: np.ndarray              # (steps+1, n)
     t: np.ndarray                  # steps+1
     series: dict                   # name -> steps+1
-    params: PhysicalParams
-    reg: RegularizationParams
-    cfg: StepConfig
-    grid: Grid
-    model: SaturationModel
+    setup: Setup                   # the problem the run solved
     t_end: float
 
 
@@ -292,21 +311,21 @@ def _checked_start(start: State, grid: Grid) -> State:
     return State(rho, theta, t0)
 
 
-def mollified_initial_data(start: State, reg: RegularizationParams,
-                           grid: Grid) -> State:
-    """Smooth the raw initial samples over radius eps and lift rho by eps.
+def mollified_initial_data(setup: Setup) -> State:
+    """Smooth setup's raw initial samples over radius eps and lift rho by eps.
 
-    start is checked as run checks its start (see _checked_start), so raw
-    samples off the grid or outside the cone rho >= 0, theta > 0 raise
-    before any smoothing.  The lift keeps the vapor density strictly
+    The samples are checked as run checks its start (see _checked_start),
+    so raw samples off the grid or outside the cone rho >= 0, theta > 0
+    raise before any smoothing.  The lift keeps the vapor density strictly
     positive so the degenerate diffusion coefficient starts away from
     zero.  Both returned arrays are new: where the kernel is the identity,
     mollify returns its input, so theta is copied and never aliases
-    start.theta.
+    setup.initial.theta.
     """
-    start = _checked_start(start, grid)
-    rho = mollify(start.rho, reg.eps, grid.h) + reg.eps
-    theta = np.array(mollify(start.theta, reg.eps, grid.h), dtype=float)
+    eps, h = setup.reg.eps, setup.grid.h
+    start = _checked_start(setup.initial, setup.grid)
+    rho = mollify(start.rho, eps, h) + eps
+    theta = np.array(mollify(start.theta, eps, h), dtype=float)
     return State(rho, theta, start.t)
 
 
@@ -366,28 +385,24 @@ def _check_rows(name: str, band: np.ndarray) -> None:
 
 
 def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
-                              reg: RegularizationParams, grid: Grid,
-                              model: SaturationModel,
-                              scheme: str) -> FluxCoefficients:
+                              setup: Setup) -> FluxCoefficients:
     """Freeze the face coefficients and reaction factors at one iterate."""
-    h = grid.h
+    reg, h = setup.reg, setup.grid.h
     dcell = mollify(rho_iter * theta_iter, reg.nu, h)
     dface_h = (reg.eps + 0.5 * (dcell[:-1] + dcell[1:])) / h
     rho_sm = mollify(rho_iter, reg.eps, h)
     vcell = mollify(rho_sm * _cell_gradient(theta_iter, h), reg.eps, h)
-    vm, vp = _donor_split(0.5 * (vcell[:-1] + vcell[1:]), scheme)
+    vm, vp = _donor_split(0.5 * (vcell[:-1] + vcell[1:]), setup.step.advection)
     A = vm - dface_h
     B = vp + dface_h
     chi_sqrt = cutoff(np.sqrt(np.maximum(theta_iter, 0.0)), reg.eps)
-    ps_iter = saturation_pressure(model, theta_iter)
+    ps_iter = saturation_pressure(setup.model, theta_iter)
     chi_ps = cutoff(ps_iter, reg.eps)
     return FluxCoefficients(A, B, chi_sqrt, chi_ps, ps_iter)
 
 
 def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarray,
-                        reg: RegularizationParams, params: PhysicalParams,
-                        model: SaturationModel, grid: Grid, dt: float,
-                        scheme: str = "upwind", forcing: ForcingValues = NO_FORCING,
+                        setup: Setup, dt: float, forcing: ForcingValues = NO_FORCING,
                         ) -> tuple[TridiagonalSystem, FluxCoefficients]:
     """Backward-Euler rows for the vapor density with frozen coefficients.
 
@@ -396,8 +411,8 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     on this.  Wall rows replace the face flux with the Robin exchange
     expression evaluated at the extrapolated trace.
     """
-    n, h = grid.n, grid.h
-    coeffs = compute_flux_coefficients(rho_iter, theta_iter, reg, grid, model, scheme)
+    params, n, h = setup.params, setup.grid.n, setup.grid.h
+    coeffs = compute_flux_coefficients(rho_iter, theta_iter, setup)
     band, lower, diag, upper, rhs = _new_band(n)
 
     np.divide(coeffs.A, h, out=lower)
@@ -417,15 +432,15 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     return TridiagonalSystem(lower, diag, upper, rhs), coeffs
 
 
-def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients,
-                       params: PhysicalParams, grid: Grid,
+def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, setup: Setup,
                        forcing: ForcingValues) -> np.ndarray:
     """All n+1 face values of the vapor flux at the fresh solution.
 
     Uses exactly the assembled coefficient arrays, so these numbers are the
     fluxes the solved rows actually contained.
     """
-    flux = np.empty(grid.n + 1)
+    params = setup.params
+    flux = np.empty(setup.grid.n + 1)
     interior = flux[1:-1]
     np.multiply(coeffs.A, rho_new[:-1], out=interior)
     interior += coeffs.B * rho_new[1:]
@@ -438,9 +453,7 @@ def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients,
 
 
 def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarray,
-                          reg: RegularizationParams, params: PhysicalParams,
-                          model: SaturationModel, grid: Grid, dt: float,
-                          coeffs: FluxCoefficients, scheme: str = "upwind",
+                          setup: Setup, dt: float, coeffs: FluxCoefficients,
                           forcing: ForcingValues = NO_FORCING,
                           ) -> tuple[TridiagonalSystem, np.ndarray]:
     """Backward-Euler rows for the temperature given the fresh vapor field.
@@ -454,12 +467,12 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
 
     Returns the system and the face mass-flux array.
     """
-    n, h = grid.n, grid.h
+    params, n, h = setup.params, setup.grid.n, setup.grid.h
 
-    kcell = conductivity(mollify(rho_new, reg.eps, h), params)
+    kcell = conductivity(mollify(rho_new, setup.reg.eps, h), params)
     kface_h2 = 0.5 * (kcell[:-1] + kcell[1:]) / h**2
-    mass_flux = evaluate_mass_flux(rho_new, coeffs, params, grid, forcing)
-    fm, fp = _donor_split(mass_flux[1:-1], scheme)
+    mass_flux = evaluate_mass_flux(rho_new, coeffs, setup, forcing)
+    fm, fp = _donor_split(mass_flux[1:-1], setup.step.advection)
     fm_h, fp_h = fm / h, fp / h
     band, lower, diag, upper, rhs = _new_band(n)
 
@@ -485,12 +498,11 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     return TridiagonalSystem(lower, diag, upper, rhs), mass_flux
 
 
-def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
-                params: PhysicalParams, model: SaturationModel, grid: Grid,
+def picard_step(prev: State, setup: Setup, dt: float,
                 forcing: ForcingValues = NO_FORCING,
                 start: tuple[np.ndarray, np.ndarray] | None = None,
                 ) -> tuple[State, StepRecord]:
-    """Advance one step of cfg.dt by fixed-point sweeps.
+    """Advance one step of dt by fixed-point sweeps.
 
     The sweeps start from ``start`` (a (rho, theta) pair) when given, and
     from the previous state otherwise.  ``forcing`` holds the forcing
@@ -513,17 +525,16 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
     converge.  A StepFailure raised by a sweep (NonfiniteIterate,
     DominanceViolation) carries the sweeps spent, that one included.
     """
+    cfg, n = setup.step, setup.grid.n
     rho_it, theta_it = (prev.rho, prev.theta) if start is None else start
     residuals, outputs = [], []
     for k in range(1, cfg.max_picard + 1):
         try:
-            rho_sys, coeffs = assemble_rho_system(
-                prev, rho_it, theta_it, reg, params, model, grid, cfg.dt,
-                cfg.advection, forcing)
+            rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, setup, dt,
+                                                  forcing)
             rho_new = solve_thomas(rho_sys)
-            theta_sys, mass_flux = assemble_theta_system(
-                prev, rho_new, theta_it, reg, params, model, grid, cfg.dt,
-                coeffs, cfg.advection, forcing)
+            theta_sys, mass_flux = assemble_theta_system(prev, rho_new, theta_it, setup,
+                                                         dt, coeffs, forcing)
             theta_new = solve_thomas(theta_sys)
             # A nonfinite output makes dn2 nonfinite, so the outputs are
             # scanned only then (finite ones can overflow it too).
@@ -532,7 +543,7 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
             if not (math.isfinite(dn2) or np.isfinite(rho_new).all()
                     and np.isfinite(theta_new).all()):
                 raise NonfiniteIterate(
-                    f"nonfinite iterate at sweep {k}, t={prev.t + cfg.dt}")
+                    f"nonfinite iterate at sweep {k}, t={prev.t + dt}")
         except StepFailure as exc:
             exc.sweeps = k
             raise
@@ -549,47 +560,44 @@ def picard_step(prev: State, cfg: StepConfig, reg: RegularizationParams,
                                     rcond=None)[0]
             mixed = output - np.diff(outputs, axis=0).T @ gamma
             np.maximum(mixed, np.minimum(output, 0.5 * output), out=mixed)
-            rho_it, theta_it = mixed[:grid.n], mixed[grid.n:]
+            rho_it, theta_it = mixed[:n], mixed[n:]
         else:
             rho_it, theta_it = rho_new, theta_new
-    record = StepRecord(prev, rho_new, theta_new, cfg.dt, theta_it, coeffs,
+    record = StepRecord(prev, rho_new, theta_new, dt, theta_it, coeffs,
                         mass_flux, forcing, k, update)
     if not update < cfg.picard_tol:
         raise PicardDivergence(
-            f"no convergence in {cfg.max_picard} sweeps at dt={cfg.dt}", record)
-    return State(rho_new, theta_new, prev.t + cfg.dt), record
+            f"no convergence in {cfg.max_picard} sweeps at dt={dt}", record)
+    return State(rho_new, theta_new, prev.t + dt), record
 
 
-def homotopy_solve(prev: State, cfg: StepConfig, reg: RegularizationParams,
-                   params: PhysicalParams, model: SaturationModel, grid: Grid,
-                   forcing: Forcing | None = None,
+def homotopy_solve(prev: State, setup: Setup, forcing: Forcing | None = None,
                    start: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> tuple[State, tuple[StepRecord, ...]]:
-    """Advance one output level of cfg.dt, in substeps where a direct solve fails.
+    """Advance one output level of setup's dt, in substeps where a direct solve fails.
 
     The direct attempt starts from the predicted iterate ``start`` when
     given, and from the previous state otherwise; if it raises a
     StepFailure, its sweeps count toward the level and the level is
     retaken as two steps of dt/2 (see _substeps).  ``forcing`` is evaluated
-    once at each time a substep ends.  Returns the state at prev.t + cfg.dt
+    once at each time a substep ends.  Returns the state at prev.t + dt
     and one StepRecord per substep, in order.  A failing level raises the
     error of an attempt at depth SPLIT_DEPTH, whose sweeps count every
     attempt.
     """
     def at(t):
-        return NO_FORCING if forcing is None else forcing(grid.centers, t)
+        return NO_FORCING if forcing is None else forcing(setup.grid.centers, t)
 
-    t = prev.t + cfg.dt
-    new, records = _substeps(prev, cfg, reg, params, model, grid, at, at(t), start, 0)
+    t = prev.t + setup.step.dt
+    new, records = _substeps(prev, setup, setup.step.dt, at, at(t), start, 0)
     return State(new.rho, new.theta, t), records
 
 
-def _substeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
-              params: PhysicalParams, model: SaturationModel, grid: Grid,
+def _substeps(prev: State, setup: Setup, dt: float,
               at: Callable[[float], ForcingValues], forcing: ForcingValues,
               start: tuple[np.ndarray, np.ndarray] | None, depth: int, spent: int = 0,
               ) -> tuple[State, tuple[StepRecord, ...]]:
-    """Step from prev over cfg.dt directly, or as two halves that may split again.
+    """Step from prev over dt directly, or as two halves that may split again.
 
     The direct attempt starts from start, or from prev where start is None.
     forcing holds the terms at the span's end, at(t) those at time t.  The
@@ -597,8 +605,7 @@ def _substeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
     in its first record or in the error it raises.
     """
     try:
-        new, record = picard_step(prev, cfg, reg, params, model, grid, forcing,
-                                  start=start)
+        new, record = picard_step(prev, setup, dt, forcing, start)
     except StepFailure as exc:
         spent += exc.sweeps
         if depth == SPLIT_DEPTH:
@@ -608,12 +615,11 @@ def _substeps(prev: State, cfg: StepConfig, reg: RegularizationParams,
         record.sweeps += spent
         return new, (record,)
 
-    half = replace(cfg, dt=0.5 * cfg.dt)
-    mid, first = _substeps(prev, half, reg, params, model, grid, at,
-                           at(prev.t + half.dt), None, depth + 1, spent)
+    half = 0.5 * dt
+    mid, first = _substeps(prev, setup, half, at, at(prev.t + half), None, depth + 1,
+                           spent)
     try:
-        new, second = _substeps(mid, half, reg, params, model, grid, at, forcing,
-                                None, depth + 1)
+        new, second = _substeps(mid, setup, half, at, forcing, None, depth + 1)
     except StepFailure as exc:
         exc.sweeps += sum(record.sweeps for record in first)
         raise
@@ -793,23 +799,22 @@ def step_count(span: float, dt: float) -> int:
     return steps if whole else 0
 
 
-def run(start: State, cfg: StepConfig, reg: RegularizationParams,
-        params: PhysicalParams, model: SaturationModel, grid: Grid,
-        t_end: float | None = None, forcing: Forcing | None = None) -> RunResult:
-    """March the coupled system from start to t_end with per-step diagnostics.
+def run(setup: Setup, start: State, t_end: float | None = None,
+        forcing: Forcing | None = None) -> RunResult:
+    """March setup's problem from start to t_end with per-step diagnostics.
 
-    start is taken as float arrays and checked once, here, by
-    _checked_start: DimensionMismatch unless 1-D with grid.n cells,
-    ConfigError for unequal lengths, nonfinite values, rho < 0 or
-    theta <= 0.  The marched states are not checked again; certify_run
-    judges them.  The forcing is evaluated once per (sub)step, at its new
-    time.  The series is written a block of levels at a time (see
-    step_record).  Deterministic: identical inputs produce bit-identical
-    trajectories.
+    t_end defaults to setup.params.t_end.  start is taken as float arrays
+    and checked once, here, by _checked_start: DimensionMismatch unless
+    1-D with grid.n cells, ConfigError for unequal lengths, nonfinite
+    values, rho < 0 or theta <= 0.  The marched states are not checked
+    again; certify_run judges them.  The forcing is evaluated once per
+    (sub)step, at its new time.  The series is written a block of levels
+    at a time (see step_record).  Deterministic: identical inputs produce
+    bit-identical trajectories.
     """
-    reg.validate_against(params)
+    cfg, grid = setup.step, setup.grid
     if t_end is None:
-        t_end = params.t_end
+        t_end = setup.params.t_end
     if t_end < 0:
         raise ConfigError(f"t_end must be nonnegative, got {t_end}")
     steps = step_count(t_end, cfg.dt)
@@ -824,18 +829,16 @@ def run(start: State, cfg: StepConfig, reg: RegularizationParams,
     states = np.empty((steps + 1, 2 * n))
     t = np.empty(steps + 1)
     states[0, :n], states[0, n:], t[0] = state.rho, state.theta, state.t
-    series = start_series(steps, state, grid, params)
+    series = start_series(steps, state, setup)
     block = max(1, _STEP_BLOCK_CELLS // n)
     pending = []
     for k in range(1, steps + 1):
         guess = _predicted_start(states[:k], cfg.picard_tol)
-        state, records = homotopy_solve(state, cfg, reg, params, model, grid,
-                                        forcing, guess)
+        state, records = homotopy_solve(state, setup, forcing, guess)
         states[k, :n], states[k, n:], t[k] = state.rho, state.theta, state.t
         pending.append(records)
         if len(pending) == block or k == steps:
-            step_record(series, k + 1 - len(pending), pending, cfg.dt, grid, params)
+            step_record(series, k + 1 - len(pending), pending, setup)
             pending = []
 
-    return RunResult(states[:, :n], states[:, n:], t, series, params, reg, cfg, grid,
-                     model, t_end)
+    return RunResult(states[:, :n], states[:, n:], t, series, setup, t_end)

@@ -10,7 +10,7 @@ import pytest
 from poromoist.config import build_setup
 from poromoist.discretization import Grid
 from poromoist.model import PhysicalParams, PowerLawSaturation
-from poromoist.stepper import (RegularizationParams, State, StepConfig,
+from poromoist.stepper import (RegularizationParams, Setup, State, StepConfig,
                                mollified_initial_data, run)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -47,9 +47,7 @@ def smoke_config() -> dict:
 @pytest.fixture(scope="session")
 def smoke_result(smoke_config):
     setup = build_setup(smoke_config)
-    return run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
-               setup.step, setup.reg, setup.params, setup.model, setup.grid,
-               t_end=setup.params.t_end)
+    return run(setup, mollified_initial_data(setup), t_end=setup.params.t_end)
 
 
 def equilibrium_state(grid: Grid) -> State:
@@ -57,10 +55,15 @@ def equilibrium_state(grid: Grid) -> State:
     return State(ones.copy(), ones.copy(), 0.0)
 
 
+def make_setup(params, model, grid: Grid, initial: State | None = None, dt=1e-3,
+               eps=1e-2, nu=5e-3, **step) -> Setup:
+    """A Setup on grid; initial defaults to the equilibrium state, step to StepConfig's."""
+    return Setup(params, model, RegularizationParams(eps=eps, nu=nu),
+                 StepConfig(dt=dt, **step), grid,
+                 equilibrium_state(grid) if initial is None else initial)
+
+
 def run_equilibrium(params, model, n=32, dt=1e-3, steps=100,
                     eps=1e-2, nu=5e-3):
-    grid = Grid(n)
-    cfg = StepConfig(dt=dt)
-    reg = RegularizationParams(eps=eps, nu=nu)
-    return run(equilibrium_state(grid), cfg, reg, params, model, grid,
-               t_end=steps * dt)
+    setup = make_setup(params, model, Grid(n), dt=dt, eps=eps, nu=nu)
+    return run(setup, setup.initial, t_end=steps * dt)

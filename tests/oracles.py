@@ -209,8 +209,8 @@ def two_field_prediction(rho, theta, tol):
 
 def sequential_trajectory_difference(a, b) -> float:
     """The ladder's space-time L2 distance of two trajectories, level by level."""
-    h = a.grid.h
-    dt = a.cfg.dt
+    h = a.setup.grid.h
+    dt = a.setup.step.dt
     total = 0.0
     for k in range(len(a.t) - 1):
         total += dt * h * float(
@@ -221,8 +221,8 @@ def sequential_trajectory_difference(a, b) -> float:
 
 def sequential_dissipation(result) -> float:
     """The entropy dissipation integral, one level at a time."""
-    h = result.grid.h
-    dt = result.cfg.dt
+    h = result.setup.grid.h
+    dt = result.setup.step.dt
     dissipation = 0.0
     for rho, theta in zip(result.rho[1:], result.theta[1:]):
         grad = np.diff(rho) / h

@@ -21,10 +21,9 @@ from poromoist.harness import (make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
 from poromoist.linalg import solve_thomas
 from poromoist.model import PowerLawSaturation, saturation_pressure
-from poromoist.stepper import (RegularizationParams, State, StepConfig,
-                               mollified_initial_data, run)
+from poromoist.stepper import State, mollified_initial_data, run
 from poromoist.discretization import Grid
-from tests.conftest import REPO_ROOT, make_params
+from tests.conftest import REPO_ROOT, make_params, make_setup
 from tests.oracles import dense, dense_solve
 from tests.test_linalg import random_dominant_system
 
@@ -33,9 +32,7 @@ SMOKE_PATH = REPO_ROOT / "configs" / "smoke.json"
 
 def run_config(data):
     setup = build_setup(data)
-    return run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
-               setup.step, setup.reg, setup.params, setup.model, setup.grid,
-               t_end=setup.params.t_end)
+    return run(setup, mollified_initial_data(setup), t_end=setup.params.t_end)
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +121,7 @@ def test_observed_convergence_orders(unit_params, cubic_model):
 def test_regularization_ladder_on_smoke(smoke_dict):
     setup = build_setup(smoke_dict)
     start = time.monotonic()
-    report = regularization_ladder(setup.initial, setup.step, setup.params,
-                                   setup.model, setup.grid,
-                                   t_end=setup.params.t_end)
+    report = regularization_ladder(setup, t_end=setup.params.t_end)
     assert time.monotonic() - start < 120.0
     assert report.eps_values == (0.1, 0.05, 0.025, 0.0125)
     assert report.differences.shape == (3,)
@@ -174,9 +169,7 @@ def test_equilibrium_preserved_over_long_runs(theta_hat):
     grid = Grid(32)
     state = State(np.full(grid.n, rho_hat), np.full(grid.n, theta_hat), 0.0)
     steps = 1000
-    result = run(state, StepConfig(dt=1e-3),
-                 RegularizationParams(eps=1e-2, nu=5e-3), params, model,
-                 grid, t_end=steps * 1e-3)
+    result = run(make_setup(params, model, grid, state), state, t_end=steps * 1e-3)
     assert result.rho.shape == result.theta.shape == (steps + 1, grid.n)
     drift = 0.0
     for k in range(1, steps + 1):

@@ -16,7 +16,7 @@ import pytest
 import poromoist
 from poromoist import harness, stepper
 from poromoist.cli import _fmt, main
-from poromoist.config import Setup, build_setup
+from poromoist.config import build_setup
 from poromoist.diagnostics import CertificationReport, certify_run
 
 
@@ -202,9 +202,7 @@ def test_state_leaving_the_cone_is_certified_not_rejected(small_config, tmp_path
 
     monkeypatch.setattr(stepper, "solve_thomas", one_negative_vapor_cell)
     setup = build_setup(data)
-    result = stepper.run(stepper.mollified_initial_data(setup.initial, setup.reg,
-                                                        setup.grid),
-                         setup.step, setup.reg, setup.params, setup.model, setup.grid)
+    result = stepper.run(setup, stepper.mollified_initial_data(setup))
     assert len(result.t) == 51
     assert result.series["min_rho"][-1] == -1e-6 and result.series["min_theta"].min() > 0
     cert = certify_run(result)
@@ -390,9 +388,9 @@ def test_sweep_command_fails_on_an_uncertified_cell(smoke_config, tmp_path, monk
     path = write_config(tmp_path, data)
     real_run = harness.run
 
-    def cold_second_cell(start, cfg, reg, params, *args, **kwargs):
-        result = real_run(start, cfg, reg, params, *args, **kwargs)
-        if params.lam == 1.0:
+    def cold_second_cell(setup, *args, **kwargs):
+        result = real_run(setup, *args, **kwargs)
+        if setup.params.lam == 1.0:
             result.series["min_theta"][-1] = -1.0
         return result
 
@@ -468,7 +466,7 @@ BOUNDARY_CURVES = ({"kind": "power_law", "c": 1.0, "q": 2.01, "eta": 1.0},
 @pytest.mark.parametrize("saturation", BOUNDARY_CURVES, ids=("power_law", "exponential"))
 def test_boundary_curves_are_accepted(smoke_config, tmp_path, capsys, saturation):
     data = ten_step_config(smoke_config, saturation)
-    assert isinstance(build_setup(data), Setup)
+    assert isinstance(build_setup(data), stepper.Setup)
     path = write_config(tmp_path, data)
     assert main(["validate-saturation", str(path)]) == 0
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 0

@@ -6,14 +6,17 @@ import json
 import math
 import random
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from poromoist.config import (CONFIG_SCHEMA, Setup, _walk, apply_override,
-                              build_setup, load_config, validate_config)
+from poromoist.cli import main
+from poromoist.config import (CONFIG_SCHEMA, _walk, apply_override, build_setup,
+                              load_config, validate_config)
 from poromoist.errors import ConfigError, ParseError, ValidationError
 from poromoist.model import PowerLawSaturation
+from poromoist.stepper import Setup
 from tests.conftest import REPO_ROOT
 
 
@@ -172,16 +175,25 @@ def test_build_setup_resolves_objects(smoke_config):
     assert setup.grid.n == 100
     assert setup.step.advection == "upwind"
     assert setup.reg.eps == 0.01
-    assert setup.cadence == 0.1
     assert setup.initial.rho.shape == (100,)
     assert setup.initial.t == 0.0
 
 
-def test_build_setup_default_cadence(smoke_config):
+def test_build_setup_default_cadence(smoke_config, tmp_path):
+    # The cadence is no part of the problem: build_setup needs no output
+    # section, and without one the run command snapshots t = 0 and t_end.
     data = copy.deepcopy(smoke_config)
     del data["output"]
-    setup = build_setup(data)
-    assert setup.cadence == setup.params.t_end
+    data["grid"]["n"] = 16
+    data["physical"]["t_end"] = 0.02
+    assert [f.name for f in fields(build_setup(data))] == [
+        "params", "model", "reg", "step", "grid", "initial"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--quiet", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "snapshots.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 16
+    assert [float(row.split(",")[0]) for row in rows[::16]] == pytest.approx([0.0, 0.02])
 
 
 def test_profiles_evaluate_as_documented(smoke_config):

@@ -13,9 +13,8 @@ from poromoist.diagnostics import (CertificationReport, certify_run, default_tes
                                    start_series, step_record, weak_residual)
 from poromoist.discretization import NO_FORCING, Grid
 from poromoist.harness import make_default_mms_case
-from poromoist.stepper import (RegularizationParams, State, StepConfig, homotopy_solve,
-                               mollified_initial_data, run)
-from tests.conftest import make_params, run_equilibrium
+from poromoist.stepper import State, homotopy_solve, mollified_initial_data, run
+from tests.conftest import make_params, make_setup, run_equilibrium
 from tests.oracles import (energy_balance_residual, level_row, mass_balance_residual,
                            sequential_dissipation)
 
@@ -28,16 +27,13 @@ def equilibrium_run(unit_params, cubic_model):
 def bump_run(n, dt, t_end, eps=1e-4, nu=5e-5, params=None, model=None):
     grid = Grid(n)
     data = State(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2), np.ones(n), 0.0)
-    reg = RegularizationParams(eps=eps, nu=nu)
-    return run(mollified_initial_data(data, reg, grid), StepConfig(dt=dt), reg,
-               params, model, grid, t_end=t_end)
+    setup = make_setup(params, model, grid, data, dt=dt, eps=eps, nu=nu)
+    return run(setup, mollified_initial_data(setup), t_end=t_end)
 
 
 def start_row(state, params, model):
     """Row 0 of the series of a zero-step run from state, by name."""
-    grid = Grid(len(state.rho))
-    result = run(state, StepConfig(dt=1e-3), RegularizationParams(eps=1e-2, nu=5e-3),
-                 params, model, grid, t_end=0.0)
+    result = run(make_setup(params, model, Grid(len(state.rho)), state), state, t_end=0.0)
     return {name: column[0] for name, column in result.series.items()}, result.t[0]
 
 
@@ -72,7 +68,7 @@ def row_at_a_time(result):
     The fourth-power accumulator is the left-rule recurrence
     l4[k] = l4[k-1] + dt h sum(rho[k-1]^4).
     """
-    h, p, dt = result.grid.h, result.params, result.cfg.dt
+    h, p, dt = result.setup.grid.h, result.setup.params, result.setup.step.dt
     columns = {name: [] for name in ("total_mass", "mass_energy", "entropy", "min_rho",
                                      "min_theta", "max_theta")}
     for rho, theta in zip(result.rho, result.theta):
@@ -110,7 +106,7 @@ def test_equilibrium_l4_accumulator_left_rule(equilibrium_run):
     # integrand h * sum(rho^4) stays exactly 1, so the left rule gives k*dt
     l4 = equilibrium_run.series["l4_accumulator"]
     assert l4[0] == 0.0
-    assert l4[-1] == pytest.approx((len(l4) - 1) * equilibrium_run.cfg.dt, abs=1e-12)
+    assert l4[-1] == pytest.approx((len(l4) - 1) * equilibrium_run.setup.step.dt, abs=1e-12)
 
 
 def test_energy_defect_integral_refines(unit_params, cubic_model):
@@ -118,7 +114,7 @@ def test_energy_defect_integral_refines(unit_params, cubic_model):
     fine = bump_run(128, 1e-3, 0.2, params=unit_params, model=cubic_model)
 
     def integrated(result):
-        return result.cfg.dt * sum(result.series["energy_balance_residual"][1:])
+        return result.setup.step.dt * sum(result.series["energy_balance_residual"][1:])
 
     ratio = integrated(coarse) / integrated(fine)
     assert ratio >= 1.8
@@ -180,7 +176,7 @@ def test_weak_residuals_vanish_at_equilibrium(unit_params, cubic_model):
 
 
 def test_theta_envelope_tracks_run(smoke_result):
-    series, p = smoke_result.series, smoke_result.params
+    series, p = smoke_result.series, smoke_result.setup.params
     maxes, lift, gain = (series[name] for name in ("max_theta", "envelope_lift",
                                                    "envelope_gain"))
     env = [max(maxes[0], p.theta_bar0, p.theta_bar1)]
@@ -210,13 +206,13 @@ def heating_rate(srec, params):
 def test_step_record_of_one_step_keeps_the_level_map(smoke_result):
     # One substep of dt at rate r maps env to (env + dt lam r)(1 + dt r):
     # lift and gain hold those two factors to the bit.
-    params, cfg = smoke_result.params, smoke_result.cfg
+    setup = smoke_result.setup
+    params, cfg = setup.params, setup.step
     prev = State(smoke_result.rho[9], smoke_result.theta[9], smoke_result.t[9])
-    _, records = homotopy_solve(prev, cfg, smoke_result.reg, params,
-                                smoke_result.model, smoke_result.grid)
+    _, records = homotopy_solve(prev, setup)
     assert len(records) == 1
-    series = start_series(1, prev, smoke_result.grid, params)
-    step_record(series, 1, [records], cfg.dt, smoke_result.grid, params)
+    series = start_series(1, prev, setup)
+    step_record(series, 1, [records], setup)
     rate = heating_rate(records[0], params)
     assert series["envelope_lift"][1] == cfg.dt * params.lam * rate
     assert series["envelope_gain"][1] == 1.0 + cfg.dt * rate
@@ -226,11 +222,11 @@ def test_step_record_folds_substeps(cubic_model):
     # The stiff step that homotopy_solve takes as two halves (see test_stepper).
     grid, params = Grid(16), make_params(lam=120.0)
     prev = State(np.ones(16), np.full(16, 1.3), 0.0)
-    reg, cfg = RegularizationParams(eps=1e-2, nu=5e-3), StepConfig(dt=0.02)
-    _, records = homotopy_solve(prev, cfg, reg, params, cubic_model, grid)
+    setup = make_setup(params, cubic_model, grid, prev, dt=0.02)
+    _, records = homotopy_solve(prev, setup)
     assert [srec.dt for srec in records] == [0.01, 0.01]
-    series = start_series(1, prev, grid, params)
-    step_record(series, 1, [records], cfg.dt, grid, params)
+    series = start_series(1, prev, setup)
+    step_record(series, 1, [records], setup)
 
     residuals = [(mass_balance_residual(srec, grid),
                   energy_balance_residual(srec, grid, params)) for srec in records]
@@ -249,15 +245,14 @@ def test_step_record_folds_substeps(cubic_model):
 
 
 def test_step_record_keeps_a_nan_residual(smoke_result):
-    params, grid = smoke_result.params, smoke_result.grid
+    setup = smoke_result.setup
+    params, grid = setup.params, setup.grid
     prev = State(smoke_result.rho[9], smoke_result.theta[9], smoke_result.t[9])
-    _, records = homotopy_solve(prev, smoke_result.cfg, smoke_result.reg, params,
-                                smoke_result.model, grid)
+    _, records = homotopy_solve(prev, setup)
     nan_first = (replace(records[0], forcing=replace(
         records[0].forcing, rho_source=np.nan, theta_source=np.nan)),)
-    series = start_series(2, prev, grid, params)
-    step_record(series, 1, [nan_first + records, records], smoke_result.cfg.dt, grid,
-                params)
+    series = start_series(2, prev, setup)
+    step_record(series, 1, [nan_first + records, records], setup)
     assert math.isnan(series["mass_balance_residual"][1])
     assert math.isnan(series["energy_balance_residual"][1])
     # the NaN stays in its own level's row
@@ -287,9 +282,8 @@ def traced_run(monkeypatch, *args, **kwargs):
 
 def smoke_run(smoke_config, t_end, advection="upwind"):
     setup = build_setup(apply_override(smoke_config, "physical.t_end", t_end))
-    return (mollified_initial_data(setup.initial, setup.reg, setup.grid),
-            replace(setup.step, advection=advection), setup.reg,
-            setup.params, setup.model, setup.grid)
+    setup = replace(setup, step=replace(setup.step, advection=advection))
+    return setup, mollified_initial_data(setup)
 
 
 def mms_run(unit_params, cubic_model):
@@ -297,17 +291,15 @@ def mms_run(unit_params, cubic_model):
     grid = Grid(32)
     state = State(case.exact_rho(grid.centers, 0.0), case.exact_theta(grid.centers, 0.0),
                   0.0)
-    return ((state, StepConfig(dt=0.0025, picard_tol=1e-12, advection="central"),
-             RegularizationParams(eps=1e-8, nu=5e-9), unit_params, cubic_model, grid),
-            dict(t_end=0.1, forcing=case.forcing))
+    setup = make_setup(unit_params, cubic_model, grid, state, dt=0.0025, eps=1e-8,
+                       nu=5e-9, picard_tol=1e-12, advection="central")
+    return (setup, state), dict(t_end=0.1, forcing=case.forcing)
 
 
 def split_run(cubic_model):
-    grid = Grid(16)
-    return ((State(np.ones(16), np.full(16, 1.3), 0.0), StepConfig(dt=0.02),
-             RegularizationParams(eps=1e-2, nu=5e-3), make_params(lam=120.0),
-             cubic_model, grid),
-            dict(t_end=0.1))
+    state = State(np.ones(16), np.full(16, 1.3), 0.0)
+    setup = make_setup(make_params(lam=120.0), cubic_model, Grid(16), state, dt=0.02)
+    return (setup, state), dict(t_end=0.1)
 
 
 def blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model):
@@ -334,7 +326,7 @@ def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
                                              unit_params, cubic_model):
     args, kwargs = blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model)
     result, levels, calls = traced_run(monkeypatch, *args, **kwargs)
-    grid, params = result.grid, result.params
+    grid, params = result.setup.grid, result.setup.params
 
     block = max(1, stepper._STEP_BLOCK_CELLS // grid.n)
     assert [first for first, _ in calls] == list(range(1, len(levels) + 1, block))
@@ -357,9 +349,8 @@ def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
 @pytest.fixture(scope="module")
 def central_result(smoke_config):
     setup = build_setup(smoke_config)
-    return run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
-               replace(setup.step, advection="central"), setup.reg,
-               setup.params, setup.model, setup.grid, t_end=0.2)
+    setup = replace(setup, step=replace(setup.step, advection="central"))
+    return run(setup, mollified_initial_data(setup), t_end=0.2)
 
 
 @pytest.mark.parametrize("which", ["smoke_result", "central_result", "smoke", "mms",
@@ -381,7 +372,7 @@ def test_step_record_calls_stay_bounded(monkeypatch, smoke_config):
     # No buffer grows with the step count: a 1000-step run holds at most
     # one block of levels at a time.
     result, levels, calls = traced_run(monkeypatch, *smoke_run(smoke_config, 1.0))
-    steps, block = len(levels), stepper._STEP_BLOCK_CELLS // result.grid.n
+    steps, block = len(levels), stepper._STEP_BLOCK_CELLS // result.setup.grid.n
     assert steps == 1000
     assert len(calls) == math.ceil(steps / block)
     assert max(size for _, size in calls) <= block
@@ -392,9 +383,8 @@ def test_step_record_calls_stay_bounded(monkeypatch, smoke_config):
 def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
                                                 unit_params, cubic_model):
     if case == "zero_steps":
-        result = run(State(np.ones(8), np.ones(8), 0.0), StepConfig(dt=1e-3),
-                     RegularizationParams(eps=1e-2, nu=5e-3),
-                     unit_params, cubic_model, Grid(8), t_end=0.0)
+        setup = make_setup(unit_params, cubic_model, Grid(8))
+        result = run(setup, setup.initial, t_end=0.0)
     elif case == "equilibrium":
         result = request.getfixturevalue("equilibrium_run")
     elif case == "smoke":
@@ -404,7 +394,8 @@ def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
         smoke_config = request.getfixturevalue("smoke_config")
         monkeypatch.setattr(stepper, "_STEP_BLOCK_CELLS", 8 * smoke_config["grid"]["n"])
         result = run(*smoke_run(smoke_config, 0.199))
-    steps, block = len(result.t) - 1, max(1, stepper._STEP_BLOCK_CELLS // result.grid.n)
+    steps, block = (len(result.t) - 1,
+                    max(1, stepper._STEP_BLOCK_CELLS // result.setup.grid.n))
     if case == "block_of_eight":
         assert steps == 199 and block == 8
     if case != "zero_steps":

@@ -36,10 +36,19 @@ def test_grid_geometry():
     np.testing.assert_allclose(grid.faces, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-@pytest.mark.parametrize("n", [3, 0, -1, 4.0])
+@pytest.mark.parametrize("n", [3, 0, -1, 4.0, 8.0, "8", True, np.int64(3)])
 def test_grid_rejects_bad_sizes(n):
-    with pytest.raises(ConfigError):
+    # a count below 4, or anything that is not an integer (8.0 and "8" too)
+    message = (f"^grid needs at least 4 cells, got {int(n)}$" if type(n) in (int, np.int64)
+               else f"^n must be an integer, got {n!r}$")
+    with pytest.raises(ConfigError, match=message):
         Grid(n)
+
+
+@pytest.mark.parametrize("n", [np.int64(32), np.int32(32)])
+def test_grid_takes_numpy_integers_as_a_python_int(n):
+    grid = Grid(n)
+    assert type(grid.n) is int and grid == Grid(32)
 
 
 def test_mollify_identity_below_cell_width():

@@ -14,7 +14,7 @@ from poromoist.harness import (MMSCase, make_default_mms_case, mms_study,
                                regularization_ladder, sweep)
 from poromoist.model import conductivity, saturation_pressure
 from poromoist.stepper import State, StepConfig
-from tests.conftest import equilibrium_state, make_params
+from tests.conftest import equilibrium_state, make_params, make_setup
 from tests.oracles import TermForcing, sequential_trajectory_difference
 
 
@@ -202,6 +202,19 @@ def test_constant_manufactured_pair_is_exact(unit_params, cubic_model):
     assert report.theta_errors.max() < 1e-12
 
 
+def test_mms_takes_numpy_grid_sizes(unit_params, cubic_model):
+    # numpy integers are cell counts: each level's Grid stores a Python int
+    case = constant_case(2.0, 1.5, unit_params, cubic_model)
+    kwargs = dict(t_end=0.05, steps_coarse=5)
+    listed = mms_study(case, unit_params, cubic_model, grid_sizes=[8, 16], **kwargs)
+    report = mms_study(case, unit_params, cubic_model, grid_sizes=np.array([8, 16]),
+                       **kwargs)
+    assert report.grid_sizes == listed.grid_sizes == (8, 16)
+    assert report.dts == listed.dts
+    np.testing.assert_array_equal(report.rho_errors, listed.rho_errors)
+    np.testing.assert_array_equal(report.theta_errors, listed.theta_errors)
+
+
 def test_central_orders_second_accurate(default_case, unit_params,
                                         cubic_model):
     report = mms_study(default_case, unit_params, cubic_model,
@@ -237,8 +250,8 @@ def test_mms_grid_sizes_must_double(default_case, unit_params, cubic_model,
 def smoke_lite_ladder(params, model, **kwargs):
     grid = Grid(64)
     data = State(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2), np.ones(grid.n), 0.0)
-    return regularization_ladder(data, StepConfig(dt=1e-3), params, model,
-                                 grid, t_end=0.1, **kwargs)
+    return regularization_ladder(make_setup(params, model, grid, data), t_end=0.1,
+                                 **kwargs)
 
 
 def test_ladder_decreases_and_monitors_settle(unit_params, cubic_model):
@@ -271,6 +284,20 @@ def test_ladder_rejects_empty(unit_params, cubic_model, monkeypatch):
         smoke_lite_ladder(unit_params, cubic_model, rungs=0)
 
 
+def test_rungs_and_levels_check_eps_against_the_ambients(default_case, cubic_model,
+                                                         monkeypatch):
+    # Each ladder rung and each MMS level is one Setup, whose eps meets the
+    # ambients before any march: the ladder's first rung (eps0 = 0.1) and an
+    # MMS level at eps = 0.5 exceed a smallest ambient of 0.04.
+    monkeypatch.setattr(harness, "run", no_ladder_march)
+    params = make_params(theta_bar1=0.04)
+    clip = r"exceeds min\(ambient values, 1\) = 0\.04; the cutoff would clip ambient data"
+    with pytest.raises(ConfigError, match=r"^eps=0\.1 " + clip):
+        smoke_lite_ladder(params, cubic_model)
+    with pytest.raises(ConfigError, match=r"^eps=0\.5 " + clip):
+        mms_study(default_case, params, cubic_model, eps=0.5, nu=0.25)
+
+
 def test_ladder_injection_breaks_monotonicity(unit_params, cubic_model,
                                               monkeypatch):
     # A real ladder's distances shrink, so growing ones stand in for the
@@ -299,7 +326,8 @@ def test_trajectory_difference_equals_the_level_loop_to_the_bit(unit_params, cub
     smoke_lite_ladder(unit_params, cubic_model)
     rng = np.random.default_rng(3)
     for n in (7, 64, 1000):
-        a, b = (SimpleNamespace(grid=Grid(n), cfg=StepConfig(dt=1e-3), t=np.arange(31),
+        setup = SimpleNamespace(grid=Grid(n), step=StepConfig(dt=1e-3))
+        a, b = (SimpleNamespace(setup=setup, t=np.arange(31),
                                 rho=rng.uniform(0.5, 2.0, (31, n)),
                                 theta=rng.uniform(0.5, 2.0, (31, n))) for _ in range(2))
         pairs.append((a, b))
@@ -310,12 +338,10 @@ def test_trajectory_difference_equals_the_level_loop_to_the_bit(unit_params, cub
 
 def test_ladder_is_insensitive_at_equilibrium(unit_params, cubic_model, monkeypatch):
     # Every rung starts at the equilibrium, whatever its mollifier radius.
-    grid = Grid(16)
     monkeypatch.setattr(harness, "mollified_initial_data",
-                        lambda data, reg, grid: equilibrium_state(grid))
-    data = State(np.ones(grid.n), np.ones(grid.n), 0.0)
-    report = regularization_ladder(
-        data, StepConfig(dt=1e-3), unit_params, cubic_model, grid, t_end=0.02)
+                        lambda setup: equilibrium_state(setup.grid))
+    report = regularization_ladder(make_setup(unit_params, cubic_model, Grid(16)),
+                                   t_end=0.02)
     assert np.all(report.differences <= 1e-8)
     assert report.monitor_variation["entropy"] <= 1e-8
     assert report.monitor_variation["l4"] <= 1e-8

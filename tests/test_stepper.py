@@ -17,11 +17,11 @@ from poromoist.errors import (ConfigError, DimensionMismatch,
                               PicardDivergence)
 from poromoist.linalg import solve_thomas
 from poromoist.model import PowerLawSaturation, conductivity, saturation_pressure
-from poromoist.stepper import (RegularizationParams, State,
+from poromoist.stepper import (RegularizationParams, Setup, State,
                                StepConfig, assemble_rho_system,
                                assemble_theta_system, homotopy_solve,
                                mollified_initial_data, picard_step, run)
-from tests.conftest import equilibrium_state, make_params
+from tests.conftest import equilibrium_state, make_params, make_setup
 from tests.oracles import TermForcing, dense, dense_solve, two_field_prediction
 from tests.test_discretization import mirror_smooth
 
@@ -169,9 +169,9 @@ def test_assembled_rows_match_reference(crooked_case, scheme):
         forcing)
 
     values = forcing(grid.centers, prev.t + dt)
-    system, coeffs = assemble_rho_system(
-        prev, rho_it, theta_it, reg, params, model, grid, dt,
-        scheme=scheme, forcing=values)
+    setup = Setup(params, model, reg, StepConfig(dt=dt, advection=scheme), grid, prev)
+    system, coeffs = assemble_rho_system(prev, rho_it, theta_it, setup, dt,
+                                         forcing=values)
     np.testing.assert_allclose(dense(system), M, rtol=0, atol=1e-12)
     np.testing.assert_allclose(system.rhs, b, rtol=0, atol=1e-12)
 
@@ -180,9 +180,8 @@ def test_assembled_rows_match_reference(crooked_case, scheme):
     np.testing.assert_allclose(rho_new, dense_solve(dense(system), system.rhs),
                                rtol=0, atol=1e-12)
 
-    theta_sys, mass_flux = assemble_theta_system(
-        prev, rho_new, theta_it, reg, params, model, grid, dt, coeffs,
-        scheme=scheme, forcing=values)
+    theta_sys, mass_flux = assemble_theta_system(prev, rho_new, theta_it, setup, dt,
+                                                 coeffs, forcing=values)
     np.testing.assert_allclose(mass_flux, F_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dense(theta_sys), T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(theta_sys.rhs, c, rtol=0, atol=1e-12)
@@ -194,10 +193,10 @@ def test_assembled_systems_view_one_band(crooked_case):
     grid, params, model, prev, rho_it, theta_it, reg, forcing = crooked_case
     dt = 0.05
     values = forcing(grid.centers, prev.t + dt)
-    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, reg, params, model,
-                                          grid, dt, forcing=values)
-    theta_sys, _ = assemble_theta_system(prev, solve_thomas(rho_sys), theta_it, reg,
-                                         params, model, grid, dt, coeffs, forcing=values)
+    setup = Setup(params, model, reg, StepConfig(dt=dt), grid, prev)
+    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, setup, dt, values)
+    theta_sys, _ = assemble_theta_system(prev, solve_thomas(rho_sys), theta_it, setup, dt,
+                                         coeffs, values)
     assert rho_sys.diag.base is not theta_sys.diag.base
     for system in (rho_sys, theta_sys):
         band = system.diag.base
@@ -209,30 +208,45 @@ def test_assembled_systems_view_one_band(crooked_case):
         assert band[0, 0] == band[2, -1] == 0.0
 
 
-def test_regularization_params_validation(unit_params):
+def test_regularization_params_validation(unit_params, cubic_model):
     with pytest.raises(ConfigError):
         RegularizationParams(eps=0.01, nu=0.02)
     with pytest.raises(ConfigError):
         RegularizationParams(eps=1.5, nu=0.1)
-    reg = RegularizationParams(eps=0.01, nu=0.005)
-    reg.validate_against(unit_params)
-    with pytest.raises(ConfigError):
-        reg.validate_against(make_params(rho_bar0=0.005))
+    # eps is checked against the ambients where it meets them, in a Setup
+    setup = make_setup(unit_params, cubic_model, Grid(4), eps=0.01, nu=0.005)
+    message = (r"^eps=0\.01 exceeds min\(ambient values, 1\) = 0\.005; "
+               r"the cutoff would clip ambient data$")
+    with pytest.raises(ConfigError, match=message):
+        replace(setup, params=make_params(rho_bar0=0.005))
+    with pytest.raises(ConfigError, match=message):
+        make_setup(make_params(rho_bar0=0.005), cubic_model, Grid(4), eps=0.01, nu=0.005)
 
 
 def test_step_config_validation():
-    for kwargs in (dict(dt=0.0), dict(dt=1e-3, picard_tol=0.0),
-                   dict(dt=1e-3, max_picard=0),
-                   dict(dt=1e-3, advection="quick")):
-        with pytest.raises(ConfigError):
+    # As the config schema does, a bool or a float is no sweep budget, even
+    # where it equals a whole number.
+    budget = "max_picard must be an integer"
+    for kwargs, message in ((dict(dt=0.0), "dt must be positive"),
+                            (dict(dt=1e-3, picard_tol=0.0), "picard_tol must be positive"),
+                            (dict(dt=1e-3, max_picard=0), "max_picard must be at least 1"),
+                            (dict(dt=1e-3, max_picard=2.5), budget),
+                            (dict(dt=1e-3, max_picard=50.0), budget),
+                            (dict(dt=1e-3, max_picard="50"), budget),
+                            (dict(dt=1e-3, max_picard=True), budget),
+                            (dict(dt=1e-3, max_picard=None), budget),
+                            (dict(dt=1e-3, advection="quick"), "advection must be")):
+        with pytest.raises(ConfigError, match=message):
             StepConfig(**kwargs)
+    # an integral numpy value is stored as a Python int
+    cfg = StepConfig(dt=1e-3, max_picard=np.int64(7))
+    assert type(cfg.max_picard) is int and cfg.max_picard == 7
 
 
 def run_from(state, params, model):
     """One step of dt = 1e-3 on a 4-cell grid from an explicit start state."""
-    cfg = StepConfig(dt=1e-3)
-    return run(state, cfg, RegularizationParams(eps=1e-2, nu=5e-3), params, model,
-               Grid(4), t_end=cfg.dt)
+    setup = make_setup(params, model, Grid(4), state)
+    return run(setup, state, t_end=setup.step.dt)
 
 
 def test_state_validation(unit_params, cubic_model):
@@ -259,12 +273,11 @@ def test_state_values_checked(unit_params, cubic_model):
     assert result.theta[0].tolist() == [1.0] * 4
 
 
-def test_mollified_initial_data_lift():
-    grid = Grid(16)
+def test_mollified_initial_data_lift(unit_params, cubic_model):
     data = State(np.linspace(1.0, 2.0, 16), np.full(16, 1.5), 0.0)
-    reg = RegularizationParams(eps=0.01, nu=0.005)
     # radius below the cell width: smoothing is the identity, only the lift acts
-    state = mollified_initial_data(data, reg, grid)
+    state = mollified_initial_data(make_setup(unit_params, cubic_model, Grid(16), data,
+                                              eps=0.01, nu=0.005))
     np.testing.assert_array_equal(state.rho, data.rho + 0.01)
     np.testing.assert_array_equal(state.theta, data.theta)
     assert not np.shares_memory(state.theta, data.theta)
@@ -272,10 +285,9 @@ def test_mollified_initial_data_lift():
     assert state.t == 0.0
 
 
-def test_mollified_initial_data_rejects_raw_samples():
+def test_mollified_initial_data_rejects_raw_samples(unit_params, cubic_model):
     # Raw samples from a library caller get the checks of run's start
     # before any smoothing, whatever the mollifier would make of them.
-    reg = RegularizationParams(eps=0.01, nu=0.005)
     for rho, theta, error, message in (
             ([-0.1, 1, 1, 1], [1, 1, 1, 1], ConfigError, "negative vapor density"),
             ([1, 1, 1, 1], [1, 0.0, 1, 1], ConfigError, "nonpositive temperature"),
@@ -286,17 +298,17 @@ def test_mollified_initial_data_rejects_raw_samples():
             ([1] * 5, [1] * 5, DimensionMismatch, "5 cells for an n=4 grid"),
             ([[1, 1], [1, 1]], [[1, 1], [1, 1]], DimensionMismatch, "must be 1-D")):
         with pytest.raises(error, match=message):
-            mollified_initial_data(State(rho, theta, 0.0), reg, Grid(4))
+            mollified_initial_data(make_setup(unit_params, cubic_model, Grid(4),
+                                              State(rho, theta, 0.0), eps=0.01, nu=0.005))
 
 
 def test_equilibrium_is_picard_fixed_point(unit_params, cubic_model):
     grid = Grid(16)
-    cfg = StepConfig(dt=0.01)
-    reg = RegularizationParams(eps=0.01, nu=0.005)
-    state = equilibrium_state(grid)
-    new, rec = picard_step(state, cfg, reg, unit_params, cubic_model, grid)
-    assert rec.update < cfg.picard_tol and rec.sweeps == 1
-    assert rec.dt == cfg.dt
+    setup = make_setup(unit_params, cubic_model, grid, dt=0.01)
+    state = setup.initial
+    new, rec = picard_step(state, setup, 0.01)
+    assert rec.update < setup.step.picard_tol and rec.sweeps == 1
+    assert rec.dt == 0.01
     np.testing.assert_allclose(new.rho, 1.0, rtol=0, atol=1e-14)
     np.testing.assert_allclose(new.theta, 1.0, rtol=0, atol=1e-14)
     assert new.t == pytest.approx(0.01)
@@ -312,48 +324,45 @@ SPLIT_LAM = 120.0
 SPLIT_DT = 0.02
 
 
-def stiff_setup(lam=STIFF_LAM):
-    grid = Grid(STIFF_N)
-    params = make_params(lam=lam)
+def stiff_setup(model, lam=STIFF_LAM, dt=SPLIT_DT, **step):
+    """The superheated start at rho = 1, theta = 1.3 on STIFF_N cells; it is setup.initial."""
     state = State(np.ones(STIFF_N), np.full(STIFF_N, 1.3), 0.0)
-    reg = RegularizationParams(eps=1e-2, nu=5e-3)
-    return grid, params, state, reg
+    return make_setup(make_params(lam=lam), model, Grid(STIFF_N), state, dt=dt, **step)
 
 
 def test_stiff_step_exceeds_direct_budget(cubic_model):
-    grid, params, state, reg = stiff_setup(SPLIT_LAM)
-    cfg = StepConfig(dt=SPLIT_DT)
+    setup = stiff_setup(cubic_model, SPLIT_LAM)
+    cfg = setup.step
     with pytest.raises(PicardDivergence) as exc:
-        picard_step(state, cfg, reg, params, cubic_model, grid)
+        picard_step(setup.initial, setup, SPLIT_DT)
     record = exc.value.record
     assert record.update >= cfg.picard_tol
     assert exc.value.sweeps == record.sweeps == cfg.max_picard
     assert record.dt == SPLIT_DT
 
     # the same sweep loop does converge, just beyond the default budget
-    roomy = StepConfig(dt=SPLIT_DT, max_picard=500)
-    _, record = picard_step(state, roomy, reg, params, cubic_model, grid)
-    assert record.update < roomy.picard_tol
+    roomy = stiff_setup(cubic_model, SPLIT_LAM, max_picard=500)
+    _, record = picard_step(roomy.initial, roomy, SPLIT_DT)
+    assert record.update < roomy.step.picard_tol
     assert 50 < record.sweeps <= 60
 
 
-def half_steps(state, cfg, reg, params, model, grid):
-    """The step of cfg.dt from state as two direct steps of cfg.dt/2."""
-    half = replace(cfg, dt=0.5 * cfg.dt)
-    mid, first = picard_step(state, half, reg, params, model, grid)
-    new, second = picard_step(mid, half, reg, params, model, grid)
+def half_steps(state, setup, dt):
+    """The step of dt from state as two direct steps of dt/2."""
+    mid, first = picard_step(state, setup, 0.5 * dt)
+    new, second = picard_step(mid, setup, 0.5 * dt)
     return new, (first, second)
 
 
 def test_homotopy_rescues_stiff_step(cubic_model):
-    grid, params, state, reg = stiff_setup(SPLIT_LAM)
-    cfg = StepConfig(dt=SPLIT_DT)
-    new, records = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    setup = stiff_setup(cubic_model, SPLIT_LAM)
+    state, cfg = setup.initial, setup.step
+    new, records = homotopy_solve(state, setup)
     # the failed direct attempt's 50 sweeps, then the halves' 25 and 19
     assert [rec.dt for rec in records] == [0.01, 0.01]
     assert [rec.sweeps for rec in records] == [75, 19]
     assert all(rec.update < cfg.picard_tol for rec in records)
-    halves_new, halves = half_steps(state, cfg, reg, params, cubic_model, grid)
+    halves_new, halves = half_steps(state, setup, SPLIT_DT)
     assert [rec.sweeps for rec in halves] == [25, 19]
     assert records[1].prev.t == 0.01 and new.t == SPLIT_DT
     np.testing.assert_array_equal(new.rho, halves_new.rho)
@@ -364,11 +373,11 @@ def test_homotopy_rescues_stiff_step(cubic_model):
 def test_homotopy_failure_bookkeeping(monkeypatch, cubic_model):
     # With one sweep per attempt every attempt fails: the level and the
     # first substep at each depth 1..6 make one attempt each.
-    grid, params, state, reg = stiff_setup()
-    cfg = StepConfig(dt=0.01, max_picard=1)
+    setup = stiff_setup(cubic_model, dt=0.01, max_picard=1)
+    state, cfg = setup.initial, setup.step
     sweeps = log_sweeps(monkeypatch)
     with pytest.raises(PicardDivergence) as exc:
-        homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+        homotopy_solve(state, setup)
     record = exc.value.record
     assert record.update >= cfg.picard_tol > 0
     assert record.dt == cfg.dt / 2**stepper.SPLIT_DEPTH
@@ -378,33 +387,28 @@ def test_homotopy_failure_bookkeeping(monkeypatch, cubic_model):
     # a predicted start replaces the level's start and adds no attempt
     del sweeps[:]
     with pytest.raises(PicardDivergence) as exc:
-        homotopy_solve(state, cfg, reg, params, cubic_model, grid,
-                       start=(state.rho, state.theta))
+        homotopy_solve(state, setup, start=(state.rho, state.theta))
     assert exc.value.sweeps == len(sweeps) == stepper.SPLIT_DEPTH + 1
     assert [dt for _, dt, _, _ in sweeps] == [cfg.dt / 2**k for k in range(7)]
 
 
 def test_failed_substep_is_counted_and_split(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup(SPLIT_LAM)
-    cfg = StepConfig(dt=SPLIT_DT)
-    plain_new, plain = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    setup = stiff_setup(cubic_model, SPLIT_LAM)
+    state = setup.initial
+    plain_new, plain = homotopy_solve(state, setup)
     real_assemble = stepper.assemble_theta_system
 
-    def nonfinite_in_second_half(prev, rho_new, theta_iter, reg, params, model, grid,
-                                 dt, *args, **kwargs):
+    def nonfinite_in_second_half(prev, rho_new, theta_iter, setup, dt, *args, **kwargs):
         if prev.t == 0.01 and dt == 0.01:
             raise NonfiniteIterate("injected in the second half")
-        return real_assemble(prev, rho_new, theta_iter, reg, params, model, grid, dt,
-                             *args, **kwargs)
+        return real_assemble(prev, rho_new, theta_iter, setup, dt, *args, **kwargs)
 
     monkeypatch.setattr(stepper, "assemble_theta_system", nonfinite_in_second_half)
-    new, records = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    new, records = homotopy_solve(state, setup)
     # the second half spends one sweep and is taken as two quarters
     assert [rec.dt for rec in records] == [0.01, 0.005, 0.005]
     assert records[0].sweeps == plain[0].sweeps == 75
-    quarter = replace(cfg, dt=0.005)
-    mid, first = picard_step(records[1].prev, quarter, reg, params, cubic_model, grid)
-    last, second = picard_step(mid, quarter, reg, params, cubic_model, grid)
+    last, (first, second) = half_steps(records[1].prev, setup, 0.01)
     assert [rec.sweeps for rec in records[1:]] == [first.sweeps + 1, second.sweeps]
     np.testing.assert_array_equal(new.rho, last.rho)
     np.testing.assert_array_equal(new.theta, last.theta)
@@ -414,8 +418,7 @@ def test_failed_substep_is_counted_and_split(monkeypatch, cubic_model):
 def test_failed_second_half_counts_the_first_half(monkeypatch, cubic_model):
     # The direct attempt fails, the first half converges, and every attempt
     # at a span from its end on fails: the error counts every sweep.
-    grid, params, state, reg = stiff_setup(SPLIT_LAM)
-    cfg = StepConfig(dt=SPLIT_DT)
+    setup = stiff_setup(cubic_model, SPLIT_LAM)
     sweeps = log_sweeps(monkeypatch)
     real_assemble = stepper.assemble_theta_system
 
@@ -426,7 +429,7 @@ def test_failed_second_half_counts_the_first_half(monkeypatch, cubic_model):
 
     monkeypatch.setattr(stepper, "assemble_theta_system", nonfinite_from_the_midpoint)
     with pytest.raises(NonfiniteIterate) as exc:
-        homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+        homotopy_solve(setup.initial, setup)
     # the direct attempt's 50 sweeps and the first half's 25, then one sweep
     # at each depth 1 .. SPLIT_DEPTH from t = 0.01
     assert exc.value.sweeps == len(sweeps) == 75 + stepper.SPLIT_DEPTH
@@ -435,9 +438,9 @@ def test_failed_second_half_counts_the_first_half(monkeypatch, cubic_model):
 
 
 def test_dominance_loss_in_direct_attempt_goes_to_substeps(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup(SPLIT_LAM)
-    cfg = StepConfig(dt=SPLIT_DT)
-    plain_new, plain = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    setup = stiff_setup(cubic_model, SPLIT_LAM)
+    state, cfg = setup.initial, setup.step
+    plain_new, plain = homotopy_solve(state, setup)
     real_assemble = stepper.assemble_rho_system
     calls = []
 
@@ -448,7 +451,7 @@ def test_dominance_loss_in_direct_attempt_goes_to_substeps(monkeypatch, cubic_mo
         return real_assemble(*args, **kwargs)
 
     monkeypatch.setattr(stepper, "assemble_rho_system", first_sweep_loses_dominance)
-    new, records = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    new, records = homotopy_solve(state, setup)
     # one sweep of the direct attempt, then the same halves as the plain step
     assert [rec.dt for rec in records] == [rec.dt for rec in plain]
     assert [rec.sweeps for rec in records] == [plain[0].sweeps - cfg.max_picard + 1,
@@ -460,8 +463,7 @@ def test_dominance_loss_in_direct_attempt_goes_to_substeps(monkeypatch, cubic_mo
 def test_level_is_one_homotopy_call(monkeypatch, cubic_model):
     # Substeps recurse in a private helper, so a traced homotopy_solve spans
     # exactly one output level, split or not.
-    grid, params, state, reg = stiff_setup(SPLIT_LAM)
-    cfg = StepConfig(dt=SPLIT_DT)
+    setup = stiff_setup(cubic_model, SPLIT_LAM)
     real_solve, levels = stepper.homotopy_solve, []
 
     def counted(*args, **kwargs):
@@ -470,7 +472,7 @@ def test_level_is_one_homotopy_call(monkeypatch, cubic_model):
         return new, records
 
     monkeypatch.setattr(stepper, "homotopy_solve", counted)
-    result = run(state, cfg, reg, params, cubic_model, grid, t_end=2 * SPLIT_DT)
+    result = run(setup, setup.initial, t_end=2 * SPLIT_DT)
     assert len(levels) == 2 and levels[0] == 2
     assert result.t.tolist() == [0.0, SPLIT_DT, 2 * SPLIT_DT]
     assert result.series["picard_iterations"][1] == 94
@@ -487,11 +489,9 @@ def log_sweeps(monkeypatch) -> list:
     sweeps = []
     real_assemble, real_solve = stepper.assemble_rho_system, stepper.solve_thomas
 
-    def assemble(prev, rho_iter, theta_iter, reg, params, model, grid, dt,
-                 *args, **kwargs):
+    def assemble(prev, rho_iter, theta_iter, setup, dt, *args, **kwargs):
         sweeps.append([prev.t, dt, (rho_iter.copy(), theta_iter.copy()), []])
-        return real_assemble(prev, rho_iter, theta_iter, reg, params, model, grid,
-                             dt, *args, **kwargs)
+        return real_assemble(prev, rho_iter, theta_iter, setup, dt, *args, **kwargs)
 
     def solve(system):
         solution = real_solve(system)
@@ -520,10 +520,10 @@ def anderson_input(inputs, outputs):
 
 
 def test_sweep_inputs_mix_from_the_third_sweep_on(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup()
-    cfg = StepConfig(dt=0.01)
+    setup = stiff_setup(cubic_model, dt=0.01)
+    state, cfg = setup.initial, setup.step
     sweeps = log_sweeps(monkeypatch)
-    new, rec = picard_step(state, cfg, reg, params, cubic_model, grid)
+    new, rec = picard_step(state, setup, 0.01)
     # the mixed sweeps converge within the budget, where plain ones take 35
     assert rec.sweeps == len(sweeps) == 12
     inputs = [sweep[2] for sweep in sweeps]
@@ -547,10 +547,10 @@ def test_sweep_inputs_mix_from_the_third_sweep_on(monkeypatch, cubic_model):
 
 
 def test_each_substep_starts_without_history(monkeypatch, cubic_model):
-    grid, params, state, reg = stiff_setup(SPLIT_LAM)
-    cfg = StepConfig(dt=SPLIT_DT)
+    setup = stiff_setup(cubic_model, SPLIT_LAM)
+    state = setup.initial
     sweeps = log_sweeps(monkeypatch)
-    new, records = homotopy_solve(state, cfg, reg, params, cubic_model, grid)
+    new, records = homotopy_solve(state, setup)
     assert sum(rec.sweeps for rec in records) == len(sweeps)
     # consecutive sweeps of one (t, dt): the direct attempt, then the halves
     attempts = []
@@ -578,26 +578,24 @@ def test_strong_drift_loses_dominance(unit_params, cubic_model):
     prev = equilibrium_state(grid)
     theta_it = 1.0 + 5.0 * grid.centers
     rho_it = np.full(grid.n, 3.0)
-    reg = RegularizationParams(eps=0.5, nu=0.25)
+    setup = make_setup(unit_params, cubic_model, grid, prev, dt=0.05, eps=0.5, nu=0.25)
     with pytest.raises(DominanceViolation, match="vapor"):
-        assemble_rho_system(prev, rho_it, theta_it, reg, unit_params,
-                            cubic_model, grid, dt=0.05)
+        assemble_rho_system(prev, rho_it, theta_it, setup, dt=0.05)
 
 
-def smooth_case():
-    """A relaxing vapor bump on n=32 at dt=1e-3, with a 20-step horizon."""
+def smooth_case(params, model):
+    """A relaxing vapor bump on n=32 at dt=1e-3, its smoothed start and a 20-step horizon."""
     grid = Grid(32)
-    cfg = StepConfig(dt=1e-3)
-    reg = RegularizationParams(eps=1e-2, nu=5e-3)
     data = State(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2), np.ones(grid.n), 0.0)
-    return grid, cfg, reg, mollified_initial_data(data, reg, grid), 0.02
+    setup = make_setup(params, model, grid, data)
+    return setup, mollified_initial_data(setup), 0.02
 
 
 def test_run_is_deterministic(unit_params, cubic_model):
-    grid, cfg, reg, start, _ = smooth_case()
-    first = run(start, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
-    second = run(start, cfg, reg, unit_params, cubic_model, grid, t_end=0.05)
-    assert first.rho.shape == first.theta.shape == (51, grid.n)
+    setup, start, _ = smooth_case(unit_params, cubic_model)
+    first = run(setup, start, t_end=0.05)
+    second = run(setup, start, t_end=0.05)
+    assert first.rho.shape == first.theta.shape == (51, setup.grid.n)
     assert first.t.shape == (51,)
     assert all(column.shape == (51,) for column in first.series.values())
     np.testing.assert_array_equal(first.rho, second.rho)
@@ -609,13 +607,14 @@ def test_run_is_deterministic(unit_params, cubic_model):
 
 
 def test_predicted_start_saves_sweeps(unit_params, cubic_model):
-    grid, cfg, reg, start, t_end = smooth_case()
-    result = run(start, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
+    setup, start, t_end = smooth_case(unit_params, cubic_model)
+    cfg = setup.step
+    result = run(setup, start, t_end=t_end)
     predicted = plain = 0
     # from step 3 on the start extrapolates at least three accepted states
     for k in range(3, len(result.t)):
         prev = State(result.rho[k - 1], result.theta[k - 1], result.t[k - 1])
-        new, records = homotopy_solve(prev, cfg, reg, unit_params, cubic_model, grid)
+        new, records = homotopy_solve(prev, setup)
         predicted += result.series["picard_iterations"][k]
         plain += sum(rec.sweeps for rec in records)
         for got, ref in ((result.rho[k], new.rho), (result.theta[k], new.theta)):
@@ -709,8 +708,7 @@ def test_predicted_start_fits_nothing_where_a_polynomial_predicts(monkeypatch,
 
     monkeypatch.setattr(stepper, "_predicted_start", recording)
     monkeypatch.setattr(stepper, "_linear_prediction", counting)
-    run(mollified_initial_data(setup.initial, setup.reg, setup.grid), setup.step,
-        setup.reg, setup.params, setup.model, setup.grid)
+    run(setup, mollified_initial_data(setup))
     assert len(starts) == 1000 and all(fitted) and 0 < len(fitted) <= 60
 
     def refuse(history, bound):
@@ -801,8 +799,7 @@ def test_dry_start_certifies_with_positive_vapor(smoke_config):
                         ("regularization.eps", 0.01)):
         data = apply_override(data, path, value)
     setup = build_setup(data)
-    result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
-                 setup.step, setup.reg, setup.params, setup.model, setup.grid)
+    result = run(setup, mollified_initial_data(setup))
     assert certify_run(result).passed
     assert np.min(result.series["min_rho"]) > 0
 
@@ -810,20 +807,21 @@ def test_dry_start_certifies_with_positive_vapor(smoke_config):
 def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     # A failed predicted attempt is not retried from the previous state: the
     # level goes straight to two halves, and each span gets one direct attempt.
-    grid, cfg, reg, start, t_end = smooth_case()
+    setup, start, t_end = smooth_case(unit_params, cubic_model)
+    cfg = setup.step
     wasted = 2
+    starved = replace(setup, step=replace(cfg, max_picard=wasted, picard_tol=1e-300))
     real_picard_step = stepper.picard_step
     attempts = []
 
-    def starved_prediction(prev, cfg, *args, start=None, **kwargs):
+    def starved_prediction(prev, setup, dt, forcing, start):
         # A predicted attempt spends `wasted` real sweeps and cannot converge.
-        attempts.append((prev.t, cfg.dt, start is not None))
-        if start is not None:
-            cfg = replace(cfg, max_picard=wasted, picard_tol=1e-300)
-        return real_picard_step(prev, cfg, *args, start=start, **kwargs)
+        attempts.append((prev.t, dt, start is not None))
+        return real_picard_step(prev, setup if start is None else starved, dt, forcing,
+                                start)
 
     monkeypatch.setattr(stepper, "picard_step", starved_prediction)
-    result = run(start, cfg, reg, unit_params, cubic_model, grid, t_end=t_end)
+    result = run(setup, start, t_end=t_end)
     assert certify_run(result).passed
     steps, half = len(result.t) - 1, 0.5 * cfg.dt
     # the first level has no prediction; every later one wastes its attempt
@@ -835,7 +833,7 @@ def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     sweeps = result.series["picard_iterations"]
     for k in range(2, steps + 1):
         prev = State(result.rho[k - 1], result.theta[k - 1], result.t[k - 1])
-        new, halves = half_steps(prev, cfg, reg, unit_params, cubic_model, grid)
+        new, halves = half_steps(prev, setup, cfg.dt)
         assert sweeps[k] == wasted + sum(rec.sweeps for rec in halves)
         np.testing.assert_array_equal(result.rho[k], new.rho)
         np.testing.assert_array_equal(result.theta[k], new.theta)
@@ -861,14 +859,12 @@ class CountingForcing:
 
 def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     grid = Grid(16)
-    cfg = StepConfig(dt=0.01, picard_tol=1e-12)
-    reg = RegularizationParams(eps=1e-2, nu=5e-3)
     case = make_default_mms_case(unit_params, cubic_model)
     x = grid.centers
     state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
+    setup = make_setup(unit_params, cubic_model, grid, state0, dt=0.01, picard_tol=1e-12)
     counting = CountingForcing(case.forcing)
-    result = run(state0, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
-                 forcing=counting)
+    result = run(setup, state0, t_end=0.1, forcing=counting)
     steps = len(result.t) - 1
     assert steps == 10
     assert result.series["picard_iterations"].sum() > steps
@@ -877,11 +873,9 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     # a split step, with a failed direct attempt and two halves, evaluates once
     # per time a substep ends: t = dt, shared by the attempt and the second
     # half, then t = dt/2
-    grid, params, state, reg = stiff_setup(SPLIT_LAM)
-    cfg = StepConfig(dt=SPLIT_DT)
+    setup = stiff_setup(cubic_model, SPLIT_LAM)
     counting = CountingForcing(ZERO_FORCING)
-    result = run(state, cfg, reg, params, cubic_model, grid, t_end=cfg.dt,
-                 forcing=counting)
+    result = run(setup, setup.initial, t_end=SPLIT_DT, forcing=counting)
     assert result.series["picard_iterations"][1] == 94
     assert counting.times == [SPLIT_DT, SPLIT_DT / 2]
 
@@ -890,13 +884,11 @@ def test_zero_forcing_matches_no_forcing(unit_params, cubic_model):
     # NO_FORCING holds scalar zeros, ZERO_FORCING arrays of zeros; adding
     # either leaves every value's bits as they are
     grid = Grid(16)
-    cfg = StepConfig(dt=0.01)
-    reg = RegularizationParams(eps=1e-2, nu=5e-3)
     x = grid.centers
     state = State(2.0 + np.cos(np.pi * x), 1.0 + 0.5 * np.sin(np.pi * x), 0.0)
-    forced = run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.1,
-                 forcing=ZERO_FORCING)
-    plain = run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.1)
+    setup = make_setup(unit_params, cubic_model, grid, state, dt=0.01)
+    forced = run(setup, state, t_end=0.1, forcing=ZERO_FORCING)
+    plain = run(setup, state, t_end=0.1)
     np.testing.assert_array_equal(forced.rho, plain.rho)
     np.testing.assert_array_equal(forced.theta, plain.theta)
     for name, column in plain.series.items():
@@ -905,19 +897,18 @@ def test_zero_forcing_matches_no_forcing(unit_params, cubic_model):
 
 def test_run_validates_horizon(unit_params, cubic_model):
     grid = Grid(8)
-    cfg = StepConfig(dt=1e-3)
-    reg = RegularizationParams(eps=1e-2, nu=5e-3)
-    state = equilibrium_state(grid)
+    setup = make_setup(unit_params, cubic_model, grid)
+    state = setup.initial
     with pytest.raises(ConfigError):
-        run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.0015)
+        run(setup, state, t_end=0.0015)
     with pytest.raises(ConfigError, match=r"t_end must be nonnegative, got -0\.001"):
-        run(state, cfg, reg, unit_params, cubic_model, grid, t_end=-1e-3)
+        run(setup, state, t_end=-1e-3)
     with pytest.raises(ConfigError, match="positive integer number of steps"):
-        run(state, cfg, reg, unit_params, cubic_model, grid, t_end=1e-12)
+        run(setup, state, t_end=1e-12)
     with pytest.raises(ConfigError, match="positive integer number of steps"):
         # t_end / dt overflows to inf
-        run(state, cfg, reg, unit_params, cubic_model, grid, t_end=1e308)
-    still = run(state, cfg, reg, unit_params, cubic_model, grid, t_end=0.0)
+        run(setup, state, t_end=1e308)
+    still = run(setup, state, t_end=0.0)
     assert still.rho.shape == (1, grid.n)
     assert all(column.shape == (1,) for column in still.series.values())
     np.testing.assert_array_equal(still.rho[0], state.rho)
@@ -927,16 +918,14 @@ def test_run_validates_horizon(unit_params, cubic_model):
 
 
 def test_run_rejects_initial_state_of_another_grid(unit_params, cubic_model):
-    cfg = StepConfig(dt=1e-3)
-    reg = RegularizationParams(eps=1e-2, nu=5e-3)
+    setup = make_setup(unit_params, cubic_model, Grid(16))
     with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
-        run(equilibrium_state(Grid(8)), cfg, reg, unit_params, cubic_model, Grid(16),
-            t_end=cfg.dt)
+        run(setup, equilibrium_state(Grid(8)), t_end=setup.step.dt)
     # raw samples of another grid are rejected before they are mollified
     data = State(np.ones(8), np.ones(8), 0.0)
     with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
-        run(mollified_initial_data(data, reg, Grid(16)), cfg, reg, unit_params,
-            cubic_model, Grid(16), t_end=cfg.dt)
+        run(setup, mollified_initial_data(replace(setup, initial=data)),
+            t_end=setup.step.dt)
 
 
 
@@ -990,8 +979,9 @@ def test_face_coefficients_bitwise_equal_to_donor_formulas(kind, scheme, cubic_m
     A = -dface / h + vface * wm
     B = dface / h + vface * wp
 
-    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, reg, params,
-                                          cubic_model, grid, dt, scheme)
+    setup = Setup(params, cubic_model, reg, StepConfig(dt=dt, advection=scheme), grid,
+                  prev)
+    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, setup, dt)
     np.testing.assert_array_equal(coeffs.A, A)
     np.testing.assert_array_equal(coeffs.B, B)
     np.testing.assert_array_equal(rho_sys.lower[:-1], A[:-1] / h)
@@ -999,8 +989,7 @@ def test_face_coefficients_bitwise_equal_to_donor_formulas(kind, scheme, cubic_m
 
     # the equilibrium vapor field, constant, makes every interior flux zero
     rho_new = rho_it if kind == "equilibrium" else solve_thomas(rho_sys)
-    theta_sys, flux = assemble_theta_system(prev, rho_new, theta_it, reg, params,
-                                            cubic_model, grid, dt, coeffs, scheme)
+    theta_sys, flux = assemble_theta_system(prev, rho_new, theta_it, setup, dt, coeffs)
     kcell = conductivity(mollify(rho_new, reg.eps, h), params)
     kface = 0.5 * (kcell[:-1] + kcell[1:])
     fint = flux[1:-1]
@@ -1030,21 +1019,19 @@ class NanAtCell(PowerLawSaturation):
 def test_nan_saturation_raises_nonfinite_from_assembly(unit_params):
     grid = Grid(16)
     model = NanAtCell(c=1.0, q=3.0, eta=1.0)
-    state = equilibrium_state(grid)
-    reg = RegularizationParams(eps=0.01, nu=0.005)
-    cfg = StepConfig(dt=0.01)
-    system, coeffs = assemble_rho_system(state, state.rho, state.theta, reg,
-                                         unit_params, model, grid, cfg.dt)
+    setup = make_setup(unit_params, model, grid, dt=0.01)
+    state = setup.initial
+    system, coeffs = assemble_rho_system(state, state.rho, state.theta, setup, 0.01)
     with pytest.raises(NonfiniteIterate, match="heat system row 5"):
-        assemble_theta_system(state, solve_thomas(system), state.theta, reg,
-                              unit_params, model, grid, cfg.dt, coeffs)
+        assemble_theta_system(state, solve_thomas(system), state.theta, setup, 0.01,
+                              coeffs)
     with pytest.raises(NonfiniteIterate, match="heat system row 5") as exc:
-        picard_step(state, cfg, reg, unit_params, model, grid)
+        picard_step(state, setup, 0.01)
     assert exc.value.sweeps == 1
     # a failed attempt: the step splits down to the deepest substep, whose
     # attempt fails the same way, one sweep at each depth
     with pytest.raises(NonfiniteIterate, match="heat system row 5") as exc:
-        homotopy_solve(state, cfg, reg, unit_params, model, grid)
+        homotopy_solve(state, setup)
     assert exc.value.sweeps == stepper.SPLIT_DEPTH + 1
 
 
@@ -1058,10 +1045,7 @@ def test_nonfinite_heat_solution_fails_its_sweep(value, raised, monkeypatch,
     # one whose squared update overflows does not: the sweep goes on, and
     # here, with one sweep allowed, fails to converge.  (A poisoned vapor
     # solution fails earlier, in the heat assembly.)
-    grid = Grid(16)
-    state = equilibrium_state(grid)
-    reg = RegularizationParams(eps=0.01, nu=0.005)
-    cfg = StepConfig(dt=0.01, max_picard=1)
+    setup = make_setup(unit_params, cubic_model, Grid(16), dt=0.01, max_picard=1)
     solves = []
 
     def poisoned(system):
@@ -1074,5 +1058,5 @@ def test_nonfinite_heat_solution_fails_its_sweep(value, raised, monkeypatch,
     monkeypatch.setattr(stepper, "solve_thomas", poisoned)
     with pytest.raises(raised, match="nonfinite iterate at sweep 1"
                        if raised is NonfiniteIterate else "no convergence") as exc:
-        picard_step(state, cfg, reg, unit_params, cubic_model, grid)
+        picard_step(setup.initial, setup, 0.01)
     assert exc.value.sweeps == len(solves) // 2 == 1

@@ -70,9 +70,7 @@ def test_write_fields_writes_what_csv_writer_writes_on_generated_blocks(tmp_path
 
 def march(data):
     setup = build_setup(data)
-    result = run(mollified_initial_data(setup.initial, setup.reg, setup.grid),
-                 setup.step, setup.reg, setup.params, setup.model, setup.grid)
-    return setup, result
+    return setup, run(setup, mollified_initial_data(setup))
 
 
 def test_run_outputs_are_csv_writer_rows_of_repr_texts(smoke_config, tmp_path):
@@ -116,7 +114,7 @@ def test_snapshot_writer_holds_one_snapshot(smoke_config, tmp_path):
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        cli._write_snapshots(path, result, setup)
+        cli._write_snapshots(path, result, data["output"]["cadence"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
