@@ -10,7 +10,12 @@ on the smoke, fine and stiff configs and of ``mms``, ``ladder`` and
 ``sweep`` on their shipped configs, each run in-process through
 ``poromoist.cli.main``: the number of steps at each sweep count, their
 total, the steps that converged on their first sweep, the steps taken in
-more than one substep (``split_steps``) and the exit code.
+more than one substep (``split_steps``), the lockstep sweeps and the exit
+code.  The sweeps of a step are its member's own, also where ``ladder``
+and ``sweep`` march their members as one group (``stepper.march``); a
+lockstep sweep is one sweep of such a group, taken for all the members
+still sweeping at once, so ``lockstep_sweeps`` counts what the group's
+kernel calls cost, and is 0 where every march is a ``run``.
 ``harder_grid`` is the harder grid of ``tests/test_acceptance.py`` (the
 smoke problem to t = 0.4 over HARDER_GRID) as one ``sweep``, which exits 0
 only when all 12 cells certify.  A step is one output level, and its
@@ -145,27 +150,34 @@ def harder_grid_config(out: str) -> str:
 def sweep_counts(command: str, config: str, out: str) -> dict:
     """Run one CLI command, counting its accepted steps by their sweeps.
 
-    stepper.run looks homotopy_solve up in its module on every step, so a
-    wrapper there sees each step of every march the command makes, with
-    one record per substep.
+    stepper.run and stepper.march look step_record up in their module for
+    each block of levels, so a wrapper there sees each step of every
+    member the command marches, with one record per substep.  A wrapper on
+    assemble_rho_system counts the lockstep sweeps: those whose iterate
+    has a member axis.
     """
     counts = Counter()
     split = []
-    solve = stepper.homotopy_solve
+    lockstep = []
+    record, assemble = stepper.step_record, stepper.assemble_rho_system
 
-    def counted(*args, **kwargs):
-        new, records = solve(*args, **kwargs)
-        counts[sum(record.sweeps for record in records)] += 1
-        split.append(len(records) > 1)
-        return new, records
+    def counted(series, first, levels, setup):
+        for records in levels:
+            counts[sum(substep.sweeps for substep in records)] += 1
+            split.append(len(records) > 1)
+        return record(series, first, levels, setup)
 
-    stepper.homotopy_solve = counted
+    def assembled(prev, rho_it, *args, **kwargs):
+        lockstep.append(rho_it.ndim > 1)
+        return assemble(prev, rho_it, *args, **kwargs)
+
+    stepper.step_record, stepper.assemble_rho_system = counted, assembled
     try:
         start = time.perf_counter()
         code = cli.main([command, os.path.join(ROOT, config), "--out", out, "--quiet"])
         wall = time.perf_counter() - start
     finally:
-        stepper.homotopy_solve = solve
+        stepper.step_record, stepper.assemble_rho_system = record, assemble
     steps = sum(counts.values())
     sweeps = sum(k * count for k, count in counts.items())
     return {
@@ -175,6 +187,7 @@ def sweep_counts(command: str, config: str, out: str) -> dict:
         "sweeps_per_step": sweeps / steps if steps else 0.0,
         "first_sweep_steps": counts[1],
         "split_steps": sum(split),
+        "lockstep_sweeps": sum(lockstep),
         "steps_by_sweeps": sorted(counts.items()),
         "wall_s": wall,
     }
@@ -202,7 +215,7 @@ def main() -> int:
     for name, case in sweeps.items():
         print(f"{name}: exit {case['exit']}, {case['sweeps']} sweeps over "
               f"{case['steps']} steps, {case['first_sweep_steps']} on the first, "
-              f"{case['split_steps']} split")
+              f"{case['split_steps']} split, {case['lockstep_sweeps']} in lockstep")
     print(f"wrote {path}")
     return 0
 

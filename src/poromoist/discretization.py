@@ -107,7 +107,7 @@ def _kernel(mu: float, h: float) -> np.ndarray:
     return w / w.sum()
 
 
-def mollify(values: np.ndarray, mu: float, h: float) -> np.ndarray:
+def mollify(values: np.ndarray, mu, h: float) -> np.ndarray:
     """Smooth cell values over radius mu on a grid of spacing h.
 
     The bump kernel is convolved with the values mirrored at the walls.
@@ -121,12 +121,23 @@ def mollify(values: np.ndarray, mu: float, h: float) -> np.ndarray:
     The identity returns values itself, as a float array, not a copy.
     The kernel of each (mu, h), and the check that mu > 0, are made once
     (see _kernel), which is once per run for the stepper's radii.
+
+    (n, B) values are the cells of B members, one per column, and mu is
+    one radius for all of them or an array of B radii.  One radius whose
+    kernel is the identity gives values back as they are; otherwise each
+    column is smoothed alone, and the result is new.
     """
-    w = _kernel(mu, h)
+    try:
+        w = _kernel(mu, h)
+    except TypeError:       # an array of radii, one per member, is no cache key
+        return np.array([mollify(column, radius, h)
+                         for column, radius in zip(values.T, mu.tolist())]).T
     half = w.shape[0] // 2
     values = np.asarray(values, dtype=float)
     if half == 0:
         return values
+    if values.ndim > 1:
+        return mollify(values, np.full(values.shape[1], mu), h)
     if half > values.shape[0]:
         raise ConfigError(
             f"mollifier radius {mu} reaches {half} cells past a wall of an "
@@ -136,27 +147,35 @@ def mollify(values: np.ndarray, mu: float, h: float) -> np.ndarray:
     return np.convolve(padded, w, mode="valid")
 
 
-def cutoff(hval, eps: float):
+def cutoff(hval, eps):
     """Clamp at level 1/eps: returns hval where |hval| <= 1/eps, else 1/eps.
 
     The clamp is one-sided by definition: a value whose magnitude exceeds
     1/eps maps to +1/eps regardless of sign, and so does NaN, while -1/eps
     itself is kept.  Callers only ever pass nonnegative quantities, so the
     negative branch is unreachable in practice but kept literal.  A scalar
-    gives a float, anything else a float array.
+    gives a float, anything else a float array.  eps may be an array of B
+    levels, one per column of (n, B) values.
 
     np.fmin(hval, 1/eps) is the clamp everywhere but below -1/eps, and its
     smallest entry tells whether any entry lies there; only then are those
     entries set to +1/eps.
     """
-    if eps <= 0:
-        raise ValueError(f"cutoff level requires eps > 0, got {eps}")
-    level = 1.0 / eps
+    if isinstance(eps, np.ndarray):
+        if not (eps > 0).all():
+            raise ValueError(f"cutoff levels require eps > 0, got {eps}")
+        level = 1.0 / eps
+        below = -level.min()    # every entry below its own -level is below this
+    else:
+        if eps <= 0:
+            raise ValueError(f"cutoff level requires eps > 0, got {eps}")
+        level = 1.0 / eps
+        below = -level
     out = np.fmin(hval, level)
     if out.ndim == 0:
         return float(out) if out >= -level else level
-    if out.size and out.flat[out.argmin()] < -level:
-        out[out < -level] = level
+    if out.size and out.flat[out.argmin()] < below:
+        np.copyto(out, level, where=out < -level)
     return out
 
 

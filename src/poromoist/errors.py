@@ -17,8 +17,12 @@ class PoromoistError(Exception):
     Every instance survives pickling, as it must to cross a process pool:
     the default rebuilds an exception by calling its class with args, which
     a subclass whose __init__ takes other arguments than its message cannot
-    take.
+    take.  member is the index of the block or group member that raised
+    it, where the solver or the stepper works on several at once (see
+    stepper.march), and None elsewhere.
     """
+
+    member: int | None = None
 
     def __reduce__(self):
         return _rebuild, (type(self), self.args, self.__dict__)

@@ -12,6 +12,10 @@ Three instruments:
 * a cartesian parameter sweep (sweep) of certified runs with per-cell
   fault isolation.
 
+The ladder's rungs, and the sweep's cells of one grid size, step and step
+count, march as one group (stepper.march), whose results are bit for bit
+those of their runs.
+
 Each study judges itself: its report's passed field is its verdict, and
 its fields are the keys of its report.json apart from the command and the
 MMS case name, so the CLI only writes them.
@@ -37,8 +41,10 @@ from .stepper import (
     Setup,
     State,
     StepConfig,
+    march,
     mollified_initial_data,
     run,
+    step_count,
 )
 
 __all__ = [
@@ -282,19 +288,20 @@ def regularization_ladder(setup: Setup, t_end: float | None = None,
     monitors level off: their relative change between the last two rungs
     may not exceed LADDER_VARIATION_CAP.  Each rung is setup with its own
     (eps, nu), and starts from setup's raw samples mollified at its own
-    radius.  Fewer than 3 rungs (two distances) raise ConfigError before
-    any run.
+    radius; the rungs march as one group, and the first rung that fails
+    raises its error.  Fewer than 3 rungs (two distances) raise ConfigError
+    before any run.
     """
     if rungs < 3:
         raise ConfigError(f"rungs must be at least 3, got {rungs}")
-    eps_values, nu_values, results = [], [], []
-    for j in range(rungs):
-        eps_j = eps0 * factor**(-j)
-        nu_j = nu_ratio * eps_j
-        rung = replace(setup, reg=RegularizationParams(eps=eps_j, nu=nu_j))
-        results.append(run(rung, mollified_initial_data(rung), t_end=t_end))
-        eps_values.append(eps_j)
-        nu_values.append(nu_j)
+    eps_values = [eps0 * factor**(-j) for j in range(rungs)]
+    nu_values = [nu_ratio * eps_j for eps_j in eps_values]
+    ladder = [replace(setup, reg=RegularizationParams(eps=eps_j, nu=nu_j))
+              for eps_j, nu_j in zip(eps_values, nu_values)]
+    results = march(ladder, [mollified_initial_data(rung) for rung in ladder], t_end)
+    for result in results:
+        if isinstance(result, PoromoistError):
+            raise result
 
     differences = np.array([
         _trajectory_difference(results[j], results[j - 1])
@@ -353,23 +360,35 @@ def sweep(data: dict, axes: dict) -> SweepReport:
     key order with each axis in its given order, so the report layout is
     deterministic.  Each cell applies its overrides to data, runs
     build_setup, marches from the mollified initial data to the configured
-    t_end and calls certify_run.  A cell that raises any library error is
-    recorded with the exception's class name and message instead of
-    aborting the sweep.
+    t_end and calls certify_run; the cells that share a grid size, step and
+    step count march as one group, whose runs are certified as it ends, so
+    one group's runs are held at a time.  A cell that raises any library
+    error is recorded with the exception's class name and message instead
+    of aborting the sweep.
     """
     keys = sorted(axes)
-    cells = []
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
+    combos = [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
+    outcomes, groups = [], {}
+    for overrides in combos:
         try:
             config = data
             for path, value in overrides.items():
                 config = apply_override(config, path, value)
             setup = build_setup(config)
-            result = run(setup, mollified_initial_data(setup))
-            certification = certify_run(result)
+            outcomes.append((setup, mollified_initial_data(setup)))
         except PoromoistError as exc:
-            cells.append(SweepCell(overrides, type(exc).__name__, str(exc), None))
+            outcomes.append(exc)
         else:
-            cells.append(SweepCell(overrides, "ok", "", certification))
-    return SweepReport(dict(axes), tuple(cells), all(c.certified for c in cells))
+            shape = (setup.grid.n, setup.step.dt,
+                     step_count(setup.params.t_end, setup.step.dt))
+            groups.setdefault(shape, []).append(len(outcomes) - 1)
+    for members in groups.values():
+        setups, starts = zip(*(outcomes[i] for i in members))
+        for i, result in zip(members, march(setups, starts)):
+            outcomes[i] = (result if isinstance(result, PoromoistError)
+                           else certify_run(result))
+    cells = tuple(SweepCell(overrides, type(outcome).__name__, str(outcome), None)
+                  if isinstance(outcome, PoromoistError)
+                  else SweepCell(overrides, "ok", "", outcome)
+                  for overrides, outcome in zip(combos, outcomes))
+    return SweepReport(dict(axes), cells, all(c.certified for c in cells))

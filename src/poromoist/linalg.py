@@ -7,7 +7,10 @@ is strictly diagonally dominant (asserted at assembly time).
 ``TridiagonalSystem`` holds the four bands as given and checks nothing:
 the assemblers check each system they build, once, and the solver checks
 only its pivots.  The tests cross-check it against a dense solve, in
-``tests/oracles.py``.
+``tests/oracles.py``.  A system whose bands are (n, B) arrays is B
+independent systems, one per column (a block); the stepper's lockstep
+march (stepper.march) solves its members' rows so, and each block gets the
+bits of its own solve.
 
 ``solve_thomas`` factors with LAPACK ``dgttrf`` and solves with ``dgttrs``
 from numpy's own LAPACK (the OpenBLAS of numpy's wheel), reached through
@@ -70,9 +73,11 @@ class TridiagonalSystem:
 
     lower[i] multiplies x[i] in row i+1, diag[i] multiplies x[i] in row i,
     upper[i] multiplies x[i+1] in row i; lower and upper hold n - 1
-    entries, diag and rhs n.  Nothing is checked here: the assemblers
-    write the four fields as views of one (4, n) band and scan it once,
-    for nonfinite entries and then for diagonal dominance.
+    entries, diag and rhs n.  Where the four are (n - 1, B) and (n, B)
+    arrays, each column is a system of its own, and n counts the rows of
+    all B.  Nothing is checked here: the assemblers write the four fields
+    as views of one band and scan it once, for nonfinite entries and then
+    for diagonal dominance.
     """
 
     lower: np.ndarray
@@ -82,7 +87,7 @@ class TridiagonalSystem:
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.size
 
 
 def _resolve_gttr():
@@ -144,7 +149,10 @@ def _workspace(n: int) -> tuple:
 
 
 def _row_floors(system: TridiagonalSystem) -> np.ndarray:
-    """Each row's pivot floor: PIVOT_FLOOR times its largest magnitude, at least ulp(0)."""
+    """Each row's pivot floor: PIVOT_FLOOR times its largest magnitude, at least ulp(0).
+
+    The floors have the shape of diag, and an (n, B) system's are each block's own.
+    """
     floor = np.abs(system.diag)
     np.maximum(floor[1:], np.abs(system.lower), out=floor[1:])
     np.maximum(floor[:-1], np.abs(system.upper), out=floor[:-1])
@@ -160,7 +168,8 @@ def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     Intended for the strictly diagonally dominant systems produced by the
     assemblers, where breakdown cannot occur.  The result is the loop's to
     the bit, whichever path computes it, and a new array; the system is
-    never written to.
+    never written to.  An (n, B) system's columns are solved as one
+    stacked system, each to its own solve's bits (see _solve_blocks).
 
     On LAPACK's path a solve costs the copy of the system into the buffer
     kept for its size, the two foreign calls, four reductions, one of
@@ -171,11 +180,46 @@ def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     n (see _workspace), so two threads must not solve at once.  The
     package solves from one thread.
     """
+    if system.diag.ndim > 1:
+        return _solve_blocks(system)
     if _GTTR is not None:
         x = _solve_gttr(system)
         if x is not None:
             return x
     return _thomas_loop(system, _row_floors(system))
+
+
+def _solve_blocks(system: TridiagonalSystem) -> np.ndarray:
+    """Each column's own solution of an (n, B) system, as the columns of an (n, B) array.
+
+    The B blocks, stacked one after another with zeros between them, are
+    one block-diagonal system of n B rows, and _solve_gttr takes it whole.
+    A zero multiplier neither swaps rows nor carries a finite value across a
+    junction, so each block's elimination is its own solve's; a nonfinite
+    value that crosses one makes the solution nonfinite, and the stacked
+    rows' floors are the blocks' own, so each screen refuses the stack where
+    it would refuse a block.  A refused stack is solved block by block, and
+    a block's ZeroPivot carries its index as member.
+    """
+    rows, count = system.diag.shape
+    if _GTTR is not None:
+        band = np.zeros((4, count, rows))
+        band[0, :, 1:], band[1] = system.lower.T, system.diag.T
+        band[2, :, :-1], band[3] = system.upper.T, system.rhs.T
+        lower, diag, upper, rhs = band.reshape(4, -1)
+        x = _solve_gttr(TridiagonalSystem(lower[1:], diag, upper[:-1], rhs))
+        if x is not None:
+            return x.reshape(count, rows).T
+    x = np.empty((count, rows))
+    for member in range(count):
+        try:
+            x[member] = solve_thomas(TridiagonalSystem(
+                system.lower[:, member], system.diag[:, member], system.upper[:, member],
+                system.rhs[:, member]))
+        except ZeroPivot as exc:
+            exc.member = member
+            raise
+    return x.T
 
 
 def _solve_gttr(system: TridiagonalSystem) -> np.ndarray | None:

@@ -86,13 +86,33 @@ for, so every entry keeps its value bit for bit.  At n = 100 on the smoke
 state, the freeze takes about 29 us, the vapor assembly (the freeze
 included) 54 us and the heat assembly 51 us (BENCH_ab.json, written by
 scripts/bench_ab.py).
+
+The kernel also takes a member axis: (n, B) arrays, one column per member
+of a group, where a Setup's floats become the group's constants, each one
+float where the members agree and a (B,) array that broadcasts along the
+columns where they differ (_group).  The member axis comes last, so every
+cell index of the kernel (x[0], x[:-1], x[-1]) reads the same for one
+member and for a group, and a run's (n,) arrays take exactly the numpy
+calls they took before; the iterates and solutions are transposes of
+member-major rows, so each member's cells are contiguous where the
+reductions and transcendental functions read them.  The bands are
+(4, n, B), solve_thomas solves their columns as one block-diagonal system
+(see linalg), mollify smooths member by member only where the members'
+kernels differ, and a failing check names its member
+(PoromoistError.member).
+march steps such a group level by level: one predicted start per member,
+then sweeps of all the members still sweeping, each member converging,
+mixing and failing on its own (see _lockstep_level), so every member's
+march is its run's to the bit.  The ladder's four rungs take 348 group
+sweeps where their runs take 1309.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,10 +125,12 @@ from .errors import (
     DominanceViolation,
     NonfiniteIterate,
     PicardDivergence,
+    PoromoistError,
     StepFailure,
 )
 from .linalg import TridiagonalSystem, solve_thomas
-from .model import PhysicalParams, SaturationModel, conductivity, saturation_pressure
+from .model import (SATURATION_FAMILIES, PhysicalParams, SaturationModel, conductivity,
+                    saturation_pressure)
 
 __all__ = [
     "RegularizationParams",
@@ -125,6 +147,7 @@ __all__ = [
     "homotopy_solve",
     "step_count",
     "run",
+    "march",
 ]
 
 UPDATE_FLOOR = 1e-30
@@ -346,24 +369,38 @@ def _donor_split(speed: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray
     The flux term +V q transports q toward decreasing x when V > 0, so the
     donor cell sits on the right of the face: upwind gives (min(V, 0),
     max(V, 0)), each entry the speed times a weight 0 or 1 (0.5 each where
-    V = 0); central gives 0.5 V to both cells, as one shared array.
+    V = 0); central gives 0.5 V to both cells, as one shared array.  A
+    group of members whose schemes differ passes a tuple of booleans, True
+    for the central members, and each member's column gets its own
+    scheme's values.
     """
     if scheme == "central":
         half = 0.5 * speed
         return half, half
-    return np.minimum(speed, 0.0), np.maximum(speed, 0.0)
+    if scheme == "upwind":
+        return np.minimum(speed, 0.0), np.maximum(speed, 0.0)
+    half = 0.5 * speed
+    return (np.where(scheme, half, np.minimum(speed, 0.0)),
+            np.where(scheme, half, np.maximum(speed, 0.0)))
 
 
-def _new_band(n: int) -> tuple[np.ndarray, ...]:
-    """A (4, n) row buffer and its views lower, diag, upper and rhs.
+def _new_band(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A (4, n) row buffer and its views lower, diag, upper and rhs, for rows of cells.
 
     Column i holds row i: band[0, i] = lower[i-1], band[1, i] = diag[i],
     band[2, i] = upper[i] and band[3, i] = rhs[i]; band[0, 0] and
     band[2, -1] are unused and zero, so _check_rows scans the whole band.
+    Where rows is (n, B), the band is (4, n, B), one system per member,
+    and those zeros sit between the members' systems (see linalg).
     """
-    band = np.empty((4, n))
+    band = np.empty((4,) + rows.shape)
     band[0, 0] = band[2, -1] = 0.0
     return band, band[0, 1:], band[1], band[2, :-1], band[3]
+
+
+def _cell(index: int, shape: tuple) -> tuple[int, int | None]:
+    """The row and member of a flat index into an (n,) or (n, B) array (member None for (n,))."""
+    return divmod(index, shape[1]) if len(shape) > 1 else (index, None)
 
 
 def _check_rows(name: str, band: np.ndarray) -> None:
@@ -371,17 +408,26 @@ def _check_rows(name: str, band: np.ndarray) -> None:
 
     The finiteness scan must come first: a NaN margin passes the dominance
     test, because it compares false with <= 0.  argmin of the finiteness
-    mask finds its first False, if it holds one.
+    mask finds its first False, if it holds one.  A group's band raises for
+    one failing member, whose index is the error's member: the row is that
+    member's own first failing row, and the worst margin, the smallest of
+    all, is that member's own worst.
     """
     finite = np.isfinite(band).ravel()
     if not finite[finite.argmin()]:
-        row = int(np.argmin(np.isfinite(band).all(axis=0)))
-        raise NonfiniteIterate(f"nonfinite entries in {name} system row {row}")
+        rows = np.isfinite(band).all(axis=0)
+        row, member = _cell(int(np.argmin(rows)), rows.shape)
+        error = NonfiniteIterate(f"nonfinite entries in {name} system row {row}")
+        error.member = member
+        raise error
     mag = np.abs(band[:3])
     margin = mag[1] - (mag[0] + mag[2])
     worst = int(margin.argmin())
-    if margin[worst] <= 0:
-        raise DominanceViolation(name, worst, float(margin[worst]))
+    if margin.item(worst) <= 0:
+        row, member = _cell(worst, margin.shape)
+        error = DominanceViolation(name, row, margin.item(worst))
+        error.member = member
+        raise error
 
 
 def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
@@ -411,9 +457,9 @@ def assemble_rho_system(prev: State, rho_iter: np.ndarray, theta_iter: np.ndarra
     on this.  Wall rows replace the face flux with the Robin exchange
     expression evaluated at the extrapolated trace.
     """
-    params, n, h = setup.params, setup.grid.n, setup.grid.h
+    params, h = setup.params, setup.grid.h
     coeffs = compute_flux_coefficients(rho_iter, theta_iter, setup)
-    band, lower, diag, upper, rhs = _new_band(n)
+    band, lower, diag, upper, rhs = _new_band(rho_iter)
 
     np.divide(coeffs.A, h, out=lower)
     np.divide(coeffs.B, h, out=upper)     # B/h until negated below
@@ -440,7 +486,7 @@ def evaluate_mass_flux(rho_new: np.ndarray, coeffs: FluxCoefficients, setup: Set
     fluxes the solved rows actually contained.
     """
     params = setup.params
-    flux = np.empty(setup.grid.n + 1)
+    flux = np.empty((setup.grid.n + 1,) + rho_new.shape[1:])
     interior = flux[1:-1]
     np.multiply(coeffs.A, rho_new[:-1], out=interior)
     interior += coeffs.B * rho_new[1:]
@@ -467,14 +513,14 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
 
     Returns the system and the face mass-flux array.
     """
-    params, n, h = setup.params, setup.grid.n, setup.grid.h
+    params, h = setup.params, setup.grid.h
 
     kcell = conductivity(mollify(rho_new, setup.reg.eps, h), params)
     kface_h2 = 0.5 * (kcell[:-1] + kcell[1:]) / h**2
     mass_flux = evaluate_mass_flux(rho_new, coeffs, setup, forcing)
     fm, fp = _donor_split(mass_flux[1:-1], setup.step.advection)
     fm_h, fp_h = fm / h, fp / h
-    band, lower, diag, upper, rhs = _new_band(n)
+    band, lower, diag, upper, rhs = _new_band(rho_new)
 
     heat_cap = rho_new + params.sigma
     np.divide(heat_cap, dt, out=diag)
@@ -490,12 +536,37 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     rhs += params.lam * rho_new * coeffs.chi_sqrt
     rhs -= (params.lam + theta_iter) * coeffs.ps_iter
     rhs += forcing.theta_source
+    carried = ((mass_flux.item(0), mass_flux.item(-1)) if mass_flux.ndim == 1
+               else (mass_flux[0], mass_flux[-1]))
     add_robin_rows(lower, diag, upper, rhs, h, params.beta0, params.beta1,
-                   params.theta_bar0, params.theta_bar1, forcing.theta_flux,
-                   (mass_flux.item(0), mass_flux.item(-1)))
+                   params.theta_bar0, params.theta_bar1, forcing.theta_flux, carried)
 
     _check_rows("heat", band)
     return TridiagonalSystem(lower, diag, upper, rhs), mass_flux
+
+
+def _sweep(prev: State, rho_it: np.ndarray, theta_it: np.ndarray, setup: Setup,
+           dt: float, forcing: ForcingValues) -> tuple:
+    """One sweep from the iterate: the vapor and heat solutions, the face data, the fluxes."""
+    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, setup, dt, forcing)
+    rho_new = solve_thomas(rho_sys)
+    theta_sys, mass_flux = assemble_theta_system(prev, rho_new, theta_it, setup, dt,
+                                                 coeffs, forcing)
+    return rho_new, solve_thomas(theta_sys), coeffs, mass_flux
+
+
+def _mixed(residuals: list, outputs: list) -> np.ndarray:
+    """The next sweep input, Anderson-mixed from an attempt's residuals and outputs.
+
+    Both lists hold one (rho, theta) row per sweep, newest last, and keep
+    their last ANDERSON_DEPTH + 1 (see picard_step).
+    """
+    del residuals[:-ANDERSON_DEPTH - 1], outputs[:-ANDERSON_DEPTH - 1]
+    gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1], rcond=None)[0]
+    output = outputs[-1]
+    mixed = output - np.diff(outputs, axis=0).T @ gamma
+    np.maximum(mixed, np.minimum(output, 0.5 * output), out=mixed)
+    return mixed
 
 
 def picard_step(prev: State, setup: Setup, dt: float,
@@ -530,12 +601,8 @@ def picard_step(prev: State, setup: Setup, dt: float,
     residuals, outputs = [], []
     for k in range(1, cfg.max_picard + 1):
         try:
-            rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, setup, dt,
-                                                  forcing)
-            rho_new = solve_thomas(rho_sys)
-            theta_sys, mass_flux = assemble_theta_system(prev, rho_new, theta_it, setup,
-                                                         dt, coeffs, forcing)
-            theta_new = solve_thomas(theta_sys)
+            rho_new, theta_new, coeffs, mass_flux = _sweep(prev, rho_it, theta_it, setup,
+                                                           dt, forcing)
             # A nonfinite output makes dn2 nonfinite, so the outputs are
             # scanned only then (finite ones can overflow it too).
             dn2 = float(((rho_new - rho_it) ** 2).sum()
@@ -555,11 +622,7 @@ def picard_step(prev: State, setup: Setup, dt: float,
         residuals.append(output - np.concatenate((rho_it, theta_it)))
         outputs.append(output)
         if len(residuals) > 1:
-            del residuals[:-ANDERSON_DEPTH - 1], outputs[:-ANDERSON_DEPTH - 1]
-            gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1],
-                                    rcond=None)[0]
-            mixed = output - np.diff(outputs, axis=0).T @ gamma
-            np.maximum(mixed, np.minimum(output, 0.5 * output), out=mixed)
+            mixed = _mixed(residuals, outputs)
             rho_it, theta_it = mixed[:n], mixed[n:]
         else:
             rho_it, theta_it = rho_new, theta_new
@@ -614,7 +677,17 @@ def _substeps(prev: State, setup: Setup, dt: float,
     else:
         record.sweeps += spent
         return new, (record,)
+    return _halves(prev, setup, dt, at, forcing, depth, spent)
 
+
+def _halves(prev: State, setup: Setup, dt: float, at: Callable[[float], ForcingValues],
+            forcing: ForcingValues, depth: int, spent: int,
+            ) -> tuple[State, tuple[StepRecord, ...]]:
+    """Step from prev over dt as two halves that may split again.
+
+    Failed attempts at the span spent sweeps, which the first half's first
+    record or the error counts; forcing holds the terms at the span's end.
+    """
     half = 0.5 * dt
     mid, first = _substeps(prev, setup, half, at, at(prev.t + half), None, depth + 1,
                            spent)
@@ -799,6 +872,60 @@ def step_count(span: float, dt: float) -> int:
     return steps if whole else 0
 
 
+def _horizon(setup: Setup, t_end: float | None) -> tuple[float, int]:
+    """t_end, setup.params.t_end where None, and its number of steps of setup's dt.
+
+    ConfigError for a negative t_end, or one that is not a whole number of steps.
+    """
+    if t_end is None:
+        t_end = setup.params.t_end
+    if t_end < 0:
+        raise ConfigError(f"t_end must be nonnegative, got {t_end}")
+    steps = step_count(t_end, setup.step.dt)
+    if t_end > 0 and not steps:
+        raise ConfigError(
+            f"t_end={t_end} is not a positive integer number of steps of dt={setup.step.dt}")
+    return t_end, steps
+
+
+class _Track:
+    """One march's trajectory, times and series, written a block of levels at a time.
+
+    Row k of states holds level k as one (rho, theta) row, and
+    _predicted_start reads the newest rows.  The records of the levels
+    since the last block wait until a block of about _STEP_BLOCK_CELLS
+    cells, or the last level, goes to one step_record call.
+    """
+
+    def __init__(self, setup: Setup, start: State, steps: int, t_end: float):
+        n = setup.grid.n
+        self.setup, self.steps, self.t_end = setup, steps, t_end
+        self.states = np.empty((steps + 1, 2 * n))
+        self.t = np.empty(steps + 1)
+        self.states[0, :n], self.states[0, n:], self.t[0] = start.rho, start.theta, start.t
+        self.series = start_series(steps, start, setup)
+        self.block = max(1, _STEP_BLOCK_CELLS // n)
+        self.pending = []
+
+    def start(self, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The predicted start of level k."""
+        return _predicted_start(self.states[:k], self.setup.step.picard_tol)
+
+    def add(self, k: int, state: State, records: tuple[StepRecord, ...]) -> None:
+        """Level k's state and the records of its substeps."""
+        n, pending = self.setup.grid.n, self.pending
+        self.states[k, :n], self.states[k, n:], self.t[k] = state.rho, state.theta, state.t
+        pending.append(records)
+        if len(pending) == self.block or k == self.steps:
+            step_record(self.series, k + 1 - len(pending), pending, self.setup)
+            self.pending = []
+
+    def result(self) -> RunResult:
+        n = self.setup.grid.n
+        return RunResult(self.states[:, :n], self.states[:, n:], self.t, self.series,
+                         self.setup, self.t_end)
+
+
 def run(setup: Setup, start: State, t_end: float | None = None,
         forcing: Forcing | None = None) -> RunResult:
     """March setup's problem from start to t_end with per-step diagnostics.
@@ -812,33 +939,207 @@ def run(setup: Setup, start: State, t_end: float | None = None,
     at a time (see step_record).  Deterministic: identical inputs produce
     bit-identical trajectories.
     """
-    cfg, grid = setup.step, setup.grid
-    if t_end is None:
-        t_end = setup.params.t_end
-    if t_end < 0:
-        raise ConfigError(f"t_end must be nonnegative, got {t_end}")
-    steps = step_count(t_end, cfg.dt)
-    if t_end > 0 and not steps:
-        raise ConfigError(
-            f"t_end={t_end} is not a positive integer number of steps of dt={cfg.dt}")
-
-    state = _checked_start(start, grid)
-
-    # The trajectory as (rho, theta) rows; _predicted_start reads the newest.
-    n = grid.n
-    states = np.empty((steps + 1, 2 * n))
-    t = np.empty(steps + 1)
-    states[0, :n], states[0, n:], t[0] = state.rho, state.theta, state.t
-    series = start_series(steps, state, setup)
-    block = max(1, _STEP_BLOCK_CELLS // n)
-    pending = []
+    t_end, steps = _horizon(setup, t_end)
+    state = _checked_start(start, setup.grid)
+    track = _Track(setup, state, steps, t_end)
     for k in range(1, steps + 1):
-        guess = _predicted_start(states[:k], cfg.picard_tol)
-        state, records = homotopy_solve(state, setup, forcing, guess)
-        states[k, :n], states[k, n:], t[k] = state.rho, state.theta, state.t
-        pending.append(records)
-        if len(pending) == block or k == steps:
-            step_record(series, k + 1 - len(pending), pending, setup)
-            pending = []
+        state, records = homotopy_solve(state, setup, forcing, track.start(k))
+        track.add(k, state, records)
+    return track.result()
 
-    return RunResult(states[:, :n], states[:, n:], t, series, setup, t_end)
+
+class _MemberCurves(SaturationModel):
+    """The members' own saturation curves, each on its own column of (n, B) temperatures."""
+
+    def __init__(self, models: Sequence[SaturationModel]):
+        self.models = tuple(models)
+
+    def pressure(self, theta: np.ndarray) -> np.ndarray:
+        return np.array([model.pressure(column)
+                         for model, column in zip(self.models, theta.T)]).T
+
+
+def _group(setups: Sequence[Setup]) -> SimpleNamespace:
+    """The members' problem as the sweep kernel reads a Setup, with a member axis.
+
+    Each constant is the members' one value where they agree, and otherwise
+    the array of their values, which broadcasts along the member axis; the
+    advection schemes are either one scheme or a tuple of booleans, True
+    for the central members (see _donor_split), and the curve is one curve
+    where every member's is the same object or a shipped curve of equal
+    parameters, and _MemberCurves otherwise.  The members share their grid.
+    """
+    def agreed(values: list):
+        return values[0] if values.count(values[0]) == len(values) else np.array(values)
+
+    params = SimpleNamespace(**{
+        field.name: agreed([getattr(setup.params, field.name) for setup in setups])
+        for field in fields(PhysicalParams)})
+    advection = agreed([setup.step.advection for setup in setups])
+    if not isinstance(advection, str):
+        advection = tuple(scheme == "central" for scheme in advection.tolist())
+    model = setups[0].model
+    shipped = type(model) in SATURATION_FAMILIES.values()
+    if not all(setup.model is model or (shipped and type(setup.model) is type(model)
+                                        and vars(setup.model) == vars(model))
+               for setup in setups):
+        model = _MemberCurves([setup.model for setup in setups])
+    reg = SimpleNamespace(eps=agreed([setup.reg.eps for setup in setups]),
+                          nu=agreed([setup.reg.nu for setup in setups]))
+    return SimpleNamespace(params=params, model=model, reg=reg,
+                           step=SimpleNamespace(advection=advection), grid=setups[0].grid)
+
+
+def _retaken(prev: State, setup: Setup, dt: float, spent: int):
+    """A level whose direct attempt failed after spent sweeps, retaken alone in halves.
+
+    Returns the new state and the records, as homotopy_solve would, or the
+    library error that ends the level.
+    """
+    try:
+        new, records = _halves(prev, setup, dt, lambda t: NO_FORCING, NO_FORCING, 0,
+                               spent)
+    except PoromoistError as exc:
+        return exc
+    return State(new.rho, new.theta, prev.t + dt), records
+
+
+def _lockstep_level(setups: Sequence[Setup], prevs: Sequence[State], rows: np.ndarray,
+                    starts: Sequence, dt: float, group: Callable) -> list:
+    """One level of dt for each member, with the members' sweeps taken together.
+
+    rows holds the members' previous states as (rho, theta) rows, prevs
+    the same states, starts their predicted starts (None: from prev), and
+    group(positions) the kernel's problem of the members at those
+    positions.  The k-th sweep of every member still sweeping is one sweep
+    of the group: each member then converges, mixes its next input from its
+    own sweeps, or fails on its own, exactly as picard_step would.  A
+    member that converges leaves the group with its state and record; a
+    member whose sweep fails leaves it too, and its level is retaken alone
+    (_retaken), or, where the failure is no StepFailure, ends in that
+    error.  A failure inside the kernel names its member, and the sweep is
+    taken again without it.  Returns per member its new state and records,
+    or the library error that ended its level.
+    """
+    n = setups[0].grid.n
+    outcomes = [None] * len(setups)
+    inputs = rows.copy()
+    for j, start in enumerate(starts):
+        if start is not None:
+            inputs[j, :n], inputs[j, n:] = start
+    histories = [([], []) for _ in setups]
+    active = list(range(len(setups)))
+    times = np.array([p.t for p in prevs])
+    prev = State(rows[:, :n].T, rows[:, n:].T, times)
+    k = 0
+    while active:
+        k += 1
+        try:
+            rho_new, theta_new, coeffs, mass_flux = _sweep(
+                prev, inputs[:, :n].T, inputs[:, n:].T, group(tuple(active)), dt,
+                NO_FORCING)
+        except PoromoistError as exc:
+            position, exc.member = exc.member, None
+            if position is None:
+                raise
+            j = active.pop(position)
+            outcomes[j] = (_retaken(prevs[j], setups[j], dt, k)
+                           if isinstance(exc, StepFailure) else exc)
+            inputs = np.delete(inputs, position, axis=0)
+            prev = State(rows[active, :n].T, rows[active, n:].T, times[active])
+            k -= 1
+            continue
+        outputs = np.concatenate((rho_new.T, theta_new.T), axis=1)
+        residuals = outputs - inputs
+        squares = residuals**2
+        dn2 = squares[:, :n].sum(axis=1) + squares[:, n:].sum(axis=1)
+        squares = inputs**2
+        base = squares[:, :n].sum(axis=1) + squares[:, n:].sum(axis=1)
+        going, following = [], []
+        for a, (j, d, b) in enumerate(zip(active, dn2.tolist(), base.tolist())):
+            cfg = setups[j].step
+            # picard_step's nonfinite iterate, and its PicardDivergence below
+            if not (math.isfinite(d) or np.isfinite(outputs[a]).all()):
+                outcomes[j] = _retaken(prevs[j], setups[j], dt, k)
+                continue
+            update = math.sqrt(d) / max(math.sqrt(b), UPDATE_FLOOR)
+            if update < cfg.picard_tol:
+                frozen = FluxCoefficients(coeffs.A[:, a], coeffs.B[:, a],
+                                          coeffs.chi_sqrt[:, a], coeffs.chi_ps[:, a],
+                                          coeffs.ps_iter[:, a])
+                record = StepRecord(prevs[j], outputs[a, :n], outputs[a, n:], dt,
+                                    inputs[a, n:], frozen, mass_flux[:, a], NO_FORCING,
+                                    k, update)
+                outcomes[j] = (State(record.rho, record.theta, prevs[j].t + dt), (record,))
+                continue
+            if k == cfg.max_picard:
+                outcomes[j] = _retaken(prevs[j], setups[j], dt, k)
+                continue
+            mixing, mixed = histories[j]
+            mixing.append(residuals[a])
+            mixed.append(outputs[a])
+            following.append(_mixed(mixing, mixed) if len(mixing) > 1 else outputs[a])
+            going.append(j)
+        if going != active:
+            prev = State(rows[going, :n].T, rows[going, n:].T, times[going])
+        active = going
+        if active:
+            inputs = np.array(following)
+    return outcomes
+
+
+def march(setups: Sequence[Setup], starts: Sequence[State],
+          t_end: float | None = None) -> list:
+    """March unforced members of one grid size, step and step count in lockstep.
+
+    Member i is run(setups[i], starts[i], t_end) taken with the others: at
+    each level every member gets its own predicted start, and the members'
+    sweeps are taken together on (n, B) arrays, one column per member (see
+    _lockstep_level), while each member keeps its own convergence,
+    Anderson history, records and series.  Returns, in order, each
+    member's RunResult, bit for bit the one run returns, or the library
+    error that run would raise for it; a member that fails leaves the
+    others marching.  ValueError where the members that start do not share
+    grid.n, dt and the number of steps.
+    """
+    outcomes = [None] * len(setups)
+    tracks, prevs = {}, {}
+    for i, (setup, start) in enumerate(zip(setups, starts)):
+        try:
+            span, steps = _horizon(setup, t_end)
+            prevs[i] = _checked_start(start, setup.grid)
+        except PoromoistError as exc:
+            outcomes[i] = exc
+        else:
+            tracks[i] = _Track(setup, prevs[i], steps, span)
+    shapes = {(setups[i].grid.n, setups[i].step.dt, tracks[i].steps) for i in tracks}
+    if len(shapes) > 1:
+        raise ValueError(f"march members must share grid.n, dt and the step count, "
+                         f"got {sorted(shapes)}")
+    if not tracks:
+        return outcomes
+    (_, dt, steps), = shapes
+    groups = {}
+
+    def group(positions: tuple) -> SimpleNamespace:
+        """The kernel's problem of the live members at positions, made once per set."""
+        members = tuple(live[p] for p in positions)
+        if members not in groups:
+            groups[members] = _group([setups[i] for i in members])
+        return groups[members]
+
+    live = list(tracks)
+    for k in range(1, steps + 1):
+        levels = _lockstep_level([setups[i] for i in live], [prevs[i] for i in live],
+                                 np.array([tracks[i].states[k - 1] for i in live]),
+                                 [tracks[i].start(k) for i in live], dt, group)
+        for i, level in zip(live, levels):
+            if isinstance(level, PoromoistError):
+                outcomes[i] = level
+            else:
+                prevs[i], records = level
+                tracks[i].add(k, prevs[i], records)
+        live = [i for i in live if outcomes[i] is None]
+    for i in live:
+        outcomes[i] = tracks[i].result()
+    return outcomes

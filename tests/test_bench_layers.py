@@ -41,6 +41,7 @@ def test_bench_layers_builds_every_layer_and_counts_smoke_sweeps(monkeypatch, tm
     assert counts["sweeps"] == 1081
     assert counts["first_sweep_steps"] == 957
     assert counts["split_steps"] == 0
+    assert counts["lockstep_sweeps"] == 0
     assert written.read_bytes() == before
 
     # The committed file holds the host and the exact counts, and no times
@@ -51,9 +52,9 @@ def test_bench_layers_builds_every_layer_and_counts_smoke_sweeps(monkeypatch, tm
     assert all(set(case) == set(counts) for case in data["sweeps"].values())
     committed = data["sweeps"]["run_smoke"]
     assert {key: committed[key] for key in ("exit", "steps", "sweeps", "first_sweep_steps",
-                                            "split_steps")} == {
+                                            "split_steps", "lockstep_sweeps")} == {
         key: counts[key] for key in ("exit", "steps", "sweeps", "first_sweep_steps",
-                                     "split_steps")}
+                                     "split_steps", "lockstep_sweeps")}
 
 
 def test_harder_grid_config_is_the_acceptance_grid(monkeypatch, tmp_path):

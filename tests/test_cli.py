@@ -357,16 +357,14 @@ def test_ladder_command_fails_when_a_monitor_moves(small_config, tmp_path, monke
     path, data = small_config
     data["ladder"] = {"rungs": 3}
     path = write_config(tmp_path, data)
-    real_run, rungs = harness.run, []
+    real_march = harness.march
 
     def doubled_last_l4(*args, **kwargs):
-        result = real_run(*args, **kwargs)
-        rungs.append(result)
-        if len(rungs) == 3:
-            result.series["l4_accumulator"] *= 2.0
-        return result
+        rungs = real_march(*args, **kwargs)
+        rungs[-1].series["l4_accumulator"] *= 2.0
+        return rungs
 
-    monkeypatch.setattr(harness, "run", doubled_last_l4)
+    monkeypatch.setattr(harness, "march", doubled_last_l4)
     out = tmp_path / "ladder"
     assert main(["ladder", str(path), "--out", str(out), "--quiet"]) == 1
     report = json.loads((out / "report.json").read_text())
@@ -386,15 +384,16 @@ def test_sweep_command_fails_on_an_uncertified_cell(smoke_config, tmp_path, monk
     data["output"]["cadence"] = 0.02
     data["sweep"] = {"axes": {"physical.lambda": [0.5, 1.0]}}
     path = write_config(tmp_path, data)
-    real_run = harness.run
+    real_march = harness.march
 
-    def cold_second_cell(setup, *args, **kwargs):
-        result = real_run(setup, *args, **kwargs)
-        if setup.params.lam == 1.0:
-            result.series["min_theta"][-1] = -1.0
-        return result
+    def cold_second_cell(setups, *args, **kwargs):
+        results = real_march(setups, *args, **kwargs)
+        for setup, result in zip(setups, results):
+            if setup.params.lam == 1.0:
+                result.series["min_theta"][-1] = -1.0
+        return results
 
-    monkeypatch.setattr(harness, "run", cold_second_cell)
+    monkeypatch.setattr(harness, "march", cold_second_cell)
     out = tmp_path / "sweep"
     assert main(["sweep", str(path), "--out", str(out), "--quiet"]) == 1
     rows = (out / "sweep.csv").read_text().splitlines()

@@ -272,14 +272,14 @@ def no_ladder_march(*args, **kwargs):
 
 def test_ladder_single_rung_vacuous(unit_params, cubic_model, monkeypatch):
     # fewer than two distances would make the monotone verdict vacuous
-    monkeypatch.setattr(harness, "run", no_ladder_march)
+    monkeypatch.setattr(harness, "march", no_ladder_march)
     for rungs in (1, 2):
         with pytest.raises(ConfigError, match=f"rungs must be at least 3, got {rungs}"):
             smoke_lite_ladder(unit_params, cubic_model, rungs=rungs)
 
 
 def test_ladder_rejects_empty(unit_params, cubic_model, monkeypatch):
-    monkeypatch.setattr(harness, "run", no_ladder_march)
+    monkeypatch.setattr(harness, "march", no_ladder_march)
     with pytest.raises(ConfigError, match="rungs"):
         smoke_lite_ladder(unit_params, cubic_model, rungs=0)
 
@@ -288,7 +288,9 @@ def test_rungs_and_levels_check_eps_against_the_ambients(default_case, cubic_mod
                                                          monkeypatch):
     # Each ladder rung and each MMS level is one Setup, whose eps meets the
     # ambients before any march: the ladder's first rung (eps0 = 0.1) and an
-    # MMS level at eps = 0.5 exceed a smallest ambient of 0.04.
+    # MMS level at eps = 0.5 exceed a smallest ambient of 0.04.  The ladder
+    # marches its rungs as a group, and MMS levels one run at a time.
+    monkeypatch.setattr(harness, "march", no_ladder_march)
     monkeypatch.setattr(harness, "run", no_ladder_march)
     params = make_params(theta_bar1=0.04)
     clip = r"exceeds min\(ambient values, 1\) = 0\.04; the cutoff would clip ambient data"
@@ -392,7 +394,7 @@ def test_sweep_propagates_foreign_errors(tiny_smoke, monkeypatch):
     def foreign(*args, **kwargs):
         raise ValueError("not a library error")
 
-    monkeypatch.setattr(harness, "run", foreign)
+    monkeypatch.setattr(harness, "march", foreign)
     with pytest.raises(ValueError):
         sweep(tiny_smoke, {"physical.lambda": [1.0]})
 

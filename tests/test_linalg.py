@@ -295,6 +295,33 @@ def test_row_swap_falls_back_to_loop():
     assert np.array_equal(np.signbit(x), np.signbit(ref))
 
 
+def test_stacked_solve_falls_back_per_block(monkeypatch):
+    # Only the block that swaps rows goes to the loop; every column is its
+    # own system's solution, and n counts the rows of all three.
+    rng = np.random.default_rng(7)
+    blocks = [random_dominant_system(rng, 6), row_swap_system(),
+              random_dominant_system(rng, 6)]
+    stacked = TridiagonalSystem(*(np.stack([getattr(block, band) for block in blocks], axis=1)
+                                  for band in ("lower", "diag", "upper", "rhs")))
+    assert stacked.n == 18
+    alone = [solve_thomas(block) for block in blocks]
+    looped = []
+    loop = linalg._thomas_loop
+
+    def counted(system, floor):
+        looped.append(system.diag.copy())
+        return loop(system, floor)
+
+    monkeypatch.setattr(linalg, "_thomas_loop", counted)
+    x = solve_thomas(stacked)
+    if linalg._GTTR is not None:
+        assert len(looped) == 1
+        assert np.array_equal(looped[0], blocks[1].diag)
+    for column, own in zip(x.T, alone):
+        assert_same_bits(column, own)
+    assert x.flags.f_contiguous
+
+
 def assert_same_bits(x, ref):
     assert np.array_equal(x.view(np.int64), np.asarray(ref, dtype=float).view(np.int64))
 
