@@ -33,18 +33,17 @@ term of LAPACK's back substitution can turn inf into NaN or flip the sign
 of a zero), or numpy's build does not export the ILP64 names (Accelerate,
 MKL, Windows).  On the shipped configs no solve fell back.
 
-Per solve of the smoke state's vapor system (the median of 10 rounds of
-scripts/bench_ab.py, BENCH_ab.json; Python 3.11.7 and numpy 2.4.6 on a
-shared 2-core x86-64 VM), the LAPACK path takes about 18 us at n=100, 29
-us at n=400 and 44 us at n=1000, little of it fixed per call.  The
-buffer, its integer views and both argument tuples are built once per
-system size (_workspace), so a solve pays for the copy of the system
-into the buffer, the two foreign calls (about 2.5 us each), four
-reductions (the largest band magnitude, the ipiv sum that counts swaps,
-the smallest pivot and the smallest |x|) and the copy of the solution
-out.  The per-row pivot floors, seven array operations, are formed only
-where the one-comparison screen fails (see _solve_gttr), which no solve
-of the shipped configs does.  The loop walks the bands as Python lists
+What a solve of the smoke state's vapor system costs on the LAPACK path
+at n = 100, 400 and 1000 is in BENCH_ab.json (the solve_thomas cases of
+scripts/bench_ab.py); little of it is fixed per call.  The buffer, its
+integer views and both argument tuples are built once per system size
+(_workspace), so a solve pays for the copy of the system into the
+buffer, the two foreign calls (about 2.5 us each), four reductions (the
+largest band magnitude, the ipiv sum that counts swaps, the smallest
+pivot and the smallest |x|) and the copy of the solution out.  The
+per-row pivot floors, seven array operations, are formed only where the
+one-comparison screen fails (see _solve_gttr), which no solve of the
+shipped configs does.  The loop walks the bands as Python lists
 with zip and costs 0.35-0.5 us per cell, the interpreter's price for
 each elimination step and its back substitution.
 """
@@ -174,7 +173,7 @@ def solve_thomas(system: TridiagonalSystem) -> np.ndarray:
     On LAPACK's path a solve costs the copy of the system into the buffer
     kept for its size, the two foreign calls, four reductions, one of
     which screens every pivot at once against the floors, and the copy of
-    the solution out (about 18 us at n=100; see the module docstring).
+    the solution out (see the module docstring).
 
     Not reentrant: every solve of n rows works in the one buffer kept for
     n (see _workspace), so two threads must not solve at once.  The

@@ -18,16 +18,18 @@ mass flux (the expression under the divergence of the vapor equation).
 Robin exchange conditions with the ambient values close both equations.
 
 The two equations are solved alternately inside a per-step fixed-point
-loop: coefficients and the lagged saturation term are frozen at the
-sweep's input, each sweep solves two tridiagonal systems, and the loop
-ends when the combined relative update of a sweep's output from its own
-input falls below picard_tol.  From the third sweep of an attempt on, the
-input is Anderson-mixed from the attempt's own sweeps (see
-picard_step), which on the stiff benchmark config keeps every step
-within 12 sweeps, against 35 with plain sweeps.  run starts each step's
-sweeps from an extrapolation of the last HISTORY_DEPTH = 8 accepted
-states, the newest rows of the one (steps + 1, 2n) array of (rho, theta)
-rows that holds the trajectory; from six states on, the extrapolation's
+loop, written once (_sweeps): coefficients and the lagged saturation term
+are frozen at the sweep's input, each sweep solves two tridiagonal
+systems, and the loop ends when the combined relative update of a sweep's
+output from its own input falls below picard_tol.  From the third sweep
+of an attempt on, the input is Anderson-mixed from the attempt's own
+sweeps, which on the stiff benchmark config keeps every step within 12
+sweeps, against 35 with plain sweeps.  picard_step is that loop for one
+step of one problem, and every step of a run, every substep and every
+retaken level goes through it.  run starts each step's sweeps from an
+extrapolation of the last HISTORY_DEPTH = 8 accepted states, the newest
+rows of the one (steps + 1, 2n) array of (rho, theta) rows that holds
+the trajectory; from six states on, the extrapolation's
 degree is the one that best predicted the newest state, and where even
 that one missed by more than picard_tol, a least-squares linear
 predictor of the states' differences may replace it (see
@@ -79,13 +81,12 @@ diagonal dominance (DominanceViolation), and hands the band to the solver
 as views, with no copy and no second scan.  solve_thomas copies the band
 into the LAPACK buffer it keeps for each system size and solves it with
 numpy's LAPACK, falling back to its Python loop with the same bits (see
-linalg).  picard_step scans a sweep's outputs for nonfinite entries only
+linalg).  The loop scans a sweep's outputs for nonfinite entries only
 where its squared update is not finite.  The in-place updates apply the
 same operations in the same order as the plain expressions they stand
-for, so every entry keeps its value bit for bit.  At n = 100 on the smoke
-state, the freeze takes about 29 us, the vapor assembly (the freeze
-included) 54 us and the heat assembly 51 us (BENCH_ab.json, written by
-scripts/bench_ab.py).
+for, so every entry keeps its value bit for bit.  What each layer costs
+at n = 100, 400 and 1000 is in BENCH_ab.json, written by
+scripts/bench_ab.py.
 
 The kernel also takes a member axis: (n, B) arrays, one column per member
 of a group, where a Setup's floats become the group's constants, each one
@@ -101,16 +102,21 @@ reductions and transcendental functions read them.  The bands are
 kernels differ, and a failing check names its member
 (PoromoistError.member).
 march steps such a group level by level: one predicted start per member,
-then sweeps of all the members still sweeping, each member converging,
-mixing and failing on its own (see _lockstep_level), so every member's
-march is its run's to the bit.  The ladder's four rungs take 348 group
-sweeps where their runs take 1309.
+then the same loop as a run's steps (_sweeps) over all the members still
+sweeping, each member converging, mixing and failing on its own, and a
+member whose attempt failed is retaken alone in halves, as homotopy_solve
+retakes a level (_halves).  A call's layout is fixed when it starts: one
+member sweeps its own (n,) arrays, as a run does, and a group keeps its
+(n, B) arrays until the call ends.  So every member's march is its run's
+to the bit, and the ladder's four rungs take 348 group sweeps where their
+runs take 1309.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -191,6 +197,10 @@ class State:
     its start (both through _checked_start), and certify_run judges the
     states a run marched.  Setup.initial holds a config's raw profile
     samples as the State at t = 0 that mollified_initial_data smooths.
+    Every State holds one problem's values: the sweeps of a group (see
+    _sweeps) hand the kernel their members' previous values as (n, B)
+    columns of a plain namespace, since the kernel reads only rho and
+    theta there.
     """
 
     rho: np.ndarray
@@ -545,21 +555,11 @@ def assemble_theta_system(prev: State, rho_new: np.ndarray, theta_iter: np.ndarr
     return TridiagonalSystem(lower, diag, upper, rhs), mass_flux
 
 
-def _sweep(prev: State, rho_it: np.ndarray, theta_it: np.ndarray, setup: Setup,
-           dt: float, forcing: ForcingValues) -> tuple:
-    """One sweep from the iterate: the vapor and heat solutions, the face data, the fluxes."""
-    rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, setup, dt, forcing)
-    rho_new = solve_thomas(rho_sys)
-    theta_sys, mass_flux = assemble_theta_system(prev, rho_new, theta_it, setup, dt,
-                                                 coeffs, forcing)
-    return rho_new, solve_thomas(theta_sys), coeffs, mass_flux
-
-
 def _mixed(residuals: list, outputs: list) -> np.ndarray:
     """The next sweep input, Anderson-mixed from an attempt's residuals and outputs.
 
     Both lists hold one (rho, theta) row per sweep, newest last, and keep
-    their last ANDERSON_DEPTH + 1 (see picard_step).
+    their last ANDERSON_DEPTH + 1 (see _sweeps).
     """
     del residuals[:-ANDERSON_DEPTH - 1], outputs[:-ANDERSON_DEPTH - 1]
     gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1], rcond=None)[0]
@@ -569,69 +569,163 @@ def _mixed(residuals: list, outputs: list) -> np.ndarray:
     return mixed
 
 
+def _member(a: int | None, *values) -> tuple | list:
+    """Member a's columns of a group's values, or one member's own values where a is None."""
+    return values if a is None else [value[:, a] for value in values]
+
+
+def _sweeps(prevs: Sequence[State], setups: Sequence[Setup], starts: Sequence, dt: float,
+            group: Callable | None, forcing: ForcingValues) -> list:
+    """Sweep each member's step of dt from its start until it converges or fails.
+
+    starts holds each member's first iterate, a (rho, theta) pair, or None
+    to start from its previous state, and forcing the terms at the new
+    time.  Sweep k freezes its coefficients at the input x_k and returns
+    the plain output g_k; f_k = g_k - x_k is its residual.  Sweep 2's input
+    is sweep 1's output.  From sweep 3 on, the input is Anderson-mixed
+    (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)) from the member's last
+    ANDERSON_DEPTH + 1 pairs (f, g) of this call: gamma solves
+    min |f_k - dF gamma| by least squares over the differences of
+    successive residuals, and the next input is g_k - dG gamma, clamped
+    elementwise to at least min(g_k, 0.5 g_k), which keeps rho >= 0 and
+    theta > 0 wherever the output is positive.  Every call starts without
+    history.  A member converges when a sweep's update, its plain output's
+    relative distance from its own input, is below picard_tol, so a mixed
+    iterate is never accepted; it fails when max_picard sweeps do not
+    converge.
+
+    The layout is fixed for the whole call.  Where group is None there is
+    one member, and its sweeps take its own (n,) arrays and Setup, the
+    numpy calls of a run.  Otherwise group(positions) is the kernel's
+    problem of the members at those positions, and every sweep takes
+    (n, B) arrays, one column per member still sweeping, even once one is
+    left.  The columns are transposes of member rows, so each member's
+    cells are contiguous and its sums are its own call's to the bit.  In a
+    group, a failure inside the kernel names its member
+    (PoromoistError.member), which leaves, and the sweep is taken again
+    without it; a kernel error that names no member is raised.
+
+    Returns per member its new State and the StepRecord of its last sweep,
+    or the library error that ended its attempt.  A StepFailure carries the
+    sweeps spent, the failing one included: the kernel's own
+    (DominanceViolation, NonfiniteIterate), NonfiniteIterate where a
+    sweep's output is not finite, and PicardDivergence, holding the record
+    of the last sweep, where max_picard sweeps do not converge.
+    """
+    n = setups[0].grid.n
+    histories = {}
+    if group is None:
+        outcomes, active, inputs = [None], [0], None
+        (prev,), (problem,), (start,) = prevs, setups, starts
+        rho_it, theta_it = (prev.rho, prev.theta) if start is None else start
+    else:
+        outcomes, active = [None] * len(setups), list(range(len(setups)))
+        previous = np.array([(p.rho, p.theta) for p in prevs])
+        inputs = np.array([(p.rho, p.theta) if s is None else s
+                           for p, s in zip(prevs, starts)]).reshape(len(prevs), -1).T
+        rho_it, theta_it = inputs[:n], inputs[n:]
+        problem = None
+    k = 0
+    while active:
+        k += 1
+        if problem is None:
+            # the kernel reads only rho and theta of the previous state
+            rows = previous[active]
+            prev = SimpleNamespace(rho=rows[:, 0].T, theta=rows[:, 1].T)
+            problem = group(tuple(active))
+        try:
+            rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, problem, dt, forcing)
+            rho_new = solve_thomas(rho_sys)
+            theta_sys, mass_flux = assemble_theta_system(prev, rho_new, theta_it, problem, dt,
+                                                         coeffs, forcing)
+            theta_new = solve_thomas(theta_sys)
+        except PoromoistError as exc:
+            position, exc.member = (0 if group is None else exc.member), None
+            if position is None:
+                raise
+            if isinstance(exc, StepFailure):
+                exc.sweeps = k
+            outcomes[active.pop(position)] = exc
+            if active:
+                inputs = np.delete(inputs, position, axis=1)
+                rho_it, theta_it = inputs[:n], inputs[n:]
+                problem = None
+            k -= 1
+            continue
+        dn2 = (np.add.reduce((rho_new - rho_it) ** 2, 0)
+               + np.add.reduce((theta_new - theta_it) ** 2, 0))
+        base = np.add.reduce(rho_it * rho_it, 0) + np.add.reduce(theta_it * theta_it, 0)
+        members = (((None, 0, dn2, base),) if group is None else
+                   zip(range(len(active)), active, dn2.tolist(), base.tolist()))
+        going = []
+        for a, j, d, b in members:
+            cfg = setups[j].step
+            # A nonfinite output makes d nonfinite, so the outputs are
+            # scanned only then (finite ones can overflow it too).
+            if not (math.isfinite(d)
+                    or all(np.isfinite(values).all()
+                           for values in _member(a, rho_new, theta_new))):
+                outcomes[j] = NonfiniteIterate(
+                    f"nonfinite iterate at sweep {k}, t={prevs[j].t + dt}")
+                outcomes[j].sweeps = k
+                continue
+            update = math.sqrt(d) / max(math.sqrt(b), UPDATE_FLOOR)
+            converged = update < cfg.picard_tol
+            if converged or k == cfg.max_picard:
+                rho, theta, theta_iter, flux = _member(a, rho_new, theta_new, theta_it, mass_flux)
+                frozen = (coeffs if a is None else
+                          FluxCoefficients(*_member(a, *vars(coeffs).values())))
+                record = StepRecord(prevs[j], rho, theta, dt, theta_iter, frozen, flux, forcing,
+                                    k, update)
+                outcomes[j] = ((State(rho, theta, prevs[j].t + dt), record) if converged else
+                               PicardDivergence(
+                                   f"no convergence in {cfg.max_picard} sweeps at dt={dt}",
+                                   record))
+                continue
+            going.append((a, j))
+        if not going:
+            break
+        outputs = np.concatenate((rho_new, theta_new))
+        residuals = outputs - (np.concatenate((rho_it, theta_it)) if inputs is None else inputs)
+        following = []
+        for a, j in going:
+            output, residual = _member(a, outputs, residuals)
+            mixing, mixed = histories.setdefault(j, ([], []))
+            mixing.append(residual)
+            mixed.append(output)
+            following.append(_mixed(mixing, mixed) if len(mixing) > 1 else output)
+        if len(going) < len(active):
+            active = [j for _, j in going]
+            problem = None
+        inputs = following[0] if group is None else np.array(following).T
+        rho_it, theta_it = inputs[:n], inputs[n:]
+    return outcomes
+
+
 def picard_step(prev: State, setup: Setup, dt: float,
                 forcing: ForcingValues = NO_FORCING,
                 start: tuple[np.ndarray, np.ndarray] | None = None,
                 ) -> tuple[State, StepRecord]:
-    """Advance one step of dt by fixed-point sweeps.
+    """Advance one step of dt by fixed-point sweeps: the loop of _sweeps for one member.
 
     The sweeps start from ``start`` (a (rho, theta) pair) when given, and
     from the previous state otherwise.  ``forcing`` holds the forcing
-    terms evaluated at the new time.
-
-    Sweep k freezes its coefficients at the input x_k and returns the plain
-    output g_k; f_k = g_k - x_k is its residual.  Sweep 2's input is sweep
-    1's output.  From sweep 3 on, the input is Anderson-mixed (Walker & Ni,
-    SIAM J. Numer. Anal. 49 (2011)) from the last ANDERSON_DEPTH + 1 pairs
-    (f, g) of this call: gamma solves min |f_k - dF gamma| by least squares
-    over the differences of successive residuals, the next input is
-    g_k - dG gamma, clamped elementwise to at least min(g_k, 0.5 g_k), which
-    keeps rho >= 0 and theta > 0 wherever the output is positive.  Every
-    call starts without history.
-
-    Returns the new state and the record of the last sweep, converged when
-    its update (the plain output's relative distance from its own input) is
-    below picard_tol; a mixed iterate is never accepted.  Raises
-    PicardDivergence, holding that record, when max_picard sweeps do not
-    converge.  A StepFailure raised by a sweep (NonfiniteIterate,
-    DominanceViolation) carries the sweeps spent, that one included.
+    terms evaluated at the new time.  Returns the new state and the record
+    of the last sweep, whose update is below picard_tol; raises the
+    library error that ended the attempt instead: PicardDivergence,
+    holding that record, when max_picard sweeps do not converge, and a
+    sweep's StepFailure (NonfiniteIterate, DominanceViolation), each
+    carrying the sweeps spent, the failing one included.
     """
-    cfg, n = setup.step, setup.grid.n
-    rho_it, theta_it = (prev.rho, prev.theta) if start is None else start
-    residuals, outputs = [], []
-    for k in range(1, cfg.max_picard + 1):
-        try:
-            rho_new, theta_new, coeffs, mass_flux = _sweep(prev, rho_it, theta_it, setup,
-                                                           dt, forcing)
-            # A nonfinite output makes dn2 nonfinite, so the outputs are
-            # scanned only then (finite ones can overflow it too).
-            dn2 = float(((rho_new - rho_it) ** 2).sum()
-                        + ((theta_new - theta_it) ** 2).sum())
-            if not (math.isfinite(dn2) or np.isfinite(rho_new).all()
-                    and np.isfinite(theta_new).all()):
-                raise NonfiniteIterate(
-                    f"nonfinite iterate at sweep {k}, t={prev.t + dt}")
-        except StepFailure as exc:
-            exc.sweeps = k
-            raise
-        base = float((rho_it**2).sum() + (theta_it**2).sum())
-        update = math.sqrt(dn2) / max(math.sqrt(base), UPDATE_FLOOR)
-        if update < cfg.picard_tol or k == cfg.max_picard:
-            break
-        output = np.concatenate((rho_new, theta_new))
-        residuals.append(output - np.concatenate((rho_it, theta_it)))
-        outputs.append(output)
-        if len(residuals) > 1:
-            mixed = _mixed(residuals, outputs)
-            rho_it, theta_it = mixed[:n], mixed[n:]
-        else:
-            rho_it, theta_it = rho_new, theta_new
-    record = StepRecord(prev, rho_new, theta_new, dt, theta_it, coeffs,
-                        mass_flux, forcing, k, update)
-    if not update < cfg.picard_tol:
-        raise PicardDivergence(
-            f"no convergence in {cfg.max_picard} sweeps at dt={dt}", record)
-    return State(rho_new, theta_new, prev.t + dt), record
+    outcome, = _sweeps((prev,), (setup,), (start,), dt, None, forcing)
+    if isinstance(outcome, PoromoistError):
+        raise outcome
+    return outcome
+
+
+def _unforced(t: float) -> ForcingValues:
+    """The forcing terms of an unforced problem at any time t."""
+    return NO_FORCING
 
 
 def homotopy_solve(prev: State, setup: Setup, forcing: Forcing | None = None,
@@ -648,12 +742,11 @@ def homotopy_solve(prev: State, setup: Setup, forcing: Forcing | None = None,
     error of an attempt at depth SPLIT_DEPTH, whose sweeps count every
     attempt.
     """
-    def at(t):
-        return NO_FORCING if forcing is None else forcing(setup.grid.centers, t)
-
+    at = _unforced if forcing is None else partial(forcing, setup.grid.centers)
     t = prev.t + setup.step.dt
     new, records = _substeps(prev, setup, setup.step.dt, at, at(t), start, 0)
-    return State(new.rho, new.theta, t), records
+    # a direct step's state ends at t already
+    return (new if len(records) == 1 else State(new.rho, new.theta, t)), records
 
 
 def _substeps(prev: State, setup: Setup, dt: float,
@@ -990,104 +1083,6 @@ def _group(setups: Sequence[Setup]) -> SimpleNamespace:
                            step=SimpleNamespace(advection=advection), grid=setups[0].grid)
 
 
-def _retaken(prev: State, setup: Setup, dt: float, spent: int):
-    """A level whose direct attempt failed after spent sweeps, retaken alone in halves.
-
-    Returns the new state and the records, as homotopy_solve would, or the
-    library error that ends the level.
-    """
-    try:
-        new, records = _halves(prev, setup, dt, lambda t: NO_FORCING, NO_FORCING, 0,
-                               spent)
-    except PoromoistError as exc:
-        return exc
-    return State(new.rho, new.theta, prev.t + dt), records
-
-
-def _lockstep_level(setups: Sequence[Setup], prevs: Sequence[State], rows: np.ndarray,
-                    starts: Sequence, dt: float, group: Callable) -> list:
-    """One level of dt for each member, with the members' sweeps taken together.
-
-    rows holds the members' previous states as (rho, theta) rows, prevs
-    the same states, starts their predicted starts (None: from prev), and
-    group(positions) the kernel's problem of the members at those
-    positions.  The k-th sweep of every member still sweeping is one sweep
-    of the group: each member then converges, mixes its next input from its
-    own sweeps, or fails on its own, exactly as picard_step would.  A
-    member that converges leaves the group with its state and record; a
-    member whose sweep fails leaves it too, and its level is retaken alone
-    (_retaken), or, where the failure is no StepFailure, ends in that
-    error.  A failure inside the kernel names its member, and the sweep is
-    taken again without it.  Returns per member its new state and records,
-    or the library error that ended its level.
-    """
-    n = setups[0].grid.n
-    outcomes = [None] * len(setups)
-    inputs = rows.copy()
-    for j, start in enumerate(starts):
-        if start is not None:
-            inputs[j, :n], inputs[j, n:] = start
-    histories = [([], []) for _ in setups]
-    active = list(range(len(setups)))
-    times = np.array([p.t for p in prevs])
-    prev = State(rows[:, :n].T, rows[:, n:].T, times)
-    k = 0
-    while active:
-        k += 1
-        try:
-            rho_new, theta_new, coeffs, mass_flux = _sweep(
-                prev, inputs[:, :n].T, inputs[:, n:].T, group(tuple(active)), dt,
-                NO_FORCING)
-        except PoromoistError as exc:
-            position, exc.member = exc.member, None
-            if position is None:
-                raise
-            j = active.pop(position)
-            outcomes[j] = (_retaken(prevs[j], setups[j], dt, k)
-                           if isinstance(exc, StepFailure) else exc)
-            inputs = np.delete(inputs, position, axis=0)
-            prev = State(rows[active, :n].T, rows[active, n:].T, times[active])
-            k -= 1
-            continue
-        outputs = np.concatenate((rho_new.T, theta_new.T), axis=1)
-        residuals = outputs - inputs
-        squares = residuals**2
-        dn2 = squares[:, :n].sum(axis=1) + squares[:, n:].sum(axis=1)
-        squares = inputs**2
-        base = squares[:, :n].sum(axis=1) + squares[:, n:].sum(axis=1)
-        going, following = [], []
-        for a, (j, d, b) in enumerate(zip(active, dn2.tolist(), base.tolist())):
-            cfg = setups[j].step
-            # picard_step's nonfinite iterate, and its PicardDivergence below
-            if not (math.isfinite(d) or np.isfinite(outputs[a]).all()):
-                outcomes[j] = _retaken(prevs[j], setups[j], dt, k)
-                continue
-            update = math.sqrt(d) / max(math.sqrt(b), UPDATE_FLOOR)
-            if update < cfg.picard_tol:
-                frozen = FluxCoefficients(coeffs.A[:, a], coeffs.B[:, a],
-                                          coeffs.chi_sqrt[:, a], coeffs.chi_ps[:, a],
-                                          coeffs.ps_iter[:, a])
-                record = StepRecord(prevs[j], outputs[a, :n], outputs[a, n:], dt,
-                                    inputs[a, n:], frozen, mass_flux[:, a], NO_FORCING,
-                                    k, update)
-                outcomes[j] = (State(record.rho, record.theta, prevs[j].t + dt), (record,))
-                continue
-            if k == cfg.max_picard:
-                outcomes[j] = _retaken(prevs[j], setups[j], dt, k)
-                continue
-            mixing, mixed = histories[j]
-            mixing.append(residuals[a])
-            mixed.append(outputs[a])
-            following.append(_mixed(mixing, mixed) if len(mixing) > 1 else outputs[a])
-            going.append(j)
-        if going != active:
-            prev = State(rows[going, :n].T, rows[going, n:].T, times[going])
-        active = going
-        if active:
-            inputs = np.array(following)
-    return outcomes
-
-
 def march(setups: Sequence[Setup], starts: Sequence[State],
           t_end: float | None = None) -> list:
     """March unforced members of one grid size, step and step count in lockstep.
@@ -1095,13 +1090,19 @@ def march(setups: Sequence[Setup], starts: Sequence[State],
     Member i is run(setups[i], starts[i], t_end) taken with the others: at
     each level every member gets its own predicted start, and the members'
     sweeps are taken together on (n, B) arrays, one column per member (see
-    _lockstep_level), while each member keeps its own convergence,
-    Anderson history, records and series.  Returns, in order, each
+    _sweeps), while each member keeps its own convergence, Anderson
+    history, records and series; a member whose attempt at the level
+    failed is retaken alone in halves, as homotopy_solve retakes a level
+    (_halves).  Returns, in order, each
     member's RunResult, bit for bit the one run returns, or the library
     error that run would raise for it; a member that fails leaves the
-    others marching.  ValueError where the members that start do not share
-    grid.n, dt and the number of steps.
+    others marching.  ValueError unless there is one start per setup, and
+    where the members that start do not share grid.n, dt and the number of
+    steps.
     """
+    if len(starts) != len(setups):
+        raise ValueError(f"march needs one start per setup, got {len(starts)} starts "
+                         f"for {len(setups)} setups")
     outcomes = [None] * len(setups)
     tracks, prevs = {}, {}
     for i, (setup, start) in enumerate(zip(setups, starts)):
@@ -1130,15 +1131,24 @@ def march(setups: Sequence[Setup], starts: Sequence[State],
 
     live = list(tracks)
     for k in range(1, steps + 1):
-        levels = _lockstep_level([setups[i] for i in live], [prevs[i] for i in live],
-                                 np.array([tracks[i].states[k - 1] for i in live]),
-                                 [tracks[i].start(k) for i in live], dt, group)
-        for i, level in zip(live, levels):
-            if isinstance(level, PoromoistError):
-                outcomes[i] = level
+        swept = _sweeps([prevs[i] for i in live], [setups[i] for i in live],
+                        [tracks[i].start(k) for i in live], dt, group, NO_FORCING)
+        for i, outcome in zip(live, swept):
+            if isinstance(outcome, StepFailure):
+                # retaken alone in halves, as homotopy_solve retakes a level
+                try:
+                    new, records = _halves(prevs[i], setups[i], dt, _unforced, NO_FORCING, 0,
+                                           outcome.sweeps)
+                except PoromoistError as exc:
+                    outcomes[i] = exc
+                else:
+                    prevs[i] = State(new.rho, new.theta, prevs[i].t + dt)
+                    tracks[i].add(k, prevs[i], records)
+            elif isinstance(outcome, PoromoistError):
+                outcomes[i] = outcome
             else:
-                prevs[i], records = level
-                tracks[i].add(k, prevs[i], records)
+                prevs[i], record = outcome
+                tracks[i].add(k, prevs[i], (record,))
         live = [i for i in live if outcomes[i] is None]
     for i in live:
         outcomes[i] = tracks[i].result()

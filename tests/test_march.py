@@ -24,16 +24,16 @@ def same_bits(a, b) -> bool:
 
 
 def logged(monkeypatch) -> tuple[dict, list]:
-    """The sweeps of every record that reaches step_record, per setup, and the group sweeps.
+    """The records of every level that reaches step_record, per setup, and the group sweeps.
 
-    The group sweeps count the vapor assemblies whose iterate has a member axis.
+    Each level is the tuple of its substeps' StepRecords.  The group sweeps
+    count the vapor assemblies whose iterate has a member axis.
     """
     records, grouped = {}, []
     step_record, assemble = stepper.step_record, stepper.assemble_rho_system
 
     def recording(series, first, levels, setup):
-        records.setdefault(id(setup), []).extend(
-            tuple(record.sweeps for record in level) for level in levels)
+        records.setdefault(id(setup), []).extend(levels)
         return step_record(series, first, levels, setup)
 
     def assembling(prev, rho_it, *args, **kwargs):
@@ -44,6 +44,25 @@ def logged(monkeypatch) -> tuple[dict, list]:
     monkeypatch.setattr(stepper, "step_record", recording)
     monkeypatch.setattr(stepper, "assemble_rho_system", assembling)
     return records, grouped
+
+
+def sweeps(levels) -> list:
+    """The sweeps of each level's substeps."""
+    return [tuple(record.sweeps for record in level) for level in levels]
+
+
+def assert_same_records(got, want):
+    """Every field of every record, bit for bit, level by level."""
+    assert [len(level) for level in got] == [len(level) for level in want]
+    for mine, theirs in zip((r for level in got for r in level),
+                            (r for level in want for r in level)):
+        for name in ("rho", "theta", "theta_iter", "mass_flux", "dt", "update"):
+            assert same_bits(getattr(mine, name), getattr(theirs, name)), name
+        for name, values in vars(theirs.coeffs).items():
+            assert same_bits(getattr(mine.coeffs, name), values), f"coeffs.{name}"
+        assert same_bits(mine.prev.t, theirs.prev.t)
+        assert mine.sweeps == theirs.sweeps
+        assert mine.forcing is theirs.forcing
 
 
 def outcome(setup, start, t_end=None):
@@ -101,9 +120,9 @@ def test_mixed_group_marches_as_its_runs(monkeypatch, cubic_model):
     for result, expected in zip(got, want):
         assert_same_run(result, expected)
     for setup in setups:
-        assert records[id(setup)] == alone[id(setup)]
+        assert_same_records(records[id(setup)], alone[id(setup)])
     # the members swept together: fewer group sweeps than member sweeps
-    member_sweeps = sum(sum(map(sum, levels)) for levels in alone.values())
+    member_sweeps = sum(sum(map(sum, sweeps(levels))) for levels in alone.values())
     assert grouped[0] == 4 and 30 <= len(grouped) < member_sweeps
 
 
@@ -124,7 +143,7 @@ def test_failing_member_leaves_the_others_marching(monkeypatch, smoke_config):
     starts = [mollified_initial_data(setup) for setup in setups]
     records, grouped = logged(monkeypatch)
     want = [outcome(setup, start) for setup, start in zip(setups, starts)]
-    alone = {id(setup): records.pop(id(setup), None) for setup in setups}
+    alone = {id(setup): records.pop(id(setup), []) for setup in setups}
     failures = []
     check_rows = stepper._check_rows
 
@@ -142,7 +161,7 @@ def test_failing_member_leaves_the_others_marching(monkeypatch, smoke_config):
     assert any(member is not None for member in failures)
     for result, expected, setup in zip(got, want, setups):
         assert_same_outcome(result, expected)
-        assert records.get(id(setup)) == alone[id(setup)]
+        assert_same_records(records.get(id(setup), []), alone[id(setup)])
     assert max(map(len, records[id(setups[1])])) > 1    # it split
     assert grouped
 
@@ -194,3 +213,10 @@ def test_members_must_share_grid_step_and_count(unit_params, cubic_model):
     coarse = replace(setup, step=replace(setup.step, dt=2e-3))
     with pytest.raises(ValueError, match="share grid.n, dt and the step count"):
         march([setup, coarse], [setup.initial, setup.initial], 0.01)
+
+
+def test_each_member_needs_one_start(unit_params, cubic_model):
+    setup = make_setup(unit_params, cubic_model, Grid(16), dt=1e-3)
+    for starts in ([setup.initial], [setup.initial] * 3):
+        with pytest.raises(ValueError, match="one start per setup"):
+            march([setup, setup], starts, 0.01)
