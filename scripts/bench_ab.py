@@ -15,8 +15,10 @@ inputs.
 The cases are the layers of ``scripts/bench_layers.py`` at n = 100, 400
 and 1000 (``solve_thomas/100`` and so on), each timed as a fixed number
 of calls, and whole in-process commands through each side's
-``cli.main``: ``run`` on smoke, fine and stiff, and ``mms``, ``ladder``
-and ``sweep`` on their shipped configs, each one call.  In each of ROUNDS
+``cli.main``: ``run`` on smoke, fine and stiff, ``mms``, ``ladder`` and
+``sweep`` on their shipped configs, and ``sweep`` on the harder grid of
+``scripts/bench_layers.py`` (``harder_grid``, whose lockstep groups meet
+kernel errors), each one call.  In each of ROUNDS
 rounds every case is timed on each side, the side that goes first
 alternating from round to round (A B, B A, ...), so the host's drift
 between rounds cancels in each round's ratio of change over parent.  A
@@ -63,7 +65,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "scripts"))
-from bench_layers import SIZES, layer_table  # noqa: E402
+from bench_layers import SIZES, harder_grid_config, layer_table  # noqa: E402
 
 PARENT = "poromoist_parent"
 # Seconds one side's timing of a layer takes per round, which sets its
@@ -79,6 +81,8 @@ COMMANDS = (
     ("mms", ("mms", "configs/mms.json")),
     ("ladder", ("ladder", "configs/ladder.json")),
     ("sweep", ("sweep", "configs/sweep.json")),
+    # the config is written by bench_layers.harder_grid_config
+    ("harder_grid", ("sweep", None)),
 )
 
 
@@ -160,8 +164,9 @@ def build_cases(out: str, wanted: set) -> dict:
             name = f"{layer}/{n}"
             if not wanted or name in wanted:
                 cases[name] = {side: table[layer] for side, table in tables.items()}
-    for name, argv in COMMANDS:
+    for name, (command, config) in COMMANDS:
         if not wanted or name in wanted:
+            argv = (command, config or harder_grid_config(out))
             cases[name] = {side: command_call(package, argv, os.path.join(out, side, name))
                            for side, package in sides}
     return cases

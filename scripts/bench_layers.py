@@ -13,8 +13,8 @@ total, the steps that converged on their first sweep, the steps taken in
 more than one substep (``split_steps``), the lockstep sweeps and the exit
 code.  The sweeps of a step are its member's own, also where ``ladder``
 and ``sweep`` march their members as one group (``stepper.march``); a
-lockstep sweep is one sweep of such a group, taken for all the members
-still sweeping at once, so ``lockstep_sweeps`` counts what the group's
+lockstep sweep is one sweep of such a group, taken for all its members
+at once, so ``lockstep_sweeps`` counts what the group's
 kernel calls cost, and is 0 where every march is a ``run``.
 ``harder_grid`` is the harder grid of ``tests/test_acceptance.py`` (the
 smoke problem to t = 0.4 over HARDER_GRID) as one ``sweep``, which exits 0

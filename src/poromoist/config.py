@@ -377,13 +377,18 @@ def validate_config(data: dict) -> None:
 def load_config(path: str) -> dict:
     """Read, parse, and validate one JSON config file."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested too deeply to parse") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     validate_config(data)

@@ -14,15 +14,11 @@ def _rebuild(cls: type, args: tuple, state: dict) -> PoromoistError:
 class PoromoistError(Exception):
     """Base class for all package-specific errors.
 
-    Every instance survives pickling, as it must to cross a process pool:
-    the default rebuilds an exception by calling its class with args, which
-    a subclass whose __init__ takes other arguments than its message cannot
-    take.  member is the index of the block or group member that raised
-    it, where the solver or the stepper works on several at once (see
-    stepper.march), and None elsewhere.
+    Every instance survives pickling, so a caller may send one between
+    processes (the package itself runs in one process): the default
+    rebuilds an exception by calling its class with args, which a subclass
+    whose __init__ takes other arguments than its message cannot take.
     """
-
-    member: int | None = None
 
     def __reduce__(self):
         return _rebuild, (type(self), self.args, self.__dict__)

@@ -10,7 +10,8 @@ only its pivots.  The tests cross-check it against a dense solve, in
 ``tests/oracles.py``.  A system whose bands are (n, B) arrays is B
 independent systems, one per column (a block); the stepper's lockstep
 march (stepper.march) solves its members' rows so, and each block gets the
-bits of its own solve.
+bits of its own solve; a block whose solve fails raises its own
+``ZeroPivot``, whose index is the row within that block.
 
 ``solve_thomas`` factors with LAPACK ``dgttrf`` and solves with ``dgttrs``
 from numpy's own LAPACK (the OpenBLAS of numpy's wheel), reached through
@@ -198,7 +199,8 @@ def _solve_blocks(system: TridiagonalSystem) -> np.ndarray:
     value that crosses one makes the solution nonfinite, and the stacked
     rows' floors are the blocks' own, so each screen refuses the stack where
     it would refuse a block.  A refused stack is solved block by block, and
-    a block's ZeroPivot carries its index as member.
+    the first block whose solve fails raises its own ZeroPivot, whose index
+    is the row within that block.
     """
     rows, count = system.diag.shape
     if _GTTR is not None:
@@ -210,14 +212,10 @@ def _solve_blocks(system: TridiagonalSystem) -> np.ndarray:
         if x is not None:
             return x.reshape(count, rows).T
     x = np.empty((count, rows))
-    for member in range(count):
-        try:
-            x[member] = solve_thomas(TridiagonalSystem(
-                system.lower[:, member], system.diag[:, member], system.upper[:, member],
-                system.rhs[:, member]))
-        except ZeroPivot as exc:
-            exc.member = member
-            raise
+    for block in range(count):
+        x[block] = solve_thomas(TridiagonalSystem(
+            system.lower[:, block], system.diag[:, block], system.upper[:, block],
+            system.rhs[:, block]))
     return x.T
 
 

@@ -98,18 +98,21 @@ calls they took before; the iterates and solutions are transposes of
 member-major rows, so each member's cells are contiguous where the
 reductions and transcendental functions read them.  The bands are
 (4, n, B), solve_thomas solves their columns as one block-diagonal system
-(see linalg), mollify smooths member by member only where the members'
-kernels differ, and a failing check names its member
-(PoromoistError.member).
+(see linalg), and mollify smooths member by member only where the
+members' kernels differ.
 march steps such a group level by level: one predicted start per member,
-then the same loop as a run's steps (_sweeps) over all the members still
-sweeping, each member converging, mixing and failing on its own, and a
-member whose attempt failed is retaken alone in halves, as homotopy_solve
-retakes a level (_halves).  A call's layout is fixed when it starts: one
-member sweeps its own (n,) arrays, as a run does, and a group keeps its
-(n, B) arrays until the call ends.  So every member's march is its run's
-to the bit, and the ladder's four rungs take 348 group sweeps where their
-runs take 1309.
+then the same loop as a run's steps (_sweeps) over one fixed set of
+columns, one per member, from the level's first sweep to its last.  Each
+member converges, mixes and diverges on its own; a member that stops
+keeps its column, which is no longer read, and one whose attempt failed
+is retaken alone in halves, as homotopy_solve retakes a level (_halves).
+An error of the kernel, which checks and solves the group's rows as one
+system, ends the group's sweeps at that level, and each member still
+sweeping takes the level alone, as its run does (homotopy_solve).  A
+call's layout is fixed when it starts: one member sweeps its own (n,)
+arrays, as a run does, and a group its (n, B) arrays.  So every member's
+march is its run's to the bit, and the ladder's four rungs take 348 group
+sweeps where their runs take 1309.
 """
 
 from __future__ import annotations
@@ -408,36 +411,27 @@ def _new_band(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return band, band[0, 1:], band[1], band[2, :-1], band[3]
 
 
-def _cell(index: int, shape: tuple) -> tuple[int, int | None]:
-    """The row and member of a flat index into an (n,) or (n, B) array (member None for (n,))."""
-    return divmod(index, shape[1]) if len(shape) > 1 else (index, None)
-
-
 def _check_rows(name: str, band: np.ndarray) -> None:
     """Finite entries first, then strict diagonal dominance of every row.
 
     The finiteness scan must come first: a NaN margin passes the dominance
     test, because it compares false with <= 0.  argmin of the finiteness
-    mask finds its first False, if it holds one.  A group's band raises for
-    one failing member, whose index is the error's member: the row is that
-    member's own first failing row, and the worst margin, the smallest of
-    all, is that member's own worst.
+    mask finds its first False, if it holds one.  A group's (4, n, B) band
+    raises as one system: the row named is the first failing row of any
+    member, and the margin the smallest of all members (see _sweeps, where
+    such an error ends the group's sweeps).
     """
     finite = np.isfinite(band).ravel()
     if not finite[finite.argmin()]:
         rows = np.isfinite(band).all(axis=0)
-        row, member = _cell(int(np.argmin(rows)), rows.shape)
-        error = NonfiniteIterate(f"nonfinite entries in {name} system row {row}")
-        error.member = member
-        raise error
+        row = np.unravel_index(rows.argmin(), rows.shape)[0]
+        raise NonfiniteIterate(f"nonfinite entries in {name} system row {row}")
     mag = np.abs(band[:3])
     margin = mag[1] - (mag[0] + mag[2])
     worst = int(margin.argmin())
     if margin.item(worst) <= 0:
-        row, member = _cell(worst, margin.shape)
-        error = DominanceViolation(name, row, margin.item(worst))
-        error.member = member
-        raise error
+        raise DominanceViolation(name, int(np.unravel_index(worst, margin.shape)[0]),
+                                 margin.item(worst))
 
 
 def compute_flux_coefficients(rho_iter: np.ndarray, theta_iter: np.ndarray,
@@ -575,7 +569,7 @@ def _member(a: int | None, *values) -> tuple | list:
 
 
 def _sweeps(prevs: Sequence[State], setups: Sequence[Setup], starts: Sequence, dt: float,
-            group: Callable | None, forcing: ForcingValues) -> list:
+            group: SimpleNamespace | None, forcing: ForcingValues) -> list:
     """Sweep each member's step of dt from its start until it converges or fails.
 
     starts holds each member's first iterate, a (rho, theta) pair, or None
@@ -594,45 +588,45 @@ def _sweeps(prevs: Sequence[State], setups: Sequence[Setup], starts: Sequence, d
     iterate is never accepted; it fails when max_picard sweeps do not
     converge.
 
-    The layout is fixed for the whole call.  Where group is None there is
-    one member, and its sweeps take its own (n,) arrays and Setup, the
-    numpy calls of a run.  Otherwise group(positions) is the kernel's
-    problem of the members at those positions, and every sweep takes
-    (n, B) arrays, one column per member still sweeping, even once one is
-    left.  The columns are transposes of member rows, so each member's
-    cells are contiguous and its sums are its own call's to the bit.  In a
-    group, a failure inside the kernel names its member
-    (PoromoistError.member), which leaves, and the sweep is taken again
-    without it; a kernel error that names no member is raised.
+    The layout and the columns are fixed for the whole call.  Where group
+    is None there is one member, and its sweeps take its own (n,) arrays
+    and Setup, the numpy calls of a run.  Otherwise group is the kernel's
+    problem of all the members (see _group), and every sweep takes (n, B)
+    arrays, one column per member, from the call's first sweep to its
+    last.  The columns are transposes of member rows, so each member's
+    cells are contiguous and its sums are its own call's to the bit.  A
+    member that converges, diverges or has a nonfinite output keeps its
+    last input column, whose later outputs are not read, and mixing writes
+    only the columns of the members still sweeping.
 
     Returns per member its new State and the StepRecord of its last sweep,
     or the library error that ended its attempt.  A StepFailure carries the
-    sweeps spent, the failing one included: the kernel's own
-    (DominanceViolation, NonfiniteIterate), NonfiniteIterate where a
+    sweeps spent, the failing one included: NonfiniteIterate where a
     sweep's output is not finite, and PicardDivergence, holding the record
-    of the last sweep, where max_picard sweeps do not converge.
+    of the last sweep, where max_picard sweeps do not converge.  An error
+    of the kernel (DominanceViolation, NonfiniteIterate, ZeroPivot) is one
+    member's outcome, carrying its sweeps where it is a StepFailure; in a
+    group it ends the call, the members decided before it keep their
+    outcomes, and each member still sweeping gets None.
     """
     n = setups[0].grid.n
-    histories = {}
+    outcomes, active = [None] * len(setups), list(range(len(setups)))
+    histories = [([], []) for _ in setups]
     if group is None:
-        outcomes, active, inputs = [None], [0], None
         (prev,), (problem,), (start,) = prevs, setups, starts
         rho_it, theta_it = (prev.rho, prev.theta) if start is None else start
+        inputs = None
     else:
-        outcomes, active = [None] * len(setups), list(range(len(setups)))
+        # the kernel reads only rho and theta of the previous state
         previous = np.array([(p.rho, p.theta) for p in prevs])
+        prev = SimpleNamespace(rho=previous[:, 0].T, theta=previous[:, 1].T)
         inputs = np.array([(p.rho, p.theta) if s is None else s
                            for p, s in zip(prevs, starts)]).reshape(len(prevs), -1).T
         rho_it, theta_it = inputs[:n], inputs[n:]
-        problem = None
+        problem = group
     k = 0
-    while active:
+    while True:
         k += 1
-        if problem is None:
-            # the kernel reads only rho and theta of the previous state
-            rows = previous[active]
-            prev = SimpleNamespace(rho=rows[:, 0].T, theta=rows[:, 1].T)
-            problem = group(tuple(active))
         try:
             rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, problem, dt, forcing)
             rho_new = solve_thomas(rho_sys)
@@ -640,25 +634,19 @@ def _sweeps(prevs: Sequence[State], setups: Sequence[Setup], starts: Sequence, d
                                                          coeffs, forcing)
             theta_new = solve_thomas(theta_sys)
         except PoromoistError as exc:
-            position, exc.member = (0 if group is None else exc.member), None
-            if position is None:
-                raise
+            if group is not None:
+                return outcomes
             if isinstance(exc, StepFailure):
                 exc.sweeps = k
-            outcomes[active.pop(position)] = exc
-            if active:
-                inputs = np.delete(inputs, position, axis=1)
-                rho_it, theta_it = inputs[:n], inputs[n:]
-                problem = None
-            k -= 1
-            continue
+            return [exc]
         dn2 = (np.add.reduce((rho_new - rho_it) ** 2, 0)
                + np.add.reduce((theta_new - theta_it) ** 2, 0))
         base = np.add.reduce(rho_it * rho_it, 0) + np.add.reduce(theta_it * theta_it, 0)
-        members = (((None, 0, dn2, base),) if group is None else
-                   zip(range(len(active)), active, dn2.tolist(), base.tolist()))
+        if group is not None:
+            dn2, base = dn2.tolist(), base.tolist()
         going = []
-        for a, j, d, b in members:
+        for j in active:
+            a, d, b = (None, dn2, base) if group is None else (j, dn2[j], base[j])
             cfg = setups[j].step
             # A nonfinite output makes d nonfinite, so the outputs are
             # scanned only then (finite ones can overflow it too).
@@ -682,24 +670,24 @@ def _sweeps(prevs: Sequence[State], setups: Sequence[Setup], starts: Sequence, d
                                    f"no convergence in {cfg.max_picard} sweeps at dt={dt}",
                                    record))
                 continue
-            going.append((a, j))
+            going.append(j)
         if not going:
-            break
+            return outcomes
         outputs = np.concatenate((rho_new, theta_new))
         residuals = outputs - (np.concatenate((rho_it, theta_it)) if inputs is None else inputs)
-        following = []
-        for a, j in going:
+        for j in going:
+            a = None if group is None else j
             output, residual = _member(a, outputs, residuals)
-            mixing, mixed = histories.setdefault(j, ([], []))
+            mixing, mixed = histories[j]
             mixing.append(residual)
             mixed.append(output)
-            following.append(_mixed(mixing, mixed) if len(mixing) > 1 else output)
-        if len(going) < len(active):
-            active = [j for _, j in going]
-            problem = None
-        inputs = following[0] if group is None else np.array(following).T
+            following = _mixed(mixing, mixed) if len(mixing) > 1 else output
+            if group is None:
+                inputs = following
+            else:
+                inputs[:, j] = following
+        active = going
         rho_it, theta_it = inputs[:n], inputs[n:]
-    return outcomes
 
 
 def picard_step(prev: State, setup: Setup, dt: float,
@@ -1089,16 +1077,19 @@ def march(setups: Sequence[Setup], starts: Sequence[State],
 
     Member i is run(setups[i], starts[i], t_end) taken with the others: at
     each level every member gets its own predicted start, and the members'
-    sweeps are taken together on (n, B) arrays, one column per member (see
-    _sweeps), while each member keeps its own convergence, Anderson
-    history, records and series; a member whose attempt at the level
-    failed is retaken alone in halves, as homotopy_solve retakes a level
-    (_halves).  Returns, in order, each
-    member's RunResult, bit for bit the one run returns, or the library
-    error that run would raise for it; a member that fails leaves the
-    others marching.  ValueError unless there is one start per setup, and
-    where the members that start do not share grid.n, dt and the number of
-    steps.
+    sweeps are taken together on (n, B) arrays, one column per member still
+    marching (see _sweeps), while each member keeps its own convergence,
+    Anderson history, records and series.  The group's kernel problem
+    (_group) is made once, and again only when a member leaves the march.
+    A member whose attempt at the level failed is retaken alone in halves,
+    as homotopy_solve retakes a level (_halves); where an error of the
+    kernel ended the group's sweeps, each member that was still sweeping
+    takes the level alone through homotopy_solve, as its run does.
+    Returns, in order, each member's RunResult, bit for bit the one run
+    returns, or the library error that run would raise for it; a member
+    that fails leaves the march, and the others go on.  ValueError unless
+    there is one start per setup, and where the members that start do not
+    share grid.n, dt and the number of steps.
     """
     if len(starts) != len(setups):
         raise ValueError(f"march needs one start per setup, got {len(starts)} starts "
@@ -1120,36 +1111,36 @@ def march(setups: Sequence[Setup], starts: Sequence[State],
     if not tracks:
         return outcomes
     (_, dt, steps), = shapes
-    groups = {}
-
-    def group(positions: tuple) -> SimpleNamespace:
-        """The kernel's problem of the live members at positions, made once per set."""
-        members = tuple(live[p] for p in positions)
-        if members not in groups:
-            groups[members] = _group([setups[i] for i in members])
-        return groups[members]
-
-    live = list(tracks)
+    live, group = list(tracks), None
     for k in range(1, steps + 1):
-        swept = _sweeps([prevs[i] for i in live], [setups[i] for i in live],
-                        [tracks[i].start(k) for i in live], dt, group, NO_FORCING)
-        for i, outcome in zip(live, swept):
-            if isinstance(outcome, StepFailure):
-                # retaken alone in halves, as homotopy_solve retakes a level
-                try:
+        if not live:
+            break
+        if group is None:
+            group = _group([setups[i] for i in live])
+        predicted = [tracks[i].start(k) for i in live]
+        swept = _sweeps([prevs[i] for i in live], [setups[i] for i in live], predicted, dt,
+                        group, NO_FORCING)
+        for i, start, outcome in zip(live, predicted, swept):
+            try:
+                if outcome is None:
+                    # a kernel error ended the group's sweeps: the level is its run's
+                    new, records = homotopy_solve(prevs[i], setups[i], None, start)
+                elif isinstance(outcome, StepFailure):
+                    # retaken alone in halves, as homotopy_solve retakes a level
                     new, records = _halves(prevs[i], setups[i], dt, _unforced, NO_FORCING, 0,
                                            outcome.sweeps)
-                except PoromoistError as exc:
-                    outcomes[i] = exc
+                    new = State(new.rho, new.theta, prevs[i].t + dt)
                 else:
-                    prevs[i] = State(new.rho, new.theta, prevs[i].t + dt)
-                    tracks[i].add(k, prevs[i], records)
-            elif isinstance(outcome, PoromoistError):
-                outcomes[i] = outcome
+                    new, record = outcome
+                    records = (record,)
+            except PoromoistError as exc:
+                outcomes[i] = exc
             else:
-                prevs[i], record = outcome
-                tracks[i].add(k, prevs[i], (record,))
-        live = [i for i in live if outcomes[i] is None]
+                prevs[i] = new
+                tracks[i].add(k, new, records)
+        still = [i for i in live if outcomes[i] is None]
+        if len(still) < len(live):
+            live, group = still, None
     for i in live:
         outcomes[i] = tracks[i].result()
     return outcomes

@@ -61,4 +61,5 @@ def test_bench_ab_rejects_a_parent_whose_layers_differ(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "mollified_initial_data" in proc.stderr
     assert "layer cases" in proc.stderr and "--case run_stiff" in proc.stderr
+    assert "--case harder_grid" in proc.stderr
     assert not (tmp_path / "BENCH_ab.json").exists()

@@ -103,6 +103,21 @@ def test_broken_json_is_usage_error(tmp_path):
     assert main(["run", str(path), "--quiet"]) == 2
 
 
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'\xff\xfe{"a":1}')
+    assert main(["run", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
+
+
+def test_config_nested_past_the_parser_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["run", str(path), "--quiet"]) == 2
+    assert f"{path}: nested too deeply to parse" in capsys.readouterr().err
+
+
 def test_invalid_config_is_usage_error(smoke_config, tmp_path):
     data = copy.deepcopy(smoke_config)
     data["regularization"]["nu"] = 0.5

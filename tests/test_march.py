@@ -87,7 +87,8 @@ def assert_same_outcome(got, want):
         assert type(got) is type(want)
         assert str(got) == str(want)
         assert got.sweeps == want.sweeps
-        assert got.member is None
+        if hasattr(want, "record"):
+            assert_same_records([(got.record,)], [(want.record,)])
     else:
         assert_same_run(got, want)
 
@@ -126,6 +127,52 @@ def test_mixed_group_marches_as_its_runs(monkeypatch, cubic_model):
     assert grouped[0] == 4 and 30 <= len(grouped) < member_sweeps
 
 
+def test_kernel_error_in_a_group_sends_its_members_through_the_level_alone(
+        monkeypatch, cubic_model):
+    # The member with alpha0 = 2 has its second vapor assembly of level 25
+    # raise, in its own run and in the group alike; there member 1 has
+    # already converged, on its first sweep, and members 0 and 2 are still
+    # sweeping.
+    setups = mixed_group(cubic_model)
+    starts = [mollified_initial_data(setup) for setup in setups]
+    level, failing = 25, 3
+    prior = run(setups[failing], starts[failing], 0.06).rho[level - 1]
+    records, _ = logged(monkeypatch)
+    assemble, firsts, events = stepper.assemble_rho_system, [], []
+
+    def injecting(prev, rho_it, theta_it, setup, dt, *args):
+        iterates = rho_it.reshape(len(rho_it), -1)
+        previous = prev.rho.reshape(len(rho_it), -1)
+        keyed = np.broadcast_to(setup.params.alpha0, iterates.shape[1:]) == 2.0
+        for c in np.flatnonzero(keyed):
+            if dt == setups[failing].step.dt and np.array_equal(previous[:, c], prior):
+                if firsts and not np.array_equal(iterates[:, c], firsts[0]):
+                    events.append("raised in group" if rho_it.ndim > 1 else "raised alone")
+                    raise stepper.NonfiniteIterate("injected")
+                firsts[:] = [iterates[:, c].copy()]
+        events.append(iterates.shape[1] if rho_it.ndim > 1 else 0)
+        return assemble(prev, rho_it, theta_it, setup, dt, *args)
+
+    monkeypatch.setattr(stepper, "assemble_rho_system", injecting)
+    want = [run(setup, start, 0.06) for setup, start in zip(setups, starts)]
+    alone = {id(setup): records.pop(id(setup)) for setup in setups}
+    levels = [sweeps(alone[id(setup)])[level - 1] for setup in setups]
+    assert levels[1] == (1,) and min(levels[0] + levels[2]) > 1
+    assert len(levels[failing]) > 1 and events.count("raised alone") == 1    # it split
+    del events[:]
+    got = march(setups, starts, 0.06)
+    for result, expected in zip(got, want):
+        assert_same_run(result, expected)
+    for setup in setups:
+        assert_same_records(records[id(setup)], alone[id(setup)])
+    assert events.count("raised in group") == 1 and events.count("raised alone") == 1
+    # members 0, 2 and 3 take level 25 alone, then all four sweep together
+    after = events[events.index("raised in group") + 1:]
+    together = after.index(4)
+    assert set(after[:together]) == {0, "raised alone"}
+    assert together == sum(levels[0]) + sum(levels[2]) + sum(levels[failing])
+
+
 def harder_cells(smoke_config) -> list:
     """Cells of the harder grid at dt = 0.08: the lambda = 250 cell loses dominance
     in lockstep and splits, and with a budget of one sweep it fails."""
@@ -151,19 +198,31 @@ def test_failing_member_leaves_the_others_marching(monkeypatch, smoke_config):
         try:
             check_rows(name, band)
         except PoromoistError as exc:
-            failures.append(exc.member)
+            failures.append(band.ndim > 2)
             raise
 
     monkeypatch.setattr(stepper, "_check_rows", checking)
     got = march(setups, starts)
     assert [type(w).__name__ for w in want] == ["RunResult", "RunResult",
                                                  "PicardDivergence", "RunResult"]
-    assert any(member is not None for member in failures)
+    assert any(failures)    # a kernel error inside a group
     for result, expected, setup in zip(got, want, setups):
         assert_same_outcome(result, expected)
         assert_same_records(records.get(id(setup), []), alone[id(setup)])
     assert max(map(len, records[id(setups[1])])) > 1    # it split
     assert grouped
+
+
+def test_a_march_whose_members_all_fail_ends_with_their_errors(smoke_config):
+    failing = harder_cells(smoke_config)[2]
+    setups = [failing, replace(failing, params=replace(failing.params, lam=240.0))]
+    starts = [mollified_initial_data(setup) for setup in setups]
+    want = [outcome(setup, start) for setup, start in zip(setups, starts)]
+    # both fail before the last level, so the march outlives its members
+    last = failing.params.t_end - failing.step.dt
+    assert all(error.record.prev.t < last for error in want)
+    for got, expected in zip(march(setups, starts), want):
+        assert_same_outcome(got, expected)
 
 
 def test_sweep_cells_of_a_group_report_their_own_runs(smoke_config):
