@@ -19,7 +19,7 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 def main():
     with open(CONFIG) as fh:
         setup = build_setup(json.load(fh))
-    result = run(setup, mollified_initial_data(setup), t_end=setup.params.t_end)
+    result = run(setup, mollified_initial_data(setup))
 
     print(f"marched {len(result.t) - 1} steps of dt={setup.step.dt} "
           f"on n={setup.grid.n} cells")

@@ -18,14 +18,15 @@ of calls, and whole in-process commands through each side's
 ``cli.main``: ``run`` on smoke, fine and stiff, ``mms``, ``ladder`` and
 ``sweep`` on their shipped configs, and ``sweep`` on the harder grid of
 ``scripts/bench_layers.py`` (``harder_grid``, whose lockstep groups meet
-kernel errors), each one call.  In each of ROUNDS
-rounds every case is timed on each side, the side that goes first
+kernel errors), each COMMAND_CALLS calls per side and round.  In each of
+ROUNDS rounds every case is timed on each side, the side that goes first
 alternating from round to round (A B, B A, ...), so the host's drift
 between rounds cancels in each round's ratio of change over parent.  A
-layer's calls of one round are split into SLICES slices per side, taken
-in the order A B B A A B B A ..., so the drift within the round cancels
-too: the host's speed wanders within a tenth of a second.  ``--case``
-(repeatable) keeps only the named cases.
+case's calls of one round are split into min(SLICES, calls) slices per
+side, one call each for a command, taken in the order A B B A A B B A
+..., so the drift within the round cancels too: the host's speed wanders
+within a tenth of a second, and a command takes about as long.
+``--case`` (repeatable) keeps only the named cases.
 
 The layer cases call both packages through this tree's ``layer_table``,
 with this tree's signatures, so they pair only revisions whose layer API
@@ -73,6 +74,8 @@ PARENT = "poromoist_parent"
 LAYER_SECONDS = 0.05
 SLICES = 8
 ROUNDS = 10
+# Calls of a command case per side and round: A B B A, one call a slice.
+COMMAND_CALLS = 2
 
 COMMANDS = (
     ("run_smoke", ("run", "configs/smoke.json")),
@@ -182,10 +185,10 @@ def seconds(call, number: int) -> float:
 def paired_seconds(sides: dict, number: int, order: tuple) -> dict:
     """Seconds per call of each side over number calls, in alternating slices.
 
-    A case of at least SLICES calls is timed in SLICES slices per side, in
-    the order of order, then reversed, then as given again, and so on.
+    A case of number calls is timed in min(SLICES, number) slices per side,
+    in the order of order, then reversed, then as given again, and so on.
     """
-    slices = SLICES if number >= SLICES else 1
+    slices = min(SLICES, number)
     total = dict.fromkeys(sides, 0.0)
     for i in range(slices):
         for side in order if i % 2 == 0 else order[::-1]:
@@ -236,7 +239,7 @@ def main(argv) -> int:
         for name, sides in cases.items():
             for call in sides.values():
                 call()
-            numbers[name] = 1
+            numbers[name] = COMMAND_CALLS
             if name not in dict(COMMANDS):
                 number = max(1, round(LAYER_SECONDS / seconds(sides["change"], 3)))
                 numbers[name] = number // SLICES * SLICES or number
@@ -263,9 +266,9 @@ def main(argv) -> int:
         "rounds": ROUNDS,
         "timing": ("per round and case, each side's seconds per call over "
                    "calls_per_timing calls, the side that goes first alternating "
-                   f"and a layer's calls split into {SLICES} slices per side, "
-                   "A B B A ...; ratios are change over parent; a call of "
-                   "step_record_per_level folds a whole block of levels"),
+                   f"and the calls split into min({SLICES}, calls_per_timing) "
+                   "slices per side, A B B A ...; ratios are change over parent; "
+                   "a call of step_record_per_level folds a whole block of levels"),
         "cases": results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -150,11 +150,11 @@ def harder_grid_config(out: str) -> str:
 def sweep_counts(command: str, config: str, out: str) -> dict:
     """Run one CLI command, counting its accepted steps by their sweeps.
 
-    stepper.run and stepper.march look step_record up in their module for
-    each block of levels, so a wrapper there sees each step of every
-    member the command marches, with one record per substep.  A wrapper on
-    assemble_rho_system counts the lockstep sweeps: those whose iterate
-    has a member axis.
+    stepper.march, whose march of one is stepper.run, looks step_record up
+    in its module for each block of levels, so a wrapper there sees each
+    step of every member the command marches, with one record per
+    substep.  A wrapper on assemble_rho_system counts the lockstep sweeps:
+    those whose iterate has a member axis.
     """
     counts = Counter()
     split = []

@@ -153,7 +153,7 @@ def _cmd_run(args) -> int:
         "command": "run",
         "n": setup.grid.n,
         "dt": setup.step.dt,
-        "t_end": result.t_end,
+        "t_end": setup.params.t_end,
         "steps": steps,
         "advection": setup.step.advection,
         "eps": setup.reg.eps,

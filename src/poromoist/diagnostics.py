@@ -441,7 +441,7 @@ def certify_run(result: RunResult) -> CertificationReport:
 
     max_theta = series["max_theta"]
     mass0, theta0_max = series["total_mass"][0], max_theta[0]
-    horizon = max(result.t_end, result.t[-1])
+    horizon = max(p.t_end, result.t[-1])
     c_init = ((p.lam + theta0_max) * mass0 + p.sigma * theta0_max
               + (p.lam * (p.alpha1 * p.rho_bar1 + p.alpha0 * p.rho_bar0)
                  + p.beta1 * p.theta_bar1 + p.beta0 * p.theta_bar0) * horizon)

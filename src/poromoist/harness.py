@@ -12,9 +12,12 @@ Three instruments:
 * a cartesian parameter sweep (sweep) of certified runs with per-cell
   fault isolation.
 
-The ladder's rungs, and the sweep's cells of one grid size, step and step
-count, march as one group (stepper.march), whose results are bit for bit
-those of their runs.
+Every study marches Setups whole, each holding its own horizon and
+forcing: the MMS study sets its horizon t_end and the case's forcing on
+each level's Setup, and the ladder its t_end on every rung.  An MMS level
+is one run, which is a march of one; the ladder's rungs, and the sweep's
+cells of one grid size, step and step count, march as one group
+(stepper.march), whose results are bit for bit those of their runs.
 
 Each study judges itself: its report's passed field is its verdict, and
 its fields are the keys of its report.json apart from the command and the
@@ -194,11 +197,12 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
     Each refinement doubles n (other grid_sizes, or fewer than two, raise
     ConfigError before the first run); the step count grows quadratically for the
     central scheme (so the implicit first-order time error tracks h^2) and
-    linearly for upwind.  Each level is one Setup of params and model on its
-    own grid and step.  Runs start from the exact initial profile with a
-    regularization small enough that cutoff and mollifier are inert, so
-    the measured error is pure discretization error.  Orders are base-2
-    logs of successive final-time L2 error ratios.
+    linearly for upwind.  Each level is one Setup of params with horizon
+    t_end, model and the case's forcing on its own grid and step.  Runs
+    start from the exact initial profile with a regularization small
+    enough that cutoff and mollifier are inert, so the measured error is
+    pure discretization error.  Orders are base-2 logs of successive
+    final-time L2 error ratios.
 
     steps_coarse must keep dt below h/drift on the coarsest grid or the
     boundary rows lose diagonal dominance; for the default case the drift
@@ -212,7 +216,7 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
                           f"one before, got {list(grid_sizes)}")
     if steps_coarse is None:
         steps_coarse = 10 if advection == "central" else 20
-    n0 = grid_sizes[0]
+    n0, params = grid_sizes[0], replace(params, t_end=t_end)
     rho_errors, theta_errors, dts = [], [], []
     for n in grid_sizes:
         ratio = n // n0
@@ -223,8 +227,8 @@ def mms_study(case: MMSCase, params: PhysicalParams, model: SaturationModel,
         state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
         step = StepConfig(dt=dt, picard_tol=1e-12, advection=advection)
         setup = Setup(params, model, RegularizationParams(eps=eps, nu=nu), step, grid,
-                      state0)
-        result = run(setup, setup.initial, t_end=t_end, forcing=case.forcing)
+                      state0, case.forcing)
+        result = run(setup, setup.initial)
         t_final = float(result.t[-1])
         h = grid.h
         err_r = np.sqrt(h * np.sum((result.rho[-1] - case.exact_rho(x, t_final))**2))
@@ -287,18 +291,19 @@ def regularization_ladder(setup: Setup, t_end: float | None = None,
     successive space-time distances, while the entropy and fourth-power
     monitors level off: their relative change between the last two rungs
     may not exceed LADDER_VARIATION_CAP.  Each rung is setup with its own
-    (eps, nu), and starts from setup's raw samples mollified at its own
-    radius; the rungs march as one group, and the first rung that fails
-    raises its error.  Fewer than 3 rungs (two distances) raise ConfigError
-    before any run.
+    (eps, nu) and the horizon t_end, setup's own where None, and starts
+    from setup's raw samples mollified at its own radius; the rungs march
+    as one group, and the first rung that fails raises its error.  Fewer
+    than 3 rungs (two distances) raise ConfigError before any run.
     """
     if rungs < 3:
         raise ConfigError(f"rungs must be at least 3, got {rungs}")
     eps_values = [eps0 * factor**(-j) for j in range(rungs)]
     nu_values = [nu_ratio * eps_j for eps_j in eps_values]
+    setup = setup if t_end is None else replace(setup, params=replace(setup.params, t_end=t_end))
     ladder = [replace(setup, reg=RegularizationParams(eps=eps_j, nu=nu_j))
               for eps_j, nu_j in zip(eps_values, nu_values)]
-    results = march(ladder, [mollified_initial_data(rung) for rung in ladder], t_end)
+    results = march(ladder, [mollified_initial_data(rung) for rung in ladder])
     for result in results:
         if isinstance(result, PoromoistError):
             raise result

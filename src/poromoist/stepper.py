@@ -1,7 +1,8 @@
 """Implicit time stepping for the coupled vapor/heat system.
 
-A Setup is one regularized problem: the physics, the saturation curve,
-(eps, nu), the step settings, the grid and the raw initial samples.  It is
+A Setup is the whole of one regularized problem: the physics with its
+horizon t_end, the saturation curve, (eps, nu), the step settings, the
+grid, the raw initial samples and the manufactured forcing, if any.  It is
 passed whole, from build_setup to the sweep kernel, and it checks eps
 against the ambients once, where it is made.  Each backward-Euler step
 solves the regularized coupled system
@@ -26,7 +27,7 @@ of an attempt on, the input is Anderson-mixed from the attempt's own
 sweeps, which on the stiff benchmark config keeps every step within 12
 sweeps, against 35 with plain sweeps.  picard_step is that loop for one
 step of one problem, and every step of a run, every substep and every
-retaken level goes through it.  run starts each step's sweeps from an
+retaken level goes through it.  A march starts each step's sweeps from an
 extrapolation of the last HISTORY_DEPTH = 8 accepted states, the newest
 rows of the one (steps + 1, 2n) array of (rho, theta) rows that holds
 the trajectory; from six states on, the extrapolation's
@@ -42,18 +43,18 @@ ODEs II, IV.8).  Every accepted iterate is a plain sweep output of the
 assembled rows (a mixed input is never accepted), and each substep leaves
 one StepRecord: its sweeps and what its last sweep froze.
 diagnostics.start_series writes the series row of the start state; then
-run holds the records of a block of levels of about _STEP_BLOCK_CELLS
+a march holds the records of a block of levels of about _STEP_BLOCK_CELLS
 cells and hands each block to one diagnostics.step_record call, which
 writes every series column of those levels from their records; so the
-step loop does little besides the solve, and no buffer grows with the
+level loop does little besides the solve, and no buffer grows with the
 step count.  run takes a Setup and one start State, which the commands
 build with mollified_initial_data from the Setup's raw samples; both check
-only their input State, for the grid and the cone rho >= 0, theta > 0
-(_checked_start), and certify_run judges the march.  A Forcing
-is one function of (x, t) that returns every forcing term at once; it is
-evaluated once per time a substep ends and shared by its sweeps, and an
-unforced run shares discretization.NO_FORCING, whose zero terms change no
-value.
+only their input State, for a finite time, the grid and the cone
+rho >= 0, theta > 0 (_checked_start), and certify_run judges the march.
+A Forcing is one function of (x, t) that returns every forcing term at
+once; it is evaluated once per time a substep ends and shared by its
+sweeps, and an unforced problem shares discretization.NO_FORCING, whose
+zero terms change no value.
 
 Spatial discretization is a conservative finite-volume scheme: the heat
 equation's convective face coefficients are literally the vapor
@@ -100,25 +101,28 @@ reductions and transcendental functions read them.  The bands are
 (4, n, B), solve_thomas solves their columns as one block-diagonal system
 (see linalg), and mollify smooths member by member only where the
 members' kernels differ.
-march steps such a group level by level: one predicted start per member,
-then the same loop as a run's steps (_sweeps) over one fixed set of
-columns, one per member, from the level's first sweep to its last.  Each
-member converges, mixes and diverges on its own; a member that stops
-keeps its column, which is no longer read, and one whose attempt failed
-is retaken alone in halves, as homotopy_solve retakes a level (_halves).
-An error of the kernel, which checks and solves the group's rows as one
-system, ends the group's sweeps at that level, and each member still
-sweeping takes the level alone, as its run does (homotopy_solve).  A
-call's layout is fixed when it starts: one member sweeps its own (n,)
-arrays, as a run does, and a group its (n, B) arrays.  So every member's
-march is its run's to the bit, and the ladder's four rungs take 348 group
-sweeps where their runs take 1309.
+march holds the package's one level loop, and run is a march of one.  At
+each level every member gets its own predicted start.  A member alone at
+the level, as every run is and as the last member left in a group is,
+takes it through homotopy_solve on its own (n,) arrays.  A group of
+members that share grid.n, dt, the step count, the forcing and the start
+time takes the same loop as a run's steps (_sweeps) over one fixed set of
+columns, one per member, from the level's first sweep to its last, with
+the forcing evaluated once for all of them.  Each member converges, mixes
+and diverges on its own; a member that stops keeps its column, which is
+no longer read, and one whose attempt failed is retaken alone in halves,
+as homotopy_solve retakes a level (_halves).  An error of the kernel,
+which checks and solves the group's rows as one system, ends the group's
+sweeps at that level, and each member still sweeping takes the level
+alone, as its run does (homotopy_solve).  So every member's march is its
+run's to the bit, and the ladder's four rungs take 348 group sweeps where
+their runs take 1309.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -163,14 +167,14 @@ UPDATE_FLOOR = 1e-30
 # Residual differences that mix each sweep input from the third on (see picard_step).
 ANDERSON_DEPTH = 2
 SPLIT_DEPTH = 6  # halvings of a level's step that homotopy_solve may make: dt/64
-# Accepted states run keeps for _predicted_start, which chooses the start's
+# Accepted states a march keeps for _predicted_start, which chooses the start's
 # degree, and fits its linear-prediction candidates, from _SELECTION_ROWS of
 # them on: up to degree 6 and order 6 with eight.  Degrees 7 and 8, or a
 # choice from fewer states, cost sweeps on the stiff config and the harder
 # grid.
 HISTORY_DEPTH = 8
 _SELECTION_ROWS = 6
-# Cells of the levels whose records run holds for one step_record call:
+# Cells of the levels whose records a march holds for one step_record call:
 # 40 levels at n = 100.  Larger blocks cost more per level from n = 400 on,
 # where the stacked arrays outgrow the data caches.
 _STEP_BLOCK_CELLS = 4096
@@ -195,15 +199,15 @@ class State:
     """Vapor density and temperature at one time.
 
     rho and theta are the cell values on one grid: finite 1-D float arrays
-    of equal length, with rho >= 0 and theta > 0.  A State checks none of
-    this: mollified_initial_data checks the raw samples it smooths and run
-    its start (both through _checked_start), and certify_run judges the
-    states a run marched.  Setup.initial holds a config's raw profile
-    samples as the State at t = 0 that mollified_initial_data smooths.
-    Every State holds one problem's values: the sweeps of a group (see
-    _sweeps) hand the kernel their members' previous values as (n, B)
-    columns of a plain namespace, since the kernel reads only rho and
-    theta there.
+    of equal length, with rho >= 0 and theta > 0, and t is finite.  A
+    State checks none of this: mollified_initial_data checks the raw
+    samples it smooths and march its start (both through _checked_start),
+    and certify_run judges the states a march made.  Setup.initial holds
+    a config's raw profile samples as the State at t = 0 that
+    mollified_initial_data smooths.  Every State holds one problem's
+    values: the sweeps of a group (see _sweeps) hand the kernel their
+    members' previous values as (n, B) columns of a plain namespace, since
+    the kernel reads only rho and theta there.
     """
 
     rho: np.ndarray
@@ -232,13 +236,21 @@ class StepConfig:
             )
 
 
+# Manufactured sources and wall-flux corrections: forcing(x, t) holds every
+# term at time t on the cell centers x.  Used by the manufactured-solution
+# studies; a problem built from a config has none.
+Forcing = Callable[[np.ndarray, float], ForcingValues]
+
+
 @dataclass(frozen=True)
 class Setup:
-    """One regularized problem: physics, saturation curve, (eps, nu), step and grid.
+    """One regularized problem: physics, saturation curve, (eps, nu), step, grid and sources.
 
-    initial holds the raw profile samples at t = 0, which
-    mollified_initial_data smooths into a run's start.  ConfigError where
-    eps exceeds min(ambient values, 1): the cutoff would clip ambient data.
+    Its horizon is params.t_end.  initial holds the raw profile samples at
+    t = 0, which mollified_initial_data smooths into a run's start, and
+    forcing the manufactured sources, None where there are none.
+    ConfigError where eps exceeds min(ambient values, 1): the cutoff would
+    clip ambient data.
     """
 
     params: PhysicalParams
@@ -247,6 +259,7 @@ class Setup:
     step: StepConfig
     grid: Grid
     initial: State
+    forcing: Forcing | None = None
 
     def __post_init__(self):
         limit = min(self.params.ambient_min, 1.0)
@@ -255,12 +268,6 @@ class Setup:
                 f"eps={self.reg.eps} exceeds min(ambient values, 1) = {limit}; "
                 "the cutoff would clip ambient data"
             )
-
-
-# Manufactured sources and wall-flux corrections: forcing(x, t) holds every
-# term at time t on the cell centers x.  Used by the manufactured-solution
-# studies; production runs get NO_FORCING.
-Forcing = Callable[[np.ndarray, float], ForcingValues]
 
 
 @dataclass
@@ -317,17 +324,18 @@ class RunResult:
     t: np.ndarray                  # steps+1
     series: dict                   # name -> steps+1
     setup: Setup                   # the problem the run solved
-    t_end: float
 
 
 def _checked_start(start: State, grid: Grid) -> State:
     """start with float arrays, once they pass the checks of a march's start.
 
-    DimensionMismatch unless both arrays are 1-D with grid.n cells,
-    ConfigError for unequal lengths, nonfinite values, rho < 0 or
-    theta <= 0.
+    ConfigError for a nonfinite time; DimensionMismatch unless both arrays
+    are 1-D with grid.n cells; ConfigError for unequal lengths, nonfinite
+    values, rho < 0 or theta <= 0.
     """
     t0 = start.t
+    if not math.isfinite(t0):
+        raise ConfigError(f"nonfinite start time t={t0}")
     rho = np.asarray(start.rho, dtype=float)
     theta = np.asarray(start.theta, dtype=float)
     if rho.ndim != 1 or theta.ndim != 1:
@@ -574,27 +582,28 @@ def _sweeps(prevs: Sequence[State], setups: Sequence[Setup], starts: Sequence, d
 
     starts holds each member's first iterate, a (rho, theta) pair, or None
     to start from its previous state, and forcing the terms at the new
-    time.  Sweep k freezes its coefficients at the input x_k and returns
-    the plain output g_k; f_k = g_k - x_k is its residual.  Sweep 2's input
-    is sweep 1's output.  From sweep 3 on, the input is Anderson-mixed
-    (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)) from the member's last
-    ANDERSON_DEPTH + 1 pairs (f, g) of this call: gamma solves
-    min |f_k - dF gamma| by least squares over the differences of
-    successive residuals, and the next input is g_k - dG gamma, clamped
-    elementwise to at least min(g_k, 0.5 g_k), which keeps rho >= 0 and
-    theta > 0 wherever the output is positive.  Every call starts without
-    history.  A member converges when a sweep's update, its plain output's
-    relative distance from its own input, is below picard_tol, so a mixed
-    iterate is never accepted; it fails when max_picard sweeps do not
-    converge.
+    time, shared by the members.  Sweep k freezes its coefficients at the
+    input x_k and returns the plain output g_k; f_k = g_k - x_k is its
+    residual.  Sweep 2's input is sweep 1's output.  From sweep 3 on, the
+    input is Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49 (2011))
+    from the member's last ANDERSON_DEPTH + 1 pairs (f, g) of this call:
+    gamma solves min |f_k - dF gamma| by least squares over the
+    differences of successive residuals, and the next input is
+    g_k - dG gamma, clamped elementwise to at least min(g_k, 0.5 g_k),
+    which keeps rho >= 0 and theta > 0 wherever the output is positive.
+    Every call starts without history.  A member converges when a sweep's
+    update, its plain output's relative distance from its own input, is
+    below picard_tol, so a mixed iterate is never accepted; it fails when
+    max_picard sweeps do not converge.
 
     The layout and the columns are fixed for the whole call.  Where group
     is None there is one member, and its sweeps take its own (n,) arrays
     and Setup, the numpy calls of a run.  Otherwise group is the kernel's
     problem of all the members (see _group), and every sweep takes (n, B)
     arrays, one column per member, from the call's first sweep to its
-    last.  The columns are transposes of member rows, so each member's
-    cells are contiguous and its sums are its own call's to the bit.  A
+    last, and the forcing's cell sources are added to every column.  The
+    columns are transposes of member rows, so each member's cells are
+    contiguous and its sums are its own call's to the bit.  A
     member that converges, diverges or has a nonfinite output keeps its
     last input column, whose later outputs are not read, and mixing writes
     only the columns of the members still sweeping.
@@ -615,7 +624,7 @@ def _sweeps(prevs: Sequence[State], setups: Sequence[Setup], starts: Sequence, d
     if group is None:
         (prev,), (problem,), (start,) = prevs, setups, starts
         rho_it, theta_it = (prev.rho, prev.theta) if start is None else start
-        inputs = None
+        inputs, terms = None, forcing
     else:
         # the kernel reads only rho and theta of the previous state
         previous = np.array([(p.rho, p.theta) for p in prevs])
@@ -623,15 +632,19 @@ def _sweeps(prevs: Sequence[State], setups: Sequence[Setup], starts: Sequence, d
         inputs = np.array([(p.rho, p.theta) if s is None else s
                            for p, s in zip(prevs, starts)]).reshape(len(prevs), -1).T
         rho_it, theta_it = inputs[:n], inputs[n:]
-        problem = group
+        # cell sources as columns, which broadcast along the member axis;
+        # NO_FORCING's are scalar zeros already
+        problem, terms = group, forcing if forcing is NO_FORCING else replace(
+            forcing, rho_source=np.reshape(forcing.rho_source, (-1, 1)),
+            theta_source=np.reshape(forcing.theta_source, (-1, 1)))
     k = 0
     while True:
         k += 1
         try:
-            rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, problem, dt, forcing)
+            rho_sys, coeffs = assemble_rho_system(prev, rho_it, theta_it, problem, dt, terms)
             rho_new = solve_thomas(rho_sys)
             theta_sys, mass_flux = assemble_theta_system(prev, rho_new, theta_it, problem, dt,
-                                                         coeffs, forcing)
+                                                         coeffs, terms)
             theta_new = solve_thomas(theta_sys)
         except PoromoistError as exc:
             if group is not None:
@@ -716,7 +729,12 @@ def _unforced(t: float) -> ForcingValues:
     return NO_FORCING
 
 
-def homotopy_solve(prev: State, setup: Setup, forcing: Forcing | None = None,
+def _forcing_at(setup: Setup) -> Callable[[float], ForcingValues]:
+    """setup's forcing terms on its cells as a function of time."""
+    return _unforced if setup.forcing is None else partial(setup.forcing, setup.grid.centers)
+
+
+def homotopy_solve(prev: State, setup: Setup,
                    start: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> tuple[State, tuple[StepRecord, ...]]:
     """Advance one output level of setup's dt, in substeps where a direct solve fails.
@@ -724,13 +742,13 @@ def homotopy_solve(prev: State, setup: Setup, forcing: Forcing | None = None,
     The direct attempt starts from the predicted iterate ``start`` when
     given, and from the previous state otherwise; if it raises a
     StepFailure, its sweeps count toward the level and the level is
-    retaken as two steps of dt/2 (see _substeps).  ``forcing`` is evaluated
-    once at each time a substep ends.  Returns the state at prev.t + dt
-    and one StepRecord per substep, in order.  A failing level raises the
-    error of an attempt at depth SPLIT_DEPTH, whose sweeps count every
-    attempt.
+    retaken as two steps of dt/2 (see _substeps).  setup's forcing is
+    evaluated once at each time a substep ends.  Returns the state at
+    prev.t + dt and one StepRecord per substep, in order.  A failing level
+    raises the error of an attempt at depth SPLIT_DEPTH, whose sweeps
+    count every attempt.
     """
-    at = _unforced if forcing is None else partial(forcing, setup.grid.centers)
+    at = _forcing_at(setup)
     t = prev.t + setup.step.dt
     new, records = _substeps(prev, setup, setup.step.dt, at, at(t), start, 0)
     # a direct step's state ends at t already
@@ -953,40 +971,31 @@ def step_count(span: float, dt: float) -> int:
     return steps if whole else 0
 
 
-def _horizon(setup: Setup, t_end: float | None) -> tuple[float, int]:
-    """t_end, setup.params.t_end where None, and its number of steps of setup's dt.
-
-    ConfigError for a negative t_end, or one that is not a whole number of steps.
-    """
-    if t_end is None:
-        t_end = setup.params.t_end
-    if t_end < 0:
-        raise ConfigError(f"t_end must be nonnegative, got {t_end}")
-    steps = step_count(t_end, setup.step.dt)
-    if t_end > 0 and not steps:
-        raise ConfigError(
-            f"t_end={t_end} is not a positive integer number of steps of dt={setup.step.dt}")
-    return t_end, steps
-
-
 class _Track:
-    """One march's trajectory, times and series, written a block of levels at a time.
+    """One member of a march: its problem, its last state, and its trajectory,
+    times and series, written a block of levels at a time.
 
-    Row k of states holds level k as one (rho, theta) row, and
-    _predicted_start reads the newest rows.  The records of the levels
-    since the last block wait until a block of about _STEP_BLOCK_CELLS
-    cells, or the last level, goes to one step_record call.
+    ConfigError unless the horizon params.t_end is a whole number of steps
+    of dt, and the errors of _checked_start for the start.  Row k of states
+    holds level k as one (rho, theta) row, and _predicted_start reads the
+    newest rows.  The records of the levels since the last block wait
+    until a block of about _STEP_BLOCK_CELLS cells, or the last level, goes
+    to one step_record call.
     """
 
-    def __init__(self, setup: Setup, start: State, steps: int, t_end: float):
-        n = setup.grid.n
-        self.setup, self.steps, self.t_end = setup, steps, t_end
+    def __init__(self, setup: Setup, start: State):
+        n, t_end, dt = setup.grid.n, setup.params.t_end, setup.step.dt
+        steps = step_count(t_end, dt)
+        if not steps:
+            raise ConfigError(
+                f"t_end={t_end} is not a positive integer number of steps of dt={dt}")
+        start = self.prev = _checked_start(start, setup.grid)
+        self.setup, self.steps, self.pending = setup, steps, []
         self.states = np.empty((steps + 1, 2 * n))
         self.t = np.empty(steps + 1)
         self.states[0, :n], self.states[0, n:], self.t[0] = start.rho, start.theta, start.t
         self.series = start_series(steps, start, setup)
         self.block = max(1, _STEP_BLOCK_CELLS // n)
-        self.pending = []
 
     def start(self, k: int) -> tuple[np.ndarray, np.ndarray] | None:
         """The predicted start of level k."""
@@ -994,7 +1003,7 @@ class _Track:
 
     def add(self, k: int, state: State, records: tuple[StepRecord, ...]) -> None:
         """Level k's state and the records of its substeps."""
-        n, pending = self.setup.grid.n, self.pending
+        n, pending, self.prev = self.setup.grid.n, self.pending, state
         self.states[k, :n], self.states[k, n:], self.t[k] = state.rho, state.theta, state.t
         pending.append(records)
         if len(pending) == self.block or k == self.steps:
@@ -1003,30 +1012,7 @@ class _Track:
 
     def result(self) -> RunResult:
         n = self.setup.grid.n
-        return RunResult(self.states[:, :n], self.states[:, n:], self.t, self.series,
-                         self.setup, self.t_end)
-
-
-def run(setup: Setup, start: State, t_end: float | None = None,
-        forcing: Forcing | None = None) -> RunResult:
-    """March setup's problem from start to t_end with per-step diagnostics.
-
-    t_end defaults to setup.params.t_end.  start is taken as float arrays
-    and checked once, here, by _checked_start: DimensionMismatch unless
-    1-D with grid.n cells, ConfigError for unequal lengths, nonfinite
-    values, rho < 0 or theta <= 0.  The marched states are not checked
-    again; certify_run judges them.  The forcing is evaluated once per
-    (sub)step, at its new time.  The series is written a block of levels
-    at a time (see step_record).  Deterministic: identical inputs produce
-    bit-identical trajectories.
-    """
-    t_end, steps = _horizon(setup, t_end)
-    state = _checked_start(start, setup.grid)
-    track = _Track(setup, state, steps, t_end)
-    for k in range(1, steps + 1):
-        state, records = homotopy_solve(state, setup, forcing, track.start(k))
-        track.add(k, state, records)
-    return track.result()
+        return RunResult(self.states[:, :n], self.states[:, n:], self.t, self.series, self.setup)
 
 
 class _MemberCurves(SaturationModel):
@@ -1071,76 +1057,103 @@ def _group(setups: Sequence[Setup]) -> SimpleNamespace:
                            step=SimpleNamespace(advection=advection), grid=setups[0].grid)
 
 
-def march(setups: Sequence[Setup], starts: Sequence[State],
-          t_end: float | None = None) -> list:
-    """March unforced members of one grid size, step and step count in lockstep.
+def march(setups: Sequence[Setup], starts: Sequence[State]) -> list:
+    """March each problem from its start to its horizon, the members in lockstep.
 
-    Member i is run(setups[i], starts[i], t_end) taken with the others: at
-    each level every member gets its own predicted start, and the members'
-    sweeps are taken together on (n, B) arrays, one column per member still
-    marching (see _sweeps), while each member keeps its own convergence,
-    Anderson history, records and series.  The group's kernel problem
-    (_group) is made once, and again only when a member leaves the march.
-    A member whose attempt at the level failed is retaken alone in halves,
-    as homotopy_solve retakes a level (_halves); where an error of the
-    kernel ended the group's sweeps, each member that was still sweeping
-    takes the level alone through homotopy_solve, as its run does.
+    Member i is setups[i] marched from starts[i] to setups[i].params.t_end
+    with per-step diagnostics.  Each start is taken as float arrays and
+    checked once, here, by _checked_start: ConfigError for a nonfinite
+    time, DimensionMismatch unless 1-D with grid.n cells, ConfigError for
+    unequal lengths, nonfinite values, rho < 0 or theta <= 0.  The marched
+    states are not checked again; certify_run judges them.
+
+    This is the package's one level loop.  At each level every member gets
+    its own predicted start.  A member alone at a level, as every run is,
+    takes it through homotopy_solve on its own (n,) arrays.  Otherwise the
+    members' sweeps are taken together on (n, B) arrays, one column per
+    member still marching (see _sweeps), with the forcing evaluated once
+    per level, while each member keeps its own convergence, Anderson
+    history, records and series.  The group's kernel problem (_group) is
+    made once, and again only when a member leaves the march.  A member
+    whose attempt at the level failed is retaken alone in halves, as
+    homotopy_solve retakes a level (_halves); where an error of the kernel
+    ended the group's sweeps, each member that was still sweeping takes the
+    level alone through homotopy_solve, as its run does.
+
     Returns, in order, each member's RunResult, bit for bit the one run
     returns, or the library error that run would raise for it; a member
     that fails leaves the march, and the others go on.  ValueError unless
     there is one start per setup, and where the members that start do not
-    share grid.n, dt and the number of steps.
+    share grid.n, dt, the step count, the forcing and the start time.
     """
     if len(starts) != len(setups):
         raise ValueError(f"march needs one start per setup, got {len(starts)} starts "
                          f"for {len(setups)} setups")
-    outcomes = [None] * len(setups)
-    tracks, prevs = {}, {}
+    outcomes, tracks = [None] * len(setups), {}
     for i, (setup, start) in enumerate(zip(setups, starts)):
         try:
-            span, steps = _horizon(setup, t_end)
-            prevs[i] = _checked_start(start, setup.grid)
+            tracks[i] = _Track(setup, start)
         except PoromoistError as exc:
             outcomes[i] = exc
-        else:
-            tracks[i] = _Track(setup, prevs[i], steps, span)
-    shapes = {(setups[i].grid.n, setups[i].step.dt, tracks[i].steps) for i in tracks}
-    if len(shapes) > 1:
-        raise ValueError(f"march members must share grid.n, dt and the step count, "
-                         f"got {sorted(shapes)}")
+    shapes = [(track.setup.grid.n, track.setup.step.dt, track.steps, track.setup.forcing,
+               track.prev.t) for track in tracks.values()]
+    if any(shape != shapes[0] for shape in shapes):
+        raise ValueError("march members must share grid.n, dt, the step count, the forcing "
+                         f"and the start time, got {shapes}")
     if not tracks:
         return outcomes
-    (_, dt, steps), = shapes
     live, group = list(tracks), None
+    (_, dt, steps, _, _), at = shapes[0], _forcing_at(tracks[live[0]].setup)
     for k in range(1, steps + 1):
         if not live:
             break
+        if len(live) == 1:
+            track = tracks[live[0]]
+            try:
+                track.add(k, *homotopy_solve(track.prev, track.setup, track.start(k)))
+            except PoromoistError as exc:
+                outcomes[live[0]], live = exc, []
+            continue
+        members = [tracks[i] for i in live]
         if group is None:
-            group = _group([setups[i] for i in live])
-        predicted = [tracks[i].start(k) for i in live]
-        swept = _sweeps([prevs[i] for i in live], [setups[i] for i in live], predicted, dt,
-                        group, NO_FORCING)
-        for i, start, outcome in zip(live, predicted, swept):
+            group = _group([track.setup for track in members])
+        t = members[0].prev.t + dt
+        forcing = at(t)
+        predicted = [track.start(k) for track in members]
+        swept = _sweeps([track.prev for track in members], [track.setup for track in members],
+                        predicted, dt, group, forcing)
+        for i, track, start, outcome in zip(live, members, predicted, swept):
             try:
                 if outcome is None:
                     # a kernel error ended the group's sweeps: the level is its run's
-                    new, records = homotopy_solve(prevs[i], setups[i], None, start)
+                    new, records = homotopy_solve(track.prev, track.setup, start)
                 elif isinstance(outcome, StepFailure):
                     # retaken alone in halves, as homotopy_solve retakes a level
-                    new, records = _halves(prevs[i], setups[i], dt, _unforced, NO_FORCING, 0,
+                    new, records = _halves(track.prev, track.setup, dt, at, forcing, 0,
                                            outcome.sweeps)
-                    new = State(new.rho, new.theta, prevs[i].t + dt)
+                    new = State(new.rho, new.theta, t)
                 else:
-                    new, record = outcome
-                    records = (record,)
+                    # converged: its state, and its one record as the level's
+                    new, records = outcome[0], outcome[1:]
             except PoromoistError as exc:
                 outcomes[i] = exc
             else:
-                prevs[i] = new
-                tracks[i].add(k, new, records)
+                track.add(k, new, records)
         still = [i for i in live if outcomes[i] is None]
         if len(still) < len(live):
             live, group = still, None
     for i in live:
         outcomes[i] = tracks[i].result()
     return outcomes
+
+
+def run(setup: Setup, start: State) -> RunResult:
+    """March setup's problem from start to its horizon: a march of one.
+
+    Returns march([setup], [start])'s one result and raises its error.
+    Deterministic: identical inputs produce bit-identical trajectories.
+    """
+    result, = march([setup], [start])
+    if isinstance(result, PoromoistError):
+        raise result
+    return result

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ def smoke_config() -> dict:
 @pytest.fixture(scope="session")
 def smoke_result(smoke_config):
     setup = build_setup(smoke_config)
-    return run(setup, mollified_initial_data(setup), t_end=setup.params.t_end)
+    return run(setup, mollified_initial_data(setup))
 
 
 def equilibrium_state(grid: Grid) -> State:
@@ -56,14 +57,17 @@ def equilibrium_state(grid: Grid) -> State:
 
 
 def make_setup(params, model, grid: Grid, initial: State | None = None, dt=1e-3,
-               eps=1e-2, nu=5e-3, **step) -> Setup:
-    """A Setup on grid; initial defaults to the equilibrium state, step to StepConfig's."""
+               eps=1e-2, nu=5e-3, t_end=None, forcing=None, **step) -> Setup:
+    """A Setup on grid; initial defaults to the equilibrium state, step to
+    StepConfig's and the horizon to params.t_end."""
+    if t_end is not None:
+        params = replace(params, t_end=t_end)
     return Setup(params, model, RegularizationParams(eps=eps, nu=nu),
                  StepConfig(dt=dt, **step), grid,
-                 equilibrium_state(grid) if initial is None else initial)
+                 equilibrium_state(grid) if initial is None else initial, forcing)
 
 
 def run_equilibrium(params, model, n=32, dt=1e-3, steps=100,
                     eps=1e-2, nu=5e-3):
-    setup = make_setup(params, model, Grid(n), dt=dt, eps=eps, nu=nu)
-    return run(setup, setup.initial, t_end=steps * dt)
+    setup = make_setup(params, model, Grid(n), dt=dt, eps=eps, nu=nu, t_end=steps * dt)
+    return run(setup, setup.initial)

@@ -32,7 +32,7 @@ SMOKE_PATH = REPO_ROOT / "configs" / "smoke.json"
 
 def run_config(data):
     setup = build_setup(data)
-    return run(setup, mollified_initial_data(setup), t_end=setup.params.t_end)
+    return run(setup, mollified_initial_data(setup))
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_observed_convergence_orders(unit_params, cubic_model):
 def test_regularization_ladder_on_smoke(smoke_dict):
     setup = build_setup(smoke_dict)
     start = time.monotonic()
-    report = regularization_ladder(setup, t_end=setup.params.t_end)
+    report = regularization_ladder(setup)
     assert time.monotonic() - start < 120.0
     assert report.eps_values == (0.1, 0.05, 0.025, 0.0125)
     assert report.differences.shape == (3,)
@@ -169,7 +169,7 @@ def test_equilibrium_preserved_over_long_runs(theta_hat):
     grid = Grid(32)
     state = State(np.full(grid.n, rho_hat), np.full(grid.n, theta_hat), 0.0)
     steps = 1000
-    result = run(make_setup(params, model, grid, state), state, t_end=steps * 1e-3)
+    result = run(make_setup(params, model, grid, state, t_end=steps * 1e-3), state)
     assert result.rho.shape == result.theta.shape == (steps + 1, grid.n)
     drift = 0.0
     for k in range(1, steps + 1):

@@ -186,8 +186,10 @@ def test_build_setup_default_cadence(smoke_config, tmp_path):
     del data["output"]
     data["grid"]["n"] = 16
     data["physical"]["t_end"] = 0.02
-    assert [f.name for f in fields(build_setup(data))] == [
-        "params", "model", "reg", "step", "grid", "initial"]
+    setup = build_setup(data)
+    assert [f.name for f in fields(setup)] == [
+        "params", "model", "reg", "step", "grid", "initial", "forcing"]
+    assert setup.forcing is None
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path)]) == 0

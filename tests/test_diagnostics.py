@@ -27,13 +27,13 @@ def equilibrium_run(unit_params, cubic_model):
 def bump_run(n, dt, t_end, eps=1e-4, nu=5e-5, params=None, model=None):
     grid = Grid(n)
     data = State(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2), np.ones(n), 0.0)
-    setup = make_setup(params, model, grid, data, dt=dt, eps=eps, nu=nu)
-    return run(setup, mollified_initial_data(setup), t_end=t_end)
+    setup = make_setup(params, model, grid, data, dt=dt, eps=eps, nu=nu, t_end=t_end)
+    return run(setup, mollified_initial_data(setup))
 
 
 def start_row(state, params, model):
-    """Row 0 of the series of a zero-step run from state, by name."""
-    result = run(make_setup(params, model, Grid(len(state.rho)), state), state, t_end=0.0)
+    """Row 0 of the series of a one-step run from state, by name."""
+    result = run(make_setup(params, model, Grid(len(state.rho)), state, t_end=1e-3), state)
     return {name: column[0] for name, column in result.series.items()}, result.t[0]
 
 
@@ -261,7 +261,7 @@ def test_step_record_keeps_a_nan_residual(smoke_result):
         records[0], grid, params)
 
 
-def traced_run(monkeypatch, *args, **kwargs):
+def traced_run(monkeypatch, *args):
     """run, keeping each level's records and the rows of each step_record call."""
     levels, calls = [], []
     solve, record = stepper.homotopy_solve, stepper.step_record
@@ -277,7 +277,7 @@ def traced_run(monkeypatch, *args, **kwargs):
 
     monkeypatch.setattr(stepper, "homotopy_solve", keep)
     monkeypatch.setattr(stepper, "step_record", count)
-    return run(*args, **kwargs), levels, calls
+    return run(*args), levels, calls
 
 
 def smoke_run(smoke_config, t_end, advection="upwind"):
@@ -292,14 +292,16 @@ def mms_run(unit_params, cubic_model):
     state = State(case.exact_rho(grid.centers, 0.0), case.exact_theta(grid.centers, 0.0),
                   0.0)
     setup = make_setup(unit_params, cubic_model, grid, state, dt=0.0025, eps=1e-8,
-                       nu=5e-9, picard_tol=1e-12, advection="central")
-    return (setup, state), dict(t_end=0.1, forcing=case.forcing)
+                       nu=5e-9, t_end=0.1, forcing=case.forcing, picard_tol=1e-12,
+                       advection="central")
+    return setup, state
 
 
 def split_run(cubic_model):
     state = State(np.ones(16), np.full(16, 1.3), 0.0)
-    setup = make_setup(make_params(lam=120.0), cubic_model, Grid(16), state, dt=0.02)
-    return (setup, state), dict(t_end=0.1)
+    setup = make_setup(make_params(lam=120.0), cubic_model, Grid(16), state, dt=0.02,
+                       t_end=0.1)
+    return setup, state
 
 
 def blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model):
@@ -310,22 +312,22 @@ def blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model):
     one_level_blocks sets the block size to one level here, before the run.
     """
     if case == "smoke":
-        return smoke_run(smoke_config, 0.123), {}
+        return smoke_run(smoke_config, 0.123)
     if case == "central":
-        return smoke_run(smoke_config, 0.2, "central"), {}
+        return smoke_run(smoke_config, 0.2, "central")
     if case == "mms":
         return mms_run(unit_params, cubic_model)
     if case == "split":
         return split_run(cubic_model)
     monkeypatch.setattr(stepper, "_STEP_BLOCK_CELLS", 1)
-    return smoke_run(smoke_config, 0.05), {}
+    return smoke_run(smoke_config, 0.05)
 
 
 @pytest.mark.parametrize("case", ["smoke", "central", "mms", "split", "one_level_blocks"])
 def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
                                              unit_params, cubic_model):
-    args, kwargs = blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model)
-    result, levels, calls = traced_run(monkeypatch, *args, **kwargs)
+    args = blocked_case(case, monkeypatch, smoke_config, unit_params, cubic_model)
+    result, levels, calls = traced_run(monkeypatch, *args)
     grid, params = result.setup.grid, result.setup.params
 
     block = max(1, stepper._STEP_BLOCK_CELLS // grid.n)
@@ -348,9 +350,7 @@ def test_step_columns_match_record_at_a_time(case, monkeypatch, smoke_config,
 
 @pytest.fixture(scope="module")
 def central_result(smoke_config):
-    setup = build_setup(smoke_config)
-    setup = replace(setup, step=replace(setup.step, advection="central"))
-    return run(setup, mollified_initial_data(setup), t_end=0.2)
+    return run(*smoke_run(smoke_config, 0.2, "central"))
 
 
 @pytest.mark.parametrize("which", ["smoke_result", "central_result", "smoke", "mms",
@@ -360,9 +360,8 @@ def test_trajectory_columns_match_row_at_a_time(which, request, monkeypatch,
     if which.endswith("_result"):
         result = request.getfixturevalue(which)
     else:
-        args, kwargs = blocked_case(which, monkeypatch, smoke_config, unit_params,
-                                    cubic_model)
-        result = run(*args, **kwargs)
+        result = run(*blocked_case(which, monkeypatch, smoke_config, unit_params,
+                                   cubic_model))
     for name, expected in row_at_a_time(result).items():
         assert result.series[name].tobytes() == expected.tobytes(), name
     assert result.series["dissipation"][-1] == sequential_dissipation(result)
@@ -379,12 +378,12 @@ def test_step_record_calls_stay_bounded(monkeypatch, smoke_config):
     assert sum(size for _, size in calls) == steps
 
 
-@pytest.mark.parametrize("case", ["smoke", "block_of_eight", "equilibrium", "zero_steps"])
+@pytest.mark.parametrize("case", ["smoke", "block_of_eight", "equilibrium", "one_step"])
 def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
                                                 unit_params, cubic_model):
-    if case == "zero_steps":
-        setup = make_setup(unit_params, cubic_model, Grid(8))
-        result = run(setup, setup.initial, t_end=0.0)
+    if case == "one_step":
+        setup = make_setup(unit_params, cubic_model, Grid(8), t_end=1e-3)
+        result = run(setup, setup.initial)
     elif case == "equilibrium":
         result = request.getfixturevalue("equilibrium_run")
     elif case == "smoke":
@@ -398,9 +397,8 @@ def test_blocked_dissipation_matches_sequential(case, request, monkeypatch,
                     max(1, stepper._STEP_BLOCK_CELLS // result.setup.grid.n))
     if case == "block_of_eight":
         assert steps == 199 and block == 8
-    if case != "zero_steps":
-        # smoke fills 25 blocks of 40 levels; the others end in a partial block
-        assert bool(steps % block) == (case != "smoke")
+    # smoke fills 25 blocks of 40 levels; the others end in a partial block
+    assert bool(steps % block) == (case != "smoke")
     dissipation = certify_run(result).entropy_dissipation
     assert dissipation == sequential_dissipation(result)
     assert math.copysign(1.0, dissipation) == math.copysign(

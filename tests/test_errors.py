@@ -1,4 +1,4 @@
-"""Every package error survives pickling, as it must to cross a process pool."""
+"""Every package error survives pickling, so a caller may send one between processes."""
 from __future__ import annotations
 
 import inspect

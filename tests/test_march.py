@@ -10,12 +10,13 @@ import pytest
 from poromoist import harness, stepper
 from poromoist.config import apply_override, build_setup
 from poromoist.diagnostics import certify_run
-from poromoist.discretization import Grid
+from poromoist.discretization import NO_FORCING, Grid
 from poromoist.errors import PoromoistError
 from poromoist.model import PowerLawSaturation
 from poromoist.stepper import State, march, mollified_initial_data, run
 
 from tests.conftest import make_params, make_setup
+from tests.oracles import TermForcing
 
 
 def same_bits(a, b) -> bool:
@@ -62,12 +63,15 @@ def assert_same_records(got, want):
             assert same_bits(getattr(mine.coeffs, name), values), f"coeffs.{name}"
         assert same_bits(mine.prev.t, theirs.prev.t)
         assert mine.sweeps == theirs.sweeps
-        assert mine.forcing is theirs.forcing
+        if theirs.forcing is NO_FORCING:
+            assert mine.forcing is NO_FORCING
+        for name, values in vars(theirs.forcing).items():
+            assert same_bits(getattr(mine.forcing, name), values), f"forcing.{name}"
 
 
-def outcome(setup, start, t_end=None):
+def outcome(setup, start):
     try:
-        return run(setup, start, t_end)
+        return run(setup, start)
     except PoromoistError as exc:
         return exc
 
@@ -76,7 +80,7 @@ def assert_same_run(got, want):
     assert same_bits(got.rho, want.rho)
     assert same_bits(got.theta, want.theta)
     assert same_bits(got.t, want.t)
-    assert got.t_end == want.t_end and got.setup is want.setup
+    assert got.setup is want.setup
     assert set(got.series) == set(want.series)
     for name, values in want.series.items():
         assert same_bits(got.series[name], values), name
@@ -93,6 +97,13 @@ def assert_same_outcome(got, want):
         assert_same_run(got, want)
 
 
+# Smooth sources and wall corrections of a forced problem.
+FORCING = TermForcing(rho_source=lambda x, t: 0.5 * np.sin(np.pi * x) * np.exp(-t),
+                      theta_source=lambda x, t: 0.2 * np.cos(np.pi * x) + 0.1 * t,
+                      rho_flux=lambda t: (0.01 * t, -0.02),
+                      theta_flux=lambda t: (0.0, 0.03 * t))
+
+
 def mixed_group(cubic_model):
     """Upwind and central, two eps (one kernel the identity), two lambda, two
     curves and two left exchange coefficients, on one grid and step."""
@@ -106,7 +117,7 @@ def mixed_group(cubic_model):
         (make_params(lam=0.5, alpha0=2.0), cubic_model, 0.02, "central"),
     ]
     return [make_setup(params, model, grid, bump, dt=2e-3, eps=eps, nu=0.5 * eps,
-                       advection=scheme)
+                       t_end=0.06, advection=scheme)
             for params, model, eps, scheme in members]
 
 
@@ -114,10 +125,10 @@ def test_mixed_group_marches_as_its_runs(monkeypatch, cubic_model):
     setups = mixed_group(cubic_model)
     starts = [mollified_initial_data(setup) for setup in setups]
     records, grouped = logged(monkeypatch)
-    want = [run(setup, start, 0.06) for setup, start in zip(setups, starts)]
+    want = [run(setup, start) for setup, start in zip(setups, starts)]
     assert not grouped
     alone = {id(setup): records.pop(id(setup)) for setup in setups}
-    got = march(setups, starts, 0.06)
+    got = march(setups, starts)
     for result, expected in zip(got, want):
         assert_same_run(result, expected)
     for setup in setups:
@@ -125,6 +136,31 @@ def test_mixed_group_marches_as_its_runs(monkeypatch, cubic_model):
     # the members swept together: fewer group sweeps than member sweeps
     member_sweeps = sum(sum(map(sum, sweeps(levels))) for levels in alone.values())
     assert grouped[0] == 4 and 30 <= len(grouped) < member_sweeps
+
+
+def test_forced_group_marches_as_its_runs(monkeypatch, cubic_model):
+    # Two members of one forcing and one start time: the forcing is evaluated
+    # once per level for both, and its sources reach every member's column.
+    times = []
+
+    def forcing(x, t):
+        times.append(t)
+        return FORCING(x, t)
+
+    setups = [replace(setup, forcing=forcing) for setup in mixed_group(cubic_model)[:2]]
+    starts = [mollified_initial_data(setup) for setup in setups]
+    records, grouped = logged(monkeypatch)
+    want = [run(setup, start) for setup, start in zip(setups, starts)]
+    alone = {id(setup): records.pop(id(setup)) for setup in setups}
+    del times[:]
+    got = march(setups, starts)
+    for result, expected in zip(got, want):
+        assert_same_run(result, expected)
+    for setup in setups:
+        assert_same_records(records[id(setup)], alone[id(setup)])
+    assert records[id(setups[0])][0][0].forcing is not NO_FORCING
+    assert grouped and set(grouped) == {2}
+    assert times == want[0].t[1:].tolist()
 
 
 def test_kernel_error_in_a_group_sends_its_members_through_the_level_alone(
@@ -136,7 +172,7 @@ def test_kernel_error_in_a_group_sends_its_members_through_the_level_alone(
     setups = mixed_group(cubic_model)
     starts = [mollified_initial_data(setup) for setup in setups]
     level, failing = 25, 3
-    prior = run(setups[failing], starts[failing], 0.06).rho[level - 1]
+    prior = run(setups[failing], starts[failing]).rho[level - 1]
     records, _ = logged(monkeypatch)
     assemble, firsts, events = stepper.assemble_rho_system, [], []
 
@@ -154,13 +190,13 @@ def test_kernel_error_in_a_group_sends_its_members_through_the_level_alone(
         return assemble(prev, rho_it, theta_it, setup, dt, *args)
 
     monkeypatch.setattr(stepper, "assemble_rho_system", injecting)
-    want = [run(setup, start, 0.06) for setup, start in zip(setups, starts)]
+    want = [run(setup, start) for setup, start in zip(setups, starts)]
     alone = {id(setup): records.pop(id(setup)) for setup in setups}
     levels = [sweeps(alone[id(setup)])[level - 1] for setup in setups]
     assert levels[1] == (1,) and min(levels[0] + levels[2]) > 1
     assert len(levels[failing]) > 1 and events.count("raised alone") == 1    # it split
     del events[:]
-    got = march(setups, starts, 0.06)
+    got = march(setups, starts)
     for result, expected in zip(got, want):
         assert_same_run(result, expected)
     for setup in setups:
@@ -225,6 +261,26 @@ def test_a_march_whose_members_all_fail_ends_with_their_errors(smoke_config):
         assert_same_outcome(got, expected)
 
 
+def test_the_last_member_left_marches_on_its_own_arrays(monkeypatch, smoke_config):
+    # The two members with a budget of one sweep fail in the first levels;
+    # the survivor takes every later level alone, on (n,) arrays, as its run.
+    cells = harder_cells(smoke_config)
+    survivor, failing = cells[0], cells[2]
+    setups = [survivor, failing, replace(failing, params=replace(failing.params, lam=240.0))]
+    starts = [mollified_initial_data(setup) for setup in setups]
+    records, grouped = logged(monkeypatch)
+    want = [outcome(setup, start) for setup, start in zip(setups, starts)]
+    alone = {id(setup): records.pop(id(setup), []) for setup in setups}
+    last = survivor.params.t_end - survivor.step.dt
+    assert all(error.record.prev.t < last for error in want[1:])
+    got = march(setups, starts)
+    for result, expected in zip(got, want):
+        assert_same_outcome(result, expected)
+    assert_same_records(records[id(survivor)], alone[id(survivor)])
+    # the members swept together, and never as a group of one
+    assert grouped and min(grouped) > 1
+
+
 def test_sweep_cells_of_a_group_report_their_own_runs(smoke_config):
     data = copy.deepcopy(smoke_config)
     for path, value in (("physical.t_end", 0.4), ("output.cadence", 0.4),
@@ -255,27 +311,36 @@ def test_sweep_cells_of_a_group_report_their_own_runs(smoke_config):
 
 def test_members_that_cannot_start_fail_alone(unit_params, cubic_model):
     grid = Grid(16)
-    setup = make_setup(unit_params, cubic_model, grid, dt=1e-3)
+    setup = make_setup(unit_params, cubic_model, grid, dt=1e-3, t_end=0.01)
     other = replace(setup, reg=stepper.RegularizationParams(eps=0.02, nu=0.01))
     bad = State(-np.ones(grid.n), np.ones(grid.n), 0.0)
-    got = march([setup, other, setup], [setup.initial, bad, setup.initial], 0.01)
+    got = march([setup, other, setup], [setup.initial, bad, setup.initial])
     assert type(got[1]).__name__ == "ConfigError"
     assert str(got[1]) == "negative vapor density at t=0.0"
     for result in (got[0], got[2]):
-        assert_same_run(result, run(setup, setup.initial, 0.01))
-    assert march([setup], [bad], 0.01)[0].args == got[1].args
-    assert march([], [], 0.01) == []
+        assert_same_run(result, run(setup, setup.initial))
+    assert march([setup], [bad])[0].args == got[1].args
+    assert march([], []) == []
 
 
 def test_members_must_share_grid_step_and_count(unit_params, cubic_model):
-    setup = make_setup(unit_params, cubic_model, Grid(16), dt=1e-3)
+    setup = make_setup(unit_params, cubic_model, Grid(16), dt=1e-3, t_end=0.01)
     coarse = replace(setup, step=replace(setup.step, dt=2e-3))
-    with pytest.raises(ValueError, match="share grid.n, dt and the step count"):
-        march([setup, coarse], [setup.initial, setup.initial], 0.01)
+    forced = replace(setup, forcing=FORCING)
+    other_forcing = replace(FORCING, rho_flux=lambda t: (0.0, 0.0))
+    later = State(setup.initial.rho, setup.initial.theta, 0.5)
+    for members, starts in (
+            ([setup, coarse], [setup.initial] * 2),
+            ([setup, forced], [setup.initial] * 2),
+            ([forced, replace(setup, forcing=other_forcing)], [setup.initial] * 2),
+            ([setup, setup], [setup.initial, later])):
+        with pytest.raises(ValueError, match="share grid.n, dt, the step count, the "
+                                             "forcing and the start time"):
+            march(members, starts)
 
 
 def test_each_member_needs_one_start(unit_params, cubic_model):
-    setup = make_setup(unit_params, cubic_model, Grid(16), dt=1e-3)
+    setup = make_setup(unit_params, cubic_model, Grid(16), dt=1e-3, t_end=0.01)
     for starts in ([setup.initial], [setup.initial] * 3):
         with pytest.raises(ValueError, match="one start per setup"):
-            march([setup, setup], starts, 0.01)
+            march([setup, setup], starts)

@@ -245,8 +245,7 @@ def test_step_config_validation():
 
 def run_from(state, params, model):
     """One step of dt = 1e-3 on a 4-cell grid from an explicit start state."""
-    setup = make_setup(params, model, Grid(4), state)
-    return run(setup, state, t_end=setup.step.dt)
+    return run(make_setup(params, model, Grid(4), state, t_end=1e-3), state)
 
 
 def test_state_validation(unit_params, cubic_model):
@@ -463,7 +462,7 @@ def test_dominance_loss_in_direct_attempt_goes_to_substeps(monkeypatch, cubic_mo
 def test_level_is_one_homotopy_call(monkeypatch, cubic_model):
     # Substeps recurse in a private helper, so a traced homotopy_solve spans
     # exactly one output level, split or not.
-    setup = stiff_setup(cubic_model, SPLIT_LAM)
+    setup = stiff_setup(cubic_model, SPLIT_LAM, t_end=2 * SPLIT_DT)
     real_solve, levels = stepper.homotopy_solve, []
 
     def counted(*args, **kwargs):
@@ -472,7 +471,7 @@ def test_level_is_one_homotopy_call(monkeypatch, cubic_model):
         return new, records
 
     monkeypatch.setattr(stepper, "homotopy_solve", counted)
-    result = run(setup, setup.initial, t_end=2 * SPLIT_DT)
+    result = run(setup, setup.initial)
     assert len(levels) == 2 and levels[0] == 2
     assert result.t.tolist() == [0.0, SPLIT_DT, 2 * SPLIT_DT]
     assert result.series["picard_iterations"][1] == 94
@@ -583,18 +582,18 @@ def test_strong_drift_loses_dominance(unit_params, cubic_model):
         assemble_rho_system(prev, rho_it, theta_it, setup, dt=0.05)
 
 
-def smooth_case(params, model):
-    """A relaxing vapor bump on n=32 at dt=1e-3, its smoothed start and a 20-step horizon."""
+def smooth_case(params, model, t_end=0.02):
+    """A relaxing vapor bump on n=32 at dt=1e-3 to a horizon of t_end, and its smoothed start."""
     grid = Grid(32)
     data = State(1.0 + np.exp(-((grid.centers - 0.5) / 0.15) ** 2), np.ones(grid.n), 0.0)
-    setup = make_setup(params, model, grid, data)
-    return setup, mollified_initial_data(setup), 0.02
+    setup = make_setup(params, model, grid, data, t_end=t_end)
+    return setup, mollified_initial_data(setup)
 
 
 def test_run_is_deterministic(unit_params, cubic_model):
-    setup, start, _ = smooth_case(unit_params, cubic_model)
-    first = run(setup, start, t_end=0.05)
-    second = run(setup, start, t_end=0.05)
+    setup, start = smooth_case(unit_params, cubic_model, 0.05)
+    first = run(setup, start)
+    second = run(setup, start)
     assert first.rho.shape == first.theta.shape == (51, setup.grid.n)
     assert first.t.shape == (51,)
     assert all(column.shape == (51,) for column in first.series.values())
@@ -607,9 +606,9 @@ def test_run_is_deterministic(unit_params, cubic_model):
 
 
 def test_predicted_start_saves_sweeps(unit_params, cubic_model):
-    setup, start, t_end = smooth_case(unit_params, cubic_model)
+    setup, start = smooth_case(unit_params, cubic_model)
     cfg = setup.step
-    result = run(setup, start, t_end=t_end)
+    result = run(setup, start)
     predicted = plain = 0
     # from step 3 on the start extrapolates at least three accepted states
     for k in range(3, len(result.t)):
@@ -807,7 +806,7 @@ def test_dry_start_certifies_with_positive_vapor(smoke_config):
 def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
     # A failed predicted attempt is not retried from the previous state: the
     # level goes straight to two halves, and each span gets one direct attempt.
-    setup, start, t_end = smooth_case(unit_params, cubic_model)
+    setup, start = smooth_case(unit_params, cubic_model)
     cfg = setup.step
     wasted = 2
     starved = replace(setup, step=replace(cfg, max_picard=wasted, picard_tol=1e-300))
@@ -821,7 +820,7 @@ def test_failed_prediction_falls_back(monkeypatch, unit_params, cubic_model):
                                 start)
 
     monkeypatch.setattr(stepper, "picard_step", starved_prediction)
-    result = run(setup, start, t_end=t_end)
+    result = run(setup, start)
     assert certify_run(result).passed
     steps, half = len(result.t) - 1, 0.5 * cfg.dt
     # the first level has no prediction; every later one wastes its attempt
@@ -862,9 +861,10 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     case = make_default_mms_case(unit_params, cubic_model)
     x = grid.centers
     state0 = State(case.exact_rho(x, 0.0), case.exact_theta(x, 0.0), 0.0)
-    setup = make_setup(unit_params, cubic_model, grid, state0, dt=0.01, picard_tol=1e-12)
     counting = CountingForcing(case.forcing)
-    result = run(setup, state0, t_end=0.1, forcing=counting)
+    setup = make_setup(unit_params, cubic_model, grid, state0, dt=0.01, t_end=0.1,
+                       forcing=counting, picard_tol=1e-12)
+    result = run(setup, state0)
     steps = len(result.t) - 1
     assert steps == 10
     assert result.series["picard_iterations"].sum() > steps
@@ -873,9 +873,9 @@ def test_forcing_evaluated_once_per_step(unit_params, cubic_model):
     # a split step, with a failed direct attempt and two halves, evaluates once
     # per time a substep ends: t = dt, shared by the attempt and the second
     # half, then t = dt/2
-    setup = stiff_setup(cubic_model, SPLIT_LAM)
     counting = CountingForcing(ZERO_FORCING)
-    result = run(setup, setup.initial, t_end=SPLIT_DT, forcing=counting)
+    setup = stiff_setup(cubic_model, SPLIT_LAM, t_end=SPLIT_DT, forcing=counting)
+    result = run(setup, setup.initial)
     assert result.series["picard_iterations"][1] == 94
     assert counting.times == [SPLIT_DT, SPLIT_DT / 2]
 
@@ -886,9 +886,9 @@ def test_zero_forcing_matches_no_forcing(unit_params, cubic_model):
     grid = Grid(16)
     x = grid.centers
     state = State(2.0 + np.cos(np.pi * x), 1.0 + 0.5 * np.sin(np.pi * x), 0.0)
-    setup = make_setup(unit_params, cubic_model, grid, state, dt=0.01)
-    forced = run(setup, state, t_end=0.1, forcing=ZERO_FORCING)
-    plain = run(setup, state, t_end=0.1)
+    setup = make_setup(unit_params, cubic_model, grid, state, dt=0.01, t_end=0.1)
+    forced = run(replace(setup, forcing=ZERO_FORCING), state)
+    plain = run(setup, state)
     np.testing.assert_array_equal(forced.rho, plain.rho)
     np.testing.assert_array_equal(forced.theta, plain.theta)
     for name, column in plain.series.items():
@@ -896,36 +896,32 @@ def test_zero_forcing_matches_no_forcing(unit_params, cubic_model):
 
 
 def test_run_validates_horizon(unit_params, cubic_model):
-    grid = Grid(8)
-    setup = make_setup(unit_params, cubic_model, grid)
-    state = setup.initial
-    with pytest.raises(ConfigError):
-        run(setup, state, t_end=0.0015)
-    with pytest.raises(ConfigError, match=r"t_end must be nonnegative, got -0\.001"):
-        run(setup, state, t_end=-1e-3)
-    with pytest.raises(ConfigError, match="positive integer number of steps"):
-        run(setup, state, t_end=1e-12)
-    with pytest.raises(ConfigError, match="positive integer number of steps"):
-        # t_end / dt overflows to inf
-        run(setup, state, t_end=1e308)
-    still = run(setup, state, t_end=0.0)
-    assert still.rho.shape == (1, grid.n)
-    assert all(column.shape == (1,) for column in still.series.values())
-    np.testing.assert_array_equal(still.rho[0], state.rho)
-    np.testing.assert_array_equal(still.theta[0], state.theta)
-    assert still.t.tolist() == [state.t]
-    assert certify_run(still).theta_envelope_ok
+    # 1.5 steps, a count that rounds to zero, and t_end / dt overflowing to inf
+    for t_end in (0.0015, 1e-12, 1e308):
+        setup = make_setup(unit_params, cubic_model, Grid(8), t_end=t_end)
+        with pytest.raises(ConfigError, match="positive integer number of steps"):
+            run(setup, setup.initial)
+    # a horizon is positive: no problem is made without one
+    for t_end in (0.0, -1e-3):
+        with pytest.raises(ConfigError, match="offending: t_end"):
+            make_params(t_end=t_end)
+
+
+def test_run_rejects_a_nonfinite_start_time(unit_params, cubic_model):
+    setup = make_setup(unit_params, cubic_model, Grid(4), t_end=1e-2)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="nonfinite start time"):
+            run(setup, State(np.ones(4), np.ones(4), t))
 
 
 def test_run_rejects_initial_state_of_another_grid(unit_params, cubic_model):
     setup = make_setup(unit_params, cubic_model, Grid(16))
     with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
-        run(setup, equilibrium_state(Grid(8)), t_end=setup.step.dt)
+        run(setup, equilibrium_state(Grid(8)))
     # raw samples of another grid are rejected before they are mollified
     data = State(np.ones(8), np.ones(8), 0.0)
     with pytest.raises(DimensionMismatch, match="8 cells for an n=16 grid"):
-        run(setup, mollified_initial_data(replace(setup, initial=data)),
-            t_end=setup.step.dt)
+        run(setup, mollified_initial_data(replace(setup, initial=data)))
 
 
 
